@@ -14,7 +14,7 @@ import random
 import sys
 
 from .cosimplicial import check_descent_axioms
-from .errors import GodexError
+from .errors import FormatError, GodexError
 from .exactlin import GF
 from .filtered import check_descent_axioms_filtered, e_infinity_dims, er_page
 from .godement import (
@@ -25,6 +25,13 @@ from .godement import (
 from .oracle import constant_cohomology, holim_replacement
 from .problemfile import emit_document, load
 from .site import random_poset, random_sheaf
+
+
+def _require_sheaf(pf):
+    """`pf` itself, if the problem file carries a sheaf."""
+    if pf.sheaf is None:
+        raise FormatError("the file has no sheaf block")
+    return pf
 
 
 def _parse_open(poset, spec: str):
@@ -68,7 +75,7 @@ def _emit(args, doc: dict, human):
 
 
 def cmd_cohomology(args) -> int:
-    pf = load(args.file)
+    pf = _require_sheaf(load(args.file))
     N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
     U = _parse_open(pf.poset, args.open)
     C, betti = derived_sections(pf.sheaf, U, N)
@@ -84,7 +91,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_hyper(args) -> int:
-    pf = load(args.file)
+    pf = _require_sheaf(load(args.file))
     N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
     hyper = hypercohomology_sheaf(pf.sheaf, N)
     stalks = {}
@@ -103,7 +110,7 @@ def cmd_hyper(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    pf = load(args.file)
+    pf = _require_sheaf(load(args.file))
     res = godement_resolution(pf.sheaf, args.level)
     res.cosimplicial.validate()
     levels = {}
@@ -125,7 +132,7 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_check_thomason(args) -> int:
-    pf = load(args.file)
+    pf = _require_sheaf(load(args.file))
     N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
     rep = thomason_check(pf.sheaf, N, mode=args.mode)
     doc = {"command": "check-thomason", "verdict": rep.verdict, "mode": rep.mode,
@@ -160,7 +167,7 @@ def _theorem_conditions(F, N):
 def cmd_check_theorem(args) -> int:
     trials = []
     if args.file:
-        pf = load(args.file)
+        pf = _require_sheaf(load(args.file))
         N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
         conds = _theorem_conditions(pf.sheaf, N)
         trials.append({"instance": "file", **conds})
@@ -227,6 +234,7 @@ def cmd_spectral(args) -> int:
         extra = {"e_infinity": {f"{p},{q}": d
                                 for (p, q), d in sorted(e_infinity_dims(FC).items())}}
     else:
+        _require_sheaf(pf)
         U = _parse_open(pf.poset, args.open)
         N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
         pages, FC, total, _ = descent_spectral_sequence(pf.sheaf, U, args.r, N)
@@ -247,7 +255,7 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_pushforward(args) -> int:
-    pf = load(args.file)
+    pf = _require_sheaf(load(args.file))
     if pf.poset_map is None:
         raise GodexError("no poset_map block in the file")
     N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
@@ -264,7 +272,7 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    pf = load(args.file)
+    pf = _require_sheaf(load(args.file))
     N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
     weak = holim_replacement(pf.sheaf, N)
     strict = holim_replacement(pf.sheaf, N, strict=True)

@@ -265,18 +265,6 @@ def truncate(C: CochainComplex, N: int) -> CochainComplex:
     return CochainComplex(C.field, dims, diffs, lower=C.lower, certified_degree=cert, check=False)
 
 
-def shift_degrees(C: CochainComplex, k: int) -> CochainComplex:
-    """Reindex C placing degree n in degree n+k (no sign changes)."""
-    return CochainComplex(
-        C.field,
-        {n + k: d for n, d in C.dims.items()},
-        {n + k: m for n, m in C.differentials.items()},
-        lower=C.lower + k,
-        certified_degree=None if C.certified_degree is None else C.certified_degree + k,
-        check=False,
-    )
-
-
 def biproduct(C1: CochainComplex, C2: CochainComplex):
     """Degreewise direct sum with block-diagonal differentials.
 

@@ -329,7 +329,10 @@ class Matrix:
     def kernel_matrix(self, reduced=None) -> "Matrix":
         """Basis of {v : Av = 0} as matrix columns.
 
-        `reduced` may carry a precomputed (rref, pivots) pair.
+        `reduced` may carry a precomputed (rref, pivots) pair.  The basis is
+        the identity on its free rows (the non-pivot columns of the rref, in
+        increasing order), so the coordinates of any kernel vector in this
+        basis are its entries in those rows; `site.sections` relies on this.
         """
         R, pivots = reduced if reduced is not None else self.rref()
         n = self.cols
@@ -456,14 +459,32 @@ def _rref_np(m: Matrix):
 
     Within a panel of columns the per-pivot updates touch the panel only;
     the deferred effect on the remaining columns is applied as one matrix
-    product per panel (exact in float64: the accumulated magnitudes stay
-    far below 2**53).  Cross-checked against `_rref_np_simple` in the tests.
+    product per panel.  Every value that is multiplied is first reduced into
+    [0, p), so each product is below (p-1)**2, and the float64 arithmetic is
+    exact while every magnitude stays below 2**53:
+
+      * at the start of a panel every entry of `a` is in [0, p), except in
+        the columns of an earlier panel that no out-of-panel update has
+        reduced since, which hold the panel bound below;
+      * a panel entry receives at most one update f * row with f, row in
+        [0, p) per pivot of the panel, so it stays below
+        p + _PANEL * (p-1)**2;
+      * the pivot row is reduced before it is scaled by the pivot inverse;
+      * a row u of U is an entry (bounded as above) minus at most _PANEL - 1
+        products of reduced values; it is reduced before it is scaled;
+      * the out-of-panel update subtracts Fk @ U, at most _PANEL products of
+        reduced values, from an entry bounded as above, so every value stays
+        below p + 2 * _PANEL * (p-1)**2 <= (2 * _PANEL + 2) * (p-1)**2.
+
+    Cross-checked against `_rref_np_simple` and the naive rank of
+    `tests/conftest.py` on multi-panel matrices over primes up to 2**20 in
+    `tests/test_exactlin.py`.
     """
     p = m.field.p
     nr, nc = m.rows, m.cols
     if nr == 0 or nc == 0:
         return Matrix(m.field, nr, nc, m._a.copy(), _raw=True), ()
-    if (p - 1) ** 2 * (_PANEL + 2) >= _FLOAT_SAFE or \
+    if (p - 1) ** 2 * (2 * _PANEL + 2) >= _FLOAT_SAFE or \
             (p - 1) ** 2 * (min(nr, nc) + 1) >= _FLOAT_SAFE:
         raise ValueError("matrix too large for deferred-reduction elimination")
     a = m._a % p
@@ -491,7 +512,7 @@ def _rref_np(m: Matrix):
                 a[[r, i], :] = a[[i, r], :]
                 Fm[[r, i], :] = Fm[[i, r], :]
             inv = pow(int(panel[r, j] % p), p - 2, p)
-            panel[r, :] = (panel[r, :] * inv) % p
+            panel[r, :] = (panel[r, :] % p * inv) % p
             f = panel[:, j] % p
             f[r] = 0.0
             if f.any():
@@ -516,7 +537,7 @@ def _rref_np(m: Matrix):
                 u = aout[rj, :]
                 if j:
                     u = u - Fk[rj, :j] @ U[:j, :]
-                U[j, :] = (u * invs[j]) % p
+                U[j, :] = (u % p * invs[j]) % p
                 # hits up to and including a pivot's own step are folded in U
                 Fk[rj, :j + 1] = 0.0
             for j in range(k):

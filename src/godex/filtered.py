@@ -380,10 +380,9 @@ def decalage_levelwise(XF: CosimplicialFiltered) -> CosimplicialFiltered:
                                 check=False)
 
 
-DELIGNE_SHIFT = "E_r^{p,q}(Dec F) = E_{r+1}^{2p+q, -p}(F)"
-
-
 def deligne_reindex(pq) -> tuple:
+    """Deligne's shift E_r^{p,q}(Dec F) = E_{r+1}^{2p+q, -p}(F): the slot of F's
+    page that a décalage slot (p, q) lands on."""
     p, q = pq
     return (2 * p + q, -p)
 

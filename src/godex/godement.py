@@ -3,7 +3,9 @@
 T(F) has stalks (TF)_x = ⊕_{y >= x} F_y with projection restrictions; the
 unit η inserts restrictions, the multiplication ν projects onto matching
 chain pairs.  G^p(F) = T^{p+1}(F) with cofaces T^i η T^{p-i} and
-codegeneracies T^j ν T^{p-j}.  The hypercohomology sheaf H_X(F) is the
+codegeneracies T^j ν T^{p-j}; since T^i η T^{p-i} = T(T^{i-1} η T^{p-i}),
+they are built recursively as d^i_p = T(d^{i-1}_{p-1}) and
+s^j_p = T(s^{j-1}_{p-1}).  The hypercohomology sheaf H_X(F) is the
 objectwise total complex of G•(F), truncated at a degree bound N and
 certified through N-1.
 
@@ -22,7 +24,7 @@ from .errors import InsufficientLevels, InvariantError
 from .exactlin import Matrix
 from .oracle import coaugmentation_into_replacement, replacement_complex
 from .site import (
-    MonotoneMap, SectionComplex, Sheaf, SheafMap, direct_image, sections, sections_map,
+    MonotoneMap, Sheaf, SheafMap, direct_image, sections, sections_map,
 )
 
 
@@ -248,7 +250,12 @@ class GodementResolution:
 
 
 def godement_resolution(F: Sheaf, p_max: int) -> GodementResolution:
-    """G^p(F) = T^{p+1}(F) with d^i = T^i η T^{p-i}, s^j = T^j ν T^{p-j}."""
+    """G^p(F) = T^{p+1}(F) with d^i = T^i η T^{p-i}, s^j = T^j ν T^{p-j}.
+
+    For i, j >= 1 each structure map is T of a map one level down,
+    d^i_p = T(d^{i-1}_{p-1}) and s^j_p = T(s^{j-1}_{p-1}), where d^0_0 = η_F
+    (so d^1_1 = T(η_F)); every map costs one t_apply_map.
+    """
     if p_max < 0:
         raise InsufficientLevels("p_max must be >= 0")
     tower = [F]
@@ -256,21 +263,17 @@ def godement_resolution(F: Sheaf, p_max: int) -> GodementResolution:
         tower.append(apply_T(tower[-1]))
     etas = [godement_eta(tower[k], tower[k + 1]) for k in range(p_max + 1)]
     levels = {p: tower[p + 1] for p in range(p_max + 1)}
-    cofaces = {}
+    cofaces = {(0, 0): etas[0]}
     for p in range(1, p_max + 1):
-        for i in range(p + 1):
-            f = etas[p - i]
-            for j in range(i):
-                f = t_apply_map(f, tower[p - i + j + 1], tower[p - i + j + 2])
-            cofaces[(p, i)] = f
+        cofaces[(p, 0)] = etas[p]
+        for i in range(1, p + 1):
+            cofaces[(p, i)] = t_apply_map(cofaces[(p - 1, i - 1)], tower[p], tower[p + 1])
+    del cofaces[(0, 0)]
     codegens = {}
     for p in range(p_max):
-        for j in range(p + 1):
-            base = p - j
-            f = godement_nu(tower[base], tower[base + 1], tower[base + 2])
-            for k in range(j):
-                f = t_apply_map(f, tower[base + k + 3], tower[base + k + 2])
-            codegens[(p, j)] = f
+        codegens[(p, 0)] = godement_nu(tower[p], tower[p + 1], tower[p + 2])
+        for j in range(1, p + 1):
+            codegens[(p, j)] = t_apply_map(codegens[(p - 1, j - 1)], tower[p + 2], tower[p + 1])
     cos = CosimplicialSheaf(F.poset, F.field, levels, cofaces, codegens, p_max)
     return GodementResolution(F, tower, etas, cos, etas[0])
 
@@ -349,39 +352,13 @@ def resolution_sections(res: GodementResolution, U):
     levels = {p: secs[p].complex for p in range(cos.p_max + 1)}
     cofaces = {}
     for (p, i), f in cos.cofaces.items():
-        cofaces[(p, i)] = _sections_map_known(f, secs[p - 1], secs[p])
+        cofaces[(p, i)] = sections_map(f, U, secs[p - 1], secs[p])
     codegens = {}
     for (p, j), f in cos.codegeneracies.items():
-        codegens[(p, j)] = _sections_map_known(f, secs[p + 1], secs[p])
+        codegens[(p, j)] = sections_map(f, U, secs[p + 1], secs[p])
     X = CosimplicialComplex(F.field, levels, cofaces, codegens, cos.p_max, check=False)
-    eps = _sections_map_known(res.eta, sec_F, secs[0])
+    eps = sections_map(res.eta, U, sec_F, secs[0])
     return X, eps, sec_F
-
-
-def _sections_map_known(f: SheafMap, sec_s: SectionComplex, sec_t: SectionComplex) -> ChainMap:
-    """Γ(U, f) when the section complexes are already computed."""
-    U = sec_s.open_set
-    if not U:
-        return ChainMap.zero(sec_s.complex, sec_t.complex)
-    poset = f.source.poset
-    order = poset.sorted_subset(U)
-    m = [x for x in order if all(poset.leq(x, y) for y in order)]
-    if len(m) == 1 and sec_s.complex is f.source.stalk(m[0]) \
-            and sec_t.complex is f.target.stalk(m[0]):
-        return f.component(m[0])
-    comps = {}
-    for n in sec_s.complex.dims:
-        img = None
-        tgt = None
-        for x in order:
-            fx = f.component(x).component(n) @ sec_s.evaluation(x).component(n)
-            ex = sec_t.evaluation(x).component(n)
-            img = fx if img is None else img.vstack(fx)
-            tgt = ex if tgt is None else tgt.vstack(ex)
-        if tgt is None or tgt.cols == 0:
-            continue
-        comps[n] = tgt.solve(img)
-    return ChainMap(sec_s.complex, sec_t.complex, comps, check=False)
 
 
 # ---- hypercohomology ------------------------------------------------------

@@ -45,13 +45,30 @@ class ProblemFile:
 # ---- scalars ---------------------------------------------------------------
 
 
+def _expect(value, kind, where: str):
+    """`value`, which must be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{where} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _parse_int(v, where: str) -> int:
+    try:
+        return int(v)
+    except (TypeError, ValueError):
+        raise FormatError(f"{where} must be an integer, got {v!r}")
+
+
 def _parse_entry(field: Field, v):
     if field.is_rational:
         if isinstance(v, str):
-            if "/" in v:
-                num, den = v.split("/", 1)
-                return Fraction(int(num), int(den))
-            return Fraction(int(v))
+            try:
+                if "/" in v:
+                    num, den = v.split("/", 1)
+                    return Fraction(int(num), int(den))
+                return Fraction(int(v))
+            except (ValueError, ZeroDivisionError):
+                raise FormatError(f"bad rational entry {v!r}")
         if isinstance(v, int):
             return Fraction(v)
         raise FormatError(f"bad rational entry {v!r}")
@@ -87,7 +104,7 @@ def _parse_field(doc) -> Field:
         return QQ
     if isinstance(f, dict) and "p" in f:
         try:
-            return GF(int(f["p"]))
+            return GF(_parse_int(f["p"], "field.p"))
         except ValueError as e:
             raise FormatError(str(e))
     raise FormatError('field must be "Q" or {"p": prime}')
@@ -97,14 +114,17 @@ def _emit_field(field: Field):
     return "Q" if field.is_rational else {"p": field.p}
 
 
-def _parse_poset(doc) -> Poset:
-    p = doc.get("poset")
-    if not isinstance(p, dict) or "elements" not in p:
-        raise FormatError("missing poset.elements")
-    elements = p["elements"]
-    covers = [tuple(c) for c in p.get("covers", [])]
+def _parse_poset(spec, where: str) -> Poset:
+    if not isinstance(spec, dict) or "elements" not in spec:
+        raise FormatError(f"missing {where}.elements")
+    elements = _expect(spec["elements"], list, f"{where}.elements")
+    covers = _expect(spec.get("covers", []), list, f"{where}.covers")
+    if not all(isinstance(x, str) for x in elements) or \
+            not all(isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
+                    for c in covers):
+        raise FormatError(f"{where}: elements must be strings, covers pairs of elements")
     try:
-        return Poset(elements, covers)
+        return Poset(elements, [tuple(c) for c in covers])
     except InvariantError as e:
         raise FormatError(f"invalid poset: {e}")
 
@@ -115,11 +135,17 @@ def _emit_poset(poset: Poset):
 
 
 def _parse_complex(field: Field, spec, where: str) -> CochainComplex:
-    dims = {int(k): int(v) for k, v in spec.get("dims", {}).items()}
-    lower = int(spec.get("lower_bound", min(dims) if dims else 0))
+    _expect(spec, dict, where)
+    dims = {}
+    for k, v in _expect(spec.get("dims", {}), dict, f"{where}.dims").items():
+        n = _parse_int(k, f"{where}.dims key")
+        dims[n] = _parse_int(v, f"{where}.dims[{k}]")
+        if dims[n] < 0:
+            raise FormatError(f"{where}.dims[{k}] is negative")
+    lower = _parse_int(spec.get("lower_bound", min(dims) if dims else 0), f"{where}.lower_bound")
     diffs = {}
-    for k, data in spec.get("differentials", {}).items():
-        n = int(k)
+    for k, data in _expect(spec.get("differentials", {}), dict, f"{where}.differentials").items():
+        n = _parse_int(k, f"{where}.differentials key")
         rows, cols = dims.get(n + 1, 0), dims.get(n, 0)
         diffs[n] = _parse_matrix(field, rows, cols, data, f"{where}.differentials[{k}]")
     try:
@@ -136,8 +162,10 @@ def _emit_complex(field: Field, C: CochainComplex):
     return out
 
 
-def _parse_sheaf(field: Field, poset: Poset, spec, where: str) -> Sheaf:
-    stalks_spec = spec.get("stalks")
+def _parse_sheaf(field: Field, poset: Poset | None, spec, where: str) -> Sheaf:
+    if poset is None:
+        raise FormatError(f"{where} requires a poset")
+    stalks_spec = _expect(spec, dict, where).get("stalks")
     if not isinstance(stalks_spec, dict):
         raise FormatError(f"missing {where}.stalks")
     for x in poset.elements:
@@ -146,22 +174,26 @@ def _parse_sheaf(field: Field, poset: Poset, spec, where: str) -> Sheaf:
     for x in stalks_spec:
         if x not in poset:
             raise FormatError(f"{where}.stalks references unknown element {x!r}")
-    lower = min((int(s.get("lower_bound", 0)) for s in stalks_spec.values()), default=0)
+    lower = min((_parse_int(_expect(s, dict, f"{where}.stalks[{x}]").get("lower_bound", 0),
+                            f"{where}.stalks[{x}].lower_bound")
+                 for x, s in stalks_spec.items()), default=0)
     stalks = {}
     for x, s in stalks_spec.items():
         s = dict(s)
         s["lower_bound"] = lower
         stalks[x] = _parse_complex(field, s, f"{where}.stalks[{x}]")
     cover_maps = {}
-    for item in spec.get("restrictions", []):
+    for item in _expect(spec.get("restrictions", []), list, f"{where}.restrictions"):
+        item = _expect(item, dict, f"{where}.restrictions entry")
         a, b = item.get("from"), item.get("to")
-        if a not in poset or b not in poset:
+        if not isinstance(a, str) or not isinstance(b, str) or a not in poset or b not in poset:
             raise FormatError(f"restriction references unknown elements {a!r}, {b!r}")
         comps = {}
-        for k, data in item.get("components", {}).items():
-            n = int(k)
+        where_ab = f"{where}.restrictions[{a}->{b}]"
+        for k, data in _expect(item.get("components", {}), dict, where_ab).items():
+            n = _parse_int(k, f"{where_ab} key")
             comps[n] = _parse_matrix(field, stalks[b].dim(n), stalks[a].dim(n), data,
-                                     f"{where}.restrictions[{a}->{b}][{k}]")
+                                     f"{where_ab}[{k}]")
         try:
             cover_maps[(a, b)] = ChainMap(stalks[a], stalks[b], comps)
         except InvariantError as e:
@@ -216,16 +248,19 @@ def _parse_filtered(field: Field, spec, where: str) -> FilteredComplex:
     filt = spec.get("filtration")
     if not isinstance(filt, dict):
         raise FormatError(f"missing {where}.filtration")
-    k_min, k_max = int(filt.get("k_min", 0)), int(filt.get("k_max", 0))
+    k_min = _parse_int(filt.get("k_min", 0), f"{where}.filtration.k_min")
+    k_max = _parse_int(filt.get("k_max", 0), f"{where}.filtration.k_max")
     bases = {}
-    for k, per_degree in filt.get("subspaces", {}).items():
-        for n, data in per_degree.items():
+    subspaces = _expect(filt.get("subspaces", {}), dict, f"{where}.filtration.subspaces")
+    for k, per_degree in subspaces.items():
+        for n, data in _expect(per_degree, dict, f"{where}.filtration[{k}]").items():
             if not data:
                 continue
-            rows = base.dim(int(n))
-            cols = len(data[0])
-            bases[(int(k), int(n))] = _parse_matrix(field, rows, cols, data,
-                                                    f"{where}.filtration[{k}][{n}]")
+            at = f"{where}.filtration[{k}][{n}]"
+            cols = len(_expect(_expect(data, list, at)[0], list, at))
+            degree = _parse_int(n, at)
+            bases[(_parse_int(k, at), degree)] = _parse_matrix(field, base.dim(degree), cols,
+                                                               data, at)
     try:
         return FilteredComplex.from_bases(base, bases, k_min, k_max)
     except InvariantError as e:
@@ -252,11 +287,9 @@ def parse_document(text: str) -> ProblemFile:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_KEY:
         raise FormatError(f'missing or unsupported "format" key (expected "{FORMAT_KEY}")')
     field = _parse_field(doc)
-    poset = _parse_poset(doc) if "poset" in doc else None
+    poset = _parse_poset(doc["poset"], "poset") if "poset" in doc else None
     sheaf = None
     if "sheaf" in doc:
-        if poset is None:
-            raise FormatError("sheaf requires a poset")
         sheaf = _parse_sheaf(field, poset, doc["sheaf"], "sheaf")
     sheaf2 = None
     if "sheaf2" in doc:
@@ -266,24 +299,26 @@ def parse_document(text: str) -> ProblemFile:
         if sheaf is None or sheaf2 is None:
             raise FormatError("map requires sheaf and sheaf2")
         comps = {}
-        for x, per_degree in doc["map"].get("components", {}).items():
+        map_spec = _expect(doc["map"], dict, "map")
+        for x, per_degree in _expect(map_spec.get("components", {}), dict, "map.components").items():
             if x not in poset:
                 raise FormatError(f"map references unknown element {x!r}")
-            comps[x] = ChainMap(sheaf.stalk(x), sheaf2.stalk(x),
-                                {int(n): _parse_matrix(field, sheaf2.stalk(x).dim(int(n)),
-                                                       sheaf.stalk(x).dim(int(n)), data,
-                                                       f"map[{x}][{n}]")
-                                 for n, data in per_degree.items()})
-        for x in poset.elements:
-            comps.setdefault(x, ChainMap.zero(sheaf.stalk(x), sheaf2.stalk(x)))
+            blocks = {}
+            for n, data in _expect(per_degree, dict, f"map[{x}]").items():
+                q = _parse_int(n, f"map[{x}] key")
+                blocks[q] = _parse_matrix(field, sheaf2.stalk(x).dim(q), sheaf.stalk(x).dim(q),
+                                          data, f"map[{x}][{n}]")
+            comps[x] = blocks
         try:
+            comps = {x: ChainMap(sheaf.stalk(x), sheaf2.stalk(x), comps.get(x, {}))
+                     for x in poset.elements}
             sheaf_map = SheafMap(sheaf, sheaf2, comps)
         except InvariantError as e:
             raise FormatError(f"invalid sheaf map: {e}")
     poset_map = None
     if "poset_map" in doc:
-        pm = doc["poset_map"]
-        target = Poset(pm["target"]["elements"], [tuple(c) for c in pm["target"].get("covers", [])])
+        pm = _expect(doc["poset_map"], dict, "poset_map")
+        target = _parse_poset(pm.get("target"), "poset_map.target")
         try:
             poset_map = MonotoneMap(poset, target, pm.get("values", {}))
         except Exception as e:

@@ -16,7 +16,8 @@ import itertools
 
 from .complexes import ChainMap, CochainComplex, biproduct, random_complex, zero_complex
 from .errors import (
-    FieldMismatch, InvariantError, NotACover, NotMonotone, NotOpen, TooLarge, UnknownElement,
+    FieldMismatch, InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge,
+    UnknownElement,
 )
 from .exactlin import Field, Matrix
 
@@ -24,9 +25,13 @@ UP_SET_ENUMERATION_CAP = 12
 
 
 class Poset:
-    """A finite poset; the order relation is verified at construction."""
+    """A finite poset; the order relation is verified at construction.
 
-    __slots__ = ("elements", "_index", "_leq")
+    A Poset is immutable, so up-sets, covers and sorted subsets are computed
+    once and memoized.
+    """
+
+    __slots__ = ("elements", "_index", "_leq", "_up_sets", "_covers", "_sorted")
 
     def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)
@@ -52,13 +57,12 @@ class Poset:
             if a != b and (b, a) in rel:
                 raise InvariantError(f"antisymmetry fails on {a}, {b}")
         self._leq = frozenset(rel)
-
-    @staticmethod
-    def from_covers(elements, covers) -> "Poset":
-        return Poset(elements, covers)
+        self._up_sets = {}
+        self._covers = None
+        self._sorted = {}
 
     def _require(self, x):
-        if x not in set(self.elements):
+        if x not in self._index:
             raise UnknownElement(f"unknown element {x!r}")
 
     def __contains__(self, x):
@@ -74,8 +78,11 @@ class Poset:
         return (x, y) in self._leq
 
     def up_set(self, x) -> frozenset:
-        self._require(x)
-        return frozenset(y for y in self.elements if self.leq(x, y))
+        up = self._up_sets.get(x)
+        if up is None:
+            self._require(x)
+            up = self._up_sets[x] = frozenset(y for y in self.elements if self.leq(x, y))
+        return up
 
     def down_set(self, x) -> frozenset:
         self._require(x)
@@ -85,16 +92,18 @@ class Poset:
         s = set(subset)
         return all(y in s for x in s for y in self.elements if self.leq(x, y))
 
-    def covers(self):
+    def covers(self) -> tuple:
         """Covering relations x ⋖ y (no z strictly between)."""
-        out = []
-        for x in self.elements:
-            for y in self.elements:
-                if x != y and self.leq(x, y):
-                    if not any(z != x and z != y and self.leq(x, z) and self.leq(z, y)
-                               for z in self.elements):
-                        out.append((x, y))
-        return out
+        if self._covers is None:
+            out = []
+            for x in self.elements:
+                for y in self.elements:
+                    if x != y and self.leq(x, y):
+                        if not any(z != x and z != y and self.leq(x, z) and self.leq(z, y)
+                                   for z in self.elements):
+                            out.append((x, y))
+            self._covers = tuple(out)
+        return self._covers
 
     def pairs(self):
         """All strict pairs x < y."""
@@ -102,7 +111,11 @@ class Poset:
 
     def sorted_subset(self, subset) -> tuple:
         """Elements of `subset` in canonical (construction) order."""
-        return tuple(x for x in self.elements if x in set(subset))
+        key = subset if isinstance(subset, frozenset) else frozenset(subset)
+        out = self._sorted.get(key)
+        if out is None:
+            out = self._sorted[key] = tuple(x for x in self.elements if x in key)
+        return out
 
     def strict_chains(self, max_len: int | None = None, within=None):
         """Strictly increasing chains grouped by length (1-based)."""
@@ -304,17 +317,40 @@ class SheafMap:
 
 
 class SectionComplex:
-    """Γ(U, F) together with the evaluation maps to the stalks over U."""
+    """Γ(U, F) together with the evaluation maps to the stalks over U.
 
-    __slots__ = ("open_set", "complex", "evaluations")
+    A family of degree-n sections is a matrix stacking one block per stalk
+    over U, in canonical order.  When U has no minimum, the section basis in
+    degree n is `kernel_matrix` of the constraint system `systems[n]` (None
+    when U has no cover relation), which is the identity on the rows
+    `free[n]`: the coordinates of a stacked family are those rows, read off
+    after the membership guard `systems[n] @ family == 0`.
+    """
 
-    def __init__(self, open_set, complex, evaluations):
+    __slots__ = ("open_set", "complex", "evaluations", "free", "systems")
+
+    def __init__(self, open_set, complex, evaluations, free=None, systems=None):
         self.open_set = open_set
         self.complex = complex
         self.evaluations = evaluations
+        self.free = free
+        self.systems = systems
 
     def evaluation(self, x) -> ChainMap:
         return self.evaluations[x]
+
+    def coordinates(self, n: int, stacked: Matrix) -> Matrix:
+        """Coordinates of a stacked family in the degree-n section basis;
+        NotContained if the family is not compatible.  Only sections over an
+        open without a minimum carry `free` and `systems`; over an open with
+        a minimum m, a section is its value at m."""
+        return _coordinates(self.free.get(n, ()), self.systems.get(n), stacked)
+
+
+def _coordinates(free, system, stacked: Matrix) -> Matrix:
+    if system is not None and not (system @ stacked).is_zero():
+        raise NotContained("family is not a compatible family of sections")
+    return stacked.take_rows(free)
 
 
 def _unique_minimum(poset: Poset, U: frozenset):
@@ -324,11 +360,21 @@ def _unique_minimum(poset: Poset, U: frozenset):
     return None
 
 
+def _stack(blocks) -> Matrix:
+    out = None
+    for m in blocks:
+        out = m if out is None else out.vstack(m)
+    return out
+
+
 def sections(F: Sheaf, U) -> SectionComplex:
     """Γ(U, F): compatible families (a_x), r_{x->y} a_x = a_y, as a kernel.
 
     Γ(∅, F) is the zero complex, and Γ(↑x, F) is the stalk F_x itself with
     identity/restriction evaluations (the minimal open attains the stalk).
+    Otherwise the basis is the kernel of the cover constraints, and the
+    differential is read off the free rows of d applied to that basis (see
+    `SectionComplex`); no linear system is solved.
     """
     poset = F.poset
     U = poset.require_open(U)
@@ -346,6 +392,8 @@ def sections(F: Sheaf, U) -> SectionComplex:
     hi = max((F.stalk(x).upper for x in order), default=lo)
     constraints = [(x, y) for (x, y) in poset.covers() if x in U and y in U]
     basis = {}
+    free = {}
+    systems = {}
     dims = {}
     for n in range(lo, hi + 1):
         sizes = [F.stalk(x).dim(n) for x in order]
@@ -363,9 +411,14 @@ def sections(F: Sheaf, U) -> SectionComplex:
                 prev = entries.get((ridx, col_of[y]))
                 entries[(ridx, col_of[y])] = (prev - ident) if prev is not None else ident.scale(-1)
             sys = Matrix.assemble(field, row_sizes, sizes, entries)
-            basis[n] = sys.kernel_matrix()
+            R, pivots = sys.rref()
+            basis[n] = sys.kernel_matrix(reduced=(R, pivots))
+            pivot_set = set(pivots)
+            free[n] = [j for j in range(total) if j not in pivot_set]
+            systems[n] = sys
         else:
             basis[n] = Matrix.identity(field, total)
+            free[n] = list(range(total))
         dims[n] = basis[n].cols
     diffs = {}
     for n in range(lo, hi):
@@ -375,10 +428,9 @@ def sections(F: Sheaf, U) -> SectionComplex:
         sizes_n1 = [F.stalk(x).dim(n + 1) for x in order]
         D = Matrix.assemble(field, sizes_n1, sizes_n,
                             {(k, k): F.stalk(x).d(n) for k, x in enumerate(order)})
-        diffs[n] = basis[n + 1].solve(D @ basis[n])
+        diffs[n] = _coordinates(free[n + 1], systems.get(n + 1), D @ basis[n])
     C = CochainComplex(field, dims, diffs, lower=lo, certified_degree=cert, check=True)
     evals = {}
-    offs = {}
     for x in order:
         evals[x] = {}
     for n, b in basis.items():
@@ -389,7 +441,7 @@ def sections(F: Sheaf, U) -> SectionComplex:
                 evals[x][n] = b.take_rows(range(off, off + d))
             off += d
     eval_maps = {x: ChainMap(C, F.stalk(x), evals[x], check=True) for x in order}
-    return SectionComplex(U, C, eval_maps)
+    return SectionComplex(U, C, eval_maps, free, systems)
 
 
 def restriction_of_sections(F: Sheaf, sec_U: SectionComplex, sec_V: SectionComplex) -> ChainMap:
@@ -408,22 +460,22 @@ def restriction_of_sections(F: Sheaf, sec_U: SectionComplex, sec_V: SectionCompl
     for n in CV.dims:
         if CU.dim(n) == 0:
             continue
-        stacked = None
-        for x in order:
-            m_x = sec_U.evaluation(x).component(n)
-            stacked = m_x if stacked is None else stacked.vstack(m_x)
-        target_stack = None
-        for x in order:
-            m_x = sec_V.evaluation(x).component(n)
-            target_stack = m_x if target_stack is None else target_stack.vstack(m_x)
-        comps[n] = target_stack.solve(stacked)
+        stacked = _stack(sec_U.evaluation(x).component(n) for x in order)
+        comps[n] = sec_V.coordinates(n, stacked)
     return ChainMap(CU, CV, comps, check=True)
 
 
-def sections_map(f: SheafMap, U) -> ChainMap:
-    """Γ(U, f): the induced map on section complexes."""
-    sec_s = sections(f.source, U)
-    sec_t = sections(f.target, U)
+def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
+                 sec_t: SectionComplex | None = None) -> ChainMap:
+    """Γ(U, f): the induced map on section complexes.
+
+    `sec_s` and `sec_t` may carry Γ(U, source) and Γ(U, target) as returned
+    by `sections`, when the caller has them already.
+    """
+    if sec_s is None:
+        sec_s = sections(f.source, U)
+    if sec_t is None:
+        sec_t = sections(f.target, U)
     U = sec_s.open_set
     if not U:
         return ChainMap.zero(sec_s.complex, sec_t.complex)
@@ -434,16 +486,11 @@ def sections_map(f: SheafMap, U) -> ChainMap:
     order = poset.sorted_subset(U)
     comps = {}
     for n in sec_s.complex.dims:
-        img = None
-        tgt = None
-        for x in order:
-            fx = f.component(x).component(n) @ sec_s.evaluation(x).component(n)
-            ex = sec_t.evaluation(x).component(n)
-            img = fx if img is None else img.vstack(fx)
-            tgt = ex if tgt is None else tgt.vstack(ex)
-        if tgt is None or tgt.cols == 0:
+        if sec_t.complex.dim(n) == 0:
             continue
-        comps[n] = tgt.solve(img)
+        img = _stack(f.component(x).component(n) @ sec_s.evaluation(x).component(n)
+                     for x in order)
+        comps[n] = sec_t.coordinates(n, img)
     return ChainMap(sec_s.complex, sec_t.complex, comps, check=True)
 
 
@@ -684,7 +731,8 @@ def direct_image(f: MonotoneMap, F: Sheaf) -> Sheaf:
         stalks = {q: CochainComplex(c.field, dict(c.dims), dict(c.differentials),
                                     lower=lo, certified_degree=c.certified_degree, check=False)
                   for q, c in stalks.items()}
-        secs = {q: SectionComplex(secs[q].open_set, stalks[q], secs[q].evaluations)
+        secs = {q: SectionComplex(secs[q].open_set, stalks[q], secs[q].evaluations,
+                                  secs[q].free, secs[q].systems)
                 for q in Q.elements}
     restr = {}
     for (a, b) in Q.pairs():

@@ -142,3 +142,27 @@ def test_hyper_and_resolve():
     assert code == 0
     doc = json.loads(out)
     assert set(doc["levels"]) == {"0", "1", "2"}
+
+
+def test_file_without_sheaf_exits_two():
+    # the filtered example carries only a filtered complex: every command that
+    # needs a sheaf reports invalid input, not a crash or a counterexample
+    f = str(DATA / "filtered-example.json")
+    for args in (("cohomology", f), ("hyper", f), ("resolve", f),
+                 ("check-thomason", f), ("spectral", f), ("pushforward", f),
+                 ("oracle", f), ("check-theorem", f)):
+        code, _, err = run_cli(*args)
+        assert code == 2, args
+        assert "Traceback" not in err and "sheaf" in err, args
+
+
+def test_malformed_stalk_exits_two(tmp_path):
+    doc = json.loads((DATA / "sierpinski-skyscraper.json").read_text())
+    stalk = next(iter(doc["sheaf"]["stalks"]))
+    for bad in ({"dims": {"x": 1}}, {"dims": {"0": -1}}, {"dims": {"0": "one"}}, [1, 2]):
+        doc["sheaf"]["stalks"][stalk] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli("cohomology", "--open", "ALL", str(path))
+        assert code == 2, bad
+        assert "Traceback" not in err, bad

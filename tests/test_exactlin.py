@@ -4,8 +4,8 @@ import pytest
 
 from godex.errors import AmbientMismatch, NotContained
 from godex.exactlin import (
-    GF, QQ, Field, Matrix, Subspace, image, kernel, preimage, random_invertible,
-    random_matrix, subquotient,
+    GF, QQ, Field, Matrix, Subspace, _rref_np, _rref_np_simple, image, kernel, preimage,
+    random_invertible, random_matrix, subquotient,
 )
 
 from conftest import naive_rank
@@ -138,3 +138,32 @@ def test_backend_agreement_q_vs_f5():
         mq = Matrix(QQ, 4, 5, rows)
         mp = Matrix(GF(101), 4, 5, rows)
         assert mq.rank() == mp.rank() == naive_rank(mq)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521, 1048573])
+def test_panel_rref_matches_references_across_panels(p):
+    # 150 columns span three 64-column panels; the product has rank <= 70,
+    # so pivots land in every panel and most rows reduce to zero
+    field = GF(p)
+    rng = random.Random(1)
+    A = random_matrix(field, 90, 70, rng) @ random_matrix(field, 70, 150, rng)
+    R, pivots = _rref_np(A)
+    assert (R, pivots) == _rref_np_simple(A)
+    assert len(pivots) == naive_rank(A)
+    K = A.kernel_matrix()
+    assert K.cols == A.cols - len(pivots)
+    assert (A @ K).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(1048573)])
+def test_kernel_basis_is_identity_on_free_rows(field):
+    rng = random.Random(3)
+    for rows, rank, cols in [(4, 2, 7), (5, 3, 5), (3, 3, 9), (90, 70, 150)]:
+        if field.is_rational and cols > 10:
+            continue
+        A = random_matrix(field, rows, rank, rng) @ random_matrix(field, rank, cols, rng)
+        _, pivots = A.rref()
+        free = [j for j in range(cols) if j not in pivots]
+        K = A.kernel_matrix()
+        assert K.take_rows(free) == Matrix.identity(field, len(free))
+        assert (A @ K).is_zero()

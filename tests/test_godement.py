@@ -7,14 +7,14 @@ from godex.cosimplicial import collapse_by_extra_degeneracy
 from godex.errors import TooLarge
 from godex.godement import (
     apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
-    descent_spectral_sequence, equivalence_check, godement_resolution, godement_T,
-    hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
+    descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
+    godement_resolution, godement_T, hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
     resolution_sections,
     separation_witness, sheaf_extra_degeneracy_top, skyscraper_counit,
-    stalk_commutation_check, stalk_extra_degeneracy, thomason_check,
+    stalk_commutation_check, stalk_extra_degeneracy, t_apply_map, thomason_check,
 )
 from godex.site import (
-    MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
+    STANDARD_POSETS, MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
     random_poset, random_sheaf, random_sheaf_map, sierpinski_poset, skyscraper,
 )
 
@@ -68,6 +68,43 @@ def test_resolution_dims_by_chain_count(f5):
             assert res.level(p).stalk(x).dims == expect
 
 
+def _iterated_structure_maps(tower, p_max):
+    """Reference: d^i = T^i η T^{p-i} and s^j = T^j ν T^{p-j}, each built
+    from η or ν by i (or j) nested applications of T."""
+    cofaces = {}
+    for p in range(1, p_max + 1):
+        for i in range(p + 1):
+            f = godement_eta(tower[p - i], tower[p - i + 1])
+            for j in range(i):
+                f = t_apply_map(f, tower[p - i + j + 1], tower[p - i + j + 2])
+            cofaces[(p, i)] = f
+    codegens = {}
+    for p in range(p_max):
+        for j in range(p + 1):
+            base = p - j
+            f = godement_nu(tower[base], tower[base + 1], tower[base + 2])
+            for k in range(j):
+                f = t_apply_map(f, tower[base + k + 3], tower[base + k + 2])
+            codegens[(p, j)] = f
+    return cofaces, codegens
+
+
+def test_resolution_structure_maps_equal_iterated_T(f5):
+    # the recursion d^i_p = T(d^{i-1}_{p-1}) gives the same matrices as
+    # building every map from η or ν on all five suite posets
+    for name, make in STANDARD_POSETS.items():
+        F = random_sheaf(make(), f5, 31)
+        res = godement_resolution(F, 3)
+        cofaces, codegens = _iterated_structure_maps(res.tower, 3)
+        cos = res.cosimplicial
+        assert list(cos.cofaces) == list(cofaces), name
+        assert list(cos.codegeneracies) == list(codegens), name
+        for key, f in cofaces.items():
+            assert cos.cofaces[key] == f, (name, key)
+        for key, f in codegens.items():
+            assert cos.codegeneracies[key] == f, (name, key)
+
+
 def test_resolution_cosimplicial_identities(f5):
     P = sierpinski_poset()
     F = random_sheaf(P, f5, 2, max_dim=2, span=2)
@@ -97,16 +134,16 @@ def test_skyscraper_resolution_extra_degeneracy_on_opens(f5):
     res = godement_resolution(F, N - F.lower)
     counit = skyscraper_counit(res, "c")
     extra_sheaf = sheaf_extra_degeneracy_top(res, "c")
-    from godex.godement import _sections_map_known
     from godex.site import sections as _sections
+    from godex.site import sections_map as _sections_map
     for U in S.up_sets():
         if not U:
             continue
         X, eps, sec_F = resolution_sections(res, U)
         secs = {p: _sections(res.level(p), U) for p in range(res.cosimplicial.p_max + 1)}
-        extra = [_sections_map_known(extra_sheaf[0], secs[0], sec_F)]
+        extra = [_sections_map(extra_sheaf[0], U, secs[0], sec_F)]
         for p in range(1, res.cosimplicial.p_max + 1):
-            extra.append(_sections_map_known(extra_sheaf[p], secs[p], secs[p - 1]))
+            extra.append(_sections_map(extra_sheaf[p], U, secs[p], secs[p - 1]))
         cert = collapse_by_extra_degeneracy(eps, X, extra, N, side="top")
         assert cert
 

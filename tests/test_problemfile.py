@@ -1,10 +1,11 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from godex.complexes import single_complex
-from godex.errors import FormatError
+from godex.errors import FormatError, GodexError
 from godex.exactlin import GF, QQ
 from godex.filtered import random_filtered_complex
 from godex.problemfile import ProblemFile, emit_document, parse_document
@@ -147,3 +148,44 @@ def test_missing_cover_restriction(f5):
     with pytest.raises(FormatError) as exc:
         parse_document(json.dumps(doc))
     assert "missing restriction" in str(exc.value)
+
+
+def _mutate(doc, rng):
+    """Replace, delete or add one randomly chosen node of a JSON document."""
+    junk = [None, True, -1, 0, 2.5, "x", "1/0", "", [], {}, [1, 2], {"a": 1}, [[1]], "a"]
+    paths = []
+
+    def walk(node, path):
+        paths.append(path)
+        items = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        for k, v in items:
+            walk(v, path + (k,))
+    walk(doc, ())
+    path = rng.choice(paths[1:])
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    value = json.loads(json.dumps(rng.choice(junk)))
+    r = rng.random()
+    if r < 0.2 and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif r < 0.4 and isinstance(parent, dict):
+        parent[rng.choice(["k", "-1", "0", "3"])] = value
+    else:
+        parent[path[-1]] = value
+
+
+def test_mutated_documents_parse_or_raise_format_errors():
+    # malformed input is rejected with a godex error (the CLI's exit 2),
+    # never with an internal TypeError, KeyError or AttributeError
+    files = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.json"))
+    rng = random.Random(2)
+    for _ in range(3000):
+        doc = json.loads(rng.choice(files).read_text())
+        for _ in range(rng.randint(1, 2)):
+            _mutate(doc, rng)
+        try:
+            parse_document(json.dumps(doc))
+        except GodexError:
+            pass

@@ -3,12 +3,16 @@ import random
 import pytest
 
 from godex.complexes import ChainMap, random_complex, single_complex
-from godex.errors import InvariantError, NotACover, NotMonotone, NotOpen, TooLarge, UnknownElement
+from godex.errors import (
+    InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge, UnknownElement,
+)
+from godex.exactlin import Matrix
 from godex.site import (
-    MonotoneMap, Poset, Sheaf, chain_poset, check_sheaf_equalizer,
-    constant_sheaf, direct_image, down_set_sheaf, point_poset, pseudocircle_poset,
-    pseudosphere_poset, random_poset, random_sheaf, random_sheaf_map, sections,
-    sections_map, sierpinski_poset, skyscraper, skyscraper_unit, up_set_sheaf,
+    STANDARD_POSETS, MonotoneMap, Poset, Sheaf, chain_poset, check_sheaf_equalizer,
+    conjugate_sheaf, constant_sheaf, direct_image, down_set_sheaf, point_poset,
+    pseudocircle_poset, pseudosphere_poset, random_poset, random_sheaf, random_sheaf_map,
+    restriction_of_sections, sections, sections_map, sierpinski_poset, skyscraper,
+    skyscraper_unit, up_set_sheaf,
 )
 
 
@@ -251,3 +255,77 @@ def test_up_and_down_set_sheaves(f5):
     G.validate()
     with pytest.raises(InvariantError):
         down_set_sheaf(P, P.up_set("x"), C)
+
+
+def _stack(blocks):
+    out = None
+    for m in blocks:
+        out = m if out is None else out.vstack(m)
+    return out
+
+
+def _solve_coordinates(sec, order, n, stacked):
+    """Reference: solve against the stacked evaluations of the section basis."""
+    return _stack(sec.evaluation(x).component(n) for x in order).solve(stacked)
+
+
+def _solve_sections_map(f, U):
+    """Reference Γ(U, f): solve for the image of each section basis vector."""
+    sec_s, sec_t = sections(f.source, U), sections(f.target, U)
+    order = f.source.poset.sorted_subset(U)
+    comps = {}
+    for n in sec_s.complex.dims:
+        if sec_t.complex.dim(n) == 0:
+            continue
+        img = _stack(f.component(x).component(n) @ sec_s.evaluation(x).component(n)
+                     for x in order)
+        comps[n] = _solve_coordinates(sec_t, order, n, img)
+    return ChainMap(sec_s.complex, sec_t.complex, comps, check=True)
+
+
+def test_section_coordinates_match_solve_reference(f5):
+    # every open of every suite poset, for a random sheaf and for a constant
+    # sheaf transported along random stalk automorphisms (non-identity
+    # restrictions), and for a random sheaf map between them
+    rng = random.Random(40)
+    for name, make in STANDARD_POSETS.items():
+        P = make()
+        F = random_sheaf(P, f5, 41)
+        G = conjugate_sheaf(constant_sheaf(P, random_complex(f5, rng, span=2, max_dim=2)), rng)
+        f = random_sheaf_map(F, G, rng)
+        opens = P.up_sets()
+        for U in opens:
+            if U:
+                assert sections_map(f, U) == _solve_sections_map(f, U), (name, U)
+            for sheaf in (F, G):
+                sec = sections(sheaf, U)
+                if sec.free is None:  # empty open or an open with a minimum
+                    continue
+                order = P.sorted_subset(U)
+                C = sec.complex
+                for n in C.dims:
+                    img = _stack(sheaf.stalk(x).d(n) @ sec.evaluation(x).component(n)
+                                 for x in order)
+                    assert C.d(n) == sec.coordinates(n + 1, img) == \
+                        _solve_coordinates(sec, order, n + 1, img), (name, U, n)
+                for V in opens:
+                    if not V or not V < U:
+                        continue
+                    sec_V = sections(sheaf, V)
+                    if sec_V.free is None:
+                        continue
+                    r = restriction_of_sections(sheaf, sec, sec_V)
+                    order_V = P.sorted_subset(V)
+                    for n in sec_V.complex.dims:
+                        stacked = _stack(sec.evaluation(x).component(n) for x in order_V)
+                        assert r.component(n) == \
+                            _solve_coordinates(sec_V, order_V, n, stacked), (name, U, V, n)
+
+
+def test_incompatible_family_raises_not_contained(f5):
+    P = pseudocircle_poset()
+    F = constant_sheaf(P, single_complex(f5, 0, 1))
+    sec = sections(F, frozenset(P.elements))
+    assert sec.coordinates(0, Matrix.column(f5, [2, 2, 2, 2])) == Matrix.column(f5, [2])
+    with pytest.raises(NotContained):
+        sec.coordinates(0, Matrix.column(f5, [1, 0, 1, 1]))
