@@ -42,6 +42,17 @@ def _parse_open(poset, spec: str):
     return poset.require_open(spec.split(","))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (a usage error, exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _default_bound(sheaf) -> int:
     return sheaf.top_degree + 4
 
@@ -341,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "commutation, Thomason descent")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--poset-size", type=int, default=4)
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--poset-size", type=_positive_int, default=4)
+    p.add_argument("--max-dim", type=_positive_int, default=2)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=cmd_check_theorem)

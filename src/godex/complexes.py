@@ -4,12 +4,19 @@ A complex stores dims per degree and differentials d^n : C^n -> C^(n+1) of
 shape dims(n+1) x dims(n).  Complexes may carry a `certified_degree`: the
 largest degree whose cohomology is guaranteed complete (total complexes of
 truncated cosimplicial objects are only trustworthy below the truncation).
+
+Sheaves, cosimplicial and bicosimplicial complexes are diagrams of
+complexes.  `transport` (along degreewise automorphisms of the levels),
+`conjugate` (along random ones) and the levelwise `direct_sum` are written
+once, here, for all of them; each diagram class supplies `diagram()` and
+`rebuild()`.  Direct sums and total complexes lay their summands out with
+`exactlin.Layout`.
 """
 
 from __future__ import annotations
 
 from .errors import FieldMismatch, InvariantError
-from .exactlin import Field, Matrix, Subspace, subquotient
+from .exactlin import Field, Layout, Matrix, Subspace, random_invertible, subquotient
 
 
 class CochainComplex:
@@ -83,6 +90,13 @@ class CochainComplex:
     def __repr__(self):
         ds = ", ".join(f"{n}:{d}" for n, d in sorted(self.dims.items()))
         return f"CochainComplex({self.field}, {{{ds}}})"
+
+    def diagram(self):
+        """A complex is the diagram with one level and no arrows."""
+        return {0: self}, {}
+
+    def rebuild(self, levels, maps):
+        return levels[0]
 
     # ---- cohomology ---------------------------------------------------
 
@@ -265,6 +279,11 @@ def truncate(C: CochainComplex, N: int) -> CochainComplex:
     return CochainComplex(C.field, dims, diffs, lower=C.lower, certified_degree=cert, check=False)
 
 
+def _oplus(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix a ⊕ b."""
+    return Matrix.assemble(a.field, [a.rows, b.rows], [a.cols, b.cols], {(0, 0): a, (1, 1): b})
+
+
 def biproduct(C1: CochainComplex, C2: CochainComplex):
     """Degreewise direct sum with block-diagonal differentials.
 
@@ -276,12 +295,7 @@ def biproduct(C1: CochainComplex, C2: CochainComplex):
     lo = min(C1.lower, C2.lower)
     hi = max(C1.upper, C2.upper)
     dims = {n: C1.dim(n) + C2.dim(n) for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo, hi + 1):
-        d1, d2 = C1.d(n), C2.d(n)
-        top = d1.hstack(Matrix.zeros(field, d1.rows, d2.cols))
-        bot = Matrix.zeros(field, d2.rows, d1.cols).hstack(d2)
-        diffs[n] = top.vstack(bot)
+    diffs = {n: _oplus(C1.d(n), C2.d(n)) for n in range(lo, hi + 1)}
     cert = None
     for c in (C1.certified_degree, C2.certified_degree):
         if c is not None:
@@ -289,14 +303,70 @@ def biproduct(C1: CochainComplex, C2: CochainComplex):
     C = CochainComplex(field, dims, diffs, lower=lo, certified_degree=cert, check=False)
     incl1, incl2, proj1, proj2 = {}, {}, {}, {}
     for n in range(lo, hi + 1):
-        a, b = C1.dim(n), C2.dim(n)
-        i_n = Matrix.identity(field, a + b)
-        incl1[n] = i_n.take_columns(range(a))
-        incl2[n] = i_n.take_columns(range(a, a + b))
-        proj1[n] = i_n.take_rows(range(a))
-        proj2[n] = i_n.take_rows(range(a, a + b))
+        layout = Layout([(1, C1.dim(n)), (2, C2.dim(n))])
+        incl1[n], incl2[n] = layout.inclusion(field, [1]), layout.inclusion(field, [2])
+        proj1[n], proj2[n] = incl1[n].transpose(), incl2[n].transpose()
     return C, (ChainMap(C1, C, incl1, check=False), ChainMap(C2, C, incl2, check=False)), \
         (ChainMap(C, C1, proj1, check=False), ChainMap(C, C2, proj2, check=False))
+
+
+# ---- diagrams of complexes ----------------------------------------------
+#
+# A sheaf, a cosimplicial and a bicosimplicial complex are diagrams of
+# complexes.  Each exposes `diagram()`, its levels (key -> complex, in a fixed
+# order) and its arrows (name -> (source key, target key, chain map)), and
+# `rebuild(levels, maps)`, the diagram of the same shape on new levels with
+# new arrows (name -> chain map).  Transport and direct sums are written once,
+# here, against that interface.
+
+
+def transport(D, g):
+    """D carried along the degreewise automorphisms g[level key][q].
+
+    Every level differential d becomes g d g^-1 and every arrow f : s -> t
+    becomes g_t f g_s^-1; g holds an automorphism for every nonzero degree
+    of every level.
+    """
+    levels, arrows = D.diagram()
+    ginv = {k: {q: m.inverse() for q, m in gk.items()} for k, gk in g.items()}
+    new = {k: CochainComplex(C.field, dict(C.dims),
+                             {q: g[k][q + 1] @ d @ ginv[k][q] for q, d in C.differentials.items()},
+                             lower=C.lower, certified_degree=C.certified_degree, check=False)
+           for k, C in levels.items()}
+    maps = {name: ChainMap(new[s], new[t], {q: g[t][q] @ m @ ginv[s][q]
+                                            for q, m in f.components.items()}, check=False)
+            for name, (s, t, f) in arrows.items()}
+    return D.rebuild(new, maps)
+
+
+def conjugate(D, rng):
+    """D transported along random automorphisms, drawn level by level in the
+    order of `D.diagram()` and degree by degree within a level."""
+    levels, _ = D.diagram()
+    return transport(D, {k: {q: random_invertible(C.field, C.dim(q), rng) for q in C.dims}
+                         for k, C in levels.items()})
+
+
+def direct_sum(D1, D2):
+    """Levelwise direct sum of two diagrams of one shape; each arrow is f ⊕ g.
+
+    Returns (D, (i1, i2), (p1, p2)) where i_k and p_k map level keys to the
+    inclusion and projection chain maps of `biproduct`.
+    """
+    levels1, arrows1 = D1.diagram()
+    levels2, arrows2 = D2.diagram()
+    if levels1.keys() != levels2.keys() or arrows1.keys() != arrows2.keys():
+        raise InvariantError("direct sum of diagrams of different shapes")
+    levels, incl1, incl2, proj1, proj2 = {}, {}, {}, {}, {}
+    for k in levels1:
+        levels[k], (incl1[k], incl2[k]), (proj1[k], proj2[k]) = biproduct(levels1[k], levels2[k])
+    maps = {}
+    for name, (s, t, f) in arrows1.items():
+        g = arrows2[name][2]
+        maps[name] = ChainMap(levels[s], levels[t],
+                              {q: _oplus(f.component(q), g.component(q))
+                               for q in set(f.components) | set(g.components)}, check=False)
+    return D1.rebuild(levels, maps), (incl1, incl2), (proj1, proj2)
 
 
 class QuisReport:
@@ -394,7 +464,6 @@ def random_complex(field: Field, rng, lower: int = 0, span: int = 3, max_dim: in
     C = CochainComplex(field, dims, diffs, lower=lower, check=False)
     if not scramble:
         return C
-    from .exactlin import random_invertible
     P = {n: random_invertible(field, dims.get(n, 0), rng) for n in degs}
     new_diffs = {n: P[n + 1] @ C.d(n) @ P[n].inverse() for n in degs[:-1]}
     return CochainComplex(field, dims, new_diffs, lower=lower, check=False)

@@ -275,36 +275,30 @@ class Matrix:
         return Matrix(self.field, len(idx), self.cols, self._a[idx, :].copy(), _raw=True)
 
     @staticmethod
-    def assemble(field: Field, row_sizes, col_sizes, blocks: dict) -> "Matrix":
-        """Block matrix from `blocks[(i, j)] = Matrix`; absent blocks are zero."""
-        row_sizes = list(row_sizes)
-        col_sizes = list(col_sizes)
-        roff = [0]
-        for s in row_sizes:
-            roff.append(roff[-1] + s)
-        coff = [0]
-        for s in col_sizes:
-            coff.append(coff[-1] + s)
-        rows, cols = roff[-1], coff[-1]
+    def assemble(field: Field, rows, cols, blocks: dict) -> "Matrix":
+        """Block matrix from `blocks[(row label, column label)] = Matrix`.
+
+        `rows` and `cols` are `Layout`s, or lists of block sizes, which are
+        read as layouts labelled by position.  Absent blocks are zero.
+        """
+        rows = rows if isinstance(rows, Layout) else Layout(enumerate(rows))
+        cols = cols if isinstance(cols, Layout) else Layout(enumerate(cols))
         if field.is_rational:
-            data = [[Fraction(0)] * cols for _ in range(rows)]
-            for (bi, bj), m in blocks.items():
-                if m.shape != (row_sizes[bi], col_sizes[bj]):
-                    raise ValueError(f"block {(bi, bj)} has shape {m.shape}, "
-                                     f"expected {(row_sizes[bi], col_sizes[bj])}")
-                for i in range(m.rows):
-                    row = data[roff[bi] + i]
-                    mrow = m._q[i]
-                    for j in range(m.cols):
-                        row[coff[bj] + j] = mrow[j]
-            return Matrix(field, rows, cols, tuple(tuple(r) for r in data), _raw=True)
-        a = np.zeros((rows, cols))
+            data = [[Fraction(0)] * cols.dim for _ in range(rows.dim)]
+        else:
+            a = np.zeros((rows.dim, cols.dim))
         for (bi, bj), m in blocks.items():
-            if m.shape != (row_sizes[bi], col_sizes[bj]):
-                raise ValueError(f"block {(bi, bj)} has shape {m.shape}, "
-                                 f"expected {(row_sizes[bi], col_sizes[bj])}")
-            a[roff[bi]:roff[bi] + m.rows, coff[bj]:coff[bj] + m.cols] = m._a
-        return Matrix(field, rows, cols, a, _raw=True)
+            (r0, rd), (c0, cd) = rows[bi], cols[bj]
+            if m.shape != (rd, cd):
+                raise ValueError(f"block {(bi, bj)} has shape {m.shape}, expected {(rd, cd)}")
+            if field.is_rational:
+                for i in range(rd):
+                    data[r0 + i][c0:c0 + cd] = m._q[i]
+            else:
+                a[r0:r0 + rd, c0:c0 + cd] = m._a
+        if field.is_rational:
+            return Matrix(field, rows.dim, cols.dim, tuple(tuple(r) for r in data), _raw=True)
+        return Matrix(field, rows.dim, cols.dim, a, _raw=True)
 
     def block(self, row_range, col_range) -> "Matrix":
         """Contiguous submatrix rows[a:b], cols[c:d]."""
@@ -546,6 +540,37 @@ def _rref_np(m: Matrix):
             a[:, out_idx] = aout % p
     a %= p
     return Matrix(m.field, nr, nc, a, _raw=True), tuple(pivots)
+
+
+class Layout(dict):
+    """The summands of a direct sum, in order: label -> (offset, dim).
+
+    Built from (label, dim) pairs; `dim` is the dimension of the sum.  Every
+    block matrix in godex is assembled on layouts (`Matrix.assemble`), so
+    summands are addressed by label, never by a hand-kept offset.
+    """
+
+    __slots__ = ("dim",)
+
+    def __init__(self, sizes=()):
+        super().__init__()
+        off = 0
+        for label, d in sizes:
+            if label in self:
+                raise ValueError(f"duplicate block label {label!r}")
+            self[label] = (off, d)
+            off += d
+        self.dim = off
+
+    def inclusion(self, field: Field, labels) -> Matrix:
+        """The 0/1 matrix embedding the summands `labels`, in that order."""
+        sub = Layout((label, self[label][1]) for label in labels)
+        return Matrix.assemble(field, self, sub,
+                               {(x, x): Matrix.identity(field, d) for x, (_, d) in sub.items()})
+
+    def projection(self, field: Field, labels) -> Matrix:
+        """The 0/1 matrix projecting onto the summands `labels`, in that order."""
+        return self.inclusion(field, labels).transpose()
 
 
 # ---- subspaces ---------------------------------------------------------

@@ -15,10 +15,16 @@ thing as a graded quasi-isomorphism.
 
 from __future__ import annotations
 
-from .complexes import ChainMap, CochainComplex
-from .cosimplicial import CosimplicialComplex, simple
+import random
+
+from .complexes import ChainMap, CochainComplex, random_complex, transport
+from .cosimplicial import (
+    AxiomAuditReport, AxiomTrial, CosimplicialComplex, aw_map, bicosimplicial_from_rows,
+    constant_cosimplicial, contractible_complex, cosimplicial_biproduct, lambda_map,
+    outer_cosimplicial, path_object, simple, simple_map,
+)
 from .errors import InvariantError, NotFiltered
-from .exactlin import Matrix, Subspace, preimage, subquotient
+from .exactlin import GF, Layout, Matrix, Subspace, preimage, random_invertible, subquotient
 
 
 class FilteredComplex:
@@ -344,7 +350,7 @@ def filtered_simple(XF: CosimplicialFiltered, r: int, N: int) -> FilteredComplex
     for n in total.dims:
         for k in range(k_min + 1, k_max + 1):
             cols = None
-            for (p, q, off, d) in total.blocks[n]:
+            for (p, q) in total.blocks[n]:
                 S = XF.levels[p].filtration(k - r * p, q)
                 if S.dim == 0:
                     continue
@@ -390,12 +396,17 @@ def deligne_reindex(pq) -> tuple:
 # ---- randomized filtered instances -----------------------------------------
 
 
+def _transported(FC: FilteredComplex, base: CochainComplex, g: dict) -> FilteredComplex:
+    """The filtration of FC carried along the automorphisms g[n] onto `base`."""
+    return FilteredComplex.from_bases(base, {(k, n): g[n] @ S.basis
+                                             for (k, n), S in FC._subspaces.items()},
+                                      FC.k_min, FC.k_max, check=False)
+
+
 def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
                             weights=(0, 1, 2)):
     """Random filtered complex: weight-graded blocks, then a transported
     random automorphism (the filtration is transported along with d)."""
-    from .complexes import random_complex
-    from .exactlin import random_invertible
     layout = []
     for w in weights:
         if rng.random() < 0.8:
@@ -417,91 +428,44 @@ def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
     k_min, k_max = min(k_values), max(k_values)
     bases = {}
     for n in range(lo, hi + 1):
-        off = 0
-        windows = []
-        for w, C in layout:
-            windows.append((w, off, C.dim(n)))
-            off += C.dim(n)
+        blocks = Layout((i, C.dim(n)) for i, (w, C) in enumerate(layout))
         for k in range(k_min + 1, k_max + 1):
-            idx = []
-            for (w, o, d) in windows:
-                if w >= k:
-                    idx.extend(range(o, o + d))
-            if idx:
-                bases[(k, n)] = Matrix.identity(field, base.dim(n)).take_columns(idx)
+            emb = blocks.inclusion(field, [i for i, (w, _) in enumerate(layout) if w >= k])
+            if emb.cols:
+                bases[(k, n)] = emb
     FC = FilteredComplex.from_bases(base, bases, k_min, k_max, check=False)
     # transport along a random automorphism
     g = {n: random_invertible(field, base.dim(n), rng) for n in base.dims}
-    new_diffs = {n: g.get(n + 1, Matrix.identity(field, base.dim(n + 1))) @ base.d(n)
-                 @ g[n].inverse() for n in list(base.differentials)}
-    new_base = CochainComplex(field, dict(base.dims), new_diffs, lower=base.lower, check=False)
-    new_bases = {}
-    for (k, n), S in FC._subspaces.items():
-        new_bases[(k, n)] = g[n] @ S.basis
-    out = FilteredComplex.from_bases(new_base, new_bases, k_min, k_max, check=True)
+    out = _transported(FC, transport(base, {0: g}), g)
+    out.validate()
     return out
 
 
 def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2, max_dim: int = 2,
                                  weights=(0, 1)) -> CosimplicialFiltered:
     """Random cosimplicial filtered complex: weight-graded cosimplicial
-    blocks, transported along random level automorphisms."""
-    from .cosimplicial import constant_cosimplicial, cosimplicial_biproduct, path_object
-    from .complexes import random_complex
-    from .exactlin import random_invertible
+    blocks (summand of weight w filtered by one jump at w), transported
+    along random level automorphisms."""
     parts = []
     for w in weights:
         A = random_complex(field, rng, span=rng.randint(1, span), max_dim=max_dim,
                            scramble=False)
-        if rng.random() < 0.5:
-            parts.append((w, constant_cosimplicial(A, p_max)))
-        else:
-            parts.append((w, path_object(A, p_max)[0]))
-    X = parts[0][1]
-    windows = {p: [(parts[0][0], {q: (0, X.level(p).dim(q)) for q in X.level(p).dims})]
-               for p in range(p_max + 1)}
-    for w, B in parts[1:]:
-        newX, _, _ = cosimplicial_biproduct(X, B)
-        for p in range(p_max + 1):
-            offp = X.level(p)
-            windows[p] = [(ww, {q: (off, d) for q, (off, d) in o.items()})
-                          for ww, o in windows[p]]
-            windows[p].append((w, {q: (offp.dim(q), B.level(p).dim(q))
-                                   for q in B.level(p).dims}))
-        X = newX
-    k_values = [w for w, _ in parts]
-    k_min, k_max = min(k_values), max(k_values)
-    levels = {}
-    for p in range(p_max + 1):
-        base = X.level(p)
-        bases = {}
-        for q in base.dims:
-            for k in range(k_min + 1, k_max + 1):
-                idx = []
-                for (w, o) in windows[p]:
-                    if w >= k and q in o:
-                        off, d = o[q]
-                        idx.extend(range(off, off + d))
-                if idx:
-                    bases[(k, q)] = Matrix.identity(field, base.dim(q)).take_columns(idx)
-        levels[p] = FilteredComplex.from_bases(base, bases, k_min, k_max, check=False)
-    # transported conjugation
-    g = {}
-    for p in range(p_max + 1):
-        lv = X.level(p)
-        g[p] = {q: random_invertible(field, lv.dim(q), rng) for q in lv.dims}
-    X2 = _conjugate_with(X, g)
-    levels2 = {}
-    for p in range(p_max + 1):
-        bases = {}
-        for (k, q), S in levels[p]._subspaces.items():
-            bases[(k, q)] = g[p][q] @ S.basis
-        levels2[p] = FilteredComplex.from_bases(X2.level(p), bases, k_min, k_max, check=False)
-    return CosimplicialFiltered(X2, levels2, check=True)
+        X = constant_cosimplicial(A, p_max) if rng.random() < 0.5 else path_object(A, p_max)[0]
+        parts.append(CosimplicialFiltered(
+            X, {p: FilteredComplex.trivial(X.level(p), jump=w) for p in range(p_max + 1)},
+            check=False))
+    XF = parts[0]
+    for part in parts[1:]:
+        XF = filtered_cosimplicial_biproduct(XF, part)[0]
+    X = XF.cosimplicial
+    g = {p: {q: random_invertible(field, X.level(p).dim(q), rng) for q in X.level(p).dims}
+         for p in range(p_max + 1)}
+    X2 = transport(X, g)
+    return CosimplicialFiltered(X2, {p: _transported(XF.levels[p], X2.level(p), g[p])
+                                     for p in range(p_max + 1)}, check=True)
 
 
 def constant_filtered(FCA: FilteredComplex, p_max: int) -> CosimplicialFiltered:
-    from .cosimplicial import constant_cosimplicial
     X = constant_cosimplicial(FCA.base, p_max)
     return CosimplicialFiltered(X, {p: FCA for p in range(p_max + 1)}, check=False)
 
@@ -511,7 +475,6 @@ def path_filtered(FCA: FilteredComplex, p_max: int):
 
     Returns (P_filtered, ev0, ev1) exactly as the unfiltered path object.
     """
-    from .cosimplicial import path_object
     A = FCA.base
     field = A.field
     P, ev0, ev1 = path_object(A, p_max)
@@ -535,7 +498,6 @@ def path_filtered(FCA: FilteredComplex, p_max: int):
 
 def filtered_cosimplicial_biproduct(XF: CosimplicialFiltered, YF: CosimplicialFiltered):
     """Levelwise direct sum with the sum filtration."""
-    from .cosimplicial import cosimplicial_biproduct
     X, Y = XF.cosimplicial, YF.cosimplicial
     P, (iX, iY), (pX, pY) = cosimplicial_biproduct(X, Y)
     k_min = min(XF.levels[0].k_min, YF.levels[0].k_min)
@@ -583,7 +545,6 @@ class BicosimplicialFiltered:
 
 def bicosimplicial_filtered_from_rows(XF: CosimplicialFiltered, p_max: int,
                                       q_max: int) -> BicosimplicialFiltered:
-    from .cosimplicial import bicosimplicial_from_rows
     Z = bicosimplicial_from_rows(XF.cosimplicial, p_max, q_max)
     levels = {(n, m): XF.levels[m] for n in range(p_max + 1) for m in range(q_max + 1)}
     return BicosimplicialFiltered(Z, levels)
@@ -595,7 +556,6 @@ def filtered_aw(ZF: BicosimplicialFiltered, r: int, N: int):
     The outer filtration is δ_r applied to the levelwise filtered simples;
     the AW map preserves total weight, which is checked, not assumed.
     """
-    from .cosimplicial import aw_map, outer_cosimplicial
     Z = ZF.Z
     mu = aw_map(Z, N)
     outer = outer_cosimplicial(Z, N)
@@ -615,12 +575,8 @@ def filtered_aw(ZF: BicosimplicialFiltered, r: int, N: int):
 def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: int = 0,
                                   field=None, max_dim: int = 2, span: int = 2):
     """The five descent axioms for (filtered complexes, E_r-quis, (s, δ_r))."""
-    import random as _random
-    from .cosimplicial import AxiomAuditReport, AxiomTrial, contractible_complex
-    from .complexes import random_complex
-    from .exactlin import GF
     field = field or GF(5)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     report = AxiomAuditReport(seed)
     p_max = N
     for t in range(trials):
@@ -651,7 +607,6 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         # S3: the constant inclusion is an E_r-quis
         FCA = random_filtered_complex(field, rng, span=span, max_dim=max_dim,
                                       weights=(0, 1))
-        from .cosimplicial import lambda_map
         lam = lambda_map(FCA.base, N)
         cF = constant_filtered(FCA, N - FCA.base.lower)
         target = filtered_simple(cF, r, N)
@@ -664,7 +619,6 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         E = contractible_complex(field, rng, max_dim=max_dim)
         EF = constant_filtered(FilteredComplex.trivial(E, jump=XF4.levels[0].k_min), p_max)
         YF4, (i4, _), _ = filtered_cosimplicial_biproduct(XF4, EF)
-        from .cosimplicial import simple_map
         f4 = simple_map(i4, N)
         flag, _ = is_er_quis(f4, filtered_simple(XF4, r, N), filtered_simple(YF4, r, N),
                              r, up_to=N - 1)
@@ -679,32 +633,3 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         trial.results["S5"] = flag
         report.trials.append(trial)
     return report
-
-
-def _conjugate_with(X: CosimplicialComplex, g: dict) -> CosimplicialComplex:
-    """Transport X along the given degreewise level automorphisms."""
-    field = X.field
-    ginv = {p: {q: m.inverse() for q, m in gp.items()} for p, gp in g.items()}
-    new_levels = {}
-    for p in range(X.p_max + 1):
-        lv = X.level(p)
-        diffs = {q: g[p].get(q + 1, Matrix.identity(field, lv.dim(q + 1))) @ lv.d(q)
-                 @ ginv[p][q] for q in list(lv.differentials)}
-        new_levels[p] = CochainComplex(field, dict(lv.dims), diffs, lower=lv.lower, check=False)
-
-    def transport(f, p_src, p_tgt):
-        comps = {}
-        for q in set(f.components) | set(g[p_tgt]) | set(g[p_src]):
-            if f.source.dim(q) == 0 or f.target.dim(q) == 0:
-                continue
-            m = f.component(q)
-            gq = g[p_tgt].get(q, Matrix.identity(field, m.rows))
-            gi = ginv[p_src].get(q, Matrix.identity(field, m.cols))
-            comps[q] = gq @ m @ gi
-        return ChainMap(new_levels[p_src], new_levels[p_tgt], comps, check=False)
-
-    cofaces = {(p, i): transport(X.coface(p, i), p - 1, p)
-               for p in range(1, X.p_max + 1) for i in range(p + 1)}
-    codegens = {(p, j): transport(X.codegeneracy(p, j), p + 1, p)
-                for p in range(X.p_max) for j in range(p + 1)}
-    return CosimplicialComplex(field, new_levels, cofaces, codegens, X.p_max, check=False)

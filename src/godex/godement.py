@@ -9,19 +9,22 @@ s^j_p = T(s^{j-1}_{p-1}).  The hypercohomology sheaf H_X(F) is the
 objectwise total complex of G•(F), truncated at a degree bound N and
 certified through N-1.
 
-Stalks and sections of the T-iterates are canonically indexed by weakly
-increasing chains; the strict-chain (normalized) subobjects give a reduced
-model used where the literal double resolution is combinatorially
-infeasible.  The identifications backing that reduction are verified by the
-test suite (see tests/test_bridges.py), never assumed silently.
+Block matrices of T-stalks are assembled on layouts labelled by the
+elements of ↑x (`t_layout`), or by the flattened chains of an iterated
+T-stalk (`t_chain_layout`).  Stalks and sections of the T-iterates are
+canonically indexed by weakly increasing chains; the strict-chain
+(normalized) subobjects give a reduced model used where the literal double
+resolution is combinatorially infeasible.  The identifications backing that
+reduction are verified by the test suite (see tests/test_bridges.py), never
+assumed silently.
 """
 
 from __future__ import annotations
 
 from .complexes import ChainMap, CochainComplex, induced_map, is_quis
-from .cosimplicial import CosimplicialComplex, simple
+from .cosimplicial import CosimplicialComplex, alternating_coface_sum, blockwise_map, simple
 from .errors import InsufficientLevels, InvariantError
-from .exactlin import Matrix
+from .exactlin import Layout, Matrix
 from .oracle import coaugmentation_into_replacement, replacement_complex
 from .site import (
     MonotoneMap, Sheaf, SheafMap, direct_image, sections, sections_map,
@@ -45,11 +48,16 @@ def _min_cert(*complexes):
     return cert
 
 
+def _ups(poset, x) -> tuple:
+    """↑x in canonical order: the block order of T-stalks."""
+    return poset.sorted_subset(poset.up_set(x))
+
+
 def apply_T(G: Sheaf) -> TSheaf:
     """T(G): stalk at x is the product of the stalks over ↑x."""
     poset = G.poset
     field = G.field
-    ups = {x: poset.sorted_subset(poset.up_set(x)) for x in poset.elements}
+    ups = {x: _ups(poset, x) for x in poset.elements}
     stalks = {}
     for x in poset.elements:
         parts = [G.stalk(y) for y in ups[x]]
@@ -64,48 +72,41 @@ def apply_T(G: Sheaf) -> TSheaf:
         cert = _min_cert(*parts)
         stalks[x] = CochainComplex(field, dims, diffs, lower=lo,
                                    certified_degree=cert, check=False)
+    # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
     restr = {}
     for (a, b) in poset.pairs():
-        keep = {y: k for k, y in enumerate(ups[a])}
         comps = {}
         for n in stalks[b].dims:
             if stalks[a].dim(n) == 0:
                 continue
-            entries = {}
-            for r, y in enumerate(ups[b]):
-                d = G.stalk(y).dim(n)
-                if d:
-                    entries[(r, keep[y])] = Matrix.identity(field, d)
-            comps[n] = Matrix.assemble(field, [G.stalk(y).dim(n) for y in ups[b]],
-                                       [G.stalk(y).dim(n) for y in ups[a]], entries)
+            rows, cols = (Layout((y, G.stalk(y).dim(n)) for y in ups[z]) for z in (b, a))
+            comps[n] = Matrix.assemble(field, rows, cols, {(y, y): Matrix.identity(field, d)
+                                                           for y, (_, d) in rows.items() if d})
         restr[(a, b)] = ChainMap(stalks[a], stalks[b], comps, check=False)
     out = TSheaf(poset, field, stalks, restr, check=False)
     out.t_base = G
     return out
 
 
-def t_offsets(T: TSheaf, x, n: int):
-    """Block layout [(y, offset, dim)] of (TG)_x in degree n."""
-    G = T.t_base
-    out = []
-    off = 0
-    for y in T.poset.sorted_subset(T.poset.up_set(x)):
-        d = G.stalk(y).dim(n)
-        out.append((y, off, d))
-        off += d
-    return out
+def t_layout(T: TSheaf, x, n: int) -> Layout:
+    """Block layout of (TG)_x in degree n: y ∈ ↑x -> (offset, dim G_y^n)."""
+    return Layout((y, T.t_base.stalk(y).dim(n)) for y in _ups(T.poset, x))
 
 
-def t_chain_offsets(T: Sheaf, x, n: int):
-    """Flattened chain layout [(chain, offset, dim)] of an iterated T-stalk."""
+def t_chain_layout(T: Sheaf, x, n: int) -> Layout:
+    """Flattened layout of an iterated T-stalk in degree n: the chain
+    (y_1, y_2, ...) of the nested blocks -> (offset, dim), nonzero only."""
+    return Layout(_t_chains(T, x, n))
+
+
+def _t_chains(T: Sheaf, x, n: int):
     if not isinstance(T, TSheaf):
-        return [((), 0, T.stalk(x).dim(n))]
-    out = []
-    for (y, off, d) in t_offsets(T, x, n):
-        for (chain, off2, d2) in t_chain_offsets(T.t_base, y, n):
-            if d2:
-                out.append(((y,) + chain, off + off2, d2))
-    return out
+        yield (), T.stalk(x).dim(n)
+        return
+    for y in _ups(T.poset, x):
+        for chain, d in _t_chains(T.t_base, y, n):
+            if d:
+                yield (y,) + chain, d
 
 
 def godement_eta(G: Sheaf, TG: TSheaf) -> SheafMap:
@@ -116,7 +117,7 @@ def godement_eta(G: Sheaf, TG: TSheaf) -> SheafMap:
         blocks = {}
         for n in G.stalk(x).dims:
             stacked = None
-            for y in poset.sorted_subset(poset.up_set(x)):
+            for y in _ups(poset, x):
                 m = G.restriction(x, y).component(n)
                 stacked = m if stacked is None else stacked.vstack(m)
             blocks[n] = stacked
@@ -134,18 +135,12 @@ def godement_nu(G: Sheaf, TG: TSheaf, TTG: TSheaf) -> SheafMap:
         for n in TG.stalk(x).dims:
             if TTG.stalk(x).dim(n) == 0:
                 continue
-            rows = t_offsets(TG, x, n)
-            cols = []
-            col_index = {}
-            for (y, off, size) in t_offsets(TTG, x, n):
-                for (z, off2, d2) in t_offsets(TG, y, n):
-                    col_index[(y, z)] = len(cols)
-                    cols.append(d2)
-            entries = {}
-            for r, (y, off, d) in enumerate(rows):
-                if d:
-                    entries[(r, col_index[(y, y)])] = Matrix.identity(field, d)
-            blocks[n] = Matrix.assemble(field, [d for (_, _, d) in rows], cols, entries)
+            # (TTG)_x has a block per pair y <= z with y ∈ ↑x; keep the pairs (y, y)
+            rows = t_layout(TG, x, n)
+            cols = Layout(((y, z), d) for y in _ups(poset, x)
+                          for z, (_, d) in t_layout(TG, y, n).items())
+            blocks[n] = Matrix.assemble(field, rows, cols, {(y, (y, y)): Matrix.identity(field, d)
+                                                            for y, (_, d) in rows.items() if d})
         comps[x] = ChainMap(TTG.stalk(x), TG.stalk(x), blocks, check=False)
     return SheafMap(TTG, TG, comps, check=False)
 
@@ -159,15 +154,9 @@ def t_apply_map(f: SheafMap, Tsrc: TSheaf, Ttgt: TSheaf) -> SheafMap:
         blocks = {}
         degrees = set(Tsrc.stalk(x).dims) & set(Ttgt.stalk(x).dims)
         for n in degrees:
-            rows = t_offsets(Ttgt, x, n)
-            cols = t_offsets(Tsrc, x, n)
-            entries = {}
-            for k, (y, _, d) in enumerate(rows):
-                m = f.component(y).component(n)
-                if not m.is_zero():
-                    entries[(k, k)] = m
-            blocks[n] = Matrix.assemble(field, [d for (_, _, d) in rows],
-                                        [d for (_, _, d) in cols], entries)
+            rows = t_layout(Ttgt, x, n)
+            blocks[n] = Matrix.assemble(field, rows, t_layout(Tsrc, x, n),
+                                        {(y, y): f.component(y).component(n) for y in rows})
         comps[x] = ChainMap(Tsrc.stalk(x), Ttgt.stalk(x), blocks, check=False)
     return SheafMap(Tsrc, Ttgt, comps, check=False)
 
@@ -292,18 +281,8 @@ def stalk_extra_degeneracy(res: GodementResolution, x):
     for p in range(X.p_max + 1):
         T_here = res.tower[p + 1]
         target = F.stalk(x) if p == 0 else res.tower[p].stalk(x)
-        comps = {}
-        for n in target.dims:
-            if T_here.stalk(x).dim(n) == 0:
-                continue
-            sel = None
-            for (y, off, d) in t_offsets(T_here, x, n):
-                if y == x:
-                    sel = (off, d)
-                    break
-            off, d = sel
-            comps[n] = Matrix.identity(field, T_here.stalk(x).dim(n)).take_rows(
-                range(off, off + d))
+        comps = {n: t_layout(T_here, x, n).projection(field, [x])
+                 for n in target.dims if T_here.stalk(x).dim(n)}
         extra.append(ChainMap(X.level(p), target, comps, check=False))
     eps = res.eta.component(x)
     return eps, X, extra
@@ -317,17 +296,8 @@ def skyscraper_counit(res: GodementResolution, y0) -> SheafMap:
     field = F.field
     comps = {}
     for x in F.poset.elements:
-        blocks = {}
-        for n in F.stalk(x).dims:
-            sel = None
-            for (y, off, d) in t_offsets(TF, x, n):
-                if y == y0:
-                    sel = (off, d)
-            if sel is None:
-                continue
-            off, d = sel
-            blocks[n] = Matrix.identity(field, TF.stalk(x).dim(n)).take_rows(
-                range(off, off + d))
+        blocks = {n: t_layout(TF, x, n).projection(field, [y0])
+                  for n in F.stalk(x).dims if F.poset.leq(x, y0)}
         comps[x] = ChainMap(TF.stalk(x), F.stalk(x), blocks, check=False)
     return SheafMap(TF, F, comps, check=True)
 
@@ -399,23 +369,9 @@ def hypercohomology_sheaf(F: Sheaf, N: int, res: GodementResolution | None = Non
     totals = {x: simple(cos.stalkwise(x), N) for x in poset.elements}
     restr = {}
     for (a, b) in poset.pairs():
-        comps = {}
-        Ta, Tb = totals[a], totals[b]
-        for n in Ta.dims:
-            if Tb.dim(n) == 0:
-                continue
-            rows = Tb.blocks[n]
-            cols = Ta.blocks[n]
-            row_index = {(p, q): k for k, (p, q, _, _) in enumerate(rows)}
-            entries = {}
-            for cj, (p, q, _, _) in enumerate(cols):
-                ri = row_index.get((p, q))
-                if ri is not None:
-                    m = cos.level(p).restriction(a, b).component(q)
-                    if not m.is_zero():
-                        entries[(ri, cj)] = m
-            comps[n] = Matrix.assemble(field, [r[3] for r in rows], [c[3] for c in cols], entries)
-        restr[(a, b)] = ChainMap(Ta, Tb, comps, check=deep_check)
+        comps = blockwise_map(totals[a], totals[b],
+                              lambda p, q: cos.level(p).restriction(a, b).component(q))
+        restr[(a, b)] = ChainMap(totals[a], totals[b], comps, check=deep_check)
     H = Sheaf(poset, field, dict(totals), restr, check=deep_check)
     rho_comps = {}
     for x in poset.elements:
@@ -447,25 +403,9 @@ def hypercohomology_map(f: SheafMap, N: int,
         g = t_apply_map(g, rs.tower[p + 1], rt.tower[p + 1])
         level_maps.append(g)
     comps = {}
-    poset = f.source.poset
-    field = f.source.field
-    for x in poset.elements:
+    for x in f.source.poset.elements:
         Sx, Tx = hyper_src.H.stalk(x), hyper_tgt.H.stalk(x)
-        blocks = {}
-        for n in Sx.dims:
-            if Tx.dim(n) == 0:
-                continue
-            rows = Tx.blocks[n]
-            cols = Sx.blocks[n]
-            row_index = {(p, q): k for k, (p, q, _, _) in enumerate(rows)}
-            entries = {}
-            for cj, (p, q, _, _) in enumerate(cols):
-                ri = row_index.get((p, q))
-                if ri is not None and p < len(level_maps):
-                    m = level_maps[p].component(x).component(q)
-                    if not m.is_zero():
-                        entries[(ri, cj)] = m
-            blocks[n] = Matrix.assemble(field, [r[3] for r in rows], [c[3] for c in cols], entries)
+        blocks = blockwise_map(Sx, Tx, lambda p, q: level_maps[p].component(x).component(q))
         comps[x] = ChainMap(Sx, Tx, blocks, check=False)
     return SheafMap(hyper_src.H, hyper_tgt.H, comps, check=False), hyper_src, hyper_tgt
 
@@ -539,15 +479,10 @@ def reduced_hypercohomology(F: Sheaf, N: int) -> Sheaf:
         for n in Rb.dims:
             if Ra.dim(n) == 0:
                 continue
-            rows = Rb.blocks[n]
-            cols = Ra.blocks[n]
-            col_index = {(p, chain): k for k, (p, chain, q, off, d) in enumerate(cols)}
-            entries = {}
-            for ri, (p, chain, q, off, d) in enumerate(rows):
-                cj = col_index.get((p, chain))
-                if cj is not None:
-                    entries[(ri, cj)] = Matrix.identity(field, d)
-            comps[n] = Matrix.assemble(field, [r[4] for r in rows], [c[4] for c in cols], entries)
+            rows, cols = Rb.blocks[n], Ra.blocks[n]
+            comps[n] = Matrix.assemble(field, rows, cols,
+                                       {(c, c): Matrix.identity(field, d)
+                                        for c, (_, d) in rows.items() if c in cols})
         restr[(a, b)] = ChainMap(Ra, Rb, comps, check=False)
     return Sheaf(poset, field, dict(stalks), restr, check=False)
 
@@ -566,31 +501,14 @@ def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
             if Hx.dim(n) == 0:
                 continue
             # columns: strict chains; rows: flattened weak-chain slots of H_x
-            col_blocks = Rx.blocks[n]
-            row_layout = {}
-            for (p, q, off, dim) in Hx.blocks[n]:
-                level_sheaf = res.tower[p + 1]
-                for (chain, off2, d2) in t_chain_offsets(level_sheaf, x, q):
-                    row_layout[(p, chain)] = (off + off2, d2)
-            coff = 0
-            blocks_list = []
-            for (p, chain, q, off_c, d) in col_blocks:
-                roff, rd = row_layout[(p, chain)]
-                if rd != d:
-                    raise InvariantError("reduced model block mismatch")
-                blocks_list.append((roff, coff, d))
-                coff += d
-            blocks[n] = _place_identities(field, Hx.dim(n), coff, blocks_list)
+            cols = Rx.blocks[n]
+            rows = Layout(((p, chain), d) for (p, q) in Hx.blocks[n]
+                          for chain, (_, d) in t_chain_layout(res.tower[p + 1], x, q).items())
+            if any(rows[c][1] != d for c, (_, d) in cols.items()):
+                raise InvariantError("reduced model block mismatch")
+            blocks[n] = rows.inclusion(field, cols)
         comps[x] = ChainMap(Rx, Hx, blocks, check=True)
     return SheafMap(R, hyper.H, comps, check=False)
-
-
-def _place_identities(field, rows, cols, blocks_list):
-    out = Matrix.zeros(field, rows, cols).rows_list()
-    for (roff, coff, d) in blocks_list:
-        for k in range(d):
-            out[roff + k][coff + k] = 1
-    return Matrix(field, rows, cols, out)
 
 
 # ---- Theorem-suite checks --------------------------------------------------
@@ -711,11 +629,8 @@ def descent_double_complex(F: Sheaf, U, N: int, res: GodementResolution | None =
     subspaces = {}
     for k in range(0, p_max + 2):
         for n in total.dims:
-            idx = []
-            for (p, q, off, d) in total.blocks[n]:
-                if p >= k:
-                    idx.extend(range(off, off + d))
-            subspaces[(k, n)] = Matrix.identity(field, total.dim(n)).take_columns(idx)
+            subspaces[(k, n)] = total.blocks[n].inclusion(
+                field, [pq for pq in total.blocks[n] if pq[0] >= k])
     FC = FilteredComplex.from_bases(total, subspaces, k_min=0, k_max=p_max)
     return FC, total, eps, res
 
@@ -743,7 +658,6 @@ def independent_e2_dims(F: Sheaf, U, N: int) -> dict:
         dims = {p: X.level(p).dim(q) for p in range(X.p_max + 1)}
         diffs = {}
         for p in range(X.p_max):
-            from .cosimplicial import alternating_coface_sum
             diffs[p] = alternating_coface_sum(X, p + 1, q)
         C = CochainComplex(F.field, dims, diffs, lower=0,
                            certified_degree=X.p_max - 1, check=True)

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from .complexes import ChainMap, CochainComplex
 from .errors import InvariantError
-from .exactlin import Field, Matrix
+from .exactlin import Field, Layout, Matrix
 from .site import Poset, Sheaf
 
 
 class ReplacementComplex(CochainComplex):
     """Total complex of a chain-indexed replacement, with chain bookkeeping.
 
-    blocks[n] lists (p, chain, q, offset, dim): chain level p, the chain
-    tuple, internal degree q = n - p.
+    blocks[n] is the `Layout` of degree n: label (chain level p, chain
+    tuple) -> (offset, dim) of F_{last vertex}^{n-p}, nonzero summands only.
     """
 
     __slots__ = ("blocks", "strict", "poset_elements")
@@ -58,61 +58,45 @@ def replacement_complex(F: Sheaf, N: int, strict: bool = False,
         for p in range(max_len):
             levels[p] = poset.weak_chains(p + 1, within=elems)
         complete = False
-    blocks = {}
-    dims = {}
-    for n in range(lo, N + 1):
-        off = 0
-        bl = []
-        for p in sorted(levels):
-            q = n - p
-            for chain in levels[p]:
-                d = F.stalk(chain[-1]).dim(q)
-                if d:
-                    bl.append((p, chain, q, off, d))
-                    off += d
-        blocks[n] = bl
-        dims[n] = off
-    index = {}
-    for n, bl in blocks.items():
-        for (p, chain, q, off, d) in bl:
-            index[(n, p, chain)] = (off, d)
+    blocks = {n: Layout(((p, chain), F.stalk(chain[-1]).dim(n - p))
+                        for p in sorted(levels) for chain in levels[p]
+                        if F.stalk(chain[-1]).dim(n - p))
+              for n in range(lo, N + 1)}
     diffs = {}
     for n in range(lo, N):
         rows = blocks[n + 1]
         cols = blocks[n]
         if not rows or not cols:
             continue
-        col_index = {(p, chain): k for k, (p, chain, q, off, d) in enumerate(cols)}
         entries = {}
-        for ri, (p, chain, q, off, d) in enumerate(rows):
+        for row, (_, d) in rows.items():
+            p, chain = row
             # coface contributions: this (p, chain) slot receives from level p-1
             if p >= 1:
                 for i in range(p + 1):
                     if i < p:
-                        sub = chain[:i] + chain[i + 1:]
-                        cj = col_index.get((p - 1, sub))
-                        if cj is not None:
+                        sub = (p - 1, chain[:i] + chain[i + 1:])
+                        if sub in cols:
                             m = Matrix.identity(field, d)
-                            _accumulate(entries, (ri, cj), m if i % 2 == 0 else m.scale(-1))
+                            _accumulate(entries, (row, sub), m if i % 2 == 0 else m.scale(-1))
                     else:
-                        sub = chain[:-1]
-                        cj = col_index.get((p - 1, sub))
-                        if cj is not None:
+                        sub = (p - 1, chain[:-1])
+                        if sub in cols:
                             # the last face applies the restriction along the
                             # final step of the chain
                             m = F.restriction(chain[-2], chain[-1]).component(n - (p - 1))
-                            _accumulate(entries, (ri, cj), m if p % 2 == 0 else m.scale(-1))
+                            _accumulate(entries, (row, sub), m if p % 2 == 0 else m.scale(-1))
             # internal differential: from (p, chain) at degree n-p
-            cj = col_index.get((p, chain))
-            if cj is not None:
+            if row in cols:
                 m = F.stalk(chain[-1]).d(n - p)
-                _accumulate(entries, (ri, cj), m if p % 2 == 0 else m.scale(-1))
-        diffs[n] = Matrix.assemble(field, [b[4] for b in rows], [b[4] for b in cols], entries)
+                _accumulate(entries, (row, row), m if p % 2 == 0 else m.scale(-1))
+        diffs[n] = Matrix.assemble(field, rows, cols, entries)
     cert = None if (strict and complete and N >= (max(levels) if levels else 0) + F.top_degree) \
         else N - 1
     if F.certified_degree is not None:
         cert = F.certified_degree if cert is None else min(cert, F.certified_degree)
-    out = ReplacementComplex(field, dims, diffs, lower=lo, certified_degree=cert, check=True)
+    out = ReplacementComplex(field, {n: L.dim for n, L in blocks.items()}, diffs, lower=lo,
+                             certified_degree=cert, check=True)
     out.blocks = blocks
     out.strict = strict
     out.poset_elements = elems
@@ -132,14 +116,9 @@ def coaugmentation_into_replacement(F: Sheaf, sec, repl: ReplacementComplex) -> 
         if repl.dim(n) == 0:
             continue
         rows = repl.blocks[n]
-        entries = {}
-        for ri, (p, chain, q, off, d) in enumerate(rows):
-            if p == 0:
-                x = chain[0]
-                ev = sec.evaluation(x).component(n)
-                entries[(ri, 0)] = ev
-        comps[n] = Matrix.assemble(field, [b[4] for b in rows],
-                                   [sec.complex.dim(n)], entries)
+        entries = {((p, chain), 0): sec.evaluation(chain[0]).component(n)
+                   for (p, chain) in rows if p == 0}
+        comps[n] = Matrix.assemble(field, rows, [sec.complex.dim(n)], entries)
     return ChainMap(sec.complex, repl, comps, check=True)
 
 
@@ -153,13 +132,8 @@ def strict_into_weak(F: Sheaf, strict_repl: ReplacementComplex,
             continue
         rows = weak_repl.blocks[n]
         cols = strict_repl.blocks[n]
-        row_index = {(p, chain): k for k, (p, chain, q, off, d) in enumerate(rows)}
-        entries = {}
-        for cj, (p, chain, q, off, d) in enumerate(cols):
-            ri = row_index.get((p, chain))
-            if ri is not None:
-                entries[(ri, cj)] = Matrix.identity(field, d)
-        comps[n] = Matrix.assemble(field, [b[4] for b in rows], [b[4] for b in cols], entries)
+        comps[n] = Matrix.assemble(field, rows, cols, {(c, c): Matrix.identity(field, d)
+                                                       for c, (_, d) in cols.items() if c in rows})
     return ChainMap(strict_repl, weak_repl, comps, check=True)
 
 
@@ -177,15 +151,9 @@ def replacement_map(f, src: ReplacementComplex, tgt: ReplacementComplex) -> Chai
             continue
         rows = tgt.blocks[n]
         cols = src.blocks[n]
-        col_index = {(p, chain): k for k, (p, chain, q, off, d) in enumerate(cols)}
-        entries = {}
-        for ri, (p, chain, q, off, d) in enumerate(rows):
-            cj = col_index.get((p, chain))
-            if cj is not None:
-                m = f.component(chain[-1]).component(q)
-                if not m.is_zero():
-                    entries[(ri, cj)] = m
-        comps[n] = Matrix.assemble(field, [b[4] for b in rows], [c[4] for c in cols], entries)
+        comps[n] = Matrix.assemble(field, rows, cols,
+                                   {(c, c): f.component(c[1][-1]).component(n - c[0])
+                                    for c in rows if c in cols})
     return ChainMap(src, tgt, comps, check=True)
 
 
@@ -239,39 +207,28 @@ def constant_cohomology(P: Poset, field: Field, C: CochainComplex, N: int) -> di
     nerve = NerveComplex(P, field)
     ps = sorted(nerve.simplices)
     lo = C.lower
-    dims = {}
-    blocks = {}
-    for n in range(lo, N + 1):
-        off = 0
-        bl = []
-        for p in ps:
-            q = n - p
-            d = nerve.dim(p) * C.dim(q)
-            if d:
-                bl.append((p, q, off, d))
-                off += d
-        blocks[n] = bl
-        dims[n] = off
+    blocks = {n: Layout(((p, n - p), nerve.dim(p) * C.dim(n - p)) for p in ps
+                        if nerve.dim(p) * C.dim(n - p))
+              for n in range(lo, N + 1)}
     diffs = {}
     for n in range(lo, N):
         rows = blocks[n + 1]
         cols = blocks[n]
         if not rows or not cols:
             continue
-        row_index = {(p, q): k for k, (p, q, _, _) in enumerate(rows)}
         entries = {}
-        for cj, (p, q, _, _) in enumerate(cols):
-            ri = row_index.get((p + 1, q))
-            if ri is not None:
-                entries[(ri, cj)] = _kron(nerve.coboundary(p), Matrix.identity(field, C.dim(q)))
-            ri = row_index.get((p, q + 1))
-            if ri is not None:
+        for (p, q) in cols:
+            if (p + 1, q) in rows:
+                entries[((p + 1, q), (p, q))] = _kron(nerve.coboundary(p),
+                                                      Matrix.identity(field, C.dim(q)))
+            if (p, q + 1) in rows:
                 m = _kron(Matrix.identity(field, nerve.dim(p)), C.d(q))
-                entries[(ri, cj)] = m if p % 2 == 0 else m.scale(-1)
-        diffs[n] = Matrix.assemble(field, [b[3] for b in rows], [b[3] for b in cols], entries)
+                entries[((p, q + 1), (p, q))] = m if p % 2 == 0 else m.scale(-1)
+        diffs[n] = Matrix.assemble(field, rows, cols, entries)
     height = max(ps) if ps else 0
     cert = None if N >= height + C.upper + 1 else N - 1
-    total = CochainComplex(field, dims, diffs, lower=lo, certified_degree=cert, check=True)
+    total = CochainComplex(field, {n: L.dim for n, L in blocks.items()}, diffs, lower=lo,
+                           certified_degree=cert, check=True)
     return total.betti()
 
 

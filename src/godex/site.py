@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import ChainMap, CochainComplex, biproduct, random_complex, zero_complex
+from .complexes import (
+    ChainMap, CochainComplex, conjugate, direct_sum, random_complex, zero_complex,
+)
 from .errors import (
     FieldMismatch, InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge,
     UnknownElement,
 )
-from .exactlin import Field, Matrix
+from .exactlin import Field, Layout, Matrix
 
 UP_SET_ENUMERATION_CAP = 12
 
@@ -27,11 +29,11 @@ UP_SET_ENUMERATION_CAP = 12
 class Poset:
     """A finite poset; the order relation is verified at construction.
 
-    A Poset is immutable, so up-sets, covers and sorted subsets are computed
-    once and memoized.
+    A Poset is immutable, so up-sets, covers, strict pairs and sorted subsets
+    are computed once and memoized.
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_up_sets", "_covers", "_sorted")
+    __slots__ = ("elements", "_index", "_leq", "_up_sets", "_covers", "_pairs", "_sorted")
 
     def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)
@@ -59,6 +61,7 @@ class Poset:
         self._leq = frozenset(rel)
         self._up_sets = {}
         self._covers = None
+        self._pairs = None
         self._sorted = {}
 
     def _require(self, x):
@@ -105,9 +108,12 @@ class Poset:
             self._covers = tuple(out)
         return self._covers
 
-    def pairs(self):
-        """All strict pairs x < y."""
-        return [(x, y) for (x, y) in self._leq if x != y]
+    def pairs(self) -> tuple:
+        """All strict pairs x < y, in construction order."""
+        if self._pairs is None:
+            self._pairs = tuple((x, y) for x in self.elements for y in self.elements
+                                if x != y and self.leq(x, y))
+        return self._pairs
 
     def sorted_subset(self, subset) -> tuple:
         """Elements of `subset` in canonical (construction) order."""
@@ -221,6 +227,14 @@ class Sheaf:
 
     def stalk(self, x) -> CochainComplex:
         return self.stalks[x]
+
+    def diagram(self):
+        """Stalks in element order; restrictions (a, b) -> (a, b, F_a -> F_b)."""
+        return ({x: self.stalks[x] for x in self.poset.elements},
+                {(a, b): (a, b, self.restrictions[(a, b)]) for (a, b) in self.poset.pairs()})
+
+    def rebuild(self, stalks, restrictions):
+        return Sheaf(self.poset, self.field, stalks, restrictions, check=False)
 
     def restriction(self, x, y) -> ChainMap:
         """The map F_x -> F_y for x <= y."""
@@ -391,26 +405,23 @@ def sections(F: Sheaf, U) -> SectionComplex:
     lo = min(F.stalk(x).lower for x in order)
     hi = max((F.stalk(x).upper for x in order), default=lo)
     constraints = [(x, y) for (x, y) in poset.covers() if x in U and y in U]
+    layouts = {n: Layout((x, F.stalk(x).dim(n)) for x in order) for n in range(lo, hi + 1)}
     basis = {}
     free = {}
     systems = {}
     dims = {}
     for n in range(lo, hi + 1):
-        sizes = [F.stalk(x).dim(n) for x in order]
-        total = sum(sizes)
+        total = layouts[n].dim
         if total == 0:
             continue
         if constraints:
-            col_of = {x: k for k, x in enumerate(order)}
-            row_sizes = [F.stalk(y).dim(n) for (x, y) in constraints]
+            # one row block per cover x ⋖ y: r_{x->y} a_x - a_y = 0
+            rows = Layout(((x, y), F.stalk(y).dim(n)) for (x, y) in constraints)
             entries = {}
-            for ridx, (x, y) in enumerate(constraints):
-                r = F.restriction(x, y).component(n)
-                entries[(ridx, col_of[x])] = r
-                ident = Matrix.identity(field, F.stalk(y).dim(n))
-                prev = entries.get((ridx, col_of[y]))
-                entries[(ridx, col_of[y])] = (prev - ident) if prev is not None else ident.scale(-1)
-            sys = Matrix.assemble(field, row_sizes, sizes, entries)
+            for (x, y) in constraints:
+                entries[((x, y), x)] = F.restriction(x, y).component(n)
+                entries[((x, y), y)] = Matrix.identity(field, F.stalk(y).dim(n)).scale(-1)
+            sys = Matrix.assemble(field, rows, layouts[n], entries)
             R, pivots = sys.rref()
             basis[n] = sys.kernel_matrix(reduced=(R, pivots))
             pivot_set = set(pivots)
@@ -424,22 +435,15 @@ def sections(F: Sheaf, U) -> SectionComplex:
     for n in range(lo, hi):
         if dims.get(n, 0) == 0 or dims.get(n + 1, 0) == 0:
             continue
-        sizes_n = [F.stalk(x).dim(n) for x in order]
-        sizes_n1 = [F.stalk(x).dim(n + 1) for x in order]
-        D = Matrix.assemble(field, sizes_n1, sizes_n,
-                            {(k, k): F.stalk(x).d(n) for k, x in enumerate(order)})
+        D = Matrix.assemble(field, layouts[n + 1], layouts[n],
+                            {(x, x): F.stalk(x).d(n) for x in order})
         diffs[n] = _coordinates(free[n + 1], systems.get(n + 1), D @ basis[n])
     C = CochainComplex(field, dims, diffs, lower=lo, certified_degree=cert, check=True)
-    evals = {}
-    for x in order:
-        evals[x] = {}
+    evals = {x: {} for x in order}
     for n, b in basis.items():
-        off = 0
-        for x in order:
-            d = F.stalk(x).dim(n)
+        for x, (off, d) in layouts[n].items():
             if d and dims.get(n, 0):
                 evals[x][n] = b.take_rows(range(off, off + d))
-            off += d
     eval_maps = {x: ChainMap(C, F.stalk(x), evals[x], check=True) for x in order}
     return SectionComplex(U, C, eval_maps, free, systems)
 
@@ -630,23 +634,6 @@ def skyscraper_unit(F: Sheaf, x) -> SheafMap:
     return SheafMap(F, sky, comps, check=True)
 
 
-def sheaf_biproduct(F: Sheaf, G: Sheaf):
-    """Stalkwise direct sum, with inclusion/projection sheaf maps."""
-    stalks, incl_f, incl_g, proj_f, proj_g = {}, {}, {}, {}, {}
-    for x in F.poset.elements:
-        C, (i1, i2), (p1, p2) = biproduct(F.stalk(x), G.stalk(x))
-        stalks[x] = C
-        incl_f[x], incl_g[x], proj_f[x], proj_g[x] = i1, i2, p1, p2
-    restr = {}
-    for (a, b) in F.poset.pairs():
-        comp = incl_f[b].compose(F.restriction(a, b)).compose(proj_f[a]) + \
-            incl_g[b].compose(G.restriction(a, b)).compose(proj_g[a])
-        restr[(a, b)] = ChainMap(stalks[a], stalks[b], comp.components, check=False)
-    S = Sheaf(F.poset, F.field, stalks, restr, check=False)
-    return S, (SheafMap(F, S, incl_f, check=False), SheafMap(G, S, incl_g, check=False)), \
-        (SheafMap(S, F, proj_f, check=False), SheafMap(S, G, proj_g, check=False))
-
-
 def mapping_cone_sheaf(f: SheafMap) -> Sheaf:
     """Degreewise cone of a sheaf map: stalk A^{n+1} ⊕ B^n, functorial."""
     A, B = f.source, f.target
@@ -744,31 +731,6 @@ def direct_image(f: MonotoneMap, F: Sheaf) -> Sheaf:
 # ---- randomized sheaves ----------------------------------------------------
 
 
-def conjugate_sheaf(F: Sheaf, rng) -> Sheaf:
-    """Transport a sheaf along random degreewise stalk automorphisms."""
-    from .exactlin import random_invertible
-    field = F.field
-    g, ginv, stalks = {}, {}, {}
-    for x in F.poset.elements:
-        c = F.stalk(x)
-        gx = {q: random_invertible(field, c.dim(q), rng) for q in c.dims}
-        g[x], ginv[x] = gx, {q: m.inverse() for q, m in gx.items()}
-        diffs = {q: gx.get(q + 1, Matrix.identity(field, c.dim(q + 1))) @ c.d(q) @ ginv[x][q]
-                 for q in list(c.differentials)}
-        stalks[x] = CochainComplex(field, dict(c.dims), diffs, lower=c.lower, check=False)
-    restr = {}
-    for (a, b) in F.poset.pairs():
-        r = F.restriction(a, b)
-        comps = {}
-        for q in set(r.components):
-            m = r.component(q)
-            gq = g[b].get(q, Matrix.identity(field, m.rows))
-            gi = ginv[a].get(q, Matrix.identity(field, m.cols))
-            comps[q] = gq @ m @ gi
-        restr[(a, b)] = ChainMap(stalks[a], stalks[b], comps, check=False)
-    return Sheaf(F.poset, field, stalks, restr, check=False)
-
-
 def _pad_lower(F: Sheaf, lower: int) -> Sheaf:
     stalks = {x: CochainComplex(F.field, dict(c.dims), dict(c.differentials), lower=lower,
                                 certified_degree=c.certified_degree, check=False)
@@ -805,13 +767,13 @@ def random_sheaf(P: Poset, field: Field, seed: int, max_dim: int = 2, span: int 
 
     F = block()
     for _ in range(blocks - 1):
-        F = sheaf_biproduct(F, block())[0]
+        F = direct_sum(F, block())[0]
     if allow_cone and rng.random() < 0.5:
         G = block()
         f = random_sheaf_map(F, G, rng)
         F = mapping_cone_sheaf(f)
         F = _pad_lower(F, min(F.lower, lo - 1))
-    F = conjugate_sheaf(F, rng)
+    F = conjugate(F, rng)
     F.validate()
     return F
 

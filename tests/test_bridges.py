@@ -21,7 +21,7 @@ from godex.complexes import ChainMap, is_quis
 from godex.exactlin import Matrix
 from godex.godement import (
     equivalence_check, hypercohomology_sheaf, reduced_hypercohomology,
-    reduced_inclusion, t_chain_offsets, thomason_check,
+    reduced_inclusion, t_chain_layout, thomason_check,
 )
 from godex.oracle import (
     coaugmentation_into_replacement, replacement_complex, strict_into_weak,
@@ -56,11 +56,10 @@ def canonical_replacement_iso(F, hyper, U, repl):
             rows = Hx.dim(n)
             entries = {}
             blocks_list = []
-            col_layout = {(p, chain): (off, d)
-                          for (p, chain, q, off, d) in repl.blocks[n]}
-            for (p, q, off, d) in Hx.blocks[n]:
+            col_layout = repl.blocks[n]
+            for (p, q), (off, d) in Hx.blocks[n].items():
                 level_sheaf = hyper.resolution.tower[p + 1]
-                for (chain, off2, d2) in t_chain_offsets(level_sheaf, x, q):
+                for chain, (off2, d2) in t_chain_layout(level_sheaf, x, q).items():
                     src = col_layout.get((p, chain))
                     assert src is not None, "stalk chain missing from the replacement"
                     blocks_list.append((off + off2, src[0], d2))

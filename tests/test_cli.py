@@ -166,3 +166,13 @@ def test_malformed_stalk_exits_two(tmp_path):
         code, _, err = run_cli("cohomology", "--open", "ALL", str(path))
         assert code == 2, bad
         assert "Traceback" not in err, bad
+
+
+def test_check_theorem_rejects_nonpositive_sizes():
+    # a poset of no elements or stalks of no dimension are usage errors
+    for option, value in (("--poset-size", "0"), ("--poset-size", "-3"),
+                          ("--max-dim", "0"), ("--max-dim", "-1"), ("--max-dim", "x")):
+        code, out, err = run_cli("check-theorem", "--trials", "1", option, value)
+        assert code == 2, (option, value, err)
+        assert out == ""
+        assert "Traceback" not in err and option in err

@@ -113,7 +113,7 @@ def test_filtered_simple_r0_is_summandwise(f5):
     for n in total.dims:
         for k in range(FS.k_min, FS.k_max + 2):
             expect = sum(XF.levels[p].filtration(k, q).dim
-                         for (p, q, off, d) in total.blocks[n])
+                         for (p, q) in total.blocks[n])
             assert FS.filtration(k, n).dim == expect
 
 
@@ -125,7 +125,7 @@ def test_filtered_simple_r1_shifts_by_column(f5):
     for n in total.dims:
         for k in range(FS.k_min, FS.k_max + 2):
             expect = sum(XF.levels[p].filtration(k - p, q).dim
-                         for (p, q, off, d) in total.blocks[n])
+                         for (p, q) in total.blocks[n])
             assert FS.filtration(k, n).dim == expect
 
 

@@ -1,15 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from godex.complexes import ChainMap, random_complex, single_complex
+from godex.complexes import ChainMap, conjugate, random_complex, single_complex
 from godex.errors import (
     InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge, UnknownElement,
 )
 from godex.exactlin import Matrix
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, Poset, Sheaf, chain_poset, check_sheaf_equalizer,
-    conjugate_sheaf, constant_sheaf, direct_image, down_set_sheaf, point_poset,
+    constant_sheaf, direct_image, down_set_sheaf, point_poset,
     pseudocircle_poset, pseudosphere_poset, random_poset, random_sheaf, random_sheaf_map,
     restriction_of_sections, sections, sections_map, sierpinski_poset, skyscraper,
     skyscraper_unit, up_set_sheaf,
@@ -21,6 +24,20 @@ def test_poset_validation():
         Poset(["a", "b"], [("a", "b"), ("b", "a")])  # antisymmetry
     with pytest.raises(UnknownElement):
         Poset(["a"], [("a", "zzz")])
+
+
+def test_pairs_memoized_in_construction_order():
+    P = pseudocircle_poset()
+    expected = (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
+    assert P.pairs() == expected
+    assert P.pairs() is P.pairs()
+    assert pseudosphere_poset().pairs()[:4] == (("a", "x"), ("a", "y"), ("a", "u"), ("a", "v"))
+    # the order does not depend on string hashing
+    code = "from godex.site import pseudosphere_poset; print(pseudosphere_poset().pairs())"
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")}
+    assert outs == {str(pseudosphere_poset().pairs()) + "\n"}
 
 
 def test_up_sets_antichain_power_set():
@@ -291,7 +308,7 @@ def test_section_coordinates_match_solve_reference(f5):
     for name, make in STANDARD_POSETS.items():
         P = make()
         F = random_sheaf(P, f5, 41)
-        G = conjugate_sheaf(constant_sheaf(P, random_complex(f5, rng, span=2, max_dim=2)), rng)
+        G = conjugate(constant_sheaf(P, random_complex(f5, rng, span=2, max_dim=2)), rng)
         f = random_sheaf_map(F, G, rng)
         opens = P.up_sets()
         for U in opens:
