@@ -312,8 +312,8 @@ def biproduct(C1: CochainComplex, C2: CochainComplex):
 
 # ---- diagrams of complexes ----------------------------------------------
 #
-# A sheaf, a cosimplicial and a bicosimplicial complex are diagrams of
-# complexes.  Each exposes `diagram()`, its levels (key -> complex, in a fixed
+# A complex (one level, no arrows), a sheaf, a cosimplicial and a
+# bicosimplicial complex are diagrams of complexes.  Each exposes `diagram()`, its levels (key -> complex, in a fixed
 # order) and its arrows (name -> (source key, target key, chain map)), and
 # `rebuild(levels, maps)`, the diagram of the same shape on new levels with
 # new arrows (name -> chain map).  Transport and direct sums are written once,
