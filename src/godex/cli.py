@@ -13,6 +13,7 @@ import json
 import random
 import sys
 
+from .complexes import min_certified
 from .cosimplicial import check_descent_axioms
 from .errors import FormatError, GodexError
 from .exactlin import GF
@@ -42,15 +43,21 @@ def _parse_open(poset, spec: str):
     return poset.require_open(spec.split(","))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (a usage error, exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(least: int):
+    """argparse type for an int of at least `least`; anything else is a usage
+    error (exit 2), never a vacuous run."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _default_bound(sheaf) -> int:
@@ -166,13 +173,12 @@ def _theorem_conditions(F, N):
     local = equivalence_check(hyper.rho, "local")
     theta = stalk_commutation_check(F, N, hyper=hyper)
     desc = thomason_check(F, N, hyper=hyper)
-    certs = [r.certified_degree for r in (local, theta, desc)
-             if r.certified_degree is not None]
     return {"local_equivalence": local.verdict,
             "stalk_commutation": theta.verdict,
             "thomason_descent": desc.verdict,
             "mode": desc.mode,
-            "certified_degree": min(certs) if certs else None}
+            "certified_degree": min_certified(*(r.certified_degree
+                                                for r in (local, theta, desc)))}
 
 
 def cmd_check_theorem(args) -> int:
@@ -354,23 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--poset-size", type=_positive_int, default=4)
     p.add_argument("--max-dim", type=_positive_int, default=2)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--max-degree", type=int, default=None)
     p.set_defaults(func=cmd_check_theorem)
 
     p = sub.add_parser("check-axioms", help="descent axioms S1-S5, plain or filtered")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--bound", type=int, default=5, help="truncation bound N")
+    p.add_argument("--trials", type=_positive_int, default=10)
+    p.add_argument("--bound", type=_positive_int, default=5, help="truncation bound N")
     p.add_argument("--filtered", action="store_true")
-    p.add_argument("--r", type=int, default=0, help="filtered page index")
+    p.add_argument("--r", type=_int_at_least(0), default=0, help="filtered page index")
     p.add_argument("--mutant", choices=["drop_d1_sign"], default=None,
                    help="negative control: corrupt the total differential and "
                         "report the resulting d∘d failure (exits 1 when caught)")
     p.set_defaults(func=cmd_check_axioms)
 
     p = sub.add_parser("spectral", help="E_r pages of a filtration")
-    p.add_argument("--r", type=int, default=2, help="compute pages 0..r")
+    p.add_argument("--r", type=_int_at_least(0), default=2, help="compute pages 0..r")
     p.add_argument("--source", choices=["descent", "filtered-file"], default="descent")
     p.add_argument("--open", default="ALL")
     add_common(p)

@@ -7,16 +7,25 @@ truncated cosimplicial objects are only trustworthy below the truncation).
 
 Sheaves, cosimplicial and bicosimplicial complexes are diagrams of
 complexes.  `transport` (along degreewise automorphisms of the levels),
-`conjugate` (along random ones) and the levelwise `direct_sum` are written
-once, here, for all of them; each diagram class supplies `diagram()` and
-`rebuild()`.  Direct sums and total complexes lay their summands out with
-`exactlin.Layout`.
+`conjugate` (along random ones), the levelwise `direct_sum` and
+`mapping_cone`, the maps between diagrams (`DiagramMap`: one chain map per
+level, natural in the arrows) and the sampler `random_map` are written once,
+here, for all of them; each diagram class supplies `diagram()` and
+`rebuild()`.  Direct sums, total complexes and the linear systems of
+`random_map` lay their blocks out with `exactlin.Layout`.
 """
 
 from __future__ import annotations
 
 from .errors import FieldMismatch, InvariantError
-from .exactlin import Field, Layout, Matrix, Subspace, random_invertible, subquotient
+from .exactlin import Field, Layout, Matrix, Subspace, kron, random_invertible, subquotient
+
+
+def min_certified(*degrees):
+    """The least of the certified degrees given, ignoring None (no bound);
+    None when every one is None."""
+    known = [d for d in degrees if d is not None]
+    return min(known) if known else None
 
 
 class CochainComplex:
@@ -275,8 +284,8 @@ def truncate(C: CochainComplex, N: int) -> CochainComplex:
         return C
     dims = {n: d for n, d in C.dims.items() if n <= N}
     diffs = {n: m for n, m in C.differentials.items() if n < N}
-    cert = N - 1 if C.certified_degree is None else min(C.certified_degree, N - 1)
-    return CochainComplex(C.field, dims, diffs, lower=C.lower, certified_degree=cert, check=False)
+    return CochainComplex(C.field, dims, diffs, lower=C.lower,
+                          certified_degree=min_certified(C.certified_degree, N - 1), check=False)
 
 
 def _oplus(a: Matrix, b: Matrix) -> Matrix:
@@ -296,11 +305,9 @@ def biproduct(C1: CochainComplex, C2: CochainComplex):
     hi = max(C1.upper, C2.upper)
     dims = {n: C1.dim(n) + C2.dim(n) for n in range(lo, hi + 1)}
     diffs = {n: _oplus(C1.d(n), C2.d(n)) for n in range(lo, hi + 1)}
-    cert = None
-    for c in (C1.certified_degree, C2.certified_degree):
-        if c is not None:
-            cert = c if cert is None else min(cert, c)
-    C = CochainComplex(field, dims, diffs, lower=lo, certified_degree=cert, check=False)
+    C = CochainComplex(field, dims, diffs, lower=lo,
+                       certified_degree=min_certified(C1.certified_degree, C2.certified_degree),
+                       check=False)
     incl1, incl2, proj1, proj2 = {}, {}, {}, {}
     for n in range(lo, hi + 1):
         layout = Layout([(1, C1.dim(n)), (2, C2.dim(n))])
@@ -347,16 +354,21 @@ def conjugate(D, rng):
                          for k, C in levels.items()})
 
 
+def _same_shape(D1, D2, error=InvariantError):
+    """The levels and arrows of D1 and of D2; `error` unless they have one shape."""
+    (levels1, arrows1), (levels2, arrows2) = D1.diagram(), D2.diagram()
+    if levels1.keys() != levels2.keys() or arrows1.keys() != arrows2.keys():
+        raise error("diagrams of different shapes")
+    return levels1, arrows1, levels2, arrows2
+
+
 def direct_sum(D1, D2):
     """Levelwise direct sum of two diagrams of one shape; each arrow is f ⊕ g.
 
     Returns (D, (i1, i2), (p1, p2)) where i_k and p_k map level keys to the
     inclusion and projection chain maps of `biproduct`.
     """
-    levels1, arrows1 = D1.diagram()
-    levels2, arrows2 = D2.diagram()
-    if levels1.keys() != levels2.keys() or arrows1.keys() != arrows2.keys():
-        raise InvariantError("direct sum of diagrams of different shapes")
+    levels1, arrows1, levels2, arrows2 = _same_shape(D1, D2)
     levels, incl1, incl2, proj1, proj2 = {}, {}, {}, {}, {}
     for k in levels1:
         levels[k], (incl1[k], incl2[k]), (proj1[k], proj2[k]) = biproduct(levels1[k], levels2[k])
@@ -367,6 +379,83 @@ def direct_sum(D1, D2):
                               {q: _oplus(f.component(q), g.component(q))
                                for q in set(f.components) | set(g.components)}, check=False)
     return D1.rebuild(levels, maps), (incl1, incl2), (proj1, proj2)
+
+
+class DiagramMap:
+    """A map of diagrams of one shape: a chain map per level (level key ->
+    chain map) commuting with every arrow.  Subclasses name the diagram kind
+    and the error that `validate` raises."""
+
+    __slots__ = ("source", "target", "components")
+    error = InvariantError
+
+    def __init__(self, source, target, components: dict, check: bool = True):
+        self.source = source
+        self.target = target
+        self.components = components
+        if check:
+            self.validate()
+
+    def component(self, k) -> ChainMap:
+        return self.components[k]
+
+    def validate(self):
+        levels1, arrows1, levels2, arrows2 = _same_shape(self.source, self.target, self.error)
+        for k, C in levels1.items():
+            f = self.components.get(k)
+            if f is None or f.source != C or f.target != levels2[k]:
+                raise self.error(f"component at {k!r} has wrong source/target")
+            try:
+                f.validate()
+            except InvariantError as e:
+                raise self.error(f"component at {k!r}: {e}") from e
+        for name, (s, t, a) in arrows1.items():
+            if self.components[t].compose(a) != arrows2[name][2].compose(self.components[s]):
+                raise self.error(f"map fails to commute with arrow {name!r}")
+
+    def compose(self, other: "DiagramMap") -> "DiagramMap":
+        """self ∘ other."""
+        return type(self)(other.source, self.target,
+                          {k: f.compose(other.components[k]) for k, f in self.components.items()},
+                          check=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, DiagramMap):
+            return NotImplemented
+        return self.components.keys() == other.components.keys() and \
+            all(f == other.components[k] for k, f in self.components.items())
+
+    @classmethod
+    def identity(cls, D) -> "DiagramMap":
+        return cls(D, D, {k: ChainMap.identity(C) for k, C in D.diagram()[0].items()}, check=False)
+
+
+def mapping_cone(f: DiagramMap):
+    """Levelwise mapping cone of f : A -> B.
+
+    Level k is cone(f_k), with cone^n = A_k^{n+1} ⊕ B_k^n and differential
+    [[-d_A, 0], [f_k, d_B]]; each arrow is a_{n+1} ⊕ b_n for the arrows a of
+    A and b of B of that name.  H^n of the cone needs H^{n+1} of A, so it
+    is certified one degree below A.
+    """
+    levels1, arrows1, levels2, arrows2 = _same_shape(f.source, f.target)
+    levels = {}
+    for k, A in levels1.items():
+        B, fk = levels2[k], f.components[k]
+        lo, hi = min(A.lower - 1, B.lower), max(A.upper - 1, B.upper)
+        diffs = {n: Matrix.assemble(A.field, [A.dim(n + 2), B.dim(n + 1)], [A.dim(n + 1), B.dim(n)],
+                                    {(0, 0): A.d(n + 1).scale(-1), (1, 0): fk.component(n + 1),
+                                     (1, 1): B.d(n)})
+                 for n in range(lo, hi)}
+        cert = min_certified(None if A.certified_degree is None else A.certified_degree - 1,
+                             B.certified_degree)
+        levels[k] = CochainComplex(A.field, {n: A.dim(n + 1) + B.dim(n) for n in range(lo, hi + 1)},
+                                   diffs, lower=lo, certified_degree=cert, check=False)
+    maps = {name: ChainMap(levels[s], levels[t],
+                           {n: _oplus(a.component(n + 1), arrows2[name][2].component(n))
+                            for n in levels[s].dims}, check=False)
+            for name, (s, t, a) in arrows1.items()}
+    return f.source.rebuild(levels, maps)
 
 
 class QuisReport:
@@ -411,10 +500,7 @@ def is_quis(f: ChainMap, up_to: int | None = None) -> QuisReport:
     """
     lo = min(f.source.lower, f.target.lower)
     hi = max(f.source.upper, f.target.upper)
-    cert = None
-    for c in (f.source.certified_degree, f.target.certified_degree, up_to):
-        if c is not None:
-            cert = c if cert is None else min(cert, c)
+    cert = min_certified(f.source.certified_degree, f.target.certified_degree, up_to)
     if cert is not None:
         hi = min(hi, cert)
     per = {}
@@ -469,64 +555,51 @@ def random_complex(field: Field, rng, lower: int = 0, span: int = 3, max_dim: in
     return CochainComplex(field, dims, new_diffs, lower=lower, check=False)
 
 
-def random_chain_map(C: CochainComplex, D: CochainComplex, rng) -> ChainMap:
-    """Uniformly random chain map C -> D, sampled from the solution space
-    of the commutation constraints."""
-    if C.field != D.field:
-        raise FieldMismatch(f"{C.field} vs {D.field}")
-    field = C.field
-    lo = min(C.lower, D.lower)
-    hi = max(C.upper, D.upper)
-    slots = [(n, D.dim(n), C.dim(n)) for n in range(lo, hi + 1) if D.dim(n) and C.dim(n)]
-    total = sum(r * c for _, r, c in slots)
-    if total == 0:
-        return ChainMap.zero(C, D)
-    offsets = {}
-    off = 0
-    for n, r, c in slots:
-        offsets[n] = off
-        off += r * c
+def random_map(D1, D2, rng) -> dict:
+    """A uniformly random map of diagrams D1 -> D2 of one shape, as level
+    key -> chain map (not validated: wrap it in the diagram's map class).
 
-    def unknown_index(n, i, j):
-        _, r, c = next(s for s in slots if s[0] == n)
-        return offsets[n] + i * c + j
+    The unknowns are the entries of the components: levels in `diagram()`
+    order, degrees ascending, entries row-major.  Every level differential
+    and every arrow gives one equation L X_u = X_v R, written as the
+    Kronecker blocks L ⊗ 1 and -(1 ⊗ R^T) on the unknowns' `Layout`.  The
+    sample is K c for the kernel basis K of that system and c one
+    `random_element` per basis vector.
+    """
+    if D1.field != D2.field:
+        raise FieldMismatch(f"{D1.field} vs {D2.field}")
+    field = D1.field
+    levels1, arrows1, levels2, arrows2 = _same_shape(D1, D2)
 
-    rows = []
-    for n in range(lo, hi + 1):
-        dD, dC = D.d(n), C.d(n)
-        rdim, cdim = D.dim(n + 1), C.dim(n)
-        if rdim == 0 or cdim == 0:
-            continue
-        has_n = D.dim(n) and C.dim(n)
-        has_n1 = D.dim(n + 1) and C.dim(n + 1)
-        if not has_n and not has_n1:
-            continue
-        for i in range(rdim):
-            for j in range(cdim):
-                row = [field.element(0)] * total
-                if has_n:
-                    for k in range(D.dim(n)):
-                        v = dD.entry(i, k)
-                        if v:
-                            row[unknown_index(n, k, j)] += v
-                if has_n1:
-                    for k in range(C.dim(n + 1)):
-                        v = dC.entry(k, j)
-                        if v:
-                            row[unknown_index(n + 1, i, k)] -= v
-                rows.append([field.element(x) for x in row])
-    if rows:
-        sys = Matrix.from_rows(field, rows)
-        K = sys.kernel_matrix()
-    else:
-        K = Matrix.identity(field, total)
-    coeffs = Matrix(field, K.cols, 1, [[field.random_element(rng)] for _ in range(K.cols)])
-    vec = K @ coeffs
-    comps = {}
-    for n, r, c in slots:
-        m = Matrix.zeros(field, r, c).rows_list()
-        for i in range(r):
-            for j in range(c):
-                m[i][j] = vec.entry(offsets[n] + i * c + j, 0)
-        comps[n] = Matrix(field, r, c, m)
-    return ChainMap(C, D, comps)
+    def degrees(C, D):
+        return range(min(C.lower, D.lower), max(C.upper, D.upper) + 1)
+
+    unknowns = Layout(((k, n), levels2[k].dim(n) * C.dim(n))
+                      for k, C in levels1.items() for n in degrees(C, levels2[k])
+                      if levels2[k].dim(n) * C.dim(n))
+    equations, entries = [], {}
+
+    def constrain(label, u, L, v, R):
+        if L.rows * R.cols == 0:
+            return
+        equations.append((label, L.rows * R.cols))
+        if u in unknowns:
+            entries[(label, u)] = kron(L, Matrix.identity(field, R.cols))
+        if v in unknowns:
+            entries[(label, v)] = kron(Matrix.identity(field, L.rows), R.transpose()).scale(-1)
+
+    for k, C in levels1.items():
+        for n in degrees(C, levels2[k]):
+            constrain(("level", k, n), (k, n), levels2[k].d(n), (k, n + 1), C.d(n))
+    for name, (s, t, a) in arrows1.items():
+        for n in degrees(levels1[s], levels2[t]):
+            constrain(("arrow", name, n), (s, n), arrows2[name][2].component(n), (t, n),
+                      a.component(n))
+    K = Matrix.assemble(field, Layout(equations), unknowns, entries).kernel_matrix()
+    vec = K @ Matrix(field, K.cols, 1, [[field.random_element(rng)] for _ in range(K.cols)])
+    comps = {k: {} for k in levels1}
+    for (k, n), (off, _) in unknowns.items():
+        r, c = levels2[k].dim(n), levels1[k].dim(n)
+        comps[k][n] = Matrix(field, r, c, [[vec.entry(off + i * c + j, 0) for j in range(c)]
+                                           for i in range(r)])
+    return {k: ChainMap(C, levels2[k], comps[k], check=False) for k, C in levels1.items()}

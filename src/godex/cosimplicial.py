@@ -21,7 +21,8 @@ from __future__ import annotations
 import random
 
 from .complexes import (
-    ChainMap, CochainComplex, biproduct, conjugate, direct_sum, is_quis, random_complex, truncate,
+    ChainMap, CochainComplex, DiagramMap, biproduct, conjugate, direct_sum, is_quis,
+    random_complex, truncate,
 )
 from .errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
 from .exactlin import Field, GF, Layout, Matrix, random_invertible
@@ -121,51 +122,17 @@ class CosimplicialComplex:
                     yield name, lhs, rhs
 
 
-class CosimplicialMap:
+class CosimplicialMap(DiagramMap):
     """A levelwise chain map commuting with all structure maps."""
 
-    __slots__ = ("source", "target", "components")
+    __slots__ = ()
+    error = NotCosimplicial
 
     def __init__(self, source: CosimplicialComplex, target: CosimplicialComplex,
                  components: dict, check: bool = True):
         if source.p_max != target.p_max:
             raise InvariantError("cosimplicial map between different truncation levels")
-        self.source = source
-        self.target = target
-        self.components = components
-        if check:
-            self.validate()
-
-    def component(self, p: int) -> ChainMap:
-        return self.components[p]
-
-    def validate(self):
-        for p in range(self.source.p_max + 1):
-            f = self.component(p)
-            if f.source != self.source.level(p) or f.target != self.target.level(p):
-                raise NotCosimplicial(f"component {p} has wrong source/target")
-        for p in range(1, self.source.p_max + 1):
-            for i in range(p + 1):
-                lhs = self.component(p).compose(self.source.coface(p, i))
-                rhs = self.target.coface(p, i).compose(self.component(p - 1))
-                if lhs != rhs:
-                    raise NotCosimplicial(f"map fails to commute with coface d^{i} into level {p}")
-        for p in range(self.source.p_max):
-            for j in range(p + 1):
-                lhs = self.component(p).compose(self.source.codegeneracy(p, j))
-                rhs = self.target.codegeneracy(p, j).compose(self.component(p + 1))
-                if lhs != rhs:
-                    raise NotCosimplicial(f"map fails to commute with codegeneracy s^{j} at level {p}")
-
-    def compose(self, other: "CosimplicialMap") -> "CosimplicialMap":
-        return CosimplicialMap(other.source, self.target,
-                               {p: self.component(p).compose(other.component(p))
-                                for p in range(self.source.p_max + 1)}, check=False)
-
-    @staticmethod
-    def identity(X: CosimplicialComplex) -> "CosimplicialMap":
-        return CosimplicialMap(X, X, {p: ChainMap.identity(X.level(p))
-                                      for p in range(X.p_max + 1)}, check=False)
+        super().__init__(source, target, components, check)
 
 
 def constant_cosimplicial(A: CochainComplex, p_max: int) -> CosimplicialComplex:
@@ -384,17 +351,11 @@ class BicosimplicialComplex:
             tr.row(m).validate()
 
 
-class BicosimplicialMap:
+class BicosimplicialMap(DiagramMap):
     """Levelwise chain maps commuting with both structures."""
 
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source, target, components, check=True):
-        self.source = source
-        self.target = target
-        self.components = components
-        if check:
-            self.validate()
+    __slots__ = ()
+    error = NotCosimplicial
 
     def component(self, n, m) -> ChainMap:
         return self.components[(n, m)]
@@ -407,25 +368,6 @@ class BicosimplicialMap:
     def transpose(self) -> "BicosimplicialMap":
         return BicosimplicialMap(self.source.transpose(), self.target.transpose(),
                                  {(m, n): f for (n, m), f in self.components.items()}, check=False)
-
-    def validate(self):
-        Z, W = self.source, self.target
-        for n in range(Z.p_max + 1):
-            self.row_map(n).validate()
-        for n in range(1, Z.p_max + 1):
-            for m in range(Z.q_max + 1):
-                for i in range(n + 1):
-                    lhs = self.component(n, m).compose(Z.d1[(n, m, i)])
-                    rhs = W.d1[(n, m, i)].compose(self.component(n - 1, m))
-                    if lhs != rhs:
-                        raise NotCosimplicial(f"bicosimplicial map fails d1^{i} at {(n, m)}")
-        for n in range(Z.p_max):
-            for m in range(Z.q_max + 1):
-                for j in range(n + 1):
-                    lhs = self.component(n, m).compose(Z.s1[(n, m, j)])
-                    rhs = W.s1[(n, m, j)].compose(self.component(n + 1, m))
-                    if lhs != rhs:
-                        raise NotCosimplicial(f"bicosimplicial map fails s1^{j} at {(n, m)}")
 
 
 def outer_cosimplicial(Z: BicosimplicialComplex, N: int) -> CosimplicialComplex:

@@ -573,6 +573,13 @@ class Layout(dict):
         return self.inclusion(field, labels).transpose()
 
 
+def kron(A: Matrix, B: Matrix) -> Matrix:
+    """Kronecker product A ⊗ B: block (i, j) is A[i, j] B."""
+    return Matrix.assemble(A.field, [B.rows] * A.rows, [B.cols] * A.cols,
+                           {(i, j): B.scale(v) for i, row in enumerate(A.rows_list())
+                            for j, v in enumerate(row) if v})
+
+
 # ---- subspaces ---------------------------------------------------------
 
 

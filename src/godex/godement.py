@@ -21,7 +21,7 @@ assumed silently.
 
 from __future__ import annotations
 
-from .complexes import ChainMap, CochainComplex, induced_map, is_quis
+from .complexes import ChainMap, CochainComplex, induced_map, is_quis, min_certified
 from .cosimplicial import CosimplicialComplex, alternating_coface_sum, blockwise_map, simple
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix
@@ -38,14 +38,6 @@ class TSheaf(Sheaf):
     """A sheaf of the form T(G), remembering G for block bookkeeping."""
 
     __slots__ = ("t_base",)
-
-
-def _min_cert(*complexes):
-    cert = None
-    for c in complexes:
-        if c is not None and c.certified_degree is not None:
-            cert = c.certified_degree if cert is None else min(cert, c.certified_degree)
-    return cert
 
 
 def _ups(poset, x) -> tuple:
@@ -69,7 +61,7 @@ def apply_T(G: Sheaf) -> TSheaf:
             entries = {(k, k): c.d(n) for k, c in enumerate(parts)}
             diffs[n] = Matrix.assemble(field, [c.dim(n + 1) for c in parts],
                                        [c.dim(n) for c in parts], entries)
-        cert = _min_cert(*parts)
+        cert = min_certified(*(c.certified_degree for c in parts))
         stalks[x] = CochainComplex(field, dims, diffs, lower=lo,
                                    certified_degree=cert, check=False)
     # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
@@ -443,8 +435,7 @@ def equivalence_check(f: SheafMap, kind: str, opens=None, up_to: int | None = No
     if kind == "local":
         for x in poset.elements:
             r = is_quis(f.component(x), up_to=up_to)
-            cert = r.certified_degree if cert is None else \
-                (cert if r.certified_degree is None else min(cert, r.certified_degree))
+            cert = min_certified(cert, r.certified_degree)
             witnesses.extend((x, n) for n in r.failures())
     elif kind == "global":
         if opens is None:
@@ -452,8 +443,7 @@ def equivalence_check(f: SheafMap, kind: str, opens=None, up_to: int | None = No
         for U in opens:
             g = sections_map(f, U)
             r = is_quis(g, up_to=up_to)
-            cert = r.certified_degree if cert is None else \
-                (cert if r.certified_degree is None else min(cert, r.certified_degree))
+            cert = min_certified(cert, r.certified_degree)
             label = tuple(sorted(map(str, U)))
             witnesses.extend((label, n) for n in r.failures())
     else:
@@ -568,8 +558,7 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
         repl = replacement_complex(R, N - 1, strict=True, within=U)
         eps = coaugmentation_into_replacement(R, sec, repl)
         r = is_quis(eps)
-        cert = r.certified_degree if cert is None else \
-            (cert if r.certified_degree is None else min(cert, r.certified_degree))
+        cert = min_certified(cert, r.certified_degree)
         label = tuple(sorted(map(str, U)))
         witnesses.extend((label, n) for n in r.failures())
     return EquivalenceReport("global", not witnesses, witnesses, cert, mode="reduced")

@@ -17,9 +17,9 @@ assert the resulting betti equalities rather than assuming them.
 
 from __future__ import annotations
 
-from .complexes import ChainMap, CochainComplex
+from .complexes import ChainMap, CochainComplex, min_certified
 from .errors import InvariantError
-from .exactlin import Field, Layout, Matrix
+from .exactlin import Field, Layout, Matrix, kron
 from .site import Poset, Sheaf
 
 
@@ -93,8 +93,7 @@ def replacement_complex(F: Sheaf, N: int, strict: bool = False,
         diffs[n] = Matrix.assemble(field, rows, cols, entries)
     cert = None if (strict and complete and N >= (max(levels) if levels else 0) + F.top_degree) \
         else N - 1
-    if F.certified_degree is not None:
-        cert = F.certified_degree if cert is None else min(cert, F.certified_degree)
+    cert = min_certified(cert, F.certified_degree)
     out = ReplacementComplex(field, {n: L.dim for n, L in blocks.items()}, diffs, lower=lo,
                              certified_degree=cert, check=True)
     out.blocks = blocks
@@ -219,10 +218,10 @@ def constant_cohomology(P: Poset, field: Field, C: CochainComplex, N: int) -> di
         entries = {}
         for (p, q) in cols:
             if (p + 1, q) in rows:
-                entries[((p + 1, q), (p, q))] = _kron(nerve.coboundary(p),
-                                                      Matrix.identity(field, C.dim(q)))
+                entries[((p + 1, q), (p, q))] = kron(nerve.coboundary(p),
+                                                     Matrix.identity(field, C.dim(q)))
             if (p, q + 1) in rows:
-                m = _kron(Matrix.identity(field, nerve.dim(p)), C.d(q))
+                m = kron(Matrix.identity(field, nerve.dim(p)), C.d(q))
                 entries[((p, q + 1), (p, q))] = m if p % 2 == 0 else m.scale(-1)
         diffs[n] = Matrix.assemble(field, rows, cols, entries)
     height = max(ps) if ps else 0
@@ -230,15 +229,3 @@ def constant_cohomology(P: Poset, field: Field, C: CochainComplex, N: int) -> di
     total = CochainComplex(field, {n: L.dim for n, L in blocks.items()}, diffs, lower=lo,
                            certified_degree=cert, check=True)
     return total.betti()
-
-
-def _kron(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product A ⊗ B."""
-    field = A.field
-    entries = {}
-    for i in range(A.rows):
-        for j in range(A.cols):
-            v = A.entry(i, j)
-            if v:
-                entries[(i, j)] = B.scale(v)
-    return Matrix.assemble(field, [B.rows] * A.rows, [B.cols] * A.cols, entries)

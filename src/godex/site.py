@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    ChainMap, CochainComplex, conjugate, direct_sum, random_complex, zero_complex,
+    ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone, min_certified,
+    random_complex, random_map, zero_complex,
 )
 from .errors import (
     FieldMismatch, InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge,
@@ -252,11 +253,7 @@ class Sheaf:
 
     @property
     def certified_degree(self) -> int | None:
-        cert = None
-        for c in self.stalks.values():
-            if c.certified_degree is not None:
-                cert = c.certified_degree if cert is None else min(cert, c.certified_degree)
-        return cert
+        return min_certified(*(c.certified_degree for c in self.stalks.values()))
 
     def validate(self):
         lows = {c.lower for c in self.stalks.values()}
@@ -286,48 +283,10 @@ class Sheaf:
                             f"restriction functoriality fails on {x} <= {y} <= {z}")
 
 
-class SheafMap:
-    """A family of chain maps commuting with restrictions."""
+class SheafMap(DiagramMap):
+    """A family of chain maps F_x -> G_x commuting with restrictions."""
 
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: Sheaf, target: Sheaf, components: dict, check=True):
-        self.source = source
-        self.target = target
-        self.components = components
-        if check:
-            self.validate()
-
-    def component(self, x) -> ChainMap:
-        return self.components[x]
-
-    def validate(self):
-        for x in self.source.poset.elements:
-            f = self.component(x)
-            if f.source != self.source.stalk(x) or f.target != self.target.stalk(x):
-                raise InvariantError(f"sheaf map component at {x} has wrong source/target")
-            f.validate()
-        for (x, y) in self.source.poset.pairs():
-            lhs = self.target.restriction(x, y).compose(self.component(x))
-            rhs = self.component(y).compose(self.source.restriction(x, y))
-            if lhs != rhs:
-                raise InvariantError(f"sheaf map fails to commute with restriction {x} -> {y}")
-
-    def compose(self, other: "SheafMap") -> "SheafMap":
-        return SheafMap(other.source, self.target,
-                        {x: self.component(x).compose(other.component(x))
-                         for x in self.source.poset.elements}, check=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, SheafMap):
-            return NotImplemented
-        return all(self.component(x) == other.component(x)
-                   for x in self.source.poset.elements)
-
-    @staticmethod
-    def identity(F: Sheaf) -> "SheafMap":
-        return SheafMap(F, F, {x: ChainMap.identity(F.stalk(x)) for x in F.poset.elements},
-                        check=False)
+    __slots__ = ()
 
 
 class SectionComplex:
@@ -566,41 +525,28 @@ def check_sheaf_equalizer(F: Sheaf, U, cover) -> bool:
 # ---- constructors --------------------------------------------------------
 
 
-def constant_sheaf(P: Poset, C: CochainComplex) -> Sheaf:
+def _indicator_sheaf(P: Poset, S, C: CochainComplex) -> Sheaf:
+    """Stalk C on S, zero outside, identities between points of S."""
+    z = CochainComplex(C.field, {}, {}, lower=C.lower, check=False)
+    stalks = {y: (C if y in S else z) for y in P.elements}
     ident = ChainMap.identity(C)
-    return Sheaf(P, C.field, {x: C for x in P.elements},
-                 {pair: ident for pair in P.pairs()}, check=False)
+    return Sheaf(P, C.field, stalks,
+                 {(a, b): ident if a in S and b in S else ChainMap.zero(stalks[a], stalks[b])
+                  for (a, b) in P.pairs()}, check=False)
+
+
+def constant_sheaf(P: Poset, C: CochainComplex) -> Sheaf:
+    return _indicator_sheaf(P, frozenset(P.elements), C)
 
 
 def skyscraper(P: Poset, x, D: CochainComplex) -> Sheaf:
     """Stalk D at every y <= x, zero above; the direct image of D at x."""
-    if x not in P:
-        raise UnknownElement(f"unknown element {x!r}")
-    field = D.field
-    z = CochainComplex(field, {}, {}, lower=D.lower, check=False)
-    stalks = {y: (D if P.leq(y, x) else z) for y in P.elements}
-    restr = {}
-    for (a, b) in P.pairs():
-        if P.leq(b, x):
-            restr[(a, b)] = ChainMap.identity(D)
-        else:
-            restr[(a, b)] = ChainMap.zero(stalks[a], stalks[b])
-    return Sheaf(P, field, stalks, restr, check=False)
+    return down_set_sheaf(P, P.down_set(x), D)
 
 
 def up_set_sheaf(P: Poset, T, C: CochainComplex) -> Sheaf:
     """Stalk C on an up-closed T, zero outside, identities inside."""
-    T = P.require_open(T)
-    field = C.field
-    z = CochainComplex(field, {}, {}, lower=C.lower, check=False)
-    stalks = {y: (C if y in T else z) for y in P.elements}
-    restr = {}
-    for (a, b) in P.pairs():
-        if a in T and b in T:
-            restr[(a, b)] = ChainMap.identity(C)
-        else:
-            restr[(a, b)] = ChainMap.zero(stalks[a], stalks[b])
-    return Sheaf(P, field, stalks, restr, check=False)
+    return _indicator_sheaf(P, P.require_open(T), C)
 
 
 def down_set_sheaf(P: Poset, S, C: CochainComplex) -> Sheaf:
@@ -608,16 +554,7 @@ def down_set_sheaf(P: Poset, S, C: CochainComplex) -> Sheaf:
     S = frozenset(S)
     if not all(y in S for x in S for y in P.elements if P.leq(y, x)):
         raise InvariantError("subset is not down-closed")
-    field = C.field
-    z = CochainComplex(field, {}, {}, lower=C.lower, check=False)
-    stalks = {y: (C if y in S else z) for y in P.elements}
-    restr = {}
-    for (a, b) in P.pairs():
-        if a in S and b in S:
-            restr[(a, b)] = ChainMap.identity(C)
-        else:
-            restr[(a, b)] = ChainMap.zero(stalks[a], stalks[b])
-    return Sheaf(P, field, stalks, restr, check=False)
+    return _indicator_sheaf(P, S, C)
 
 
 def skyscraper_unit(F: Sheaf, x) -> SheafMap:
@@ -632,48 +569,6 @@ def skyscraper_unit(F: Sheaf, x) -> SheafMap:
         else:
             comps[y] = ChainMap.zero(F.stalk(y), sky.stalk(y))
     return SheafMap(F, sky, comps, check=True)
-
-
-def mapping_cone_sheaf(f: SheafMap) -> Sheaf:
-    """Degreewise cone of a sheaf map: stalk A^{n+1} ⊕ B^n, functorial."""
-    A, B = f.source, f.target
-    field = A.field
-    stalks = {}
-    layouts = {}
-    for x in A.poset.elements:
-        CA, CB = A.stalk(x), B.stalk(x)
-        lo = min(CA.lower - 1, CB.lower)
-        hi = max(CA.upper - 1, CB.upper)
-        dims = {}
-        for n in range(lo, hi + 1):
-            dims[n] = CA.dim(n + 1) + CB.dim(n)
-        diffs = {}
-        for n in range(lo, hi):
-            entries = {}
-            da = CA.d(n + 1).scale(-1)
-            entries[(0, 0)] = da
-            entries[(1, 0)] = f.component(x).component(n + 1)
-            entries[(1, 1)] = CB.d(n)
-            diffs[n] = Matrix.assemble(field, [CA.dim(n + 2), CB.dim(n + 1)],
-                                       [CA.dim(n + 1), CB.dim(n)], entries)
-        stalks[x] = CochainComplex(field, dims, diffs, lower=lo, check=False)
-        layouts[x] = (CA, CB)
-    restr = {}
-    for (a, b) in A.poset.pairs():
-        CAa, CBa = layouts[a]
-        CAb, CBb = layouts[b]
-        comps = {}
-        for n in stalks[a].dims:
-            if stalks[b].dim(n) == 0:
-                continue
-            entries = {
-                (0, 0): A.restriction(a, b).component(n + 1),
-                (1, 1): B.restriction(a, b).component(n),
-            }
-            comps[n] = Matrix.assemble(field, [CAb.dim(n + 1), CBb.dim(n)],
-                                       [CAa.dim(n + 1), CBa.dim(n)], entries)
-        restr[(a, b)] = ChainMap(stalks[a], stalks[b], comps, check=False)
-    return Sheaf(A.poset, field, stalks, restr, check=False)
 
 
 # ---- direct image ---------------------------------------------------------
@@ -770,102 +665,11 @@ def random_sheaf(P: Poset, field: Field, seed: int, max_dim: int = 2, span: int 
         F = direct_sum(F, block())[0]
     if allow_cone and rng.random() < 0.5:
         G = block()
-        f = random_sheaf_map(F, G, rng)
-        F = mapping_cone_sheaf(f)
+        F = mapping_cone(SheafMap(F, G, random_map(F, G, rng)))
         F = _pad_lower(F, min(F.lower, lo - 1))
     F = conjugate(F, rng)
     F.validate()
     return F
-
-
-def random_sheaf_map(F: Sheaf, G: Sheaf, rng) -> SheafMap:
-    """Random sheaf map F -> G sampled from the space of all of them.
-
-    The commutation constraints (with differentials and restrictions) form a
-    linear system; a random kernel element is returned.
-    """
-    field = F.field
-    poset = F.poset
-    slots = []
-    offsets = {}
-    off = 0
-    for x in poset.elements:
-        for n in range(min(F.stalk(x).lower, G.stalk(x).lower),
-                       max(F.stalk(x).upper, G.stalk(x).upper) + 1):
-            r, c = G.stalk(x).dim(n), F.stalk(x).dim(n)
-            if r and c:
-                slots.append((x, n, r, c))
-                offsets[(x, n)] = off
-                off += r * c
-    total = off
-    if total == 0:
-        return SheafMap(F, G, {x: ChainMap.zero(F.stalk(x), G.stalk(x))
-                               for x in poset.elements}, check=False)
-
-    rows = []
-
-    def add_equation(coeffs: dict, rdim: int, cdim: int):
-        # coeffs: (x, n) -> (left Matrix or None, right Matrix or None) meaning
-        # contribution L @ f_{x,n} @ R to an (rdim x cdim) matrix equation
-        for i in range(rdim):
-            for j in range(cdim):
-                row = [0] * total
-                touched = False
-                for (x, n), (L, R, sign) in coeffs.items():
-                    if (x, n) not in offsets:
-                        continue
-                    _, _, r, c = next(s for s in slots if s[0] == x and s[1] == n)
-                    for a in range(r):
-                        la = L.entry(i, a) if L is not None else (1 if i == a else 0)
-                        if not la:
-                            continue
-                        for b in range(c):
-                            rb = R.entry(b, j) if R is not None else (1 if b == j else 0)
-                            if not rb:
-                                continue
-                            row[offsets[(x, n)] + a * c + b] += sign * la * rb
-                            touched = True
-                if touched:
-                    rows.append([field.element(v) for v in row])
-
-    for x in poset.elements:
-        CF, CG = F.stalk(x), G.stalk(x)
-        for n in range(min(CF.lower, CG.lower), max(CF.upper, CG.upper)):
-            rdim, cdim = CG.dim(n + 1), CF.dim(n)
-            if rdim == 0 or cdim == 0:
-                continue
-            add_equation({(x, n): (CG.d(n), None, 1), (x, n + 1): (None, CF.d(n), -1)},
-                         rdim, cdim)
-    for (x, y) in poset.covers():
-        CFx, CGy = F.stalk(x), G.stalk(y)
-        for n in range(min(CFx.lower, CGy.lower), max(CFx.upper, CGy.upper) + 1):
-            rdim, cdim = CGy.dim(n), CFx.dim(n)
-            if rdim == 0 or cdim == 0:
-                continue
-            add_equation({(x, n): (G.restriction(x, y).component(n), None, 1),
-                          (y, n): (None, F.restriction(x, y).component(n), -1)},
-                         rdim, cdim)
-    if rows:
-        sys = Matrix.from_rows(field, rows)
-        K = sys.kernel_matrix()
-    else:
-        K = Matrix.identity(field, total)
-    coeffs = Matrix(field, K.cols, 1, [[field.random_element(rng)] for _ in range(K.cols)])
-    vec = K @ coeffs
-    comps = {}
-    for x in poset.elements:
-        m = {}
-        for (xx, n, r, c) in slots:
-            if xx != x:
-                continue
-            block_m = Matrix.zeros(field, r, c).rows_list()
-            for i in range(r):
-                for j in range(c):
-                    block_m[i][j] = vec.entry(offsets[(x, n)] + i * c + j, 0)
-            m[n] = Matrix(field, r, c, block_m)
-        comps[x] = ChainMap(F.stalk(x), G.stalk(x), m, check=False)
-    out = SheafMap(F, G, comps, check=True)
-    return out
 
 
 def random_poset(size: int, rng) -> Poset:

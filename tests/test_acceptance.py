@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from godex.complexes import random_complex, single_complex
+from godex.complexes import random_complex, random_map, single_complex
 from godex.cosimplicial import check_descent_axioms
 from godex.exactlin import GF
 from godex.filtered import (
@@ -28,7 +28,7 @@ from godex.oracle import constant_cohomology, holim_replacement
 from godex.problemfile import ProblemFile, emit_document, parse_document
 from godex.site import (
     chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
-    pseudosphere_poset, random_sheaf, random_sheaf_map, sierpinski_poset, skyscraper,
+    pseudosphere_poset, random_sheaf, SheafMap, sierpinski_poset, skyscraper,
 )
 
 F5 = GF(5)
@@ -143,7 +143,7 @@ def test_criterion_06_local_global_equivalences_agree():
         for t in range(count):
             F = random_sheaf(P, F5, 7000 + 10 * t, max_dim=2, span=2)
             G = random_sheaf(P, F5, 8000 + 10 * t, max_dim=2, span=2)
-            f = random_sheaf_map(F, G, rng)
+            f = SheafMap(F, G, random_map(F, G, rng))
             N = max(F.top_degree, G.top_degree) + 2
             v = localeq_verdicts(f, N)
             assert v["local"] == v["T_global"] == v["H_global"], (name, t, v)

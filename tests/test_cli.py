@@ -176,3 +176,18 @@ def test_check_theorem_rejects_nonpositive_sizes():
         assert code == 2, (option, value, err)
         assert out == ""
         assert "Traceback" not in err and option in err
+
+
+def test_vacuous_counts_are_usage_errors():
+    # no bound, no trial or a negative page would make a check pass vacuously
+    spectral = ("spectral", str(DATA / "pseudocircle-constant.json"))
+    for args, option in ((("check-axioms", "--bound", "-2"), "--bound"),
+                         (("check-axioms", "--bound", "0"), "--bound"),
+                         (("check-axioms", "--trials", "0"), "--trials"),
+                         (("check-theorem", "--trials", "0"), "--trials"),
+                         (("check-axioms", "--filtered", "--r", "-1"), "--r"),
+                         (spectral + ("--r", "-1"), "--r")):
+        code, out, err = run_cli("--format", "json", *args)
+        assert code == 2, (args, err)
+        assert out == ""
+        assert "Traceback" not in err and option in err

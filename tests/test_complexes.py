@@ -3,7 +3,7 @@ import random
 import pytest
 
 from godex.complexes import (
-    ChainMap, CochainComplex, biproduct, induced_map, is_quis, random_chain_map,
+    ChainMap, CochainComplex, biproduct, induced_map, is_quis, random_map,
     random_complex, single_complex, truncate, zero_complex,
 )
 from godex.errors import FieldMismatch, InvariantError
@@ -127,7 +127,7 @@ def test_random_chain_map_commutes(f5, qq):
         for _ in range(4):
             C = random_complex(field, rng, span=3, max_dim=2)
             D = random_complex(field, rng, span=3, max_dim=2)
-            f = random_chain_map(C, D, rng)
+            f = random_map(C, D, rng)[0]
             f.validate()
 
 
@@ -136,8 +136,8 @@ def test_induced_map_functorial(f5):
     C = random_complex(f5, rng, span=3, max_dim=2)
     D = random_complex(f5, rng, span=3, max_dim=2)
     E = random_complex(f5, rng, span=3, max_dim=2)
-    f = random_chain_map(C, D, rng)
-    g = random_chain_map(D, E, rng)
+    f = random_map(C, D, rng)[0]
+    g = random_map(D, E, rng)[0]
     for n in C.degrees():
         lhs = induced_map(g.compose(f), n)
         rhs = induced_map(g, n) @ induced_map(f, n)

@@ -123,10 +123,10 @@ def test_lambda_point_complex(f5):
 
 def test_lambda_naturality(f5):
     rng = random.Random(7)
-    from godex.complexes import random_chain_map
+    from godex.complexes import random_map
     A = random_complex(f5, rng, span=2, max_dim=2)
     B = random_complex(f5, rng, span=2, max_dim=2)
-    f = random_chain_map(A, B, rng)
+    f = random_map(A, B, rng)[0]
     N = 4
     lamA, lamB = lambda_map(A, N), lambda_map(B, N)
     cf = CosimplicialMap(constant_cosimplicial(A, N - A.lower),

@@ -1,21 +1,32 @@
 """Reference tests for the shared diagram operations and the block layout.
 
-`transport`, `conjugate` and `direct_sum` are written once for every diagram
-of complexes (complex, sheaf, cosimplicial and bicosimplicial complex); the
+`transport`, `conjugate`, `direct_sum`, `mapping_cone`, `random_map` and the
+maps of diagrams (`DiagramMap`) are written once for every diagram of
+complexes (complex, sheaf, cosimplicial and bicosimplicial complex); the
 references below are the textbook formulas they replace: g^-1 undoes g, and
 the arrows of a direct sum are i1 f p1 + i2 g p2.  `Matrix.assemble` on
 labelled layouts is compared with the positional form.
 """
 
+import hashlib
 import random
+import re
 
 import pytest
 
-from godex.complexes import ChainMap, conjugate, direct_sum, random_complex, transport
-from godex.cosimplicial import random_bicosimplicial, random_cosimplicial
-from godex.errors import InvariantError
+from godex.complexes import (
+    ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone, random_complex,
+    random_map, single_complex, transport, truncate,
+)
+from godex.cosimplicial import (
+    BicosimplicialMap, CosimplicialMap, bicosimplicial_from_rows, constant_cosimplicial,
+    random_bicosimplicial, random_cosimplicial,
+)
+from godex.errors import InvariantError, NotCosimplicial
 from godex.exactlin import GF, QQ, Layout, Matrix, random_invertible, random_matrix
-from godex.site import pseudocircle_poset, random_sheaf
+from godex.site import (
+    SheafMap, constant_sheaf, pseudocircle_poset, pseudosphere_poset, random_sheaf,
+)
 
 
 def _pairs_of_diagrams(f5):
@@ -122,3 +133,91 @@ def test_layout_inclusion_and_projection(f5):
         Layout([("a", 1), ("a", 2)])
     with pytest.raises(ValueError):
         Matrix.assemble(f5, layout, [1], {("a", 0): Matrix.zeros(f5, 3, 1)})
+
+
+def test_random_map_is_a_map_of_diagrams(f5):
+    rng = random.Random(9)
+    for A, B in _pairs_of_diagrams(f5):
+        DiagramMap(A, B, random_map(A, B, rng))  # validates every level and arrow
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+def test_random_map_is_a_sheaf_map_on_the_pseudosphere(field):
+    P = pseudosphere_poset()
+    F = random_sheaf(P, field, 0, max_dim=2, span=2)
+    G = random_sheaf(P, field, 1, max_dim=2, span=2)
+    f = SheafMap(F, G, random_map(F, G, random.Random(5)))
+    assert any(c.components for c in f.components.values())  # not the zero map
+
+
+def test_random_map_on_complexes_is_pinned(f5):
+    # the digest of the chain maps that random_chain_map, the sampler of
+    # single complexes that random_map replaced, drew from these seeds
+    h = hashlib.sha256()
+    nonzero = 0
+    for field in (f5, QQ):
+        rng = random.Random(23)
+        for _ in range(8):
+            C = random_complex(field, rng, span=3, max_dim=3)
+            D = random_complex(field, rng, lower=-1, span=3, max_dim=3)
+            f = random_map(C, D, rng)[0]
+            nonzero += bool(f.components)
+            h.update(repr([(n, [[str(v) for v in r] for r in m.rows_list()])
+                           for n, m in sorted(f.components.items())]).encode())
+    assert nonzero >= 8
+    assert h.hexdigest() == "f9702451c47edfb260373c8990307610973fb73f561b2127adfd9931da71443e"
+
+
+def test_random_map_draws_nothing_without_unknowns(f5):
+    rng = random.Random(3)
+    state = rng.getstate()
+    f = random_map(single_complex(f5, 0, 2), single_complex(f5, 1, 2), rng)[0]
+    assert not f.components
+    assert rng.getstate() == state
+
+
+def test_mapping_cone_of_identity_is_acyclic(f5):
+    for A, _ in _pairs_of_diagrams(f5):
+        cone = mapping_cone(DiagramMap.identity(A))
+        cone.validate()
+        assert all(not C.betti() for C in cone.diagram()[0].values())
+
+
+def test_mapping_cone_keeps_the_truncation_certificate(f5):
+    # cone(0 -> C) is C; cone(C -> 0) is C[1], whose H^n is H^{n+1}(C)
+    C = truncate(random_complex(f5, random.Random(4), span=4, max_dim=2), 2)
+    Z = CochainComplex(f5, {}, {}, lower=C.lower)
+    assert mapping_cone(DiagramMap(Z, C, {0: ChainMap.zero(Z, C)})).certified_degree == 1
+    assert mapping_cone(DiagramMap(C, Z, {0: ChainMap.zero(C, Z)})).certified_degree == 0
+
+
+def test_sheaf_map_must_commute_with_every_restriction(f5):
+    P = pseudocircle_poset()
+    C = single_complex(f5, 0, 2)
+    F = constant_sheaf(P, C)
+    comps = {x: ChainMap.identity(C) for x in P.elements}
+    SheafMap(F, F, comps)
+    comps["x"] = comps["x"].scale(2)  # a chain map, but 2 r_{a->x} != r_{a->x}
+    with pytest.raises(InvariantError, match=re.escape("('a', 'x')")):
+        SheafMap(F, F, comps)
+
+
+def test_bicosimplicial_map_must_commute_with_d1(f5):
+    Z = bicosimplicial_from_rows(constant_cosimplicial(single_complex(f5, 0, 1), 2), 2, 2)
+
+    def scaled(c):  # multiplication by c on row 1, by 1 elsewhere
+        return {nm: ChainMap.identity(C).scale(c if nm[0] == 1 else 1) for nm, C in Z.levels.items()}
+
+    BicosimplicialMap(Z, Z, scaled(1))
+    with pytest.raises(NotCosimplicial, match="d1"):
+        BicosimplicialMap(Z, Z, scaled(2))
+
+
+def test_cosimplicial_map_components_must_be_chain_maps(f5):
+    # every structure map of c(A) is the identity, so a constant family
+    # commutes with all of them; it is still no map unless g is a chain map
+    A = CochainComplex(f5, {0: 1, 1: 1}, {0: Matrix.identity(f5, 1)})
+    g = ChainMap(A, A, {0: Matrix.identity(f5, 1)}, check=False)  # d g != g d in degree 0
+    cA = constant_cosimplicial(A, 2)
+    with pytest.raises(NotCosimplicial, match="component at 0"):
+        CosimplicialMap(cA, cA, {p: g for p in range(3)})

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from godex.complexes import ChainMap, random_complex, single_complex
+from godex.complexes import ChainMap, random_complex, random_map, single_complex
 from godex.cosimplicial import collapse_by_extra_degeneracy
 from godex.errors import TooLarge
 from godex.godement import (
@@ -15,7 +15,7 @@ from godex.godement import (
 )
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
-    random_poset, random_sheaf, random_sheaf_map, sierpinski_poset, skyscraper,
+    random_poset, random_sheaf, SheafMap, sierpinski_poset, skyscraper,
 )
 
 
@@ -269,7 +269,7 @@ def test_localeq_triple_agreement(f5):
     for seed in range(3):
         F = random_sheaf(P, f5, seed + 30, max_dim=2, span=2)
         G = random_sheaf(P, f5, seed + 60, max_dim=2, span=2)
-        f = random_sheaf_map(F, G, rng)
+        f = SheafMap(F, G, random_map(F, G, rng))
         N = max(F.top_degree, G.top_degree) + 3
         v = localeq_verdicts(f, N)
         assert v["local"] == v["T_global"] == v["H_global"]

@@ -43,10 +43,11 @@ def test_roundtrip_random_sheaves_both_fields():
 def test_roundtrip_with_map_and_poset_map(f5):
     rng = random.Random(1)
     P = pseudocircle_poset()
-    from godex.site import random_sheaf_map
+    from godex.complexes import random_map
+    from godex.site import SheafMap
     F = random_sheaf(P, f5, 5, max_dim=2, span=2)
     G = random_sheaf(P, f5, 6, max_dim=2, span=2)
-    f = random_sheaf_map(F, G, rng)
+    f = SheafMap(F, G, random_map(F, G, rng))
     S = sierpinski_poset()
     m = MonotoneMap(P, S, {"a": "c", "b": "c", "x": "o", "y": "o"})
     pf = ProblemFile(f5, P, F, sheaf2=G, sheaf_map=f, poset_map=m)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from godex.complexes import ChainMap, conjugate, random_complex, single_complex
+from godex.complexes import ChainMap, conjugate, random_complex, random_map, single_complex
 from godex.errors import (
     InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge, UnknownElement,
 )
@@ -13,7 +13,7 @@ from godex.exactlin import Matrix
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, Poset, Sheaf, chain_poset, check_sheaf_equalizer,
     constant_sheaf, direct_image, down_set_sheaf, point_poset,
-    pseudocircle_poset, pseudosphere_poset, random_poset, random_sheaf, random_sheaf_map,
+    pseudocircle_poset, pseudosphere_poset, random_poset, random_sheaf, SheafMap,
     restriction_of_sections, sections, sections_map, sierpinski_poset, skyscraper,
     skyscraper_unit, up_set_sheaf,
 )
@@ -252,8 +252,8 @@ def test_sections_functoriality(f5):
     F = random_sheaf(P, f5, 13)
     G = random_sheaf(P, f5, 14)
     H = random_sheaf(P, f5, 15)
-    f = random_sheaf_map(F, G, rng)
-    g = random_sheaf_map(G, H, rng)
+    f = SheafMap(F, G, random_map(F, G, rng))
+    g = SheafMap(G, H, random_map(G, H, rng))
     for U in P.up_sets():
         lhs = sections_map(g.compose(f), U)
         rhs = sections_map(g, U).compose(sections_map(f, U))
@@ -309,7 +309,7 @@ def test_section_coordinates_match_solve_reference(f5):
         P = make()
         F = random_sheaf(P, f5, 41)
         G = conjugate(constant_sheaf(P, random_complex(f5, rng, span=2, max_dim=2)), rng)
-        f = random_sheaf_map(F, G, rng)
+        f = SheafMap(F, G, random_map(F, G, rng))
         opens = P.up_sets()
         for U in opens:
             if U:
