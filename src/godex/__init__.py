@@ -5,7 +5,17 @@ derived functors for sheaves of bounded cochain complexes (plain and
 filtered) on finite posets with the up-set topology, and machine-verifies
 the descent axioms and the fibrant-model equivalences on randomized
 instances.  All arithmetic is exact, over Q or F_p.
+
+The matrices godex multiplies are at most about a thousand wide, where a
+second BLAS thread buys nothing, so importing godex sets one BLAS/OpenMP
+thread unless the environment already says otherwise.  That only takes
+effect when godex is imported before numpy.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .complexes import ChainMap, CochainComplex, biproduct, is_quis
 from .cosimplicial import (

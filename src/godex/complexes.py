@@ -13,6 +13,11 @@ level, natural in the arrows) and the sampler `random_map` are written once,
 here, for all of them; each diagram class supplies `diagram()` and
 `rebuild()`.  Direct sums, total complexes and the linear systems of
 `random_map` lay their blocks out with `exactlin.Layout`.
+
+Cohomology is rank-only until a caller asks for more: `CohomologyData`
+computes the rank of every differential (the sparse rank of `exactlin` on
+large sparse F_p matrices) and builds cycle bases on first access, and
+`is_quis` decides each degree from the rank of a cone differential.
 """
 
 from __future__ import annotations
@@ -123,32 +128,51 @@ class CochainComplex:
 
 
 class CohomologyData:
-    """Cycles, betti numbers and quotient coordinates of a complex.
+    """Betti numbers of a complex, with its cycles and quotient coordinates on
+    demand.
 
-    One elimination per degree: the reduced form of d^n yields both its rank
-    and the kernel basis, and the pivot columns of d^{n-1} give a basis of
-    the coboundaries.  Quotient coordinates (projection/section) are only
-    computed when actually requested.
+    Construction computes only the rank of every differential, through
+    `Matrix.rank()` (sparse elimination on large sparse F_p matrices), and
+    the betti numbers dim C^n - rank d^n - rank d^{n-1}.  `cycles` (degree ->
+    kernel basis) and `boundaries` (degree -> pivot columns of the incoming
+    differential) are built together on first access, one elimination per
+    degree.  Quotient coordinates (projection/section) are only computed
+    when actually requested.
     """
 
-    __slots__ = ("complex", "betti", "cycles", "ranks", "boundaries", "_quotients")
+    __slots__ = ("complex", "betti", "ranks", "_cycles", "_boundaries", "_quotients")
 
     def __init__(self, C: CochainComplex):
         self.complex = C
-        self.betti = {}
-        self.cycles = {}
-        self.ranks = {}
-        self.boundaries = {}
+        self.ranks = {n: C.differentials[n].rank() if n in C.differentials else 0
+                      for n in C.degrees()}
+        self.betti = {n: C.dim(n) - self.ranks[n] - self.ranks.get(n - 1, 0)
+                      for n in C.degrees()}
+        self._cycles = None
+        self._boundaries = None
         self._quotients = {}
+
+    def _bases(self):
+        C = self.complex
+        self._cycles, self._boundaries = {}, {}
         for n in C.degrees():
             d = C.d(n)
             R, pivots = d.rref()
-            self.ranks[n] = len(pivots)
-            self.cycles[n] = Subspace(C.field, C.dim(n),
-                                      d.kernel_matrix(reduced=(R, pivots)), canonical=True)
-            self.boundaries[n + 1] = d.take_columns(pivots)
-        for n in C.degrees():
-            self.betti[n] = C.dim(n) - self.ranks.get(n, 0) - self.ranks.get(n - 1, 0)
+            self._cycles[n] = Subspace(C.field, C.dim(n),
+                                       d.kernel_matrix(reduced=(R, pivots)), canonical=True)
+            self._boundaries[n + 1] = d.take_columns(pivots)
+
+    @property
+    def cycles(self) -> dict:
+        if self._cycles is None:
+            self._bases()
+        return self._cycles
+
+    @property
+    def boundaries(self) -> dict:
+        if self._boundaries is None:
+            self._bases()
+        return self._boundaries
 
     def boundary_matrix(self, n: int) -> Matrix:
         b = self.boundaries.get(n)
@@ -495,17 +519,22 @@ def is_quis(f: ChainMap, up_to: int | None = None) -> QuisReport:
     """Does f induce an isomorphism on cohomology in every (certified) degree?
 
     H^n(f) is an isomorphism iff the betti numbers agree and the map is
-    surjective, i.e. f(Z^n) together with the target coboundaries spans the
-    target cycles; that is a single rank computation per degree.
+    surjective, i.e. f(Z_s^n) + B_t^n = Z_t^n.  Both are decided by ranks:
+    the cone differential phi_n = [[d_s^n, 0], [f_n, d_t^{n-1}]] has
+    rank phi_n = rank d_s^n + dim(f(Z_s^n) + B_t^n), because its image
+    projects onto B_s^{n+1} with kernel 0 ⊕ (f(Z_s^n) + B_t^n).  So H^n(f)
+    is onto iff rank phi_n - rank d_s^n = dim Z_t^n = dim C_t^n - rank d_t^n;
+    one rank per degree where the betti numbers agree and are nonzero.
     """
-    lo = min(f.source.lower, f.target.lower)
-    hi = max(f.source.upper, f.target.upper)
-    cert = min_certified(f.source.certified_degree, f.target.certified_degree, up_to)
+    S, T = f.source, f.target
+    lo = min(S.lower, T.lower)
+    hi = max(S.upper, T.upper)
+    cert = min_certified(S.certified_degree, T.certified_degree, up_to)
     if cert is not None:
         hi = min(hi, cert)
     per = {}
-    hs = f.source.cohomology()
-    ht = f.target.cohomology()
+    hs = S.cohomology()
+    ht = T.cohomology()
     for n in range(lo, hi + 1):
         bs, bt = hs.betti.get(n, 0), ht.betti.get(n, 0)
         if bs != bt:
@@ -514,10 +543,9 @@ def is_quis(f: ChainMap, up_to: int | None = None) -> QuisReport:
         if bs == 0:
             per[n] = True
             continue
-        Zs = hs.cycles[n]
-        Zt = ht.cycles[n]
-        span = (f.component(n) @ Zs.basis).hstack(ht.boundary_matrix(n))
-        per[n] = span.rank() == Zt.dim
+        phi = Matrix.assemble(S.field, [S.dim(n + 1), T.dim(n)], [S.dim(n), T.dim(n - 1)],
+                              {(0, 0): S.d(n), (1, 0): f.component(n), (1, 1): T.d(n - 1)})
+        per[n] = phi.rank() - hs.ranks[n] == T.dim(n) - ht.ranks[n]
     return QuisReport(all(per.values()), per, cert)
 
 

@@ -13,10 +13,16 @@ integers; all intermediate values are kept far below 2**53, so every float
 operation is exact integer arithmetic.  The numpy path exists purely for
 speed on the randomized suites; both paths implement the same contracts and
 are cross-checked in the tests.
+
+`Matrix.rank()` over F_p takes a third route on large sparse inputs:
+`_rank_sparse`, a structured Gaussian elimination on rows held as dicts of
+Python ints mod p (sparsest row first, Markowitz pivot column), which hands
+its active part to the dense elimination once that part has filled in.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +31,16 @@ import numpy as np
 from .errors import AmbientMismatch, FieldMismatch, NotContained
 
 _FLOAT_SAFE = 2.0**53
+
+# `Matrix.rank()` eliminates an F_p matrix sparsely when it has at least
+# _SPARSE_MIN_CELLS cells of which at most a _SPARSE_MAX_DENSITY share is
+# nonzero, and densely otherwise.  The sparse elimination hands its active
+# part to `_rref_np` once that part has at least _SPARSE_HANDOFF_CELLS cells
+# of which more than a _SPARSE_HANDOFF_DENSITY share is nonzero.
+_SPARSE_MIN_CELLS = 1024
+_SPARSE_MAX_DENSITY = 0.1
+_SPARSE_HANDOFF_CELLS = 256
+_SPARSE_HANDOFF_DENSITY = 0.25
 
 
 def _is_prime(n: int) -> bool:
@@ -318,6 +334,10 @@ class Matrix:
         return _rref_np(self)
 
     def rank(self) -> int:
+        """The rank; large sparse F_p matrices are eliminated by `_rank_sparse`."""
+        if not self.field.is_rational and self.rows * self.cols >= _SPARSE_MIN_CELLS and \
+                np.count_nonzero(self._a) <= _SPARSE_MAX_DENSITY * self.rows * self.cols:
+            return _rank_sparse(self._a, self.field.p)
         return len(self.rref()[1])
 
     def kernel_matrix(self, reduced=None) -> "Matrix":
@@ -342,12 +362,9 @@ class Matrix:
                 for r, pc in enumerate(pivots):
                     data[pc][c] = -R._q[r][j]
             return Matrix(self.field, n, k, tuple(tuple(row) for row in data), _raw=True)
-        p = self.field.p
         a = np.zeros((n, k))
-        for c, j in enumerate(free):
-            a[j, c] = 1.0
-            for r, pc in enumerate(pivots):
-                a[pc, c] = (-R._a[r, j]) % p
+        a[list(pivots), :] = (-R._a[:len(pivots), free]) % self.field.p
+        a[free, range(k)] = 1.0
         return Matrix(self.field, n, k, a, _raw=True)
 
     def solve(self, B: "Matrix") -> "Matrix":
@@ -540,6 +557,87 @@ def _rref_np(m: Matrix):
             a[:, out_idx] = aout % p
     a %= p
     return Matrix(m.field, nr, nc, a, _raw=True), tuple(pivots)
+
+
+def _rank_sparse(a, p: int) -> int:
+    """Rank over F_p of the array `a` (entries in [0, p)) by structured
+    Gaussian elimination (LaMacchia–Odlyzko; Bouillaguet–Delaplace).
+
+    Rows are dicts column -> Python int mod p, so the arithmetic is exact for
+    every p.  The next pivot row is the sparsest active row, taken from a
+    heap (an entry whose length is out of date is skipped); its pivot column
+    is the one of its columns held by the fewest active rows (Markowitz), so
+    singleton columns go first and cause no fill-in.  The pivot column is
+    cleared from every other row that holds it, and the pivot row leaves.
+    Once the active rows × active columns have at least
+    `_SPARSE_HANDOFF_CELLS` cells of which more than a
+    `_SPARSE_HANDOFF_DENSITY` share is nonzero, that active part is
+    eliminated by `_rref_np`.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}  # column -> the active rows holding it
+    ii, jj = np.nonzero(a)
+    for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+        rows.setdefault(i, {})[j] = int(v) % p
+        cols.setdefault(j, set()).add(i)
+    nnz = len(ii)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while rows:
+        cells = len(rows) * len(cols)
+        if cells >= _SPARSE_HANDOFF_CELLS and nnz > _SPARSE_HANDOFF_DENSITY * cells:
+            break
+        length, i = heapq.heappop(heap)
+        row = rows.get(i)
+        if row is None or len(row) != length:
+            continue
+        c = min(row, key=lambda j: len(cols[j]))
+        del rows[i]
+        nnz -= length
+        holders = cols.pop(c)
+        holders.discard(i)
+        rest = [(j, v) for j, v in row.items() if j != c]
+        for j, _ in rest:
+            held = cols[j]
+            held.discard(i)
+            if not held:
+                del cols[j]
+        inv = pow(row[c], p - 2, p)
+        for s in holders:
+            t = rows[s]
+            f = t.pop(c) * inv % p
+            nnz -= 1
+            for j, v in rest:
+                w = t.get(j)
+                if w is None:
+                    t[j] = -f * v % p
+                    cols.setdefault(j, set()).add(s)
+                    nnz += 1
+                    continue
+                w = (w - f * v) % p
+                if w:
+                    t[j] = w
+                    continue
+                del t[j]
+                held = cols[j]
+                held.discard(s)
+                if not held:
+                    del cols[j]
+                nnz -= 1
+            if t:
+                heapq.heappush(heap, (len(t), s))
+            else:
+                del rows[s]
+        rank += 1
+    if rows:
+        at = {j: k for k, j in enumerate(cols)}
+        d = np.zeros((len(rows), len(cols)))
+        for r, row in enumerate(rows.values()):
+            for j, v in row.items():
+                d[r, at[j]] = v
+        rank += len(_rref_np(Matrix(Field(p), len(rows), len(cols), d, _raw=True))[1])
+    return rank
 
 
 class Layout(dict):

@@ -270,17 +270,16 @@ class Sheaf:
             if r.source != self.stalk(x) or r.target != self.stalk(y):
                 raise InvariantError(f"restriction {x} -> {y} has wrong source/target")
             r.validate()
-        for x in self.poset.elements:
-            for y in self.poset.elements:
-                if not self.poset.leq(x, y):
+        # r_{x,x} is the identity (the constructor sets it), so functoriality
+        # can only fail on strict triples x < y < z
+        for (x, y) in self.poset.pairs():
+            for z in self.poset.elements:
+                if z == y or not self.poset.leq(y, z):
                     continue
-                for z in self.poset.elements:
-                    if not self.poset.leq(y, z):
-                        continue
-                    lhs = self.restriction(y, z).compose(self.restriction(x, y))
-                    if lhs != self.restriction(x, z):
-                        raise InvariantError(
-                            f"restriction functoriality fails on {x} <= {y} <= {z}")
+                lhs = self.restriction(y, z).compose(self.restriction(x, y))
+                if lhs != self.restriction(x, z):
+                    raise InvariantError(
+                        f"restriction functoriality fails on {x} <= {y} <= {z}")
 
 
 class SheafMap(DiagramMap):
@@ -470,54 +469,44 @@ def check_sheaf_equalizer(F: Sheaf, U, cover) -> bool:
         raise NotACover("union of the cover is not the whole open")
     sec_U = sections(F, U)
     secs = [sections(F, V) for V in cover]
-    overlaps = {}
-    for a in range(len(cover)):
-        for b in range(len(cover)):
-            W = cover[a] & cover[b]
-            if W not in overlaps:
-                overlaps[W] = sections(F, W)
+    # Γ(V_a ∩ V_b) for a < b, computed once per overlap, with the
+    # restrictions into it from Γ(V_a) and Γ(V_b); and Γ(U) -> Γ(V_a)
+    pairs = [(a, b) for a in range(len(cover)) for b in range(a + 1, len(cover))]
+    by_open, sec_W = {}, {}
+    for (a, b) in pairs:
+        W = cover[a] & cover[b]
+        if W not in by_open:
+            by_open[W] = sections(F, W)
+        sec_W[(a, b)] = by_open[W]
+    to_W = {(a, b): (restriction_of_sections(F, secs[a], sec_W[(a, b)]),
+                     restriction_of_sections(F, secs[b], sec_W[(a, b)])) for (a, b) in pairs}
+    to_cover = [restriction_of_sections(F, sec_U, s) for s in secs]
     nonzero = [s.complex for s in secs + [sec_U] if not s.complex.is_zero_complex()]
     lo = min((c.lower for c in nonzero), default=sec_U.complex.lower)
     hi = max((c.upper for c in nonzero), default=lo)
     field = F.field
     for n in range(lo, hi + 1):
-        sizes = [s.complex.dim(n) for s in secs]
-        total = sum(sizes)
-        rows = []
-        row_sizes = []
-        entries = {}
-        ridx = 0
-        for a in range(len(cover)):
-            for b in range(a + 1, len(cover)):
-                W = cover[a] & cover[b]
-                sec_W = overlaps[W]
-                dW = sec_W.complex.dim(n)
-                if dW == 0:
-                    continue
-                ra = restriction_of_sections(F, secs[a], sec_W).component(n)
-                rb = restriction_of_sections(F, secs[b], sec_W).component(n)
-                entries[(ridx, a)] = ra
-                entries[(ridx, b)] = entries.get((ridx, b), Matrix.zeros(field, dW, sizes[b])) - rb
-                row_sizes.append(dW)
-                ridx += 1
-        if total == 0:
-            if sec_U.complex.dim(n) != 0:
+        dim_U = sec_U.complex.dim(n)
+        members = Layout((a, s.complex.dim(n)) for a, s in enumerate(secs))
+        if members.dim == 0:
+            if dim_U != 0:
                 return False
             continue
-        sys = Matrix.assemble(field, row_sizes, sizes, entries) if row_sizes else \
-            Matrix.zeros(field, 0, total)
-        eq_basis = sys.kernel_matrix()
-        if eq_basis.cols != sec_U.complex.dim(n):
+        overlaps = Layout((ab, W.complex.dim(n)) for ab, W in sec_W.items() if W.complex.dim(n))
+        entries = {}
+        for (a, b) in overlaps:
+            ra, rb = to_W[(a, b)]
+            entries[((a, b), a)] = ra.component(n)
+            entries[((a, b), b)] = rb.component(n).scale(-1)
+        eq_basis = Matrix.assemble(field, overlaps, members, entries).kernel_matrix()
+        if eq_basis.cols != dim_U:
             return False
-        # the canonical map Γ(U) -> equalizer must be an isomorphism
-        can = None
-        for a in range(len(cover)):
-            r = restriction_of_sections(F, sec_U, secs[a]).component(n)
-            can = r if can is None else can.vstack(r)
-        if sec_U.complex.dim(n) == 0:
+        if dim_U == 0:
             continue
-        coords = eq_basis.solve(can)
-        if coords.rank() != sec_U.complex.dim(n):
+        # the canonical map Γ(U, F) -> equalizer must be an isomorphism
+        can = Matrix.assemble(field, members, [dim_U],
+                              {(a, 0): r.component(n) for a, r in enumerate(to_cover)})
+        if eq_basis.solve(can).rank() != dim_U:
             return False
     return True
 

@@ -74,3 +74,27 @@ def naive_betti(complex_) -> dict:
         if b:
             out[n] = b
     return out
+
+
+def basis_quis_per_degree(f, up_to=None) -> dict:
+    """Per-degree verdicts "H^n(f) is an isomorphism" from kernel bases, over
+    the degrees and certificate that `is_quis` reads: the betti numbers
+    agree and f(Z_s^n) together with the target coboundaries spans Z_t^n.
+    Every rank here is a pivot count of the dense `Matrix.rref`."""
+    S, T = f.source, f.target
+
+    def rank(M):
+        return len(M.rref()[1])
+
+    lo, hi = min(S.lower, T.lower), max(S.upper, T.upper)
+    certs = [c for c in (S.certified_degree, T.certified_degree, up_to) if c is not None]
+    if certs:
+        hi = min(hi, min(certs))
+    out = {}
+    for n in range(lo, hi + 1):
+        Zs, Zt = S.d(n).kernel_matrix(), T.d(n).kernel_matrix()
+        bs = Zs.cols - rank(S.d(n - 1))
+        bt = Zt.cols - rank(T.d(n - 1))
+        span = (f.component(n) @ Zs).hstack(T.d(n - 1))
+        out[n] = bs == bt and rank(span) == Zt.cols
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -191,3 +192,17 @@ def test_vacuous_counts_are_usage_errors():
         assert code == 2, (args, err)
         assert out == ""
         assert "Traceback" not in err and option in err
+
+
+def test_import_sets_one_blas_thread_unless_the_environment_says_otherwise():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    probe = "import os, godex; print(' '.join(os.environ[v] for v in %r))" % (names,)
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["1", "1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    env["MKL_NUM_THREADS"] = "3"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["2", "1", "3"]

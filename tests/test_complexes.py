@@ -9,7 +9,7 @@ from godex.complexes import (
 from godex.errors import FieldMismatch, InvariantError
 from godex.exactlin import GF, QQ, Matrix, kernel
 
-from conftest import naive_betti
+from conftest import basis_quis_per_degree, naive_betti
 
 
 def contractible_two_term(field):
@@ -154,3 +154,52 @@ def test_truncate_certifies(f5):
     cut = T.cohomology().betti
     for n in range(C.lower, T.certified_degree + 1):
         assert cut.get(n, 0) == full.get(n, 0)
+
+
+def test_rank_only_is_quis_matches_basis_reference():
+    # endomorphisms (equal betti numbers, often not isos on cohomology),
+    # maps between unrelated complexes, truncated sources and up_to bounds
+    rng = random.Random(61)
+    maps = equal_nonzero_not_iso = 0
+    for field, count in ((GF(5), 800), (GF(2), 800), (QQ, 400)):
+        for i in range(count):
+            C = random_complex(field, rng, lower=rng.randint(-1, 1), span=rng.randint(1, 4),
+                               max_dim=3)
+            D = C if i % 2 else random_complex(field, rng, lower=rng.randint(-1, 1),
+                                               span=rng.randint(1, 4), max_dim=3)
+            if i % 7 == 0:
+                C = truncate(C, C.lower + 1)
+            f = ChainMap(C, D, random_map(C, D, rng)[0].components)
+            up_to = rng.choice([None, None, C.lower + 1])
+            rep = is_quis(f, up_to=up_to)
+            want = basis_quis_per_degree(f, up_to=up_to)
+            assert rep.per_degree == want
+            assert rep.flag == all(want.values())
+            maps += 1
+            bs, bt = C.cohomology().betti, D.cohomology().betti
+            equal_nonzero_not_iso += sum(1 for n, ok in want.items()
+                                         if not ok and bs.get(n, 0) == bt.get(n, 0) > 0)
+    assert maps >= 2000
+    assert equal_nonzero_not_iso >= 100
+
+
+def test_cohomology_builds_no_kernel_basis_until_cycles_are_read(monkeypatch):
+    rng = random.Random(62)
+    C = random_complex(GF(5), rng, span=4, max_dim=3)
+    D = random_complex(GF(5), rng, span=4, max_dim=3)
+    f = ChainMap(C, D, random_map(C, D, rng)[0].components)
+    calls = []
+    kernel_matrix = Matrix.kernel_matrix
+    monkeypatch.setattr(Matrix, "kernel_matrix",
+                        lambda self, reduced=None: calls.append(self.shape) or
+                        kernel_matrix(self, reduced))
+    h = C.cohomology()
+    assert {n: b for n, b in h.betti.items() if b} == naive_betti(C)
+    is_quis(f)
+    assert calls == []
+    for n in C.degrees():
+        Z = h.cycles[n]
+        assert calls
+        assert Z.dim == C.dim(n) - h.ranks[n]
+        assert (C.d(n) @ Z.basis).is_zero()
+        assert h.boundary_matrix(n + 1).cols == h.ranks[n]

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+import godex.exactlin as exactlin
 from godex.errors import AmbientMismatch, NotContained
 from godex.exactlin import (
-    GF, QQ, Field, Matrix, Subspace, _rref_np, _rref_np_simple, image, kernel, preimage,
-    random_invertible, random_matrix, subquotient,
+    GF, QQ, Field, Matrix, Subspace, _rank_sparse, _rref_np, _rref_np_simple, image, kernel,
+    preimage, random_invertible, random_matrix, subquotient,
 )
 
 from conftest import naive_rank
@@ -167,3 +168,64 @@ def test_kernel_basis_is_identity_on_free_rows(field):
         K = A.kernel_matrix()
         assert K.take_rows(free) == Matrix.identity(field, len(free))
         assert (A @ K).is_zero()
+
+
+def random_sparse(field, rows, cols, density, rng, rank=None):
+    """A seeded random matrix with about `density` nonzero entries; with
+    `rank`, the product of two such factors through F^rank (then sparse
+    columns of the second factor keep the product sparse)."""
+    def draw(r, c, dens):
+        return Matrix(field, r, c, [[rng.randrange(1, field.p) if rng.random() < dens else 0
+                                     for _ in range(c)] for _ in range(r)])
+    if rank is None:
+        return draw(rows, cols, density)
+    return draw(rows, rank, 2.0 / rank) @ draw(rank, cols, density)
+
+
+def with_dense_block(M, r0, c0, size, rng):
+    """M with a random dense size x size block at (r0, c0)."""
+    data = M.rows_list()
+    for i in range(r0, r0 + size):
+        for j in range(c0, c0 + size):
+            data[i][j] = M.field.random_element(rng)
+    return Matrix(M.field, M.rows, M.cols, data)
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521, 1048573])
+def test_sparse_rank_matches_references(p, monkeypatch):
+    field = GF(p)
+    rng = random.Random(p)
+    handoffs = []
+    rref_np = exactlin._rref_np
+    monkeypatch.setattr(exactlin, "_rref_np", lambda m: handoffs.append(m.shape) or rref_np(m))
+    cases = [Matrix.zeros(field, 0, 0), Matrix.zeros(field, 0, 7), Matrix.zeros(field, 9, 0),
+             Matrix.zeros(field, 40, 50), Matrix.identity(field, 33)]
+    cases += [random_sparse(field, r, c, dens, rng) for r, c, dens in
+              [(1, 60, 0.05), (60, 1, 0.05), (40, 60, 0.03), (70, 50, 0.06), (50, 50, 0.1)]]
+    cases += [random_sparse(field, 60, 80, 0.05, rng, rank=k) for k in (5, 20, 35)]
+    dense_block = [with_dense_block(random_sparse(field, 60, 70, 0.02, rng), 10, 20, 30, rng),
+                   with_dense_block(random_sparse(field, 80, 40, 0.0, rng), 40, 5, 25, rng)]
+    for M in cases + dense_block:
+        want = naive_rank(M)
+        handoffs.clear()
+        assert _rank_sparse(M._a, p) == want, M.shape
+        if M in dense_block:
+            assert handoffs, "the dense block was not handed to _rref_np"
+        assert len(rref_np(M)[1]) == want
+        assert M.rank() == want
+
+
+def test_rank_takes_the_sparse_path_on_large_sparse_fp(monkeypatch):
+    calls = []
+    rank_sparse = exactlin._rank_sparse
+    monkeypatch.setattr(exactlin, "_rank_sparse", lambda a, p: calls.append(a.shape) or rank_sparse(a, p))
+    rng = random.Random(7)
+    big = random_sparse(GF(5), 40, 60, 0.03, rng)
+    assert big.rows * big.cols >= exactlin._SPARSE_MIN_CELLS
+    assert big.rank() == naive_rank(big) and calls == [(40, 60)]
+    small = random_sparse(GF(5), 10, 10, 0.3, rng)
+    dense = random_matrix(GF(5), 40, 60, rng)
+    rational = Matrix(QQ, 40, 60, big.rows_list())
+    for M in (small, dense, rational):
+        assert M.rank() == naive_rank(M)
+    assert calls == [(40, 60)]

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from godex.complexes import ChainMap, random_complex, random_map, single_complex
+import godex.exactlin as exactlin
+from godex.complexes import ChainMap, is_quis, random_complex, random_map, single_complex
 from godex.cosimplicial import collapse_by_extra_degeneracy
 from godex.errors import TooLarge
 from godex.godement import (
@@ -15,8 +16,10 @@ from godex.godement import (
 )
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
-    random_poset, random_sheaf, SheafMap, sierpinski_poset, skyscraper,
+    random_poset, random_sheaf, SheafMap, sections_map, sierpinski_poset, skyscraper,
 )
+
+from conftest import basis_quis_per_degree
 
 
 def test_godement_T_point(f5):
@@ -239,6 +242,25 @@ def test_thomason_literal_vs_reduced_agree(f5):
             a = thomason_check(F, N, mode="literal")
             b = thomason_check(F, N, mode="reduced")
             assert a.verdict and b.verdict
+
+
+def test_rank_only_is_quis_on_a_literal_suite_sheaf(f5, monkeypatch):
+    # criterion-2 pseudocircle sheaf t = 4 (checked in literal Thomason mode):
+    # ρ_F on every stalk and every open, and ρ_{H_X F} on every open, which is
+    # the literal Thomason check; the large complexes take the sparse rank
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 1000 * len("pseudocircle") + 4, max_dim=2, span=3)
+    hyper = hypercohomology_sheaf(F, 6)
+    hyper2 = hypercohomology_sheaf(hyper.H, 6)
+    maps = [hyper.rho.component(x) for x in P.elements]
+    maps += [sections_map(rho, U) for rho in (hyper.rho, hyper2.rho) for U in P.up_sets()]
+    sparse = []
+    rank_sparse = exactlin._rank_sparse
+    monkeypatch.setattr(exactlin, "_rank_sparse",
+                        lambda a, p: sparse.append(a.shape) or rank_sparse(a, p))
+    for f in maps:
+        assert is_quis(f).per_degree == basis_quis_per_degree(f)
+    assert max(r * c for r, c in sparse) > 20_000
 
 
 def test_thomason_of_TF(f5):

@@ -154,6 +154,25 @@ def test_broken_presheaf_rejected(f5):
         Sheaf(P, f5, stalks, restr)
 
 
+def test_validate_checks_every_strict_triple_and_only_those(f5, monkeypatch):
+    # pseudosphere a, b < x, y < u, v: breaking r_{a,u} breaks a < x < u and
+    # a < y < u; the 30 triples with x == y or y == z cannot fail
+    P = pseudosphere_poset()
+    C = single_complex(f5, 0, 1)
+    F = constant_sheaf(P, C)
+    restr = {pair: F.restriction(*pair) for pair in P.pairs()}
+    restr[("a", "u")] = ChainMap.identity(C).scale(2)
+    with pytest.raises(InvariantError, match="fails on a <= x <= u"):
+        Sheaf(P, f5, F.stalks, restr)
+    composed = []
+    compose = ChainMap.compose
+    monkeypatch.setattr(ChainMap, "compose",
+                        lambda self, other: composed.append(1) or compose(self, other))
+    F.validate()
+    strict = [(x, y, z) for (x, y) in P.pairs() for (y2, z) in P.pairs() if y2 == y]
+    assert len(composed) == len(strict) == 8
+
+
 def test_constant_sheaf_examples(f5):
     C = single_complex(f5, 0, 1)
     pt = point_poset()
