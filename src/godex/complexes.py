@@ -23,7 +23,9 @@ large sparse F_p matrices) and builds cycle bases on first access, and
 from __future__ import annotations
 
 from .errors import FieldMismatch, InvariantError
-from .exactlin import Field, Layout, Matrix, Subspace, kron, random_invertible, subquotient
+from .exactlin import (
+    Field, Layout, Matrix, Subspace, free_columns, kron, random_invertible, subquotient,
+)
 
 
 def min_certified(*degrees):
@@ -158,8 +160,8 @@ class CohomologyData:
         for n in C.degrees():
             d = C.d(n)
             R, pivots = d.rref()
-            self._cycles[n] = Subspace(C.field, C.dim(n),
-                                       d.kernel_matrix(reduced=(R, pivots)), canonical=True)
+            self._cycles[n] = Subspace(C.field, C.dim(n), d.kernel_matrix(reduced=(R, pivots)),
+                                       free_columns(C.dim(n), pivots))
             self._boundaries[n + 1] = d.take_columns(pivots)
 
     @property

@@ -6,13 +6,14 @@ Conventions used throughout godex:
   * all entries are canonical representatives: Fractions in lowest terms
     over Q, integers in [0, p) over F_p.
 
-Two backends sit behind the single `Matrix` type.  Rational matrices are
-tuples of `fractions.Fraction` (arbitrary precision, renormalised by
-construction).  Prime-field matrices are numpy float64 arrays holding small
-integers; all intermediate values are kept far below 2**53, so every float
-operation is exact integer arithmetic.  The numpy path exists purely for
-speed on the randomized suites; both paths implement the same contracts and
-are cross-checked in the tests.
+A `Matrix` stores its entries in one numpy array: `dtype=object` holding
+`fractions.Fraction`s over Q, float64 holding integers in [0, p) over F_p.
+Every operation is written once on that array, reduced mod p after
+arithmetic over F_p.  Over F_p all intermediate values are kept below 2**53,
+so every float operation is exact integer arithmetic; the guards that
+enforce this raise ValueError.  Only elimination differs by field: over Q
+`_rref_q` reduces lists of Fractions, over F_p `_rref_np` eliminates the
+float64 array in panels.
 
 `Matrix.rank()` over F_p takes a third route on large sparse inputs:
 `_rank_sparse`, a structured Gaussian elimination on rows held as dicts of
@@ -31,6 +32,7 @@ import numpy as np
 from .errors import AmbientMismatch, FieldMismatch, NotContained
 
 _FLOAT_SAFE = 2.0**53
+_ZERO = Fraction(0)
 
 # `Matrix.rank()` eliminates an F_p matrix sparsely when it has at least
 # _SPARSE_MIN_CELLS cells of which at most a _SPARSE_MAX_DENSITY share is
@@ -100,34 +102,28 @@ def GF(p: int) -> Field:
 
 
 class Matrix:
-    """Immutable exact matrix over a `Field`."""
+    """Immutable exact matrix over a `Field`.
 
-    __slots__ = ("field", "rows", "cols", "_a", "_q")
+    The entries are one read-only numpy array `_a`: `Fraction`s over Q,
+    float64 integers in [0, p) over F_p.  Besides the reduction mod p after
+    arithmetic, only elimination (`rref`, `rank`), the float64 exactness
+    guard of `@` and reading entries out (`entry`, `rows_list`) depend on
+    the field.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_a")
 
     def __init__(self, field: Field, rows: int, cols: int, data, _raw=False):
         self.field = field
         self.rows = rows
         self.cols = cols
-        if field.is_rational:
-            self._a = None
-            if _raw:
-                self._q = data
-            else:
-                self._q = tuple(
-                    tuple(field.element(data[i][j]) for j in range(cols))
-                    for i in range(rows)
-                )
-        else:
-            self._q = None
-            if _raw:
-                self._a = data
-            else:
-                arr = np.array(
-                    [[int(field.element(data[i][j])) for j in range(cols)] for i in range(rows)],
-                    dtype=np.float64,
-                ).reshape(rows, cols)
-                self._a = arr
-            self._a.flags.writeable = False
+        if not _raw:
+            data = np.array(
+                [[field.element(data[i][j]) for j in range(cols)] for i in range(rows)],
+                dtype=object if field.p is None else np.float64,
+            ).reshape(rows, cols)
+        data.flags.writeable = False
+        self._a = data
 
     # ---- constructors -------------------------------------------------
 
@@ -143,20 +139,13 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        if field.is_rational:
-            z = Fraction(0)
-            return Matrix(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)), _raw=True)
-        return Matrix(field, rows, cols, np.zeros((rows, cols)), _raw=True)
+        return Matrix(field, rows, cols, _zeros(field, rows, cols), _raw=True)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        if field.is_rational:
-            return Matrix(
-                field, n, n,
-                tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)),
-                _raw=True,
-            )
-        return Matrix(field, n, n, np.eye(n), _raw=True)
+        a = _zeros(field, n, n)
+        a.flat[::n + 1] = field.element(1)
+        return Matrix(field, n, n, a, _raw=True)
 
     @staticmethod
     def column(field: Field, entries) -> "Matrix":
@@ -165,25 +154,20 @@ class Matrix:
     # ---- accessors ----------------------------------------------------
 
     def entry(self, i: int, j: int):
-        if self.field.is_rational:
-            return self._q[i][j]
-        return int(self._a[i, j])
+        v = self._a[i, j]
+        return v if self.field.p is None else int(v)
 
     def rows_list(self):
         """Entries as a list of lists of canonical field elements."""
-        if self.field.is_rational:
-            return [list(r) for r in self._q]
-        return [[int(v) for v in row] for row in self._a]
+        if self.field.p is None:
+            return self._a.tolist()
+        return self._a.astype(np.int64).tolist()
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        if self.rows == 0 or self.cols == 0:
-            return True
-        if self.field.is_rational:
-            return all(v == 0 for row in self._q for v in row)
         return not self._a.any()
 
     def __eq__(self, other):
@@ -191,8 +175,6 @@ class Matrix:
             return NotImplemented
         if self.field != other.field or self.shape != other.shape:
             return False
-        if self.field.is_rational:
-            return self._q == other._q
         return bool((self._a == other._a).all())
 
     def __hash__(self):
@@ -211,13 +193,10 @@ class Matrix:
         self._check(other)
         if self.shape != other.shape:
             raise ValueError("shape mismatch in +")
-        if self.field.is_rational:
-            return Matrix(
-                self.field, self.rows, self.cols,
-                tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._q, other._q)),
-                _raw=True,
-            )
-        return Matrix(self.field, self.rows, self.cols, (self._a + other._a) % self.field.p, _raw=True)
+        a = self._a + other._a
+        if self.field.p is not None:
+            a %= self.field.p
+        return Matrix(self.field, self.rows, self.cols, a, _raw=True)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
@@ -226,36 +205,27 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.element(c)
-        if self.field.is_rational:
-            return Matrix(
-                self.field, self.rows, self.cols,
-                tuple(tuple(c * v for v in row) for row in self._q),
-                _raw=True,
-            )
-        return Matrix(self.field, self.rows, self.cols, (self._a * float(c)) % self.field.p, _raw=True)
+        a = self._a * self.field.element(c)
+        if self.field.p is not None:
+            a %= self.field.p
+        return Matrix(self.field, self.rows, self.cols, a, _raw=True)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in @: {self.shape} x {other.shape}")
-        if self.field.is_rational:
-            ot = tuple(zip(*other._q)) if other.rows else tuple(() for _ in range(other.cols))
-            data = tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ot)
-                for row in self._q
-            )
-            return Matrix(self.field, self.rows, other.cols, data, _raw=True)
         p = self.field.p
         # products of canonical entries stay exact in float64
-        if self.cols * (p - 1) ** 2 >= _FLOAT_SAFE:
+        if p is not None and self.cols * (p - 1) ** 2 >= _FLOAT_SAFE:
             raise ValueError("matmul too large for exact float64 accumulation")
-        return Matrix(self.field, self.rows, other.cols, (self._a @ other._a) % p, _raw=True)
+        if self.cols == 0:  # an object array product over no terms is int 0
+            return Matrix.zeros(self.field, self.rows, other.cols)
+        a = self._a @ other._a
+        if p is not None:
+            a %= p
+        return Matrix(self.field, self.rows, other.cols, a, _raw=True)
 
     def transpose(self) -> "Matrix":
-        if self.field.is_rational:
-            data = tuple(zip(*self._q)) if self.rows else tuple(() for _ in range(self.cols))
-            return Matrix(self.field, self.cols, self.rows, data, _raw=True)
         return Matrix(self.field, self.cols, self.rows, self._a.T.copy(), _raw=True)
 
     # ---- block operations ----------------------------------------------
@@ -264,31 +234,21 @@ class Matrix:
         self._check(other)
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        if self.field.is_rational:
-            data = tuple(ra + rb for ra, rb in zip(self._q, other._q))
-            return Matrix(self.field, self.rows, self.cols + other.cols, data, _raw=True)
         return Matrix(self.field, self.rows, self.cols + other.cols, np.hstack([self._a, other._a]), _raw=True)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
-        if self.field.is_rational:
-            return Matrix(self.field, self.rows + other.rows, self.cols, self._q + other._q, _raw=True)
         return Matrix(self.field, self.rows + other.rows, self.cols, np.vstack([self._a, other._a]), _raw=True)
 
     def take_columns(self, idx) -> "Matrix":
         idx = list(idx)
-        if self.field.is_rational:
-            data = tuple(tuple(row[j] for j in idx) for row in self._q)
-            return Matrix(self.field, self.rows, len(idx), data, _raw=True)
-        return Matrix(self.field, self.rows, len(idx), self._a[:, idx].copy(), _raw=True)
+        return Matrix(self.field, self.rows, len(idx), self._a[:, idx], _raw=True)
 
     def take_rows(self, idx) -> "Matrix":
         idx = list(idx)
-        if self.field.is_rational:
-            return Matrix(self.field, len(idx), self.cols, tuple(self._q[i] for i in idx), _raw=True)
-        return Matrix(self.field, len(idx), self.cols, self._a[idx, :].copy(), _raw=True)
+        return Matrix(self.field, len(idx), self.cols, self._a[idx, :], _raw=True)
 
     @staticmethod
     def assemble(field: Field, rows, cols, blocks: dict) -> "Matrix":
@@ -299,43 +259,31 @@ class Matrix:
         """
         rows = rows if isinstance(rows, Layout) else Layout(enumerate(rows))
         cols = cols if isinstance(cols, Layout) else Layout(enumerate(cols))
-        if field.is_rational:
-            data = [[Fraction(0)] * cols.dim for _ in range(rows.dim)]
-        else:
-            a = np.zeros((rows.dim, cols.dim))
+        a = _zeros(field, rows.dim, cols.dim)
         for (bi, bj), m in blocks.items():
             (r0, rd), (c0, cd) = rows[bi], cols[bj]
             if m.shape != (rd, cd):
                 raise ValueError(f"block {(bi, bj)} has shape {m.shape}, expected {(rd, cd)}")
-            if field.is_rational:
-                for i in range(rd):
-                    data[r0 + i][c0:c0 + cd] = m._q[i]
-            else:
-                a[r0:r0 + rd, c0:c0 + cd] = m._a
-        if field.is_rational:
-            return Matrix(field, rows.dim, cols.dim, tuple(tuple(r) for r in data), _raw=True)
+            a[r0:r0 + rd, c0:c0 + cd] = m._a
         return Matrix(field, rows.dim, cols.dim, a, _raw=True)
 
     def block(self, row_range, col_range) -> "Matrix":
         """Contiguous submatrix rows[a:b], cols[c:d]."""
         a, b = row_range
         c, d = col_range
-        if self.field.is_rational:
-            data = tuple(tuple(self._q[i][c:d]) for i in range(a, b))
-            return Matrix(self.field, b - a, d - c, data, _raw=True)
         return Matrix(self.field, b - a, d - c, self._a[a:b, c:d].copy(), _raw=True)
 
     # ---- elimination ----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot column tuple)."""
-        if self.field.is_rational:
+        if self.field.p is None:
             return _rref_q(self)
         return _rref_np(self)
 
     def rank(self) -> int:
         """The rank; large sparse F_p matrices are eliminated by `_rank_sparse`."""
-        if not self.field.is_rational and self.rows * self.cols >= _SPARSE_MIN_CELLS and \
+        if self.field.p is not None and self.rows * self.cols >= _SPARSE_MIN_CELLS and \
                 np.count_nonzero(self._a) <= _SPARSE_MAX_DENSITY * self.rows * self.cols:
             return _rank_sparse(self._a, self.field.p)
         return len(self.rref()[1])
@@ -350,21 +298,14 @@ class Matrix:
         """
         R, pivots = reduced if reduced is not None else self.rref()
         n = self.cols
-        free = [j for j in range(n) if j not in set(pivots)]
+        free = free_columns(n, pivots)
         k = len(free)
-        out = Matrix.zeros(self.field, n, k)
-        if k == 0:
-            return out
-        if self.field.is_rational:
-            data = [[Fraction(0)] * k for _ in range(n)]
-            for c, j in enumerate(free):
-                data[j][c] = Fraction(1)
-                for r, pc in enumerate(pivots):
-                    data[pc][c] = -R._q[r][j]
-            return Matrix(self.field, n, k, tuple(tuple(row) for row in data), _raw=True)
-        a = np.zeros((n, k))
-        a[list(pivots), :] = (-R._a[:len(pivots), free]) % self.field.p
-        a[free, range(k)] = 1.0
+        a = _zeros(self.field, n, k)
+        neg = -R._a[:len(pivots), free]
+        if self.field.p is not None:
+            neg %= self.field.p
+        a[list(pivots), :] = neg
+        a[free, range(k)] = self.field.element(1)
         return Matrix(self.field, n, k, a, _raw=True)
 
     def solve(self, B: "Matrix") -> "Matrix":
@@ -372,21 +313,12 @@ class Matrix:
         self._check(B)
         if B.rows != self.rows:
             raise ValueError("shape mismatch in solve")
-        aug = self.hstack(B)
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(B).rref()
         n = self.cols
-        if any(pc >= n for pc in pivots):
+        if pivots and pivots[-1] >= n:
             raise NotContained("linear system is inconsistent")
-        X = Matrix.zeros(self.field, n, B.cols)
-        if self.field.is_rational:
-            data = [[Fraction(0)] * B.cols for _ in range(n)]
-            for r, pc in enumerate(pivots):
-                for j in range(B.cols):
-                    data[pc][j] = R._q[r][n + j]
-            return Matrix(self.field, n, B.cols, tuple(tuple(row) for row in data), _raw=True)
-        a = np.zeros((n, B.cols))
-        for r, pc in enumerate(pivots):
-            a[pc, :] = R._a[r, n:]
+        a = _zeros(self.field, n, B.cols)
+        a[list(pivots), :] = R._a[:len(pivots), n:]
         return Matrix(self.field, n, B.cols, a, _raw=True)
 
     def inverse(self) -> "Matrix":
@@ -398,8 +330,21 @@ class Matrix:
         return X
 
 
+def _zeros(field: Field, rows: int, cols: int):
+    """A zero storage array; over Q its entries are Fraction(0), not int 0."""
+    if field.p is None:
+        return np.full((rows, cols), _ZERO, dtype=object)
+    return np.zeros((rows, cols))
+
+
+def free_columns(n: int, pivots) -> list:
+    """The columns 0..n-1 that are not pivot columns, in increasing order."""
+    pivot_set = set(pivots)
+    return [j for j in range(n) if j not in pivot_set]
+
+
 def _rref_q(m: Matrix):
-    rows = [list(r) for r in m._q]
+    rows = m._a.tolist()
     nr, nc = m.rows, m.cols
     pivots = []
     r = 0
@@ -422,7 +367,8 @@ def _rref_q(m: Matrix):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return Matrix(m.field, nr, nc, tuple(tuple(row) for row in rows), _raw=True), tuple(pivots)
+    out = np.array(rows, dtype=object).reshape(nr, nc)
+    return Matrix(m.field, nr, nc, out, _raw=True), tuple(pivots)
 
 
 def _rref_np_simple(m: Matrix):
@@ -660,15 +606,16 @@ class Layout(dict):
             off += d
         self.dim = off
 
-    def inclusion(self, field: Field, labels) -> Matrix:
-        """The 0/1 matrix embedding the summands `labels`, in that order."""
-        sub = Layout((label, self[label][1]) for label in labels)
-        return Matrix.assemble(field, self, sub,
-                               {(x, x): Matrix.identity(field, d) for x, (_, d) in sub.items()})
-
     def projection(self, field: Field, labels) -> Matrix:
         """The 0/1 matrix projecting onto the summands `labels`, in that order."""
-        return self.inclusion(field, labels).transpose()
+        idx = [j for label in labels for j in range(self[label][0], sum(self[label]))]
+        a = _zeros(field, len(idx), self.dim)
+        a[range(len(idx)), idx] = field.element(1)
+        return Matrix(field, len(idx), self.dim, a, _raw=True)
+
+    def inclusion(self, field: Field, labels) -> Matrix:
+        """The 0/1 matrix embedding the summands `labels`, in that order."""
+        return self.projection(field, labels).transpose()
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
@@ -682,37 +629,44 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
 
 
 class Subspace:
-    """A linear subspace of F^ambient_dim with a canonical (column-rref) basis."""
+    """A linear subspace of F^ambient_dim, with a basis that is the identity
+    on the rows `unit_rows`.
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    The coordinates of a member in that basis are its entries in those rows;
+    `coords_of` reads them and checks them with one product.  Given no
+    `unit_rows`, the constructor puts the basis in column-rref form, which
+    is the identity on its pivot rows; `spanned_by` passes those pivot rows,
+    `CohomologyData.cycles` the free rows of `kernel_matrix`.
+    """
 
-    def __init__(self, field: Field, ambient_dim: int, basis: Matrix, canonical=False):
+    __slots__ = ("field", "ambient_dim", "basis", "unit_rows")
+
+    def __init__(self, field: Field, ambient_dim: int, basis: Matrix, unit_rows=None):
         if basis.rows != ambient_dim:
             raise AmbientMismatch(f"basis rows {basis.rows} != ambient {ambient_dim}")
-        if canonical:
-            self.basis = basis
-        else:
-            R, pivots = basis.transpose().rref()
-            self.basis = R.take_rows(range(len(pivots))).transpose()
-        if self.basis.cols != basis.cols and not canonical:
-            # only possible if the supplied columns were dependent
-            raise ValueError("basis columns are linearly dependent")
+        if unit_rows is None:
+            R, unit_rows = basis.transpose().rref()
+            if len(unit_rows) != basis.cols:
+                raise ValueError("basis columns are linearly dependent")
+            basis = R.transpose()
         self.field = field
         self.ambient_dim = ambient_dim
+        self.basis = basis
+        self.unit_rows = tuple(unit_rows)
 
     @staticmethod
     def full(field: Field, n: int) -> "Subspace":
-        return Subspace(field, n, Matrix.identity(field, n), canonical=True)
+        return Subspace(field, n, Matrix.identity(field, n), range(n))
 
     @staticmethod
     def zero(field: Field, n: int) -> "Subspace":
-        return Subspace(field, n, Matrix.zeros(field, n, 0), canonical=True)
+        return Subspace(field, n, Matrix.zeros(field, n, 0), ())
 
     @staticmethod
     def spanned_by(field: Field, ambient_dim: int, vectors: Matrix) -> "Subspace":
         """Span of the columns of `vectors` (dependencies allowed)."""
         R, pivots = vectors.transpose().rref()
-        return Subspace(field, ambient_dim, R.take_rows(range(len(pivots))).transpose(), canonical=True)
+        return Subspace(field, ambient_dim, R.take_rows(range(len(pivots))).transpose(), pivots)
 
     @property
     def dim(self) -> int:
@@ -728,7 +682,12 @@ class Subspace:
 
     def coords_of(self, vectors: Matrix) -> Matrix:
         """Coordinates of given columns in this basis; NotContained if outside."""
-        return self.basis.solve(vectors)
+        if vectors.rows != self.ambient_dim:
+            raise AmbientMismatch(f"vector rows {vectors.rows} != ambient {self.ambient_dim}")
+        coords = vectors.take_rows(self.unit_rows)
+        if self.basis @ coords != vectors:
+            raise NotContained("vectors are not in the subspace")
+        return coords
 
     def contains_matrix(self, vectors: Matrix) -> bool:
         try:
@@ -759,7 +718,7 @@ class Subspace:
 
 def kernel(M: Matrix) -> Subspace:
     """The subspace {v : Mv = 0}."""
-    return Subspace(M.field, M.cols, M.kernel_matrix(), canonical=False)
+    return Subspace(M.field, M.cols, M.kernel_matrix())
 
 
 def image(M: Matrix) -> Subspace:

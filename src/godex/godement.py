@@ -71,9 +71,8 @@ def apply_T(G: Sheaf) -> TSheaf:
         for n in stalks[b].dims:
             if stalks[a].dim(n) == 0:
                 continue
-            rows, cols = (Layout((y, G.stalk(y).dim(n)) for y in ups[z]) for z in (b, a))
-            comps[n] = Matrix.assemble(field, rows, cols, {(y, y): Matrix.identity(field, d)
-                                                           for y, (_, d) in rows.items() if d})
+            cols = Layout((y, G.stalk(y).dim(n)) for y in ups[a])
+            comps[n] = cols.projection(field, ups[b])
         restr[(a, b)] = ChainMap(stalks[a], stalks[b], comps, check=False)
     out = TSheaf(poset, field, stalks, restr, check=False)
     out.t_base = G
@@ -128,11 +127,9 @@ def godement_nu(G: Sheaf, TG: TSheaf, TTG: TSheaf) -> SheafMap:
             if TTG.stalk(x).dim(n) == 0:
                 continue
             # (TTG)_x has a block per pair y <= z with y ∈ ↑x; keep the pairs (y, y)
-            rows = t_layout(TG, x, n)
             cols = Layout(((y, z), d) for y in _ups(poset, x)
                           for z, (_, d) in t_layout(TG, y, n).items())
-            blocks[n] = Matrix.assemble(field, rows, cols, {(y, (y, y)): Matrix.identity(field, d)
-                                                            for y, (_, d) in rows.items() if d})
+            blocks[n] = cols.projection(field, [(y, y) for y in _ups(poset, x)])
         comps[x] = ChainMap(TTG.stalk(x), TG.stalk(x), blocks, check=False)
     return SheafMap(TTG, TG, comps, check=False)
 
@@ -469,10 +466,7 @@ def reduced_hypercohomology(F: Sheaf, N: int) -> Sheaf:
         for n in Rb.dims:
             if Ra.dim(n) == 0:
                 continue
-            rows, cols = Rb.blocks[n], Ra.blocks[n]
-            comps[n] = Matrix.assemble(field, rows, cols,
-                                       {(c, c): Matrix.identity(field, d)
-                                        for c, (_, d) in rows.items() if c in cols})
+            comps[n] = Ra.blocks[n].projection(field, Rb.blocks[n])
         restr[(a, b)] = ChainMap(Ra, Rb, comps, check=False)
     return Sheaf(poset, field, dict(stalks), restr, check=False)
 

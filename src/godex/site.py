@@ -22,7 +22,7 @@ from .errors import (
     FieldMismatch, InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge,
     UnknownElement,
 )
-from .exactlin import Field, Layout, Matrix
+from .exactlin import Field, Layout, Matrix, free_columns
 
 UP_SET_ENUMERATION_CAP = 12
 
@@ -382,8 +382,7 @@ def sections(F: Sheaf, U) -> SectionComplex:
             sys = Matrix.assemble(field, rows, layouts[n], entries)
             R, pivots = sys.rref()
             basis[n] = sys.kernel_matrix(reduced=(R, pivots))
-            pivot_set = set(pivots)
-            free[n] = [j for j in range(total) if j not in pivot_set]
+            free[n] = free_columns(total, pivots)
             systems[n] = sys
         else:
             basis[n] = Matrix.identity(field, total)

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import godex.exactlin as exactlin
 from godex.errors import AmbientMismatch, NotContained
+from godex.complexes import random_complex
 from godex.exactlin import (
-    GF, QQ, Field, Matrix, Subspace, _rank_sparse, _rref_np, _rref_np_simple, image, kernel,
-    preimage, random_invertible, random_matrix, subquotient,
+    GF, QQ, Field, Layout, Matrix, Subspace, _rank_sparse, _rref_np, _rref_np_simple, image,
+    kernel, preimage, random_invertible, random_matrix, subquotient,
 )
 
 from conftest import naive_rank
@@ -229,3 +232,92 @@ def test_rank_takes_the_sparse_path_on_large_sparse_fp(monkeypatch):
     for M in (small, dense, rational):
         assert M.rank() == naive_rank(M)
     assert calls == [(40, 60)]
+
+
+def every_shape_result(field):
+    """Results of every Matrix operation, on empty, zero and nonempty shapes."""
+    rng = random.Random(4)
+    A = random_matrix(field, 3, 4, rng)
+    empties = [Matrix.zeros(field, r, c) for r, c in ((0, 0), (0, 3), (3, 0))]
+    out = empties + [A, Matrix.identity(field, 0), Matrix.identity(field, 3),
+                     Matrix.zeros(field, 3, 0) @ Matrix.zeros(field, 0, 4),
+                     Matrix.zeros(field, 0, 3) @ Matrix.zeros(field, 3, 2),
+                     A + A, A.scale(3), -A, A - A, A.transpose(), A.hstack(A), A.vstack(A),
+                     A.take_rows([]), A.take_columns([2, 0]), A.block((1, 3), (0, 0)),
+                     Matrix.assemble(field, [2, 0], [1, 3], {}),
+                     Matrix.assemble(field, [3], [4], {(0, 0): A}),
+                     A.rref()[0], A.kernel_matrix(), Matrix.zeros(field, 2, 3).kernel_matrix(),
+                     A.solve(A @ Matrix.identity(field, 4)),
+                     Layout([("a", 2), ("b", 0), ("c", 1)]).projection(field, ["c", "a"]),
+                     Layout([("a", 2), ("b", 1)]).inclusion(field, ["b"]),
+                     Matrix.from_rows(field, [[1, 2], [3, 4]]), Matrix.column(field, [1, 2])]
+    out += [M.rref()[0] for M in empties] + [M.kernel_matrix() for M in empties]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_one_storage_array_of_field_elements_on_every_shape(field):
+    # over Q the entries are Fractions, never int 0, also on empty shapes and
+    # in products over an empty inner dimension; over F_p floats in [0, p)
+    for M in every_shape_result(field):
+        assert M._a.shape == M.shape and not M._a.flags.writeable
+        if field.is_rational:
+            assert M._a.dtype == object
+            assert all(type(v) is Fraction for v in M._a.flat)
+            assert all(type(v) is Fraction for row in M.rows_list() for v in row)
+        else:
+            assert M._a.dtype == np.float64
+            assert ((M._a >= 0) & (M._a < field.p)).all()
+            assert all(type(v) is int for row in M.rows_list() for v in row)
+
+
+def test_layout_selections_are_the_identity_blocks():
+    field = GF(3)
+    layout = Layout([("a", 2), ("b", 0), ("c", 3), ("d", 1)])
+    labels = ["d", "b", "a"]
+    P = layout.projection(field, labels)
+    sub = Layout((x, layout[x][1]) for x in labels)
+    want = Matrix.assemble(field, sub, layout,
+                           {(x, x): Matrix.identity(field, d) for x, (_, d) in sub.items()})
+    assert P == want
+    assert layout.inclusion(field, labels) == want.transpose()
+    assert P @ layout.inclusion(field, labels) == Matrix.identity(field, sub.dim)
+
+
+def subspaces_to_probe(field, rng):
+    """Zero, full, spanned (with dependent columns), kernel, preimage and
+    cycle subspaces over `field`."""
+    out = [Subspace.zero(field, 4), Subspace.full(field, 4), Subspace.zero(field, 0),
+           Subspace.full(field, 0)]
+    for _ in range(4):
+        M = random_matrix(field, 5, 3, rng)
+        out.append(Subspace.spanned_by(field, 5, M.hstack(M @ random_matrix(field, 3, 2, rng))))
+        out.append(kernel(random_matrix(field, 2, 5, rng)))
+        out.append(preimage(random_matrix(field, 4, 5, rng), image(random_matrix(field, 4, 2, rng))))
+        C = random_complex(field, rng, span=3, max_dim=3)
+        out += [Z for Z in C.cohomology().cycles.values()]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)])
+def test_coords_of_reads_the_identity_rows_and_agrees_with_solve(field):
+    rng = random.Random(21)
+    members = outsiders = 0
+    for S in subspaces_to_probe(field, rng):
+        assert S.basis.take_rows(S.unit_rows) == Matrix.identity(field, S.dim)
+        coords = random_matrix(field, S.dim, 3, rng)
+        inside = S.basis @ coords
+        assert S.coords_of(inside) == coords == S.basis.solve(inside)
+        members += 1
+        for _ in range(3):
+            v = random_matrix(field, S.ambient_dim, 2, rng)
+            try:
+                want = S.basis.solve(v)
+            except NotContained:
+                with pytest.raises(NotContained):
+                    S.coords_of(v)
+                assert not S.contains_matrix(v)
+                outsiders += 1
+            else:
+                assert S.coords_of(v) == want
+    assert members >= 20 and outsiders >= 10
