@@ -1,9 +1,15 @@
 """Command-line surface.
 
-Exit codes: 0 = pass / computation done, 1 = a check command found a
-counterexample, 2 = invalid input.  With --format json the output is a
-single machine-readable document; identical inputs and seeds produce
-identical bytes.
+Exit codes:
+  0  pass / computation done;
+  1  a check command found a counterexample;
+  2  invalid input: a usage error, or a file that cannot be read or parsed;
+  3  internal error: a structural invariant failed (`InvariantError`), or an
+     unexpected exception, such as a float64 exactness guard, was raised.
+Errors are one line on stderr, `error: ...` or `internal error: ...`, and
+never a traceback.  With --format json the output is a single
+machine-readable document; identical inputs and seeds produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import sys
 
 from .complexes import min_certified
 from .cosimplicial import check_descent_axioms
-from .errors import FormatError, GodexError
+from .errors import FormatError, GodexError, InvariantError
 from .exactlin import GF
 from .filtered import check_descent_axioms_filtered, e_infinity_dims, er_page
 from .godement import (
@@ -401,12 +407,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except GodexError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

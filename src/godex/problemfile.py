@@ -354,5 +354,12 @@ def emit_document(pf: ProblemFile) -> str:
 
 
 def load(path: str) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    """Parse the file at `path`; FormatError if it cannot be read as UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}")
+    return parse_document(text)

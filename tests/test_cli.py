@@ -4,6 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from godex import cli
+from godex.errors import InvariantError
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -206,3 +211,31 @@ def test_import_sets_one_blas_thread_unless_the_environment_says_otherwise():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.split() == ["2", "1", "3"]
+
+
+def test_unreadable_files_are_invalid_input(tmp_path):
+    # a directory and a file that is not UTF-8 text exit 2, not 1 with a traceback
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff\xfe{"format": "godex/1"}')
+    for args in (("fmt", str(tmp_path)), ("cohomology", str(tmp_path)),
+                 ("fmt", str(binary)), ("check-thomason", str(binary))):
+        code, out, err = run_cli(*args)
+        assert code == 2, (args, err)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [ValueError("matmul too large for exact float64 accumulation"),
+                                   InvariantError("d∘d != 0 in degree 1"),
+                                   KeyError("x")])
+def test_internal_failures_exit_three(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "derived_sections", fail)
+    code = cli.main(["--format", "json", "cohomology", str(DATA / "pseudocircle-constant.json")])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert str(error) in err and "Traceback" not in err
