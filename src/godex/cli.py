@@ -6,10 +6,10 @@ Exit codes:
   2  invalid input: a usage error, or a file that cannot be read or parsed;
   3  internal error: a structural invariant failed (`InvariantError`), or an
      unexpected exception, such as a float64 exactness guard, was raised.
-Errors are one line on stderr, `error: ...` or `internal error: ...`, and
-never a traceback.  With --format json the output is a single
-machine-readable document; identical inputs and seeds produce identical
-bytes.
+Past argument parsing, a failure is one line on stderr, `error: ...` or
+`internal error: ...`, never a traceback.  With --format json the output is
+a single machine-readable document; identical inputs and seeds produce
+identical bytes.
 """
 
 from __future__ import annotations

@@ -608,7 +608,10 @@ class Layout(dict):
 
     def projection(self, field: Field, labels) -> Matrix:
         """The 0/1 matrix projecting onto the summands `labels`, in that order."""
-        idx = [j for label in labels for j in range(self[label][0], sum(self[label]))]
+        idx = []
+        for label in labels:
+            off, d = self[label]
+            idx.extend(range(off, off + d))
         a = _zeros(field, len(idx), self.dim)
         a[range(len(idx)), idx] = field.element(1)
         return Matrix(field, len(idx), self.dim, a, _raw=True)
@@ -675,7 +678,8 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.dim == other.dim and \
+            self.contains(other)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

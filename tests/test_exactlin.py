@@ -305,6 +305,9 @@ def test_coords_of_reads_the_identity_rows_and_agrees_with_solve(field):
     members = outsiders = 0
     for S in subspaces_to_probe(field, rng):
         assert S.basis.take_rows(S.unit_rows) == Matrix.identity(field, S.dim)
+        # equality is of subspaces, whichever rows their bases are the identity on
+        assert S == Subspace(field, S.ambient_dim, S.basis) == image(S.basis)
+        assert S.dim == S.ambient_dim or S != Subspace.full(field, S.ambient_dim)
         coords = random_matrix(field, S.dim, 3, rng)
         inside = S.basis @ coords
         assert S.coords_of(inside) == coords == S.basis.solve(inside)
