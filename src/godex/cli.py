@@ -102,13 +102,13 @@ def cmd_cohomology(args) -> int:
     pf = _require_sheaf(load(args.file))
     N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
     U = _parse_open(pf.poset, args.open)
-    C, betti = derived_sections(pf.sheaf, U, N)
+    sec, betti = derived_sections(pf.sheaf, U, N)
     doc = {"command": "cohomology", "open": sorted(map(str, U)),
-           "certified_degree": C.certified_degree, "betti": _betti_doc(betti)}
+           "certified_degree": sec.certified_degree, "betti": _betti_doc(betti)}
 
     def human():
         print(f"RΓ(U, F) over U = {{{', '.join(sorted(map(str, U)))}}}  "
-              f"(certified degree {C.certified_degree})")
+              f"(certified degree {sec.certified_degree})")
         _print_table([(n, b) for n, b in sorted(betti.items())], header=("degree", "betti"))
     _emit(args, doc, human)
     return 0
@@ -188,6 +188,9 @@ def _theorem_conditions(F, N):
 
 
 def cmd_check_theorem(args) -> int:
+    if args.max_degree is not None and not args.file:
+        raise GodexError("--max-degree needs a problem file; "
+                         "random trials truncate at their top degree + 4")
     trials = []
     if args.file:
         pf = _require_sheaf(load(args.file))

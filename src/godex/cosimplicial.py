@@ -25,7 +25,7 @@ from .complexes import (
     random_complex, truncate,
 )
 from .errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
-from .exactlin import Field, GF, Layout, Matrix, random_invertible
+from .exactlin import Field, GF, Layout, Matrix, alternating_sum, random_invertible
 
 
 class CosimplicialComplex:
@@ -165,12 +165,9 @@ class TotalComplex(CochainComplex):
 
 
 def alternating_coface_sum(X: CosimplicialComplex, p: int, q: int) -> Matrix:
-    """sum_i (-1)^i d^i : X(p-1)^q -> X(p)^q."""
-    out = Matrix.zeros(X.field, X.level(p).dim(q), X.level(p - 1).dim(q))
-    for i in range(p + 1):
-        m = X.coface(p, i).component(q)
-        out = out + (m if i % 2 == 0 else m.scale(-1))
-    return out
+    """sum_i (-1)^i d^i : X(p-1)^q -> X(p)^q, in one accumulation."""
+    return alternating_sum(X.field, X.level(p).dim(q), X.level(p - 1).dim(q),
+                           (X.coface(p, i).component(q) for i in range(p + 1)))
 
 
 def _total_differential(X: CosimplicialComplex, blocks: dict, n: int, signed: bool) -> Matrix:

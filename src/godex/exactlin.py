@@ -330,6 +330,25 @@ class Matrix:
         return X
 
 
+def alternating_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
+    """Σ_i (-1)^i terms[i] of (rows x cols) matrices, accumulated in place in
+    one array and reduced once.  Over F_p a partial sum of k terms in [0, p)
+    stays below k * p in magnitude, so it is exact in float64."""
+    a = _zeros(field, rows, cols)
+    for i, m in enumerate(terms):
+        if m.field != field:
+            raise FieldMismatch(f"{m.field} vs {field}")
+        if m.shape != (rows, cols):
+            raise ValueError(f"term {i} has shape {m.shape}, expected {(rows, cols)}")
+        if i % 2:
+            a -= m._a
+        else:
+            a += m._a
+    if field.p is not None:
+        a %= field.p
+    return Matrix(field, rows, cols, a, _raw=True)
+
+
 def _zeros(field: Field, rows: int, cols: int):
     """A zero storage array; over Q its entries are Fraction(0), not int 0."""
     if field.p is None:

@@ -11,11 +11,19 @@ cycle-quotient convention
 
 under which E_0 is the associated graded and an E_0-isomorphism is the same
 thing as a graded quasi-isomorphism.
+
+A filtration by coordinate blocks (`FilteredComplex.from_blocks`, as the
+descent spectral sequence of `godement` has) is checked by a zero-block
+check, and `er_page` reads its dims from ranks of submatrices of d; the
+subquotients and d_r are then built only when a caller reads them.  Other
+filtrations build them at once.
 """
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 from .complexes import ChainMap, CochainComplex, random_complex, transport
 from .cosimplicial import (
@@ -28,15 +36,24 @@ from .exactlin import GF, Layout, Matrix, Subspace, preimage, random_invertible,
 
 
 class FilteredComplex:
-    """A complex with a decreasing, exhaustive, bounded, d-compatible flag."""
+    """A complex with a decreasing, exhaustive, bounded, d-compatible flag.
 
-    __slots__ = ("base", "k_min", "k_max", "_subspaces")
+    A filtration given by subspaces (`from_bases`, or the constructor) is
+    generic.  A block filtration (`from_blocks`) is spanned by coordinate
+    blocks: `weights[n][i]` is the filtration index of coordinate i of A^n,
+    and F^k A^n is spanned by the coordinates of weight >= k.  Its
+    subspaces are built on demand, and `er_page` reads its page dims from
+    ranks.
+    """
+
+    __slots__ = ("base", "k_min", "k_max", "_subspaces", "weights")
 
     def __init__(self, base: CochainComplex, subspaces: dict, k_min: int, k_max: int,
-                 check: bool = True):
+                 check: bool = True, weights: dict | None = None):
         self.base = base
         self.k_min = k_min
         self.k_max = k_max
+        self.weights = weights
         self._subspaces = {}
         for (k, n), S in subspaces.items():
             if k_min < k <= k_max:
@@ -53,9 +70,32 @@ class FilteredComplex:
         return FilteredComplex(base, subs, k_min, k_max, check=check)
 
     @staticmethod
+    def from_blocks(base: CochainComplex, k_min: int, k_max: int,
+                    check: bool = True) -> "FilteredComplex":
+        """The block filtration of a base with `blocks` layouts (as a
+        `TotalComplex` has) whose labels begin with the filtration index p:
+        F^k A^n is the span of the blocks with p >= k.  Every p must lie in
+        [k_min, k_max].  The check is the zero-block check of `validate`."""
+        weights = {}
+        for n, layout in base.blocks.items():
+            w = np.zeros(layout.dim, dtype=np.int64)
+            for label, (off, d) in layout.items():
+                if d and not k_min <= label[0] <= k_max:
+                    raise InvariantError(
+                        f"block {label} of degree {n} lies outside [{k_min}, {k_max}]")
+                w[off:off + d] = label[0]
+            weights[n] = w
+        return FilteredComplex(base, {}, k_min, k_max, check=check, weights=weights)
+
+    @staticmethod
     def trivial(base: CochainComplex, jump: int = 0) -> "FilteredComplex":
         """One jump: F^k = everything for k <= jump, zero above."""
         return FilteredComplex(base, {}, jump, jump, check=False)
+
+    def columns(self, k: int, n: int) -> np.ndarray:
+        """Block filtration only: the coordinates of A^n spanning F^k A^n."""
+        w = self.weights.get(n)
+        return np.flatnonzero(w >= k) if w is not None else np.zeros(0, dtype=np.int64)
 
     def filtration(self, k: int, n: int) -> Subspace:
         if k <= self.k_min:
@@ -63,12 +103,37 @@ class FilteredComplex:
         if k > self.k_max:
             return Subspace.zero(self.base.field, self.base.dim(n))
         S = self._subspaces.get((k, n))
+        if S is None and self.weights is not None:
+            cols = self.columns(k, n).tolist()
+            basis = Matrix.identity(self.base.field, self.base.dim(n)).take_columns(cols)
+            S = self._subspaces[(k, n)] = Subspace(self.base.field, self.base.dim(n),
+                                                   basis, cols)
         if S is None:
             return Subspace.zero(self.base.field, self.base.dim(n))
         return S
 
+    def subspaces(self) -> dict:
+        """F^k A^n for k_min < k <= k_max, keyed (k, n); zero ones may be absent."""
+        if self.weights is not None:
+            for n in self.weights:
+                for k in range(self.k_min + 1, self.k_max + 1):
+                    self.filtration(k, n)
+        return dict(self._subspaces)
+
     def validate(self):
         base = self.base
+        if self.weights is not None:
+            # zero-block check: d^n has no entry from a block p into a block p' < p
+            for n in base.degrees():
+                d = base.d(n)
+                w = self.weights.get(n + 1)
+                for k in range(self.k_min + 1, self.k_max + 1):
+                    cols = self.columns(k, n)
+                    if w is None or not cols.size:
+                        continue
+                    if not d.take_rows(np.flatnonzero(w < k)).take_columns(cols).is_zero():
+                        raise InvariantError(f"filtration not d-compatible at (k={k}, n={n})")
+            return
         for n in base.degrees():
             prev = Subspace.full(base.field, base.dim(n))
             for k in range(self.k_min + 1, self.k_max + 2):
@@ -126,22 +191,59 @@ class PageTerm:
 
 
 class SpectralPage:
-    """E_r with its differentials d_r : (p,q) -> (p+r, q-r+1)."""
+    """E_r with its differentials d_r : (p,q) -> (p+r, q-r+1).
 
-    __slots__ = ("r", "terms", "differentials", "filtered")
+    `dims` holds dim E_r^{p,q} at every slot the page covers.  The terms
+    (subquotients with quotient coordinates) and d_r are built together, with
+    the check d_r ∘ d_r = 0, by `_page_terms`: at once for a generic
+    filtration, on first access of `terms` or `differentials` for a block
+    one, whose dims `er_page` reads from ranks.  A build from rank dims must
+    reproduce them.
+    """
 
-    def __init__(self, r, terms, differentials, filtered):
+    __slots__ = ("r", "filtered", "spots", "_dims", "_terms", "_differentials")
+
+    def __init__(self, r, filtered, spots, dims=None):
         self.r = r
-        self.terms = terms
-        self.differentials = differentials
         self.filtered = filtered
+        self.spots = spots
+        self._dims = dims
+        self._terms = None
+        self._differentials = None
+        if dims is None:
+            self._build()
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._build()
+        return self._terms
+
+    @property
+    def differentials(self) -> dict:
+        if self._terms is None:
+            self._build()
+        return self._differentials
+
+    def _build(self):
+        r = self.r
+        terms, diffs = _page_terms(self.filtered, r, self.spots)
+        built = {pq: t.dim for pq, t in terms.items()}
+        if self._dims is None:
+            self._dims = built
+        elif built != self._dims:
+            raise InvariantError(f"page {r}: the subquotients have dims {built}, "
+                                 f"the ranks give {self._dims}")
+        self._terms, self._differentials = terms, diffs
+        for (p, q), m in diffs.items():
+            if not (self.differential(p + r, q - r + 1) @ m).is_zero():
+                raise InvariantError(f"d_r ∘ d_r != 0 at {(p, q)} on page {r}")
 
     def dim(self, p: int, q: int) -> int:
-        t = self.terms.get((p, q))
-        return t.dim if t else 0
+        return self._dims.get((p, q), 0)
 
     def dims(self) -> dict:
-        return {pq: t.dim for pq, t in self.terms.items() if t.dim}
+        return {pq: d for pq, d in self._dims.items() if d}
 
     def differential(self, p: int, q: int) -> Matrix:
         m = self.differentials.get((p, q))
@@ -179,20 +281,10 @@ def _cycle_space(FC: FilteredComplex, p: int, q: int, r: int) -> Subspace:
     return Fp.intersect(pre)
 
 
-def er_page(FC: FilteredComplex, r: int, up_to: int | None = None,
-            assert_coherence: bool = False) -> SpectralPage:
-    """The E_r page by the cycle/boundary formula, with induced d_r."""
-    if r < 0:
-        raise ValueError("page index must be >= 0")
+def _page_terms(FC: FilteredComplex, r: int, spots) -> tuple:
+    """The terms of E_r at `spots` by the cycle/boundary formula, and d_r."""
     base = FC.base
-    hi = base.upper
-    if base.certified_degree is not None:
-        hi = min(hi, base.certified_degree)
-    if up_to is not None:
-        hi = min(hi, up_to)
     terms = {}
-    spots = [(p, n - p) for n in range(base.lower, hi + 1)
-             for p in range(FC.k_min, FC.k_max + 1)]
     for (p, q) in spots:
         n = p + q
         Z = _cycle_space(FC, p, q, r)
@@ -217,14 +309,76 @@ def er_page(FC: FilteredComplex, r: int, up_to: int | None = None,
             continue
         n = p + q
         reps = t.cycles.basis @ t.section
-        img = FC.base.d(n) @ reps
+        img = base.d(n) @ reps
         coords = tt.cycles.coords_of(img)
         diffs[(p, q)] = tt.proj @ coords
-    page = SpectralPage(r, terms, diffs, FC)
-    for (p, q), m in diffs.items():
-        m2 = page.differential(p + r, q - r + 1) @ m
-        if not m2.is_zero():
-            raise InvariantError(f"d_r ∘ d_r != 0 at {(p, q)} on page {r}")
+    return terms, diffs
+
+
+def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
+    """dim E_r^{p,q} of a block filtration at `spots`, from ranks of d.
+
+    With C_a the coordinates of F^a A^n, R_b those of weight < b in A^{n+1},
+    ρ(n, a, b) = rank d^n[R_b, C_a] and ρ(n, a) = rank d^n[:, C_a]:
+    dim Z_s^a = |C_a| - ρ(n, a, a+s), dim dZ_s^a = ρ(n, a) - ρ(n, a, a+s),
+    and dim E_r^{p,q} = Z_r^p - Z_{r-1}^{p+1} - dZ_{r-1}^{p-r+1} +
+    dZ_r^{p-r+1}, the dZ terms from degree n-1, because Z_{r-1}^{p+1} ∩
+    dZ_{r-1}^{p-r+1} = dZ_r^{p-r+1} (Romero–Rubio–Sergeraert).  The
+    zero-block check gives ρ(n, a, b) = 0 for b <= a.
+    """
+    base = FC.base
+    memo = {}
+
+    def rho(n, a, b=None):
+        if b is not None and b <= a:
+            return 0
+        key = (n, a, b)
+        if key not in memo:
+            cols = FC.columns(a, n)
+            d = base.d(n)
+            if b is not None:
+                w = FC.weights.get(n + 1)
+                d = d.take_rows(np.flatnonzero(w < b) if w is not None else [])
+            memo[key] = d.take_columns(cols).rank() if cols.size and d.rows else 0
+        return memo[key]
+
+    def z(n, a, s):
+        return FC.columns(a, n).size - rho(n, a, a + s)
+
+    def dz(n, a, s):
+        return rho(n, a) - rho(n, a, a + s)
+
+    out = {}
+    for (p, q) in spots:
+        n = p + q
+        cycles = z(n, p, r)
+        if cycles == 0:
+            out[(p, q)] = 0
+            continue
+        out[(p, q)] = (cycles - z(n, p + 1, r - 1) - dz(n - 1, p - r + 1, r - 1)
+                       + dz(n - 1, p - r + 1, r))
+    return out
+
+
+def er_page(FC: FilteredComplex, r: int, up_to: int | None = None,
+            assert_coherence: bool = False) -> SpectralPage:
+    """The E_r page by the cycle/boundary formula, with induced d_r.
+
+    On a block filtration the dims come from ranks (`_rank_dims`), and the
+    terms and d_r are built on first access (see `SpectralPage`).
+    """
+    if r < 0:
+        raise ValueError("page index must be >= 0")
+    base = FC.base
+    hi = base.upper
+    if base.certified_degree is not None:
+        hi = min(hi, base.certified_degree)
+    if up_to is not None:
+        hi = min(hi, up_to)
+    spots = [(p, n - p) for n in range(base.lower, hi + 1)
+             for p in range(FC.k_min, FC.k_max + 1)]
+    dims = _rank_dims(FC, r, spots) if FC.weights is not None else None
+    page = SpectralPage(r, FC, spots, dims)
     if assert_coherence:
         nxt = er_page(FC, r + 1, up_to=up_to)
         hom = page.homology_dims()
@@ -399,7 +553,7 @@ def deligne_reindex(pq) -> tuple:
 def _transported(FC: FilteredComplex, base: CochainComplex, g: dict) -> FilteredComplex:
     """The filtration of FC carried along the automorphisms g[n] onto `base`."""
     return FilteredComplex.from_bases(base, {(k, n): g[n] @ S.basis
-                                             for (k, n), S in FC._subspaces.items()},
+                                             for (k, n), S in FC.subspaces().items()},
                                       FC.k_min, FC.k_max, check=False)
 
 
@@ -564,7 +718,7 @@ def filtered_aw(ZF: BicosimplicialFiltered, r: int, N: int):
     # rebase the filtrations onto the instances used by the outer total
     rebased = {}
     for n, FC in outer_levels.items():
-        rebased[n] = FilteredComplex(outer.level(n), dict(FC._subspaces),
+        rebased[n] = FilteredComplex(outer.level(n), FC.subspaces(),
                                      FC.k_min, FC.k_max, check=False)
     ssF = filtered_simple(CosimplicialFiltered(outer, rebased, check=False), r, N)
     sdF = filtered_simple(ZF.diagonal_filtered(), r, N)
@@ -610,7 +764,7 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         lam = lambda_map(FCA.base, N)
         cF = constant_filtered(FCA, N - FCA.base.lower)
         target = filtered_simple(cF, r, N)
-        src = FilteredComplex(lam.source, dict(FCA._subspaces), FCA.k_min, FCA.k_max,
+        src = FilteredComplex(lam.source, FCA.subspaces(), FCA.k_min, FCA.k_max,
                               check=False)
         flag, _ = is_er_quis(lam, src, target, r, up_to=N - 1)
         trial.results["S3"] = flag

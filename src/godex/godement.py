@@ -562,11 +562,15 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
 
 
 def derived_sections(F: Sheaf, U, N: int, hyper: Hypercohomology | None = None):
-    """RΓ(U, F) = Γ(U, H_X(F)); returns (complex, betti dict)."""
+    """RΓ(U, F) = Γ(U, H_X(F)); returns (SectionComplex, betti dict).
+
+    The betti numbers come from ranks of the constraint systems; the
+    section complex itself is built only if the caller reads it.
+    """
     if hyper is None:
         hyper = hypercohomology_sheaf(F, N)
     sec = sections(hyper.H, U)
-    return sec.complex, sec.complex.betti()
+    return sec, sec.betti()
 
 
 def derived_direct_image(f: MonotoneMap, F: Sheaf, N: int,
@@ -598,23 +602,20 @@ def descent_double_complex(F: Sheaf, U, N: int, res: GodementResolution | None =
 
     Columns are the sections of the resolution levels; the total differential
     combines the alternating coface sum with the signed internal one.  The
-    filtration is by column index p >= k.
+    filtration is by column index p >= k, a block filtration of the total
+    complex (`FilteredComplex.from_blocks`, checked by its zero-block check).
     """
     from .filtered import FilteredComplex
+    if N < F.top_degree:
+        raise InsufficientLevels(
+            f"truncation {N} does not cover the input degrees (top {F.top_degree})")
     lo = F.lower
     p_max = max(N - lo, 0)
     if res is None or res.cosimplicial.p_max < p_max:
         res = godement_resolution(F, p_max)
-    cos = res.cosimplicial
     X, eps, sec_F = resolution_sections(res, U)
     total = simple(X, N)
-    field = F.field
-    subspaces = {}
-    for k in range(0, p_max + 2):
-        for n in total.dims:
-            subspaces[(k, n)] = total.blocks[n].inclusion(
-                field, [pq for pq in total.blocks[n] if pq[0] >= k])
-    FC = FilteredComplex.from_bases(total, subspaces, k_min=0, k_max=p_max)
+    FC = FilteredComplex.from_blocks(total, k_min=0, k_max=p_max)
     return FC, total, eps, res
 
 

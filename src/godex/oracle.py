@@ -18,7 +18,7 @@ assert the resulting betti equalities rather than assuming them.
 from __future__ import annotations
 
 from .complexes import ChainMap, CochainComplex, min_certified
-from .errors import InvariantError
+from .errors import InsufficientLevels, InvariantError
 from .exactlin import Field, Layout, Matrix, kron
 from .site import Poset, Sheaf
 
@@ -137,7 +137,16 @@ def strict_into_weak(F: Sheaf, strict_repl: ReplacementComplex,
 
 
 def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> ReplacementComplex:
-    """RΓ(X, F) via the cosimplicial replacement (weak chains by default)."""
+    """RΓ(X, F) via the cosimplicial replacement (weak chains by default).
+
+    A truncation N below the top degree of F is refused with
+    InsufficientLevels, as RΓ through the Godement resolution refuses it.
+    (`replacement_complex` itself accepts it: the reduced Thomason check
+    truncates the reduced model one degree below its own truncation.)
+    """
+    if N < F.top_degree:
+        raise InsufficientLevels(
+            f"truncation {N} does not cover the input degrees (top {F.top_degree})")
     return replacement_complex(F, N, strict=strict)
 
 

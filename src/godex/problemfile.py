@@ -270,7 +270,7 @@ def _parse_filtered(field: Field, spec, where: str) -> FilteredComplex:
 def _emit_filtered(field: Field, FC: FilteredComplex):
     out = _emit_complex(field, FC.base)
     subs = {}
-    for (k, n), S in sorted(FC._subspaces.items()):
+    for (k, n), S in sorted(FC.subspaces().items()):
         subs.setdefault(str(k), {})[str(n)] = _emit_matrix(field, S.basis)
     out["filtration"] = {"k_min": FC.k_min, "k_max": FC.k_max, "subspaces": subs}
     return out

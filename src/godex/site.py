@@ -7,7 +7,10 @@ a restriction chain map F_x -> F_y for every x <= y.  The opposite (down-set)
 convention is equally common in the literature; everything here is up-sets.
 
 Sheaves are stored intrinsically on minimal opens; sections over a general
-open are computed as an equalizer (kernel), never stored.
+open are computed as an equalizer (kernel), never stored.  Their betti
+numbers are read from ranks of the cover-constraint systems, and the kernel
+basis is built only when a caller needs the section complex itself (see
+`SectionComplex`).
 """
 
 from __future__ import annotations
@@ -292,21 +295,59 @@ class SectionComplex:
     """Γ(U, F) together with the evaluation maps to the stalks over U.
 
     A family of degree-n sections is a matrix stacking one block per stalk
-    over U, in canonical order.  When U has no minimum, the section basis in
-    degree n is `kernel_matrix` of the constraint system `systems[n]` (None
-    when U has no cover relation), which is the identity on the rows
-    `free[n]`: the coordinates of a stacked family are those rows, read off
-    after the membership guard `systems[n] @ family == 0`.
+    over U, in canonical order.  When U has no minimum, `systems[n]` is the
+    cover-constraint system S_n of degree n (no entry when U has no cover
+    relation, or when the stalks over U vanish in degree n), and
+    Γ^n = ker S_n.
+
+    `betti()` needs no section basis: with D_n the block-diagonal stalk
+    differential, dim Γ^n = cols(S_n) - rank S_n, and d has rank
+    rank[S_n; D_n] - rank S_n on Γ^n.  The section basis, `kernel_matrix`
+    of S_n, is built together with `complex`, `evaluations` and `free` on
+    first access.  It is the identity on the rows `free[n]`: the
+    coordinates of a stacked family are those rows, read off after the
+    membership guard `systems[n] @ family == 0`.
     """
 
-    __slots__ = ("open_set", "complex", "evaluations", "free", "systems")
+    __slots__ = ("open_set", "systems", "_sheaf", "_layouts", "_complex", "_evaluations",
+                 "_free", "_betti")
 
-    def __init__(self, open_set, complex, evaluations, free=None, systems=None):
+    def __init__(self, open_set, complex=None, evaluations=None, free=None, systems=None,
+                 sheaf=None, layouts=None):
+        """Either the complex with its evaluations, or the sheaf, the stalk
+        layouts per degree and the systems, from which they are built."""
         self.open_set = open_set
-        self.complex = complex
-        self.evaluations = evaluations
-        self.free = free
         self.systems = systems
+        self._sheaf = sheaf
+        self._layouts = layouts
+        self._complex = complex
+        self._evaluations = evaluations
+        self._free = free
+        self._betti = None
+
+    @property
+    def complex(self) -> CochainComplex:
+        if self._complex is None:
+            self._build()
+        return self._complex
+
+    @property
+    def evaluations(self) -> dict:
+        if self._complex is None:
+            self._build()
+        return self._evaluations
+
+    @property
+    def free(self) -> dict | None:
+        if self._complex is None:
+            self._build()
+        return self._free
+
+    @property
+    def certified_degree(self) -> int | None:
+        if self._complex is None:
+            return self._sheaf.certified_degree
+        return self._complex.certified_degree
 
     def evaluation(self, x) -> ChainMap:
         return self.evaluations[x]
@@ -318,11 +359,104 @@ class SectionComplex:
         a minimum m, a section is its value at m."""
         return _coordinates(self.free.get(n, ()), self.systems.get(n), stacked)
 
+    def betti(self) -> dict:
+        """The betti numbers of Γ(U, F) in the degrees `CochainComplex.betti()`
+        reads.  From ranks (`_rank_betti`) while the complex is not built and
+        U has a cover relation; from the complex otherwise."""
+        if self._complex is not None or not self.systems:
+            return self.complex.betti()
+        if self._betti is None:
+            self._betti = _rank_betti(self._sheaf, self._layouts, self.systems)
+        return self._betti
+
+    def _build(self):
+        """The section basis per degree, the complex and the evaluations."""
+        F, layouts, systems = self._sheaf, self._layouts, self.systems
+        field = F.field
+        lo, hi = min(layouts), max(layouts)
+        basis, free, dims = {}, {}, {}
+        for n, layout in layouts.items():
+            if layout.dim == 0:
+                continue
+            S = systems.get(n)
+            if S is not None:
+                R, pivots = S.rref()
+                basis[n] = S.kernel_matrix(reduced=(R, pivots))
+                free[n] = free_columns(layout.dim, pivots)
+            else:
+                basis[n] = Matrix.identity(field, layout.dim)
+                free[n] = list(range(layout.dim))
+            dims[n] = basis[n].cols
+        diffs = {}
+        for n in range(lo, hi):
+            if dims.get(n, 0) == 0 or dims.get(n + 1, 0) == 0:
+                continue
+            D = _stalk_differential(F, layouts, n)
+            diffs[n] = _coordinates(free[n + 1], systems.get(n + 1), D @ basis[n])
+        C = CochainComplex(field, dims, diffs, lower=lo, certified_degree=F.certified_degree,
+                           check=True)
+        evals = {x: {} for x in layouts[lo]}
+        for n, b in basis.items():
+            for x, (off, d) in layouts[n].items():
+                if d and dims.get(n, 0):
+                    evals[x][n] = b.take_rows(range(off, off + d))
+        self._evaluations = {x: ChainMap(C, F.stalk(x), comps, check=True)
+                             for x, comps in evals.items()}
+        self._free = free
+        self._complex = C
+
 
 def _coordinates(free, system, stacked: Matrix) -> Matrix:
     if system is not None and not (system @ stacked).is_zero():
         raise NotContained("family is not a compatible family of sections")
     return stacked.take_rows(free)
+
+
+def _constraint_system(F: Sheaf, constraints, layout: Layout, n: int) -> Matrix:
+    """S_n: one row block per cover x ⋖ y in U, r_{x->y} a_x - a_y = 0."""
+    field = F.field
+    rows = Layout(((x, y), F.stalk(y).dim(n)) for (x, y) in constraints)
+    entries = {}
+    for (x, y) in constraints:
+        entries[((x, y), x)] = F.restriction(x, y).component(n)
+        entries[((x, y), y)] = Matrix.identity(field, F.stalk(y).dim(n)).scale(-1)
+    return Matrix.assemble(field, rows, layout, entries)
+
+
+def _stalk_differential(F: Sheaf, layouts: dict, n: int) -> Matrix:
+    """D_n: the stalk differentials d_x^n, block-diagonal on the layouts."""
+    return Matrix.assemble(F.field, layouts[n + 1], layouts[n],
+                           {(x, x): F.stalk(x).d(n) for x in layouts[n]})
+
+
+def _rank_betti(F: Sheaf, layouts: dict, systems: dict) -> dict:
+    """Betti numbers of Γ^n = ker S_n under the stalk differentials, by ranks.
+
+    dim Γ^n = cols(S_n) - rank S_n, d has rank rank[S_n; D_n] - rank S_n on
+    Γ^n, and betti^n = dim Γ^n - rank d^n - rank d^{n-1}, over the degrees
+    and the certified degree that `CochainComplex.betti()` reads on the
+    section complex.  In each degree with Γ^n and S_{n+1} nonzero, the guard
+    rank[S_n; S_{n+1} D_n] == rank S_n says that D_n maps Γ^n into Γ^{n+1};
+    it is the rank form of the membership check of the basis path, and
+    NotContained is raised when it fails.
+    """
+    lo, hi = min(layouts), max(layouts)
+    rank_s = {n: S.rank() for n, S in systems.items()}
+    dims = {n: layouts[n].dim - rank_s.get(n, 0) for n in range(lo, hi + 1)}
+    upper = max((n for n, d in dims.items() if d), default=lo)
+    top = upper if F.certified_degree is None else min(upper, F.certified_degree)
+    ranks = {}
+    for n in range(lo, hi):
+        S, S1 = systems.get(n), systems.get(n + 1)
+        if dims[n] == 0 or S1 is None:
+            continue
+        D = _stalk_differential(F, layouts, n)
+        if S.vstack(S1 @ D).rank() != rank_s[n]:
+            raise NotContained("family is not a compatible family of sections")
+        if dims[n + 1] and n <= top:
+            ranks[n] = S.vstack(D).rank() - rank_s[n]
+    betti = {n: dims[n] - ranks.get(n, 0) - ranks.get(n - 1, 0) for n in range(lo, top + 1)}
+    return {n: b for n, b in betti.items() if b}
 
 
 def _unique_minimum(poset: Poset, U: frozenset):
@@ -344,65 +478,30 @@ def sections(F: Sheaf, U) -> SectionComplex:
 
     Γ(∅, F) is the zero complex, and Γ(↑x, F) is the stalk F_x itself with
     identity/restriction evaluations (the minimal open attains the stalk).
-    Otherwise the basis is the kernel of the cover constraints, and the
-    differential is read off the free rows of d applied to that basis (see
-    `SectionComplex`); no linear system is solved.
+    Otherwise this assembles the cover constraints only: their betti
+    numbers are read from ranks, and the basis (their kernel) and the
+    differential (read off the free rows of d applied to that basis) are
+    built on first access; see `SectionComplex`.  No linear system is
+    solved.
     """
     poset = F.poset
     U = poset.require_open(U)
-    field = F.field
     if not U:
-        z = zero_complex(field)
-        return SectionComplex(U, z, {})
+        return SectionComplex(U, zero_complex(F.field), {})
     m = _unique_minimum(poset, U)
     if m is not None:
         evals = {y: F.restriction(m, y) for y in U}
         return SectionComplex(U, F.stalk(m), evals)
     order = poset.sorted_subset(U)
-    cert = F.certified_degree
     lo = min(F.stalk(x).lower for x in order)
     hi = max((F.stalk(x).upper for x in order), default=lo)
     constraints = [(x, y) for (x, y) in poset.covers() if x in U and y in U]
     layouts = {n: Layout((x, F.stalk(x).dim(n)) for x in order) for n in range(lo, hi + 1)}
-    basis = {}
-    free = {}
     systems = {}
-    dims = {}
-    for n in range(lo, hi + 1):
-        total = layouts[n].dim
-        if total == 0:
-            continue
-        if constraints:
-            # one row block per cover x ⋖ y: r_{x->y} a_x - a_y = 0
-            rows = Layout(((x, y), F.stalk(y).dim(n)) for (x, y) in constraints)
-            entries = {}
-            for (x, y) in constraints:
-                entries[((x, y), x)] = F.restriction(x, y).component(n)
-                entries[((x, y), y)] = Matrix.identity(field, F.stalk(y).dim(n)).scale(-1)
-            sys = Matrix.assemble(field, rows, layouts[n], entries)
-            R, pivots = sys.rref()
-            basis[n] = sys.kernel_matrix(reduced=(R, pivots))
-            free[n] = free_columns(total, pivots)
-            systems[n] = sys
-        else:
-            basis[n] = Matrix.identity(field, total)
-            free[n] = list(range(total))
-        dims[n] = basis[n].cols
-    diffs = {}
-    for n in range(lo, hi):
-        if dims.get(n, 0) == 0 or dims.get(n + 1, 0) == 0:
-            continue
-        D = Matrix.assemble(field, layouts[n + 1], layouts[n],
-                            {(x, x): F.stalk(x).d(n) for x in order})
-        diffs[n] = _coordinates(free[n + 1], systems.get(n + 1), D @ basis[n])
-    C = CochainComplex(field, dims, diffs, lower=lo, certified_degree=cert, check=True)
-    evals = {x: {} for x in order}
-    for n, b in basis.items():
-        for x, (off, d) in layouts[n].items():
-            if d and dims.get(n, 0):
-                evals[x][n] = b.take_rows(range(off, off + d))
-    eval_maps = {x: ChainMap(C, F.stalk(x), evals[x], check=True) for x in order}
-    return SectionComplex(U, C, eval_maps, free, systems)
+    if constraints:
+        systems = {n: _constraint_system(F, constraints, layout, n)
+                   for n, layout in layouts.items() if layout.dim}
+    return SectionComplex(U, systems=systems, sheaf=F, layouts=layouts)
 
 
 def restriction_of_sections(F: Sheaf, sec_U: SectionComplex, sec_V: SectionComplex) -> ChainMap:

@@ -102,7 +102,7 @@ def test_criterion_04_oracle_equivalence():
     t0 = time.time()
     for name, t, F in suite_sheaves():
         N = F.top_degree + 3
-        C, betti = derived_sections(F, frozenset(F.poset.elements), N)
+        sec, betti = derived_sections(F, frozenset(F.poset.elements), N)
         oracle_betti = holim_replacement(F, N).betti()
         assert betti == oracle_betti, (name, t, betti, oracle_betti)
     report(4, t0, "derived sections == holim replacement on every suite instance")
@@ -122,10 +122,10 @@ def test_criterion_05_skyscraper_acyclicity():
             F = skyscraper(P, x, D)
             hyper = hypercohomology_sheaf(F, N)
             for U in P.up_sets():
-                C, betti = derived_sections(F, U, N, hyper=hyper)
+                sec, betti = derived_sections(F, U, N, hyper=hyper)
                 if x in U:
                     assert betti == {n: b for n, b in want.items()
-                                     if b and n <= C.certified_degree}, (name, x, U)
+                                     if b and n <= sec.certified_degree}, (name, x, U)
                 else:
                     assert betti == {}, (name, x, U)
     report(5, t0, "RΓ(U, skyscraper) = betti(D) iff the point lies in U")

@@ -199,6 +199,27 @@ def test_vacuous_counts_are_usage_errors():
         assert "Traceback" not in err and option in err
 
 
+def test_truncation_below_the_top_degree_is_invalid_input():
+    # every command that truncates refuses a bound below the input degrees,
+    # instead of exiting 0 with empty pages or betti numbers
+    data = str(DATA / "pseudocircle-constant.json")
+    for command, bound in (("spectral", "-3"), ("oracle", "-2"), ("cohomology", "-3")):
+        code, out, err = run_cli("--format", "json", command, data, "--max-degree", bound)
+        assert code == 2, (command, err)
+        assert out == ""
+        assert err == f"error: truncation {bound} does not cover the input degrees (top 0)\n"
+
+
+def test_check_theorem_max_degree_needs_a_file():
+    # random trials truncate at their own top degree + 4, so a bound without
+    # a file would be ignored
+    code, out, err = run_cli("--format", "json", "check-theorem", "--max-degree", "-2",
+                             "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-degree needs a problem file") and err.count("\n") == 1
+
+
 def test_import_sets_one_blas_thread_unless_the_environment_says_otherwise():
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     probe = "import os, godex; print(' '.join(os.environ[v] for v in %r))" % (names,)

@@ -1,16 +1,45 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from godex.complexes import ChainMap, CochainComplex, biproduct, is_quis, random_complex, single_complex
 from godex.cosimplicial import (
-    aw_map, bicosimplicial_from_rows, check_descent_axioms, collapse_by_extra_degeneracy,
+    alternating_coface_sum, aw_map, bicosimplicial_from_rows, check_descent_axioms,
+    collapse_by_extra_degeneracy,
     constant_cosimplicial, contractible_complex, cosimplicial_biproduct, CosimplicialMap,
     iterated_simple_map, BicosimplicialMap, lambda_map, path_object,
     random_bicosimplicial, random_cosimplicial, random_levelwise_quis, simple, simple_map,
 )
 from godex.errors import InsufficientLevels, NotCosimplicial, NotExtraDegeneracy
-from godex.exactlin import Matrix
+from godex.exactlin import GF, QQ, Matrix
+
+
+def _coface_sum_by_additions(X, p, q):
+    """The reference: one Matrix addition (and a negation) per coface."""
+    out = Matrix.zeros(X.field, X.level(p).dim(q), X.level(p - 1).dim(q))
+    for i in range(p + 1):
+        m = X.coface(p, i).component(q)
+        out = out + (m if i % 2 == 0 else m.scale(-1))
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2), QQ], ids=["F5", "F2", "Q"])
+def test_alternating_coface_sum_matches_the_addition_loop(field):
+    rng = random.Random(13)
+    zero_dims = 0
+    for _ in range(4):
+        X = random_cosimplicial(field, rng, 3, span=2, max_dim=2)
+        lows = [X.level(p).lower for p in range(X.p_max + 1)]
+        highs = [X.level(p).upper for p in range(X.p_max + 1)]
+        for p in range(1, X.p_max + 1):
+            for q in range(min(lows) - 1, max(highs) + 2):
+                got = alternating_coface_sum(X, p, q)
+                assert got == _coface_sum_by_additions(X, p, q), (p, q)
+                zero_dims += got.rows * got.cols == 0
+                if field == QQ:
+                    assert all(type(v) is Fraction for row in got.rows_list() for v in row)
+    assert zero_dims
 
 
 def test_simple_of_constant_matches_cohomology(f5):

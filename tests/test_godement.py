@@ -167,16 +167,16 @@ def test_hypercohomology_skyscraper_sections(f5):
         x = rng.choice(P.elements)
         F = skyscraper(P, x, D)
         N = D.upper + 3
-        C, betti = derived_sections(F, frozenset(P.elements), N)
+        sec, betti = derived_sections(F, frozenset(P.elements), N)
         want = {n: b for n, b in D.cohomology().betti.items()
-                if b and n <= C.certified_degree}
+                if b and n <= sec.certified_degree}
         assert betti == want
 
 
 def test_hypercohomology_pseudocircle_constant(f5):
     P = pseudocircle_poset()
     F = constant_sheaf(P, single_complex(f5, 0, 1))
-    C, betti = derived_sections(F, frozenset(P.elements), 4)
+    sec, betti = derived_sections(F, frozenset(P.elements), 4)
     assert betti == {0: 1, 1: 1}
 
 
@@ -306,10 +306,10 @@ def test_derived_sections_skyscraper_membership(f5):
     hyper = hypercohomology_sheaf(F, N)
     want = D.cohomology().betti
     for U in P.up_sets():
-        C, betti = derived_sections(F, U, N, hyper=hyper)
+        sec, betti = derived_sections(F, U, N, hyper=hyper)
         if "x" in U:
             assert betti == {n: b for n, b in want.items()
-                             if b and n <= C.certified_degree}
+                             if b and n <= sec.certified_degree}
         else:
             assert betti == {}
 
@@ -347,7 +347,7 @@ def test_derived_sections_agree_with_replacement_on_every_open(f5):
         N = F.top_degree + 3
         hyper = hypercohomology_sheaf(F, N)
         for U in P.up_sets():
-            C, betti = derived_sections(F, U, N, hyper=hyper)
+            sec, betti = derived_sections(F, U, N, hyper=hyper)
             if not U:
                 assert betti == {}
                 continue
