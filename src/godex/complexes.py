@@ -122,11 +122,21 @@ class CochainComplex:
         return self._cohomology
 
     def betti(self, up_to: int | None = None) -> dict:
-        h = self.cohomology()
-        hi = self.upper if up_to is None else up_to
-        if self.certified_degree is not None:
-            hi = min(hi, self.certified_degree)
-        return {n: h.betti[n] for n in range(self.lower, hi + 1) if h.betti.get(n, 0)}
+        return betti_from_ranks(self.dims, self.cohomology().ranks, self.lower,
+                                self.certified_degree, up_to)
+
+
+def betti_from_ranks(dims: dict, ranks: dict, lower: int, certified_degree: int | None,
+                     up_to: int | None = None) -> dict:
+    """The nonzero betti numbers dim C^n - rank d^n - rank d^{n-1}, for n from
+    `lower` to the top nonzero degree of `dims`, capped at `up_to` and at
+    `certified_degree`."""
+    hi = max((n for n, d in dims.items() if d), default=lower) if up_to is None else up_to
+    if certified_degree is not None:
+        hi = min(hi, certified_degree)
+    betti = {n: dims.get(n, 0) - ranks.get(n, 0) - ranks.get(n - 1, 0)
+             for n in range(lower, hi + 1)}
+    return {n: b for n, b in betti.items() if b}
 
 
 class CohomologyData:
@@ -135,7 +145,7 @@ class CohomologyData:
 
     Construction computes only the rank of every differential, through
     `Matrix.rank()` (sparse elimination on large sparse F_p matrices), and
-    the betti numbers dim C^n - rank d^n - rank d^{n-1}.  `cycles` (degree ->
+    the nonzero betti numbers (`betti_from_ranks`).  `cycles` (degree ->
     kernel basis) and `boundaries` (degree -> pivot columns of the incoming
     differential) are built together on first access, one elimination per
     degree.  Quotient coordinates (projection/section) are only computed
@@ -148,8 +158,7 @@ class CohomologyData:
         self.complex = C
         self.ranks = {n: C.differentials[n].rank() if n in C.differentials else 0
                       for n in C.degrees()}
-        self.betti = {n: C.dim(n) - self.ranks[n] - self.ranks.get(n - 1, 0)
-                      for n in C.degrees()}
+        self.betti = betti_from_ranks(C.dims, self.ranks, C.lower, None)
         self._cycles = None
         self._boundaries = None
         self._quotients = {}

@@ -49,11 +49,11 @@ class FilteredComplex:
     __slots__ = ("base", "k_min", "k_max", "_subspaces", "weights")
 
     def __init__(self, base: CochainComplex, subspaces: dict, k_min: int, k_max: int,
-                 check: bool = True, weights: dict | None = None):
+                 check: bool = True):
         self.base = base
         self.k_min = k_min
         self.k_max = k_max
-        self.weights = weights
+        self.weights = None
         self._subspaces = {}
         for (k, n), S in subspaces.items():
             if k_min < k <= k_max:
@@ -70,12 +70,12 @@ class FilteredComplex:
         return FilteredComplex(base, subs, k_min, k_max, check=check)
 
     @staticmethod
-    def from_blocks(base: CochainComplex, k_min: int, k_max: int,
-                    check: bool = True) -> "FilteredComplex":
+    def from_blocks(base: CochainComplex, k_min: int, k_max: int) -> "FilteredComplex":
         """The block filtration of a base with `blocks` layouts (as a
         `TotalComplex` has) whose labels begin with the filtration index p:
         F^k A^n is the span of the blocks with p >= k.  Every p must lie in
-        [k_min, k_max].  The check is the zero-block check of `validate`."""
+        [k_min, k_max], and the zero-block check of `validate` always runs:
+        the page dims of `er_page` rely on it."""
         weights = {}
         for n, layout in base.blocks.items():
             w = np.zeros(layout.dim, dtype=np.int64)
@@ -85,7 +85,10 @@ class FilteredComplex:
                         f"block {label} of degree {n} lies outside [{k_min}, {k_max}]")
                 w[off:off + d] = label[0]
             weights[n] = w
-        return FilteredComplex(base, {}, k_min, k_max, check=check, weights=weights)
+        FC = FilteredComplex(base, {}, k_min, k_max, check=False)
+        FC.weights = weights
+        FC.validate()
+        return FC
 
     @staticmethod
     def trivial(base: CochainComplex, jump: int = 0) -> "FilteredComplex":
@@ -229,15 +232,15 @@ class SpectralPage:
         r = self.r
         terms, diffs = _page_terms(self.filtered, r, self.spots)
         built = {pq: t.dim for pq, t in terms.items()}
-        if self._dims is None:
-            self._dims = built
-        elif built != self._dims:
+        if self._dims is not None and built != self._dims:
             raise InvariantError(f"page {r}: the subquotients have dims {built}, "
                                  f"the ranks give {self._dims}")
-        self._terms, self._differentials = terms, diffs
         for (p, q), m in diffs.items():
-            if not (self.differential(p + r, q - r + 1) @ m).is_zero():
+            nxt = diffs.get((p + r, q - r + 1))
+            if nxt is not None and not (nxt @ m).is_zero():
                 raise InvariantError(f"d_r ∘ d_r != 0 at {(p, q)} on page {r}")
+        self._dims = built
+        self._terms, self._differentials = terms, diffs
 
     def dim(self, p: int, q: int) -> int:
         return self._dims.get((p, q), 0)

@@ -345,9 +345,7 @@ def hypercohomology_sheaf(F: Sheaf, N: int, res: GodementResolution | None = Non
     functoriality re-check is opt-in (deep_check) since it is O(n^3) matrix
     products and is exercised by the unit tests.
     """
-    if N < F.top_degree:
-        raise InsufficientLevels(
-            f"truncation {N} does not cover the input degrees (top {F.top_degree})")
+    F.require_truncation(N)
     lo = F.lower
     p_max = max(N - lo, 0)
     if res is None or res.cosimplicial.p_max < p_max:
@@ -529,8 +527,10 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
     Γ(U, R) -> strict-replacement(R over U) is a quasi-isomorphism, where R
     is the reduced model of H_X(F); the identifications connecting the two
     formulations are exercised by the bridge test suite.  mode="auto" picks
-    by estimated size.
+    by estimated size.  Either mode refuses a truncation N below the top
+    degree of F with InsufficientLevels.
     """
+    F.require_truncation(N)
     poset = F.poset
     if mode == "auto":
         weak = len(poset.weak_chains(max(N - F.lower, 1)))
@@ -606,9 +606,7 @@ def descent_double_complex(F: Sheaf, U, N: int, res: GodementResolution | None =
     complex (`FilteredComplex.from_blocks`, checked by its zero-block check).
     """
     from .filtered import FilteredComplex
-    if N < F.top_degree:
-        raise InsufficientLevels(
-            f"truncation {N} does not cover the input degrees (top {F.top_degree})")
+    F.require_truncation(N)
     lo = F.lower
     p_max = max(N - lo, 0)
     if res is None or res.cosimplicial.p_max < p_max:

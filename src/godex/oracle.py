@@ -18,7 +18,7 @@ assert the resulting betti equalities rather than assuming them.
 from __future__ import annotations
 
 from .complexes import ChainMap, CochainComplex, min_certified
-from .errors import InsufficientLevels, InvariantError
+from .errors import InvariantError
 from .exactlin import Field, Layout, Matrix, kron
 from .site import Poset, Sheaf
 
@@ -144,9 +144,7 @@ def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> ReplacementComp
     (`replacement_complex` itself accepts it: the reduced Thomason check
     truncates the reduced model one degree below its own truncation.)
     """
-    if N < F.top_degree:
-        raise InsufficientLevels(
-            f"truncation {N} does not cover the input degrees (top {F.top_degree})")
+    F.require_truncation(N)
     return replacement_complex(F, N, strict=strict)
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone, min_certified,
-    random_complex, random_map, zero_complex,
+    ChainMap, CochainComplex, DiagramMap, betti_from_ranks, conjugate, direct_sum, mapping_cone,
+    min_certified, random_complex, random_map, zero_complex,
 )
 from .errors import (
-    FieldMismatch, InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge,
-    UnknownElement,
+    FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained, NotMonotone,
+    NotOpen, TooLarge, UnknownElement,
 )
 from .exactlin import Field, Layout, Matrix, free_columns
 
@@ -258,6 +258,12 @@ class Sheaf:
     def certified_degree(self) -> int | None:
         return min_certified(*(c.certified_degree for c in self.stalks.values()))
 
+    def require_truncation(self, N: int):
+        """Refuse a truncation N below the top degree: InsufficientLevels."""
+        if N < self.top_degree:
+            raise InsufficientLevels(
+                f"truncation {N} does not cover the input degrees (top {self.top_degree})")
+
     def validate(self):
         lows = {c.lower for c in self.stalks.values()}
         if len(lows) > 1:
@@ -433,18 +439,17 @@ def _rank_betti(F: Sheaf, layouts: dict, systems: dict) -> dict:
     """Betti numbers of Γ^n = ker S_n under the stalk differentials, by ranks.
 
     dim Γ^n = cols(S_n) - rank S_n, d has rank rank[S_n; D_n] - rank S_n on
-    Γ^n, and betti^n = dim Γ^n - rank d^n - rank d^{n-1}, over the degrees
-    and the certified degree that `CochainComplex.betti()` reads on the
-    section complex.  In each degree with Γ^n and S_{n+1} nonzero, the guard
-    rank[S_n; S_{n+1} D_n] == rank S_n says that D_n maps Γ^n into Γ^{n+1};
-    it is the rank form of the membership check of the basis path, and
-    NotContained is raised when it fails.
+    Γ^n, and betti^n = dim Γ^n - rank d^n - rank d^{n-1} (`betti_from_ranks`,
+    the helper behind `CochainComplex.betti()` of the section complex).  In
+    each degree with Γ^n and S_{n+1} nonzero, the guard rank[S_n; S_{n+1} D_n]
+    == rank S_n says that D_n maps Γ^n into Γ^{n+1}; it is the rank form of
+    the membership check of the basis path, and NotContained is raised when
+    it fails.
     """
     lo, hi = min(layouts), max(layouts)
+    cert = F.certified_degree
     rank_s = {n: S.rank() for n, S in systems.items()}
     dims = {n: layouts[n].dim - rank_s.get(n, 0) for n in range(lo, hi + 1)}
-    upper = max((n for n, d in dims.items() if d), default=lo)
-    top = upper if F.certified_degree is None else min(upper, F.certified_degree)
     ranks = {}
     for n in range(lo, hi):
         S, S1 = systems.get(n), systems.get(n + 1)
@@ -453,10 +458,9 @@ def _rank_betti(F: Sheaf, layouts: dict, systems: dict) -> dict:
         D = _stalk_differential(F, layouts, n)
         if S.vstack(S1 @ D).rank() != rank_s[n]:
             raise NotContained("family is not a compatible family of sections")
-        if dims[n + 1] and n <= top:
+        if dims[n + 1] and (cert is None or n <= cert):
             ranks[n] = S.vstack(D).rank() - rank_s[n]
-    betti = {n: dims[n] - ranks.get(n, 0) - ranks.get(n - 1, 0) for n in range(lo, top + 1)}
-    return {n: b for n, b in betti.items() if b}
+    return betti_from_ranks(dims, ranks, lo, cert)
 
 
 def _unique_minimum(poset: Poset, U: frozenset):

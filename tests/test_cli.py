@@ -203,8 +203,11 @@ def test_truncation_below_the_top_degree_is_invalid_input():
     # every command that truncates refuses a bound below the input degrees,
     # instead of exiting 0 with empty pages or betti numbers
     data = str(DATA / "pseudocircle-constant.json")
-    for command, bound in (("spectral", "-3"), ("oracle", "-2"), ("cohomology", "-3")):
-        code, out, err = run_cli("--format", "json", command, data, "--max-degree", bound)
+    for command, bound, extra in (("spectral", "-3", ()), ("oracle", "-2", ()),
+                                  ("cohomology", "-3", ()),
+                                  ("check-thomason", "-3", ("--mode", "reduced"))):
+        code, out, err = run_cli("--format", "json", command, data, "--max-degree", bound,
+                                 *extra)
         assert code == 2, (command, err)
         assert out == ""
         assert err == f"error: truncation {bound} does not cover the input degrees (top 0)\n"

@@ -199,6 +199,11 @@ def test_reading_terms_later_runs_the_dr_squared_check(monkeypatch):
     monkeypatch.setattr(filtered, "_page_terms", corrupted)
     with pytest.raises(InvariantError, match="d_r ∘ d_r"):
         page.terms
+    # a page that failed the check never hands out its unchecked terms
+    with pytest.raises(InvariantError, match="d_r ∘ d_r"):
+        page.terms
+    with pytest.raises(InvariantError, match="d_r ∘ d_r"):
+        page.homology_dims()
 
 
 def test_terms_that_disagree_with_the_rank_dims_are_refused(monkeypatch):
@@ -215,3 +220,5 @@ def test_terms_that_disagree_with_the_rank_dims_are_refused(monkeypatch):
     monkeypatch.setattr(filtered, "_page_terms", shifted)
     with pytest.raises(InvariantError, match="the ranks give"):
         page.differentials
+    with pytest.raises(InvariantError, match="the ranks give"):
+        page.terms
