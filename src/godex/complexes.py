@@ -202,33 +202,12 @@ class CohomologyData:
             self._quotients[n] = subquotient(Z, B)
         return self._quotients[n]
 
-    @property
-    def proj(self):
-        return _QuotientView(self, 1)
-
-    @property
-    def section(self):
-        return _QuotientView(self, 2)
-
     def class_representatives(self, n: int) -> Matrix:
         """Ambient-coordinate representatives of a basis of H^n."""
         Z = self.cycles.get(n)
         if Z is None:
             return Matrix.zeros(self.complex.field, self.complex.dim(n), 0)
         return Z.basis @ self.quotient(n)[2]
-
-
-class _QuotientView:
-    """Dict-like access to the lazy quotient projections/sections."""
-
-    __slots__ = ("data", "idx")
-
-    def __init__(self, data, idx):
-        self.data = data
-        self.idx = idx
-
-    def __getitem__(self, n):
-        return self.data.quotient(n)[self.idx]
 
 
 class ChainMap:

@@ -534,7 +534,10 @@ def collapse_by_extra_degeneracy(eps: ChainMap, X: CosimplicialComplex, extra: l
     `extra[n]` maps X(n) -> X(n-1) for n >= 1 and X(0) -> A for n = 0.  For
     side="bottom" the maps play the role of s^{-1}, for side="top" of
     s^{n+1}; the corresponding simplicial identities are verified and the
-    first failure raises NotExtraDegeneracy.
+    first failure raises NotExtraDegeneracy.  A top-side family is checked
+    as the bottom-side family of the mirror of X, whose d^i and s^j at
+    level p are those of X numbered p - i and p - j; the failure messages
+    use the numbering of X.
     """
     A = eps.source
     if side not in ("bottom", "top"):
@@ -542,6 +545,12 @@ def collapse_by_extra_degeneracy(eps: ChainMap, X: CosimplicialComplex, extra: l
     n_avail = len(extra) - 1
     if n_avail < 0:
         raise NotExtraDegeneracy("empty extra degeneracy family")
+    # index(i, p): the number in X of the map that the checks below call i at level p
+    index = (lambda i, p: i) if side == "bottom" else (lambda i, p: p - i)
+    e = "s^-1" if side == "bottom" else "s^top"
+    Y = X if side == "bottom" else CosimplicialComplex(
+        X.field, X.levels, {(p, i): X.coface(p, p - i) for (p, i) in X.cofaces},
+        {(p, j): X.codegeneracy(p, p - j) for (p, j) in X.codegeneracies}, X.p_max, check=False)
 
     checked = 0
 
@@ -553,40 +562,22 @@ def collapse_by_extra_degeneracy(eps: ChainMap, X: CosimplicialComplex, extra: l
 
     require(extra[0].compose(eps) == ChainMap.identity(A), "e_0 ∘ ε = id")
     top = min(n_avail, X.p_max)
-    if side == "bottom":
-        for n in range(0, top):
-            require(extra[n + 1].compose(X.coface(n + 1, 0)) == ChainMap.identity(X.level(n)),
-                    f"s^-1 d^0 = id at level {n}")
-            for i in range(1, n + 2):
-                rhs = eps.compose(extra[0]) if (n == 0 and i == 1) else \
-                    X.coface(n, i - 1).compose(extra[n])
-                require(extra[n + 1].compose(X.coface(n + 1, i)) == rhs,
-                        f"s^-1 d^{i} = d^{i-1} s^-1 at level {n}")
-        for p in range(0, top - 1):
-            for j in range(p + 1):
-                require(X.codegeneracy(p, j).compose(extra[p + 2]) ==
-                        extra[p + 1].compose(X.codegeneracy(p + 1, j + 1)),
-                        f"s^{j} s^-1 = s^-1 s^{j+1} at level {p}")
-            require(extra[p + 1].compose(extra[p + 2]) ==
-                    extra[p + 1].compose(X.codegeneracy(p + 1, 0)),
-                    f"s^-1 s^-1 = s^-1 s^0 at level {p}")
-    else:
-        for n in range(0, top):
-            require(extra[n + 1].compose(X.coface(n + 1, n + 1)) == ChainMap.identity(X.level(n)),
-                    f"s^top d^top = id at level {n}")
-            for i in range(0, n + 1):
-                rhs = eps.compose(extra[0]) if n == 0 else \
-                    X.coface(n, i).compose(extra[n])
-                require(extra[n + 1].compose(X.coface(n + 1, i)) == rhs,
-                        f"s^top d^{i} = d^{i} s^top at level {n}")
-        for p in range(0, top - 1):
-            for j in range(p + 1):
-                require(extra[p + 1].compose(X.codegeneracy(p + 1, j)) ==
-                        X.codegeneracy(p, j).compose(extra[p + 2]),
-                        f"s^top s^{j} = s^{j} s^top at level {p}")
-            require(extra[p + 1].compose(X.codegeneracy(p + 1, p + 1)) ==
-                    extra[p + 1].compose(extra[p + 2]),
-                    f"s^top s^top-codegeneracy coherence at level {p}")
+    for n in range(0, top):
+        require(extra[n + 1].compose(Y.coface(n + 1, 0)) == ChainMap.identity(X.level(n)),
+                f"{e} d^{index(0, n + 1)} = id at level {n}")
+        for i in range(1, n + 2):
+            rhs = eps.compose(extra[0]) if (n == 0 and i == 1) else \
+                Y.coface(n, i - 1).compose(extra[n])
+            require(extra[n + 1].compose(Y.coface(n + 1, i)) == rhs,
+                    f"{e} d^{index(i, n + 1)} = d^{index(i - 1, n)} {e} at level {n}")
+    for p in range(0, top - 1):
+        for j in range(p + 1):
+            require(Y.codegeneracy(p, j).compose(extra[p + 2]) ==
+                    extra[p + 1].compose(Y.codegeneracy(p + 1, j + 1)),
+                    f"s^{index(j, p)} {e} = {e} s^{index(j + 1, p + 1)} at level {p}")
+        require(extra[p + 1].compose(extra[p + 2]) ==
+                extra[p + 1].compose(Y.codegeneracy(p + 1, 0)),
+                f"{e} {e} = {e} s^{index(0, p + 1)} at level {p}")
     coaug = coaugmentation_map(eps, X)
     report = is_quis(simple_map(coaug, N))
     return CollapseCertificate(side, checked, report)

@@ -170,6 +170,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self._a.any()
 
+    def nonzero(self):
+        """The (row, column) index arrays of the nonzero entries."""
+        return np.nonzero(self._a)
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -1,22 +1,24 @@
 """Filtered complexes, spectral sequences, the filtered simple functor and
 the décalage shift.
 
-Filtrations are decreasing subspace flags, stored per (filtration index,
-degree) and saturated outside [k_min, k_max]: F^k = everything for
-k <= k_min, zero for k > k_max.  The E_r terms use the standard
-cycle-quotient convention
+A filtration is a decreasing flag, saturated outside [k_min, k_max]: F^k =
+everything for k <= k_min, zero for k > k_max.  It is held in an adapted
+basis: per degree n, an automorphism of A^n (the identity for a block or a
+trivial filtration) whose columns carry weights in [k_min, k_max], and F^k
+A^n is spanned by the columns of weight >= k.  `graded` is the base written
+in that basis, where every filtration is one by coordinates: F is
+d-compatible iff graded d has no entry from a column of weight w into a row
+of weight < w, and a map is filtered iff the same zero-block check passes on
+it in the adapted bases.  The E_r terms use the standard cycle-quotient
+convention
 
     Z_r^{p,q} = F^p A^{p+q} ∩ d^{-1}(F^{p+r} A^{p+q+1})
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2})
 
 under which E_0 is the associated graded and an E_0-isomorphism is the same
-thing as a graded quasi-isomorphism.
-
-A filtration by coordinate blocks (`FilteredComplex.from_blocks`, as the
-descent spectral sequence of `godement` has) is checked by a zero-block
-check, and `er_page` reads its dims from ranks of submatrices of d; the
-subquotients and d_r are then built only when a caller reads them.  Other
-filtrations build them at once.
+thing as a graded quasi-isomorphism.  `er_page` reads the dims from ranks of
+submatrices of graded d; the subquotients and d_r, in adapted coordinates,
+are built only when a caller reads them, and must reproduce those dims.
 """
 
 from __future__ import annotations
@@ -32,125 +34,123 @@ from .cosimplicial import (
     outer_cosimplicial, path_object, simple, simple_map,
 )
 from .errors import InvariantError, NotFiltered
-from .exactlin import GF, Layout, Matrix, Subspace, preimage, random_invertible, subquotient
+from .exactlin import GF, Matrix, Subspace, preimage, random_invertible, subquotient
+
+_NO_WEIGHTS = np.zeros(0, dtype=np.int64)
+
+
+def _lowest_break(m: Matrix, row_weights, col_weights):
+    """The least k at which m sends a column of weight >= k to a row of
+    weight < k, or None: the zero-block check of a filtered map."""
+    i, j = m.nonzero()
+    low = row_weights[i][row_weights[i] < col_weights[j]]
+    return int(low.min()) + 1 if low.size else None
 
 
 class FilteredComplex:
-    """A complex with a decreasing, exhaustive, bounded, d-compatible flag.
+    """A complex with a decreasing, exhaustive, bounded, d-compatible flag,
+    held in an adapted basis (see the module docstring).
 
-    A filtration given by subspaces (`from_bases`, or the constructor) is
-    generic.  A block filtration (`from_blocks`) is spanned by coordinate
-    blocks: `weights[n][i]` is the filtration index of coordinate i of A^n,
-    and F^k A^n is spanned by the coordinates of weight >= k.  Its
-    subspaces are built on demand, and `er_page` reads its page dims from
-    ranks.
+    `weights`, `basis` and `inverse` map a degree n to the weights of the
+    columns of the adapted basis of A^n, that basis and its inverse; a
+    degree that `basis` leaves out has the identity.  Construction runs
+    `validate`.
     """
 
-    __slots__ = ("base", "k_min", "k_max", "_subspaces", "weights")
+    __slots__ = ("base", "k_min", "k_max", "graded", "_weights", "_basis", "_inverse")
 
-    def __init__(self, base: CochainComplex, subspaces: dict, k_min: int, k_max: int,
-                 check: bool = True):
+    def __init__(self, base: CochainComplex, k_min: int, k_max: int, weights: dict,
+                 basis: dict | None = None, inverse: dict | None = None):
         self.base = base
         self.k_min = k_min
         self.k_max = k_max
-        self.weights = None
-        self._subspaces = {}
-        for (k, n), S in subspaces.items():
-            if k_min < k <= k_max:
-                self._subspaces[(k, n)] = S
-        if check:
-            self.validate()
+        self._weights = weights
+        self._basis = basis or {}
+        self._inverse = inverse or {}
+        self.graded = base
+        if self._basis:
+            self.graded = CochainComplex(
+                base.field, base.dims,
+                {n: self.inverse(n + 1) @ d @ self.basis(n) for n, d in base.differentials.items()},
+                lower=base.lower, certified_degree=base.certified_degree, check=False)
+        self.validate()
 
     @staticmethod
-    def from_bases(base: CochainComplex, bases: dict, k_min: int, k_max: int,
-                   check: bool = True) -> "FilteredComplex":
-        subs = {}
-        for (k, n), m in bases.items():
-            subs[(k, n)] = Subspace.spanned_by(base.field, base.dim(n), m)
-        return FilteredComplex(base, subs, k_min, k_max, check=check)
+    def from_bases(base: CochainComplex, bases: dict, k_min: int, k_max: int) -> "FilteredComplex":
+        """F^k A^n spanned by the columns of bases[(k, n)] for k_min < k <= k_max
+        (an absent one is zero).  The adapted basis extends F^{k_max} ⊆ … ⊆
+        F^{k_min+1} ⊆ A^n; a flag that does not decrease is refused."""
+        field = base.field
+        weights, basis, inverse = {}, {}, {}
+        for n, dim in base.dims.items():
+            B, w = Matrix.zeros(field, dim, 0), []
+            flag = [(k, bases.get((k, n), Matrix.zeros(field, dim, 0)))
+                    for k in range(k_max, k_min, -1)]
+            for k, S in flag + [(k_min, Matrix.identity(field, dim))]:
+                new = [c - B.cols for c in B.hstack(S).rref()[1] if c >= B.cols]
+                if B.cols + len(new) != S.rank():
+                    raise InvariantError(f"filtration not decreasing at (k={k + 1}, n={n})")
+                B = B.hstack(S.take_columns(new))
+                w += [k] * len(new)
+            weights[n], basis[n], inverse[n] = np.array(w, dtype=np.int64), B, B.inverse()
+        return FilteredComplex(base, k_min, k_max, weights, basis, inverse)
 
     @staticmethod
     def from_blocks(base: CochainComplex, k_min: int, k_max: int) -> "FilteredComplex":
         """The block filtration of a base with `blocks` layouts (as a
         `TotalComplex` has) whose labels begin with the filtration index p:
-        F^k A^n is the span of the blocks with p >= k.  Every p must lie in
-        [k_min, k_max], and the zero-block check of `validate` always runs:
-        the page dims of `er_page` rely on it."""
+        the adapted basis is the identity, and the coordinates of a block p
+        weigh p."""
         weights = {}
         for n, layout in base.blocks.items():
-            w = np.zeros(layout.dim, dtype=np.int64)
+            w = weights[n] = np.zeros(layout.dim, dtype=np.int64)
             for label, (off, d) in layout.items():
-                if d and not k_min <= label[0] <= k_max:
-                    raise InvariantError(
-                        f"block {label} of degree {n} lies outside [{k_min}, {k_max}]")
                 w[off:off + d] = label[0]
-            weights[n] = w
-        FC = FilteredComplex(base, {}, k_min, k_max, check=False)
-        FC.weights = weights
-        FC.validate()
-        return FC
+        return FilteredComplex(base, k_min, k_max, weights)
 
     @staticmethod
     def trivial(base: CochainComplex, jump: int = 0) -> "FilteredComplex":
         """One jump: F^k = everything for k <= jump, zero above."""
-        return FilteredComplex(base, {}, jump, jump, check=False)
+        return FilteredComplex(base, jump, jump, {n: np.full(d, jump, dtype=np.int64)
+                                                  for n, d in base.dims.items()})
+
+    def weights(self, n: int) -> np.ndarray:
+        """The weight of each column of the adapted basis of A^n."""
+        return self._weights.get(n, _NO_WEIGHTS)
+
+    def basis(self, n: int) -> Matrix:
+        """The adapted basis of A^n, as columns."""
+        return self._basis.get(n) or Matrix.identity(self.base.field, self.base.dim(n))
+
+    def inverse(self, n: int) -> Matrix:
+        return self._inverse.get(n) or Matrix.identity(self.base.field, self.base.dim(n))
 
     def columns(self, k: int, n: int) -> np.ndarray:
-        """Block filtration only: the coordinates of A^n spanning F^k A^n."""
-        w = self.weights.get(n)
-        return np.flatnonzero(w >= k) if w is not None else np.zeros(0, dtype=np.int64)
+        """The columns of the adapted basis of A^n that span F^k A^n."""
+        return np.flatnonzero(self.weights(n) >= k)
 
     def filtration(self, k: int, n: int) -> Subspace:
-        if k <= self.k_min:
-            return Subspace.full(self.base.field, self.base.dim(n))
-        if k > self.k_max:
-            return Subspace.zero(self.base.field, self.base.dim(n))
-        S = self._subspaces.get((k, n))
-        if S is None and self.weights is not None:
-            cols = self.columns(k, n).tolist()
-            basis = Matrix.identity(self.base.field, self.base.dim(n)).take_columns(cols)
-            S = self._subspaces[(k, n)] = Subspace(self.base.field, self.base.dim(n),
-                                                   basis, cols)
-        if S is None:
-            return Subspace.zero(self.base.field, self.base.dim(n))
-        return S
+        """F^k A^n in the coordinates of the base."""
+        return Subspace(self.base.field, self.base.dim(n),
+                        self.basis(n).take_columns(self.columns(k, n)))
 
     def subspaces(self) -> dict:
-        """F^k A^n for k_min < k <= k_max, keyed (k, n); zero ones may be absent."""
-        if self.weights is not None:
-            for n in self.weights:
-                for k in range(self.k_min + 1, self.k_max + 1):
-                    self.filtration(k, n)
-        return dict(self._subspaces)
+        """The nonzero F^k A^n for k_min < k <= k_max, keyed (k, n)."""
+        return {(k, n): self.filtration(k, n) for n in self.base.dims
+                for k in range(self.k_min + 1, self.k_max + 1) if self.columns(k, n).size}
 
     def validate(self):
-        base = self.base
-        if self.weights is not None:
-            # zero-block check: d^n has no entry from a block p into a block p' < p
-            for n in base.degrees():
-                d = base.d(n)
-                w = self.weights.get(n + 1)
-                for k in range(self.k_min + 1, self.k_max + 1):
-                    cols = self.columns(k, n)
-                    if w is None or not cols.size:
-                        continue
-                    if not d.take_rows(np.flatnonzero(w < k)).take_columns(cols).is_zero():
-                        raise InvariantError(f"filtration not d-compatible at (k={k}, n={n})")
-            return
-        for n in base.degrees():
-            prev = Subspace.full(base.field, base.dim(n))
-            for k in range(self.k_min + 1, self.k_max + 2):
-                cur = self.filtration(k, n)
-                if not prev.contains(cur):
-                    raise InvariantError(f"filtration not decreasing at (k={k}, n={n})")
-                prev = cur
-            for k in range(self.k_min, self.k_max + 1):
-                S = self.filtration(k, n)
-                if S.dim == 0:
-                    continue
-                img = base.d(n) @ S.basis
-                if not self.filtration(k, n + 1).contains_matrix(img):
-                    raise InvariantError(f"filtration not d-compatible at (k={k}, n={n})")
+        """Every column has a weight in [k_min, k_max], and graded d passes
+        the zero-block check."""
+        for n, dim in self.base.dims.items():
+            w = self.weights(n)
+            if w.size != dim or not (self.k_min <= w.min() and w.max() <= self.k_max):
+                raise InvariantError(f"the weights of degree {n} are missing or lie "
+                                     f"outside [{self.k_min}, {self.k_max}]")
+        for n, d in self.graded.differentials.items():
+            k = _lowest_break(d, self.weights(n + 1), self.weights(n))
+            if k is not None:
+                raise InvariantError(f"filtration not d-compatible at (k={k}, n={n})")
 
     def degrees(self):
         return self.base.degrees()
@@ -196,25 +196,22 @@ class PageTerm:
 class SpectralPage:
     """E_r with its differentials d_r : (p,q) -> (p+r, q-r+1).
 
-    `dims` holds dim E_r^{p,q} at every slot the page covers.  The terms
-    (subquotients with quotient coordinates) and d_r are built together, with
-    the check d_r ∘ d_r = 0, by `_page_terms`: at once for a generic
-    filtration, on first access of `terms` or `differentials` for a block
-    one, whose dims `er_page` reads from ranks.  A build from rank dims must
-    reproduce them.
+    `dims` holds dim E_r^{p,q} at every slot the page covers, as `er_page`
+    reads them from ranks.  The terms (subquotients with quotient
+    coordinates, in adapted coordinates) and d_r are built together by
+    `_page_terms` on first access of `terms` or `differentials`, and are
+    kept only if they reproduce `dims` and pass d_r ∘ d_r = 0.
     """
 
     __slots__ = ("r", "filtered", "spots", "_dims", "_terms", "_differentials")
 
-    def __init__(self, r, filtered, spots, dims=None):
+    def __init__(self, r, filtered, spots, dims):
         self.r = r
         self.filtered = filtered
         self.spots = spots
         self._dims = dims
         self._terms = None
         self._differentials = None
-        if dims is None:
-            self._build()
 
     @property
     def terms(self) -> dict:
@@ -232,14 +229,13 @@ class SpectralPage:
         r = self.r
         terms, diffs = _page_terms(self.filtered, r, self.spots)
         built = {pq: t.dim for pq, t in terms.items()}
-        if self._dims is not None and built != self._dims:
+        if built != self._dims:
             raise InvariantError(f"page {r}: the subquotients have dims {built}, "
                                  f"the ranks give {self._dims}")
         for (p, q), m in diffs.items():
             nxt = diffs.get((p + r, q - r + 1))
             if nxt is not None and not (nxt @ m).is_zero():
                 raise InvariantError(f"d_r ∘ d_r != 0 at {(p, q)} on page {r}")
-        self._dims = built
         self._terms, self._differentials = terms, diffs
 
     def dim(self, p: int, q: int) -> int:
@@ -270,23 +266,28 @@ class SpectralPage:
         return out
 
 
+def _coordinate_span(FC: FilteredComplex, k: int, n: int) -> Subspace:
+    """F^k A^n in adapted coordinates: the unit vectors of weight >= k."""
+    cols = FC.columns(k, n).tolist()
+    dim = FC.base.dim(n)
+    return Subspace(FC.base.field, dim, Matrix.identity(FC.base.field, dim).take_columns(cols),
+                    cols)
+
+
 def _cycle_space(FC: FilteredComplex, p: int, q: int, r: int) -> Subspace:
-    """Z_r^{p,q} = F^p A^{p+q} ∩ d^{-1}(F^{p+r} A^{p+q+1}); r = -1 gives F^p."""
+    """Z_r^{p,q} = F^p A^{p+q} ∩ d^{-1}(F^{p+r} A^{p+q+1}) in adapted
+    coordinates; r = -1 gives F^p."""
     n = p + q
-    base = FC.base
-    Fp = FC.filtration(p, n)
-    if Fp.dim == 0:
+    Fp = _coordinate_span(FC, p, n)
+    if Fp.dim == 0 or r < 0:
         return Fp
-    if r < 0:
-        return Fp
-    target = FC.filtration(p + r, n + 1)
-    pre = preimage(base.d(n), target)
-    return Fp.intersect(pre)
+    return Fp.intersect(preimage(FC.graded.d(n), _coordinate_span(FC, p + r, n + 1)))
 
 
 def _page_terms(FC: FilteredComplex, r: int, spots) -> tuple:
-    """The terms of E_r at `spots` by the cycle/boundary formula, and d_r."""
-    base = FC.base
+    """The terms of E_r at `spots` by the cycle/boundary formula, and d_r,
+    in adapted coordinates."""
+    base = FC.graded
     terms = {}
     for (p, q) in spots:
         n = p + q
@@ -319,9 +320,9 @@ def _page_terms(FC: FilteredComplex, r: int, spots) -> tuple:
 
 
 def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
-    """dim E_r^{p,q} of a block filtration at `spots`, from ranks of d.
+    """dim E_r^{p,q} at `spots`, from ranks of graded d.
 
-    With C_a the coordinates of F^a A^n, R_b those of weight < b in A^{n+1},
+    With C_a the columns of F^a A^n, R_b the rows of weight < b in A^{n+1},
     ρ(n, a, b) = rank d^n[R_b, C_a] and ρ(n, a) = rank d^n[:, C_a]:
     dim Z_s^a = |C_a| - ρ(n, a, a+s), dim dZ_s^a = ρ(n, a) - ρ(n, a, a+s),
     and dim E_r^{p,q} = Z_r^p - Z_{r-1}^{p+1} - dZ_{r-1}^{p-r+1} +
@@ -329,7 +330,7 @@ def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
     dZ_{r-1}^{p-r+1} = dZ_r^{p-r+1} (Romero–Rubio–Sergeraert).  The
     zero-block check gives ρ(n, a, b) = 0 for b <= a.
     """
-    base = FC.base
+    base = FC.graded
     memo = {}
 
     def rho(n, a, b=None):
@@ -340,8 +341,7 @@ def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
             cols = FC.columns(a, n)
             d = base.d(n)
             if b is not None:
-                w = FC.weights.get(n + 1)
-                d = d.take_rows(np.flatnonzero(w < b) if w is not None else [])
+                d = d.take_rows(np.flatnonzero(FC.weights(n + 1) < b))
             memo[key] = d.take_columns(cols).rank() if cols.size and d.rows else 0
         return memo[key]
 
@@ -365,11 +365,8 @@ def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
 
 def er_page(FC: FilteredComplex, r: int, up_to: int | None = None,
             assert_coherence: bool = False) -> SpectralPage:
-    """The E_r page by the cycle/boundary formula, with induced d_r.
-
-    On a block filtration the dims come from ranks (`_rank_dims`), and the
-    terms and d_r are built on first access (see `SpectralPage`).
-    """
+    """The E_r page: dims from ranks (`_rank_dims`), the terms and the
+    induced d_r on first access (see `SpectralPage`)."""
     if r < 0:
         raise ValueError("page index must be >= 0")
     base = FC.base
@@ -380,8 +377,7 @@ def er_page(FC: FilteredComplex, r: int, up_to: int | None = None,
         hi = min(hi, up_to)
     spots = [(p, n - p) for n in range(base.lower, hi + 1)
              for p in range(FC.k_min, FC.k_max + 1)]
-    dims = _rank_dims(FC, r, spots) if FC.weights is not None else None
-    page = SpectralPage(r, FC, spots, dims)
+    page = SpectralPage(r, FC, spots, _rank_dims(FC, r, spots))
     if assert_coherence:
         nxt = er_page(FC, r + 1, up_to=up_to)
         hom = page.homology_dims()
@@ -402,23 +398,24 @@ def e_infinity_dims(FC: FilteredComplex, up_to: int | None = None) -> dict:
     return page.dims()
 
 
-def check_filtered_map(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex):
-    """Raise NotFiltered unless f(F^k) ⊆ F^k everywhere."""
-    lo = min(src.k_min, tgt.k_min)
-    hi = max(src.k_max, tgt.k_max)
-    for n in src.base.degrees():
-        for k in range(lo, hi + 1):
-            S = src.filtration(k, n)
-            if S.dim == 0:
-                continue
-            img = f.component(n) @ S.basis
-            if not tgt.filtration(k, n).contains_matrix(img):
-                raise NotFiltered(f"map does not respect the filtration at (k={k}, n={n})")
+def check_filtered_map(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex) -> dict:
+    """Raise NotFiltered unless f(F^k) ⊆ F^k everywhere.
+
+    Returns f in the adapted bases, degree -> tgt.inverse · f · src.basis,
+    the matrices that the zero-block check runs on.
+    """
+    adapted = {}
+    for n in sorted(src.base.dims):
+        m = adapted[n] = tgt.inverse(n) @ f.component(n) @ src.basis(n)
+        k = _lowest_break(m, tgt.weights(n), src.weights(n))
+        if k is not None:
+            raise NotFiltered(f"map does not respect the filtration at (k={k}, n={n})")
+    return adapted
 
 
-def induced_page_map(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex,
-                     page_s: SpectralPage, page_t: SpectralPage) -> dict:
-    """Matrices of the induced map on matching page terms."""
+def induced_page_map(adapted: dict, page_s: SpectralPage, page_t: SpectralPage) -> dict:
+    """Matrices of the induced map on matching page terms, from the map in
+    the adapted bases that `check_filtered_map` returns."""
     out = {}
     for (p, q), t in page_s.terms.items():
         tt = page_t.terms.get((p, q))
@@ -430,7 +427,7 @@ def induced_page_map(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex,
         if t.dim == 0:
             continue
         reps = t.cycles.basis @ t.section
-        img = f.component(p + q) @ reps
+        img = adapted[p + q] @ reps
         coords = tt.cycles.coords_of(img)
         out[(p, q)] = tt.proj @ coords
     return out
@@ -443,12 +440,12 @@ def is_er_quis(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex, r: int,
     Returns (flag, per-slot dict).  Raises NotFiltered if f breaks the
     filtrations.
     """
-    check_filtered_map(f, src, tgt)
+    adapted = check_filtered_map(f, src, tgt)
     ps = er_page(src, r + 1, up_to=up_to)
     pt = er_page(tgt, r + 1, up_to=up_to)
     per = {}
     slots = set(ps.dims()) | set(pt.dims())
-    maps = induced_page_map(f, src, tgt, ps, pt)
+    maps = induced_page_map(adapted, ps, pt)
     for pq in slots:
         if ps.dim(*pq) != pt.dim(*pq):
             per[pq] = False
@@ -486,55 +483,67 @@ class CosimplicialFiltered:
     def validate(self):
         X = self.cosimplicial
         for p in range(X.p_max + 1):
-            FC = self.levels[p]
-            if FC.base != X.level(p):
+            if self.levels[p].base != X.level(p):
                 raise InvariantError(f"level {p} filtration sits on the wrong complex")
-            FC.validate()
         for (p, i), f in X.cofaces.items():
             check_filtered_map(f, self.levels[p - 1], self.levels[p])
         for (p, j), f in X.codegeneracies.items():
             check_filtered_map(f, self.levels[p + 1], self.levels[p])
 
 
+def _direct_sum(base: CochainComplex, k_min: int, k_max: int, parts: dict) -> FilteredComplex:
+    """The filtration on `base` whose A^n is the direct sum of `parts[n]`, a
+    list of (filtered complex, degree, weight shift) in the order of the
+    coordinates of A^n: shifted weights, block-diagonal bases and inverses."""
+    field = base.field
+    weights, basis, inverse = {}, {}, {}
+    for n, summands in parts.items():
+        summands = [(FC, q, s) for FC, q, s in summands if FC.base.dim(q)]
+        if not summands:
+            continue
+        sizes = [FC.base.dim(q) for FC, q, _ in summands]
+        weights[n] = np.concatenate([FC.weights(q) + s for FC, q, s in summands])
+        basis[n], inverse[n] = (
+            Matrix.assemble(field, sizes, sizes,
+                            {(i, i): block(FC, q) for i, (FC, q, _) in enumerate(summands)})
+            for block in (FilteredComplex.basis, FilteredComplex.inverse))
+    return FilteredComplex(base, k_min, k_max, weights, basis, inverse)
+
+
 def filtered_simple(XF: CosimplicialFiltered, r: int, N: int) -> FilteredComplex:
-    """(s, δ_r): total complex with δ_r(F)^k(s^n) = ⊕_{i+j=n} F^{k-ri} X(i)^j."""
+    """(s, δ_r): total complex with δ_r(F)^k(s^n) = ⊕_{i+j=n} F^{k-ri} X(i)^j,
+    held in the level bases: a column of the summand X(p)^q weighs its
+    weight in level p plus r·p."""
     X = XF.cosimplicial
     total = simple(X, N)
-    field = total.field
     k_min = min(XF.levels[p].k_min + r * p for p in range(X.p_max + 1))
     k_max = max(XF.levels[p].k_max + r * p for p in range(X.p_max + 1))
-    bases = {}
-    for n in total.dims:
-        for k in range(k_min + 1, k_max + 1):
-            cols = None
-            for (p, q) in total.blocks[n]:
-                S = XF.levels[p].filtration(k - r * p, q)
-                if S.dim == 0:
-                    continue
-                emb = total.inclusion(n, p) @ S.basis
-                cols = emb if cols is None else cols.hstack(emb)
-            if cols is not None:
-                bases[(k, n)] = cols
-    return FilteredComplex.from_bases(total, bases, k_min, k_max, check=True)
+    return _direct_sum(total, k_min, k_max,
+                       {n: [(XF.levels[p], q, r * p) for (p, q) in layout]
+                        for n, layout in total.blocks.items()})
 
 
 def decalage(FC: FilteredComplex) -> FilteredComplex:
-    """(Dec F)^k A^n = ker(d : F^{k+n} A^n -> F^{k+n} A^{n+1} / F^{k+n+1} A^{n+1})."""
+    """(Dec F)^k A^n = ker(d : F^{k+n} A^n -> F^{k+n} A^{n+1} / F^{k+n+1} A^{n+1}),
+    the kernel of graded d from the columns of weight >= k+n to the rows of
+    weight < k+n+1, carried back by the adapted basis."""
     base = FC.base
     degs = [n for n in base.degrees() if base.dim(n)]
     if not degs:
-        return FilteredComplex(base, {}, FC.k_min, FC.k_min, check=False)
+        return FilteredComplex.trivial(base, FC.k_min)
     k_min = FC.k_min - 1 - max(degs)
     k_max = FC.k_max - min(degs)
-    subs = {}
+    bases = {}
     for n in degs:
+        d = FC.graded.d(n)
         for k in range(k_min + 1, k_max + 1):
-            Fk = FC.filtration(k + n, n)
-            if Fk.dim == 0:
+            cols = FC.columns(k + n, n)
+            if not cols.size:
                 continue
-            S = Fk.intersect(preimage(base.d(n), FC.filtration(k + n + 1, n + 1)))
-            subs[(k, n)] = S
-    return FilteredComplex(base, subs, k_min, k_max, check=True)
+            rows = np.flatnonzero(FC.weights(n + 1) < k + n + 1)
+            kernel = d.take_rows(rows).take_columns(cols).kernel_matrix()
+            bases[(k, n)] = FC.basis(n).take_columns(cols) @ kernel
+    return FilteredComplex.from_bases(base, bases, k_min, k_max)
 
 
 def decalage_levelwise(XF: CosimplicialFiltered) -> CosimplicialFiltered:
@@ -553,17 +562,10 @@ def deligne_reindex(pq) -> tuple:
 # ---- randomized filtered instances -----------------------------------------
 
 
-def _transported(FC: FilteredComplex, base: CochainComplex, g: dict) -> FilteredComplex:
-    """The filtration of FC carried along the automorphisms g[n] onto `base`."""
-    return FilteredComplex.from_bases(base, {(k, n): g[n] @ S.basis
-                                             for (k, n), S in FC.subspaces().items()},
-                                      FC.k_min, FC.k_max, check=False)
-
-
 def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
                             weights=(0, 1, 2)):
-    """Random filtered complex: weight-graded blocks, then a transported
-    random automorphism (the filtration is transported along with d)."""
+    """Random filtered complex: weight-graded blocks, transported along a
+    random automorphism g, whose columns are then the adapted basis."""
     layout = []
     for w in weights:
         if rng.random() < 0.8:
@@ -582,27 +584,19 @@ def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
     base = CochainComplex(field, {n: sum(C.dim(n) for _, C in layout)
                                   for n in range(lo, hi + 1)}, diffs, lower=lo, check=False)
     k_values = [w for w, _ in layout]
-    k_min, k_max = min(k_values), max(k_values)
-    bases = {}
-    for n in range(lo, hi + 1):
-        blocks = Layout((i, C.dim(n)) for i, (w, C) in enumerate(layout))
-        for k in range(k_min + 1, k_max + 1):
-            emb = blocks.inclusion(field, [i for i, (w, _) in enumerate(layout) if w >= k])
-            if emb.cols:
-                bases[(k, n)] = emb
-    FC = FilteredComplex.from_bases(base, bases, k_min, k_max, check=False)
-    # transport along a random automorphism
+    weights = {n: np.concatenate([np.full(C.dim(n), w, dtype=np.int64) for w, C in layout])
+               for n in base.dims}
     g = {n: random_invertible(field, base.dim(n), rng) for n in base.dims}
-    out = _transported(FC, transport(base, {0: g}), g)
-    out.validate()
-    return out
+    return FilteredComplex(transport(base, {0: g}), min(k_values), max(k_values), weights,
+                           g, {n: m.inverse() for n, m in g.items()})
 
 
 def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2, max_dim: int = 2,
                                  weights=(0, 1)) -> CosimplicialFiltered:
     """Random cosimplicial filtered complex: weight-graded cosimplicial
     blocks (summand of weight w filtered by one jump at w), transported
-    along random level automorphisms."""
+    along random level automorphisms g, which carry the adapted bases B
+    to g·B."""
     parts = []
     for w in weights:
         A = random_complex(field, rng, span=rng.randint(1, span), max_dim=max_dim,
@@ -618,8 +612,12 @@ def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2, max_dim:
     g = {p: {q: random_invertible(field, X.level(p).dim(q), rng) for q in X.level(p).dims}
          for p in range(p_max + 1)}
     X2 = transport(X, g)
-    return CosimplicialFiltered(X2, {p: _transported(XF.levels[p], X2.level(p), g[p])
-                                     for p in range(p_max + 1)}, check=True)
+    levels = {}
+    for p, L in XF.levels.items():
+        levels[p] = FilteredComplex(X2.level(p), L.k_min, L.k_max, L._weights,
+                                    {q: m @ L.basis(q) for q, m in g[p].items()},
+                                    {q: L.inverse(q) @ m.inverse() for q, m in g[p].items()})
+    return CosimplicialFiltered(X2, levels, check=True)
 
 
 def constant_filtered(FCA: FilteredComplex, p_max: int) -> CosimplicialFiltered:
@@ -632,24 +630,10 @@ def path_filtered(FCA: FilteredComplex, p_max: int):
 
     Returns (P_filtered, ev0, ev1) exactly as the unfiltered path object.
     """
-    A = FCA.base
-    field = A.field
-    P, ev0, ev1 = path_object(A, p_max)
-    levels = {}
-    for n in range(p_max + 1):
-        copies = n + 2
-        base = P.level(n)
-        bases = {}
-        for q in A.dims:
-            for k in range(FCA.k_min + 1, FCA.k_max + 1):
-                S = FCA.filtration(k, q)
-                if S.dim == 0:
-                    continue
-                entries = {(t, t): S.basis for t in range(copies)}
-                bases[(k, q)] = Matrix.assemble(field, [A.dim(q)] * copies,
-                                                [S.dim] * copies, entries)
-        levels[n] = FilteredComplex.from_bases(base, bases, FCA.k_min, FCA.k_max,
-                                               check=False)
+    P, ev0, ev1 = path_object(FCA.base, p_max)
+    levels = {n: _direct_sum(P.level(n), FCA.k_min, FCA.k_max,
+                             {q: [(FCA, q, 0)] * (n + 2) for q in FCA.base.dims})
+              for n in range(p_max + 1)}
     return CosimplicialFiltered(P, levels, check=False), ev0, ev1
 
 
@@ -659,24 +643,10 @@ def filtered_cosimplicial_biproduct(XF: CosimplicialFiltered, YF: CosimplicialFi
     P, (iX, iY), (pX, pY) = cosimplicial_biproduct(X, Y)
     k_min = min(XF.levels[0].k_min, YF.levels[0].k_min)
     k_max = max(XF.levels[0].k_max, YF.levels[0].k_max)
-    levels = {}
-    for p in range(X.p_max + 1):
-        base = P.level(p)
-        bases = {}
-        for q in base.dims:
-            for k in range(k_min + 1, k_max + 1):
-                cols = None
-                SX = XF.levels[p].filtration(k, q)
-                SY = YF.levels[p].filtration(k, q)
-                if SX.dim:
-                    emb = iX.component(p).component(q) @ SX.basis
-                    cols = emb
-                if SY.dim:
-                    emb = iY.component(p).component(q) @ SY.basis
-                    cols = emb if cols is None else cols.hstack(emb)
-                if cols is not None:
-                    bases[(k, q)] = cols
-        levels[p] = FilteredComplex.from_bases(base, bases, k_min, k_max, check=False)
+    levels = {p: _direct_sum(P.level(p), k_min, k_max,
+                             {q: [(XF.levels[p], q, 0), (YF.levels[p], q, 0)]
+                              for q in P.level(p).dims})
+              for p in range(X.p_max + 1)}
     return CosimplicialFiltered(P, levels, check=False), (iX, iY), (pX, pY)
 
 
@@ -716,14 +686,8 @@ def filtered_aw(ZF: BicosimplicialFiltered, r: int, N: int):
     Z = ZF.Z
     mu = aw_map(Z, N)
     outer = outer_cosimplicial(Z, N)
-    outer_levels = {n: filtered_simple(ZF.row_filtered(n), r, N)
-                    for n in range(Z.p_max + 1)}
-    # rebase the filtrations onto the instances used by the outer total
-    rebased = {}
-    for n, FC in outer_levels.items():
-        rebased[n] = FilteredComplex(outer.level(n), FC.subspaces(),
-                                     FC.k_min, FC.k_max, check=False)
-    ssF = filtered_simple(CosimplicialFiltered(outer, rebased, check=False), r, N)
+    rows = {n: filtered_simple(ZF.row_filtered(n), r, N) for n in range(Z.p_max + 1)}
+    ssF = filtered_simple(CosimplicialFiltered(outer, rows, check=False), r, N)
     sdF = filtered_simple(ZF.diagonal_filtered(), r, N)
     check_filtered_map(mu, ssF, sdF)
     return ssF, sdF, mu
@@ -745,8 +709,7 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         SP = filtered_simple(PF, r, N)
         SX = filtered_simple(XF, r, N)
         SY = filtered_simple(YF, r, N)
-        exact = all(SP.filtration(k, n).dim ==
-                    SX.filtration(k, n).dim + SY.filtration(k, n).dim
+        exact = all(SP.columns(k, n).size == SX.columns(k, n).size + SY.columns(k, n).size
                     for n in SP.base.dims
                     for k in range(SP.k_min, SP.k_max + 2))
         trial.results["S1"] = exact
@@ -767,8 +730,9 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         lam = lambda_map(FCA.base, N)
         cF = constant_filtered(FCA, N - FCA.base.lower)
         target = filtered_simple(cF, r, N)
-        src = FilteredComplex(lam.source, FCA.subspaces(), FCA.k_min, FCA.k_max,
-                              check=False)
+        # FCA's adapted basis on the truncation that lam starts from
+        src = FilteredComplex(lam.source, FCA.k_min, FCA.k_max, FCA._weights, FCA._basis,
+                              FCA._inverse)
         flag, _ = is_er_quis(lam, src, target, r, up_to=N - 1)
         trial.results["S3"] = flag
         # S4: levelwise E_r-quis totalizes to an E_r-quis

@@ -250,17 +250,22 @@ def _parse_filtered(field: Field, spec, where: str) -> FilteredComplex:
         raise FormatError(f"missing {where}.filtration")
     k_min = _parse_int(filt.get("k_min", 0), f"{where}.filtration.k_min")
     k_max = _parse_int(filt.get("k_max", 0), f"{where}.filtration.k_max")
+    if k_min > k_max:
+        raise FormatError(f"{where}.filtration: k_min {k_min} exceeds k_max {k_max}")
     bases = {}
     subspaces = _expect(filt.get("subspaces", {}), dict, f"{where}.filtration.subspaces")
     for k, per_degree in subspaces.items():
+        index = _parse_int(k, f"{where}.filtration[{k}]")
+        if not k_min < index <= k_max:
+            raise FormatError(f"{where}.filtration[{k}]: F^{index} lies outside "
+                              f"(k_min, k_max] = ({k_min}, {k_max}]")
         for n, data in _expect(per_degree, dict, f"{where}.filtration[{k}]").items():
             if not data:
                 continue
             at = f"{where}.filtration[{k}][{n}]"
             cols = len(_expect(_expect(data, list, at)[0], list, at))
             degree = _parse_int(n, at)
-            bases[(_parse_int(k, at), degree)] = _parse_matrix(field, base.dim(degree), cols,
-                                                               data, at)
+            bases[(index, degree)] = _parse_matrix(field, base.dim(degree), cols, data, at)
     try:
         return FilteredComplex.from_bases(base, bases, k_min, k_max)
     except InvariantError as e:

@@ -223,6 +223,23 @@ def test_check_theorem_max_degree_needs_a_file():
     assert err.startswith("error: --max-degree needs a problem file") and err.count("\n") == 1
 
 
+def test_filtration_ranges_out_of_order_are_invalid_input(tmp_path):
+    # k_min above k_max, and an F^k outside (k_min, k_max], which would
+    # otherwise be dropped without a word
+    doc = json.loads((DATA / "filtered-example.json").read_text())
+    filt = doc["filtered_complex"]["filtration"]
+    given = sorted(filt["subspaces"], key=int)
+    for k_min, k_max in ((3, 1), (-5, -1), (int(given[-1]) - 3, int(given[-1]) - 1)):
+        filt["k_min"], filt["k_max"] = k_min, k_max
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for args in (("spectral", "--source", "filtered-file"), ("fmt",)):
+            code, out, err = run_cli(*args, str(path))
+            assert code == 2, (k_min, k_max, args, err)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
 def test_import_sets_one_blas_thread_unless_the_environment_says_otherwise():
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     probe = "import os, godex; print(' '.join(os.environ[v] for v in %r))" % (names,)
@@ -235,6 +252,27 @@ def test_import_sets_one_blas_thread_unless_the_environment_says_otherwise():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.split() == ["2", "1", "3"]
+
+
+def test_checks_leave_numpy_ma_unimported():
+    # numpy imports numpy.ma lazily (np.unique does, for one), which adds
+    # over a megabyte to the peak RSS the benchmark reports
+    probe = """
+import sys
+from godex.exactlin import GF
+from godex.filtered import check_descent_axioms_filtered
+from godex.godement import descent_spectral_sequence, thomason_check
+from godex.site import chain_poset, random_sheaf
+F = random_sheaf(chain_poset(3), GF(5), 500, max_dim=2, span=2)
+pages = descent_spectral_sequence(F, frozenset(F.poset.elements), 2, F.top_degree + 3)[0]
+pages[2].terms
+check_descent_axioms_filtered(1, trials=1, N=4, r=1)
+thomason_check(F, F.top_degree + 3, mode="reduced")
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_unreadable_files_are_invalid_input(tmp_path):

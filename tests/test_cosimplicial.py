@@ -275,6 +275,22 @@ def test_collapse_rejects_corrupted_family(f5):
         collapse_by_extra_degeneracy(ident, X, extra, N)
 
 
+def test_collapse_rejects_corrupted_top_family(f5):
+    rng = random.Random(13)
+    A = random_complex(f5, rng, span=2, max_dim=2)
+    while A.total_dim() == 0:
+        A = random_complex(f5, rng, span=2, max_dim=2)
+    N = 4
+    X = constant_cosimplicial(A, N)
+    ident = ChainMap.identity(A)
+    extra = [ident] * (N + 1)
+    assert collapse_by_extra_degeneracy(ident, X, extra, N, side="top").identities_checked == \
+        collapse_by_extra_degeneracy(ident, X, extra, N, side="bottom").identities_checked
+    extra[2] = ident.scale(3)
+    with pytest.raises(NotExtraDegeneracy, match=r"s\^top d\^2 = id at level 1"):
+        collapse_by_extra_degeneracy(ident, X, extra, N, side="top")
+
+
 def test_diagonal_swap_equivalence(f5):
     # quis of the two iterated totals of a bicosimplicial map agree
     rng = random.Random(14)

@@ -70,9 +70,9 @@ class _Digest:
         for p in range(XF.p_max + 1):
             FC = XF.level(p)
             self.put(FC.k_min, FC.k_max)
-            for kn in sorted(FC._subspaces):
+            for kn, S in sorted(FC.subspaces().items()):
                 self.put(kn)
-                self.matrix(FC._subspaces[kn].basis)
+                self.matrix(S.basis)
 
     def audit(self, report):
         for t in report.trials:

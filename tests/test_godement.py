@@ -4,8 +4,8 @@ import pytest
 
 import godex.exactlin as exactlin
 from godex.complexes import ChainMap, is_quis, random_complex, random_map, single_complex
-from godex.cosimplicial import collapse_by_extra_degeneracy
-from godex.errors import TooLarge
+from godex.cosimplicial import CosimplicialComplex, collapse_by_extra_degeneracy
+from godex.errors import NotExtraDegeneracy, TooLarge
 from godex.godement import (
     apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
     descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
@@ -124,6 +124,28 @@ def test_stalkwise_extra_degeneracy_pseudocircle(f5):
         eps, X, extra = stalk_extra_degeneracy(res, x)
         cert = collapse_by_extra_degeneracy(eps, X, extra, N, side="bottom")
         assert cert
+
+
+def test_mirrored_stalk_extra_degeneracy_is_top_sided(f5):
+    # reversing the order of [p] turns a bottom-side extra degeneracy into a
+    # top-side one of the mirrored object; at the points where the mirror
+    # is not X again it is no bottom-side one
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 3, max_dim=2, span=2)
+    N = 4
+    res = godement_resolution(F, N - F.lower)
+    refused = 0
+    for x in P.elements:
+        eps, X, extra = stalk_extra_degeneracy(res, x)
+        mirror = CosimplicialComplex(
+            X.field, X.levels, {(p, i): X.coface(p, p - i) for (p, i) in X.cofaces},
+            {(p, j): X.codegeneracy(p, p - j) for (p, j) in X.codegeneracies}, X.p_max)
+        assert collapse_by_extra_degeneracy(eps, mirror, extra, N, side="top")
+        try:
+            collapse_by_extra_degeneracy(eps, mirror, extra, N, side="bottom")
+        except NotExtraDegeneracy:
+            refused += 1
+    assert refused
 
 
 def test_skyscraper_resolution_extra_degeneracy_on_opens(f5):

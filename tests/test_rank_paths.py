@@ -1,11 +1,12 @@
 """The rank paths against the basis paths they replace.
 
 Betti numbers of Γ(U, F) come from ranks of the cover-constraint systems
-(`SectionComplex.betti`), and the E_r dims of a block filtration from ranks
-of submatrices of d (`er_page`).  Each is compared with the basis path it
-replaced, on inputs large enough to take the rank path, and each keeps its
-check: the membership guard of the sections, the zero-block check of
-`FilteredComplex.from_blocks`, and d_r ∘ d_r = 0 once the terms are built.
+(`SectionComplex.betti`), and the E_r dims of every filtration from ranks
+of submatrices of d in its adapted basis (`er_page`).  Each is compared
+with the basis path it replaced, on inputs large enough to take the rank
+path, and each keeps its check: the membership guard of the sections, the
+zero-block check of `FilteredComplex`, and d_r ∘ d_r = 0 once the terms are
+built.
 """
 
 import random
@@ -15,9 +16,11 @@ import pytest
 from godex import filtered
 from godex.complexes import ChainMap, CochainComplex, random_complex, single_complex
 from godex.cosimplicial import TotalComplex, random_cosimplicial, simple
-from godex.errors import InvariantError, NotContained
-from godex.exactlin import GF, QQ, Layout, Matrix
-from godex.filtered import FilteredComplex, er_page
+from godex.errors import InvariantError, NotContained, NotFiltered
+from godex.exactlin import GF, QQ, Layout, Matrix, random_invertible, random_matrix
+from godex.filtered import (
+    FilteredComplex, check_filtered_map, decalage, er_page, random_filtered_complex,
+)
 from godex.godement import derived_sections, descent_double_complex, hypercohomology_sheaf
 from godex.site import (
     Sheaf, chain_poset, constant_sheaf, point_poset, pseudocircle_poset, pseudosphere_poset,
@@ -124,19 +127,28 @@ def test_rank_guard_rejects_a_restriction_that_is_not_a_chain_map():
 
 
 def _basis_copy(FC: FilteredComplex) -> FilteredComplex:
-    """The same filtration as a generic one: its pages take the basis path."""
-    return FilteredComplex(FC.base, FC.subspaces(), FC.k_min, FC.k_max)
+    """The same filtration through `from_bases`, which builds its adapted
+    basis by extending the flag."""
+    return FilteredComplex.from_bases(FC.base, {kn: S.basis for kn, S in FC.subspaces().items()},
+                                      FC.k_min, FC.k_max)
+
+
+def _term_dims(FC, r, up_to=None):
+    """The rank dims of E_r and the dims of the subquotients `_page_terms`
+    builds at the same slots."""
+    page = er_page(FC, r, up_to=up_to)
+    terms, _ = filtered._page_terms(FC, r, page.spots)
+    return page.dims(), {pq: t.dim for pq, t in terms.items() if t.dim}
 
 
 def _compare_pages(FC, rs, up_tos):
     reference = _basis_copy(FC)
-    assert reference.weights is None
     for r in rs:
         for up_to in up_tos:
             page = er_page(FC, r, up_to=up_to)
             dims = page.dims()
             assert page._terms is None  # read from ranks
-            assert dims == er_page(reference, r, up_to=up_to).dims(), (r, up_to)
+            assert (dims, dims) == _term_dims(reference, r, up_to), (r, up_to)
             page.terms  # built on demand, and checked against the rank dims
             assert page.dims() == dims
 
@@ -222,3 +234,79 @@ def test_terms_that_disagree_with_the_rank_dims_are_refused(monkeypatch):
         page.differentials
     with pytest.raises(InvariantError, match="the ranks give"):
         page.terms
+
+
+# ---- generic filtrations: adapted bases ---------------------------------------
+
+
+FIELDS = [GF(2), F5, QQ]
+
+
+def _random_flag(field, rng, C, k_min, k_max):
+    """A random d-compatible flag on C: F^k is F^{k+1} plus random vectors
+    R_k^n and their images d R_k^{n-1}."""
+    bases = {}
+    for n in C.dims:
+        bases[(k_max + 1, n)] = Matrix.zeros(field, C.dim(n), 0)
+    for k in range(k_max, k_min, -1):
+        fresh = {n: random_matrix(field, C.dim(n), rng.randint(0, 1), rng) for n in C.dims}
+        for n in C.dims:
+            new = bases[(k + 1, n)].hstack(fresh[n])
+            if n - 1 in fresh:
+                new = new.hstack(C.d(n - 1) @ fresh[n - 1])
+            bases[(k, n)] = new
+    return FilteredComplex.from_bases(C, {kn: m for kn, m in bases.items() if kn[0] <= k_max},
+                                      k_min, k_max)
+
+
+def _assert_rank_dims_match_terms(FC):
+    width = FC.k_max - FC.k_min + 1
+    for r in range(width + 2):
+        dims, built = _term_dims(FC, r)
+        assert dims == built, r
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_page_dims_ranks_match_terms_on_random_flags(field):
+    rng = random.Random(83)
+    for _ in range(6):
+        C = random_complex(field, rng, span=3, max_dim=3)
+        FC = _random_flag(field, rng, C, -1, 2)
+        _assert_rank_dims_match_terms(FC)
+        assert _basis_copy(FC) == FC
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F2", "F5", "Q"])
+def test_page_dims_ranks_match_terms_on_transported_and_decalage(field):
+    rng = random.Random(89)
+    for _ in range(4):
+        FC = random_filtered_complex(field, rng, span=3, max_dim=2)
+        _assert_rank_dims_match_terms(FC)
+        _assert_rank_dims_match_terms(decalage(FC))
+
+
+def test_from_bases_refuses_a_flag_that_does_not_decrease():
+    C = single_complex(F5, 0, 2)
+    e0, e1 = Matrix.from_rows(F5, [[1], [0]]), Matrix.from_rows(F5, [[0], [1]])
+    FilteredComplex.from_bases(C, {(1, 0): e0.hstack(e1), (2, 0): e0}, 0, 2)
+    with pytest.raises(InvariantError, match="not decreasing at \\(k=2, n=0\\)"):
+        FilteredComplex.from_bases(C, {(1, 0): e1, (2, 0): e0}, 0, 2)
+    with pytest.raises(InvariantError, match="not decreasing"):
+        FilteredComplex.from_bases(C, {(2, 0): e0}, 0, 2)  # F^1 = 0 below F^2 != 0
+
+
+def test_check_filtered_map_catches_a_break_of_a_transported_filtration():
+    """F^1 = span(g e_0) is no coordinate line; g D g^-1 preserves it for a
+    diagonal D, g P g^-1 with P swapping e_0 and e_1 does not."""
+    C = single_complex(F5, 0, 3)
+    g = random_invertible(F5, 3, random.Random(98))
+    FC = FilteredComplex.from_bases(C, {(1, 0): g.take_columns([0])}, 0, 1)
+    assert all(FC.filtration(1, 0) != FilteredComplex.from_bases(
+        C, {(1, 0): Matrix.identity(F5, 3).take_columns([i])}, 0, 1).filtration(1, 0)
+        for i in range(3))
+    ginv = g.inverse()
+    diagonal = Matrix.from_rows(F5, [[2, 0, 0], [0, 3, 0], [0, 0, 4]])
+    check_filtered_map(ChainMap(C, C, {0: g @ diagonal @ ginv}), FC, FC)
+    swap = Matrix.from_rows(F5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(NotFiltered, match="k=1, n=0"):
+        check_filtered_map(ChainMap(C, C, {0: g @ swap @ ginv}), FC, FC)
