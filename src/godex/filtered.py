@@ -123,6 +123,7 @@ class FilteredComplex:
         return self._basis.get(n) or Matrix.identity(self.base.field, self.base.dim(n))
 
     def inverse(self, n: int) -> Matrix:
+        """The inverse of `basis(n)`."""
         return self._inverse.get(n) or Matrix.identity(self.base.field, self.base.dim(n))
 
     def columns(self, k: int, n: int) -> np.ndarray:
