@@ -191,7 +191,10 @@ def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
         return cached
     lmin = X.lower
     if lmin is None:
-        out = TotalComplex(X.field, {}, {}, lower=0, certified_degree=N - 1, check=False)
+        # a zero total keeps the levels' lower bound, which the stalks of a
+        # sheaf of totals must share
+        lower = min(lv.lower for lv in X.levels.values())
+        out = TotalComplex(X.field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
         out.cosimplicial, out.truncation, out.blocks = X, N, {}
         X._simple_cache[N] = out
         return out
@@ -256,7 +259,7 @@ class BicosimplicialComplex:
     d2[(n, m, i)]: level (n, m-1) -> (n, m);  s2[(n, m, j)]: (n, m+1) -> (n, m)
     """
 
-    __slots__ = ("field", "p_max", "q_max", "levels", "d1", "d2", "s1", "s2")
+    __slots__ = ("field", "p_max", "q_max", "levels", "d1", "d2", "s1", "s2", "_rows")
 
     def __init__(self, field, p_max, q_max, levels, d1, d2, s1, s2, check=True):
         self.field = field
@@ -267,6 +270,7 @@ class BicosimplicialComplex:
         self.d2 = d2
         self.s1 = s1
         self.s2 = s2
+        self._rows = {}
         if check:
             self.validate()
 
@@ -291,13 +295,17 @@ class BicosimplicialComplex:
                                      fam["d1"], fam["d2"], fam["s1"], fam["s2"], check=False)
 
     def row(self, n: int) -> CosimplicialComplex:
-        """The cosimplicial complex m ↦ level(n, m)."""
-        return CosimplicialComplex(
-            self.field, {m: self.level(n, m) for m in range(self.q_max + 1)},
-            {(m, i): self.d2[(n, m, i)] for m in range(1, self.q_max + 1) for i in range(m + 1)},
-            {(m, j): self.s2[(n, m, j)] for m in range(self.q_max) for j in range(m + 1)},
-            self.q_max, check=False,
-        )
+        """The cosimplicial complex m ↦ level(n, m), built once, so that its
+        simple is cached across callers."""
+        if n not in self._rows:
+            self._rows[n] = CosimplicialComplex(
+                self.field, {m: self.level(n, m) for m in range(self.q_max + 1)},
+                {(m, i): self.d2[(n, m, i)]
+                 for m in range(1, self.q_max + 1) for i in range(m + 1)},
+                {(m, j): self.s2[(n, m, j)] for m in range(self.q_max) for j in range(m + 1)},
+                self.q_max, check=False,
+            )
+        return self._rows[n]
 
     def row_coface(self, n: int, i: int) -> CosimplicialMap:
         """d_1^i as a morphism row(n-1) -> row(n)."""

@@ -16,9 +16,12 @@ convention
     E_r^{p,q} = Z_r^{p,q} / (Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2})
 
 under which E_0 is the associated graded and an E_0-isomorphism is the same
-thing as a graded quasi-isomorphism.  `er_page` reads the dims from ranks of
-submatrices of graded d; the subquotients and d_r, in adapted coordinates,
-are built only when a caller reads them, and must reproduce those dims.
+thing as a graded quasi-isomorphism.  In adapted coordinates Z_r^{p,q} is
+the kernel of one block of graded d (`_block`: the columns of weight >= p,
+the rows of weight < p+r).  `er_page` reads the dims from ranks of blocks,
+`is_er_quis` decides from ranks on block kernels, and `decalage` is spanned
+by them; the subquotients and d_r are built only when a caller reads them,
+and must reproduce those dims.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .complexes import ChainMap, CochainComplex, random_complex, transport
 from .cosimplicial import (
     AxiomAuditReport, AxiomTrial, CosimplicialComplex, aw_map, bicosimplicial_from_rows,
     constant_cosimplicial, contractible_complex, cosimplicial_biproduct, lambda_map,
-    outer_cosimplicial, path_object, simple, simple_map,
+    path_object, simple, simple_map,
 )
 from .errors import InvariantError, NotFiltered
-from .exactlin import GF, Matrix, Subspace, preimage, random_invertible, subquotient
+from .exactlin import GF, Matrix, Subspace, free_columns, random_invertible, subquotient
 
 _NO_WEIGHTS = np.zeros(0, dtype=np.int64)
 
@@ -267,22 +270,36 @@ class SpectralPage:
         return out
 
 
-def _coordinate_span(FC: FilteredComplex, k: int, n: int) -> Subspace:
-    """F^k A^n in adapted coordinates: the unit vectors of weight >= k."""
-    cols = FC.columns(k, n).tolist()
-    dim = FC.base.dim(n)
-    return Subspace(FC.base.field, dim, Matrix.identity(FC.base.field, dim).take_columns(cols),
-                    cols)
+def _block(FC: FilteredComplex, n: int, a: int, b: int | None = None) -> Matrix:
+    """Graded d^n from the columns of weight >= a (F^a A^n) to the rows of
+    weight < b (every row when b is None)."""
+    d = FC.graded.d(n).take_columns(FC.columns(a, n))
+    return d if b is None else d.take_rows(np.flatnonzero(FC.weights(n + 1) < b))
 
 
 def _cycle_space(FC: FilteredComplex, p: int, q: int, r: int) -> Subspace:
     """Z_r^{p,q} = F^p A^{p+q} ∩ d^{-1}(F^{p+r} A^{p+q+1}) in adapted
-    coordinates; r = -1 gives F^p."""
+    coordinates: the kernel of `_block(FC, p+q, p, p+r)`, embedded on the
+    columns of F^p, with the free rows of that kernel as unit rows.  For
+    r <= 0 the block is zero and Z_r = F^p."""
     n = p + q
-    Fp = _coordinate_span(FC, p, n)
-    if Fp.dim == 0 or r < 0:
-        return Fp
-    return Fp.intersect(preimage(FC.graded.d(n), _coordinate_span(FC, p + r, n + 1)))
+    field, dim = FC.base.field, FC.base.dim(n)
+    cols = FC.columns(p, n)
+    if not cols.size:
+        return Subspace.zero(field, dim)
+    block = _block(FC, n, p, p + r)
+    R, pivots = block.rref()
+    kernel = block.kernel_matrix(reduced=(R, pivots))
+    return Subspace(field, dim, Matrix.identity(field, dim).take_columns(cols) @ kernel,
+                    cols[free_columns(cols.size, pivots)])
+
+
+def _boundaries(FC: FilteredComplex, p: int, q: int, r: int) -> Matrix:
+    """Columns spanning Z_{r-1}^{p+1,q-1} + d Z_{r-1}^{p-r+1,q+r-2}, the
+    denominator of E_r^{p,q}, in adapted coordinates."""
+    lower = _cycle_space(FC, p - r + 1, q + r - 2, r - 1)
+    return _cycle_space(FC, p + 1, q - 1, r - 1).basis.hstack(
+        FC.graded.d(p + q - 1) @ lower.basis)
 
 
 def _page_terms(FC: FilteredComplex, r: int, spots) -> tuple:
@@ -296,14 +313,7 @@ def _page_terms(FC: FilteredComplex, r: int, spots) -> tuple:
         if Z.dim == 0:
             terms[(p, q)] = PageTerm(0, Z, None, None)
             continue
-        B1 = _cycle_space(FC, p + 1, q - 1, r - 1)
-        Zprev = _cycle_space(FC, p - r + 1, q + r - 2, r - 1)
-        if Zprev.dim:
-            dZ = Subspace.spanned_by(base.field, base.dim(n),
-                                     base.d(n - 1) @ Zprev.basis)
-        else:
-            dZ = Subspace.zero(base.field, base.dim(n))
-        denom = B1.add(dZ)
+        denom = Subspace.spanned_by(base.field, base.dim(n), _boundaries(FC, p, q, r))
         dim, proj, section = subquotient(Z, denom)
         terms[(p, q)] = PageTerm(dim, Z, proj, section)
     diffs = {}
@@ -323,15 +333,14 @@ def _page_terms(FC: FilteredComplex, r: int, spots) -> tuple:
 def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
     """dim E_r^{p,q} at `spots`, from ranks of graded d.
 
-    With C_a the columns of F^a A^n, R_b the rows of weight < b in A^{n+1},
-    ρ(n, a, b) = rank d^n[R_b, C_a] and ρ(n, a) = rank d^n[:, C_a]:
+    With C_a the columns of F^a A^n, ρ(n, a, b) the rank of
+    `_block(FC, n, a, b)` and ρ(n, a) that of `_block(FC, n, a)`:
     dim Z_s^a = |C_a| - ρ(n, a, a+s), dim dZ_s^a = ρ(n, a) - ρ(n, a, a+s),
     and dim E_r^{p,q} = Z_r^p - Z_{r-1}^{p+1} - dZ_{r-1}^{p-r+1} +
     dZ_r^{p-r+1}, the dZ terms from degree n-1, because Z_{r-1}^{p+1} ∩
     dZ_{r-1}^{p-r+1} = dZ_r^{p-r+1} (Romero–Rubio–Sergeraert).  The
     zero-block check gives ρ(n, a, b) = 0 for b <= a.
     """
-    base = FC.graded
     memo = {}
 
     def rho(n, a, b=None):
@@ -339,11 +348,8 @@ def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
             return 0
         key = (n, a, b)
         if key not in memo:
-            cols = FC.columns(a, n)
-            d = base.d(n)
-            if b is not None:
-                d = d.take_rows(np.flatnonzero(FC.weights(n + 1) < b))
-            memo[key] = d.take_columns(cols).rank() if cols.size and d.rows else 0
+            block = _block(FC, n, a, b)
+            memo[key] = block.rank() if block.rows and block.cols else 0
         return memo[key]
 
     def z(n, a, s):
@@ -364,8 +370,7 @@ def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
     return out
 
 
-def er_page(FC: FilteredComplex, r: int, up_to: int | None = None,
-            assert_coherence: bool = False) -> SpectralPage:
+def er_page(FC: FilteredComplex, r: int, up_to: int | None = None) -> SpectralPage:
     """The E_r page: dims from ranks (`_rank_dims`), the terms and the
     induced d_r on first access (see `SpectralPage`)."""
     if r < 0:
@@ -378,18 +383,7 @@ def er_page(FC: FilteredComplex, r: int, up_to: int | None = None,
         hi = min(hi, up_to)
     spots = [(p, n - p) for n in range(base.lower, hi + 1)
              for p in range(FC.k_min, FC.k_max + 1)]
-    page = SpectralPage(r, FC, spots, _rank_dims(FC, r, spots))
-    if assert_coherence:
-        nxt = er_page(FC, r + 1, up_to=up_to)
-        hom = page.homology_dims()
-        produced = {pq: d for pq, d in nxt.dims().items()
-                    if pq[0] + pq[1] <= (hi - 1 if hi is not None else 10 ** 9)}
-        expect = {pq: d for pq, d in hom.items()
-                  if pq[0] + pq[1] <= (hi - 1 if hi is not None else 10 ** 9)}
-        if produced != expect:
-            raise InvariantError(
-                f"page coherence fails: H(E_{r}) = {expect} but E_{r + 1} = {produced}")
-    return page
+    return SpectralPage(r, FC, spots, _rank_dims(FC, r, spots))
 
 
 def e_infinity_dims(FC: FilteredComplex, up_to: int | None = None) -> dict:
@@ -414,45 +408,29 @@ def check_filtered_map(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex) 
     return adapted
 
 
-def induced_page_map(adapted: dict, page_s: SpectralPage, page_t: SpectralPage) -> dict:
-    """Matrices of the induced map on matching page terms, from the map in
-    the adapted bases that `check_filtered_map` returns."""
-    out = {}
-    for (p, q), t in page_s.terms.items():
-        tt = page_t.terms.get((p, q))
-        if t.dim == 0 and (tt is None or tt.dim == 0):
-            continue
-        if tt is None or t.dim != tt.dim:
-            out[(p, q)] = None
-            continue
-        if t.dim == 0:
-            continue
-        reps = t.cycles.basis @ t.section
-        img = adapted[p + q] @ reps
-        coords = tt.cycles.coords_of(img)
-        out[(p, q)] = tt.proj @ coords
-    return out
-
-
 def is_er_quis(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex, r: int,
                up_to: int | None = None):
     """Is the induced map on E_{r+1} an isomorphism at every (p, q)?
 
-    Returns (flag, per-slot dict).  Raises NotFiltered if f breaks the
-    filtrations.
+    With s = r+1 and D the span of `_boundaries(tgt, p, q, s)`, f in the
+    adapted bases maps Z_s^p(src) into Z_s^p(tgt) ⊇ D, so E_s(f) is an
+    isomorphism at (p, q) iff both dims agree and rank[f Z_s^p(src) | D] -
+    rank D equals that dim.  Returns (flag, per-slot dict).  Raises
+    NotFiltered if f breaks the filtrations.
     """
     adapted = check_filtered_map(f, src, tgt)
-    ps = er_page(src, r + 1, up_to=up_to)
-    pt = er_page(tgt, r + 1, up_to=up_to)
+    s = r + 1
+    ps = er_page(src, s, up_to=up_to)
+    pt = er_page(tgt, s, up_to=up_to)
     per = {}
-    slots = set(ps.dims()) | set(pt.dims())
-    maps = induced_page_map(adapted, ps, pt)
-    for pq in slots:
-        if ps.dim(*pq) != pt.dim(*pq):
-            per[pq] = False
+    for (p, q) in set(ps.dims()) | set(pt.dims()):
+        dim = ps.dim(p, q)
+        if dim != pt.dim(p, q):
+            per[(p, q)] = False
             continue
-        m = maps.get(pq)
-        per[pq] = m is not None and m.rank() == ps.dim(*pq)
+        D = _boundaries(tgt, p, q, s)
+        image = adapted[p + q] @ _cycle_space(src, p, q, s).basis
+        per[(p, q)] = image.hstack(D).rank() - D.rank() == dim
     return all(per.values()), per
 
 
@@ -525,25 +503,16 @@ def filtered_simple(XF: CosimplicialFiltered, r: int, N: int) -> FilteredComplex
 
 
 def decalage(FC: FilteredComplex) -> FilteredComplex:
-    """(Dec F)^k A^n = ker(d : F^{k+n} A^n -> F^{k+n} A^{n+1} / F^{k+n+1} A^{n+1}),
-    the kernel of graded d from the columns of weight >= k+n to the rows of
-    weight < k+n+1, carried back by the adapted basis."""
+    """(Dec F)^k A^n = ker(d : F^{k+n} A^n -> A^{n+1} / F^{k+n+1} A^{n+1}) =
+    Z_1^{k+n, -k}, carried back by the adapted basis."""
     base = FC.base
     degs = [n for n in base.degrees() if base.dim(n)]
     if not degs:
         return FilteredComplex.trivial(base, FC.k_min)
     k_min = FC.k_min - 1 - max(degs)
     k_max = FC.k_max - min(degs)
-    bases = {}
-    for n in degs:
-        d = FC.graded.d(n)
-        for k in range(k_min + 1, k_max + 1):
-            cols = FC.columns(k + n, n)
-            if not cols.size:
-                continue
-            rows = np.flatnonzero(FC.weights(n + 1) < k + n + 1)
-            kernel = d.take_rows(rows).take_columns(cols).kernel_matrix()
-            bases[(k, n)] = FC.basis(n).take_columns(cols) @ kernel
+    bases = {(k, n): FC.basis(n) @ _cycle_space(FC, k + n, -k, 1).basis
+             for n in degs for k in range(k_min + 1, k_max + 1)}
     return FilteredComplex.from_bases(base, bases, k_min, k_max)
 
 
@@ -686,9 +655,8 @@ def filtered_aw(ZF: BicosimplicialFiltered, r: int, N: int):
     """
     Z = ZF.Z
     mu = aw_map(Z, N)
-    outer = outer_cosimplicial(Z, N)
     rows = {n: filtered_simple(ZF.row_filtered(n), r, N) for n in range(Z.p_max + 1)}
-    ssF = filtered_simple(CosimplicialFiltered(outer, rows, check=False), r, N)
+    ssF = filtered_simple(CosimplicialFiltered(mu.source.cosimplicial, rows, check=False), r, N)
     sdF = filtered_simple(ZF.diagonal_filtered(), r, N)
     check_filtered_map(mu, ssF, sdF)
     return ssF, sdF, mu

@@ -336,14 +336,14 @@ class Hypercohomology:
         self.truncation = truncation
 
 
-def hypercohomology_sheaf(F: Sheaf, N: int, res: GodementResolution | None = None,
-                          deep_check: bool = False) -> Hypercohomology:
+def hypercohomology_sheaf(F: Sheaf, N: int,
+                          res: GodementResolution | None = None) -> Hypercohomology:
     """Objectwise total complex of the Godement resolution, truncated at N.
 
     p_max = N - lower suffices: level p only contributes to total degrees
-    >= p + lower.  Every stalk complex re-asserts d∘d = 0; the full sheaf
-    functoriality re-check is opt-in (deep_check) since it is O(n^3) matrix
-    products and is exercised by the unit tests.
+    >= p + lower.  Every stalk complex re-asserts d∘d = 0; the sheaf and
+    ρ are built unchecked, since validating them is O(n^3) matrix products,
+    and `tests/test_godement.py` validates both on the suite sheaves.
     """
     F.require_truncation(N)
     lo = F.lower
@@ -358,8 +358,8 @@ def hypercohomology_sheaf(F: Sheaf, N: int, res: GodementResolution | None = Non
     for (a, b) in poset.pairs():
         comps = blockwise_map(totals[a], totals[b],
                               lambda p, q: cos.level(p).restriction(a, b).component(q))
-        restr[(a, b)] = ChainMap(totals[a], totals[b], comps, check=deep_check)
-    H = Sheaf(poset, field, dict(totals), restr, check=deep_check)
+        restr[(a, b)] = ChainMap(totals[a], totals[b], comps, check=False)
+    H = Sheaf(poset, field, dict(totals), restr, check=False)
     rho_comps = {}
     for x in poset.elements:
         Tx = totals[x]
@@ -370,7 +370,7 @@ def hypercohomology_sheaf(F: Sheaf, N: int, res: GodementResolution | None = Non
                 continue
             comps[n] = Tx.inclusion(n, 0) @ eta_x.component(n)
         rho_comps[x] = ChainMap(F.stalk(x), Tx, comps, check=True)
-    rho = SheafMap(F, H, rho_comps, check=deep_check)
+    rho = SheafMap(F, H, rho_comps, check=False)
     return Hypercohomology(F, res, H, rho, N)
 
 

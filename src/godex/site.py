@@ -318,7 +318,7 @@ class SectionComplex:
     __slots__ = ("open_set", "systems", "_sheaf", "_layouts", "_complex", "_evaluations",
                  "_free", "_betti")
 
-    def __init__(self, open_set, complex=None, evaluations=None, free=None, systems=None,
+    def __init__(self, open_set, complex=None, evaluations=None, systems=None,
                  sheaf=None, layouts=None):
         """Either the complex with its evaluations, or the sheaf, the stalk
         layouts per degree and the systems, from which they are built."""
@@ -328,7 +328,7 @@ class SectionComplex:
         self._layouts = layouts
         self._complex = complex
         self._evaluations = evaluations
-        self._free = free
+        self._free = None
         self._betti = None
 
     @property
@@ -697,30 +697,29 @@ def direct_image(f: MonotoneMap, F: Sheaf) -> Sheaf:
         raise InvariantError("sheaf lives on a different poset than the map source")
     Q = f.target
     secs = {q: sections(F, f.preimage(Q.up_set(q))) for q in Q.elements}
-    stalks = {q: secs[q].complex for q in Q.elements}
-    lows = {c.lower for c in stalks.values()}
-    if len(lows) > 1:
-        lo = min(lows)
-        stalks = {q: CochainComplex(c.field, dict(c.dims), dict(c.differentials),
-                                    lower=lo, certified_degree=c.certified_degree, check=False)
-                  for q, c in stalks.items()}
-        secs = {q: SectionComplex(secs[q].open_set, stalks[q], secs[q].evaluations,
-                                  secs[q].free, secs[q].systems)
-                for q in Q.elements}
-    restr = {}
-    for (a, b) in Q.pairs():
-        restr[(a, b)] = restriction_of_sections(F, secs[a], secs[b])
-        restr[(a, b)] = ChainMap(stalks[a], stalks[b], restr[(a, b)].components, check=False)
+    lo = min(sec.complex.lower for sec in secs.values())
+    stalks = {q: _with_lower(sec.complex, lo) for q, sec in secs.items()}
+    restr = {(a, b): ChainMap(stalks[a], stalks[b],
+                              restriction_of_sections(F, secs[a], secs[b]).components,
+                              check=False)
+             for (a, b) in Q.pairs()}
     return Sheaf(Q, F.field, stalks, restr, check=True)
 
 
 # ---- randomized sheaves ----------------------------------------------------
 
 
+def _with_lower(C: CochainComplex, lower: int) -> CochainComplex:
+    """C with its lower bound moved to `lower` (at or below its lowest
+    degree); C itself if it already has that bound."""
+    if C.lower == lower:
+        return C
+    return CochainComplex(C.field, dict(C.dims), dict(C.differentials), lower=lower,
+                          certified_degree=C.certified_degree, check=False)
+
+
 def _pad_lower(F: Sheaf, lower: int) -> Sheaf:
-    stalks = {x: CochainComplex(F.field, dict(c.dims), dict(c.differentials), lower=lower,
-                                certified_degree=c.certified_degree, check=False)
-              for x, c in F.stalks.items()}
+    stalks = {x: _with_lower(c, lower) for x, c in F.stalks.items()}
     restr = {(a, b): ChainMap(stalks[a], stalks[b], F.restriction(a, b).components, check=False)
              for (a, b) in F.poset.pairs()}
     return Sheaf(F.poset, F.field, stalks, restr, check=False)

@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+from godex import cosimplicial
 from godex.complexes import ChainMap, CochainComplex, random_complex
 from godex.cosimplicial import contractible_complex
 from godex.errors import NotFiltered
 from godex.exactlin import Matrix
 from godex.filtered import (
-    FilteredComplex, check_descent_axioms_filtered, decalage, decalage_levelwise,
-    deligne_reindex, e_infinity_dims, er_page, filtered_simple, filtrations_equal,
-    is_er_quis, random_filtered_complex, random_filtered_cosimplicial,
+    FilteredComplex, bicosimplicial_filtered_from_rows, check_descent_axioms_filtered,
+    decalage, decalage_levelwise, deligne_reindex, e_infinity_dims, er_page, filtered_aw,
+    filtered_simple, filtrations_equal, is_er_quis, random_filtered_complex,
+    random_filtered_cosimplicial,
 )
 
 
@@ -36,11 +38,19 @@ def test_two_step_filtration_of_contractible(f5):
 
 
 def test_page_coherence_and_convergence(f5):
+    """H(E_r, d_r) = E_{r+1} below the certified top, and E_∞ sums to the
+    betti numbers."""
     rng = random.Random(2)
     for _ in range(5):
         FC = random_filtered_complex(f5, rng)
+        top = FC.base.upper
+        if FC.base.certified_degree is not None:
+            top = min(top, FC.base.certified_degree)
         for r in range(3):
-            er_page(FC, r, assert_coherence=True)
+            below_top = {pq: d for pq, d in er_page(FC, r).homology_dims().items()
+                         if sum(pq) < top}
+            assert below_top == {pq: d for pq, d in er_page(FC, r + 1).dims().items()
+                                 if sum(pq) < top}, r
         einf = e_infinity_dims(FC)
         betti = FC.base.cohomology().betti
         for n in FC.base.degrees():
@@ -176,3 +186,17 @@ def test_filtered_descent_axioms(f5):
     for r in (0, 1):
         rep = check_descent_axioms_filtered(seed=10, trials=3, N=4, r=r)
         assert rep.all_pass, [t.results for t in rep.trials]
+
+
+def test_rows_are_built_once_and_filtered_aw_totals_the_outer_object_once(f5, monkeypatch):
+    rng = random.Random(11)
+    XF = random_filtered_cosimplicial(f5, rng, p_max=4, span=2, max_dim=2)
+    ZF = bicosimplicial_filtered_from_rows(XF, 4, 4)
+    assert all(ZF.Z.row(n) is ZF.Z.row(n) for n in range(ZF.Z.p_max + 1))
+    calls = []
+    outer_cosimplicial = cosimplicial.outer_cosimplicial
+    monkeypatch.setattr(cosimplicial, "outer_cosimplicial",
+                        lambda Z, N: calls.append(N) or outer_cosimplicial(Z, N))
+    ssF, _, mu = filtered_aw(ZF, 1, 4)
+    assert calls == [4]
+    assert ssF.base is mu.source

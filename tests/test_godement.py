@@ -182,6 +182,19 @@ def test_hypercohomology_point(f5):
     assert hyper.H.stalk("*").betti() == F.stalk("*").betti()
 
 
+@pytest.mark.parametrize("name", list(STANDARD_POSETS))
+def test_hypercohomology_sheaf_and_rho_validate_on_suite_sheaves(f5, name):
+    """H_X(F) and ρ are built unchecked; here they pass the full sheaf and
+    sheaf-map checks, including a common lower bound where a stalk's total
+    is zero."""
+    P = STANDARD_POSETS[name]()
+    for t in range(20):
+        F = random_sheaf(P, f5, 1000 * len(name) + t, max_dim=2, span=3)
+        hyper = hypercohomology_sheaf(F, F.top_degree + 3)
+        hyper.H.validate()
+        hyper.rho.validate()
+
+
 def test_hypercohomology_skyscraper_sections(f5):
     rng = random.Random(7)
     for P in (sierpinski_poset(), pseudocircle_poset()):

@@ -1,12 +1,13 @@
 """The rank paths against the basis paths they replace.
 
 Betti numbers of Γ(U, F) come from ranks of the cover-constraint systems
-(`SectionComplex.betti`), and the E_r dims of every filtration from ranks
-of submatrices of d in its adapted basis (`er_page`).  Each is compared
-with the basis path it replaced, on inputs large enough to take the rank
-path, and each keeps its check: the membership guard of the sections, the
-zero-block check of `FilteredComplex`, and d_r ∘ d_r = 0 once the terms are
-built.
+(`SectionComplex.betti`), the E_r dims of every filtration from ranks of
+blocks of d in its adapted basis (`er_page`), the cycle spaces Z_r from
+kernels of those blocks, and E_r-quasi-isomorphism verdicts from ranks on
+them (`is_er_quis`).  Each is compared with the basis path it replaced, on
+inputs large enough to take the rank path, and each keeps its check: the
+membership guard of the sections, the zero-block check of
+`FilteredComplex`, and d_r ∘ d_r = 0 once the terms are built.
 """
 
 import random
@@ -17,9 +18,12 @@ from godex import filtered
 from godex.complexes import ChainMap, CochainComplex, random_complex, single_complex
 from godex.cosimplicial import TotalComplex, random_cosimplicial, simple
 from godex.errors import InvariantError, NotContained, NotFiltered
-from godex.exactlin import GF, QQ, Layout, Matrix, random_invertible, random_matrix
+from godex.exactlin import (
+    GF, QQ, Layout, Matrix, Subspace, preimage, random_invertible, random_matrix,
+)
 from godex.filtered import (
-    FilteredComplex, check_filtered_map, decalage, er_page, random_filtered_complex,
+    FilteredComplex, check_descent_axioms_filtered, check_filtered_map, decalage, er_page,
+    is_er_quis, random_filtered_complex,
 )
 from godex.godement import derived_sections, descent_double_complex, hypercohomology_sheaf
 from godex.site import (
@@ -310,3 +314,143 @@ def test_check_filtered_map_catches_a_break_of_a_transported_filtration():
     swap = Matrix.from_rows(F5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(NotFiltered, match="k=1, n=0"):
         check_filtered_map(ChainMap(C, C, {0: g @ swap @ ginv}), FC, FC)
+
+
+# ---- cycle spaces and E_r-quasi-isomorphisms ------------------------------------
+
+
+def _coordinate_span(FC, k, n):
+    """F^k A^n in adapted coordinates: the unit vectors of weight >= k."""
+    dim = FC.base.dim(n)
+    return Subspace.spanned_by(FC.base.field, dim, Matrix.identity(FC.base.field, dim)
+                               .take_columns(FC.columns(k, n)))
+
+
+def _assert_cycle_spaces_match_preimages(FC):
+    """`_cycle_space` == F^p ∩ d^{-1}(F^{p+r}) on every slot, and its basis
+    is the identity on its unit rows."""
+    field = FC.base.field
+    for n in FC.base.degrees():
+        for p in range(FC.k_min, FC.k_max + 2):
+            for r in range(-1, FC.k_max - FC.k_min + 3):
+                Z = filtered._cycle_space(FC, p, n - p, r)
+                want = _coordinate_span(FC, p, n)
+                if want.dim and r >= 0:
+                    upper = _coordinate_span(FC, p + r, n + 1)
+                    want = want.intersect(preimage(FC.graded.d(n), upper))
+                assert Z == want, (p, n, r)
+                assert Z.basis.take_rows(Z.unit_rows) == Matrix.identity(field, Z.dim)
+
+
+@pytest.mark.parametrize("name", list(SUITE))
+def test_cycle_spaces_match_preimages_on_criterion_7_sheaves(name):
+    P = SUITE[name]()
+    # the preimage path takes seconds per pseudosphere filtration: one there
+    for t in ((0,) if name == "pseudosphere" else (0, 1)):
+        F = random_sheaf(P, F5, 500 + t, max_dim=2, span=2)
+        FC = descent_double_complex(F, frozenset(P.elements), F.top_degree + 3)[0]
+        _assert_cycle_spaces_match_preimages(FC)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F5], ids=["F2", "F3", "F5"])
+def test_cycle_spaces_match_preimages_on_random_filtrations(field):
+    rng = random.Random(97)
+    for _ in range(4):
+        FC = random_filtered_complex(field, rng, span=3, max_dim=2)
+        _assert_cycle_spaces_match_preimages(FC)
+        _assert_cycle_spaces_match_preimages(decalage(FC))
+        C = random_complex(field, rng, span=3, max_dim=3)
+        _assert_cycle_spaces_match_preimages(_random_flag(field, rng, C, -1, 2))
+
+
+def _reference_er_quis(f, src, tgt, r, up_to):
+    """The per-slot verdict of E_{r+1}(f) from the page terms: the matrix of
+    the induced map between matching terms, and its rank."""
+    adapted = check_filtered_map(f, src, tgt)
+    ps, pt = er_page(src, r + 1, up_to=up_to), er_page(tgt, r + 1, up_to=up_to)
+    per = {}
+    for (p, q) in set(ps.dims()) | set(pt.dims()):
+        t, tt = ps.terms.get((p, q)), pt.terms.get((p, q))
+        if t is None or tt is None or t.dim != tt.dim:
+            per[(p, q)] = False
+            continue
+        image = adapted[p + q] @ t.cycles.basis @ t.section
+        per[(p, q)] = (tt.proj @ tt.cycles.coords_of(image)).rank() == t.dim
+    return all(per.values()), per
+
+
+def _random_filtered_map(rng, src, tgt):
+    """A random filtered chain map src -> tgt: a random vector of the kernel
+    of the chain-map equations on the adapted entries whose row weight is at
+    least their column weight, carried back to the bases."""
+    field = src.base.field
+    degrees = [n for n in src.base.dims if src.base.dim(n) and tgt.base.dim(n)]
+    unknowns = [(n, i, j) for n in degrees for i, wi in enumerate(tgt.weights(n))
+                for j, wj in enumerate(src.weights(n)) if wi >= wj]
+    if not unknowns:
+        return ChainMap(src.base, tgt.base, {})
+    index = {u: k for k, u in enumerate(unknowns)}
+    rows = []
+    for n in set(src.base.dims) | set(tgt.base.dims):
+        dS, dT = src.graded.d(n), tgt.graded.d(n)
+        for i in range(tgt.base.dim(n + 1)):
+            for j in range(src.base.dim(n)):
+                row = [0] * len(unknowns)
+                for a in range(tgt.base.dim(n)):  # (dT f_n)[i, j]
+                    if (n, a, j) in index:
+                        row[index[(n, a, j)]] += dT.entry(i, a)
+                for b in range(src.base.dim(n + 1)):  # (f_{n+1} dS)[i, j]
+                    if (n + 1, i, b) in index:
+                        row[index[(n + 1, i, b)]] -= dS.entry(b, j)
+                rows.append(row)
+    K = Matrix.from_rows(field, rows).kernel_matrix() if rows else \
+        Matrix.identity(field, len(unknowns))
+    vec = K @ random_matrix(field, K.cols, 1, rng)
+    comps = {}
+    for n in degrees:
+        m = [[0] * src.base.dim(n) for _ in range(tgt.base.dim(n))]
+        for (k, i, j), u in index.items():
+            if k == n:
+                m[i][j] = vec.entry(u, 0)
+        comps[n] = tgt.basis(n) @ Matrix.from_rows(field, m) @ src.inverse(n)
+    return ChainMap(src.base, tgt.base, comps)
+
+
+def _compare_er_quis(f, src, tgt, r, up_to, counts):
+    flag, per = is_er_quis(f, src, tgt, r, up_to=up_to)
+    assert (flag, per) == _reference_er_quis(f, src, tgt, r, up_to), (r, up_to)
+    ps = er_page(src, r + 1, up_to=up_to)
+    pt = er_page(tgt, r + 1, up_to=up_to)
+    counts["slots"] += len(per)
+    counts["equal dims, no iso"] += sum(
+        1 for pq, iso in per.items() if not iso and ps.dim(*pq) == pt.dim(*pq))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), F5], ids=["F2", "F3", "F5"])
+def test_er_quis_ranks_match_induced_page_maps_on_random_filtered_maps(field):
+    rng = random.Random(101)
+    counts = {"slots": 0, "equal dims, no iso": 0}
+    for _ in range(10):
+        src = random_filtered_complex(field, rng, span=3, max_dim=2)
+        tgt = random_filtered_complex(field, rng, span=3, max_dim=2)
+        for A, B in ((src, src), (tgt, tgt), (src, tgt)):
+            f = _random_filtered_map(rng, A, B)
+            for r in (0, 1, 2):
+                for up_to in (None, max(A.base.upper, B.base.upper) - 1):
+                    _compare_er_quis(f, A, B, r, up_to, counts)
+    assert counts["slots"] >= 350 and counts["equal dims, no iso"] >= 50, counts
+
+
+def test_er_quis_ranks_match_induced_page_maps_in_the_filtered_audit(monkeypatch):
+    """Every E_r-quasi-isomorphism verdict of the filtered axiom audit."""
+    counts = {"slots": 0, "equal dims, no iso": 0}
+
+    def compared(f, src, tgt, r, up_to=None):
+        _compare_er_quis(f, src, tgt, r, up_to, counts)
+        return is_er_quis(f, src, tgt, r, up_to=up_to)
+
+    monkeypatch.setattr(filtered, "is_er_quis", compared)
+    for seed in range(1, 7):
+        for r in (0, 1, 2):
+            assert check_descent_axioms_filtered(seed, trials=2, N=4, r=r).all_pass
+    assert counts["slots"] >= 100, counts
