@@ -22,7 +22,7 @@ from .cosimplicial import (
     CosimplicialComplex, aw_map, check_descent_axioms, collapse_by_extra_degeneracy,
     lambda_map, path_object, simple, simple_map,
 )
-from .exactlin import GF, QQ, Field, Matrix, Subspace, image, kernel, preimage, subquotient
+from .exactlin import GF, QQ, Field, Matrix, Subspace, kernel, subquotient
 from .filtered import FilteredComplex, decalage, er_page, filtered_simple, is_er_quis
 from .godement import (
     derived_direct_image, derived_sections, descent_spectral_sequence,
@@ -37,7 +37,7 @@ from .site import (
 
 __all__ = [
     "Field", "GF", "QQ", "Matrix", "Subspace",
-    "kernel", "image", "preimage", "subquotient",
+    "kernel", "subquotient",
     "CochainComplex", "ChainMap", "biproduct", "is_quis",
     "CosimplicialComplex", "simple", "simple_map", "lambda_map", "aw_map",
     "path_object", "collapse_by_extra_degeneracy", "check_descent_axioms",

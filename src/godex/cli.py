@@ -136,7 +136,7 @@ def cmd_hyper(args) -> int:
 def cmd_resolve(args) -> int:
     pf = _require_sheaf(load(args.file))
     res = godement_resolution(pf.sheaf, args.level)
-    res.cosimplicial.validate()
+    res.validate()
     levels = {}
     for p in range(args.level + 1):
         lv = res.level(p)

@@ -11,8 +11,10 @@ complexes.  `transport` (along degreewise automorphisms of the levels),
 `mapping_cone`, the maps between diagrams (`DiagramMap`: one chain map per
 level, natural in the arrows) and the sampler `random_map` are written once,
 here, for all of them; each diagram class supplies `diagram()` and
-`rebuild()`.  Direct sums, total complexes and the linear systems of
-`random_map` lay their blocks out with `exactlin.Layout`.
+`rebuild()`.  Direct sums and the linear systems of `random_map` lay their
+blocks out with `exactlin.Layout`; a complex that keeps the layout of its
+summands in every degree (a total complex, a T-stalk, a cosimplicial
+replacement) is a `BlockComplex`.
 
 Cohomology is rank-only until a caller asks for more: `CohomologyData`
 computes the rank of every differential (the sparse rank of `exactlin` on
@@ -124,6 +126,20 @@ class CochainComplex:
     def betti(self, up_to: int | None = None) -> dict:
         return betti_from_ranks(self.dims, self.cohomology().ranks, self.lower,
                                 self.certified_degree, up_to)
+
+
+class BlockComplex(CochainComplex):
+    """A complex that knows its summands: blocks[n] is the `Layout` of
+    degree n, and the dimension of degree n is blocks[n].dim."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, field: Field, blocks: dict, differentials: dict,
+                 lower: int | None = None, certified_degree: int | None = None,
+                 check: bool = True):
+        self.blocks = blocks
+        super().__init__(field, {n: L.dim for n, L in blocks.items()}, differentials,
+                         lower=lower, certified_degree=certified_degree, check=check)
 
 
 def betti_from_ranks(dims: dict, ranks: dict, lower: int, certified_degree: int | None,

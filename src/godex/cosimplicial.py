@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from .complexes import (
-    ChainMap, CochainComplex, DiagramMap, biproduct, conjugate, direct_sum, is_quis,
+    BlockComplex, ChainMap, CochainComplex, DiagramMap, biproduct, conjugate, direct_sum, is_quis,
     random_complex, truncate,
 )
 from .errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
@@ -149,14 +149,14 @@ def constant_cosimplicial(A: CochainComplex, p_max: int) -> CosimplicialComplex:
 # ---- the simple functor --------------------------------------------------
 
 
-class TotalComplex(CochainComplex):
-    """s(X) with its bigraded block decomposition retained.
+class TotalComplex(BlockComplex):
+    """s(X), a block complex of the cosimplicial complex X it totals.
 
     blocks[n] is the `Layout` of degree n: label (level p, internal degree
     q) -> (offset, dim), nonzero summands only, in increasing p.
     """
 
-    __slots__ = ("cosimplicial", "truncation", "blocks")
+    __slots__ = ("cosimplicial",)
 
     def inclusion(self, n: int, p: int) -> Matrix:
         """The summand X(p)^{n-p} -> s(X)^n (no columns if it is zero)."""
@@ -195,7 +195,7 @@ def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
         # sheaf of totals must share
         lower = min(lv.lower for lv in X.levels.values())
         out = TotalComplex(X.field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
-        out.cosimplicial, out.truncation, out.blocks = X, N, {}
+        out.cosimplicial = X
         X._simple_cache[N] = out
         return out
     if X.p_max < N - lmin:
@@ -211,9 +211,8 @@ def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
         c = X.level(p).certified_degree
         if c is not None:
             cert = min(cert, c + p)
-    out = TotalComplex(X.field, {n: L.dim for n, L in blocks.items()}, diffs, lower=lmin,
-                       certified_degree=cert, check=True)
-    out.cosimplicial, out.truncation, out.blocks = X, N, blocks
+    out = TotalComplex(X.field, blocks, diffs, lower=lmin, certified_degree=cert, check=True)
+    out.cosimplicial = X
     X._simple_cache[N] = out
     return out
 

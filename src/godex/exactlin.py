@@ -80,11 +80,14 @@ class Field:
         return "Q" if self.p is None else f"F{self.p}"
 
     def element(self, value) -> Fraction | int:
-        """Canonical representative of `value` in this field."""
+        """Canonical representative of `value` in this field; ValueError for a
+        fraction whose (reduced) denominator p divides, which has none in F_p."""
         if self.p is None:
             return Fraction(value)
         if isinstance(value, Fraction):
             num, den = value.numerator % self.p, value.denominator % self.p
+            if den == 0:
+                raise ValueError(f"{value} has no value in F_{self.p}")
             return num * pow(den, self.p - 2, self.p) % self.p
         return int(value) % self.p
 
@@ -728,40 +731,10 @@ class Subspace:
             raise AmbientMismatch(f"{self.ambient_dim} vs {other.ambient_dim}")
         return self.contains_matrix(other.basis)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch(f"{self.ambient_dim} vs {other.ambient_dim}")
-        return Subspace.spanned_by(self.field, self.ambient_dim, self.basis.hstack(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch(f"{self.ambient_dim} vs {other.ambient_dim}")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        K = self.basis.hstack(other.basis).kernel_matrix()
-        vecs = self.basis @ K.take_rows(range(self.dim))
-        return Subspace.spanned_by(self.field, self.ambient_dim, vecs)
-
 
 def kernel(M: Matrix) -> Subspace:
     """The subspace {v : Mv = 0}."""
     return Subspace(M.field, M.cols, M.kernel_matrix())
-
-
-def image(M: Matrix) -> Subspace:
-    """The column space of M."""
-    return Subspace.spanned_by(M.field, M.rows, M)
-
-
-def preimage(M: Matrix, W: Subspace) -> Subspace:
-    """The subspace {v : Mv ∈ W}."""
-    if W.ambient_dim != M.rows:
-        raise AmbientMismatch(f"{W.ambient_dim} vs {M.rows}")
-    if W.dim == 0:
-        return kernel(M)
-    K = M.hstack(W.basis.scale(-1)).kernel_matrix()
-    vecs = K.take_rows(range(M.cols))
-    return Subspace.spanned_by(M.field, M.cols, vecs)
 
 
 def subquotient(Z: Subspace, B: Subspace):

@@ -30,7 +30,7 @@ import random
 
 import numpy as np
 
-from .complexes import ChainMap, CochainComplex, random_complex, transport
+from .complexes import BlockComplex, ChainMap, CochainComplex, random_complex, transport
 from .cosimplicial import (
     AxiomAuditReport, AxiomTrial, CosimplicialComplex, aw_map, bicosimplicial_from_rows,
     constant_cosimplicial, contractible_complex, cosimplicial_biproduct, lambda_map,
@@ -99,11 +99,10 @@ class FilteredComplex:
         return FilteredComplex(base, k_min, k_max, weights, basis, inverse)
 
     @staticmethod
-    def from_blocks(base: CochainComplex, k_min: int, k_max: int) -> "FilteredComplex":
-        """The block filtration of a base with `blocks` layouts (as a
-        `TotalComplex` has) whose labels begin with the filtration index p:
-        the adapted basis is the identity, and the coordinates of a block p
-        weigh p."""
+    def from_blocks(base: BlockComplex, k_min: int, k_max: int) -> "FilteredComplex":
+        """The block filtration of a block complex whose labels begin with
+        the filtration index p (a total complex): the adapted basis is the
+        identity, and the coordinates of a block p weigh p."""
         weights = {}
         for n, layout in base.blocks.items():
             w = weights[n] = np.zeros(layout.dim, dtype=np.int64)

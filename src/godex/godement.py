@@ -9,19 +9,19 @@ s^j_p = T(s^{j-1}_{p-1}).  The hypercohomology sheaf H_X(F) is the
 objectwise total complex of G•(F), truncated at a degree bound N and
 certified through N-1.
 
-Block matrices of T-stalks are assembled on layouts labelled by the
-elements of ↑x (`t_layout`), or by the flattened chains of an iterated
-T-stalk (`t_chain_layout`).  Stalks and sections of the T-iterates are
-canonically indexed by weakly increasing chains; the strict-chain
-(normalized) subobjects give a reduced model used where the literal double
-resolution is combinatorially infeasible.  The identifications backing that
-reduction are verified by the test suite (see tests/test_bridges.py), never
-assumed silently.
+Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
+matrices of T-stalks are assembled on its layouts, or on the flattened
+chains of an iterated T-stalk (`t_chain_layout`).  Stalks and sections of
+the T-iterates are canonically indexed by weakly increasing chains; the
+strict-chain (normalized) subobjects give a reduced model used where the
+literal double resolution is combinatorially infeasible.  The
+identifications backing that reduction are verified by the test suite (see
+tests/test_bridges.py), never assumed silently.
 """
 
 from __future__ import annotations
 
-from .complexes import ChainMap, CochainComplex, induced_map, is_quis, min_certified
+from .complexes import BlockComplex, ChainMap, CochainComplex, induced_map, is_quis, min_certified
 from .cosimplicial import CosimplicialComplex, alternating_coface_sum, blockwise_map, simple
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix
@@ -46,42 +46,30 @@ def _ups(poset, x) -> tuple:
 
 
 def apply_T(G: Sheaf) -> TSheaf:
-    """T(G): stalk at x is the product of the stalks over ↑x."""
+    """T(G): the stalk at x is the product of the stalks over ↑x, a block
+    complex labelled by y ∈ ↑x in every degree of G's range."""
     poset = G.poset
     field = G.field
-    ups = {x: _ups(poset, x) for x in poset.elements}
+    degrees = range(G.lower, G.top_degree + 1)
     stalks = {}
     for x in poset.elements:
-        parts = [G.stalk(y) for y in ups[x]]
-        lo = min(c.lower for c in parts)
-        hi = max((c.upper for c in parts if not c.is_zero_complex()), default=lo)
-        dims = {n: sum(c.dim(n) for c in parts) for n in range(lo, hi + 1)}
-        diffs = {}
-        for n in range(lo, hi):
-            entries = {(k, k): c.d(n) for k, c in enumerate(parts)}
-            diffs[n] = Matrix.assemble(field, [c.dim(n + 1) for c in parts],
-                                       [c.dim(n) for c in parts], entries)
-        cert = min_certified(*(c.certified_degree for c in parts))
-        stalks[x] = CochainComplex(field, dims, diffs, lower=lo,
-                                   certified_degree=cert, check=False)
+        ups = _ups(poset, x)
+        blocks = {n: Layout((y, G.stalk(y).dim(n)) for y in ups) for n in degrees}
+        diffs = {n: Matrix.assemble(field, blocks[n + 1], blocks[n],
+                                    {(y, y): G.stalk(y).d(n) for y in ups})
+                 for n in degrees[:-1] if blocks[n].dim and blocks[n + 1].dim}
+        cert = min_certified(*(G.stalk(y).certified_degree for y in ups))
+        stalks[x] = BlockComplex(field, blocks, diffs, lower=G.lower, certified_degree=cert,
+                                 check=False)
     # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
     restr = {}
     for (a, b) in poset.pairs():
-        comps = {}
-        for n in stalks[b].dims:
-            if stalks[a].dim(n) == 0:
-                continue
-            cols = Layout((y, G.stalk(y).dim(n)) for y in ups[a])
-            comps[n] = cols.projection(field, ups[b])
-        restr[(a, b)] = ChainMap(stalks[a], stalks[b], comps, check=False)
+        Ta, Tb = stalks[a], stalks[b]
+        comps = {n: Ta.blocks[n].projection(field, Tb.blocks[n]) for n in Tb.dims if Ta.dim(n)}
+        restr[(a, b)] = ChainMap(Ta, Tb, comps, check=False)
     out = TSheaf(poset, field, stalks, restr, check=False)
     out.t_base = G
     return out
-
-
-def t_layout(T: TSheaf, x, n: int) -> Layout:
-    """Block layout of (TG)_x in degree n: y ∈ ↑x -> (offset, dim G_y^n)."""
-    return Layout((y, T.t_base.stalk(y).dim(n)) for y in _ups(T.poset, x))
 
 
 def t_chain_layout(T: Sheaf, x, n: int) -> Layout:
@@ -94,7 +82,7 @@ def _t_chains(T: Sheaf, x, n: int):
     if not isinstance(T, TSheaf):
         yield (), T.stalk(x).dim(n)
         return
-    for y in _ups(T.poset, x):
+    for y in T.stalk(x).blocks.get(n, ()):
         for chain, d in _t_chains(T.t_base, y, n):
             if d:
                 yield (y,) + chain, d
@@ -127,9 +115,9 @@ def godement_nu(G: Sheaf, TG: TSheaf, TTG: TSheaf) -> SheafMap:
             if TTG.stalk(x).dim(n) == 0:
                 continue
             # (TTG)_x has a block per pair y <= z with y ∈ ↑x; keep the pairs (y, y)
-            cols = Layout(((y, z), d) for y in _ups(poset, x)
-                          for z, (_, d) in t_layout(TG, y, n).items())
-            blocks[n] = cols.projection(field, [(y, y) for y in _ups(poset, x)])
+            ups = TG.stalk(x).blocks[n]
+            cols = Layout(((y, z), d) for y in ups for z, (_, d) in TG.stalk(y).blocks[n].items())
+            blocks[n] = cols.projection(field, [(y, y) for y in ups])
         comps[x] = ChainMap(TTG.stalk(x), TG.stalk(x), blocks, check=False)
     return SheafMap(TTG, TG, comps, check=False)
 
@@ -140,17 +128,17 @@ def t_apply_map(f: SheafMap, Tsrc: TSheaf, Ttgt: TSheaf) -> SheafMap:
     field = f.source.field
     comps = {}
     for x in poset.elements:
+        S, T = Tsrc.stalk(x), Ttgt.stalk(x)
         blocks = {}
-        degrees = set(Tsrc.stalk(x).dims) & set(Ttgt.stalk(x).dims)
-        for n in degrees:
-            rows = t_layout(Ttgt, x, n)
-            blocks[n] = Matrix.assemble(field, rows, t_layout(Tsrc, x, n),
+        for n in set(S.dims) & set(T.dims):
+            rows = T.blocks[n]
+            blocks[n] = Matrix.assemble(field, rows, S.blocks[n],
                                         {(y, y): f.component(y).component(n) for y in rows})
-        comps[x] = ChainMap(Tsrc.stalk(x), Ttgt.stalk(x), blocks, check=False)
+        comps[x] = ChainMap(S, T, blocks, check=False)
     return SheafMap(Tsrc, Ttgt, comps, check=False)
 
 
-def godement_T(F: Sheaf, assert_laws: bool = True):
+def godement_T(F: Sheaf):
     """(T(F), η_F, ν_F); the triple laws are asserted exactly.
 
     ν ∘ Tη = ν ∘ ηT = id and ν ∘ Tν = ν ∘ νT, as matrix identities on the
@@ -160,100 +148,85 @@ def godement_T(F: Sheaf, assert_laws: bool = True):
     T2F = apply_T(TF)
     eta_F = godement_eta(F, TF)
     nu_F = godement_nu(F, TF, T2F)
-    if assert_laws:
-        T3F = apply_T(T2F)
-        eta_TF = godement_eta(TF, T2F)
-        t_eta = t_apply_map(eta_F, TF, T2F)
-        ident = SheafMap.identity(TF)
-        if nu_F.compose(t_eta) != ident or nu_F.compose(eta_TF) != ident:
-            raise InvariantError("triple unit laws fail")
-        nu_TF = godement_nu(TF, T2F, T3F)
-        t_nu = t_apply_map(nu_F, T3F, T2F)
-        lhs = nu_F.compose(t_nu)
-        rhs = nu_F.compose(nu_TF)
-        if lhs != rhs:
-            raise InvariantError("triple associativity law fails")
+    T3F = apply_T(T2F)
+    eta_TF = godement_eta(TF, T2F)
+    t_eta = t_apply_map(eta_F, TF, T2F)
+    ident = SheafMap.identity(TF)
+    if nu_F.compose(t_eta) != ident or nu_F.compose(eta_TF) != ident:
+        raise InvariantError("triple unit laws fail")
+    nu_TF = godement_nu(TF, T2F, T3F)
+    t_nu = t_apply_map(nu_F, T3F, T2F)
+    if nu_F.compose(t_nu) != nu_F.compose(nu_TF):
+        raise InvariantError("triple associativity law fails")
     return TF, eta_F, nu_F
 
 
 # ---- the resolution -------------------------------------------------------
 
 
-class CosimplicialSheaf:
-    """Levels of sheaves with coface/codegeneracy sheaf maps."""
+class GodementResolution:
+    """G•(F): the levels G^p F = T^{p+1} F for p = 0..p_max, with coface
+    and codegeneracy sheaf maps and the coaugmentation η : F -> G^0 F.
 
-    __slots__ = ("poset", "field", "p_max", "levels", "cofaces", "codegeneracies")
+    cofaces[(p, i)]       : level p-1 -> level p   (1 <= p <= p_max, 0 <= i <= p)
+    codegeneracies[(p, j)]: level p+1 -> level p   (0 <= p <= p_max-1, 0 <= j <= p)
+    """
 
-    def __init__(self, poset, field, levels, cofaces, codegeneracies, p_max):
-        self.poset = poset
-        self.field = field
+    __slots__ = ("sheaf", "levels", "cofaces", "codegeneracies", "eta", "p_max")
+
+    def __init__(self, sheaf, levels, cofaces, codegeneracies, eta, p_max):
+        self.sheaf = sheaf
         self.levels = levels
         self.cofaces = cofaces
         self.codegeneracies = codegeneracies
+        self.eta = eta
         self.p_max = p_max
 
-    def level(self, p) -> Sheaf:
+    def level(self, p) -> TSheaf:
         return self.levels[p]
 
     def stalkwise(self, x) -> CosimplicialComplex:
         """The cosimplicial complex of stalks at x."""
         return CosimplicialComplex(
-            self.field, {p: self.levels[p].stalk(x) for p in range(self.p_max + 1)},
+            self.sheaf.field, {p: self.levels[p].stalk(x) for p in range(self.p_max + 1)},
             {(p, i): f.component(x) for (p, i), f in self.cofaces.items()},
             {(p, j): f.component(x) for (p, j), f in self.codegeneracies.items()},
             self.p_max, check=False,
         )
 
     def validate(self):
-        for x in self.poset.elements:
+        for x in self.sheaf.poset.elements:
             self.stalkwise(x).validate()
         for f in list(self.cofaces.values()) + list(self.codegeneracies.values()):
             f.validate()
-
-
-class GodementResolution:
-    """G•(F) together with the tower of T-iterates and the coaugmentation."""
-
-    __slots__ = ("sheaf", "tower", "etas", "cosimplicial", "eta")
-
-    def __init__(self, sheaf, tower, etas, cosimplicial, eta):
-        self.sheaf = sheaf
-        self.tower = tower
-        self.etas = etas
-        self.cosimplicial = cosimplicial
-        self.eta = eta
-
-    def level(self, p) -> Sheaf:
-        return self.cosimplicial.level(p)
 
 
 def godement_resolution(F: Sheaf, p_max: int) -> GodementResolution:
     """G^p(F) = T^{p+1}(F) with d^i = T^i η T^{p-i}, s^j = T^j ν T^{p-j}.
 
     For i, j >= 1 each structure map is T of a map one level down,
-    d^i_p = T(d^{i-1}_{p-1}) and s^j_p = T(s^{j-1}_{p-1}), where d^0_0 = η_F
-    (so d^1_1 = T(η_F)); every map costs one t_apply_map.
+    d^i_p = T(d^{i-1}_{p-1}) and s^j_p = T(s^{j-1}_{p-1}), where d^1_1 =
+    T(η_F); every map costs one t_apply_map.
     """
     if p_max < 0:
         raise InsufficientLevels("p_max must be >= 0")
-    tower = [F]
+    tower = [F]  # tower[k] = T^k F, so level p is tower[p + 1]
     for _ in range(p_max + 1):
         tower.append(apply_T(tower[-1]))
-    etas = [godement_eta(tower[k], tower[k + 1]) for k in range(p_max + 1)]
-    levels = {p: tower[p + 1] for p in range(p_max + 1)}
-    cofaces = {(0, 0): etas[0]}
+    eta = godement_eta(F, tower[1])
+    cofaces = {}
     for p in range(1, p_max + 1):
-        cofaces[(p, 0)] = etas[p]
+        cofaces[(p, 0)] = godement_eta(tower[p], tower[p + 1])
         for i in range(1, p + 1):
-            cofaces[(p, i)] = t_apply_map(cofaces[(p - 1, i - 1)], tower[p], tower[p + 1])
-    del cofaces[(0, 0)]
+            below = cofaces[(p - 1, i - 1)] if p > 1 else eta
+            cofaces[(p, i)] = t_apply_map(below, tower[p], tower[p + 1])
     codegens = {}
     for p in range(p_max):
         codegens[(p, 0)] = godement_nu(tower[p], tower[p + 1], tower[p + 2])
         for j in range(1, p + 1):
             codegens[(p, j)] = t_apply_map(codegens[(p - 1, j - 1)], tower[p + 2], tower[p + 1])
-    cos = CosimplicialSheaf(F.poset, F.field, levels, cofaces, codegens, p_max)
-    return GodementResolution(F, tower, etas, cos, etas[0])
+    levels = {p: tower[p + 1] for p in range(p_max + 1)}
+    return GodementResolution(F, levels, cofaces, codegens, eta, p_max)
 
 
 def stalk_extra_degeneracy(res: GodementResolution, x):
@@ -265,27 +238,25 @@ def stalk_extra_degeneracy(res: GodementResolution, x):
     """
     F = res.sheaf
     field = F.field
-    X = res.cosimplicial.stalkwise(x)
+    X = res.stalkwise(x)
     extra = []
-    for p in range(X.p_max + 1):
-        T_here = res.tower[p + 1]
-        target = F.stalk(x) if p == 0 else res.tower[p].stalk(x)
-        comps = {n: t_layout(T_here, x, n).projection(field, [x])
-                 for n in target.dims if T_here.stalk(x).dim(n)}
+    for p in range(res.p_max + 1):
+        here = res.level(p).stalk(x)
+        target = F.stalk(x) if p == 0 else res.level(p - 1).stalk(x)
+        comps = {n: here.blocks[n].projection(field, [x]) for n in target.dims if here.dim(n)}
         extra.append(ChainMap(X.level(p), target, comps, check=False))
-    eps = res.eta.component(x)
-    return eps, X, extra
+    return res.eta.component(x), X, extra
 
 
 def skyscraper_counit(res: GodementResolution, y0) -> SheafMap:
     """For F a skyscraper-type sheaf concentrated under y0: the retraction
     T(F) -> F projecting onto the block indexed by y0."""
     F = res.sheaf
-    TF = res.tower[1]
+    TF = res.level(0)
     field = F.field
     comps = {}
     for x in F.poset.elements:
-        blocks = {n: t_layout(TF, x, n).projection(field, [y0])
+        blocks = {n: TF.stalk(x).blocks[n].projection(field, [y0])
                   for n in F.stalk(x).dims if F.poset.leq(x, y0)}
         comps[x] = ChainMap(TF.stalk(x), F.stalk(x), blocks, check=False)
     return SheafMap(TF, F, comps, check=True)
@@ -295,27 +266,22 @@ def sheaf_extra_degeneracy_top(res: GodementResolution, y0):
     """Top-side extra degeneracy family for G•(skyscraper at y0):
     extra[p] = T^p(counit)."""
     out = [skyscraper_counit(res, y0)]
-    for p in range(1, res.cosimplicial.p_max + 1):
-        prev = out[-1]
-        out.append(t_apply_map(prev, res.tower[p + 1], res.tower[p]))
+    for p in range(1, res.p_max + 1):
+        out.append(t_apply_map(out[-1], res.level(p), res.level(p - 1)))
     return out
 
 
 def resolution_sections(res: GodementResolution, U):
     """Evaluate the resolution on an open: the coaugmented cosimplicial
     complex (Γ(U, F) -> Γ(U, G•F)) with structure maps Γ(U, d^i), Γ(U, s^j)."""
-    F = res.sheaf
-    cos = res.cosimplicial
-    secs = {p: sections(cos.level(p), U) for p in range(cos.p_max + 1)}
-    sec_F = sections(F, U)
-    levels = {p: secs[p].complex for p in range(cos.p_max + 1)}
-    cofaces = {}
-    for (p, i), f in cos.cofaces.items():
-        cofaces[(p, i)] = sections_map(f, U, secs[p - 1], secs[p])
-    codegens = {}
-    for (p, j), f in cos.codegeneracies.items():
-        codegens[(p, j)] = sections_map(f, U, secs[p + 1], secs[p])
-    X = CosimplicialComplex(F.field, levels, cofaces, codegens, cos.p_max, check=False)
+    secs = {p: sections(res.level(p), U) for p in range(res.p_max + 1)}
+    sec_F = sections(res.sheaf, U)
+    levels = {p: secs[p].complex for p in range(res.p_max + 1)}
+    cofaces = {(p, i): sections_map(f, U, secs[p - 1], secs[p])
+               for (p, i), f in res.cofaces.items()}
+    codegens = {(p, j): sections_map(f, U, secs[p + 1], secs[p])
+                for (p, j), f in res.codegeneracies.items()}
+    X = CosimplicialComplex(res.sheaf.field, levels, cofaces, codegens, res.p_max, check=False)
     eps = sections_map(res.eta, U, sec_F, secs[0])
     return X, eps, sec_F
 
@@ -326,18 +292,15 @@ def resolution_sections(res: GodementResolution, U):
 class Hypercohomology:
     """H_X(F) = s G•(F) computed objectwise, with ρ_F : F -> H_X(F)."""
 
-    __slots__ = ("sheaf", "resolution", "H", "rho", "truncation")
+    __slots__ = ("resolution", "H", "rho")
 
-    def __init__(self, sheaf, resolution, H, rho, truncation):
-        self.sheaf = sheaf
+    def __init__(self, resolution, H, rho):
         self.resolution = resolution
         self.H = H
         self.rho = rho
-        self.truncation = truncation
 
 
-def hypercohomology_sheaf(F: Sheaf, N: int,
-                          res: GodementResolution | None = None) -> Hypercohomology:
+def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
     """Objectwise total complex of the Godement resolution, truncated at N.
 
     p_max = N - lower suffices: level p only contributes to total degrees
@@ -346,48 +309,34 @@ def hypercohomology_sheaf(F: Sheaf, N: int,
     and `tests/test_godement.py` validates both on the suite sheaves.
     """
     F.require_truncation(N)
-    lo = F.lower
-    p_max = max(N - lo, 0)
-    if res is None or res.cosimplicial.p_max < p_max:
-        res = godement_resolution(F, p_max)
-    cos = res.cosimplicial
+    res = godement_resolution(F, max(N - F.lower, 0))
     poset = F.poset
-    field = F.field
-    totals = {x: simple(cos.stalkwise(x), N) for x in poset.elements}
+    totals = {x: simple(res.stalkwise(x), N) for x in poset.elements}
     restr = {}
     for (a, b) in poset.pairs():
         comps = blockwise_map(totals[a], totals[b],
-                              lambda p, q: cos.level(p).restriction(a, b).component(q))
+                              lambda p, q: res.level(p).restriction(a, b).component(q))
         restr[(a, b)] = ChainMap(totals[a], totals[b], comps, check=False)
-    H = Sheaf(poset, field, dict(totals), restr, check=False)
+    H = Sheaf(poset, F.field, dict(totals), restr, check=False)
     rho_comps = {}
     for x in poset.elements:
         Tx = totals[x]
         eta_x = res.eta.component(x)
-        comps = {}
-        for n in F.stalk(x).dims:
-            if Tx.dim(n) == 0:
-                continue
-            comps[n] = Tx.inclusion(n, 0) @ eta_x.component(n)
+        comps = {n: Tx.inclusion(n, 0) @ eta_x.component(n) for n in F.stalk(x).dims if Tx.dim(n)}
         rho_comps[x] = ChainMap(F.stalk(x), Tx, comps, check=True)
-    rho = SheafMap(F, H, rho_comps, check=False)
-    return Hypercohomology(F, res, H, rho, N)
+    return Hypercohomology(res, H, SheafMap(F, H, rho_comps, check=False))
 
 
-def hypercohomology_map(f: SheafMap, N: int,
-                        hyper_src: Hypercohomology | None = None,
-                        hyper_tgt: Hypercohomology | None = None):
+def hypercohomology_map(f: SheafMap, N: int, hyper_src: Hypercohomology | None = None):
     """H_X(f) : H_X(F) -> H_X(G), blockwise T^{p+1}(f)."""
     if hyper_src is None:
         hyper_src = hypercohomology_sheaf(f.source, N)
-    if hyper_tgt is None:
-        hyper_tgt = hypercohomology_sheaf(f.target, N)
+    hyper_tgt = hypercohomology_sheaf(f.target, N)
     rs, rt = hyper_src.resolution, hyper_tgt.resolution
-    p_max = min(rs.cosimplicial.p_max, rt.cosimplicial.p_max)
     level_maps = []
     g = f
-    for p in range(p_max + 1):
-        g = t_apply_map(g, rs.tower[p + 1], rt.tower[p + 1])
+    for p in range(min(rs.p_max, rt.p_max) + 1):
+        g = t_apply_map(g, rs.level(p), rt.level(p))
         level_maps.append(g)
     comps = {}
     for x in f.source.poset.elements:
@@ -420,7 +369,7 @@ class EquivalenceReport:
                 f"witnesses={self.witnesses}, certified={self.certified_degree}, mode={self.mode})")
 
 
-def equivalence_check(f: SheafMap, kind: str, opens=None, up_to: int | None = None) -> EquivalenceReport:
+def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
     """kind="local": quasi-isomorphism on every stalk.
     kind="global": quasi-isomorphism on the sections over every open
     (enumerated up to the cap unless `opens` is supplied)."""
@@ -429,15 +378,14 @@ def equivalence_check(f: SheafMap, kind: str, opens=None, up_to: int | None = No
     cert = None
     if kind == "local":
         for x in poset.elements:
-            r = is_quis(f.component(x), up_to=up_to)
+            r = is_quis(f.component(x))
             cert = min_certified(cert, r.certified_degree)
             witnesses.extend((x, n) for n in r.failures())
     elif kind == "global":
         if opens is None:
             opens = poset.up_sets()
         for U in opens:
-            g = sections_map(f, U)
-            r = is_quis(g, up_to=up_to)
+            r = is_quis(sections_map(f, U))
             cert = min_certified(cert, r.certified_degree)
             label = tuple(sorted(map(str, U)))
             witnesses.extend((label, n) for n in r.failures())
@@ -485,7 +433,7 @@ def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
             # columns: strict chains; rows: flattened weak-chain slots of H_x
             cols = Rx.blocks[n]
             rows = Layout(((p, chain), d) for (p, q) in Hx.blocks[n]
-                          for chain, (_, d) in t_chain_layout(res.tower[p + 1], x, q).items())
+                          for chain, (_, d) in t_chain_layout(res.level(p), x, q).items())
             if any(rows[c][1] != d for c, (_, d) in cols.items()):
                 raise InvariantError("reduced model block mismatch")
             blocks[n] = rows.inclusion(field, cols)
@@ -509,7 +457,7 @@ def stalk_commutation_check(F: Sheaf, N: int, hyper: Hypercohomology | None = No
     witnesses = []
     for x in F.poset.elements:
         lhs = hyper.H.stalk(x)
-        rhs = simple(hyper.resolution.cosimplicial.stalkwise(x), N)
+        rhs = simple(hyper.resolution.stalkwise(x), N)
         for n in set(lhs.dims) | set(rhs.dims):
             if lhs.dim(n) != rhs.dim(n) or lhs.d(n) != rhs.d(n):
                 witnesses.append((x, n))
@@ -517,8 +465,7 @@ def stalk_commutation_check(F: Sheaf, N: int, hyper: Hypercohomology | None = No
 
 
 def thomason_check(F: Sheaf, N: int, mode: str = "auto",
-                   hyper: Hypercohomology | None = None,
-                   opens=None) -> EquivalenceReport:
+                   hyper: Hypercohomology | None = None) -> EquivalenceReport:
     """Does H_X(F) satisfy Thomason descent (ρ_{H_X(F)} a global equivalence)?
 
     mode="literal" builds H_X(H_X(F)) outright and checks on sections; this
@@ -538,16 +485,13 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
     if mode == "literal":
         if hyper is None:
             hyper = hypercohomology_sheaf(F, N)
-        hyper2 = hypercohomology_sheaf(hyper.H, N)
-        rep = equivalence_check(hyper2.rho, "global", opens=opens)
+        rep = equivalence_check(hypercohomology_sheaf(hyper.H, N).rho, "global")
         return EquivalenceReport("global", rep.verdict, rep.witnesses,
                                  rep.certified_degree, mode="literal")
     R = reduced_hypercohomology(F, N)
     witnesses = []
     cert = None
-    if opens is None:
-        opens = poset.up_sets()
-    for U in opens:
+    for U in poset.up_sets():
         sec = sections(R, U)
         repl = replacement_complex(R, N - 1, strict=True, within=U)
         eps = coaugmentation_into_replacement(R, sec, repl)
@@ -597,7 +541,7 @@ def cohomology_sheaf(F: Sheaf, q: int) -> Sheaf:
     return Sheaf(poset, field, stalks, restr, check=True)
 
 
-def descent_double_complex(F: Sheaf, U, N: int, res: GodementResolution | None = None):
+def descent_double_complex(F: Sheaf, U, N: int):
     """The column-filtered double complex Γ(U, G•F) as a FilteredComplex.
 
     Columns are the sections of the resolution levels; the total differential
@@ -607,21 +551,18 @@ def descent_double_complex(F: Sheaf, U, N: int, res: GodementResolution | None =
     """
     from .filtered import FilteredComplex
     F.require_truncation(N)
-    lo = F.lower
-    p_max = max(N - lo, 0)
-    if res is None or res.cosimplicial.p_max < p_max:
-        res = godement_resolution(F, p_max)
+    p_max = max(N - F.lower, 0)
+    res = godement_resolution(F, p_max)
     X, eps, sec_F = resolution_sections(res, U)
     total = simple(X, N)
     FC = FilteredComplex.from_blocks(total, k_min=0, k_max=p_max)
     return FC, total, eps, res
 
 
-def descent_spectral_sequence(F: Sheaf, U, r_max: int, N: int,
-                              res: GodementResolution | None = None):
+def descent_spectral_sequence(F: Sheaf, U, r_max: int, N: int):
     """E_r pages of the column filtration of Γ(U, G•F), r = 0..r_max."""
     from .filtered import er_page
-    FC, total, eps, res = descent_double_complex(F, U, N, res=res)
+    FC, total, eps, res = descent_double_complex(F, U, N)
     return [er_page(FC, r) for r in range(r_max + 1)], FC, total, res
 
 
@@ -650,16 +591,16 @@ def independent_e2_dims(F: Sheaf, U, N: int) -> dict:
     return out
 
 
-def localeq_verdicts(f: SheafMap, N: int, opens=None) -> dict:
+def localeq_verdicts(f: SheafMap, N: int) -> dict:
     """The three equivalent predicates: f local equivalence, T(f) global,
     H_X(f) global.  Returns their verdicts; they must agree pairwise."""
     local = equivalence_check(f, "local")
     TF = apply_T(f.source)
     TG = apply_T(f.target)
     tf = t_apply_map(f, TF, TG)
-    t_global = equivalence_check(tf, "global", opens=opens)
+    t_global = equivalence_check(tf, "global")
     hf, _, _ = hypercohomology_map(f, N)
-    h_global = equivalence_check(hf, "global", opens=opens)
+    h_global = equivalence_check(hf, "global")
     return {"local": local.verdict, "T_global": t_global.verdict,
             "H_global": h_global.verdict}
 

@@ -17,30 +17,22 @@ assert the resulting betti equalities rather than assuming them.
 
 from __future__ import annotations
 
-from .complexes import ChainMap, CochainComplex, min_certified
+from .complexes import BlockComplex, ChainMap, CochainComplex, min_certified
 from .errors import InvariantError
 from .exactlin import Field, Layout, Matrix, kron
 from .site import Poset, Sheaf
 
 
-class ReplacementComplex(CochainComplex):
-    """Total complex of a chain-indexed replacement, with chain bookkeeping.
-
-    blocks[n] is the `Layout` of degree n: label (chain level p, chain
-    tuple) -> (offset, dim) of F_{last vertex}^{n-p}, nonzero summands only.
-    """
-
-    __slots__ = ("blocks", "strict", "poset_elements")
-
-
 def replacement_complex(F: Sheaf, N: int, strict: bool = False,
-                        within=None) -> ReplacementComplex:
+                        within=None) -> BlockComplex:
     """The (normalized if `strict`) cosimplicial replacement of F, totalized.
 
-    Degrees are truncated at N; the result certifies degrees <= N-1 unless
-    `strict` (the strict-chain complex vanishes above the poset height, so
-    no truncation occurs once N exceeds height + top degree; in that case
-    every degree is certified).
+    blocks[n] of the result is the `Layout` of degree n: label (chain level
+    p, chain tuple) -> (offset, dim) of F_{last vertex}^{n-p}, nonzero
+    summands only.  Degrees are truncated at N; the result certifies degrees
+    <= N-1 unless `strict` (the strict-chain complex vanishes above the
+    poset height, so no truncation occurs once N exceeds height + top
+    degree; in that case every degree is certified).
     """
     poset = F.poset
     elems = poset.sorted_subset(within) if within is not None else poset.elements
@@ -94,12 +86,7 @@ def replacement_complex(F: Sheaf, N: int, strict: bool = False,
     cert = None if (strict and complete and N >= (max(levels) if levels else 0) + F.top_degree) \
         else N - 1
     cert = min_certified(cert, F.certified_degree)
-    out = ReplacementComplex(field, {n: L.dim for n, L in blocks.items()}, diffs, lower=lo,
-                             certified_degree=cert, check=True)
-    out.blocks = blocks
-    out.strict = strict
-    out.poset_elements = elems
-    return out
+    return BlockComplex(field, blocks, diffs, lower=lo, certified_degree=cert, check=True)
 
 
 def _accumulate(entries: dict, key, m: Matrix):
@@ -107,7 +94,7 @@ def _accumulate(entries: dict, key, m: Matrix):
     entries[key] = m if prev is None else prev + m
 
 
-def coaugmentation_into_replacement(F: Sheaf, sec, repl: ReplacementComplex) -> ChainMap:
+def coaugmentation_into_replacement(F: Sheaf, sec, repl: BlockComplex) -> ChainMap:
     """Γ(U, F) -> replacement: a section maps to its values on 1-chains."""
     field = F.field
     comps = {}
@@ -121,8 +108,7 @@ def coaugmentation_into_replacement(F: Sheaf, sec, repl: ReplacementComplex) -> 
     return ChainMap(sec.complex, repl, comps, check=True)
 
 
-def strict_into_weak(F: Sheaf, strict_repl: ReplacementComplex,
-                     weak_repl: ReplacementComplex) -> ChainMap:
+def strict_into_weak(F: Sheaf, strict_repl: BlockComplex, weak_repl: BlockComplex) -> ChainMap:
     """The inclusion of the strict-chain subcomplex into the weak one."""
     field = F.field
     comps = {}
@@ -136,7 +122,7 @@ def strict_into_weak(F: Sheaf, strict_repl: ReplacementComplex,
     return ChainMap(strict_repl, weak_repl, comps, check=True)
 
 
-def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> ReplacementComplex:
+def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> BlockComplex:
     """RΓ(X, F) via the cosimplicial replacement (weak chains by default).
 
     A truncation N below the top degree of F is refused with
@@ -148,7 +134,7 @@ def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> ReplacementComp
     return replacement_complex(F, N, strict=strict)
 
 
-def replacement_map(f, src: ReplacementComplex, tgt: ReplacementComplex) -> ChainMap:
+def replacement_map(f, src: BlockComplex, tgt: BlockComplex) -> ChainMap:
     """The replacement of a sheaf map: blockwise f at the last chain vertex."""
     field = src.field
     comps = {}

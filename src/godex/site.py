@@ -25,7 +25,7 @@ from .errors import (
     FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained, NotMonotone,
     NotOpen, TooLarge, UnknownElement,
 )
-from .exactlin import Field, Layout, Matrix, free_columns
+from .exactlin import Field, Layout, Matrix, Subspace, free_columns
 
 UP_SET_ENUMERATION_CAP = 12
 
@@ -127,7 +127,7 @@ class Poset:
             out = self._sorted[key] = tuple(x for x in self.elements if x in key)
         return out
 
-    def strict_chains(self, max_len: int | None = None, within=None):
+    def strict_chains(self, within=None):
         """Strictly increasing chains grouped by length (1-based)."""
         elems = self.sorted_subset(within) if within is not None else self.elements
         by_len = {1: [(x,) for x in elems]}
@@ -141,8 +141,6 @@ class Poset:
                         nxt.append(chain + (y,))
             k += 1
             by_len[k] = nxt
-            if max_len is not None and k >= max_len:
-                break
         return {k: v for k, v in by_len.items() if v}
 
     def weak_chains(self, length: int, within=None):
@@ -301,35 +299,41 @@ class SectionComplex:
     """Γ(U, F) together with the evaluation maps to the stalks over U.
 
     A family of degree-n sections is a matrix stacking one block per stalk
-    over U, in canonical order.  When U has no minimum, `systems[n]` is the
-    cover-constraint system S_n of degree n (no entry when U has no cover
-    relation, or when the stalks over U vanish in degree n), and
-    Γ^n = ker S_n.
+    over U, in canonical order, on the stalk layout `layouts[n]`.  Γ^n is
+    `space(n)`, a subspace of those families whose basis is the identity on
+    its unit rows, so the coordinates of a family are its entries there
+    (`coordinates`):
+      * when U has a minimum m, the basis stacks the restrictions out of m
+        and the unit rows are m's block (the minimal open attains the
+        stalk: the section complex is F_m itself);
+      * otherwise, when U has a cover relation, `systems[n]` is the
+        cover-constraint system S_n of degree n (no entry when the stalks
+        over U vanish in degree n), the basis spans ker S_n and the unit
+        rows are its free rows;
+      * with no system, Γ^n is every family.
 
     `betti()` needs no section basis: with D_n the block-diagonal stalk
     differential, dim Γ^n = cols(S_n) - rank S_n, and d has rank
-    rank[S_n; D_n] - rank S_n on Γ^n.  The section basis, `kernel_matrix`
-    of S_n, is built together with `complex`, `evaluations` and `free` on
-    first access.  It is the identity on the rows `free[n]`: the
-    coordinates of a stacked family are those rows, read off after the
-    membership guard `systems[n] @ family == 0`.
+    rank[S_n; D_n] - rank S_n on Γ^n.  The complex and the evaluations are
+    built from the bases on first access.
     """
 
-    __slots__ = ("open_set", "systems", "_sheaf", "_layouts", "_complex", "_evaluations",
-                 "_free", "_betti")
+    __slots__ = ("sheaf", "open_set", "layouts", "minimum", "systems", "_spaces", "_complex",
+                 "_evaluations", "_betti")
 
-    def __init__(self, open_set, complex=None, evaluations=None, systems=None,
-                 sheaf=None, layouts=None):
-        """Either the complex with its evaluations, or the sheaf, the stalk
-        layouts per degree and the systems, from which they are built."""
+    def __init__(self, sheaf, open_set, layouts, minimum, systems):
+        self.sheaf = sheaf
         self.open_set = open_set
+        self.layouts = layouts
+        self.minimum = minimum
         self.systems = systems
-        self._sheaf = sheaf
-        self._layouts = layouts
-        self._complex = complex
-        self._evaluations = evaluations
-        self._free = None
-        self._betti = None
+        self._spaces = {}
+        self._complex = self._evaluations = self._betti = None
+        if minimum is not None:
+            self._complex = sheaf.stalk(minimum)
+            self._evaluations = {y: sheaf.restriction(minimum, y) for y in open_set}
+        elif not open_set:
+            self._complex, self._evaluations = zero_complex(sheaf.field), {}
 
     @property
     def complex(self) -> CochainComplex:
@@ -344,26 +348,39 @@ class SectionComplex:
         return self._evaluations
 
     @property
-    def free(self) -> dict | None:
-        if self._complex is None:
-            self._build()
-        return self._free
-
-    @property
     def certified_degree(self) -> int | None:
         if self._complex is None:
-            return self._sheaf.certified_degree
+            return self.sheaf.certified_degree
         return self._complex.certified_degree
 
     def evaluation(self, x) -> ChainMap:
         return self.evaluations[x]
 
+    def space(self, n: int) -> Subspace:
+        """Γ^n as a subspace of the degree-n families over U."""
+        S = self._spaces.get(n)
+        if S is None:
+            F, layout, m = self.sheaf, self.layouts.get(n), self.minimum
+            if layout is None or not layout.dim:
+                S = Subspace.zero(F.field, 0)
+            elif m is not None:
+                off, d = layout[m]
+                S = Subspace(F.field, layout.dim,
+                             _stack(F.restriction(m, y).component(n) for y in layout),
+                             range(off, off + d))
+            elif n in self.systems:
+                R, pivots = self.systems[n].rref()
+                S = Subspace(F.field, layout.dim, self.systems[n].kernel_matrix(reduced=(R, pivots)),
+                             free_columns(layout.dim, pivots))
+            else:
+                S = Subspace.full(F.field, layout.dim)
+            self._spaces[n] = S
+        return S
+
     def coordinates(self, n: int, stacked: Matrix) -> Matrix:
         """Coordinates of a stacked family in the degree-n section basis;
-        NotContained if the family is not compatible.  Only sections over an
-        open without a minimum carry `free` and `systems`; over an open with
-        a minimum m, a section is its value at m."""
-        return _coordinates(self.free.get(n, ()), self.systems.get(n), stacked)
+        NotContained if the family is not compatible."""
+        return self.space(n).coords_of(stacked)
 
     def betti(self) -> dict:
         """The betti numbers of Γ(U, F) in the degrees `CochainComplex.betti()`
@@ -372,50 +389,26 @@ class SectionComplex:
         if self._complex is not None or not self.systems:
             return self.complex.betti()
         if self._betti is None:
-            self._betti = _rank_betti(self._sheaf, self._layouts, self.systems)
+            self._betti = _rank_betti(self.sheaf, self.layouts, self.systems)
         return self._betti
 
     def _build(self):
-        """The section basis per degree, the complex and the evaluations."""
-        F, layouts, systems = self._sheaf, self._layouts, self.systems
-        field = F.field
+        """The complex and the evaluations, from the section bases."""
+        F, layouts = self.sheaf, self.layouts
         lo, hi = min(layouts), max(layouts)
-        basis, free, dims = {}, {}, {}
-        for n, layout in layouts.items():
-            if layout.dim == 0:
-                continue
-            S = systems.get(n)
-            if S is not None:
-                R, pivots = S.rref()
-                basis[n] = S.kernel_matrix(reduced=(R, pivots))
-                free[n] = free_columns(layout.dim, pivots)
-            else:
-                basis[n] = Matrix.identity(field, layout.dim)
-                free[n] = list(range(layout.dim))
-            dims[n] = basis[n].cols
-        diffs = {}
-        for n in range(lo, hi):
-            if dims.get(n, 0) == 0 or dims.get(n + 1, 0) == 0:
-                continue
-            D = _stalk_differential(F, layouts, n)
-            diffs[n] = _coordinates(free[n + 1], systems.get(n + 1), D @ basis[n])
-        C = CochainComplex(field, dims, diffs, lower=lo, certified_degree=F.certified_degree,
+        dims = {n: self.space(n).dim for n in layouts}
+        diffs = {n: self.coordinates(n + 1, _stalk_differential(F, layouts, n) @ self.space(n).basis)
+                 for n in range(lo, hi) if dims[n] and dims[n + 1]}
+        C = CochainComplex(F.field, dims, diffs, lower=lo, certified_degree=F.certified_degree,
                            check=True)
         evals = {x: {} for x in layouts[lo]}
-        for n, b in basis.items():
-            for x, (off, d) in layouts[n].items():
-                if d and dims.get(n, 0):
-                    evals[x][n] = b.take_rows(range(off, off + d))
+        for n, layout in layouts.items():
+            for x, (off, d) in layout.items():
+                if d and dims[n]:
+                    evals[x][n] = self.space(n).basis.take_rows(range(off, off + d))
         self._evaluations = {x: ChainMap(C, F.stalk(x), comps, check=True)
                              for x, comps in evals.items()}
-        self._free = free
         self._complex = C
-
-
-def _coordinates(free, system, stacked: Matrix) -> Matrix:
-    if system is not None and not (system @ stacked).is_zero():
-        raise NotContained("family is not a compatible family of sections")
-    return stacked.take_rows(free)
 
 
 def _constraint_system(F: Sheaf, constraints, layout: Layout, n: int) -> Matrix:
@@ -478,55 +471,47 @@ def _stack(blocks) -> Matrix:
 
 
 def sections(F: Sheaf, U) -> SectionComplex:
-    """Γ(U, F): compatible families (a_x), r_{x->y} a_x = a_y, as a kernel.
+    """Γ(U, F): compatible families (a_x), r_{x->y} a_x = a_y.
 
     Γ(∅, F) is the zero complex, and Γ(↑x, F) is the stalk F_x itself with
-    identity/restriction evaluations (the minimal open attains the stalk).
+    the restrictions as evaluations (the minimal open attains the stalk).
     Otherwise this assembles the cover constraints only: their betti
     numbers are read from ranks, and the basis (their kernel) and the
-    differential (read off the free rows of d applied to that basis) are
-    built on first access; see `SectionComplex`.  No linear system is
-    solved.
+    differential (the coordinates of d applied to that basis) are built on
+    first access; see `SectionComplex`.  No linear system is solved.
     """
     poset = F.poset
     U = poset.require_open(U)
-    if not U:
-        return SectionComplex(U, zero_complex(F.field), {})
-    m = _unique_minimum(poset, U)
-    if m is not None:
-        evals = {y: F.restriction(m, y) for y in U}
-        return SectionComplex(U, F.stalk(m), evals)
     order = poset.sorted_subset(U)
-    lo = min(F.stalk(x).lower for x in order)
-    hi = max((F.stalk(x).upper for x in order), default=lo)
-    constraints = [(x, y) for (x, y) in poset.covers() if x in U and y in U]
-    layouts = {n: Layout((x, F.stalk(x).dim(n)) for x in order) for n in range(lo, hi + 1)}
-    systems = {}
-    if constraints:
-        systems = {n: _constraint_system(F, constraints, layout, n)
-                   for n, layout in layouts.items() if layout.dim}
-    return SectionComplex(U, systems=systems, sheaf=F, layouts=layouts)
+    layouts = {}
+    if order:
+        lo = min(F.stalk(x).lower for x in order)
+        hi = max(F.stalk(x).upper for x in order)
+        layouts = {n: Layout((x, F.stalk(x).dim(n)) for x in order) for n in range(lo, hi + 1)}
+    m = _unique_minimum(poset, U)
+    constraints = [] if m is not None else \
+        [(x, y) for (x, y) in poset.covers() if x in U and y in U]
+    systems = {n: _constraint_system(F, constraints, layout, n)
+               for n, layout in layouts.items() if constraints and layout.dim}
+    return SectionComplex(F, U, layouts, m, systems)
+
+
+def _map_into(source: CochainComplex, sec: SectionComplex, value) -> ChainMap:
+    """The chain map source -> Γ(U) whose degree-n component has the
+    coordinates of the family (value(x, n))_{x ∈ U}."""
+    order = sec.sheaf.poset.sorted_subset(sec.open_set)
+    comps = {n: sec.coordinates(n, _stack(value(x, n) for x in order))
+             for n in source.dims if sec.complex.dim(n)}
+    return ChainMap(source, sec.complex, comps, check=True)
 
 
 def restriction_of_sections(F: Sheaf, sec_U: SectionComplex, sec_V: SectionComplex) -> ChainMap:
     """The canonical map Γ(U, F) -> Γ(V, F) for V ⊆ U."""
     if not set(sec_V.open_set) <= set(sec_U.open_set):
         raise NotOpen("restriction target is not contained in the source open")
-    CU, CV = sec_U.complex, sec_V.complex
-    if not sec_V.open_set:
-        return ChainMap.zero(CU, CV)
-    poset = F.poset
-    m = _unique_minimum(poset, sec_V.open_set)
-    if m is not None:
-        return sec_U.evaluation(m)
-    order = poset.sorted_subset(sec_V.open_set)
-    comps = {}
-    for n in CV.dims:
-        if CU.dim(n) == 0:
-            continue
-        stacked = _stack(sec_U.evaluation(x).component(n) for x in order)
-        comps[n] = sec_V.coordinates(n, stacked)
-    return ChainMap(CU, CV, comps, check=True)
+    if sec_V.minimum is not None:
+        return sec_U.evaluation(sec_V.minimum)
+    return _map_into(sec_U.complex, sec_V, lambda x, n: sec_U.evaluation(x).component(n))
 
 
 def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
@@ -540,22 +525,10 @@ def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
         sec_s = sections(f.source, U)
     if sec_t is None:
         sec_t = sections(f.target, U)
-    U = sec_s.open_set
-    if not U:
-        return ChainMap.zero(sec_s.complex, sec_t.complex)
-    poset = f.source.poset
-    m = _unique_minimum(poset, U)
-    if m is not None:
-        return f.component(m)
-    order = poset.sorted_subset(U)
-    comps = {}
-    for n in sec_s.complex.dims:
-        if sec_t.complex.dim(n) == 0:
-            continue
-        img = _stack(f.component(x).component(n) @ sec_s.evaluation(x).component(n)
-                     for x in order)
-        comps[n] = sec_t.coordinates(n, img)
-    return ChainMap(sec_s.complex, sec_t.complex, comps, check=True)
+    if sec_s.minimum is not None:
+        return f.component(sec_s.minimum)
+    return _map_into(sec_s.complex, sec_t,
+                     lambda x, n: f.component(x).component(n) @ sec_s.evaluation(x).component(n))
 
 
 def check_sheaf_equalizer(F: Sheaf, U, cover) -> bool:
@@ -726,7 +699,7 @@ def _pad_lower(F: Sheaf, lower: int) -> Sheaf:
 
 
 def random_sheaf(P: Poset, field: Field, seed: int, max_dim: int = 2, span: int = 3,
-                 blocks: int = 2, allow_cone: bool = True) -> Sheaf:
+                 blocks: int = 2) -> Sheaf:
     """Reproducible random sheaf satisfying all invariants.
 
     Functorial building blocks (constant, skyscraper, up-set and down-set
@@ -753,7 +726,7 @@ def random_sheaf(P: Poset, field: Field, seed: int, max_dim: int = 2, span: int 
     F = block()
     for _ in range(blocks - 1):
         F = direct_sum(F, block())[0]
-    if allow_cone and rng.random() < 0.5:
+    if rng.random() < 0.5:
         G = block()
         F = mapping_cone(SheafMap(F, G, random_map(F, G, rng)))
         F = _pad_lower(F, min(F.lower, lo - 1))

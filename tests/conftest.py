@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from godex.exactlin import GF, QQ
+from godex.exactlin import GF, QQ, Subspace, kernel
 
 
 @pytest.fixture
@@ -98,3 +98,21 @@ def basis_quis_per_degree(f, up_to=None) -> dict:
         span = (f.component(n) @ Zs).hstack(T.d(n - 1))
         out[n] = bs == bt and rank(span) == Zt.cols
     return out
+
+
+def preimage(M, W):
+    """Reference {v : Mv ∈ W}, by one kernel: the first M.cols coordinates
+    of ker [M | -W.basis]."""
+    if W.dim == 0:
+        return kernel(M)
+    K = M.hstack(W.basis.scale(-1)).kernel_matrix()
+    return Subspace.spanned_by(M.field, M.cols, K.take_rows(range(M.cols)))
+
+
+def intersect(V, W):
+    """Reference V ∩ W, by one kernel: V.basis times the first V.dim
+    coordinates of ker [V.basis | W.basis]."""
+    if V.dim == 0 or W.dim == 0:
+        return Subspace.zero(V.field, V.ambient_dim)
+    K = V.basis.hstack(W.basis).kernel_matrix()
+    return Subspace.spanned_by(V.field, V.ambient_dim, V.basis @ K.take_rows(range(V.dim)))

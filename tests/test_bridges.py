@@ -58,7 +58,7 @@ def canonical_replacement_iso(F, hyper, U, repl):
             blocks_list = []
             col_layout = repl.blocks[n]
             for (p, q), (off, d) in Hx.blocks[n].items():
-                level_sheaf = hyper.resolution.tower[p + 1]
+                level_sheaf = hyper.resolution.level(p)
                 for chain, (off2, d2) in t_chain_layout(level_sheaf, x, q).items():
                     src = col_layout.get((p, chain))
                     assert src is not None, "stalk chain missing from the replacement"

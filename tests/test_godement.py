@@ -12,7 +12,7 @@ from godex.godement import (
     godement_resolution, godement_T, hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
     resolution_sections,
     separation_witness, sheaf_extra_degeneracy_top, skyscraper_counit,
-    stalk_commutation_check, stalk_extra_degeneracy, t_apply_map, thomason_check,
+    stalk_commutation_check, stalk_extra_degeneracy, t_apply_map, t_chain_layout, thomason_check,
 )
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
@@ -43,7 +43,7 @@ def test_triple_laws_on_random_sheaves(f5):
     for P in (sierpinski_poset(), pseudocircle_poset()):
         for seed in range(2):
             F = random_sheaf(P, f5, seed, max_dim=2, span=2)
-            godement_T(F, assert_laws=True)  # raises on any failed law
+            godement_T(F)  # raises on any failed law
 
 
 def test_resolution_point_poset(f5):
@@ -54,21 +54,34 @@ def test_resolution_point_poset(f5):
         assert res.level(p).stalk("*").dims == F.stalk("*").dims
         for i in range(p + 1):
             if p >= 1:
-                assert res.cosimplicial.cofaces[(p, i)].component("*") == \
+                assert res.cofaces[(p, i)].component("*") == \
                     ChainMap.identity(F.stalk("*"))
 
 
 def test_resolution_dims_by_chain_count(f5):
-    P = pseudocircle_poset()
-    F = random_sheaf(P, f5, 1)
-    res = godement_resolution(F, 3)
-    for p in range(4):
-        for x in P.elements:
-            expect = {}
-            for chain in P.weak_chains(p + 1, within=P.up_set(x)):
-                for q, d in F.stalk(chain[-1]).dims.items():
-                    expect[q] = expect.get(q, 0) + d
-            assert res.level(p).stalk(x).dims == expect
+    # on the five suite posets: the stalk dims of G^p F count the weak chains
+    # x <= y_0 <= ... <= y_p, the flattened layout of an iterated T-stalk
+    # lists exactly the chains with F_{y_p}^q != 0 in weak-chain order, and
+    # every T-stalk has a block for each y in ↑x in each degree of its base
+    for name, make in STANDARD_POSETS.items():
+        P = make()
+        F = random_sheaf(P, f5, 1)
+        res = godement_resolution(F, 3)
+        tower = [F] + [res.level(p) for p in range(4)]
+        for p in range(4):
+            for x in P.elements:
+                expect = {}
+                chains = P.weak_chains(p + 1, within=P.up_set(x))
+                for chain in chains:
+                    for q, d in F.stalk(chain[-1]).dims.items():
+                        expect[q] = expect.get(q, 0) + d
+                assert res.level(p).stalk(x).dims == expect, (name, p, x)
+                for q in range(F.lower - 1, F.top_degree + 2):
+                    want = [c for c in chains if F.stalk(c[-1]).dim(q)]
+                    assert list(t_chain_layout(res.level(p), x, q)) == want, (name, p, x, q)
+                blocks = res.level(p).stalk(x).blocks
+                assert list(blocks) == list(range(tower[p].lower, tower[p].top_degree + 1))
+                assert all(tuple(L) == P.sorted_subset(P.up_set(x)) for L in blocks.values())
 
 
 def _iterated_structure_maps(tower, p_max):
@@ -98,21 +111,21 @@ def test_resolution_structure_maps_equal_iterated_T(f5):
     for name, make in STANDARD_POSETS.items():
         F = random_sheaf(make(), f5, 31)
         res = godement_resolution(F, 3)
-        cofaces, codegens = _iterated_structure_maps(res.tower, 3)
-        cos = res.cosimplicial
-        assert list(cos.cofaces) == list(cofaces), name
-        assert list(cos.codegeneracies) == list(codegens), name
+        tower = [F] + [res.level(p) for p in range(4)]
+        cofaces, codegens = _iterated_structure_maps(tower, 3)
+        assert list(res.cofaces) == list(cofaces), name
+        assert list(res.codegeneracies) == list(codegens), name
         for key, f in cofaces.items():
-            assert cos.cofaces[key] == f, (name, key)
+            assert res.cofaces[key] == f, (name, key)
         for key, f in codegens.items():
-            assert cos.codegeneracies[key] == f, (name, key)
+            assert res.codegeneracies[key] == f, (name, key)
 
 
 def test_resolution_cosimplicial_identities(f5):
     P = sierpinski_poset()
     F = random_sheaf(P, f5, 2, max_dim=2, span=2)
     res = godement_resolution(F, 3)
-    res.cosimplicial.validate()
+    res.validate()
 
 
 def test_stalkwise_extra_degeneracy_pseudocircle(f5):
@@ -165,9 +178,9 @@ def test_skyscraper_resolution_extra_degeneracy_on_opens(f5):
         if not U:
             continue
         X, eps, sec_F = resolution_sections(res, U)
-        secs = {p: _sections(res.level(p), U) for p in range(res.cosimplicial.p_max + 1)}
+        secs = {p: _sections(res.level(p), U) for p in range(res.p_max + 1)}
         extra = [_sections_map(extra_sheaf[0], U, secs[0], sec_F)]
-        for p in range(1, res.cosimplicial.p_max + 1):
+        for p in range(1, res.p_max + 1):
             extra.append(_sections_map(extra_sheaf[p], U, secs[p], secs[p - 1]))
         cert = collapse_by_extra_degeneracy(eps, X, extra, N, side="top")
         assert cert

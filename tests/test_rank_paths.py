@@ -15,11 +15,11 @@ import random
 import pytest
 
 from godex import filtered
-from godex.complexes import ChainMap, CochainComplex, random_complex, single_complex
-from godex.cosimplicial import TotalComplex, random_cosimplicial, simple
+from godex.complexes import BlockComplex, ChainMap, CochainComplex, random_complex, single_complex
+from godex.cosimplicial import random_cosimplicial, simple
 from godex.errors import InvariantError, NotContained, NotFiltered
 from godex.exactlin import (
-    GF, QQ, Layout, Matrix, Subspace, preimage, random_invertible, random_matrix,
+    GF, QQ, Layout, Matrix, Subspace, random_invertible, random_matrix,
 )
 from godex.filtered import (
     FilteredComplex, check_descent_axioms_filtered, check_filtered_map, decalage, er_page,
@@ -30,6 +30,8 @@ from godex.site import (
     Sheaf, chain_poset, constant_sheaf, point_poset, pseudocircle_poset, pseudosphere_poset,
     random_sheaf, sections, sierpinski_poset, skyscraper,
 )
+
+from conftest import intersect, preimage
 
 F5 = GF(5)
 SUITE = {"point": point_poset, "sierpinski": sierpinski_poset, "chain3": lambda: chain_poset(3),
@@ -184,8 +186,7 @@ def test_page_dims_ranks_match_basis_on_random_block_filtrations(field):
 
 def test_from_blocks_rejects_an_entry_into_a_lower_block():
     d = Matrix.identity(F5, 1)
-    base = TotalComplex(F5, {0: 1, 1: 1}, {0: d}, lower=0)
-    base.blocks = {0: Layout([((1, 0), 1)]), 1: Layout([((0, 1), 1)])}
+    base = BlockComplex(F5, {0: Layout([((1, 0), 1)]), 1: Layout([((0, 1), 1)])}, {0: d}, lower=0)
     with pytest.raises(InvariantError, match="d-compatible"):
         FilteredComplex.from_blocks(base, 0, 1)
     base.blocks = {0: Layout([((0, 0), 1)]), 1: Layout([((1, 0), 1)])}
@@ -337,7 +338,7 @@ def _assert_cycle_spaces_match_preimages(FC):
                 want = _coordinate_span(FC, p, n)
                 if want.dim and r >= 0:
                     upper = _coordinate_span(FC, p + r, n + 1)
-                    want = want.intersect(preimage(FC.graded.d(n), upper))
+                    want = intersect(want, preimage(FC.graded.d(n), upper))
                 assert Z == want, (p, n, r)
                 assert Z.basis.take_rows(Z.unit_rows) == Matrix.identity(field, Z.dim)
 

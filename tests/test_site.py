@@ -335,8 +335,6 @@ def test_section_coordinates_match_solve_reference(f5):
                 assert sections_map(f, U) == _solve_sections_map(f, U), (name, U)
             for sheaf in (F, G):
                 sec = sections(sheaf, U)
-                if sec.free is None:  # empty open or an open with a minimum
-                    continue
                 order = P.sorted_subset(U)
                 C = sec.complex
                 for n in C.dims:
@@ -348,8 +346,6 @@ def test_section_coordinates_match_solve_reference(f5):
                     if not V or not V < U:
                         continue
                     sec_V = sections(sheaf, V)
-                    if sec_V.free is None:
-                        continue
                     r = restriction_of_sections(sheaf, sec, sec_V)
                     order_V = P.sorted_subset(V)
                     for n in sec_V.complex.dims:
@@ -365,3 +361,8 @@ def test_incompatible_family_raises_not_contained(f5):
     assert sec.coordinates(0, Matrix.column(f5, [2, 2, 2, 2])) == Matrix.column(f5, [2])
     with pytest.raises(NotContained):
         sec.coordinates(0, Matrix.column(f5, [1, 0, 1, 1]))
+    # over ↑a = {a, x, y}, which has the minimum a, a section is its a-block
+    sec = sections(F, P.up_set("a"))
+    assert sec.coordinates(0, Matrix.column(f5, [3, 3, 3])) == Matrix.column(f5, [3])
+    with pytest.raises(NotContained):
+        sec.coordinates(0, Matrix.column(f5, [3, 3, 1]))
