@@ -4,20 +4,29 @@ A sha256 over every matrix that the seeded random generators produce, and
 over the verdicts of a seeded axiom audit.  Refactors of the generators (the
 transport along random automorphisms, the direct sums) must draw the same
 random numbers in the same order and build the same matrices, so the digest
-must not move.  Everything is visited in element-index or sorted-key order,
-so the digest does not depend on the hash seed.
+must not move.  A second digest pins the Godement structure maps (η, the
+cofaces and codegeneracies, ρ, the skyscraper counit and unit) the same way,
+so a rewrite of their builders must reproduce every matrix.  Everything is
+visited in element-index or sorted-key order, so the digests do not depend
+on the hash seed.
 """
 
 import hashlib
 import random
 
+from godex.complexes import random_complex
 from godex.cosimplicial import check_descent_axioms, random_bicosimplicial, random_cosimplicial
 from godex.exactlin import GF, QQ
 from godex.filtered import check_descent_axioms_filtered, random_filtered_cosimplicial
-from godex.site import pseudocircle_poset, pseudosphere_poset, random_sheaf
+from godex.godement import godement_resolution, hypercohomology_sheaf, skyscraper_counit
+from godex.site import (
+    STANDARD_POSETS, pseudocircle_poset, pseudosphere_poset, random_sheaf, skyscraper,
+    skyscraper_unit,
+)
 
 SEEDS = range(6)
 DIGEST = "46c8ea6d77faac1c8cf52bfc493c9feadfd9da1b3f708790bdbbfbb72b66d12d"
+GODEMENT_DIGEST = "70866debe49443e0cc7b55eacd38698300c26975e1583e9da42f61d109f88f4a"
 
 
 class _Digest:
@@ -52,6 +61,16 @@ class _Digest:
         for (a, b) in sorted(P.pairs(), key=lambda ab: (P.index(ab[0]), P.index(ab[1]))):
             self.put(a, b)
             self.chain_map(F.restriction(a, b))
+
+    def sheaf_map(self, f):
+        for x in f.source.poset.elements:
+            self.put(x)
+            self.chain_map(f.component(x))
+
+    def sheaf_maps(self, family):
+        for key in sorted(family):
+            self.put(key)
+            self.sheaf_map(family[key])
 
     def cosimplicial(self, X):
         for p in range(X.p_max + 1):
@@ -100,3 +119,31 @@ def seeded_digest() -> str:
 
 def test_seeded_instances_are_pinned():
     assert seeded_digest() == DIGEST
+
+
+def godement_digest() -> str:
+    """η, every coface and codegeneracy and every level of a seeded Godement
+    resolution and ρ of its hypercohomology sheaf, on the five suite posets;
+    then the counit of a skyscraper's resolution and the unit into a
+    skyscraper, on the pseudocircle."""
+    d = _Digest()
+    f5 = GF(5)
+    for name, make in STANDARD_POSETS.items():
+        F = random_sheaf(make(), f5, 31)
+        res = godement_resolution(F, 3)
+        d.put(name)
+        d.sheaf_map(res.eta)
+        d.sheaf_maps(res.cofaces)
+        d.sheaf_maps(res.codegeneracies)
+        for p in range(res.p_max + 1):
+            d.sheaf(res.level(p))
+        d.sheaf_map(hypercohomology_sheaf(F, F.top_degree + 3).rho)
+    P = pseudocircle_poset()
+    sky = skyscraper(P, "x", random_complex(f5, random.Random(32), span=3, max_dim=3))
+    d.sheaf_map(skyscraper_counit(godement_resolution(sky, 0), "x"))
+    d.sheaf_map(skyscraper_unit(random_sheaf(P, f5, 31), "x"))
+    return d.h.hexdigest()
+
+
+def test_godement_structure_maps_are_pinned():
+    assert godement_digest() == GODEMENT_DIGEST
