@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AmbientMismatch, FieldMismatch, NotContained
+from .errors import AmbientMismatch, FieldMismatch, InvariantError, NotContained
 
 _FLOAT_SAFE = 2.0**53
 _ZERO = Fraction(0)
@@ -81,14 +81,19 @@ class Field:
 
     def element(self, value) -> Fraction | int:
         """Canonical representative of `value` in this field; ValueError for a
-        fraction whose (reduced) denominator p divides, which has none in F_p."""
+        fraction whose (reduced) denominator p divides and for a float that is
+        not an integer, which have none in F_p."""
         if self.p is None:
             return Fraction(value)
+        if isinstance(value, int):
+            return value % self.p
         if isinstance(value, Fraction):
             num, den = value.numerator % self.p, value.denominator % self.p
             if den == 0:
                 raise ValueError(f"{value} has no value in F_{self.p}")
             return num * pow(den, self.p - 2, self.p) % self.p
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value} has no value in F_{self.p}")
         return int(value) % self.p
 
     def random_element(self, rng) -> Fraction | int:
@@ -760,11 +765,13 @@ def subquotient(Z: Subspace, B: Subspace):
     M = b_in_z.hstack(Matrix.identity(field, dz))
     _, pivots = M.rref()
     extra = [pc - db for pc in pivots if pc >= db]
-    assert len(extra) == q
+    if len(extra) != q:
+        raise InvariantError(f"the completion of B in Z has {len(extra)} vectors, expected {q}")
     section = Matrix.identity(field, dz).take_columns(extra)
     T = b_in_z.hstack(section)
     projection = T.inverse().take_rows(range(db, dz))
-    assert (projection @ section) == Matrix.identity(field, q)
+    if projection @ section != Matrix.identity(field, q):
+        raise InvariantError("projection ∘ section is not the identity")
     return q, projection, section
 
 

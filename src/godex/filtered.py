@@ -30,11 +30,12 @@ import random
 
 import numpy as np
 
-from .complexes import BlockComplex, ChainMap, CochainComplex, random_complex, transport
+from .complexes import (
+    BlockComplex, ChainMap, CochainComplex, direct_sum, random_complex, transport,
+)
 from .cosimplicial import (
-    AxiomAuditReport, AxiomTrial, CosimplicialComplex, aw_map, bicosimplicial_from_rows,
-    constant_cosimplicial, contractible_complex, cosimplicial_biproduct, lambda_map,
-    path_object, simple, simple_map,
+    AxiomAuditReport, AxiomTrial, CosimplicialMap, aw_map, bicosimplicial_from_rows,
+    constant_cosimplicial, contractible_complex, lambda_map, path_object, simple, simple_map,
 )
 from .errors import InvariantError, NotFiltered
 from .exactlin import GF, Matrix, Subspace, free_columns, random_invertible, subquotient
@@ -436,37 +437,31 @@ def is_er_quis(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex, r: int,
 # ---- the filtered simple functor and décalage ------------------------------
 
 
-class CosimplicialFiltered:
-    """A cosimplicial object in filtered complexes.
-
-    The underlying cosimplicial complex carries, per level, a filtration on
-    that level; all structure maps are required to be filtered.
+class FilteredDiagram:
+    """A diagram of filtered complexes: `base` is any diagram of complexes
+    (a complex, a cosimplicial or bicosimplicial complex, a sheaf: anything
+    with `diagram()`), and levels[k] filters the level k of `base`.  Every
+    arrow of `base` must be a filtered map.
     """
 
-    __slots__ = ("cosimplicial", "levels")
+    __slots__ = ("base", "levels")
 
-    def __init__(self, cosimplicial: CosimplicialComplex, levels: dict, check: bool = True):
-        self.cosimplicial = cosimplicial
+    def __init__(self, base, levels: dict, check: bool = True):
+        self.base = base
         self.levels = levels
         if check:
             self.validate()
 
-    def level(self, p: int) -> FilteredComplex:
-        return self.levels[p]
-
-    @property
-    def p_max(self) -> int:
-        return self.cosimplicial.p_max
+    def level(self, k) -> FilteredComplex:
+        return self.levels[k]
 
     def validate(self):
-        X = self.cosimplicial
-        for p in range(X.p_max + 1):
-            if self.levels[p].base != X.level(p):
-                raise InvariantError(f"level {p} filtration sits on the wrong complex")
-        for (p, i), f in X.cofaces.items():
-            check_filtered_map(f, self.levels[p - 1], self.levels[p])
-        for (p, j), f in X.codegeneracies.items():
-            check_filtered_map(f, self.levels[p + 1], self.levels[p])
+        levels, arrows = self.base.diagram()
+        for k, C in levels.items():
+            if self.levels[k].base != C:
+                raise InvariantError(f"level {k!r} filtration sits on the wrong complex")
+        for s, t, f in arrows.values():
+            check_filtered_map(f, self.levels[s], self.levels[t])
 
 
 def _direct_sum(base: CochainComplex, k_min: int, k_max: int, parts: dict) -> FilteredComplex:
@@ -488,11 +483,36 @@ def _direct_sum(base: CochainComplex, k_min: int, k_max: int, parts: dict) -> Fi
     return FilteredComplex(base, k_min, k_max, weights, basis, inverse)
 
 
-def filtered_simple(XF: CosimplicialFiltered, r: int, N: int) -> FilteredComplex:
-    """(s, δ_r): total complex with δ_r(F)^k(s^n) = ⊕_{i+j=n} F^{k-ri} X(i)^j,
-    held in the level bases: a column of the summand X(p)^q weighs its
-    weight in level p plus r·p."""
-    X = XF.cosimplicial
+def filtered_direct_sum(A: FilteredDiagram, B: FilteredDiagram):
+    """`complexes.direct_sum` of the bases, each level filtered by the sum
+    of the two level filtrations: (D, (i1, i2), (p1, p2))."""
+    D, incl, proj = direct_sum(A.base, B.base)
+    levels = {}
+    for k, C in D.diagram()[0].items():
+        FA, FB = A.levels[k], B.levels[k]
+        levels[k] = _direct_sum(C, min(FA.k_min, FB.k_min), max(FA.k_max, FB.k_max),
+                                {q: [(FA, q, 0), (FB, q, 0)] for q in C.dims})
+    return FilteredDiagram(D, levels, check=False), incl, proj
+
+
+def filtered_transport(A: FilteredDiagram, g: dict) -> FilteredDiagram:
+    """`complexes.transport` of the base along g[level key][q]: the weights
+    stay, and each adapted basis B becomes g·B."""
+    D = transport(A.base, g)
+    levels = {}
+    for k, C in D.diagram()[0].items():
+        L = A.levels[k]
+        levels[k] = FilteredComplex(C, L.k_min, L.k_max, L._weights,
+                                    {q: m @ L.basis(q) for q, m in g[k].items()},
+                                    {q: L.inverse(q) @ m.inverse() for q, m in g[k].items()})
+    return FilteredDiagram(D, levels, check=False)
+
+
+def filtered_simple(XF: FilteredDiagram, r: int, N: int) -> FilteredComplex:
+    """(s, δ_r) of a cosimplicial filtered complex: total complex with
+    δ_r(F)^k(s^n) = ⊕_{i+j=n} F^{k-ri} X(i)^j, held in the level bases: a
+    column of the summand X(p)^q weighs its weight in level p plus r·p."""
+    X = XF.base
     total = simple(X, N)
     k_min = min(XF.levels[p].k_min + r * p for p in range(X.p_max + 1))
     k_max = max(XF.levels[p].k_max + r * p for p in range(X.p_max + 1))
@@ -515,10 +535,8 @@ def decalage(FC: FilteredComplex) -> FilteredComplex:
     return FilteredComplex.from_bases(base, bases, k_min, k_max)
 
 
-def decalage_levelwise(XF: CosimplicialFiltered) -> CosimplicialFiltered:
-    return CosimplicialFiltered(XF.cosimplicial,
-                                {p: decalage(XF.levels[p]) for p in XF.levels},
-                                check=False)
+def decalage_levelwise(XF: FilteredDiagram) -> FilteredDiagram:
+    return FilteredDiagram(XF.base, {k: decalage(L) for k, L in XF.levels.items()}, check=False)
 
 
 def deligne_reindex(pq) -> tuple:
@@ -533,65 +551,49 @@ def deligne_reindex(pq) -> tuple:
 
 def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
                             weights=(0, 1, 2)):
-    """Random filtered complex: weight-graded blocks, transported along a
-    random automorphism g, whose columns are then the adapted basis."""
-    layout = []
+    """Random filtered complex: the filtered sum of complexes filtered by
+    one jump at their weight, transported along a random automorphism g."""
+    pieces = []
     for w in weights:
         if rng.random() < 0.8:
-            layout.append((w, random_complex(field, rng, span=rng.randint(1, span),
+            pieces.append((w, random_complex(field, rng, span=rng.randint(1, span),
                                              max_dim=max_dim, scramble=False)))
-    if not layout:
-        layout = [(weights[0], random_complex(field, rng, span=1, max_dim=max_dim,
+    if not pieces:
+        pieces = [(weights[0], random_complex(field, rng, span=1, max_dim=max_dim,
                                               scramble=False))]
-    lo = min(C.lower for _, C in layout)
-    hi = max(C.upper for _, C in layout)
-    diffs = {}
-    for n in range(lo, hi):
-        entries = {(i, i): C.d(n) for i, (w, C) in enumerate(layout)}
-        diffs[n] = Matrix.assemble(field, [C.dim(n + 1) for _, C in layout],
-                                   [C.dim(n) for _, C in layout], entries)
-    base = CochainComplex(field, {n: sum(C.dim(n) for _, C in layout)
-                                  for n in range(lo, hi + 1)}, diffs, lower=lo, check=False)
-    k_values = [w for w, _ in layout]
-    weights = {n: np.concatenate([np.full(C.dim(n), w, dtype=np.int64) for w, C in layout])
-               for n in base.dims}
-    g = {n: random_invertible(field, base.dim(n), rng) for n in base.dims}
-    return FilteredComplex(transport(base, {0: g}), min(k_values), max(k_values), weights,
-                           g, {n: m.inverse() for n, m in g.items()})
+    A = None
+    for w, C in pieces:
+        piece = FilteredDiagram(C, {0: FilteredComplex.trivial(C, w)}, check=False)
+        A = piece if A is None else filtered_direct_sum(A, piece)[0]
+    g = {n: random_invertible(field, A.base.dim(n), rng) for n in A.base.dims}
+    return filtered_transport(A, {0: g}).level(0)
 
 
 def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2, max_dim: int = 2,
-                                 weights=(0, 1)) -> CosimplicialFiltered:
-    """Random cosimplicial filtered complex: weight-graded cosimplicial
-    blocks (summand of weight w filtered by one jump at w), transported
-    along random level automorphisms g, which carry the adapted bases B
-    to g·B."""
-    parts = []
+                                 weights=(0, 1)) -> FilteredDiagram:
+    """Random cosimplicial filtered complex: the filtered sum of cosimplicial
+    blocks (the block of weight w filtered by one jump at w), transported
+    along random level automorphisms g."""
+    XF = None
     for w in weights:
         A = random_complex(field, rng, span=rng.randint(1, span), max_dim=max_dim,
                            scramble=False)
         X = constant_cosimplicial(A, p_max) if rng.random() < 0.5 else path_object(A, p_max)[0]
-        parts.append(CosimplicialFiltered(
+        part = FilteredDiagram(
             X, {p: FilteredComplex.trivial(X.level(p), jump=w) for p in range(p_max + 1)},
-            check=False))
-    XF = parts[0]
-    for part in parts[1:]:
-        XF = filtered_cosimplicial_biproduct(XF, part)[0]
-    X = XF.cosimplicial
+            check=False)
+        XF = part if XF is None else filtered_direct_sum(XF, part)[0]
+    X = XF.base
     g = {p: {q: random_invertible(field, X.level(p).dim(q), rng) for q in X.level(p).dims}
          for p in range(p_max + 1)}
-    X2 = transport(X, g)
-    levels = {}
-    for p, L in XF.levels.items():
-        levels[p] = FilteredComplex(X2.level(p), L.k_min, L.k_max, L._weights,
-                                    {q: m @ L.basis(q) for q, m in g[p].items()},
-                                    {q: L.inverse(q) @ m.inverse() for q, m in g[p].items()})
-    return CosimplicialFiltered(X2, levels, check=True)
+    out = filtered_transport(XF, g)
+    out.validate()
+    return out
 
 
-def constant_filtered(FCA: FilteredComplex, p_max: int) -> CosimplicialFiltered:
+def constant_filtered(FCA: FilteredComplex, p_max: int) -> FilteredDiagram:
     X = constant_cosimplicial(FCA.base, p_max)
-    return CosimplicialFiltered(X, {p: FCA for p in range(p_max + 1)}, check=False)
+    return FilteredDiagram(X, {p: FCA for p in range(p_max + 1)}, check=False)
 
 
 def path_filtered(FCA: FilteredComplex, p_max: int):
@@ -603,60 +605,32 @@ def path_filtered(FCA: FilteredComplex, p_max: int):
     levels = {n: _direct_sum(P.level(n), FCA.k_min, FCA.k_max,
                              {q: [(FCA, q, 0)] * (n + 2) for q in FCA.base.dims})
               for n in range(p_max + 1)}
-    return CosimplicialFiltered(P, levels, check=False), ev0, ev1
+    return FilteredDiagram(P, levels, check=False), ev0, ev1
 
 
-def filtered_cosimplicial_biproduct(XF: CosimplicialFiltered, YF: CosimplicialFiltered):
-    """Levelwise direct sum with the sum filtration."""
-    X, Y = XF.cosimplicial, YF.cosimplicial
-    P, (iX, iY), (pX, pY) = cosimplicial_biproduct(X, Y)
-    k_min = min(XF.levels[0].k_min, YF.levels[0].k_min)
-    k_max = max(XF.levels[0].k_max, YF.levels[0].k_max)
-    levels = {p: _direct_sum(P.level(p), k_min, k_max,
-                             {q: [(XF.levels[p], q, 0), (YF.levels[p], q, 0)]
-                              for q in P.level(p).dims})
-              for p in range(X.p_max + 1)}
-    return CosimplicialFiltered(P, levels, check=False), (iX, iY), (pX, pY)
+def bicosimplicial_filtered_from_rows(XF: FilteredDiagram, p_max: int,
+                                      q_max: int) -> FilteredDiagram:
+    """The bicosimplicial filtered complex whose every row is XF."""
+    Z = bicosimplicial_from_rows(XF.base, p_max, q_max)
+    return FilteredDiagram(Z, {(n, m): XF.levels[m] for (n, m) in Z.levels}, check=False)
 
 
-class BicosimplicialFiltered:
-    """A bicosimplicial object in filtered complexes."""
-
-    __slots__ = ("Z", "levels")
-
-    def __init__(self, Z, levels):
-        self.Z = Z
-        self.levels = levels
-
-    def row_filtered(self, n: int) -> CosimplicialFiltered:
-        return CosimplicialFiltered(self.Z.row(n),
-                                    {m: self.levels[(n, m)] for m in range(self.Z.q_max + 1)},
-                                    check=False)
-
-    def diagonal_filtered(self) -> CosimplicialFiltered:
-        D = self.Z.diagonal()
-        return CosimplicialFiltered(D, {p: self.levels[(p, p)] for p in range(D.p_max + 1)},
-                                    check=False)
-
-
-def bicosimplicial_filtered_from_rows(XF: CosimplicialFiltered, p_max: int,
-                                      q_max: int) -> BicosimplicialFiltered:
-    Z = bicosimplicial_from_rows(XF.cosimplicial, p_max, q_max)
-    levels = {(n, m): XF.levels[m] for n in range(p_max + 1) for m in range(q_max + 1)}
-    return BicosimplicialFiltered(Z, levels)
-
-
-def filtered_aw(ZF: BicosimplicialFiltered, r: int, N: int):
-    """(ss(Z), δδ), (sD(Z), δ) and the Alexander-Whitney comparison.
+def filtered_aw(ZF: FilteredDiagram, r: int, N: int):
+    """(ss(Z), δδ), (sD(Z), δ) and the Alexander-Whitney comparison of a
+    bicosimplicial filtered complex.
 
     The outer filtration is δ_r applied to the levelwise filtered simples;
     the AW map preserves total weight, which is checked, not assumed.
     """
-    Z = ZF.Z
+    Z = ZF.base
     mu = aw_map(Z, N)
-    rows = {n: filtered_simple(ZF.row_filtered(n), r, N) for n in range(Z.p_max + 1)}
-    ssF = filtered_simple(CosimplicialFiltered(mu.source.cosimplicial, rows, check=False), r, N)
-    sdF = filtered_simple(ZF.diagonal_filtered(), r, N)
+    rows = {n: filtered_simple(FilteredDiagram(
+        Z.row(n), {m: ZF.levels[(n, m)] for m in range(Z.q_max + 1)}, check=False), r, N)
+        for n in range(Z.p_max + 1)}
+    ssF = filtered_simple(FilteredDiagram(mu.source.cosimplicial, rows, check=False), r, N)
+    D = Z.diagonal()
+    sdF = filtered_simple(FilteredDiagram(D, {p: ZF.levels[(p, p)] for p in range(D.p_max + 1)},
+                                          check=False), r, N)
     check_filtered_map(mu, ssF, sdF)
     return ssF, sdF, mu
 
@@ -673,7 +647,7 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         # S1: product comparison, literal filtration equality + E_r-quis
         XF = random_filtered_cosimplicial(field, rng, p_max, span=span, max_dim=max_dim)
         YF = random_filtered_cosimplicial(field, rng, p_max, span=span, max_dim=max_dim)
-        PF, _, (pX, pY) = filtered_cosimplicial_biproduct(XF, YF)
+        PF = filtered_direct_sum(XF, YF)[0]
         SP = filtered_simple(PF, r, N)
         SX = filtered_simple(XF, r, N)
         SY = filtered_simple(YF, r, N)
@@ -707,8 +681,8 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         XF4 = random_filtered_cosimplicial(field, rng, p_max, span=span, max_dim=max_dim)
         E = contractible_complex(field, rng, max_dim=max_dim)
         EF = constant_filtered(FilteredComplex.trivial(E, jump=XF4.levels[0].k_min), p_max)
-        YF4, (i4, _), _ = filtered_cosimplicial_biproduct(XF4, EF)
-        f4 = simple_map(i4, N)
+        YF4, (i4, _), _ = filtered_direct_sum(XF4, EF)
+        f4 = simple_map(CosimplicialMap(XF4.base, YF4.base, i4, check=False), N)
         flag, _ = is_er_quis(f4, filtered_simple(XF4, r, N), filtered_simple(YF4, r, N),
                              r, up_to=N - 1)
         trial.results["S4"] = flag

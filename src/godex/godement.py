@@ -26,9 +26,7 @@ from .cosimplicial import CosimplicialComplex, alternating_coface_sum, blockwise
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix
 from .oracle import coaugmentation_into_replacement, replacement_complex
-from .site import (
-    MonotoneMap, Sheaf, SheafMap, direct_image, sections, sections_map,
-)
+from .site import MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map
 
 
 # ---- the triple -----------------------------------------------------------
@@ -40,11 +38,6 @@ class TSheaf(Sheaf):
     __slots__ = ("t_base",)
 
 
-def _ups(poset, x) -> tuple:
-    """↑x in canonical order: the block order of T-stalks."""
-    return poset.sorted_subset(poset.up_set(x))
-
-
 def apply_T(G: Sheaf) -> TSheaf:
     """T(G): the stalk at x is the product of the stalks over ↑x, a block
     complex labelled by y ∈ ↑x in every degree of G's range."""
@@ -53,7 +46,7 @@ def apply_T(G: Sheaf) -> TSheaf:
     degrees = range(G.lower, G.top_degree + 1)
     stalks = {}
     for x in poset.elements:
-        ups = _ups(poset, x)
+        ups = poset.sorted_subset(poset.up_set(x))
         blocks = {n: Layout((y, G.stalk(y).dim(n)) for y in ups) for n in degrees}
         diffs = {n: Matrix.assemble(field, blocks[n + 1], blocks[n],
                                     {(y, y): G.stalk(y).d(n) for y in ups})
@@ -62,14 +55,21 @@ def apply_T(G: Sheaf) -> TSheaf:
         stalks[x] = BlockComplex(field, blocks, diffs, lower=G.lower, certified_degree=cert,
                                  check=False)
     # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
-    restr = {}
-    for (a, b) in poset.pairs():
-        Ta, Tb = stalks[a], stalks[b]
-        comps = {n: Ta.blocks[n].projection(field, Tb.blocks[n]) for n in Tb.dims if Ta.dim(n)}
-        restr[(a, b)] = ChainMap(Ta, Tb, comps, check=False)
-    out = TSheaf(poset, field, stalks, restr, check=False)
+    out = TSheaf(poset, field, stalks, _projections(poset, field, stalks), check=False)
     out.t_base = G
     return out
+
+
+def _projections(poset, field, stalks: dict) -> dict:
+    """The restrictions of a sheaf of block complexes whose stalk at b keeps
+    some of the blocks of the stalk at a, for a < b: the projections onto
+    those blocks."""
+    restr = {}
+    for (a, b) in poset.pairs():
+        Sa, Sb = stalks[a], stalks[b]
+        comps = {n: Sa.blocks[n].projection(field, Sb.blocks[n]) for n in Sb.dims if Sa.dim(n)}
+        restr[(a, b)] = ChainMap(Sa, Sb, comps, check=False)
+    return restr
 
 
 def t_chain_layout(T: Sheaf, x, n: int) -> Layout:
@@ -90,52 +90,29 @@ def _t_chains(T: Sheaf, x, n: int):
 
 def godement_eta(G: Sheaf, TG: TSheaf) -> SheafMap:
     """η_G : G -> T(G), with component the stack of restrictions."""
-    poset = G.poset
-    comps = {}
-    for x in poset.elements:
-        blocks = {}
-        for n in G.stalk(x).dims:
-            stacked = None
-            for y in _ups(poset, x):
-                m = G.restriction(x, y).component(n)
-                stacked = m if stacked is None else stacked.vstack(m)
-            blocks[n] = stacked
-        comps[x] = ChainMap(G.stalk(x), TG.stalk(x), blocks, check=False)
-    return SheafMap(G, TG, comps, check=False)
+    return SheafMap.from_blocks(G, TG, lambda x, n: _stack(
+        G.restriction(x, y).component(n) for y in TG.stalk(x).blocks[n]))
 
 
 def godement_nu(G: Sheaf, TG: TSheaf, TTG: TSheaf) -> SheafMap:
     """ν_G : T²(G) -> T(G), projecting onto the matching chain pairs."""
-    poset = G.poset
-    field = G.field
-    comps = {}
-    for x in poset.elements:
-        blocks = {}
-        for n in TG.stalk(x).dims:
-            if TTG.stalk(x).dim(n) == 0:
-                continue
-            # (TTG)_x has a block per pair y <= z with y ∈ ↑x; keep the pairs (y, y)
-            ups = TG.stalk(x).blocks[n]
-            cols = Layout(((y, z), d) for y in ups for z, (_, d) in TG.stalk(y).blocks[n].items())
-            blocks[n] = cols.projection(field, [(y, y) for y in ups])
-        comps[x] = ChainMap(TTG.stalk(x), TG.stalk(x), blocks, check=False)
-    return SheafMap(TTG, TG, comps, check=False)
+
+    def block(x, n):
+        # (TTG)_x has a block per pair y <= z with y ∈ ↑x; keep the pairs (y, y)
+        ups = TG.stalk(x).blocks[n]
+        cols = Layout(((y, z), d) for y in ups for z, (_, d) in TG.stalk(y).blocks[n].items())
+        return cols.projection(G.field, [(y, y) for y in ups])
+    return SheafMap.from_blocks(TTG, TG, block)
 
 
 def t_apply_map(f: SheafMap, Tsrc: TSheaf, Ttgt: TSheaf) -> SheafMap:
     """T(f) : T(src) -> T(tgt), blockwise over ↑x."""
-    poset = f.source.poset
-    field = f.source.field
-    comps = {}
-    for x in poset.elements:
-        S, T = Tsrc.stalk(x), Ttgt.stalk(x)
-        blocks = {}
-        for n in set(S.dims) & set(T.dims):
-            rows = T.blocks[n]
-            blocks[n] = Matrix.assemble(field, rows, S.blocks[n],
-                                        {(y, y): f.component(y).component(n) for y in rows})
-        comps[x] = ChainMap(S, T, blocks, check=False)
-    return SheafMap(Tsrc, Ttgt, comps, check=False)
+
+    def block(x, n):
+        rows = Ttgt.stalks[x].blocks[n]
+        return Matrix.assemble(f.source.field, rows, Tsrc.stalks[x].blocks[n],
+                               {(y, y): f.component(y).component(n) for y in rows})
+    return SheafMap.from_blocks(Tsrc, Ttgt, block)
 
 
 def godement_T(F: Sheaf):
@@ -251,15 +228,12 @@ def stalk_extra_degeneracy(res: GodementResolution, x):
 def skyscraper_counit(res: GodementResolution, y0) -> SheafMap:
     """For F a skyscraper-type sheaf concentrated under y0: the retraction
     T(F) -> F projecting onto the block indexed by y0."""
-    F = res.sheaf
-    TF = res.level(0)
-    field = F.field
-    comps = {}
-    for x in F.poset.elements:
-        blocks = {n: TF.stalk(x).blocks[n].projection(field, [y0])
-                  for n in F.stalk(x).dims if F.poset.leq(x, y0)}
-        comps[x] = ChainMap(TF.stalk(x), F.stalk(x), blocks, check=False)
-    return SheafMap(TF, F, comps, check=True)
+    F, TF = res.sheaf, res.level(0)
+    under = F.poset.down_set(y0)
+    counit = SheafMap.from_blocks(TF, F, lambda x, n: TF.stalk(x).blocks[n].projection(
+        F.field, [y0]) if x in under else None)
+    counit.validate()
+    return counit
 
 
 def sheaf_extra_degeneracy_top(res: GodementResolution, y0):
@@ -318,13 +292,11 @@ def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
                               lambda p, q: res.level(p).restriction(a, b).component(q))
         restr[(a, b)] = ChainMap(totals[a], totals[b], comps, check=False)
     H = Sheaf(poset, F.field, dict(totals), restr, check=False)
-    rho_comps = {}
-    for x in poset.elements:
-        Tx = totals[x]
-        eta_x = res.eta.component(x)
-        comps = {n: Tx.inclusion(n, 0) @ eta_x.component(n) for n in F.stalk(x).dims if Tx.dim(n)}
-        rho_comps[x] = ChainMap(F.stalk(x), Tx, comps, check=True)
-    return Hypercohomology(res, H, SheafMap(F, H, rho_comps, check=False))
+    rho = SheafMap.from_blocks(
+        F, H, lambda x, n: totals[x].inclusion(n, 0) @ res.eta.component(x).component(n))
+    for f in rho.components.values():
+        f.validate()
+    return Hypercohomology(res, H, rho)
 
 
 def hypercohomology_map(f: SheafMap, N: int, hyper_src: Hypercohomology | None = None):
@@ -401,44 +373,27 @@ def reduced_hypercohomology(F: Sheaf, N: int) -> Sheaf:
     """The strict-chain model of H_X(F): stalks are the normalized
     replacements of F over ↑x, restrictions project onto surviving chains."""
     poset = F.poset
-    field = F.field
     stalks = {x: replacement_complex(F, N, strict=True, within=poset.up_set(x))
               for x in poset.elements}
-    lo = min(c.lower for c in stalks.values())
-    restr = {}
-    for (a, b) in poset.pairs():
-        Ra, Rb = stalks[a], stalks[b]
-        comps = {}
-        for n in Rb.dims:
-            if Ra.dim(n) == 0:
-                continue
-            comps[n] = Ra.blocks[n].projection(field, Rb.blocks[n])
-        restr[(a, b)] = ChainMap(Ra, Rb, comps, check=False)
-    return Sheaf(poset, field, dict(stalks), restr, check=False)
+    return Sheaf(poset, F.field, stalks, _projections(poset, F.field, stalks), check=False)
 
 
 def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
     """ι_F : reduced model -> H_X(F), matching strict chains to their slots."""
-    poset = F.poset
-    field = F.field
     res = hyper.resolution
-    comps = {}
-    for x in poset.elements:
-        Rx = R.stalk(x)
-        Hx = hyper.H.stalk(x)
-        blocks = {}
-        for n in Rx.dims:
-            if Hx.dim(n) == 0:
-                continue
-            # columns: strict chains; rows: flattened weak-chain slots of H_x
-            cols = Rx.blocks[n]
-            rows = Layout(((p, chain), d) for (p, q) in Hx.blocks[n]
-                          for chain, (_, d) in t_chain_layout(res.level(p), x, q).items())
-            if any(rows[c][1] != d for c, (_, d) in cols.items()):
-                raise InvariantError("reduced model block mismatch")
-            blocks[n] = rows.inclusion(field, cols)
-        comps[x] = ChainMap(Rx, Hx, blocks, check=True)
-    return SheafMap(R, hyper.H, comps, check=False)
+
+    def block(x, n):
+        # columns: strict chains; rows: flattened weak-chain slots of H_x
+        cols = R.stalk(x).blocks[n]
+        rows = Layout(((p, chain), d) for (p, q) in hyper.H.stalk(x).blocks[n]
+                      for chain, (_, d) in t_chain_layout(res.level(p), x, q).items())
+        if any(rows[c][1] != d for c, (_, d) in cols.items()):
+            raise InvariantError("reduced model block mismatch")
+        return rows.inclusion(F.field, cols)
+    iota = SheafMap.from_blocks(R, hyper.H, block)
+    for f in iota.components.values():
+        f.validate()
+    return iota
 
 
 # ---- Theorem-suite checks --------------------------------------------------

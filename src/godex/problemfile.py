@@ -14,6 +14,7 @@ the identity on parsed content.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .complexes import ChainMap, CochainComplex
@@ -52,11 +53,22 @@ def _expect(value, kind, where: str):
     return value
 
 
+def _is_int(v) -> bool:
+    """Is `v` a JSON integer?  (A JSON boolean is not one.)"""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_int(v, where: str) -> int:
-    try:
-        return int(v)
-    except (TypeError, ValueError):
+    if not _is_int(v):
         raise FormatError(f"{where} must be an integer, got {v!r}")
+    return v
+
+
+def _parse_key(k: str, where: str) -> int:
+    """An object key that is the decimal string of an integer."""
+    if not re.fullmatch(r"-?[0-9]+", k):
+        raise FormatError(f"{where} must be an integer, got {k!r}")
+    return int(k)
 
 
 def _parse_entry(field: Field, v):
@@ -69,10 +81,10 @@ def _parse_entry(field: Field, v):
                 return Fraction(int(v))
             except (ValueError, ZeroDivisionError):
                 raise FormatError(f"bad rational entry {v!r}")
-        if isinstance(v, int):
+        if _is_int(v):
             return Fraction(v)
         raise FormatError(f"bad rational entry {v!r}")
-    if not isinstance(v, int):
+    if not _is_int(v):
         raise FormatError(f"bad F_p entry {v!r}")
     return v % field.p
 
@@ -138,14 +150,14 @@ def _parse_complex(field: Field, spec, where: str) -> CochainComplex:
     _expect(spec, dict, where)
     dims = {}
     for k, v in _expect(spec.get("dims", {}), dict, f"{where}.dims").items():
-        n = _parse_int(k, f"{where}.dims key")
+        n = _parse_key(k, f"{where}.dims key")
         dims[n] = _parse_int(v, f"{where}.dims[{k}]")
         if dims[n] < 0:
             raise FormatError(f"{where}.dims[{k}] is negative")
     lower = _parse_int(spec.get("lower_bound", min(dims) if dims else 0), f"{where}.lower_bound")
     diffs = {}
     for k, data in _expect(spec.get("differentials", {}), dict, f"{where}.differentials").items():
-        n = _parse_int(k, f"{where}.differentials key")
+        n = _parse_key(k, f"{where}.differentials key")
         rows, cols = dims.get(n + 1, 0), dims.get(n, 0)
         diffs[n] = _parse_matrix(field, rows, cols, data, f"{where}.differentials[{k}]")
     try:
@@ -191,7 +203,7 @@ def _parse_sheaf(field: Field, poset: Poset | None, spec, where: str) -> Sheaf:
         comps = {}
         where_ab = f"{where}.restrictions[{a}->{b}]"
         for k, data in _expect(item.get("components", {}), dict, where_ab).items():
-            n = _parse_int(k, f"{where_ab} key")
+            n = _parse_key(k, f"{where_ab} key")
             comps[n] = _parse_matrix(field, stalks[b].dim(n), stalks[a].dim(n), data,
                                      f"{where_ab}[{k}]")
         try:
@@ -255,7 +267,7 @@ def _parse_filtered(field: Field, spec, where: str) -> FilteredComplex:
     bases = {}
     subspaces = _expect(filt.get("subspaces", {}), dict, f"{where}.filtration.subspaces")
     for k, per_degree in subspaces.items():
-        index = _parse_int(k, f"{where}.filtration[{k}]")
+        index = _parse_key(k, f"{where}.filtration[{k}]")
         if not k_min < index <= k_max:
             raise FormatError(f"{where}.filtration[{k}]: F^{index} lies outside "
                               f"(k_min, k_max] = ({k_min}, {k_max}]")
@@ -264,7 +276,7 @@ def _parse_filtered(field: Field, spec, where: str) -> FilteredComplex:
                 continue
             at = f"{where}.filtration[{k}][{n}]"
             cols = len(_expect(_expect(data, list, at)[0], list, at))
-            degree = _parse_int(n, at)
+            degree = _parse_key(n, at)
             bases[(index, degree)] = _parse_matrix(field, base.dim(degree), cols, data, at)
     try:
         return FilteredComplex.from_bases(base, bases, k_min, k_max)
@@ -310,7 +322,7 @@ def parse_document(text: str) -> ProblemFile:
                 raise FormatError(f"map references unknown element {x!r}")
             blocks = {}
             for n, data in _expect(per_degree, dict, f"map[{x}]").items():
-                q = _parse_int(n, f"map[{x}] key")
+                q = _parse_key(n, f"map[{x}] key")
                 blocks[q] = _parse_matrix(field, sheaf2.stalk(x).dim(q), sheaf.stalk(x).dim(q),
                                           data, f"map[{x}][{n}]")
             comps[x] = blocks

@@ -294,6 +294,20 @@ class SheafMap(DiagramMap):
 
     __slots__ = ()
 
+    @classmethod
+    def from_blocks(cls, source: Sheaf, target: Sheaf, block) -> "SheafMap":
+        """The unchecked map whose component at x is block(x, n) in every
+        degree n where both stalks are nonzero; a block of None is zero."""
+        comps = {}
+        for x in source.poset.elements:
+            S, T = source.stalks[x], target.stalks[x]
+            blocks = {}
+            for n in S.dims:
+                if n in T.dims and (m := block(x, n)) is not None:
+                    blocks[n] = m
+            comps[x] = ChainMap(S, T, blocks, check=False)
+        return cls(source, target, comps, check=False)
+
 
 class SectionComplex:
     """Γ(U, F) together with the evaluation maps to the stalks over U.
@@ -625,14 +639,10 @@ def skyscraper_unit(F: Sheaf, x) -> SheafMap:
     """The adjunction unit F -> skyscraper(x, F_x): restriction into the
     stalk where defined, identity at x itself."""
     sky = skyscraper(F.poset, x, F.stalk(x))
-    comps = {}
-    for y in F.poset.elements:
-        if F.poset.leq(y, x):
-            comps[y] = ChainMap(F.stalk(y), sky.stalk(y),
-                                F.restriction(y, x).components, check=False)
-        else:
-            comps[y] = ChainMap.zero(F.stalk(y), sky.stalk(y))
-    return SheafMap(F, sky, comps, check=True)
+    unit = SheafMap.from_blocks(
+        F, sky, lambda y, n: F.restriction(y, x).component(n) if F.poset.leq(y, x) else None)
+    unit.validate()
+    return unit
 
 
 # ---- direct image ---------------------------------------------------------

@@ -174,6 +174,35 @@ def test_malformed_stalk_exits_two(tmp_path):
         assert "Traceback" not in err, bad
 
 
+def _set_dims(doc):
+    doc["sheaf"]["stalks"]["a"]["dims"]["0"] = 1.9
+
+
+def _set_p(doc):
+    doc["field"]["p"] = 5.0
+
+
+def _set_entry(doc):
+    doc["sheaf"]["restrictions"][0]["components"]["0"] = [[True]]
+
+
+def _set_lower_bound(doc):
+    doc["sheaf"]["stalks"]["a"]["lower_bound"] = -0.5
+
+
+@pytest.mark.parametrize("mutate", [_set_dims, _set_p, _set_entry, _set_lower_bound])
+def test_floats_and_booleans_for_integers_are_invalid_input(tmp_path, mutate):
+    # int() read 1.9 as 1, 5.0 as 5, true as 1 and -0.5 as 0, and each of
+    # these files gave betti numbers
+    doc = json.loads((DATA / "pseudocircle-constant.json").read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("--format", "json", "cohomology", "--open", "ALL", str(path))
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ")
+
+
 def test_check_theorem_rejects_nonpositive_sizes():
     # a poset of no elements or stalks of no dimension are usage errors
     for option, value in (("--poset-size", "0"), ("--poset-size", "-3"),

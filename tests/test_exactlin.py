@@ -40,6 +40,20 @@ def test_fraction_without_a_value_mod_p_raises(p):
         assert field.element(Fraction(3, 2)) == 3 * pow(2, p - 2, p) % p
 
 
+@pytest.mark.parametrize("p", [2, 5, 1048573])
+def test_float_that_is_not_an_integer_raises_mod_p(p):
+    # int() truncated 0.5 to 0 and 2.5 to 2; an integral float keeps its value
+    field = GF(p)
+    for bad in (0.5, 2.5):
+        with pytest.raises(ValueError):
+            field.element(bad)
+    assert field.element(3.0) == 3 % p
+    with pytest.raises(ValueError):
+        Matrix(field, 1, 1, [[2.5]])
+    with pytest.raises(ValueError):
+        Matrix.identity(field, 1).scale(0.5)
+
+
 def test_kernel_identity_is_zero(qq):
     K = kernel(Matrix.identity(qq, 2))
     assert K.dim == 0

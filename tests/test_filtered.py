@@ -6,13 +6,14 @@ from godex import cosimplicial
 from godex.complexes import ChainMap, CochainComplex, random_complex
 from godex.cosimplicial import contractible_complex
 from godex.errors import NotFiltered
-from godex.exactlin import Matrix
+from godex.exactlin import Matrix, random_invertible
 from godex.filtered import (
-    FilteredComplex, bicosimplicial_filtered_from_rows, check_descent_axioms_filtered,
-    decalage, decalage_levelwise, deligne_reindex, e_infinity_dims, er_page, filtered_aw,
-    filtered_simple, filtrations_equal, is_er_quis, random_filtered_complex,
-    random_filtered_cosimplicial,
+    FilteredComplex, FilteredDiagram, bicosimplicial_filtered_from_rows,
+    check_descent_axioms_filtered, decalage, decalage_levelwise, deligne_reindex,
+    e_infinity_dims, er_page, filtered_aw, filtered_simple, filtered_transport,
+    filtrations_equal, is_er_quis, random_filtered_complex, random_filtered_cosimplicial,
 )
+from godex.site import constant_sheaf, pseudocircle_poset
 
 
 def test_trivial_filtration_pages(f5):
@@ -192,7 +193,7 @@ def test_rows_are_built_once_and_filtered_aw_totals_the_outer_object_once(f5, mo
     rng = random.Random(11)
     XF = random_filtered_cosimplicial(f5, rng, p_max=4, span=2, max_dim=2)
     ZF = bicosimplicial_filtered_from_rows(XF, 4, 4)
-    assert all(ZF.Z.row(n) is ZF.Z.row(n) for n in range(ZF.Z.p_max + 1))
+    assert all(ZF.base.row(n) is ZF.base.row(n) for n in range(ZF.base.p_max + 1))
     calls = []
     outer_cosimplicial = cosimplicial.outer_cosimplicial
     monkeypatch.setattr(cosimplicial, "outer_cosimplicial",
@@ -200,3 +201,43 @@ def test_rows_are_built_once_and_filtered_aw_totals_the_outer_object_once(f5, mo
     ssF, _, mu = filtered_aw(ZF, 1, 4)
     assert calls == [4]
     assert ssF.base is mu.source
+
+
+def test_bicosimplicial_filtered_from_rows_validates(f5):
+    # every coface and codegeneracy in both directions is a filtered map
+    for seed in range(3):
+        XF = random_filtered_cosimplicial(f5, random.Random(seed), p_max=3)
+        bicosimplicial_filtered_from_rows(XF, 3, 3).validate()
+
+
+def test_filtered_sheaf_validates_by_its_restrictions(f5):
+    # a sheaf of filtered complexes is a FilteredDiagram on the sheaf: every
+    # restriction must be a filtered map
+    C = random_complex(f5, random.Random(3), span=2, max_dim=3)
+    assert not C.is_zero_complex()
+    F = constant_sheaf(pseudocircle_poset(), C)
+    levels = {x: FilteredComplex.trivial(C, 0) for x in F.poset.elements}
+    FilteredDiagram(F, levels)
+    # F^1 at a is everything, F^1 at x is zero: the identity a -> x breaks F^1
+    levels["a"] = FilteredComplex.trivial(C, 1)
+    with pytest.raises(NotFiltered, match="k=1"):
+        FilteredDiagram(F, levels)
+
+
+def test_filtered_transport_there_and_back_is_exact(f5):
+    rng = random.Random(4)
+    XF = random_filtered_cosimplicial(f5, rng, p_max=3)
+    levels = XF.base.diagram()[0]
+    g = {p: {q: random_invertible(f5, C.dim(q), rng) for q in C.dims} for p, C in levels.items()}
+    ginv = {p: {q: m.inverse() for q, m in gp.items()} for p, gp in g.items()}
+    there = filtered_transport(XF, g)
+    there.validate()
+    back = filtered_transport(there, ginv)
+    for p, C in levels.items():
+        A, B = XF.level(p), back.level(p)
+        assert back.base.level(p) == C
+        assert (A.k_min, A.k_max) == (B.k_min, B.k_max)
+        for q in C.dims:
+            assert (A.weights(q) == B.weights(q)).all()
+            assert A.basis(q) == B.basis(q) and A.inverse(q) == B.inverse(q)
+            assert there.level(p).basis(q) == g[p][q] @ A.basis(q)

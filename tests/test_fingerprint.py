@@ -85,8 +85,8 @@ class _Digest:
             self.maps(family)
 
     def filtered(self, XF):
-        self.cosimplicial(XF.cosimplicial)
-        for p in range(XF.p_max + 1):
+        self.cosimplicial(XF.base)
+        for p in range(XF.base.p_max + 1):
             FC = XF.level(p)
             self.put(FC.k_min, FC.k_max)
             for kn, S in sorted(FC.subspaces().items()):

@@ -1,0 +1,18 @@
+"""Rules on the package source that no installed linter enforces."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "godex"
+
+
+def test_library_checks_are_not_assert_statements():
+    # `python -O` strips assert statements, so a check written as one would
+    # silently stop running; library checks raise a godex error instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert sorted(SRC.glob("*.py")), SRC
+    assert not found, found
