@@ -85,8 +85,6 @@ class Field:
         not an integer, which have none in F_p."""
         if self.p is None:
             return Fraction(value)
-        if isinstance(value, int):
-            return value % self.p
         if isinstance(value, Fraction):
             num, den = value.numerator % self.p, value.denominator % self.p
             if den == 0:

@@ -446,11 +446,9 @@ class FilteredDiagram:
 
     __slots__ = ("base", "levels")
 
-    def __init__(self, base, levels: dict, check: bool = True):
+    def __init__(self, base, levels: dict):
         self.base = base
         self.levels = levels
-        if check:
-            self.validate()
 
     def level(self, k) -> FilteredComplex:
         return self.levels[k]
@@ -492,7 +490,7 @@ def filtered_direct_sum(A: FilteredDiagram, B: FilteredDiagram):
         FA, FB = A.levels[k], B.levels[k]
         levels[k] = _direct_sum(C, min(FA.k_min, FB.k_min), max(FA.k_max, FB.k_max),
                                 {q: [(FA, q, 0), (FB, q, 0)] for q in C.dims})
-    return FilteredDiagram(D, levels, check=False), incl, proj
+    return FilteredDiagram(D, levels), incl, proj
 
 
 def filtered_transport(A: FilteredDiagram, g: dict) -> FilteredDiagram:
@@ -505,7 +503,7 @@ def filtered_transport(A: FilteredDiagram, g: dict) -> FilteredDiagram:
         levels[k] = FilteredComplex(C, L.k_min, L.k_max, L._weights,
                                     {q: m @ L.basis(q) for q, m in g[k].items()},
                                     {q: L.inverse(q) @ m.inverse() for q, m in g[k].items()})
-    return FilteredDiagram(D, levels, check=False)
+    return FilteredDiagram(D, levels)
 
 
 def filtered_simple(XF: FilteredDiagram, r: int, N: int) -> FilteredComplex:
@@ -536,7 +534,7 @@ def decalage(FC: FilteredComplex) -> FilteredComplex:
 
 
 def decalage_levelwise(XF: FilteredDiagram) -> FilteredDiagram:
-    return FilteredDiagram(XF.base, {k: decalage(L) for k, L in XF.levels.items()}, check=False)
+    return FilteredDiagram(XF.base, {k: decalage(L) for k, L in XF.levels.items()})
 
 
 def deligne_reindex(pq) -> tuple:
@@ -563,7 +561,7 @@ def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
                                               scramble=False))]
     A = None
     for w, C in pieces:
-        piece = FilteredDiagram(C, {0: FilteredComplex.trivial(C, w)}, check=False)
+        piece = FilteredDiagram(C, {0: FilteredComplex.trivial(C, w)})
         A = piece if A is None else filtered_direct_sum(A, piece)[0]
     g = {n: random_invertible(field, A.base.dim(n), rng) for n in A.base.dims}
     return filtered_transport(A, {0: g}).level(0)
@@ -580,8 +578,7 @@ def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2, max_dim:
                            scramble=False)
         X = constant_cosimplicial(A, p_max) if rng.random() < 0.5 else path_object(A, p_max)[0]
         part = FilteredDiagram(
-            X, {p: FilteredComplex.trivial(X.level(p), jump=w) for p in range(p_max + 1)},
-            check=False)
+            X, {p: FilteredComplex.trivial(X.level(p), jump=w) for p in range(p_max + 1)})
         XF = part if XF is None else filtered_direct_sum(XF, part)[0]
     X = XF.base
     g = {p: {q: random_invertible(field, X.level(p).dim(q), rng) for q in X.level(p).dims}
@@ -593,7 +590,7 @@ def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2, max_dim:
 
 def constant_filtered(FCA: FilteredComplex, p_max: int) -> FilteredDiagram:
     X = constant_cosimplicial(FCA.base, p_max)
-    return FilteredDiagram(X, {p: FCA for p in range(p_max + 1)}, check=False)
+    return FilteredDiagram(X, {p: FCA for p in range(p_max + 1)})
 
 
 def path_filtered(FCA: FilteredComplex, p_max: int):
@@ -605,14 +602,14 @@ def path_filtered(FCA: FilteredComplex, p_max: int):
     levels = {n: _direct_sum(P.level(n), FCA.k_min, FCA.k_max,
                              {q: [(FCA, q, 0)] * (n + 2) for q in FCA.base.dims})
               for n in range(p_max + 1)}
-    return FilteredDiagram(P, levels, check=False), ev0, ev1
+    return FilteredDiagram(P, levels), ev0, ev1
 
 
 def bicosimplicial_filtered_from_rows(XF: FilteredDiagram, p_max: int,
                                       q_max: int) -> FilteredDiagram:
     """The bicosimplicial filtered complex whose every row is XF."""
     Z = bicosimplicial_from_rows(XF.base, p_max, q_max)
-    return FilteredDiagram(Z, {(n, m): XF.levels[m] for (n, m) in Z.levels}, check=False)
+    return FilteredDiagram(Z, {(n, m): XF.levels[m] for (n, m) in Z.levels})
 
 
 def filtered_aw(ZF: FilteredDiagram, r: int, N: int):
@@ -625,12 +622,12 @@ def filtered_aw(ZF: FilteredDiagram, r: int, N: int):
     Z = ZF.base
     mu = aw_map(Z, N)
     rows = {n: filtered_simple(FilteredDiagram(
-        Z.row(n), {m: ZF.levels[(n, m)] for m in range(Z.q_max + 1)}, check=False), r, N)
+        Z.row(n), {m: ZF.levels[(n, m)] for m in range(Z.q_max + 1)}), r, N)
         for n in range(Z.p_max + 1)}
-    ssF = filtered_simple(FilteredDiagram(mu.source.cosimplicial, rows, check=False), r, N)
+    ssF = filtered_simple(FilteredDiagram(mu.source.cosimplicial, rows), r, N)
     D = Z.diagonal()
-    sdF = filtered_simple(FilteredDiagram(D, {p: ZF.levels[(p, p)] for p in range(D.p_max + 1)},
-                                          check=False), r, N)
+    sdF = filtered_simple(
+        FilteredDiagram(D, {p: ZF.levels[(p, p)] for p in range(D.p_max + 1)}), r, N)
     check_filtered_map(mu, ssF, sdF)
     return ssF, sdF, mu
 

@@ -190,10 +190,21 @@ def _set_lower_bound(doc):
     doc["sheaf"]["stalks"]["a"]["lower_bound"] = -0.5
 
 
-@pytest.mark.parametrize("mutate", [_set_dims, _set_p, _set_entry, _set_lower_bound])
+def _pad_dims_key(doc):
+    dims = doc["sheaf"]["stalks"]["a"]["dims"]
+    dims[" 0"] = dims.pop("0")
+
+
+def _sign_component_key(doc):
+    comps = doc["sheaf"]["restrictions"][0]["components"]
+    comps["+0"] = comps.pop("0")
+
+
+@pytest.mark.parametrize("mutate", [_set_dims, _set_p, _set_entry, _set_lower_bound,
+                                    _pad_dims_key, _sign_component_key])
 def test_floats_and_booleans_for_integers_are_invalid_input(tmp_path, mutate):
-    # int() read 1.9 as 1, 5.0 as 5, true as 1 and -0.5 as 0, and each of
-    # these files gave betti numbers
+    # int() read 1.9 as 1, 5.0 as 5, true as 1, -0.5 as 0, and the keys " 0"
+    # and "+0" as 0, and each of these files gave betti numbers
     doc = json.loads((DATA / "pseudocircle-constant.json").read_text())
     mutate(doc)
     path = tmp_path / "bad.json"

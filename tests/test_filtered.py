@@ -217,11 +217,11 @@ def test_filtered_sheaf_validates_by_its_restrictions(f5):
     assert not C.is_zero_complex()
     F = constant_sheaf(pseudocircle_poset(), C)
     levels = {x: FilteredComplex.trivial(C, 0) for x in F.poset.elements}
-    FilteredDiagram(F, levels)
+    FilteredDiagram(F, levels).validate()
     # F^1 at a is everything, F^1 at x is zero: the identity a -> x breaks F^1
     levels["a"] = FilteredComplex.trivial(C, 1)
     with pytest.raises(NotFiltered, match="k=1"):
-        FilteredDiagram(F, levels)
+        FilteredDiagram(F, levels).validate()
 
 
 def test_filtered_transport_there_and_back_is_exact(f5):
