@@ -364,8 +364,17 @@ def transport(D, g):
     becomes g_t f g_s^-1; g holds an automorphism for every nonzero degree
     of every level.
     """
+    return _transport(D, g, _inverses(g))
+
+
+def _inverses(g: dict) -> dict:
+    """g[level key][q]^-1 for every automorphism of g."""
+    return {k: {q: m.inverse() for q, m in gk.items()} for k, gk in g.items()}
+
+
+def _transport(D, g: dict, ginv: dict):
+    """`transport` of D along g, whose inverses the caller has as ginv."""
     levels, arrows = D.diagram()
-    ginv = {k: {q: m.inverse() for q, m in gk.items()} for k, gk in g.items()}
     new = {k: CochainComplex(C.field, dict(C.dims),
                              {q: g[k][q + 1] @ d @ ginv[k][q] for q, d in C.differentials.items()},
                              lower=C.lower, certified_degree=C.certified_degree, check=False)

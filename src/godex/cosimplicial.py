@@ -5,7 +5,10 @@ The simple (total-complex) functor follows the convention
     s(X)^n = ⊕_{p+q=n} X(p)^q ,
 
 with differential assembled from the alternating coface sum into level p+1
-and the internal differential signed by (-1)^p.  Cosimplicial objects are
+and the internal differential signed by (-1)^p.  `total_complex` builds it
+from the levels and a function giving that coface sum; `simple` passes the
+alternating sum of the cofaces of a cosimplicial complex, and the Godement
+route the sums it builds without the cofaces.  Cosimplicial objects are
 truncated at a level p_max; the simple functor at bound N then certifies
 cohomology only in degrees <= N-1 (one guard degree), and all
 quasi-isomorphism claims are asserted within certified degrees only.
@@ -150,10 +153,12 @@ def constant_cosimplicial(A: CochainComplex, p_max: int) -> CosimplicialComplex:
 
 
 class TotalComplex(BlockComplex):
-    """s(X), a block complex of the cosimplicial complex X it totals.
+    """s(X), a block complex of the levels X(p) it totals.
 
     blocks[n] is the `Layout` of degree n: label (level p, internal degree
     q) -> (offset, dim), nonzero summands only, in increasing p.
+    `cosimplicial` is the cosimplicial complex X when `simple` built it, and
+    None for a total that `total_complex` built from levels and coface sums.
     """
 
     __slots__ = ("cosimplicial",)
@@ -170,18 +175,54 @@ def alternating_coface_sum(X: CosimplicialComplex, p: int, q: int) -> Matrix:
                            (X.coface(p, i).component(q) for i in range(p + 1)))
 
 
-def _total_differential(X: CosimplicialComplex, blocks: dict, n: int, signed: bool) -> Matrix:
-    """d^n of s(X) on the layouts `blocks`: the alternating coface sum into
-    level p+1 plus the internal differential, signed by (-1)^p if `signed`."""
+def _total_differential(field: Field, levels: dict, coface_sum, blocks: dict, n: int,
+                        signed: bool) -> Matrix:
+    """d^n of the total complex on the layouts `blocks`: the coface sum
+    coface_sum(p + 1, q) into level p+1 plus the internal differential,
+    signed by (-1)^p if `signed`."""
     rows, cols = blocks[n + 1], blocks[n]
     entries = {}
     for (p, q) in cols:
         if (p + 1, q) in rows:
-            entries[((p + 1, q), (p, q))] = alternating_coface_sum(X, p + 1, q)
+            entries[((p + 1, q), (p, q))] = coface_sum(p + 1, q)
         if (p, q + 1) in rows:
-            m = X.level(p).d(q)
+            m = levels[p].d(q)
             entries[((p, q + 1), (p, q))] = m.scale(-1) if signed and p % 2 else m
-    return Matrix.assemble(X.field, rows, cols, entries)
+    return Matrix.assemble(field, rows, cols, entries)
+
+
+def total_complex(field: Field, levels: dict, coface_sum, N: int) -> TotalComplex:
+    """The total complex in degrees <= N of the levels 0..p_max (p ->
+    complex) whose level p-1 -> level p map is coface_sum(p, q) in internal
+    degree q; certified through degree N-1.  It reads no coface one by one,
+    only their sum: `simple` passes the alternating coface sum of a
+    cosimplicial complex, the Godement route the sums it builds directly."""
+    p_max = max(levels)
+    lows = [lv.lower for lv in levels.values() if not lv.is_zero_complex()]
+    if not lows:
+        # a zero total keeps the levels' lower bound, which the stalks of a
+        # sheaf of totals must share
+        lower = min(lv.lower for lv in levels.values())
+        out = TotalComplex(field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
+        out.cosimplicial = None
+        return out
+    lmin = min(lows)
+    if p_max < N - lmin:
+        raise InsufficientLevels(
+            f"p_max={p_max} cannot reach total degree {N} with lower bound {lmin}")
+    blocks = {n: Layout(((p, n - p), levels[p].dim(n - p)) for p in range(n - lmin + 1)
+                        if levels[p].dim(n - p))
+              for n in range(lmin, N + 1)}
+    diffs = {n: _total_differential(field, levels, coface_sum, blocks, n, True)
+             for n in range(lmin, N) if blocks[n] and blocks[n + 1]}
+    cert = N - 1
+    for p in range(p_max + 1):
+        c = levels[p].certified_degree
+        if c is not None:
+            cert = min(cert, c + p)
+    out = TotalComplex(field, blocks, diffs, lower=lmin, certified_degree=cert, check=True)
+    out.cosimplicial = None
+    return out
 
 
 def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
@@ -189,29 +230,7 @@ def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
     cached = X._simple_cache.get(N)
     if cached is not None:
         return cached
-    lmin = X.lower
-    if lmin is None:
-        # a zero total keeps the levels' lower bound, which the stalks of a
-        # sheaf of totals must share
-        lower = min(lv.lower for lv in X.levels.values())
-        out = TotalComplex(X.field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
-        out.cosimplicial = X
-        X._simple_cache[N] = out
-        return out
-    if X.p_max < N - lmin:
-        raise InsufficientLevels(
-            f"p_max={X.p_max} cannot reach total degree {N} with lower bound {lmin}")
-    blocks = {n: Layout(((p, n - p), X.level(p).dim(n - p)) for p in range(n - lmin + 1)
-                        if X.level(p).dim(n - p))
-              for n in range(lmin, N + 1)}
-    diffs = {n: _total_differential(X, blocks, n, True)
-             for n in range(lmin, N) if blocks[n] and blocks[n + 1]}
-    cert = N - 1
-    for p in range(X.p_max + 1):
-        c = X.level(p).certified_degree
-        if c is not None:
-            cert = min(cert, c + p)
-    out = TotalComplex(X.field, blocks, diffs, lower=lmin, certified_degree=cert, check=True)
+    out = total_complex(X.field, X.levels, lambda p, q: alternating_coface_sum(X, p, q), N)
     out.cosimplicial = X
     X._simple_cache[N] = out
     return out
@@ -769,11 +788,12 @@ def _mutant_sign_note(X: CosimplicialComplex, N: int) -> str:
     if lmin is None:
         return "zero object: mutant vacuous"
     S = simple(X, N)
+    coface_sum = lambda p, q: alternating_coface_sum(X, p, q)  # noqa: E731
     for n in range(lmin, N - 1):
         if not S.blocks.get(n + 2):
             continue
-        bad = _total_differential(X, S.blocks, n, False)
-        bad2 = _total_differential(X, S.blocks, n + 1, False)
+        bad = _total_differential(X.field, X.levels, coface_sum, S.blocks, n, False)
+        bad2 = _total_differential(X.field, X.levels, coface_sum, S.blocks, n + 1, False)
         if not (bad2 @ bad).is_zero():
             return f"sign mutant: d∘d != 0 first fails from degree {n}"
     return "sign mutant: no failure detected (object too degenerate)"

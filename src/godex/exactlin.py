@@ -359,6 +359,25 @@ def alternating_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
     return Matrix(field, rows, cols, a, _raw=True)
 
 
+def units_minus_blocks(field: Field, rows: "Layout", cols: "Layout", units, blocks: dict) -> Matrix:
+    """The block matrix with a 1 at each (row, column) index pair of `units`
+    minus the blocks `blocks[(row label, column label)]`, written into one
+    array: the units are set by index and each block is subtracted in place,
+    so no block is widened to full size.  Over F_p an entry is then above
+    -p and at most 1, and is reduced once."""
+    a = _zeros(field, rows.dim, cols.dim)
+    r, c = units
+    a[r, c] = field.element(1)
+    for (bi, bj), m in blocks.items():
+        (r0, rd), (c0, cd) = rows[bi], cols[bj]
+        if m.shape != (rd, cd):
+            raise ValueError(f"block {(bi, bj)} has shape {m.shape}, expected {(rd, cd)}")
+        a[r0:r0 + rd, c0:c0 + cd] -= m._a
+    if field.p is not None:
+        a %= field.p
+    return Matrix(field, rows.dim, cols.dim, a, _raw=True)
+
+
 def _zeros(field: Field, rows: int, cols: int):
     """A zero storage array; over Q its entries are Fraction(0), not int 0."""
     if field.p is None:

@@ -31,7 +31,7 @@ import random
 import numpy as np
 
 from .complexes import (
-    BlockComplex, ChainMap, CochainComplex, direct_sum, random_complex, transport,
+    BlockComplex, ChainMap, CochainComplex, _inverses, _transport, direct_sum, random_complex,
 )
 from .cosimplicial import (
     AxiomAuditReport, AxiomTrial, CosimplicialMap, aw_map, bicosimplicial_from_rows,
@@ -496,13 +496,14 @@ def filtered_direct_sum(A: FilteredDiagram, B: FilteredDiagram):
 def filtered_transport(A: FilteredDiagram, g: dict) -> FilteredDiagram:
     """`complexes.transport` of the base along g[level key][q]: the weights
     stay, and each adapted basis B becomes g·B."""
-    D = transport(A.base, g)
+    ginv = _inverses(g)
+    D = _transport(A.base, g, ginv)
     levels = {}
     for k, C in D.diagram()[0].items():
         L = A.levels[k]
         levels[k] = FilteredComplex(C, L.k_min, L.k_max, L._weights,
                                     {q: m @ L.basis(q) for q, m in g[k].items()},
-                                    {q: L.inverse(q) @ m.inverse() for q, m in g[k].items()})
+                                    {q: L.inverse(q) @ ginv[k][q] for q in g[k]})
     return FilteredDiagram(D, levels)
 
 

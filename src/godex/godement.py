@@ -9,6 +9,17 @@ s^j_p = T(s^{j-1}_{p-1}).  The hypercohomology sheaf H_X(F) is the
 objectwise total complex of G•(F), truncated at a degree bound N and
 certified through N-1.
 
+A total complex reads only the alternating coface sum δ_p = Σ_i (-1)^i d^i_p
+(the Moore complex).  T is linear, so δ_0 = η_F and δ_p = η_{T^p F} -
+T(δ_{p-1}): `godement_resolution` builds the levels, η and these sums, and
+H_X(F) is totalled with them.  The cofaces and codegeneracies are built on
+first read, by whatever needs them: the cosimplicial identities of
+`GodementResolution.validate`, the sections of the resolution, and the
+stalk commutation check, which totals the stalks with the alternating sum
+of the cofaces and so compares two independent computations of every stalk
+of H_X(F).  No verdict of the theorem suite or of derived sections builds a
+codegeneracy.
+
 Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
 matrices of T-stalks are assembled on its layouts, or on the flattened
 chains of an iterated T-stalk (`t_chain_layout`).  Stalks and sections of
@@ -22,11 +33,15 @@ tests/test_bridges.py), never assumed silently.
 from __future__ import annotations
 
 from .complexes import BlockComplex, ChainMap, CochainComplex, induced_map, is_quis, min_certified
-from .cosimplicial import CosimplicialComplex, alternating_coface_sum, blockwise_map, simple
+from .cosimplicial import (
+    CosimplicialComplex, alternating_coface_sum, blockwise_map, simple, total_complex,
+)
 from .errors import InsufficientLevels, InvariantError
-from .exactlin import Layout, Matrix
+from .exactlin import Layout, Matrix, alternating_sum, units_minus_blocks
 from .oracle import coaugmentation_into_replacement, replacement_complex
-from .site import MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map
+from .site import (
+    MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map, sections_quis,
+)
 
 
 # ---- the triple -----------------------------------------------------------
@@ -142,48 +157,121 @@ def godement_T(F: Sheaf):
 
 
 class GodementResolution:
-    """G•(F): the levels G^p F = T^{p+1} F for p = 0..p_max, with coface
-    and codegeneracy sheaf maps and the coaugmentation η : F -> G^0 F.
+    """G•(F): the levels G^p F = T^{p+1} F for p = 0..p_max, the
+    coaugmentation η : F -> G^0 F and the coface sums.
 
+    coface_sums[p]        : level p-1 -> level p   (1 <= p <= p_max), Σ_i (-1)^i d^i
     cofaces[(p, i)]       : level p-1 -> level p   (1 <= p <= p_max, 0 <= i <= p)
     codegeneracies[(p, j)]: level p+1 -> level p   (0 <= p <= p_max-1, 0 <= j <= p)
+
+    The levels, η and the coface sums are built with the resolution; they
+    are all a total complex reads.  The cofaces and codegeneracies are built
+    on first read, each as T of the map one level down.
     """
 
-    __slots__ = ("sheaf", "levels", "cofaces", "codegeneracies", "eta", "p_max")
+    __slots__ = ("sheaf", "levels", "eta", "coface_sums", "p_max", "_cofaces", "_codegens")
 
-    def __init__(self, sheaf, levels, cofaces, codegeneracies, eta, p_max):
+    def __init__(self, sheaf, levels, eta, coface_sums, p_max):
         self.sheaf = sheaf
         self.levels = levels
-        self.cofaces = cofaces
-        self.codegeneracies = codegeneracies
         self.eta = eta
+        self.coface_sums = coface_sums
         self.p_max = p_max
+        self._cofaces = self._codegens = None
 
     def level(self, p) -> TSheaf:
         return self.levels[p]
 
+    def _tower(self, k) -> Sheaf:
+        """T^k F: the sheaf for k = 0, level k-1 otherwise."""
+        return self.sheaf if k == 0 else self.levels[k - 1]
+
+    @property
+    def cofaces(self) -> dict:
+        """d^0_p = η of T^p F and d^i_p = T(d^{i-1}_{p-1}), where d^0_0 = η_F;
+        one t_apply_map per coface with i >= 1."""
+        if self._cofaces is None:
+            tower, cofaces = self._tower, {}
+            for p in range(1, self.p_max + 1):
+                cofaces[(p, 0)] = godement_eta(tower(p), tower(p + 1))
+                for i in range(1, p + 1):
+                    below = cofaces[(p - 1, i - 1)] if p > 1 else self.eta
+                    cofaces[(p, i)] = t_apply_map(below, tower(p), tower(p + 1))
+            self._cofaces = cofaces
+        return self._cofaces
+
+    @property
+    def codegeneracies(self) -> dict:
+        """s^0_p = ν of T^p F and s^j_p = T(s^{j-1}_{p-1})."""
+        if self._codegens is None:
+            tower, codegens = self._tower, {}
+            for p in range(self.p_max):
+                codegens[(p, 0)] = godement_nu(tower(p), tower(p + 1), tower(p + 2))
+                for j in range(1, p + 1):
+                    codegens[(p, j)] = t_apply_map(codegens[(p - 1, j - 1)], tower(p + 2),
+                                                   tower(p + 1))
+            self._codegens = codegens
+        return self._codegens
+
+    def stalk_levels(self, x) -> dict:
+        """p -> the stalk of level p at x."""
+        return {p: self.levels[p].stalk(x) for p in range(self.p_max + 1)}
+
     def stalkwise(self, x) -> CosimplicialComplex:
-        """The cosimplicial complex of stalks at x."""
+        """The cosimplicial complex of stalks at x (builds every structure map)."""
         return CosimplicialComplex(
-            self.sheaf.field, {p: self.levels[p].stalk(x) for p in range(self.p_max + 1)},
+            self.sheaf.field, self.stalk_levels(x),
             {(p, i): f.component(x) for (p, i), f in self.cofaces.items()},
             {(p, j): f.component(x) for (p, j), f in self.codegeneracies.items()},
             self.p_max, check=False,
         )
 
     def validate(self):
+        """Every cosimplicial identity at every stalk, every structure map a
+        sheaf map, and every coface sum the alternating sum of the cofaces."""
         for x in self.sheaf.poset.elements:
-            self.stalkwise(x).validate()
+            X = self.stalkwise(x)
+            X.validate()
+            for p, delta in self.coface_sums.items():
+                for q in X.level(p - 1).dims:
+                    if delta.component(x).component(q) != alternating_coface_sum(X, p, q):
+                        raise InvariantError(f"coface sum {p} at {x} in degree {q} is not "
+                                             "the alternating sum of the cofaces")
         for f in list(self.cofaces.values()) + list(self.codegeneracies.values()):
             f.validate()
+
+
+def _coface_sum(below: SheafMap, G: TSheaf, TG: TSheaf) -> SheafMap:
+    """δ_p = η_G - T(δ_{p-1}) : G -> T(G) for G = T^p F, p >= 1, where
+    below = δ_{p-1} : G's base -> G.
+
+    The restrictions of G are projections, so η_G is a 0/1 matrix: the row
+    of sub-block z of block y of (TG)_x picks the column of block z of G_x.
+    Those units are set by index, and δ_{p-1} at y is subtracted into the
+    (y, y) block in place (`units_minus_blocks`)."""
+
+    def block(x, n):
+        rows, cols = TG.stalks[x].blocks[n], G.stalks[x].blocks[n]
+        r_idx, c_idx, minus = [], [], {}
+        for y, (r0, _) in rows.items():
+            for z, (z0, d) in G.stalks[y].blocks[n].items():
+                c0 = cols[z][0]
+                r_idx.extend(range(r0 + z0, r0 + z0 + d))
+                c_idx.extend(range(c0, c0 + d))
+            m = below.component(y).components.get(n)
+            if m is not None:
+                minus[(y, y)] = m
+        return units_minus_blocks(G.field, rows, cols, (r_idx, c_idx), minus)
+    return SheafMap.from_blocks(G, TG, block)
 
 
 def godement_resolution(F: Sheaf, p_max: int) -> GodementResolution:
     """G^p(F) = T^{p+1}(F) with d^i = T^i η T^{p-i}, s^j = T^j ν T^{p-j}.
 
-    For i, j >= 1 each structure map is T of a map one level down,
-    d^i_p = T(d^{i-1}_{p-1}) and s^j_p = T(s^{j-1}_{p-1}), where d^1_1 =
-    T(η_F); every map costs one t_apply_map.
+    Since d^i_p = T(d^{i-1}_{p-1}) and T is linear, the coface sums obey
+    δ_0 = η_F and δ_p = η_{T^p F} - T(δ_{p-1}); the resolution builds the
+    levels, η and these p_max maps (`_coface_sum`), and leaves the cofaces
+    and codegeneracies to their first read.
     """
     if p_max < 0:
         raise InsufficientLevels("p_max must be >= 0")
@@ -191,19 +279,11 @@ def godement_resolution(F: Sheaf, p_max: int) -> GodementResolution:
     for _ in range(p_max + 1):
         tower.append(apply_T(tower[-1]))
     eta = godement_eta(F, tower[1])
-    cofaces = {}
+    sums, below = {}, eta
     for p in range(1, p_max + 1):
-        cofaces[(p, 0)] = godement_eta(tower[p], tower[p + 1])
-        for i in range(1, p + 1):
-            below = cofaces[(p - 1, i - 1)] if p > 1 else eta
-            cofaces[(p, i)] = t_apply_map(below, tower[p], tower[p + 1])
-    codegens = {}
-    for p in range(p_max):
-        codegens[(p, 0)] = godement_nu(tower[p], tower[p + 1], tower[p + 2])
-        for j in range(1, p + 1):
-            codegens[(p, j)] = t_apply_map(codegens[(p - 1, j - 1)], tower[p + 2], tower[p + 1])
+        below = sums[p] = _coface_sum(below, tower[p], tower[p + 1])
     levels = {p: tower[p + 1] for p in range(p_max + 1)}
-    return GodementResolution(F, levels, cofaces, codegens, eta, p_max)
+    return GodementResolution(F, levels, eta, sums, p_max)
 
 
 def stalk_extra_degeneracy(res: GodementResolution, x):
@@ -278,14 +358,20 @@ def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
     """Objectwise total complex of the Godement resolution, truncated at N.
 
     p_max = N - lower suffices: level p only contributes to total degrees
-    >= p + lower.  Every stalk complex re-asserts d∘d = 0; the sheaf and
-    ρ are built unchecked, since validating them is O(n^3) matrix products,
-    and `tests/test_godement.py` validates both on the suite sheaves.
+    >= p + lower.  The stalk at x is the total complex of the levels at x
+    with the coface sums δ_p of the resolution (`total_complex`), so no
+    coface or codegeneracy is built.  Every stalk complex re-asserts d∘d = 0
+    and every component of ρ is validated as a chain map; the sheaf and ρ
+    as a sheaf map are built unchecked, since validating them is O(n^3)
+    matrix products, and `tests/test_godement.py` validates both on the
+    suite sheaves.
     """
     F.require_truncation(N)
     res = godement_resolution(F, max(N - F.lower, 0))
     poset = F.poset
-    totals = {x: simple(res.stalkwise(x), N) for x in poset.elements}
+    totals = {x: total_complex(F.field, res.stalk_levels(x),
+                               lambda p, q: res.coface_sums[p].component(x).component(q), N)
+              for x in poset.elements}
     restr = {}
     for (a, b) in poset.pairs():
         comps = blockwise_map(totals[a], totals[b],
@@ -344,7 +430,21 @@ class EquivalenceReport:
 def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
     """kind="local": quasi-isomorphism on every stalk.
     kind="global": quasi-isomorphism on the sections over every open
-    (enumerated up to the cap unless `opens` is supplied)."""
+    (enumerated up to the cap unless `opens` is supplied).
+
+    A global check builds no section basis on an open without a minimum
+    (`site.sections_quis`): with S the cover-constraint systems (no rows on
+    an open without a cover relation) and F_n the block-diagonal f_x^n, the
+    cone differential of `is_quis` has rank
+
+        rank φ_n = rank[[S_s^n, 0], [0, S_t^{n-1}], [D_s^n, 0], [F_n, D_t^{n-1}]]
+                   - rank S_s^n - rank S_t^{n-1}
+
+    on Γ_s^n ⊕ Γ_t^{n-1}, and NotContained is raised, as `sections_map`
+    raises it, when rank[S_s^n; S_t^n F_n] != rank S_s^n.  On ∅ and on an
+    open with a minimum the check is is_quis(sections_map(f, U)), which
+    stays the reference of the rank path.
+    """
     poset = f.source.poset
     witnesses = []
     cert = None
@@ -357,7 +457,7 @@ def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
         if opens is None:
             opens = poset.up_sets()
         for U in opens:
-            r = is_quis(sections_map(f, U))
+            r = sections_quis(f, U)
             cert = min_certified(cert, r.certified_degree)
             label = tuple(sorted(map(str, U)))
             witnesses.extend((label, n) for n in r.failures())
@@ -404,15 +504,26 @@ def stalk_commutation_check(F: Sheaf, N: int, hyper: Hypercohomology | None = No
 
     On an Alexandrov site the stalk of the objectwise total complex at x is
     the total complex of the stalks, so the comparison map is degreewise the
-    identity; this check re-derives both sides and asserts the structural
-    equality, reporting any discrepancy as a witness.
+    identity.  This check compares two independent computations of every
+    stalk: H_X(F)_x, whose differential carries the coface sums δ_p of the
+    recursion δ_p = η - T(δ_{p-1}), against the total complex of the stalks
+    at x with the alternating sum of the cofaces d^i_p = T(d^{i-1}_{p-1}),
+    each built on its own.  Every degree where the dimensions or the
+    differentials differ is a witness.  No codegeneracy is built.
     """
     if hyper is None:
         hyper = hypercohomology_sheaf(F, N)
+    res = hyper.resolution
     witnesses = []
     for x in F.poset.elements:
+        levels = res.stalk_levels(x)
+
+        def coface_sum(p, q):
+            return alternating_sum(F.field, levels[p].dim(q), levels[p - 1].dim(q),
+                                   (res.cofaces[(p, i)].component(x).component(q)
+                                    for i in range(p + 1)))
         lhs = hyper.H.stalk(x)
-        rhs = simple(hyper.resolution.stalkwise(x), N)
+        rhs = total_complex(F.field, levels, coface_sum, N)
         for n in set(lhs.dims) | set(rhs.dims):
             if lhs.dim(n) != rhs.dim(n) or lhs.d(n) != rhs.d(n):
                 witnesses.append((x, n))

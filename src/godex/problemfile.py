@@ -74,13 +74,11 @@ def _parse_key(k: str, where: str) -> int:
 def _parse_entry(field: Field, v):
     if field.is_rational:
         if isinstance(v, str):
-            try:
-                if "/" in v:
-                    num, den = v.split("/", 1)
-                    return Fraction(int(num), int(den))
-                return Fraction(int(v))
-            except (ValueError, ZeroDivisionError):
+            # ASCII digits only: int() would also take "1_0", " 3", "+2" and "٣"
+            m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", v)
+            if m is None or (m.group(2) is not None and int(m.group(2)) == 0):
                 raise FormatError(f"bad rational entry {v!r}")
+            return Fraction(int(m.group(1)), int(m.group(2) or 1))
         if _is_int(v):
             return Fraction(v)
         raise FormatError(f"bad rational entry {v!r}")

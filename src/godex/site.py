@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    ChainMap, CochainComplex, DiagramMap, betti_from_ranks, conjugate, direct_sum, mapping_cone,
-    min_certified, random_complex, random_map, zero_complex,
+    ChainMap, CochainComplex, DiagramMap, QuisReport, betti_from_ranks, conjugate, direct_sum,
+    is_quis, mapping_cone, min_certified, random_complex, random_map, zero_complex,
 )
 from .errors import (
     FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained, NotMonotone,
@@ -28,6 +28,7 @@ from .errors import (
 from .exactlin import Field, Layout, Matrix, Subspace, free_columns
 
 UP_SET_ENUMERATION_CAP = 12
+_NO_FAMILIES = Layout()
 
 
 class Poset:
@@ -219,11 +220,11 @@ class Sheaf:
         self.poset = poset
         self.field = field
         self.stalks = stalks
-        self.restrictions = dict(restrictions)
+        # r_{x,x} is the identity, built on first read by `restriction`
+        self.restrictions = {(a, b): r for (a, b), r in restrictions.items() if a != b}
         for x in poset.elements:
             if x not in stalks:
                 raise InvariantError(f"missing stalk at {x}")
-            self.restrictions[(x, x)] = ChainMap.identity(stalks[x])
         if check:
             self.validate()
 
@@ -239,7 +240,9 @@ class Sheaf:
         return Sheaf(self.poset, self.field, stalks, restrictions, check=False)
 
     def restriction(self, x, y) -> ChainMap:
-        """The map F_x -> F_y for x <= y."""
+        """The map F_x -> F_y for x <= y; the identity for x == y."""
+        if x == y and (x, x) not in self.restrictions:
+            self.restrictions[(x, x)] = ChainMap.identity(self.stalks[x])
         return self.restrictions[(x, y)]
 
     @property
@@ -437,37 +440,55 @@ def _constraint_system(F: Sheaf, constraints, layout: Layout, n: int) -> Matrix:
 
 
 def _stalk_differential(F: Sheaf, layouts: dict, n: int) -> Matrix:
-    """D_n: the stalk differentials d_x^n, block-diagonal on the layouts."""
-    return Matrix.assemble(F.field, layouts[n + 1], layouts[n],
-                           {(x, x): F.stalk(x).d(n) for x in layouts[n]})
+    """D_n: the stalk differentials d_x^n, block-diagonal on the layouts (no
+    rows or no columns in a degree without a layout)."""
+    rows, cols = layouts.get(n + 1, _NO_FAMILIES), layouts.get(n, _NO_FAMILIES)
+    return Matrix.assemble(F.field, rows, cols,
+                           {(x, x): F.stalk(x).d(n) for x in cols if x in rows})
 
 
-def _rank_betti(F: Sheaf, layouts: dict, systems: dict) -> dict:
-    """Betti numbers of Γ^n = ker S_n under the stalk differentials, by ranks.
+def _system(F: Sheaf, layouts: dict, systems: dict, n: int) -> Matrix:
+    """S_n, or a system with no rows where every family is a section: an
+    open without a cover relation, or a degree without families."""
+    S = systems.get(n)
+    return S if S is not None else Matrix.zeros(F.field, 0, layouts.get(n, _NO_FAMILIES).dim)
 
-    dim Γ^n = cols(S_n) - rank S_n, d has rank rank[S_n; D_n] - rank S_n on
-    Γ^n, and betti^n = dim Γ^n - rank d^n - rank d^{n-1} (`betti_from_ranks`,
-    the helper behind `CochainComplex.betti()` of the section complex).  In
-    each degree with Γ^n and S_{n+1} nonzero, the guard rank[S_n; S_{n+1} D_n]
-    == rank S_n says that D_n maps Γ^n into Γ^{n+1}; it is the rank form of
-    the membership check of the basis path, and NotContained is raised when
-    it fails.
+
+def _section_ranks(F: Sheaf, layouts: dict, systems: dict, top: int | None):
+    """(rank S_n, dim Γ^n, rank of d on Γ^n) of Γ^n = ker S_n, by ranks.
+
+    dim Γ^n = cols(S_n) - rank S_n, and d has rank rank[S_n; D_n] - rank S_n
+    on Γ^n, read in the degrees n <= `top` (every degree for None) where
+    Γ^n and Γ^{n+1} are nonzero.  In each degree with Γ^n and S_{n+1}
+    nonzero, the guard rank[S_n; S_{n+1} D_n] == rank S_n says that D_n
+    maps Γ^n into Γ^{n+1}; it is the rank form of the membership check of
+    the basis path, and NotContained is raised when it fails.
     """
     lo, hi = min(layouts), max(layouts)
-    cert = F.certified_degree
     rank_s = {n: S.rank() for n, S in systems.items()}
     dims = {n: layouts[n].dim - rank_s.get(n, 0) for n in range(lo, hi + 1)}
     ranks = {}
     for n in range(lo, hi):
-        S, S1 = systems.get(n), systems.get(n + 1)
-        if dims[n] == 0 or S1 is None:
+        guard = n + 1 in systems
+        read = dims[n + 1] and (top is None or n <= top)
+        if dims[n] == 0 or not (guard or read):
             continue
-        D = _stalk_differential(F, layouts, n)
-        if S.vstack(S1 @ D).rank() != rank_s[n]:
+        S, D = _system(F, layouts, systems, n), _stalk_differential(F, layouts, n)
+        if guard and S.vstack(systems[n + 1] @ D).rank() != rank_s.get(n, 0):
             raise NotContained("family is not a compatible family of sections")
-        if dims[n + 1] and (cert is None or n <= cert):
-            ranks[n] = S.vstack(D).rank() - rank_s[n]
-    return betti_from_ranks(dims, ranks, lo, cert)
+        if read:
+            ranks[n] = S.vstack(D).rank() - rank_s.get(n, 0)
+    return rank_s, dims, ranks
+
+
+def _rank_betti(F: Sheaf, layouts: dict, systems: dict) -> dict:
+    """Betti numbers of Γ^n = ker S_n under the stalk differentials, by ranks
+    (`_section_ranks`): betti^n = dim Γ^n - rank d^n - rank d^{n-1}
+    (`betti_from_ranks`, the helper behind `CochainComplex.betti()` of the
+    section complex), in the degrees up to the certified one."""
+    cert = F.certified_degree
+    _, dims, ranks = _section_ranks(F, layouts, systems, cert)
+    return betti_from_ranks(dims, ranks, min(layouts), cert)
 
 
 def _unique_minimum(poset: Poset, U: frozenset):
@@ -543,6 +564,73 @@ def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
         return f.component(sec_s.minimum)
     return _map_into(sec_s.complex, sec_t,
                      lambda x, n: f.component(x).component(n) @ sec_s.evaluation(x).component(n))
+
+
+def sections_quis(f: SheafMap, U) -> QuisReport:
+    """is_quis(sections_map(f, U)): the same verdict per degree and the same
+    certified degree, without the section bases where U has no minimum.
+
+    On ∅ and on an open with a minimum this is that reference path.
+    Otherwise Γ(U, -) is ker S for the cover-constraint systems S (S has no
+    rows where U has no cover relation), and every rank is read from the
+    systems (`_section_ranks`, with its guard), with F_n the
+    block-diagonal matrix of the f_x^n on the stalk layouts:
+      * containment: F_n maps Γ_s^n into Γ_t^n iff rank[S_s^n; S_t^n F_n] ==
+        rank S_s^n, checked in every degree with Γ_s^n and S_t^n nonzero;
+        this is the check of `sections_map`, which raises NotContained for
+        a family of stalk maps that does not commute with the restrictions,
+        and so does this path;
+      * the cone differential of `is_quis` has rank
+        rank φ_n = rank[[S_s^n, 0], [0, S_t^{n-1}], [D_s^n, 0], [F_n, D_t^{n-1}]]
+                   - rank S_s^n - rank S_t^{n-1}
+        on Γ_s^n ⊕ Γ_t^{n-1}, and H^n(Γf) is an iso iff the betti numbers
+        agree and rank φ_n - rank d_s^n = dim Γ_t^n - rank d_t^n.
+    The components f_x are taken to be chain maps, as `is_quis` takes f.
+    """
+    sec_s, sec_t = sections(f.source, U), sections(f.target, U)
+    if sec_s.minimum is not None or not sec_s.open_set:
+        return is_quis(sections_map(f, U, sec_s, sec_t))
+    src, tgt = f.source, f.target
+    Ls, Lt, Ss, St = sec_s.layouts, sec_t.layouts, sec_s.systems, sec_t.systems
+    cert = min_certified(sec_s.certified_degree, sec_t.certified_degree)
+    rank_ss, dims_s, ranks_s = _section_ranks(src, Ls, Ss, cert)
+    rank_st, dims_t, ranks_t = _section_ranks(tgt, Lt, St, cert)
+
+    fam = {}
+
+    def family_map(n):
+        if n not in fam:
+            fam[n] = Matrix.assemble(src.field, Lt[n], Ls[n],
+                                     {(x, x): f.component(x).component(n) for x in Ls[n]})
+        return fam[n]
+    for n in Ls:
+        if dims_s[n] and n in St and \
+                _system(src, Ls, Ss, n).vstack(St[n] @ family_map(n)).rank() != rank_ss.get(n, 0):
+            raise NotContained("vectors are not in the subspace")
+
+    def upper(dims, lo):
+        return max((n for n, d in dims.items() if d), default=lo)
+    lo = min(min(Ls), min(Lt))
+    hi = max(upper(dims_s, min(Ls)), upper(dims_t, min(Lt)))
+    if cert is not None:
+        hi = min(hi, cert)
+    per = {}
+    for n in range(lo, hi + 1):
+        bs = dims_s.get(n, 0) - ranks_s.get(n, 0) - ranks_s.get(n - 1, 0)
+        bt = dims_t.get(n, 0) - ranks_t.get(n, 0) - ranks_t.get(n - 1, 0)
+        if bs != bt or bs == 0:
+            per[n] = bs == bt
+            continue
+        s_n, t_m = _system(src, Ls, Ss, n), _system(tgt, Lt, St, n - 1)
+        d_s, d_t = _stalk_differential(src, Ls, n), _stalk_differential(tgt, Lt, n - 1)
+        rows = Layout([("S_s", s_n.rows), ("S_t", t_m.rows), ("D_s", d_s.rows), ("F", d_t.rows)])
+        cols = Layout([("s", s_n.cols), ("t", t_m.cols)])
+        phi = Matrix.assemble(src.field, rows, cols,
+                              {("S_s", "s"): s_n, ("S_t", "t"): t_m, ("D_s", "s"): d_s,
+                               ("F", "s"): family_map(n), ("F", "t"): d_t})
+        rank_phi = phi.rank() - rank_ss.get(n, 0) - rank_st.get(n - 1, 0)
+        per[n] = rank_phi - ranks_s.get(n, 0) == dims_t[n] - ranks_t.get(n, 0)
+    return QuisReport(all(per.values()), per, cert)
 
 
 def check_sheaf_equalizer(F: Sheaf, U, cover) -> bool:

@@ -8,6 +8,7 @@ import pytest
 
 from godex import cli
 from godex.errors import InvariantError
+from godex.problemfile import parse_document
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -212,6 +213,34 @@ def test_floats_and_booleans_for_integers_are_invalid_input(tmp_path, mutate):
     code, out, err = run_cli("--format", "json", "cohomology", "--open", "ALL", str(path))
     assert code == 2, err
     assert out == "" and err.startswith("error: ")
+
+
+def _rational_document(entry):
+    """The constant pseudocircle sheaf over Q, with `entry` as one
+    restriction entry."""
+    doc = json.loads((DATA / "pseudocircle-constant.json").read_text())
+    doc["field"] = "Q"
+    doc["sheaf"]["restrictions"][0]["components"]["0"] = [[entry]]
+    return doc
+
+
+@pytest.mark.parametrize("entry", ["1_0", " 3", "+2/ 4", "٣", "3/-4", "1/0"])
+def test_rational_entries_outside_the_ascii_form_are_invalid_input(tmp_path, entry):
+    # int() read "1_0" as 10, " 3" as 3, "+2/ 4" as 1/2, "٣" as 3 and
+    # "3/-4" as -3/4; an entry is -?[0-9]+(/[0-9]+)? with a nonzero denominator
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_rational_document(entry)))
+    for args in (("fmt",), ("--format", "json", "cohomology", "--open", "ALL")):
+        code, out, err = run_cli(*args, str(path))
+        assert code == 2, (args, err)
+        assert out == "" and err.startswith("error: "), args
+
+
+def test_rational_entries_in_the_ascii_form_parse():
+    # the control of the case above: "1" and "2/2" are the identity
+    for entry in ("1", "2/2"):
+        pf = parse_document(json.dumps(_rational_document(entry)))
+        assert pf.sheaf.restriction("a", "x").component(0).rows_list() == [[1]]
 
 
 def test_check_theorem_rejects_nonpositive_sizes():

@@ -241,3 +241,13 @@ def test_filtered_transport_there_and_back_is_exact(f5):
             assert (A.weights(q) == B.weights(q)).all()
             assert A.basis(q) == B.basis(q) and A.inverse(q) == B.inverse(q)
             assert there.level(p).basis(q) == g[p][q] @ A.basis(q)
+
+
+def test_filtered_transport_inverts_each_automorphism_once(f5, monkeypatch):
+    # random_filtered_cosimplicial draws 10 automorphisms here; the transport
+    # of the base and the adapted inverses B^-1 g^-1 share one inverse each
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: calls.append(1) or inverse(self))
+    random_filtered_cosimplicial(f5, random.Random(0), 4)
+    assert len(calls) == 10

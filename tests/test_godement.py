@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 import godex.exactlin as exactlin
+from godex.exactlin import GF, QQ, alternating_sum
 from godex.complexes import ChainMap, is_quis, random_complex, random_map, single_complex
 from godex.cosimplicial import CosimplicialComplex, collapse_by_extra_degeneracy
-from godex.errors import NotExtraDegeneracy, TooLarge
+from godex.errors import InvariantError, NotExtraDegeneracy, TooLarge
 from godex.godement import (
     apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
     descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
@@ -105,20 +107,64 @@ def _iterated_structure_maps(tower, p_max):
     return cofaces, codegens
 
 
-def test_resolution_structure_maps_equal_iterated_T(f5):
+def test_resolution_structure_maps_equal_iterated_T():
     # the recursion d^i_p = T(d^{i-1}_{p-1}) gives the same matrices as
-    # building every map from η or ν on all five suite posets
-    for name, make in STANDARD_POSETS.items():
-        F = random_sheaf(make(), f5, 31)
+    # building every map from η or ν, and the coface sums of the recursion
+    # δ_p = η - T(δ_{p-1}) are the alternating sums of those cofaces, on all
+    # five suite posets for p <= 3, over F_5 and Q
+    cases = itertools.product((GF(5), QQ), STANDARD_POSETS.items(), (1, 4))
+    for field, (name, make), t in cases:
+        F = random_sheaf(make(), field, 1000 * len(name) + t, max_dim=2, span=3)
         res = godement_resolution(F, 3)
+        assert res._cofaces is None and res._codegens is None, name
         tower = [F] + [res.level(p) for p in range(4)]
         cofaces, codegens = _iterated_structure_maps(tower, 3)
         assert list(res.cofaces) == list(cofaces), name
         assert list(res.codegeneracies) == list(codegens), name
         for key, f in cofaces.items():
-            assert res.cofaces[key] == f, (name, key)
+            assert res.cofaces[key] == f, (field, name, key)
         for key, f in codegens.items():
-            assert res.codegeneracies[key] == f, (name, key)
+            assert res.codegeneracies[key] == f, (field, name, key)
+        assert list(res.coface_sums) == [1, 2, 3], name
+        for x in F.poset.elements:
+            for p, delta in res.coface_sums.items():
+                for q in tower[p].stalk(x).dims:
+                    want = alternating_sum(
+                        field, tower[p + 1].stalk(x).dim(q), tower[p].stalk(x).dim(q),
+                        (cofaces[(p, i)].component(x).component(q) for i in range(p + 1)))
+                    assert delta.component(x).component(q) == want, (field, name, p, x, q)
+
+
+def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(f5, monkeypatch):
+    # H_X(F) reads the coface sums only; condition 3 totals the stalks with
+    # the alternating sum of the cofaces, which it builds, and never builds a
+    # codegeneracy; validate() still runs every cosimplicial identity
+    import godex.godement as gm
+    nus = []
+    godement_nu_ = gm.godement_nu
+    monkeypatch.setattr(gm, "godement_nu", lambda *a: nus.append(1) or godement_nu_(*a))
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 1000 * len("pseudocircle") + 4, max_dim=2, span=3)
+    hyper = hypercohomology_sheaf(F, 6)
+    res = hyper.resolution
+    assert res._cofaces is None and res._codegens is None
+    assert stalk_commutation_check(F, 6, hyper=hyper).verdict
+    assert res._cofaces is not None and res._codegens is None and nus == []
+    res.validate()
+    assert nus and res._codegens is not None
+    # a broken codegeneracy fails a cosimplicial identity, and a coface sum
+    # that is not the alternating sum of the cofaces fails too
+    (p, j), s = next(iter(res.codegeneracies.items()))
+    res._codegens[(p, j)] = SheafMap(s.source, s.target,
+                                     {x: c.scale(2) for x, c in s.components.items()}, check=False)
+    with pytest.raises(InvariantError, match="cosimplicial identity"):
+        res.validate()
+    res._codegens[(p, j)] = s
+    delta = res.coface_sums[2]
+    res.coface_sums[2] = SheafMap(delta.source, delta.target,
+                                  {x: c.scale(2) for x, c in delta.components.items()}, check=False)
+    with pytest.raises(InvariantError, match="coface sum 2"):
+        res.validate()
 
 
 def test_resolution_cosimplicial_identities(f5):

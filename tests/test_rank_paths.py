@@ -15,7 +15,9 @@ import random
 import pytest
 
 from godex import filtered
-from godex.complexes import BlockComplex, ChainMap, CochainComplex, random_complex, single_complex
+from godex.complexes import (
+    BlockComplex, ChainMap, CochainComplex, is_quis, random_complex, single_complex,
+)
 from godex.cosimplicial import random_cosimplicial, simple
 from godex.errors import InvariantError, NotContained, NotFiltered
 from godex.exactlin import (
@@ -25,10 +27,14 @@ from godex.filtered import (
     FilteredComplex, check_descent_axioms_filtered, check_filtered_map, decalage, er_page,
     is_er_quis, random_filtered_complex,
 )
-from godex.godement import derived_sections, descent_double_complex, hypercohomology_sheaf
+from godex.godement import (
+    derived_sections, descent_double_complex, equivalence_check, hypercohomology_sheaf,
+    separation_witness,
+)
 from godex.site import (
-    Sheaf, chain_poset, constant_sheaf, point_poset, pseudocircle_poset, pseudosphere_poset,
-    random_sheaf, sections, sierpinski_poset, skyscraper,
+    SectionComplex, Sheaf, SheafMap, chain_poset, constant_sheaf, point_poset,
+    pseudocircle_poset, pseudosphere_poset, random_sheaf, sections, sections_map, sections_quis,
+    sierpinski_poset, skyscraper,
 )
 
 from conftest import intersect, preimage
@@ -127,6 +133,79 @@ def test_rank_guard_rejects_a_restriction_that_is_not_a_chain_map():
         sections(F, frozenset(P.elements)).betti()
     with pytest.raises(NotContained):
         sections(F, frozenset(P.elements)).complex
+
+
+# ---- global equivalence checks ------------------------------------------------
+
+LITERAL_N = 6
+
+
+def _literal_suite_sheaves(name):
+    """The criterion-2 sheaves on a suite poset that `thomason_check(mode=
+    "auto")` checks literally (60 in all: 20 point, 20 Sierpiński, 6 chain3,
+    14 pseudocircle)."""
+    P = SUITE[name]()
+    for t in range(20):
+        F = random_sheaf(P, F5, 1000 * len(name) + t, max_dim=2, span=3)
+        if len(P.weak_chains(max(LITERAL_N - F.lower, 1))) * max(1, F.top_degree + 1) <= 60:
+            yield F
+
+
+def _reference_quis(f, U):
+    return is_quis(sections_map(f, U))
+
+
+@pytest.mark.parametrize("name,count", [("point", 20), ("sierpinski", 20), ("chain3", 6),
+                                        ("pseudocircle", 14)])
+def test_global_check_ranks_match_sections_on_literal_suite_sheaves(name, count, monkeypatch):
+    """ρ of H_X(H_X F), the literal Thomason map, on every open: the rank
+    path gives the per-degree verdicts and certified degree of
+    is_quis(sections_map(f, U)), and builds no section basis."""
+    P = SUITE[name]()
+    seen = 0
+    for F in _literal_suite_sheaves(name):
+        seen += 1
+        rho = hypercohomology_sheaf(hypercohomology_sheaf(F, LITERAL_N).H, LITERAL_N).rho
+        for U in P.up_sets():
+            with monkeypatch.context() as m:
+                m.setattr(SectionComplex, "_build", lambda self: pytest.fail("basis built"))
+                got = sections_quis(rho, U)
+            want = _reference_quis(rho, U)
+            assert got.per_degree == want.per_degree, sorted(U)
+            assert got.certified_degree == want.certified_degree, sorted(U)
+    assert seen == count
+
+
+def test_separation_witness_ranks_match_sections(monkeypatch):
+    """The W-not-S witness: global False with the reference's witnesses,
+    and no section basis built by its global check."""
+    with monkeypatch.context() as m:
+        m.setattr(SectionComplex, "_build", lambda self: pytest.fail("basis built"))
+        rho, local, glob = separation_witness(F5)
+    assert local.verdict and not glob.verdict
+    want = []
+    for U in rho.source.poset.up_sets():
+        r = _reference_quis(rho, U)
+        assert sections_quis(rho, U).per_degree == r.per_degree, sorted(U)
+        want.extend((tuple(sorted(map(str, U))), n) for n in r.failures())
+    assert glob.witnesses == want == [(("a", "b", "x", "y"), 1)]
+
+
+def test_global_check_rejects_stalk_maps_that_do_not_commute_with_restrictions():
+    """Stalkwise chain maps 1, 1, 1, 2 on the constant pseudocircle sheaf
+    send the constant section outside Γ(X, F) on both paths."""
+    P = pseudocircle_poset()
+    F = constant_sheaf(P, single_complex(F5, 0, 1))
+    scale = {"a": 1, "b": 1, "x": 1, "y": 2}
+    f = SheafMap(F, F, {x: ChainMap.identity(F.stalk(x)).scale(c) for x, c in scale.items()},
+                 check=False)
+    X = frozenset(P.elements)
+    with pytest.raises(NotContained):
+        _reference_quis(f, X)
+    with pytest.raises(NotContained):
+        sections_quis(f, X)
+    with pytest.raises(NotContained):
+        equivalence_check(f, "global")
 
 
 # ---- spectral pages ---------------------------------------------------------

@@ -173,6 +173,20 @@ def test_validate_checks_every_strict_triple_and_only_those(f5, monkeypatch):
     assert len(composed) == len(strict) == 8
 
 
+def test_identity_restrictions_are_built_on_first_read(f5):
+    # a sheaf stores its strict restrictions only; r_{x,x} is the identity,
+    # built when read, and an (x, x) entry a caller passes is not kept
+    P = sierpinski_poset()
+    F = random_sheaf(P, f5, 3)
+    restr = {pair: F.restriction(*pair) for pair in P.pairs()}
+    restr[("c", "c")] = ChainMap.identity(F.stalk("c")).scale(2)
+    G = Sheaf(P, f5, F.stalks, restr)
+    assert set(G.restrictions) == set(P.pairs())
+    for x in P.elements:
+        assert G.restriction(x, x) == ChainMap.identity(G.stalk(x))
+        assert G.restriction(x, x) is G.restriction(x, x)
+
+
 def test_constant_sheaf_examples(f5):
     C = single_complex(f5, 0, 1)
     pt = point_poset()
