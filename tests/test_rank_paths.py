@@ -1,12 +1,13 @@
 """The rank paths against the basis paths they replace.
 
-Betti numbers of Γ(U, F) come from ranks of the cover-constraint systems
-(`SectionComplex.betti`), the E_r dims of every filtration from ranks of
-blocks of d in its adapted basis (`er_page`), the cycle spaces Z_r from
-kernels of those blocks, and E_r-quasi-isomorphism verdicts from ranks on
-them (`is_er_quis`).  Each is compared with the basis path it replaced, on
-inputs large enough to take the rank path, and each keeps its check: the
-membership guard of the sections, the zero-block check of
+Betti numbers of Γ(U, F) and global equivalence verdicts come from ranks of
+the cover-constraint systems (`SectionComplex.betti`, `sections_quis`), the
+E_r dims of every filtration from ranks of blocks of d in its adapted basis
+(`er_page`), the cycle spaces Z_r from kernels of those blocks, and
+E_r-quasi-isomorphism verdicts from ranks on them (`is_er_quis`).  Each is
+compared with the basis path it replaced, on inputs large enough to take the
+rank path, and each keeps its check: the membership guard of the sections,
+the containment check of a sections map, the zero-block check of
 `FilteredComplex`, and d_r ∘ d_r = 0 once the terms are built.
 """
 
