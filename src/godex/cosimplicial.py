@@ -80,6 +80,23 @@ class CosimplicialComplex:
         lows = [lv.lower for lv in self.levels.values() if not lv.is_zero_complex()]
         return min(lows) if lows else None
 
+    def degree_part(self, q: int, p_max: int) -> "CosimplicialComplex":
+        """The degree-q parts of levels 0..p_max, each a complex concentrated
+        in degree q, with the degree-q components of the structure maps
+        between them: the cosimplicial identities of X in internal degree q
+        on those levels."""
+        levels = {p: CochainComplex(self.field, {q: self.level(p).dim(q)}, {}, lower=q,
+                                    check=False) for p in range(p_max + 1)}
+
+        def part(f, s, t):
+            return ChainMap(levels[s], levels[t], {q: f.component(q)}, check=False)
+        return CosimplicialComplex(
+            self.field, levels,
+            {(p, i): part(f, p - 1, p) for (p, i), f in self.cofaces.items() if p <= p_max},
+            {(p, j): part(f, p + 1, p) for (p, j), f in self.codegeneracies.items()
+             if p < p_max},
+            p_max, check=False)
+
     def validate(self):
         for p in range(1, self.p_max + 1):
             for i in range(p + 1):

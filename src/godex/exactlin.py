@@ -11,7 +11,10 @@ A `Matrix` stores its entries in one numpy array: `dtype=object` holding
 Every operation is written once on that array, reduced mod p after
 arithmetic over F_p.  Over F_p all intermediate values are kept below 2**53,
 so every float operation is exact integer arithmetic; the guards that
-enforce this raise ValueError.  Only elimination differs by field: over Q
+enforce this raise ValueError.  The reduction is `_mod`: float `%` on small
+arrays, and an int64 floor-mod from _MOD_INT_CELLS cells on, exact on the
+same range and cheaper per cell than the float remainder (`_rref_np_simple`
+keeps `%` as the reference).  Only elimination differs by field: over Q
 `_rref_q` reduces lists of Fractions, over F_p `_rref_np` eliminates the
 float64 array in panels.
 
@@ -43,6 +46,9 @@ _SPARSE_MIN_CELLS = 1024
 _SPARSE_MAX_DENSITY = 0.1
 _SPARSE_HANDOFF_CELLS = 256
 _SPARSE_HANDOFF_DENSITY = 0.25
+
+# `_mod` reduces an array of at least _MOD_INT_CELLS cells through int64.
+_MOD_INT_CELLS = 1024
 
 
 def _is_prime(n: int) -> bool:
@@ -205,7 +211,7 @@ class Matrix:
             raise ValueError("shape mismatch in +")
         a = self._a + other._a
         if self.field.p is not None:
-            a %= self.field.p
+            a = _mod(a, self.field.p)
         return Matrix(self.field, self.rows, self.cols, a, _raw=True)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -217,7 +223,7 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         a = self._a * self.field.element(c)
         if self.field.p is not None:
-            a %= self.field.p
+            a = _mod(a, self.field.p)
         return Matrix(self.field, self.rows, self.cols, a, _raw=True)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -232,7 +238,7 @@ class Matrix:
             return Matrix.zeros(self.field, self.rows, other.cols)
         a = self._a @ other._a
         if p is not None:
-            a %= p
+            a = _mod(a, p)
         return Matrix(self.field, self.rows, other.cols, a, _raw=True)
 
     def transpose(self) -> "Matrix":
@@ -313,7 +319,7 @@ class Matrix:
         a = _zeros(self.field, n, k)
         neg = -R._a[:len(pivots), free]
         if self.field.p is not None:
-            neg %= self.field.p
+            neg = _mod(neg, self.field.p)
         a[list(pivots), :] = neg
         a[free, range(k)] = self.field.element(1)
         return Matrix(self.field, n, k, a, _raw=True)
@@ -355,7 +361,7 @@ def alternating_sum(field: Field, rows: int, cols: int, terms) -> Matrix:
         else:
             a += m._a
     if field.p is not None:
-        a %= field.p
+        a = _mod(a, field.p)
     return Matrix(field, rows, cols, a, _raw=True)
 
 
@@ -374,8 +380,18 @@ def units_minus_blocks(field: Field, rows: "Layout", cols: "Layout", units, bloc
             raise ValueError(f"block {(bi, bj)} has shape {m.shape}, expected {(rd, cd)}")
         a[r0:r0 + rd, c0:c0 + cd] -= m._a
     if field.p is not None:
-        a %= field.p
+        a = _mod(a, field.p)
     return Matrix(field, rows.dim, cols.dim, a, _raw=True)
+
+
+def _mod(a, p: int):
+    """The float64 array `a` of integers below 2**53 in magnitude, reduced
+    into [0, p).  Float `%` is exact on them but slow per cell; from
+    _MOD_INT_CELLS cells on, the floor-mod runs on an int64 copy, exact for
+    the same range.  Below that the copies cost more than they save."""
+    if a.size < _MOD_INT_CELLS:
+        return a % p
+    return (a.astype(np.int64) % p).astype(np.float64)
 
 
 def _zeros(field: Field, rows: int, cols: int):
@@ -492,7 +508,7 @@ def _rref_np(m: Matrix):
     if (p - 1) ** 2 * (2 * _PANEL + 2) >= _FLOAT_SAFE or \
             (p - 1) ** 2 * (min(nr, nc) + 1) >= _FLOAT_SAFE:
         raise ValueError("matrix too large for deferred-reduction elimination")
-    a = m._a % p
+    a = _mod(m._a, p)
     pivots = []
     r = 0
     for c0 in range(0, nc, _PANEL):
@@ -507,7 +523,7 @@ def _rref_np(m: Matrix):
             if r == nr:
                 break
             j = c - c0
-            col = panel[:, j] % p
+            col = _mod(panel[:, j], p)
             panel[:, j] = col
             nz = np.nonzero(col[r:])[0]
             if nz.size == 0:
@@ -517,8 +533,8 @@ def _rref_np(m: Matrix):
                 a[[r, i], :] = a[[i, r], :]
                 Fm[[r, i], :] = Fm[[i, r], :]
             inv = pow(int(panel[r, j] % p), p - 2, p)
-            panel[r, :] = (panel[r, :] % p * inv) % p
-            f = panel[:, j] % p
+            panel[r, :] = _mod(_mod(panel[r, :], p) * inv, p)
+            f = _mod(panel[:, j], p)
             f[r] = 0.0
             if f.any():
                 panel -= np.outer(f, panel[r, :])
@@ -542,14 +558,14 @@ def _rref_np(m: Matrix):
                 u = aout[rj, :]
                 if j:
                     u = u - Fk[rj, :j] @ U[:j, :]
-                U[j, :] = (u % p * invs[j]) % p
+                U[j, :] = _mod(_mod(u, p) * invs[j], p)
                 # hits up to and including a pivot's own step are folded in U
                 Fk[rj, :j + 1] = 0.0
             for j in range(k):
                 aout[rows_of[j], :] = U[j, :]
             aout = aout - Fk @ U
-            a[:, out_idx] = aout % p
-    a %= p
+            a[:, out_idx] = _mod(aout, p)
+    a = _mod(a, p)
     return Matrix(m.field, nr, nc, a, _raw=True), tuple(pivots)
 
 

@@ -20,6 +20,19 @@ of the cofaces and so compares two independent computations of every stalk
 of H_X(F).  No verdict of the theorem suite or of derived sections builds a
 codegeneracy.
 
+Truncated at total degree N, the total reads level p only in the internal
+degrees <= N - p.  T is degreewise, so it commutes with brutal truncation:
+`hypercohomology_sheaf` builds level p in those degrees only
+(`godement_resolution(F, p_max, top=N)`), and the restrictions, ρ, the
+stalk commutation check, H_X(H_X F), derived sections and
+`hypercohomology_map` inherit the truncation.  Level p then certifies
+through N - p - 1, which leaves the total's N - 1 unchanged.  The cofaces
+and coface sums run from a level to a more truncated one and stay chain
+maps; the codegeneracies do not, so `GodementResolution.validate` checks
+each identity in the degrees where every level it passes through is built.
+Without `top` the tower is full; the descent double complex, which checks
+the codegeneracies of its sections, keeps it.
+
 Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
 matrices of T-stalks are assembled on its layouts, or on the flattened
 chains of an iterated T-stalk (`t_chain_layout`).  Stalks and sections of
@@ -53,12 +66,16 @@ class TSheaf(Sheaf):
     __slots__ = ("t_base",)
 
 
-def apply_T(G: Sheaf) -> TSheaf:
+def apply_T(G: Sheaf, top: int | None = None) -> TSheaf:
     """T(G): the stalk at x is the product of the stalks over ↑x, a block
-    complex labelled by y ∈ ↑x in every degree of G's range."""
+    complex labelled by y ∈ ↑x in every degree of G's range, or only in the
+    degrees <= `top`.  T is degreewise, so that is T of the brutal
+    truncation of G at `top`; when it drops a degree, the stalks certify
+    through top - 1."""
     poset = G.poset
     field = G.field
-    degrees = range(G.lower, G.top_degree + 1)
+    hi = G.top_degree if top is None else min(top, G.top_degree)
+    degrees = range(G.lower, hi + 1)
     stalks = {}
     for x in poset.elements:
         ups = poset.sorted_subset(poset.up_set(x))
@@ -66,7 +83,8 @@ def apply_T(G: Sheaf) -> TSheaf:
         diffs = {n: Matrix.assemble(field, blocks[n + 1], blocks[n],
                                     {(y, y): G.stalk(y).d(n) for y in ups})
                  for n in degrees[:-1] if blocks[n].dim and blocks[n + 1].dim}
-        cert = min_certified(*(G.stalk(y).certified_degree for y in ups))
+        cert = min_certified(*(G.stalk(y).certified_degree for y in ups),
+                             top - 1 if hi < G.top_degree else None)
         stalks[x] = BlockComplex(field, blocks, diffs, lower=G.lower, certified_degree=cert,
                                  check=False)
     # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
@@ -166,17 +184,20 @@ class GodementResolution:
 
     The levels, η and the coface sums are built with the resolution; they
     are all a total complex reads.  The cofaces and codegeneracies are built
-    on first read, each as T of the map one level down.
+    on first read, each as T of the map one level down.  With `top` set,
+    level p is built in the internal degrees <= top - p only.
     """
 
-    __slots__ = ("sheaf", "levels", "eta", "coface_sums", "p_max", "_cofaces", "_codegens")
+    __slots__ = ("sheaf", "levels", "eta", "coface_sums", "p_max", "top", "_cofaces",
+                 "_codegens")
 
-    def __init__(self, sheaf, levels, eta, coface_sums, p_max):
+    def __init__(self, sheaf, levels, eta, coface_sums, p_max, top=None):
         self.sheaf = sheaf
         self.levels = levels
         self.eta = eta
         self.coface_sums = coface_sums
         self.p_max = p_max
+        self.top = top
         self._cofaces = self._codegens = None
 
     def level(self, p) -> TSheaf:
@@ -228,17 +249,34 @@ class GodementResolution:
 
     def validate(self):
         """Every cosimplicial identity at every stalk, every structure map a
-        sheaf map, and every coface sum the alternating sum of the cofaces."""
+        sheaf map, and every coface sum the alternating sum of the cofaces.
+
+        Truncated at `top`, level p is built in the degrees <= top - p, so
+        each identity is checked in every internal degree q where all the
+        levels it passes through are built: on the degree-q part of levels
+        0..top - q (`CosimplicialComplex.degree_part`).  The cofaces and the
+        coface sums run from a level to a more truncated one and stay chain
+        maps.  A codegeneracy into level p does not: its source has no
+        degree top - p to match the target's differential out of degree
+        top - p - 1, so it is a chain map through degree top - p - 1.
+        """
+        top = self.top
         for x in self.sheaf.poset.elements:
             X = self.stalkwise(x)
-            X.validate()
+            if top is None:
+                X.validate()
+            else:
+                for q in X.level(0).dims:
+                    X.degree_part(q, min(self.p_max, top - q)).validate()
             for p, delta in self.coface_sums.items():
                 for q in X.level(p - 1).dims:
                     if delta.component(x).component(q) != alternating_coface_sum(X, p, q):
                         raise InvariantError(f"coface sum {p} at {x} in degree {q} is not "
                                              "the alternating sum of the cofaces")
-        for f in list(self.cofaces.values()) + list(self.codegeneracies.values()):
+        for f in self.cofaces.values():
             f.validate()
+        for (p, _), s in self.codegeneracies.items():
+            s.validate(None if top is None else top - p - 1)
 
 
 def _coface_sum(below: SheafMap, G: TSheaf, TG: TSheaf) -> SheafMap:
@@ -265,25 +303,27 @@ def _coface_sum(below: SheafMap, G: TSheaf, TG: TSheaf) -> SheafMap:
     return SheafMap.from_blocks(G, TG, block)
 
 
-def godement_resolution(F: Sheaf, p_max: int) -> GodementResolution:
+def godement_resolution(F: Sheaf, p_max: int, top: int | None = None) -> GodementResolution:
     """G^p(F) = T^{p+1}(F) with d^i = T^i η T^{p-i}, s^j = T^j ν T^{p-j}.
 
     Since d^i_p = T(d^{i-1}_{p-1}) and T is linear, the coface sums obey
     δ_0 = η_F and δ_p = η_{T^p F} - T(δ_{p-1}); the resolution builds the
     levels, η and these p_max maps (`_coface_sum`), and leaves the cofaces
-    and codegeneracies to their first read.
+    and codegeneracies to their first read.  With `top`, level p is built
+    in the internal degrees <= top - p only (`apply_T`); None builds every
+    level in every degree of F's range.
     """
     if p_max < 0:
         raise InsufficientLevels("p_max must be >= 0")
     tower = [F]  # tower[k] = T^k F, so level p is tower[p + 1]
-    for _ in range(p_max + 1):
-        tower.append(apply_T(tower[-1]))
+    for p in range(p_max + 1):
+        tower.append(apply_T(tower[-1], None if top is None else top - p))
     eta = godement_eta(F, tower[1])
     sums, below = {}, eta
     for p in range(1, p_max + 1):
         below = sums[p] = _coface_sum(below, tower[p], tower[p + 1])
     levels = {p: tower[p + 1] for p in range(p_max + 1)}
-    return GodementResolution(F, levels, eta, sums, p_max)
+    return GodementResolution(F, levels, eta, sums, p_max, top)
 
 
 def stalk_extra_degeneracy(res: GodementResolution, x):
@@ -358,17 +398,23 @@ def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
     """Objectwise total complex of the Godement resolution, truncated at N.
 
     p_max = N - lower suffices: level p only contributes to total degrees
-    >= p + lower.  The stalk at x is the total complex of the levels at x
-    with the coface sums δ_p of the resolution (`total_complex`), so no
-    coface or codegeneracy is built.  Every stalk complex re-asserts d∘d = 0
-    and every component of ρ is validated as a chain map; the sheaf and ρ
-    as a sheaf map are built unchecked, since validating them is O(n^3)
-    matrix products, and `tests/test_godement.py` validates both on the
-    suite sheaves.
+    >= p + lower, and only through its internal degrees <= N - p, the only
+    ones the resolution builds (top = N).  The stalk at x is the total
+    complex of the levels at x with the coface sums δ_p of the resolution
+    (`total_complex`), so no coface or codegeneracy is built.  Every stalk
+    complex re-asserts d∘d = 0 and every component of ρ is validated as a
+    chain map; the sheaf and ρ as a sheaf map are built unchecked, since
+    validating them is O(n^3) matrix products, and `tests/test_godement.py`
+    validates both on the suite sheaves and compares them with the totals
+    of the full tower.
     """
     F.require_truncation(N)
-    res = godement_resolution(F, max(N - F.lower, 0))
-    poset = F.poset
+    return _hypercohomology(godement_resolution(F, max(N - F.lower, 0), top=N), N)
+
+
+def _hypercohomology(res: GodementResolution, N: int) -> Hypercohomology:
+    """H_X(F) and ρ_F, totalled from the resolution `res` of F at N."""
+    F, poset = res.sheaf, res.sheaf.poset
     totals = {x: total_complex(F.field, res.stalk_levels(x),
                                lambda p, q: res.coface_sums[p].component(x).component(q), N)
               for x in poset.elements}

@@ -533,10 +533,12 @@ def sections(F: Sheaf, U) -> SectionComplex:
 
 def _map_into(source: CochainComplex, sec: SectionComplex, value) -> ChainMap:
     """The chain map source -> Γ(U) whose degree-n component has the
-    coordinates of the family (value(x, n))_{x ∈ U}."""
+    coordinates of the family (value(x, n))_{x ∈ U}.  Containment is checked
+    in every degree with families over U, also where Γ^n = 0, so a family
+    that is not a section there raises NotContained."""
     order = sec.sheaf.poset.sorted_subset(sec.open_set)
     comps = {n: sec.coordinates(n, _stack(value(x, n) for x in order))
-             for n in source.dims if sec.complex.dim(n)}
+             for n in source.dims if n in sec.layouts}
     return ChainMap(source, sec.complex, comps, check=True)
 
 

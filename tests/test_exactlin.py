@@ -83,6 +83,25 @@ def test_rank_nullity_property(field):
         assert M.rank() == naive_rank(M)
 
 
+@pytest.mark.parametrize("p", [2, 5, 1048573])
+def test_mod_agrees_with_python_remainder(p):
+    # `_mod` keeps float % below _MOD_INT_CELLS cells and reduces through
+    # int64 from there on; both agree with Python's % on integers, negative
+    # ones and magnitudes up to 2**53 - p included
+    rng = random.Random(p)
+    big = 2**53 - p
+    for cells in (1, 7, exactlin._MOD_INT_CELLS - 1, exactlin._MOD_INT_CELLS,
+                  exactlin._MOD_INT_CELLS + 5, 4096):
+        vals = [rng.choice([rng.randint(-3 * p, 3 * p), rng.randint(-big, big),
+                            rng.choice([big, -big, big - rng.randrange(p), 0])])
+                for _ in range(cells)]
+        a = np.array(vals, dtype=np.float64).reshape(1, cells)
+        assert a.astype(np.int64).tolist() == [vals]  # every value is exact in float64
+        got = exactlin._mod(a, p)
+        assert got.dtype == np.float64 and got.shape == a.shape
+        assert got.astype(np.int64).tolist() == [[v % p for v in vals]], cells
+
+
 def test_entries_canonical_mod_p(f5):
     rng = random.Random(5)
     A = random_matrix(f5, 3, 3, rng)

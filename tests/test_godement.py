@@ -15,6 +15,7 @@ from godex.godement import (
     resolution_sections,
     separation_witness, sheaf_extra_degeneracy_top, skyscraper_counit,
     stalk_commutation_check, stalk_extra_degeneracy, t_apply_map, t_chain_layout, thomason_check,
+    _hypercohomology,
 )
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
@@ -86,6 +87,64 @@ def test_resolution_dims_by_chain_count(f5):
                 assert all(tuple(L) == P.sorted_subset(P.up_set(x)) for L in blocks.values())
 
 
+def test_truncated_levels_count_the_chains_a_total_reads():
+    # H_X(F) at N = 6 builds level p in the internal degrees <= 6 - p only:
+    # its stalk dims count the weak chains x <= y_0 <= ... <= y_p with
+    # F_{y_p}^q != 0 for q <= 6 - p, and on this sheaf (degrees 0..2) that
+    # leaves out degrees of levels 5 and 6
+    P = pseudocircle_poset()
+    F = random_sheaf(P, GF(5), 1000 * len("pseudocircle") + 9, max_dim=2, span=3)
+    res = hypercohomology_sheaf(F, 6).resolution
+    assert (F.lower, F.top_degree, res.p_max, res.top) == (0, 2, 6, 6)
+    dropped = 0
+    for p in range(res.p_max + 1):
+        for x in P.elements:
+            full = {}
+            for chain in P.weak_chains(p + 1, within=P.up_set(x)):
+                for q, d in F.stalk(chain[-1]).dims.items():
+                    full[q] = full.get(q, 0) + d
+            expect = {q: d for q, d in full.items() if q <= 6 - p}
+            assert res.level(p).stalk(x).dims == expect, (p, x)
+            dropped += sum(full.values()) - sum(expect.values())
+    assert dropped
+
+
+def _assert_totals_of_the_full_tower(F, N, key):
+    """hypercohomology_sheaf(F, N), on its truncated tower, has the stalks,
+    restrictions and ρ of the totals of the full tower of F."""
+    got = hypercohomology_sheaf(F, N)
+    want = _hypercohomology(godement_resolution(F, N - F.lower), N)
+    assert got.resolution.top == N and want.resolution.top is None, key
+    assert any(got.resolution.level(p).stalk(x).dims != want.resolution.level(p).stalk(x).dims
+               for p in range(got.resolution.p_max + 1) for x in F.poset.elements), key
+    for x in F.poset.elements:
+        Hx, Wx = got.H.stalk(x), want.H.stalk(x)
+        assert Hx == Wx and Hx.blocks == Wx.blocks, (key, x)
+        assert (Hx.lower, Hx.certified_degree) == (Wx.lower, Wx.certified_degree), (key, x)
+    for (a, b) in F.poset.pairs():
+        assert got.H.restriction(a, b) == want.H.restriction(a, b), (key, a, b)
+    assert got.rho == want.rho, key
+    return got
+
+
+def test_truncated_hypercohomology_equals_the_totals_of_the_full_tower():
+    # over F_5 the criterion-2 sheaves t = 1, 4 and 9; over Q sheaves of one
+    # building block, as the criterion-2 sheaves are slow over Q at N = 6;
+    # on each the truncation leaves out some level degree
+    for name, make in STANDARD_POSETS.items():
+        for t in (1, 4, 9):
+            F = random_sheaf(make(), GF(5), 1000 * len(name) + t, max_dim=2, span=3)
+            _assert_totals_of_the_full_tower(F, 6, (name, t))
+    for name, seed in (("point", 0), ("sierpinski", 2), ("chain3", 5), ("pseudocircle", 2),
+                       ("pseudosphere", 8)):
+        F = random_sheaf(STANDARD_POSETS[name](), QQ, seed, max_dim=2, span=3, blocks=1)
+        _assert_totals_of_the_full_tower(F, 6, (name, seed))
+    # and H_X(H_X F) of a literal-mode pseudocircle sheaf
+    P = pseudocircle_poset()
+    F = random_sheaf(P, GF(5), 1000 * len("pseudocircle") + 4, max_dim=2, span=3)
+    _assert_totals_of_the_full_tower(hypercohomology_sheaf(F, 6).H, 6, "H_X(H_X F)")
+
+
 def _iterated_structure_maps(tower, p_max):
     """Reference: d^i = T^i η T^{p-i} and s^j = T^j ν T^{p-j}, each built
     from η or ν by i (or j) nested applications of T."""
@@ -138,7 +197,8 @@ def test_resolution_structure_maps_equal_iterated_T():
 def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(f5, monkeypatch):
     # H_X(F) reads the coface sums only; condition 3 totals the stalks with
     # the alternating sum of the cofaces, which it builds, and never builds a
-    # codegeneracy; validate() still runs every cosimplicial identity
+    # codegeneracy; validate() still runs every cosimplicial identity, in the
+    # internal degrees where the truncated levels it passes through are built
     import godex.godement as gm
     nus = []
     godement_nu_ = gm.godement_nu
@@ -164,6 +224,22 @@ def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(
     res.coface_sums[2] = SheafMap(delta.source, delta.target,
                                   {x: c.scale(2) for x, c in delta.components.items()}, check=False)
     with pytest.raises(InvariantError, match="coface sum 2"):
+        res.validate()
+    res.coface_sums[2] = delta
+    # a coface broken in the top built degree top - p of its target fails
+    # the identity s d = id there
+    assert res.top == 6
+    p = res.p_max
+    q = 6 - p
+    x = next(x for x in P.elements if res.level(p).stalk(x).dim(q) and
+             res.level(p - 1).stalk(x).dim(q))
+    d = res.cofaces[(p, 1)]
+    comps = dict(d.components)
+    c = comps[x]
+    comps[x] = ChainMap(c.source, c.target, {**c.components, q: c.component(q).scale(2)},
+                        check=False)
+    res._cofaces[(p, 1)] = SheafMap(d.source, d.target, comps, check=False)
+    with pytest.raises(InvariantError, match="cosimplicial identity"):
         res.validate()
 
 

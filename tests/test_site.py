@@ -14,8 +14,8 @@ from godex.site import (
     STANDARD_POSETS, MonotoneMap, Poset, Sheaf, chain_poset, check_sheaf_equalizer,
     constant_sheaf, direct_image, down_set_sheaf, point_poset,
     pseudocircle_poset, pseudosphere_poset, random_poset, random_sheaf, SheafMap,
-    restriction_of_sections, sections, sections_map, sierpinski_poset, skyscraper,
-    skyscraper_unit, up_set_sheaf,
+    restriction_of_sections, sections, sections_map, sections_quis, sierpinski_poset,
+    skyscraper, skyscraper_unit, up_set_sheaf,
 )
 
 
@@ -380,3 +380,18 @@ def test_incompatible_family_raises_not_contained(f5):
     assert sec.coordinates(0, Matrix.column(f5, [3, 3, 3])) == Matrix.column(f5, [3])
     with pytest.raises(NotContained):
         sec.coordinates(0, Matrix.column(f5, [3, 3, 1]))
+    # G is k everywhere with r_{b,y} = 2, so Γ(X, G)^0 = 0 over F_5; the
+    # stalkwise identities F -> G are no sheaf map, and the constant section
+    # lands outside Γ(X, G) although Γ(X, G) vanishes in that degree
+    C = F.stalk("a")
+    restr = {(a, b): ChainMap.identity(C).scale(2 if (a, b) == ("b", "y") else 1)
+             for (a, b) in P.pairs()}
+    G = Sheaf(P, f5, {x: C for x in P.elements}, restr)
+    X = frozenset(P.elements)
+    assert sections(G, X).complex.dim(0) == 0
+    f = SheafMap(F, G, {x: ChainMap.identity(C) for x in P.elements}, check=False)
+    with pytest.raises(InvariantError):
+        f.validate()
+    for check in (sections_map, sections_quis):
+        with pytest.raises(NotContained):
+            check(f, X)
