@@ -91,7 +91,7 @@ def test_truncated_levels_count_the_chains_a_total_reads():
     # H_X(F) at N = 6 builds level p in the internal degrees <= 6 - p only:
     # its stalk dims count the weak chains x <= y_0 <= ... <= y_p with
     # F_{y_p}^q != 0 for q <= 6 - p, and on this sheaf (degrees 0..2) that
-    # leaves out degrees of levels 5 and 6
+    # leaves out degrees of levels 5 and 6, which certify through 5 - p
     P = pseudocircle_poset()
     F = random_sheaf(P, GF(5), 1000 * len("pseudocircle") + 9, max_dim=2, span=3)
     res = hypercohomology_sheaf(F, 6).resolution
@@ -105,6 +105,8 @@ def test_truncated_levels_count_the_chains_a_total_reads():
                     full[q] = full.get(q, 0) + d
             expect = {q: d for q, d in full.items() if q <= 6 - p}
             assert res.level(p).stalk(x).dims == expect, (p, x)
+            cert = 5 - p if 6 - p < F.top_degree else None
+            assert res.level(p).stalk(x).certified_degree == cert, (p, x)
             dropped += sum(full.values()) - sum(expect.values())
     assert dropped
 
