@@ -11,12 +11,12 @@ A `Matrix` stores its entries in one numpy array: `dtype=object` holding
 Every operation is written once on that array, reduced mod p after
 arithmetic over F_p.  Over F_p all intermediate values are kept below 2**53,
 so every float operation is exact integer arithmetic; the guards that
-enforce this raise ValueError.  The reduction is `_mod`: float `%` on small
-arrays, and an int64 floor-mod from _MOD_INT_CELLS cells on, exact on the
-same range and cheaper per cell than the float remainder (`_rref_np_simple`
-keeps `%` as the reference).  Only elimination differs by field: over Q
-`_rref_q` reduces lists of Fractions, over F_p `_rref_np` eliminates the
-float64 array in panels.
+enforce this raise ValueError.  Arithmetic results are reduced by `_mod`:
+float `%` on small arrays, and an int64 floor-mod from _MOD_INT_CELLS cells
+on, exact on the same range and cheaper per cell than the float remainder.
+Only elimination differs by field: over Q `_rref_q` reduces lists of
+Fractions, over F_p `_rref_np` eliminates the float64 array with one
+full-width update per pivot, reduced by plain `%`.
 
 `Matrix.rank()` over F_p takes a third route on large sparse inputs:
 `_rank_sparse`, a structured Gaussian elimination on rows held as dicts of
@@ -435,12 +435,22 @@ def _rref_q(m: Matrix):
     return Matrix(m.field, nr, nc, out, _raw=True), tuple(pivots)
 
 
-def _rref_np_simple(m: Matrix):
-    """Reference elimination: one full-width update per pivot."""
+def _rref_np(m: Matrix):
+    """Exact elimination over F_p: one full-width update per pivot.
+
+    Every value that is multiplied is first reduced into [0, p): the pivot
+    column before the pivot is sought, the pivot row before it is scaled by
+    the pivot inverse, and the multipliers f.  So each product is at most
+    (p-1)**2, and an entry, which starts in [0, p) and receives one update
+    f * row per pivot, stays at most (p-1) + rank * (p-1)**2 <=
+    (min(rows, cols) + 1) * (p-1)**2 in magnitude.  The guard keeps that
+    below 2**53, where float64 arithmetic on integers is exact.  The
+    reductions are plain `%`: the arrays here are small, and `_mod`'s int64
+    copies would cost more than they save.
+    """
     p = m.field.p
     a = m._a.copy()
     nr, nc = a.shape
-    # every entry is updated at most rank times; keep the growth exact
     if (p - 1) ** 2 * (min(nr, nc) + 1) >= _FLOAT_SAFE:
         raise ValueError("matrix too large for deferred-reduction elimination")
     pivots = []
@@ -468,104 +478,6 @@ def _rref_np_simple(m: Matrix):
         pivots.append(c)
         r += 1
     a %= p
-    out = Matrix(m.field, nr, nc, a, _raw=True)
-    return out, tuple(pivots)
-
-
-_PANEL = 64
-
-
-def _rref_np(m: Matrix):
-    """Panel-blocked exact elimination over F_p.
-
-    Within a panel of columns the per-pivot updates touch the panel only;
-    the deferred effect on the remaining columns is applied as one matrix
-    product per panel.  Every value that is multiplied is first reduced into
-    [0, p), so each product is below (p-1)**2, and the float64 arithmetic is
-    exact while every magnitude stays below 2**53:
-
-      * at the start of a panel every entry of `a` is in [0, p), except in
-        the columns of an earlier panel that no out-of-panel update has
-        reduced since, which hold the panel bound below;
-      * a panel entry receives at most one update f * row with f, row in
-        [0, p) per pivot of the panel, so it stays below
-        p + _PANEL * (p-1)**2;
-      * the pivot row is reduced before it is scaled by the pivot inverse;
-      * a row u of U is an entry (bounded as above) minus at most _PANEL - 1
-        products of reduced values; it is reduced before it is scaled;
-      * the out-of-panel update subtracts Fk @ U, at most _PANEL products of
-        reduced values, from an entry bounded as above, so every value stays
-        below p + 2 * _PANEL * (p-1)**2 <= (2 * _PANEL + 2) * (p-1)**2.
-
-    Cross-checked against `_rref_np_simple` and the naive rank of
-    `tests/conftest.py` on multi-panel matrices over primes up to 2**20 in
-    `tests/test_exactlin.py`.
-    """
-    p = m.field.p
-    nr, nc = m.rows, m.cols
-    if nr == 0 or nc == 0:
-        return Matrix(m.field, nr, nc, m._a.copy(), _raw=True), ()
-    if (p - 1) ** 2 * (2 * _PANEL + 2) >= _FLOAT_SAFE or \
-            (p - 1) ** 2 * (min(nr, nc) + 1) >= _FLOAT_SAFE:
-        raise ValueError("matrix too large for deferred-reduction elimination")
-    a = _mod(m._a, p)
-    pivots = []
-    r = 0
-    for c0 in range(0, nc, _PANEL):
-        if r == nr:
-            break
-        c1 = min(c0 + _PANEL, nc)
-        panel = a[:, c0:c1]  # view
-        Fm = np.zeros((nr, c1 - c0))
-        rows_of = []
-        invs = []
-        for c in range(c0, c1):
-            if r == nr:
-                break
-            j = c - c0
-            col = _mod(panel[:, j], p)
-            panel[:, j] = col
-            nz = np.nonzero(col[r:])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i], :] = a[[i, r], :]
-                Fm[[r, i], :] = Fm[[i, r], :]
-            inv = pow(int(panel[r, j] % p), p - 2, p)
-            panel[r, :] = _mod(_mod(panel[r, :], p) * inv, p)
-            f = _mod(panel[:, j], p)
-            f[r] = 0.0
-            if f.any():
-                panel -= np.outer(f, panel[r, :])
-            panel[:, j] = 0.0
-            panel[r, j] = 1.0
-            Fm[:, len(rows_of)] = f
-            rows_of.append(r)
-            invs.append(inv)
-            pivots.append(c)
-            r += 1
-        k = len(rows_of)
-        if k == 0:
-            continue
-        Fk = Fm[:, :k]
-        out_idx = np.concatenate([np.arange(0, c0), np.arange(c1, nc)])
-        if out_idx.size:
-            aout = a[:, out_idx]
-            U = np.zeros((k, out_idx.size))
-            for j in range(k):
-                rj = rows_of[j]
-                u = aout[rj, :]
-                if j:
-                    u = u - Fk[rj, :j] @ U[:j, :]
-                U[j, :] = _mod(_mod(u, p) * invs[j], p)
-                # hits up to and including a pivot's own step are folded in U
-                Fk[rj, :j + 1] = 0.0
-            for j in range(k):
-                aout[rows_of[j], :] = U[j, :]
-            aout = aout - Fk @ U
-            a[:, out_idx] = _mod(aout, p)
-    a = _mod(a, p)
     return Matrix(m.field, nr, nc, a, _raw=True), tuple(pivots)
 
 

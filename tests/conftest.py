@@ -22,8 +22,10 @@ def qq():
     return QQ
 
 
-def naive_rank(matrix) -> int:
-    """Row-reduce a godex Matrix with plain Python arithmetic and count pivots."""
+def naive_rref(matrix):
+    """Row-reduce a godex Matrix with plain Python arithmetic.  Returns the
+    reduced row echelon form as a list of rows of canonical field elements,
+    and the tuple of pivot columns."""
     field = matrix.field
     rows = [list(r) for r in matrix.rows_list()]
     if field.is_rational:
@@ -43,9 +45,10 @@ def naive_rank(matrix) -> int:
         def norm(a):
             return a % p
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
+    ncols = matrix.cols
+    pivots = []
     for c in range(ncols):
+        rank = len(pivots)
         piv = None
         for i in range(rank, nrows):
             if norm(rows[i][c]) != 0:
@@ -60,8 +63,13 @@ def naive_rank(matrix) -> int:
             if i != rank and norm(rows[i][c]) != 0:
                 f = norm(rows[i][c])
                 rows[i] = [norm(a - f * b) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def naive_rank(matrix) -> int:
+    """The number of pivots of `naive_rref`."""
+    return len(naive_rref(matrix)[1])
 
 
 def naive_betti(complex_) -> dict:

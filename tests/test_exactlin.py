@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import godex.exactlin as exactlin
+from godex import cli
 from godex.errors import AmbientMismatch, NotContained
 from godex.complexes import random_complex
 from godex.exactlin import (
-    GF, QQ, Field, Layout, Matrix, Subspace, _rank_sparse, _rref_np, _rref_np_simple, kernel,
+    GF, QQ, Field, Layout, Matrix, Subspace, _rank_sparse, _rref_np, free_columns, kernel,
     random_invertible, random_matrix, subquotient,
 )
 
-from conftest import naive_rank, preimage
+from conftest import naive_rank, naive_rref, preimage
 
 
 def test_field_primality():
@@ -179,17 +181,87 @@ def test_backend_agreement_q_vs_f5():
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 1048573])
 def test_panel_rref_matches_references_across_panels(p):
-    # 150 columns span three 64-column panels; the product has rank <= 70,
-    # so pivots land in every panel and most rows reduce to zero
+    # 90 x 150 products of rank <= 70 (13500 cells; the 150 columns once
+    # spanned three panels of a blocked kernel): most rows reduce to zero,
+    # and at p = 1048573 the deferred reductions grow the most
     field = GF(p)
     rng = random.Random(1)
     A = random_matrix(field, 90, 70, rng) @ random_matrix(field, 70, 150, rng)
     R, pivots = _rref_np(A)
-    assert (R, pivots) == _rref_np_simple(A)
-    assert len(pivots) == naive_rank(A)
+    assert (R.rows_list(), pivots) == naive_rref(A)
+    assert A.rank() == len(pivots)
     K = A.kernel_matrix()
     assert K.cols == A.cols - len(pivots)
     assert (A @ K).is_zero()
+
+
+def naive_solution(A, B):
+    """The rows of the X that `solve` returns (zero on the free rows), read
+    off `naive_rref` of [A | B]; None when A X = B has no solution."""
+    rows, pivots = naive_rref(A.hstack(B))
+    if pivots and pivots[-1] >= A.cols:
+        return None
+    X = [[0] * B.cols for _ in range(A.cols)]
+    for k, c in enumerate(pivots):
+        X[c] = rows[k][A.cols:]
+    return X
+
+
+def test_rref_kernel_and_solve_match_naive_on_small_inputs():
+    # the sizes the workloads eliminate: 0-12 x 0-12 at densities 0-1
+    rng = random.Random(15)
+    primes = (2, 3, 5, 65521, 1048573)
+    cases = []
+    for p in primes:
+        field = GF(p)
+        cases += [Matrix.zeros(field, 0, 5), Matrix.zeros(field, 5, 0), Matrix.zeros(field, 4, 6),
+                  Matrix.identity(field, 7),
+                  Matrix(field, 3, 4, [[1, 0, 2, 1], [0, 0, 1, 1], [1, 0, 1, 0]]),  # zero column
+                  Matrix(field, 3, 3, [[0, 0, 1], [0, 1, 1], [1, 1, 0]])]  # pivots need row swaps
+    for _ in range(200):
+        field = GF(rng.choice(primes))
+        cases.append(random_sparse(field, rng.randint(0, 12), rng.randint(0, 12), rng.random(), rng))
+    for A in cases:
+        rows, pivots = naive_rref(A)
+        R, got = _rref_np(A)
+        assert (R.rows_list(), got) == (rows, pivots), A
+        free = free_columns(A.cols, pivots)
+        K = A.kernel_matrix()
+        assert K.shape == (A.cols, len(free))
+        assert K.take_rows(free) == Matrix.identity(A.field, len(free))
+        assert (A @ K).is_zero()
+        for B in (A @ random_matrix(A.field, A.cols, 2, rng),
+                  random_sparse(A.field, A.rows, rng.randint(0, 3), rng.random(), rng)):
+            want = naive_solution(A, B)
+            if want is None:
+                with pytest.raises(NotContained):
+                    A.solve(B)
+                continue
+            X = A.solve(B)
+            assert X.rows_list() == want and A @ X == B
+
+
+def test_rref_guard_threshold(monkeypatch, capsys):
+    # with _FLOAT_SAFE = 8 (p-1)**2, elimination is refused exactly from
+    # min(rows, cols) + 1 = 8 on, i.e. from 7 rows (or columns) up
+    p = 5
+    field = GF(p)
+    monkeypatch.setattr(exactlin, "_FLOAT_SAFE", 8.0 * (p - 1) ** 2)
+    rng = random.Random(8)
+    for rows, cols in [(6, 10), (7, 10), (10, 6), (10, 7), (6, 6), (7, 7), (0, 30), (30, 0)]:
+        A = random_matrix(field, rows, cols, rng)
+        if (p - 1) ** 2 * (min(rows, cols) + 1) >= exactlin._FLOAT_SAFE:
+            for op in (_rref_np, Matrix.rank, Matrix.kernel_matrix):
+                with pytest.raises(ValueError, match="deferred-reduction elimination"):
+                    op(A)
+        else:
+            assert len(_rref_np(A)[1]) == A.rank() == naive_rank(A)
+    monkeypatch.setattr(exactlin, "_FLOAT_SAFE", 2.0 * (p - 1) ** 2)
+    data = Path(__file__).resolve().parent.parent / "data"
+    assert cli.main(["--format", "json", "spectral", str(data / "pseudocircle-constant.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ValueError: matrix too large for deferred-reduction")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(1048573)])
