@@ -152,6 +152,15 @@ class Poset:
             chains = [c + (y,) for c in chains for y in elems if self.leq(c[-1], y)]
         return chains
 
+    def weak_chain_count(self, length: int) -> int:
+        """len(weak_chains(length)), counted without building the chains: those
+        of length k ending at y number Σ_{x <= y} of those of length k - 1 ending at x."""
+        ending = [1] * len(self.elements)
+        for _ in range(length - 1):
+            ending = [sum(c for x, c in zip(self.elements, ending) if self.leq(x, y))
+                      for y in self.elements]
+        return sum(ending)
+
     def up_sets(self, cap: int = UP_SET_ENUMERATION_CAP):
         """All open sets in canonical order: by size, then lexicographically."""
         if len(self.elements) > cap:

@@ -11,13 +11,18 @@ here on real instances rather than assumed:
       quasi-isomorphically (degenerate chains contribute acyclically).
   B3. The strict-chain model of the hypercohomology sheaf includes into the
       literal one by a stalkwise and global equivalence, and ρ factors
-      through it.
+      through it; ρ of the strict-chain model is the replacement
+      coaugmentation on every stalk.
+  B4. The reduced Thomason check, ρ of the strict-chain model of R a global
+      equivalence, is the per-open coaugmentation check: Γ(U, R) -> the
+      strict replacement of R over U is a quasi-isomorphism for every open U.
 
 Finally, the literal and reduced Thomason checks agree wherever the literal
 one is feasible.
 """
 
-from godex.complexes import ChainMap, is_quis
+from godex.complexes import ChainMap, is_quis, min_certified, single_complex
+from godex.exactlin import GF
 from godex.exactlin import Matrix
 from godex.godement import (
     equivalence_check, hypercohomology_sheaf, reduced_hypercohomology,
@@ -27,7 +32,7 @@ from godex.oracle import (
     coaugmentation_into_replacement, replacement_complex, strict_into_weak,
 )
 from godex.site import (
-    chain_poset, point_poset, pseudocircle_poset, pseudosphere_poset,
+    STANDARD_POSETS, chain_poset, constant_sheaf, point_poset, pseudocircle_poset, pseudosphere_poset,
     random_sheaf, sections, sierpinski_poset,
 )
 
@@ -115,7 +120,7 @@ def test_b2_strict_into_weak_is_quis(f5):
         P = make()
         F = random_sheaf(P, f5, 2, max_dim=2, span=2)
         N = F.top_degree + 2
-        R = reduced_hypercohomology(F, N)
+        R = reduced_hypercohomology(F, N).H
         M = N - 1
         weak = replacement_complex(R, M)
         strict = replacement_complex(R, M, strict=True)
@@ -128,16 +133,73 @@ def test_b3_reduced_inclusion_is_equivalence(f5):
         F = random_sheaf(P, f5, 7, max_dim=2, span=2)
         N = F.top_degree + 2
         hyper = hypercohomology_sheaf(F, N)
-        R = reduced_hypercohomology(F, N)
-        iota = reduced_inclusion(F, hyper, R)
+        red = reduced_hypercohomology(F, N)
+        iota = reduced_inclusion(F, hyper, red.H)
         assert equivalence_check(iota, "local").verdict
         if len(P.elements) <= 4:
             assert equivalence_check(iota, "global").verdict
         # rho factors through the strict model: rho_x = iota_x ∘ eps_x
         for x in P.elements:
-            sec_x = sections(F, P.up_set(x))
-            eps_x = coaugmentation_into_replacement(F, sec_x, R.stalk(x))
-            assert hyper.rho.component(x) == iota.component(x).compose(eps_x)
+            assert hyper.rho.component(x) == iota.component(x).compose(red.rho.component(x))
+
+
+def test_b3_reduced_rho_is_the_replacement_coaugmentation(f5):
+    # on every ↑x, ρ of the strict model is the oracle's coaugmentation
+    # Γ(↑x, F) = F_x -> strict replacement of F over ↑x
+    for make in ALL_POSETS:
+        P = make()
+        for seed in (7, 8):
+            F = random_sheaf(P, f5, seed, max_dim=2, span=2)
+            red = reduced_hypercohomology(F, F.top_degree + 2)
+            for x in P.elements:
+                eps_x = coaugmentation_into_replacement(F, sections(F, P.up_set(x)),
+                                                        red.H.stalk(x))
+                assert red.rho.component(x) == eps_x
+
+
+def per_open_coaugmentation_check(R, M):
+    """(verdict, witnesses, certified degree) of the per-open route: for
+    every open U, is Γ(U, R) -> strict replacement of R over U, truncated at
+    M, a quasi-isomorphism?"""
+    witnesses, cert = [], None
+    for U in R.poset.up_sets():
+        repl = replacement_complex(R, M, strict=True, within=U)
+        r = is_quis(coaugmentation_into_replacement(R, sections(R, U), repl))
+        cert = min_certified(cert, r.certified_degree)
+        witnesses.extend((tuple(sorted(map(str, U))), n) for n in r.failures())
+    return not witnesses, witnesses, cert
+
+
+def test_b4_reduced_thomason_is_the_per_open_check():
+    # all 100 criterion-2 sheaves at N = 6: the same verdict, witnesses and
+    # certified degree on both routes
+    f5, N = GF(5), 6
+    for name, make in STANDARD_POSETS.items():
+        P = make()
+        for t in range(20):
+            F = random_sheaf(P, f5, 1000 * len(name) + t, max_dim=2, span=3)
+            rep = thomason_check(F, N, mode="reduced")
+            R = reduced_hypercohomology(F, N).H
+            assert (rep.verdict, rep.witnesses, rep.certified_degree) == \
+                per_open_coaugmentation_check(R, N - 1), (name, t)
+
+
+def test_b4_negative_control_constant_sheaf():
+    # ρ of the strict model of a constant sheaf is not a global equivalence
+    # on the pseudocircle and the pseudosphere; both routes name the same
+    # opens and degrees
+    f5, M = GF(5), 4
+    expected = {
+        "pseudocircle": [(("a", "b", "x", "y"), 1)],
+        "pseudosphere": [(("u", "v", "x", "y"), 1), (("a", "b", "u", "v", "x", "y"), 2)],
+    }
+    for name, make in (("pseudocircle", pseudocircle_poset), ("pseudosphere", pseudosphere_poset)):
+        G = constant_sheaf(make(), single_complex(f5, 0, 1))
+        rep = equivalence_check(reduced_hypercohomology(G, M).rho, "global")
+        verdict, witnesses, cert = per_open_coaugmentation_check(G, M)
+        assert not rep.verdict and not verdict
+        assert rep.witnesses == witnesses == expected[name]
+        assert rep.certified_degree == cert
 
 
 def test_literal_and_reduced_thomason_agree(f5):
@@ -161,7 +223,7 @@ def test_reduced_naturality_square(f5):
     F = random_sheaf(P, f5, 11, max_dim=2, span=2)
     N = F.top_degree + 2
     hyper = hypercohomology_sheaf(F, N)
-    R = reduced_hypercohomology(F, N)
+    R = reduced_hypercohomology(F, N).H
     iota = reduced_inclusion(F, hyper, R)
     for U in P.up_sets():
         if not U:

@@ -406,7 +406,7 @@ def test_thomason_point_trivial(f5):
     assert rep.verdict
 
 
-def test_thomason_literal_vs_reduced_agree(f5):
+def test_thomason_literal_vs_reduced_agree(f5, monkeypatch):
     for P in (point_poset(), sierpinski_poset(), chain_poset(3)):
         for seed in (13, 14):
             F = random_sheaf(P, f5, seed, max_dim=2, span=2)
@@ -414,6 +414,45 @@ def test_thomason_literal_vs_reduced_agree(f5):
             a = thomason_check(F, N, mode="literal")
             b = thomason_check(F, N, mode="reduced")
             assert a.verdict and b.verdict
+            assert (a.mode, b.mode) == ("literal", "reduced")
+    # any other mode is refused before a model is built
+    import godex.godement as gm
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a Thomason model was built for an unknown mode")
+    monkeypatch.setattr(gm, "hypercohomology_sheaf", no_work)
+    monkeypatch.setattr(gm, "reduced_hypercohomology", no_work)
+    for mode in ("litteral", "Reduced", "", None):
+        with pytest.raises(ValueError, match="mode"):
+            thomason_check(F, N, mode=mode)
+
+
+def test_thomason_auto_counts_chains_without_enumerating_them(f5, monkeypatch):
+    # chain_poset(12) is inside the up_sets cap; at N = 20 it has 84,672,315
+    # weak chains of length 20, so `auto` must count them, not build them
+    from godex.site import Poset
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weak_chains called")
+    monkeypatch.setattr(Poset, "weak_chains", refuse)
+    P = chain_poset(12)
+    F = skyscraper(P, "0", single_complex(f5, 0, 1))
+    rep = thomason_check(F, 20)
+    assert rep.mode == "reduced" and rep.verdict
+
+
+def test_thomason_check_builds_no_section_basis(f5, monkeypatch):
+    # both modes decide every open from constraint ranks: criterion-2
+    # pseudosphere sheaf t = 0 in reduced mode, pseudocircle t = 4 literally
+    from godex.site import SectionComplex
+
+    def refuse(self):
+        raise AssertionError("SectionComplex._build called")
+    monkeypatch.setattr(SectionComplex, "_build", refuse)
+    for name, t, mode in (("pseudosphere", 0, "reduced"), ("pseudocircle", 4, "literal")):
+        F = random_sheaf(STANDARD_POSETS[name](), f5, 1000 * len(name) + t, max_dim=2, span=3)
+        rep = thomason_check(F, 6)
+        assert rep.mode == mode and rep.verdict
 
 
 def test_rank_only_is_quis_on_a_literal_suite_sheaf(f5, monkeypatch):

@@ -40,6 +40,16 @@ def test_pairs_memoized_in_construction_order():
     assert outs == {str(pseudosphere_poset().pairs()) + "\n"}
 
 
+def test_weak_chain_count_matches_the_enumeration():
+    for make in STANDARD_POSETS.values():
+        P = make()
+        for k in range(1, 8):
+            assert P.weak_chain_count(k) == len(P.weak_chains(k)), (P.elements, k)
+    # a 12-chain has C(12 + k - 1, k) weak chains of length k
+    assert chain_poset(12).weak_chain_count(16) == 13_037_895
+    assert chain_poset(12).weak_chain_count(20) == 84_672_315
+
+
 def test_up_sets_antichain_power_set():
     P = Poset(["p", "q"], [])
     assert len(P.up_sets()) == 4

@@ -16,3 +16,16 @@ def test_library_checks_are_not_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert sorted(SRC.glob("*.py")), SRC
     assert not found, found
+
+
+def test_godement_imports_only_replacement_complex_from_oracle():
+    # the Godement route shares one construction with the independent oracle
+    tree = ast.parse((SRC / "godement.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracle":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {"module oracle" for alias in node.names
+                         if alias.name.split(".")[-1] == "oracle"}
+    assert imported == {"replacement_complex"}
