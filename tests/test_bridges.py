@@ -32,8 +32,8 @@ from godex.oracle import (
     coaugmentation_into_replacement, replacement_complex, strict_into_weak,
 )
 from godex.site import (
-    STANDARD_POSETS, chain_poset, constant_sheaf, point_poset, pseudocircle_poset, pseudosphere_poset,
-    random_sheaf, sections, sierpinski_poset,
+    STANDARD_POSETS, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
+    pseudosphere_poset, random_sheaf, sections, sierpinski_poset,
 )
 
 SMALL_POSETS = (point_poset, sierpinski_poset, lambda: chain_poset(3))
