@@ -66,8 +66,8 @@ def _int_at_least(least: int):
 _positive_int = _int_at_least(1)
 
 
-def _default_bound(sheaf) -> int:
-    return sheaf.top_degree + 4
+def _bound(args, sheaf) -> int:
+    return args.max_degree if args.max_degree is not None else sheaf.top_degree + 4
 
 
 def _betti_doc(betti: dict) -> dict:
@@ -100,7 +100,7 @@ def _emit(args, doc: dict, human):
 
 def cmd_cohomology(args) -> int:
     pf = _require_sheaf(load(args.file))
-    N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
+    N = _bound(args, pf.sheaf)
     U = _parse_open(pf.poset, args.open)
     sec, betti = derived_sections(pf.sheaf, U, N)
     doc = {"command": "cohomology", "open": sorted(map(str, U)),
@@ -116,7 +116,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_hyper(args) -> int:
     pf = _require_sheaf(load(args.file))
-    N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
+    N = _bound(args, pf.sheaf)
     hyper = hypercohomology_sheaf(pf.sheaf, N)
     stalks = {}
     for x in pf.poset.elements:
@@ -157,7 +157,7 @@ def cmd_resolve(args) -> int:
 
 def cmd_check_thomason(args) -> int:
     pf = _require_sheaf(load(args.file))
-    N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
+    N = _bound(args, pf.sheaf)
     rep = thomason_check(pf.sheaf, N, mode=args.mode)
     doc = {"command": "check-thomason", "verdict": rep.verdict, "mode": rep.mode,
            "certified_degree": rep.certified_degree,
@@ -194,7 +194,7 @@ def cmd_check_theorem(args) -> int:
     trials = []
     if args.file:
         pf = _require_sheaf(load(args.file))
-        N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
+        N = _bound(args, pf.sheaf)
         conds = _theorem_conditions(pf.sheaf, N)
         trials.append({"instance": "file", **conds})
     else:
@@ -202,7 +202,7 @@ def cmd_check_theorem(args) -> int:
         for t in range(args.trials):
             P = random_poset(rng.randint(1, args.poset_size), rng)
             F = random_sheaf(P, GF(5), rng.randrange(1 << 30), max_dim=args.max_dim, span=2)
-            N = F.top_degree + 4
+            N = _bound(args, F)
             conds = _theorem_conditions(F, N)
             trials.append({"instance": t, "poset_size": len(P.elements), **conds})
     all_pass = all(t["local_equivalence"] and t["stalk_commutation"] and t["thomason_descent"]
@@ -262,7 +262,7 @@ def cmd_spectral(args) -> int:
     else:
         _require_sheaf(pf)
         U = _parse_open(pf.poset, args.open)
-        N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
+        N = _bound(args, pf.sheaf)
         pages, FC, total, _ = descent_spectral_sequence(pf.sheaf, U, args.r, N)
         extra = {"certified_degree": total.certified_degree}
     page_docs = {}
@@ -284,7 +284,7 @@ def cmd_pushforward(args) -> int:
     pf = _require_sheaf(load(args.file))
     if pf.poset_map is None:
         raise GodexError("no poset_map block in the file")
-    N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
+    N = _bound(args, pf.sheaf)
     img = derived_direct_image(pf.poset_map, pf.sheaf, N)
     stalks = {q: _betti_doc(img.stalk(q).betti()) for q in pf.poset_map.target.elements}
     doc = {"command": "pushforward", "certified_degree": N - 1, "stalks": stalks}
@@ -299,7 +299,7 @@ def cmd_pushforward(args) -> int:
 
 def cmd_oracle(args) -> int:
     pf = _require_sheaf(load(args.file))
-    N = args.max_degree if args.max_degree is not None else _default_bound(pf.sheaf)
+    N = _bound(args, pf.sheaf)
     weak = holim_replacement(pf.sheaf, N)
     strict = holim_replacement(pf.sheaf, N, strict=True)
     doc = {"command": "oracle",
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hyper)
 
     p = sub.add_parser("resolve", help="emit the Godement resolution levels")
-    p.add_argument("--level", type=int, default=2)
+    p.add_argument("--level", type=_int_at_least(0), default=2)
     add_common(p, max_degree=False)
     p.set_defaults(func=cmd_resolve)
 

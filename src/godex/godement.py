@@ -13,12 +13,10 @@ A total complex reads only the alternating coface sum δ_p = Σ_i (-1)^i d^i_p
 (the Moore complex).  T is linear, so δ_0 = η_F and δ_p = η_{T^p F} -
 T(δ_{p-1}): `godement_resolution` builds the levels, η and these sums, and
 H_X(F) is totalled with them.  The cofaces and codegeneracies are built on
-first read, by whatever needs them: the cosimplicial identities of
-`GodementResolution.validate`, the sections of the resolution, and the
-stalk commutation check, which totals the stalks with the alternating sum
-of the cofaces and so compares two independent computations of every stalk
-of H_X(F).  No verdict of the theorem suite or of derived sections builds a
-codegeneracy.
+first read: by the cosimplicial identities of `GodementResolution.validate`,
+by `resolution_sections`, and (the cofaces) by the stalk commutation check,
+which totals the stalks with the alternating sum of the cofaces and so
+compares two independent computations of every stalk of H_X(F).
 
 Truncated at total degree N, the total reads level p only in the internal
 degrees <= N - p.  T is degreewise, so it commutes with brutal truncation:
@@ -30,8 +28,10 @@ through N - p - 1, which leaves the total's N - 1 unchanged.  The cofaces
 and coface sums run from a level to a more truncated one and stay chain
 maps; the codegeneracies do not, so `GodementResolution.validate` checks
 each identity in the degrees where every level it passes through is built.
-Without `top` the tower is full; the descent double complex, which checks
-the codegeneracies of its sections, keeps it.
+Γ(U, −) is degreewise too, so Γ(U, s G•F) = s Γ(U, G•F): the descent
+spectral sequence filters Γ(U, H_X F) by column.  No verdict builds the
+full tower or a codegeneracy; the CLI `resolve` command, the structure-map
+digest and the reference tests build them.
 
 Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
 matrices of T-stalks are assembled on its layouts, or on the flattened
@@ -46,10 +46,10 @@ the reduced model are verified by tests/test_bridges.py, never assumed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .complexes import BlockComplex, ChainMap, CochainComplex, induced_map, is_quis, min_certified
-from .cosimplicial import (
-    CosimplicialComplex, alternating_coface_sum, blockwise_map, simple, total_complex,
-)
+from .cosimplicial import CosimplicialComplex, alternating_coface_sum, blockwise_map, total_complex
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix, alternating_sum, units_minus_blocks
 from .oracle import replacement_complex
@@ -311,8 +311,8 @@ def godement_resolution(F: Sheaf, p_max: int, top: int | None = None) -> Godemen
     δ_0 = η_F and δ_p = η_{T^p F} - T(δ_{p-1}); the resolution builds the
     levels, η and these p_max maps (`_coface_sum`), and leaves the cofaces
     and codegeneracies to their first read.  With `top`, level p is built
-    in the internal degrees <= top - p only (`apply_T`); None builds every
-    level in every degree of F's range.
+    in the internal degrees <= top - p only (`apply_T`), as every verdict
+    does; None builds the full tower, for `resolve` and the reference tests.
     """
     if p_max < 0:
         raise InsufficientLevels("p_max must be >= 0")
@@ -516,17 +516,21 @@ def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
 # ---- the reduced (strict-chain) model --------------------------------------
 
 
+def strict_chain_sheaf(F: Sheaf, N: int) -> Sheaf:
+    """The strict-chain model R of H_X(F): R_x is the normalized replacement
+    of F over ↑x, and the restrictions project onto the surviving chains."""
+    P = F.poset
+    stalks = {x: replacement_complex(F, N, strict=True, within=P.up_set(x)) for x in P.elements}
+    return Sheaf(P, F.field, stalks, _projections(P, F.field, stalks), check=False)
+
+
 def reduced_hypercohomology(F: Sheaf, N: int) -> Hypercohomology:
-    """The strict-chain model R of H_X(F) and ρ_F : F -> R.  R_x is the normalized
-    replacement of F over ↑x, restrictions project onto surviving chains, and
-    ρ_x, validated as a chain map, inserts r_{x->y} on each 0-chain (y) as η does."""
-    poset = F.poset
-    stalks = {x: replacement_complex(F, N, strict=True, within=poset.up_set(x))
-              for x in poset.elements}
-    R = Sheaf(poset, F.field, stalks, _projections(poset, F.field, stalks), check=False)
+    """R = `strict_chain_sheaf(F, N)` and ρ_F : F -> R; ρ_x, validated as a
+    chain map, inserts r_{x->y} on each 0-chain (y) as η does."""
+    R = strict_chain_sheaf(F, N)
     rho = SheafMap.from_blocks(F, R, lambda x, n: Matrix.assemble(
-        F.field, stalks[x].blocks[n], [F.stalk(x).dim(n)],
-        {(c, 0): F.restriction(x, c[1][0]).component(n) for c in stalks[x].blocks[n] if c[0] == 0}))
+        F.field, R.stalks[x].blocks[n], [F.stalk(x).dim(n)],
+        {(c, 0): F.restriction(x, c[1][0]).component(n) for c in R.stalks[x].blocks[n] if c[0] == 0}))
     for f in rho.components.values():
         f.validate()
     return Hypercohomology(None, R, rho)
@@ -590,14 +594,14 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
 
     Both modes return equivalence_check(ρ_M, "global") for a model M of
     H_X(H_X F): M = H_X(H_X F) in mode="literal", feasible on small posets
-    only; in mode="reduced", M is the strict-chain model at N - 1 of the
-    one of H_X(F) at N (`reduced_hypercohomology`).  A section of M over U
-    is fixed by its value at each chain's first vertex, so Γ(U, M) is the
-    strict replacement over U and Γ(U, ρ) its coaugmentation; that per-open
-    route is the reference in tests/test_bridges.py.  mode="auto" picks
-    literal when the weak chains of length N - lower, times top degree + 1,
-    number at most 60.  Another mode raises ValueError, and N below the top
-    degree of F raises InsufficientLevels.
+    only, and reads `hyper`; in mode="reduced", M is `reduced_hypercohomology`
+    at N - 1 of the strict-chain model R at N (`strict_chain_sheaf`, no ρ).
+    A section of M over U is fixed by its value at each chain's first vertex,
+    so Γ(U, M) is the strict replacement of R over U and Γ(U, ρ) its
+    coaugmentation; that per-open route is the reference in
+    tests/test_bridges.py.  mode="auto" picks literal when the weak chains of
+    length N - lower, times top degree + 1, number at most 60.  Another mode
+    raises ValueError, and N below the top degree raises InsufficientLevels.
     """
     if mode not in ("auto", "literal", "reduced"):
         raise ValueError("mode must be 'auto', 'literal' or 'reduced'")
@@ -608,7 +612,7 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
     if mode == "literal":
         M = hypercohomology_sheaf((hyper or hypercohomology_sheaf(F, N)).H, N)
     else:
-        M = reduced_hypercohomology(reduced_hypercohomology(F, N).H, N - 1)
+        M = reduced_hypercohomology(strict_chain_sheaf(F, N), N - 1)
     rep = equivalence_check(M.rho, "global")
     rep.mode = mode
     return rep
@@ -653,54 +657,50 @@ def cohomology_sheaf(F: Sheaf, q: int) -> Sheaf:
     return Sheaf(poset, field, stalks, restr, check=True)
 
 
-def descent_double_complex(F: Sheaf, U, N: int):
-    """The column-filtered double complex Γ(U, G•F) as a FilteredComplex.
+def _column_weights(sec, n: int) -> np.ndarray:
+    """The column p of each degree-n section basis vector of Γ(U, H): the p of
+    the (p, q) blocks of the stalks that hold its entries (InvariantError if two differ)."""
+    rows = np.array([p for x in sec.layouts[n]
+                     for (p, _), (_, d) in sec.sheaf.stalk(x).blocks.get(n, {}).items()
+                     for _ in range(d)], dtype=np.int64)
+    space = sec.space(n)
+    weights, (i, j) = rows[list(space.unit_rows)], space.basis.nonzero()
+    if (rows[i] != weights[j]).any():
+        raise InvariantError(f"a section of degree {n} crosses the columns of the double complex")
+    return weights
 
-    Columns are the sections of the resolution levels; the total differential
-    combines the alternating coface sum with the signed internal one.  The
-    filtration is by column index p >= k, a block filtration of the total
-    complex (`FilteredComplex.from_blocks`, checked by its zero-block check).
+
+def descent_double_complex(F: Sheaf, U, N: int):
+    """The column-filtered double complex Γ(U, G•F) = Γ(U, H_X F), as
+    (FilteredComplex, total, hyper) for hyper = `hypercohomology_sheaf(F, N)`.
+
+    A section basis vector lies in the column p of its unit row
+    (`_column_weights`): the restrictions of H_X F are blockwise, so the
+    cover constraints never mix blocks.  The zero-block check of
+    `FilteredComplex` then checks the filtration against d.  Γ(∅) = 0
+    certifies through N - 1, as the truncation at N does on every open.
     """
     from .filtered import FilteredComplex
-    F.require_truncation(N)
-    p_max = max(N - F.lower, 0)
-    res = godement_resolution(F, p_max)
-    X, eps, sec_F = resolution_sections(res, U)
-    total = simple(X, N)
-    FC = FilteredComplex.from_blocks(total, k_min=0, k_max=p_max)
-    return FC, total, eps, res
+    hyper = hypercohomology_sheaf(F, N)
+    sec = sections(hyper.H, U)
+    weights = {n: _column_weights(sec, n) for n in sec.layouts}
+    total = sec.complex if sec.open_set else \
+        CochainComplex(F.field, {}, {}, certified_degree=N - 1)
+    return FilteredComplex(total, 0, max(N - F.lower, 0), weights), total, hyper
 
 
 def descent_spectral_sequence(F: Sheaf, U, r_max: int, N: int):
-    """E_r pages of the column filtration of Γ(U, G•F), r = 0..r_max."""
+    """The E_r pages, r = 0..r_max, of `descent_double_complex`, with its FC, total and hyper."""
     from .filtered import er_page
-    FC, total, eps, res = descent_double_complex(F, U, N)
-    return [er_page(FC, r) for r in range(r_max + 1)], FC, total, res
+    FC, total, hyper = descent_double_complex(F, U, N)
+    return [er_page(FC, r) for r in range(r_max + 1)], FC, total, hyper
 
 
 def independent_e2_dims(F: Sheaf, U, N: int) -> dict:
-    """dim H^p(Γ(U, G•(H^q F))), the independent E_2 computation."""
-    out = {}
-    lo = F.lower
-    for q in range(lo, F.top_degree + 1):
-        HqF = cohomology_sheaf(F, q)
-        if all(c.is_zero_complex() for c in HqF.stalks.values()):
-            continue
-        p_max = max(N - q, 0)
-        res_q = godement_resolution(HqF, p_max)
-        X, eps, secF = resolution_sections(res_q, U)
-        # the complex p -> Γ(U, G^p(HqF))^q with the alternating coface sum
-        dims = {p: X.level(p).dim(q) for p in range(X.p_max + 1)}
-        diffs = {}
-        for p in range(X.p_max):
-            diffs[p] = alternating_coface_sum(X, p + 1, q)
-        C = CochainComplex(F.field, dims, diffs, lower=0,
-                           certified_degree=X.p_max - 1, check=True)
-        betti = C.cohomology().betti
-        for p, b in betti.items():
-            if b and p <= C.certified_degree:
-                out[(p, q)] = b
-    return out
+    """dim H^p Γ(U, G•(H^q F)), the independent E_2: as H^q F sits in degree q, the
+    betti number of RΓ(U, H^q F) in degree p + q, certified for p + q <= N - 1."""
+    return {(n - q, q): b for q in range(F.lower, F.top_degree + 1)
+            for n, b in derived_sections(cohomology_sheaf(F, q), U, N)[1].items()}
 
 
 def localeq_verdicts(f: SheafMap, N: int) -> dict:

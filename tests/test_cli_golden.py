@@ -16,10 +16,11 @@ from pathlib import Path
 from godex import cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-DIGEST = "bf6f74fb2d66ba8f55ef433c30feee6907ef924a86d03a58f5eb6550990a9bf9"
+DIGEST = "1a7ab02b4e03514246866ae39f436191069ec2c11e8885d160de07e1186b5c57"
 
 FILE_COMMANDS = (
     ("cohomology",),
+    ("cohomology", "--open", "EMPTY"),
     ("hyper",),
     ("resolve",),
     ("check-thomason", "--mode", "auto"),
@@ -28,6 +29,7 @@ FILE_COMMANDS = (
     ("oracle",),
     ("pushforward",),
     ("spectral", "--source", "descent"),
+    ("spectral", "--source", "descent", "--open", "EMPTY"),
     ("spectral", "--source", "filtered-file", "--r", "0"),
     ("spectral", "--source", "filtered-file", "--r", "2"),
     ("fmt",),

@@ -256,12 +256,15 @@ def test_rref_guard_threshold(monkeypatch, capsys):
                     op(A)
         else:
             assert len(_rref_np(A)[1]) == A.rank() == naive_rank(A)
+    # a guard deep in a CLI route exits 3 with its message: the descent route
+    # reads Γ(U, H_X F), and first meets the guard of `@` in the d∘d check
+    # of a stalk of H_X F
     monkeypatch.setattr(exactlin, "_FLOAT_SAFE", 2.0 * (p - 1) ** 2)
     data = Path(__file__).resolve().parent.parent / "data"
     assert cli.main(["--format", "json", "spectral", str(data / "pseudocircle-constant.json")]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: ValueError: matrix too large for deferred-reduction")
+    assert err.startswith("internal error: ValueError: matmul too large for exact float64")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(1048573)])

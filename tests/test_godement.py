@@ -4,13 +4,18 @@ import random
 import pytest
 
 import godex.exactlin as exactlin
-from godex.exactlin import GF, QQ, alternating_sum
-from godex.complexes import ChainMap, is_quis, random_complex, random_map, single_complex
-from godex.cosimplicial import CosimplicialComplex, collapse_by_extra_degeneracy
+from godex.exactlin import GF, QQ, Matrix, Subspace, alternating_sum
+from godex.complexes import (
+    ChainMap, CochainComplex, is_quis, random_complex, random_map, single_complex,
+)
+from godex.cosimplicial import (
+    CosimplicialComplex, alternating_coface_sum, collapse_by_extra_degeneracy, simple,
+)
 from godex.errors import InvariantError, NotExtraDegeneracy, TooLarge
+from godex.filtered import FilteredComplex, er_page
 from godex.godement import (
     apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
-    descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
+    descent_double_complex, descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
     godement_resolution, godement_T, hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
     resolution_sections,
     separation_witness, sheaf_extra_degeneracy_top, skyscraper_counit,
@@ -427,6 +432,22 @@ def test_thomason_literal_vs_reduced_agree(f5, monkeypatch):
             thomason_check(F, N, mode=mode)
 
 
+def test_reduced_thomason_builds_one_rho(f5, monkeypatch):
+    # the inner strict-chain model is read as a sheaf only, so reduced mode
+    # builds and validates one ρ, that of the outer model
+    import godex.godement as gm
+    calls = []
+    reduced = gm.reduced_hypercohomology
+    monkeypatch.setattr(gm, "reduced_hypercohomology",
+                        lambda *a: calls.append(a[1]) or reduced(*a))
+    for P in (sierpinski_poset(), pseudocircle_poset()):
+        F = random_sheaf(P, f5, 15, max_dim=2, span=2)
+        N = F.top_degree + 3
+        calls.clear()
+        assert thomason_check(F, N, mode="reduced").verdict
+        assert calls == [N - 1]
+
+
 def test_thomason_auto_counts_chains_without_enumerating_them(f5, monkeypatch):
     # chain_poset(12) is inside the up_sets cap; at N = 20 it has 84,672,315
     # weak chains of length 20, so `auto` must count them, not build them
@@ -630,3 +651,121 @@ def test_spectral_euler_characteristic(f5):
     assert max(betti, default=0) <= cert
     chi_h = sum((-1) ** n * b for n, b in betti.items())
     assert chi_e2 == chi_h
+
+
+# ---- the descent double complex against the full tower ------------------------
+
+
+def _descent_reference(F, U, N):
+    """The column-filtered double complex as the total of the sections of the
+    full tower, with every coface and codegeneracy: Γ(U, −) of each level and
+    structure map (`resolution_sections`), totalled by `simple`."""
+    p_max = max(N - F.lower, 0)
+    total = simple(resolution_sections(godement_resolution(F, p_max), U)[0], N)
+    return FilteredComplex.from_blocks(total, k_min=0, k_max=p_max), total
+
+
+def _e2_reference(F, U, N):
+    """dim H^p Γ(U, G•(H^q F)) from the alternating coface sums of the
+    sections of the full tower of each H^q F, certified through p + q <= N - 1."""
+    out = {}
+    for q in range(F.lower, F.top_degree + 1):
+        HqF = cohomology_sheaf(F, q)
+        if all(c.is_zero_complex() for c in HqF.stalks.values()):
+            continue
+        X = resolution_sections(godement_resolution(HqF, max(N - q, 0)), U)[0]
+        dims = {p: X.level(p).dim(q) for p in range(X.p_max + 1)}
+        diffs = {p: alternating_coface_sum(X, p + 1, q) for p in range(X.p_max)}
+        C = CochainComplex(F.field, dims, diffs, lower=0, certified_degree=X.p_max - 1)
+        out.update(((p, q), b) for p, b in C.cohomology().betti.items()
+                   if b and p <= C.certified_degree)
+    return out
+
+
+def _descent_summary(FC, total, last_page):
+    return ([er_page(FC, r).dims() for r in range(last_page + 1)], total.betti(),
+            total.certified_degree, total.lower)
+
+
+_DESCENT_CASES = [(name, field) for field in (GF(5), GF(2)) for name in STANDARD_POSETS] + \
+    [(name, QQ) for name in ("point", "sierpinski", "chain3")]
+
+
+@pytest.mark.parametrize("name,field", _DESCENT_CASES,
+                         ids=[f"{n}-{f}" for n, f in _DESCENT_CASES])
+def test_descent_double_complex_matches_the_full_tower_on_every_open(name, field):
+    # the criterion-7 sheaves, on every open but ∅, which the next test pins;
+    # E_0..E_{width+1} over F_p, E_0..E_3 over Q, where the later pages of
+    # chain3 take seconds each
+    P = STANDARD_POSETS[name]()
+    for t in range(2):
+        F = random_sheaf(P, field, 500 + t, max_dim=2, span=2)
+        N = F.top_degree + 3
+        for U in P.up_sets():
+            if not U:
+                continue
+            FC, total, _ = descent_double_complex(F, U, N)
+            ref_FC, ref_total = _descent_reference(F, U, N)
+            last = FC.k_max - FC.k_min + 1 if field.p else 3
+            assert _descent_summary(FC, total, last) == \
+                _descent_summary(ref_FC, ref_total, last), (name, t, sorted(U))
+            assert independent_e2_dims(F, U, N) == _e2_reference(F, U, N), (name, t, sorted(U))
+
+
+def test_descent_double_complex_on_the_empty_open(f5):
+    # Γ(∅) is zero; the double complex is truncated at N all the same and
+    # certifies through N - 1, as the sections of the full tower do
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 500, max_dim=2, span=2)
+    N = F.top_degree + 3
+    pages, FC, total, _ = descent_spectral_sequence(F, frozenset(), 2, N)
+    ref_FC, ref_total = _descent_reference(F, frozenset(), N)
+    assert [page.dims() for page in pages] == [{}, {}, {}]
+    assert (total.certified_degree, total.lower, total.betti()) == \
+        (ref_total.certified_degree, ref_total.lower, ref_total.betti()) == (N - 1, 0, {})
+    assert independent_e2_dims(F, frozenset(), N) == _e2_reference(F, frozenset(), N) == {}
+
+
+def test_descent_builds_no_full_tower_coface_or_codegeneracy(f5, monkeypatch):
+    # the spectral sequence and its E_2 reference read Γ(U, H_X F) only: the
+    # truncated tower, its coface sums and no structure map one by one
+    import godex.cosimplicial as cosimplicial
+    import godex.godement as gm
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the descent spectral sequence built a structure map")
+    for target, attr in ((gm, "t_apply_map"), (gm, "godement_nu"), (gm, "resolution_sections"),
+                         (cosimplicial, "simple")):
+        monkeypatch.setattr(target, attr, forbidden)
+    monkeypatch.setattr(gm.GodementResolution, "cofaces", property(forbidden))
+    monkeypatch.setattr(gm.GodementResolution, "codegeneracies", property(forbidden))
+    tops = []
+    resolution = gm.godement_resolution
+    monkeypatch.setattr(gm, "godement_resolution",
+                        lambda F, p_max, top=None: tops.append(top) or resolution(F, p_max, top))
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 501, max_dim=2, span=2)
+    N = F.top_degree + 3
+    for U in (frozenset(P.elements), P.up_set("a")):
+        pages, FC, total, _ = descent_spectral_sequence(F, U, 2, N)
+        assert independent_e2_dims(F, U, N)
+    assert tops and None not in tops
+
+
+def test_a_section_that_crosses_columns_raises(f5, monkeypatch):
+    # mixing one column into another in the section basis breaks the
+    # one-column property of every basis vector, which is checked, not assumed
+    from godex.site import SectionComplex
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 500, max_dim=2, span=2)
+    N = F.top_degree + 3
+    space = SectionComplex.space
+
+    def mixed(self, n):
+        # basis vector b becomes the sum of vectors 0..b, on the same unit rows
+        S = space(self, n)
+        ones = Matrix.from_rows(S.field, [[int(a <= b) for b in range(S.dim)] for a in range(S.dim)])
+        return Subspace(S.field, S.ambient_dim, S.basis @ ones, S.unit_rows) if S.dim > 1 else S
+    monkeypatch.setattr(SectionComplex, "space", mixed)
+    with pytest.raises(InvariantError, match="crosses the columns"):
+        descent_double_complex(F, frozenset(P.elements), N)

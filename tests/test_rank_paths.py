@@ -244,7 +244,7 @@ def test_page_dims_ranks_match_basis_on_criterion_7_sheaves(name):
     P = SUITE[name]()
     for t in (0, 1):
         F = random_sheaf(P, F5, 500 + t, max_dim=2, span=2)
-        FC, total, _, _ = descent_double_complex(F, frozenset(P.elements), F.top_degree + 3)
+        FC, total, _ = descent_double_complex(F, frozenset(P.elements), F.top_degree + 3)
         width = FC.k_max - FC.k_min + 1
         if name == "pseudosphere":
             # each basis page of the pseudosphere takes seconds: E_2 and E_∞
