@@ -74,7 +74,7 @@ def _betti_doc(betti: dict) -> dict:
     return {str(n): b for n, b in sorted(betti.items())}
 
 
-def _print_table(rows, header=None, out=sys.stdout):
+def _print_table(rows, header=None):
     rows = [list(map(str, r)) for r in rows]
     if header:
         rows.insert(0, list(header))
@@ -83,9 +83,9 @@ def _print_table(rows, header=None, out=sys.stdout):
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for idx, r in enumerate(rows):
         line = "  ".join(s.ljust(w) for s, w in zip(r, widths)).rstrip()
-        print(line, file=out)
+        print(line)
         if header and idx == 0:
-            print("  ".join("-" * w for w in widths), file=out)
+            print("  ".join("-" * w for w in widths))
 
 
 def _emit(args, doc: dict, human):
@@ -336,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output mode (json is deterministic, single document)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_file=True, max_degree=True):
-        if needs_file:
-            p.add_argument("file", help="godex/1 problem file")
+    def add_common(p, max_degree=True):
+        p.add_argument("file", help="godex/1 problem file")
         if max_degree:
             p.add_argument("--max-degree", type=int, default=None,
                            help="truncation bound N (default: top degree + 4)")

@@ -123,9 +123,9 @@ class CochainComplex:
             self._cohomology = CohomologyData(self)
         return self._cohomology
 
-    def betti(self, up_to: int | None = None) -> dict:
+    def betti(self) -> dict:
         return betti_from_ranks(self.dims, self.cohomology().ranks, self.lower,
-                                self.certified_degree, up_to)
+                                self.certified_degree)
 
 
 class BlockComplex(CochainComplex):
@@ -142,12 +142,10 @@ class BlockComplex(CochainComplex):
                          lower=lower, certified_degree=certified_degree, check=check)
 
 
-def betti_from_ranks(dims: dict, ranks: dict, lower: int, certified_degree: int | None,
-                     up_to: int | None = None) -> dict:
+def betti_from_ranks(dims: dict, ranks: dict, lower: int, certified_degree: int | None) -> dict:
     """The nonzero betti numbers dim C^n - rank d^n - rank d^{n-1}, for n from
-    `lower` to the top nonzero degree of `dims`, capped at `up_to` and at
-    `certified_degree`."""
-    hi = max((n for n, d in dims.items() if d), default=lower) if up_to is None else up_to
+    `lower` to the top nonzero degree of `dims`, capped at `certified_degree`."""
+    hi = max((n for n, d in dims.items() if d), default=lower)
     if certified_degree is not None:
         hi = min(hi, certified_degree)
     betti = {n: dims.get(n, 0) - ranks.get(n, 0) - ranks.get(n - 1, 0)
@@ -536,7 +534,7 @@ def induced_map(f: ChainMap, n: int) -> Matrix:
     return ht.quotient(n)[1] @ coords
 
 
-def is_quis(f: ChainMap, up_to: int | None = None) -> QuisReport:
+def is_quis(f: ChainMap) -> QuisReport:
     """Does f induce an isomorphism on cohomology in every (certified) degree?
 
     H^n(f) is an isomorphism iff the betti numbers agree and the map is
@@ -550,7 +548,7 @@ def is_quis(f: ChainMap, up_to: int | None = None) -> QuisReport:
     S, T = f.source, f.target
     lo = min(S.lower, T.lower)
     hi = max(S.upper, T.upper)
-    cert = min_certified(S.certified_degree, T.certified_degree, up_to)
+    cert = min_certified(S.certified_degree, T.certified_degree)
     if cert is not None:
         hi = min(hi, cert)
     per = {}

@@ -58,10 +58,10 @@ class FilteredComplex:
     `weights`, `basis` and `inverse` map a degree n to the weights of the
     columns of the adapted basis of A^n, that basis and its inverse; a
     degree that `basis` leaves out has the identity.  Construction runs
-    `validate`.
+    `validate`; `_ranks` keeps the block ranks of every page (`_rank_dims`).
     """
 
-    __slots__ = ("base", "k_min", "k_max", "graded", "_weights", "_basis", "_inverse")
+    __slots__ = ("base", "k_min", "k_max", "graded", "_weights", "_basis", "_inverse", "_ranks")
 
     def __init__(self, base: CochainComplex, k_min: int, k_max: int, weights: dict,
                  basis: dict | None = None, inverse: dict | None = None):
@@ -71,6 +71,7 @@ class FilteredComplex:
         self._weights = weights
         self._basis = basis or {}
         self._inverse = inverse or {}
+        self._ranks = {}
         self.graded = base
         if self._basis:
             self.graded = CochainComplex(
@@ -339,9 +340,9 @@ def _rank_dims(FC: FilteredComplex, r: int, spots) -> dict:
     and dim E_r^{p,q} = Z_r^p - Z_{r-1}^{p+1} - dZ_{r-1}^{p-r+1} +
     dZ_r^{p-r+1}, the dZ terms from degree n-1, because Z_{r-1}^{p+1} ∩
     dZ_{r-1}^{p-r+1} = dZ_r^{p-r+1} (Romero–Rubio–Sergeraert).  The
-    zero-block check gives ρ(n, a, b) = 0 for b <= a.
+    zero-block check gives ρ(n, a, b) = 0 for b <= a; ρ is kept on FC for later pages.
     """
-    memo = {}
+    memo = FC._ranks
 
     def rho(n, a, b=None):
         if b is not None and b <= a:
@@ -386,11 +387,9 @@ def er_page(FC: FilteredComplex, r: int, up_to: int | None = None) -> SpectralPa
     return SpectralPage(r, FC, spots, _rank_dims(FC, r, spots))
 
 
-def e_infinity_dims(FC: FilteredComplex, up_to: int | None = None) -> dict:
+def e_infinity_dims(FC: FilteredComplex) -> dict:
     """E_∞ dims: the pages stabilize once r exceeds the filtration width."""
-    width = FC.k_max - FC.k_min + 1
-    page = er_page(FC, width + 1, up_to=up_to)
-    return page.dims()
+    return er_page(FC, FC.k_max - FC.k_min + 2).dims()
 
 
 def check_filtered_map(f: ChainMap, src: FilteredComplex, tgt: FilteredComplex) -> dict:
@@ -568,13 +567,13 @@ def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
     return filtered_transport(A, {0: g}).level(0)
 
 
-def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2, max_dim: int = 2,
-                                 weights=(0, 1)) -> FilteredDiagram:
-    """Random cosimplicial filtered complex: the filtered sum of cosimplicial
-    blocks (the block of weight w filtered by one jump at w), transported
-    along random level automorphisms g."""
+def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2,
+                                 max_dim: int = 2) -> FilteredDiagram:
+    """Random cosimplicial filtered complex: the filtered sum of two
+    cosimplicial blocks (the block of weight w = 0, 1 filtered by one jump
+    at w), transported along random level automorphisms g."""
     XF = None
-    for w in weights:
+    for w in (0, 1):
         A = random_complex(field, rng, span=rng.randint(1, span), max_dim=max_dim,
                            scramble=False)
         X = constant_cosimplicial(A, p_max) if rng.random() < 0.5 else path_object(A, p_max)[0]
@@ -633,10 +632,10 @@ def filtered_aw(ZF: FilteredDiagram, r: int, N: int):
     return ssF, sdF, mu
 
 
-def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: int = 0,
-                                  field=None, max_dim: int = 2, span: int = 2):
-    """The five descent axioms for (filtered complexes, E_r-quis, (s, δ_r))."""
-    field = field or GF(5)
+def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: int = 0):
+    """The five descent axioms for (filtered complexes, E_r-quis, (s, δ_r)),
+    on random objects over F_5 with blocks of span and dimension at most 2."""
+    field, max_dim, span = GF(5), 2, 2
     rng = random.Random(seed)
     report = AxiomAuditReport(seed)
     p_max = N

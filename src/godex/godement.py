@@ -13,10 +13,10 @@ A total complex reads only the alternating coface sum δ_p = Σ_i (-1)^i d^i_p
 (the Moore complex).  T is linear, so δ_0 = η_F and δ_p = η_{T^p F} -
 T(δ_{p-1}): `godement_resolution` builds the levels, η and these sums, and
 H_X(F) is totalled with them.  The cofaces and codegeneracies are built on
-first read: by the cosimplicial identities of `GodementResolution.validate`,
-by `resolution_sections`, and (the cofaces) by the stalk commutation check,
-which totals the stalks with the alternating sum of the cofaces and so
-compares two independent computations of every stalk of H_X(F).
+first read: by `GodementResolution.validate`, by `resolution_sections`, and
+(the cofaces) by the stalk commutation check, which shares with `validate`
+one comparison (`coface_sum_mismatches`) of δ_p with Σ_i (-1)^i d^i_p, two
+independent computations of every coface block of every stalk of H_X(F).
 
 Truncated at total degree N, the total reads level p only in the internal
 degrees <= N - p.  T is degreewise, so it commutes with brutal truncation:
@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import BlockComplex, ChainMap, CochainComplex, induced_map, is_quis, min_certified
-from .cosimplicial import CosimplicialComplex, alternating_coface_sum, blockwise_map, total_complex
+from .cosimplicial import CosimplicialComplex, blockwise_map, total_complex
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix, alternating_sum, units_minus_blocks
 from .oracle import replacement_complex
@@ -248,9 +248,21 @@ class GodementResolution:
             self.p_max, check=False,
         )
 
+    def coface_sum_mismatches(self, x):
+        """The (p, q) where δ_p at x differs in internal degree q from Σ_i (-1)^i
+        d^i_p, for the cofaces d^i_p = T(d^{i-1}_{p-1}); lazily, no codegeneracy."""
+        field = self.sheaf.field
+        for p, delta in self.coface_sums.items():
+            src, tgt = self._tower(p).stalk(x), self.levels[p].stalk(x)
+            for q in src.dims:
+                cofaces = (self.cofaces[(p, i)].component(x).component(q) for i in range(p + 1))
+                if delta.component(x).component(q) != alternating_sum(
+                        field, tgt.dim(q), src.dim(q), cofaces):
+                    yield p, q
+
     def validate(self):
-        """Every cosimplicial identity at every stalk, every structure map a
-        sheaf map, and every coface sum the alternating sum of the cofaces.
+        """Every coface sum the alternating sum of the cofaces, every
+        cosimplicial identity at every stalk, and every structure map a sheaf map.
 
         Truncated at `top`, level p is built in the degrees <= top - p, so
         each identity is checked in every internal degree q where all the
@@ -263,17 +275,15 @@ class GodementResolution:
         """
         top = self.top
         for x in self.sheaf.poset.elements:
+            for p, q in self.coface_sum_mismatches(x):
+                raise InvariantError(f"coface sum {p} at {x} in degree {q} is not "
+                                     "the alternating sum of the cofaces")
             X = self.stalkwise(x)
             if top is None:
                 X.validate()
             else:
                 for q in X.level(0).dims:
                     X.degree_part(q, min(self.p_max, top - q)).validate()
-            for p, delta in self.coface_sums.items():
-                for q in X.level(p - 1).dims:
-                    if delta.component(x).component(q) != alternating_coface_sum(X, p, q):
-                        raise InvariantError(f"coface sum {p} at {x} in degree {q} is not "
-                                             "the alternating sum of the cofaces")
         for f in self.cofaces.values():
             f.validate()
         for (p, _), s in self.codegeneracies.items():
@@ -562,29 +572,16 @@ def stalk_commutation_check(F: Sheaf, N: int, hyper: Hypercohomology | None = No
 
     On an Alexandrov site the stalk of the objectwise total complex at x is
     the total complex of the stalks, so the comparison map is degreewise the
-    identity.  This check compares two independent computations of every
-    stalk: H_X(F)_x, whose differential carries the coface sums δ_p of the
-    recursion δ_p = η - T(δ_{p-1}), against the total complex of the stalks
-    at x with the alternating sum of the cofaces d^i_p = T(d^{i-1}_{p-1}),
-    each built on its own.  Every degree where the dimensions or the
-    differentials differ is a witness.  No codegeneracy is built.
+    identity.  H_X(F)_x (`hyper`, at N) and the total of the stalks at x share
+    their levels and internal differentials, so they differ only where δ_p of
+    δ_p = η - T(δ_{p-1}) differs from the alternating sum of the cofaces
+    d^i_p = T(d^{i-1}_{p-1}) (`GodementResolution.coface_sum_mismatches`): in
+    internal degree q, a witness (x, p - 1 + q).  No total complex and no
+    codegeneracy is built.
     """
-    if hyper is None:
-        hyper = hypercohomology_sheaf(F, N)
-    res = hyper.resolution
-    witnesses = []
-    for x in F.poset.elements:
-        levels = res.stalk_levels(x)
-
-        def coface_sum(p, q):
-            return alternating_sum(F.field, levels[p].dim(q), levels[p - 1].dim(q),
-                                   (res.cofaces[(p, i)].component(x).component(q)
-                                    for i in range(p + 1)))
-        lhs = hyper.H.stalk(x)
-        rhs = total_complex(F.field, levels, coface_sum, N)
-        for n in set(lhs.dims) | set(rhs.dims):
-            if lhs.dim(n) != rhs.dim(n) or lhs.d(n) != rhs.d(n):
-                witnesses.append((x, n))
+    res = (hyper or hypercohomology_sheaf(F, N)).resolution
+    witnesses = [(x, p - 1 + q) for x in F.poset.elements
+                 for p, q in res.coface_sum_mismatches(x)]
     return EquivalenceReport("local", not witnesses, witnesses, N - 1)
 
 
@@ -670,9 +667,9 @@ def _column_weights(sec, n: int) -> np.ndarray:
     return weights
 
 
-def descent_double_complex(F: Sheaf, U, N: int):
+def descent_double_complex(hyper: Hypercohomology, U, N: int):
     """The column-filtered double complex Γ(U, G•F) = Γ(U, H_X F), as
-    (FilteredComplex, total, hyper) for hyper = `hypercohomology_sheaf(F, N)`.
+    (FilteredComplex, total), for hyper = `hypercohomology_sheaf(F, N)`.
 
     A section basis vector lies in the column p of its unit row
     (`_column_weights`): the restrictions of H_X F are blockwise, so the
@@ -681,18 +678,18 @@ def descent_double_complex(F: Sheaf, U, N: int):
     certifies through N - 1, as the truncation at N does on every open.
     """
     from .filtered import FilteredComplex
-    hyper = hypercohomology_sheaf(F, N)
     sec = sections(hyper.H, U)
     weights = {n: _column_weights(sec, n) for n in sec.layouts}
     total = sec.complex if sec.open_set else \
-        CochainComplex(F.field, {}, {}, certified_degree=N - 1)
-    return FilteredComplex(total, 0, max(N - F.lower, 0), weights), total, hyper
+        CochainComplex(hyper.H.field, {}, {}, certified_degree=N - 1)
+    return FilteredComplex(total, 0, hyper.resolution.p_max, weights), total
 
 
 def descent_spectral_sequence(F: Sheaf, U, r_max: int, N: int):
     """The E_r pages, r = 0..r_max, of `descent_double_complex`, with its FC, total and hyper."""
     from .filtered import er_page
-    FC, total, hyper = descent_double_complex(F, U, N)
+    hyper = hypercohomology_sheaf(F, N)
+    FC, total = descent_double_complex(hyper, U, N)
     return [er_page(FC, r) for r in range(r_max + 1)], FC, total, hyper
 
 
@@ -720,10 +717,10 @@ def localeq_verdicts(f: SheafMap, N: int) -> dict:
 # ---- the W \\ S separation witness ------------------------------------------
 
 
-def separation_witness(field, N: int = 4):
+def separation_witness(field):
     """A sheaf map that is a local but not a global equivalence.
 
-    ρ of the constant sheaf on the pseudocircle: stalkwise a
+    ρ of the constant sheaf on the pseudocircle, truncated at 4: stalkwise a
     quasi-isomorphism, but on global sections H^1 appears (the circle has
     cohomology in degree 1 while the constant complex has none).
     """
@@ -731,7 +728,7 @@ def separation_witness(field, N: int = 4):
     from .site import constant_sheaf, pseudocircle_poset
     P = pseudocircle_poset()
     F = constant_sheaf(P, single_complex(field, 0, 1))
-    hyper = hypercohomology_sheaf(F, N)
+    hyper = hypercohomology_sheaf(F, 4)
     local = equivalence_check(hyper.rho, "local")
     glob = equivalence_check(hyper.rho, "global")
     return hyper.rho, local, glob

@@ -161,11 +161,12 @@ class Poset:
                       for y in self.elements]
         return sum(ending)
 
-    def up_sets(self, cap: int = UP_SET_ENUMERATION_CAP):
-        """All open sets in canonical order: by size, then lexicographically."""
-        if len(self.elements) > cap:
-            raise TooLarge(f"poset has {len(self.elements)} > {cap} elements; "
-                           "supply the list of opens explicitly")
+    def up_sets(self):
+        """All open sets in canonical order: by size, then lexicographically;
+        TooLarge above `UP_SET_ENUMERATION_CAP` elements."""
+        if len(self.elements) > UP_SET_ENUMERATION_CAP:
+            raise TooLarge(f"poset has {len(self.elements)} > {UP_SET_ENUMERATION_CAP} "
+                           "elements; supply the list of opens explicitly")
         out = []
         for r in range(len(self.elements) + 1):
             for combo in itertools.combinations(self.elements, r):

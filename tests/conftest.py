@@ -84,7 +84,7 @@ def naive_betti(complex_) -> dict:
     return out
 
 
-def basis_quis_per_degree(f, up_to=None) -> dict:
+def basis_quis_per_degree(f) -> dict:
     """Per-degree verdicts "H^n(f) is an isomorphism" from kernel bases, over
     the degrees and certificate that `is_quis` reads: the betti numbers
     agree and f(Z_s^n) together with the target coboundaries spans Z_t^n.
@@ -95,7 +95,7 @@ def basis_quis_per_degree(f, up_to=None) -> dict:
         return len(M.rref()[1])
 
     lo, hi = min(S.lower, T.lower), max(S.upper, T.upper)
-    certs = [c for c in (S.certified_degree, T.certified_degree, up_to) if c is not None]
+    certs = [c for c in (S.certified_degree, T.certified_degree) if c is not None]
     if certs:
         hi = min(hi, min(certs))
     out = {}

@@ -202,8 +202,8 @@ def test_resolution_structure_maps_equal_iterated_T():
 
 
 def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(f5, monkeypatch):
-    # H_X(F) reads the coface sums only; condition 3 totals the stalks with
-    # the alternating sum of the cofaces, which it builds, and never builds a
+    # H_X(F) reads the coface sums only; condition 3 compares them with the
+    # alternating sum of the cofaces, which it builds, and never builds a
     # codegeneracy; validate() still runs every cosimplicial identity, in the
     # internal degrees where the truncated levels it passes through are built
     import godex.godement as gm
@@ -233,20 +233,55 @@ def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(
     with pytest.raises(InvariantError, match="coface sum 2"):
         res.validate()
     res.coface_sums[2] = delta
-    # a coface broken in the top built degree top - p of its target fails
+    # cofaces broken in the top built degree top - p of their target, with
+    # their alternating sum kept (d^0 + d^1 and 2 d^1 for d^0 and d^1), fail
     # the identity s d = id there
     assert res.top == 6
     p = res.p_max
     q = 6 - p
     x = next(x for x in P.elements if res.level(p).stalk(x).dim(q) and
              res.level(p - 1).stalk(x).dim(q))
-    d = res.cofaces[(p, 1)]
+    d0, d1 = res.cofaces[(p, 0)], res.cofaces[(p, 1)]
+    one = d1.component(x).component(q)
+    for i, d, m in ((0, d0, d0.component(x).component(q) + one), (1, d1, one.scale(2))):
+        comps = dict(d.components)
+        c = comps[x]
+        comps[x] = ChainMap(c.source, c.target, {**c.components, q: m}, check=False)
+        res._cofaces[(p, i)] = SheafMap(d.source, d.target, comps, check=False)
+    assert next(res.coface_sum_mismatches(x), None) is None
+    with pytest.raises(InvariantError, match="cosimplicial identity"):
+        res.validate()
+
+
+def test_stalk_commutation_fails_on_a_scaled_coface(f5, monkeypatch):
+    # negative control: condition 3 and validate() share one comparison, so
+    # one coface d^i_p scaled by 2 at one stalk x and internal degree q fails
+    # both, condition 3 with the witness (x, p - 1 + q); condition 3 builds
+    # no total complex and no codegeneracy
+    import godex.godement as gm
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 1000 * len("pseudocircle") + 4, max_dim=2, span=3)
+    N = 6
+    hyper = hypercohomology_sheaf(F, N)
+    res = hyper.resolution
+    totals, nus = [], []
+    total_complex, godement_nu_ = gm.total_complex, gm.godement_nu
+    monkeypatch.setattr(gm, "total_complex", lambda *a: totals.append(1) or total_complex(*a))
+    monkeypatch.setattr(gm, "godement_nu", lambda *a: nus.append(1) or godement_nu_(*a))
+    assert stalk_commutation_check(F, N, hyper=hyper).verdict
+    p, i = 2, 1
+    d = res.cofaces[(p, i)]
+    x, q = next((x, q) for x in P.elements for q in res.level(p - 1).stalk(x).dims
+                if not d.component(x).component(q).is_zero())
     comps = dict(d.components)
     c = comps[x]
     comps[x] = ChainMap(c.source, c.target, {**c.components, q: c.component(q).scale(2)},
                         check=False)
-    res._cofaces[(p, 1)] = SheafMap(d.source, d.target, comps, check=False)
-    with pytest.raises(InvariantError, match="cosimplicial identity"):
+    res._cofaces[(p, i)] = SheafMap(d.source, d.target, comps, check=False)
+    rep = stalk_commutation_check(F, N, hyper=hyper)
+    assert (rep.verdict, rep.witnesses, rep.certified_degree) == (False, [(x, p - 1 + q)], N - 1)
+    assert totals == [] and nus == [] and res._codegens is None
+    with pytest.raises(InvariantError, match=f"coface sum {p} at {x} in degree {q} "):
         res.validate()
 
 
@@ -701,10 +736,11 @@ def test_descent_double_complex_matches_the_full_tower_on_every_open(name, field
     for t in range(2):
         F = random_sheaf(P, field, 500 + t, max_dim=2, span=2)
         N = F.top_degree + 3
+        hyper = hypercohomology_sheaf(F, N)
         for U in P.up_sets():
             if not U:
                 continue
-            FC, total, _ = descent_double_complex(F, U, N)
+            FC, total = descent_double_complex(hyper, U, N)
             ref_FC, ref_total = _descent_reference(F, U, N)
             last = FC.k_max - FC.k_min + 1 if field.p else 3
             assert _descent_summary(FC, total, last) == \
@@ -768,4 +804,4 @@ def test_a_section_that_crosses_columns_raises(f5, monkeypatch):
         return Subspace(S.field, S.ambient_dim, S.basis @ ones, S.unit_rows) if S.dim > 1 else S
     monkeypatch.setattr(SectionComplex, "space", mixed)
     with pytest.raises(InvariantError, match="crosses the columns"):
-        descent_double_complex(F, frozenset(P.elements), N)
+        descent_double_complex(hypercohomology_sheaf(F, N), frozenset(P.elements), N)

@@ -17,7 +17,7 @@ import pytest
 
 from godex import filtered
 from godex.complexes import (
-    BlockComplex, ChainMap, CochainComplex, is_quis, random_complex, single_complex,
+    BlockComplex, ChainMap, CochainComplex, is_quis, random_complex, random_map, single_complex,
 )
 from godex.cosimplicial import random_cosimplicial, simple
 from godex.errors import InvariantError, NotContained, NotFiltered
@@ -177,6 +177,40 @@ def test_global_check_ranks_match_sections_on_literal_suite_sheaves(name, count,
     assert seen == count
 
 
+def test_global_check_ranks_match_sections_on_random_sheaf_maps(monkeypatch):
+    """Random sheaf maps (every other one an endomorphism) on the
+    pseudocircle and the pseudosphere over F_2, F_5 and Q, on every open
+    without a minimum: the rank path gives the reference's per-degree
+    verdicts and certified degree, builds no section basis, and decides
+    degrees where the betti numbers agree, are nonzero, and H^n(f) is not
+    an isomorphism."""
+    rng = random.Random(91)
+    cases = equal_nonzero_not_iso = 0
+    for make in (pseudocircle_poset, pseudosphere_poset):
+        P = make()
+        opens = [U for U in P.up_sets()
+                 if U and not any(all(P.leq(m, y) for y in U) for m in U)]
+        for field in (GF(2), F5, QQ):
+            for k in range(6):
+                F = random_sheaf(P, field, 900 + k, max_dim=2, span=2)
+                G = F if k % 2 == 0 else random_sheaf(P, field, 950 + k, max_dim=2, span=2)
+                f = SheafMap(F, G, random_map(F, G, rng))
+                for U in opens:
+                    with monkeypatch.context() as m:
+                        m.setattr(SectionComplex, "_build", lambda self: pytest.fail("basis built"))
+                        got = sections_quis(f, U)
+                    ref = sections_map(f, U)
+                    want = is_quis(ref)
+                    assert got.per_degree == want.per_degree, (make.__name__, field, k, sorted(U))
+                    assert got.certified_degree == want.certified_degree
+                    bs, bt = ref.source.cohomology().betti, ref.target.cohomology().betti
+                    equal_nonzero_not_iso += sum(1 for n, ok in want.per_degree.items()
+                                                 if not ok and bs.get(n, 0) == bt.get(n, 0) > 0)
+                    cases += 1
+    assert cases == 90
+    assert equal_nonzero_not_iso >= 10
+
+
 def test_separation_witness_ranks_match_sections(monkeypatch):
     """The W-not-S witness: global False with the reference's witnesses,
     and no section basis built by its global check."""
@@ -244,7 +278,8 @@ def test_page_dims_ranks_match_basis_on_criterion_7_sheaves(name):
     P = SUITE[name]()
     for t in (0, 1):
         F = random_sheaf(P, F5, 500 + t, max_dim=2, span=2)
-        FC, total, _ = descent_double_complex(F, frozenset(P.elements), F.top_degree + 3)
+        N = F.top_degree + 3
+        FC, total = descent_double_complex(hypercohomology_sheaf(F, N), frozenset(P.elements), N)
         width = FC.k_max - FC.k_min + 1
         if name == "pseudosphere":
             # each basis page of the pseudosphere takes seconds: E_2 and E_∞
@@ -276,10 +311,31 @@ def test_from_blocks_rejects_an_entry_into_a_lower_block():
         FilteredComplex.from_blocks(base, 1, 1)
 
 
+def test_successive_pages_rank_each_block_once(monkeypatch):
+    """E_0..E_3 of a criterion-7 descent filtration share the block ranks
+    kept on the filtered complex: each (n, a, b) block is built and ranked
+    once, and every page has the dims it has on a fresh filtered complex."""
+    P = chain_poset(3)
+    F = random_sheaf(P, F5, 501, max_dim=2, span=2)
+    N = F.top_degree + 3
+    hyper = hypercohomology_sheaf(F, N)
+    FC = descent_double_complex(hyper, frozenset(P.elements), N)[0]
+    fresh = [er_page(descent_double_complex(hyper, frozenset(P.elements), N)[0], r).dims()
+             for r in range(4)]
+    keys = []
+    block = filtered._block
+    monkeypatch.setattr(filtered, "_block", lambda FC, n, a, b=None:
+                        keys.append((n, a, b)) or block(FC, n, a, b))
+    assert [er_page(FC, r).dims() for r in range(4)] == fresh
+    assert keys and len(keys) == len(set(keys))
+    assert len(FC._ranks) == len(keys)
+
+
 def _descent_filtration():
     P = chain_poset(3)
     F = random_sheaf(P, F5, 500, max_dim=2, span=2)
-    return descent_double_complex(F, frozenset(P.elements), F.top_degree + 3)[0]
+    N = F.top_degree + 3
+    return descent_double_complex(hypercohomology_sheaf(F, N), frozenset(P.elements), N)[0]
 
 
 def test_reading_terms_later_runs_the_dr_squared_check(monkeypatch):
@@ -429,7 +485,8 @@ def test_cycle_spaces_match_preimages_on_criterion_7_sheaves(name):
     # the preimage path takes seconds per pseudosphere filtration: one there
     for t in ((0,) if name == "pseudosphere" else (0, 1)):
         F = random_sheaf(P, F5, 500 + t, max_dim=2, span=2)
-        FC = descent_double_complex(F, frozenset(P.elements), F.top_degree + 3)[0]
+        N = F.top_degree + 3
+        FC = descent_double_complex(hypercohomology_sheaf(F, N), frozenset(P.elements), N)[0]
         _assert_cycle_spaces_match_preimages(FC)
 
 
