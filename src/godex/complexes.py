@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import FieldMismatch, InvariantError
 from .exactlin import (
-    Field, Layout, Matrix, Subspace, free_columns, kron, random_invertible, subquotient,
+    Field, Layout, Matrix, Subspace, free_columns, kron, random_automorphism, subquotient,
 )
 
 
@@ -387,12 +387,22 @@ def _transport(D, g: dict, ginv: dict):
     return D.rebuild(new, maps)
 
 
+def _random_automorphisms(levels: dict, rng):
+    """(g, g^-1): a `random_automorphism` g[k][q] of every degree q of every
+    level complex levels[k], drawn level by level in the order of `levels`
+    and degree by degree within a level, and its inverse ginv[k][q]."""
+    g, ginv = {}, {}
+    for k, C in levels.items():
+        g[k], ginv[k] = {}, {}
+        for q in C.dims:
+            g[k][q], ginv[k][q] = random_automorphism(C.field, C.dim(q), rng)
+    return g, ginv
+
+
 def conjugate(D, rng):
     """D transported along random automorphisms, drawn level by level in the
     order of `D.diagram()` and degree by degree within a level."""
-    levels, _ = D.diagram()
-    return transport(D, {k: {q: random_invertible(C.field, C.dim(q), rng) for q in C.dims}
-                         for k, C in levels.items()})
+    return _transport(D, *_random_automorphisms(D.diagram()[0], rng))
 
 
 def _same_shape(D1, D2, error=InvariantError):
@@ -597,8 +607,8 @@ def random_complex(field: Field, rng, lower: int = 0, span: int = 3, max_dim: in
     C = CochainComplex(field, dims, diffs, lower=lower, check=False)
     if not scramble:
         return C
-    P = {n: random_invertible(field, dims.get(n, 0), rng) for n in degs}
-    new_diffs = {n: P[n + 1] @ C.d(n) @ P[n].inverse() for n in degs[:-1]}
+    P = {n: random_automorphism(field, dims.get(n, 0), rng) for n in degs}
+    new_diffs = {n: P[n + 1][0] @ C.d(n) @ P[n][1] for n in degs[:-1]}
     return CochainComplex(field, dims, new_diffs, lower=lower, check=False)
 
 

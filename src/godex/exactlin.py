@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .errors import AmbientMismatch, FieldMismatch, InvariantError, NotContained
 
 _FLOAT_SAFE = 2.0**53
 _ZERO = Fraction(0)
+# The values of the diagonal of U in a random automorphism L U P over Q.
+_Q_UNITS = (1, 1, 2, -1)
 
 # `Matrix.rank()` eliminates an F_p matrix sparsely when it has at least
 # _SPARSE_MIN_CELLS cells of which at most a _SPARSE_MAX_DENSITY share is
@@ -91,6 +94,8 @@ class Field:
         not an integer, which have none in F_p."""
         if self.p is None:
             return Fraction(value)
+        if type(value) is int:
+            return value % self.p
         if isinstance(value, Fraction):
             num, den = value.numerator % self.p, value.denominator % self.p
             if den == 0:
@@ -724,21 +729,95 @@ def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
     return Matrix(field, rows, cols, [[field.random_element(rng) for _ in range(cols)] for _ in range(rows)])
 
 
-def random_invertible(field: Field, n: int, rng) -> Matrix:
-    """Random invertible matrix: L @ U @ P with unit-triangular L, U."""
-    if n == 0:
-        return Matrix.identity(field, 0)
-    low = [[field.element(0)] * n for _ in range(n)]
-    up = [[field.element(0)] * n for _ in range(n)]
+@lru_cache(maxsize=64)
+def _off_diagonal(n: int):
+    """The flat indices of the entries (i, j), j < i, of an n x n array, row
+    by row, and of their mirror images (j, i), as read-only arrays."""
+    i, j = np.tril_indices(n, -1)
+    below, above = i * n + j, j * n + i
+    below.flags.writeable = above.flags.writeable = False
+    return below, above
+
+
+def _draw_factors(field: Field, n: int, rng):
+    """The factors of `random_invertible`'s g = L @ U @ P, drawn in the order
+    its docstring states, written straight into storage arrays.  Returns the
+    arrays of L and U, the diagonal of U as a list, and perm: row i of P has
+    its 1 in column perm[i]."""
+    p = field.p
+    draw = field.random_element
+    diag, pairs = [], []
     for i in range(n):
-        low[i][i] = field.element(1)
-        up[i][i] = field.element(rng.randrange(1, field.p)) if not field.is_rational else Fraction(rng.choice([1, 1, 2, -1]))
-        for j in range(i):
-            low[i][j] = field.random_element(rng)
-            up[j][i] = field.random_element(rng)
+        diag.append(rng.randrange(1, p) if p is not None else Fraction(rng.choice(_Q_UNITS)))
+        pairs.extend([draw(rng) for _ in range(2 * i)])
     perm = list(range(n))
     rng.shuffle(perm)
-    P = Matrix.zeros(field, n, n).rows_list()
-    for i, j in enumerate(perm):
-        P[i][j] = 1
-    return Matrix(field, n, n, low) @ Matrix(field, n, n, up) @ Matrix(field, n, n, P)
+    below, above = _off_diagonal(n)
+    low, up = _zeros(field, n, n), _zeros(field, n, n)
+    low.flat[::n + 1] = field.element(1)
+    low.flat[below] = pairs[0::2]
+    up.flat[::n + 1] = diag
+    up.flat[above] = pairs[1::2]
+    return low, up, diag, perm
+
+
+def _product_permuted(field: Field, low, up, perm) -> Matrix:
+    """L @ U @ P: column k of L @ U is column perm[k] of the product."""
+    n = len(perm)
+    lu = Matrix(field, n, n, low, _raw=True) @ Matrix(field, n, n, up, _raw=True)
+    a = np.empty_like(lu._a)
+    a[:, perm] = lu._a
+    return Matrix(field, n, n, a, _raw=True)
+
+
+def random_invertible(field: Field, n: int, rng) -> Matrix:
+    """Random invertible matrix g = L @ U @ P: L lower triangular with 1 on
+    its diagonal, U upper triangular with a random nonzero diagonal, P a
+    permutation matrix.
+
+    The seeded generators and their pinned digests depend on the order of the
+    draws from `rng`: for each row i = 0..n-1, first U[i, i]
+    (`rng.randrange(1, p)` over F_p, `rng.choice` of 1, 1, 2, -1 over Q), then
+    for each j < i the pair L[i, j], U[j, i] (`Field.random_element` each);
+    last one `rng.shuffle` of 0..n-1, whose entry i is the column of the 1 in
+    row i of P.  `random_automorphism` makes the same draws and also returns
+    g^-1.
+    """
+    low, up, _, perm = _draw_factors(field, n, rng)
+    return _product_permuted(field, low, up, perm)
+
+
+def random_automorphism(field: Field, n: int, rng):
+    """(g, g^-1) for the g = L @ U @ P that `random_invertible` draws from the
+    same rng state, leaving the rng in the same state.
+
+    g^-1 = P^T U^-1 L^-1 is formed from the factors by substitution, row by
+    row, with no elimination: row i of L^-1 is e_i − Σ_{j<i} L[i, j] (row j
+    of L^-1), and row i of U^-1 is (e_i − Σ_{j>i} U[i, j] (row j of U^-1)) /
+    U[i, i].  One product checks it: InvariantError unless g g^-1 = 1.  Over
+    F_p the substitution products stay below the bound that the guard of
+    L @ U enforces, so they are exact in float64.
+    """
+    low, up, diag, perm = _draw_factors(field, n, rng)
+    g = _product_permuted(field, low, up, perm)
+    p = field.p
+    dinv = [1 / d for d in diag] if p is None else [pow(d, -1, p) for d in diag]
+    linv, uinv = _zeros(field, n, n), _zeros(field, n, n)
+    linv.flat[::n + 1] = field.element(1)
+    uinv.flat[::n + 1] = dinv
+    for i in range(1, n):
+        linv[i, :i] = _reduced(-(low[i, :i] @ linv[:i, :i]), p)
+    for i in range(n - 2, -1, -1):
+        uinv[i, i + 1:] = _reduced(-dinv[i] * _reduced(up[i, i + 1:] @ uinv[i + 1:, i + 1:], p), p)
+    z = Matrix(field, n, n, uinv, _raw=True) @ Matrix(field, n, n, linv, _raw=True)
+    a = np.empty_like(z._a)
+    a[perm, :] = z._a
+    ginv = Matrix(field, n, n, a, _raw=True)
+    if g @ ginv != Matrix.identity(field, n):
+        raise InvariantError("a drawn automorphism times its inverse is not the identity")
+    return g, ginv
+
+
+def _reduced(a, p):
+    """The array `a` reduced into [0, p) over F_p; over Q (p None), `a`."""
+    return a if p is None else a % p

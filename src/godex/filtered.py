@@ -31,14 +31,15 @@ import random
 import numpy as np
 
 from .complexes import (
-    BlockComplex, ChainMap, CochainComplex, _inverses, _transport, direct_sum, random_complex,
+    BlockComplex, ChainMap, CochainComplex, _inverses, _random_automorphisms, _transport,
+    direct_sum, random_complex,
 )
 from .cosimplicial import (
     AxiomAuditReport, AxiomTrial, CosimplicialMap, aw_map, bicosimplicial_from_rows,
     constant_cosimplicial, contractible_complex, lambda_map, path_object, simple, simple_map,
 )
 from .errors import InvariantError, NotFiltered
-from .exactlin import GF, Matrix, Subspace, free_columns, random_invertible, subquotient
+from .exactlin import GF, Matrix, Subspace, free_columns, subquotient
 
 _NO_WEIGHTS = np.zeros(0, dtype=np.int64)
 
@@ -495,7 +496,11 @@ def filtered_direct_sum(A: FilteredDiagram, B: FilteredDiagram):
 def filtered_transport(A: FilteredDiagram, g: dict) -> FilteredDiagram:
     """`complexes.transport` of the base along g[level key][q]: the weights
     stay, and each adapted basis B becomes g·B."""
-    ginv = _inverses(g)
+    return _filtered_transport(A, g, _inverses(g))
+
+
+def _filtered_transport(A: FilteredDiagram, g: dict, ginv: dict) -> FilteredDiagram:
+    """`filtered_transport` of A along g, whose inverses the caller has as ginv."""
     D = _transport(A.base, g, ginv)
     levels = {}
     for k, C in D.diagram()[0].items():
@@ -563,8 +568,7 @@ def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
     for w, C in pieces:
         piece = FilteredDiagram(C, {0: FilteredComplex.trivial(C, w)})
         A = piece if A is None else filtered_direct_sum(A, piece)[0]
-    g = {n: random_invertible(field, A.base.dim(n), rng) for n in A.base.dims}
-    return filtered_transport(A, {0: g}).level(0)
+    return _filtered_transport(A, *_random_automorphisms(A.base.diagram()[0], rng)).level(0)
 
 
 def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2,
@@ -580,10 +584,7 @@ def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2,
         part = FilteredDiagram(
             X, {p: FilteredComplex.trivial(X.level(p), jump=w) for p in range(p_max + 1)})
         XF = part if XF is None else filtered_direct_sum(XF, part)[0]
-    X = XF.base
-    g = {p: {q: random_invertible(field, X.level(p).dim(q), rng) for q in X.level(p).dims}
-         for p in range(p_max + 1)}
-    out = filtered_transport(XF, g)
+    out = _filtered_transport(XF, *_random_automorphisms(XF.base.diagram()[0], rng))
     out.validate()
     return out
 

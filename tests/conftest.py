@@ -1,15 +1,16 @@
-"""Shared fixtures and the independent row-reduction oracle.
+"""Shared fixtures, the independent row-reduction oracle and slow references.
 
 The oracle is a deliberately naive pure-Python Gaussian elimination kept
 separate from the package's elimination kernels; DERIVED expectations in
-the tests are computed with it.
+the tests are computed with it.  `reference_automorphism` is the original
+construction of a random automorphism, which the fast one must reproduce.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from godex.exactlin import GF, QQ, Subspace, kernel
+from godex.exactlin import GF, QQ, Matrix, Subspace, kernel
 
 
 @pytest.fixture
@@ -124,3 +125,29 @@ def intersect(V, W):
         return Subspace.zero(V.field, V.ambient_dim)
     K = V.basis.hstack(W.basis).kernel_matrix()
     return Subspace.spanned_by(V.field, V.ambient_dim, V.basis @ K.take_rows(range(V.dim)))
+
+
+def reference_automorphism(field, n, rng):
+    """(g, g^-1) built the slow way: the factors L, U and P as lists of
+    `Field.element`s in three `Matrix`es, g = L @ U @ P, and g^-1 by
+    elimination (`Matrix.inverse`).  The draws are those of
+    `exactlin.random_invertible`: per row i the diagonal of U, then the
+    pairs L[i][j], U[j][i] for j < i; then one shuffle."""
+    if n == 0:
+        return Matrix.identity(field, 0), Matrix.identity(field, 0)
+    low = [[field.element(0)] * n for _ in range(n)]
+    up = [[field.element(0)] * n for _ in range(n)]
+    for i in range(n):
+        low[i][i] = field.element(1)
+        up[i][i] = field.element(rng.randrange(1, field.p)) if not field.is_rational \
+            else Fraction(rng.choice([1, 1, 2, -1]))
+        for j in range(i):
+            low[i][j] = field.random_element(rng)
+            up[j][i] = field.random_element(rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    P = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        P[i][j] = 1
+    g = Matrix(field, n, n, low) @ Matrix(field, n, n, up) @ Matrix(field, n, n, P)
+    return g, g.inverse()

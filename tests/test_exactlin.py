@@ -7,14 +7,14 @@ import pytest
 
 import godex.exactlin as exactlin
 from godex import cli
-from godex.errors import AmbientMismatch, NotContained
+from godex.errors import AmbientMismatch, InvariantError, NotContained
 from godex.complexes import random_complex
 from godex.exactlin import (
     GF, QQ, Field, Layout, Matrix, Subspace, _rank_sparse, _rref_np, free_columns, kernel,
-    random_invertible, random_matrix, subquotient,
+    random_automorphism, random_invertible, random_matrix, subquotient,
 )
 
-from conftest import naive_rank, naive_rref, preimage
+from conftest import naive_rank, naive_rref, preimage, reference_automorphism
 
 
 def test_field_primality():
@@ -54,6 +54,78 @@ def test_float_that_is_not_an_integer_raises_mod_p(p):
         Matrix(field, 1, 1, [[2.5]])
     with pytest.raises(ValueError):
         Matrix.identity(field, 1).scale(0.5)
+
+
+def _element_reference(field, value):
+    """`Field.element` before its int fast path: every non-Fraction,
+    non-float value went through int(value) % p."""
+    if field.p is None:
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        num, den = value.numerator % field.p, value.denominator % field.p
+        if den == 0:
+            raise ValueError(f"{value} has no value in F_{field.p}")
+        return num * pow(den, field.p - 2, field.p) % field.p
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} has no value in F_{field.p}")
+    return int(value) % field.p
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except Exception as e:  # noqa: BLE001 - the exception type is the outcome
+        return "raises", type(e)
+    return type(v), v
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), GF(1048573), QQ], ids=str)
+def test_field_element_agrees_with_the_reference_on_every_kind(field):
+    # ints take the fast path; bools, numpy integers, Fractions and floats
+    # keep the general one; results and refusals are unchanged
+    values = [0, 1, -1, 2, 4, 5, -7, 1048573, 1048574, 10**30, -10**30,
+              True, False,
+              np.int64(-3), np.int32(7), np.uint8(255), np.int64(2**62),
+              Fraction(3, 2), Fraction(-7, 5), Fraction(1, 1048573), Fraction(6, 4), Fraction(0),
+              0.0, -3.0, 5.0, 2.0**52, 0.5, -2.25, float("inf"), float("nan"),
+              np.float64(4.0), np.float64(1.5)]
+    for v in values:
+        got, want = _outcome(field.element, v), _outcome(_element_reference, field, v)
+        assert got == want, (field, v, got, want)
+        if got[0] != "raises":
+            assert type(got[1]) is (Fraction if field.is_rational else int)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(65521), GF(1048573), QQ], ids=str)
+def test_random_automorphism_matches_the_reference(field):
+    # the fast draw builds the reference's g and, from the factors, exactly
+    # the reference's elimination inverse, and leaves the rng where it did;
+    # over Q the reference elimination is slow, so large n get one seed
+    for n in range(25):
+        for seed in range(3 if field.p is not None or n <= 16 else 1):
+            rng_ref, rng_auto, rng_inv = (random.Random(seed) for _ in range(3))
+            g_ref, ginv_ref = reference_automorphism(field, n, rng_ref)
+            g, ginv = random_automorphism(field, n, rng_auto)
+            g_only = random_invertible(field, n, rng_inv)
+            for m, ref in ((g, g_ref), (ginv, ginv_ref), (g_only, g_ref)):
+                assert m.shape == (n, n) and m._a.dtype == ref._a.dtype
+                assert m.rows_list() == ref.rows_list(), (field, n, seed)
+            assert rng_auto.getstate() == rng_ref.getstate() == rng_inv.getstate()
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+def test_random_automorphism_checks_its_inverse(field, monkeypatch):
+    # a diagonal of U that the inverse reads but g does not: g g^-1 != 1
+    draw = exactlin._draw_factors
+
+    def corrupted(*args):
+        low, up, diag, perm = draw(*args)
+        diag[-1] = 2 * diag[-1]
+        return low, up, diag, perm
+
+    monkeypatch.setattr(exactlin, "_draw_factors", corrupted)
+    with pytest.raises(InvariantError):
+        random_automorphism(field, 4, random.Random(0))
 
 
 def test_kernel_identity_is_zero(qq):

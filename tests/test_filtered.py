@@ -4,7 +4,7 @@ import pytest
 
 from godex import cosimplicial
 from godex.complexes import ChainMap, CochainComplex, random_complex
-from godex.cosimplicial import contractible_complex
+from godex.cosimplicial import contractible_complex, random_bicosimplicial, random_cosimplicial
 from godex.errors import NotFiltered
 from godex.exactlin import Matrix, random_invertible
 from godex.filtered import (
@@ -13,7 +13,7 @@ from godex.filtered import (
     e_infinity_dims, er_page, filtered_aw, filtered_simple, filtered_transport,
     filtrations_equal, is_er_quis, random_filtered_complex, random_filtered_cosimplicial,
 )
-from godex.site import constant_sheaf, pseudocircle_poset
+from godex.site import constant_sheaf, pseudocircle_poset, random_sheaf
 
 
 def test_trivial_filtration_pages(f5):
@@ -243,11 +243,18 @@ def test_filtered_transport_there_and_back_is_exact(f5):
             assert there.level(p).basis(q) == g[p][q] @ A.basis(q)
 
 
-def test_filtered_transport_inverts_each_automorphism_once(f5, monkeypatch):
-    # random_filtered_cosimplicial draws 10 automorphisms here; the transport
-    # of the base and the adapted inverses B^-1 g^-1 share one inverse each
+def test_random_generators_invert_no_automorphism(f5, monkeypatch):
+    # every random generator draws its automorphisms with their inverses
+    # (exactlin.random_automorphism), so none is inverted by elimination
     calls = []
     inverse = Matrix.inverse
     monkeypatch.setattr(Matrix, "inverse", lambda self: calls.append(1) or inverse(self))
-    random_filtered_cosimplicial(f5, random.Random(0), 4)
-    assert len(calls) == 10
+    for seed in range(3):
+        rng = random.Random(seed)
+        random_complex(f5, rng)
+        random_cosimplicial(f5, rng, 3)
+        random_bicosimplicial(f5, rng, 2, 2)
+        random_sheaf(pseudocircle_poset(), f5, seed)
+        random_filtered_complex(f5, rng)
+        random_filtered_cosimplicial(f5, rng, 4)
+    assert calls == []
