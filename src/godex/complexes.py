@@ -6,15 +6,18 @@ largest degree whose cohomology is guaranteed complete (total complexes of
 truncated cosimplicial objects are only trustworthy below the truncation).
 
 Sheaves, cosimplicial and bicosimplicial complexes are diagrams of
-complexes.  `transport` (along degreewise automorphisms of the levels),
-`conjugate` (along random ones), the levelwise `direct_sum` and
-`mapping_cone`, the maps between diagrams (`DiagramMap`: one chain map per
-level, natural in the arrows) and the sampler `random_map` are written once,
-here, for all of them; each diagram class supplies `diagram()` and
-`rebuild()`.  Direct sums and the linear systems of `random_map` lay their
-blocks out with `exactlin.Layout`; a complex that keeps the layout of its
-summands in every degree (a total complex, a T-stalk, a cosimplicial
-replacement) is a `BlockComplex`.
+complexes.  `conjugate` (transport along random degreewise automorphisms of
+the levels), the levelwise `direct_sum` and `mapping_cone`, the maps between
+diagrams (`DiagramMap`: one chain map per level, natural in the arrows) and
+the sampler `random_map` are written once, here, for all of them; each
+diagram class supplies `diagram()` and `rebuild()`.  Transport and direct
+sums build their levels at once and each arrow on its first read (a
+`LazyMap`), so an arrow that no caller reads, such as a codegeneracy under
+the simple functor, is never built; a sheaf copies its restrictions, so
+they are all built.  Direct sums and the linear systems of `random_map` lay their blocks out with
+`exactlin.Layout`; a complex that keeps the layout of its summands in every
+degree (a total complex, a T-stalk, a cosimplicial replacement) is a
+`BlockComplex`.
 
 Cohomology is rank-only until a caller asks for more: `CohomologyData`
 computes the rank of every differential (the sparse rank of `exactlin` on
@@ -23,6 +26,8 @@ large sparse F_p matrices) and builds cycle bases on first access, and
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 from .errors import FieldMismatch, InvariantError
 from .exactlin import (
@@ -352,39 +357,74 @@ def biproduct(C1: CochainComplex, C2: CochainComplex):
 # ---- diagrams of complexes ----------------------------------------------
 #
 # A complex (one level, no arrows), a sheaf, a cosimplicial and a
-# bicosimplicial complex are diagrams of complexes.  Each exposes `diagram()`, its levels (key -> complex, in a fixed
-# order) and its arrows (name -> (source key, target key, chain map)), and
-# `rebuild(levels, maps)`, the diagram of the same shape on new levels with
-# new arrows (name -> chain map).  Transport and direct sums are written once,
-# here, against that interface.
+# bicosimplicial complex are diagrams of complexes.  Each exposes
+# `diagram()`, its levels (key -> complex, in a fixed order) and its arrows
+# (name -> (source key, target key, chain map)), and `rebuild(levels,
+# maps)`, the diagram of the same shape on new levels with new arrows (name
+# -> chain map).  Transport and direct sums are written once, here, against
+# that interface.  The arrows may be a `LazyMap`: reading one arrow builds
+# that arrow only.
 
 
-def transport(D, g):
-    """D carried along the degreewise automorphisms g[level key][q].
+_UNBUILT = object()
 
-    Every level differential d becomes g d g^-1 and every arrow f : s -> t
-    becomes g_t f g_s^-1; g holds an automorphism for every nonzero degree
-    of every level.
+
+class LazyMap(Mapping):
+    """A mapping whose values are built on first read: build(key) for each
+    of `keys`, in order.
+
+    A value is built once.  Once every value is built, `build` is dropped,
+    so the values no longer keep alive what they were built from.
+    Iterating, `in` and `len` build nothing; reading a value builds it, and
+    `items()` or `values()` build them all.
     """
-    return _transport(D, g, _inverses(g))
 
+    __slots__ = ("_values", "_build", "_unbuilt")
 
-def _inverses(g: dict) -> dict:
-    """g[level key][q]^-1 for every automorphism of g."""
-    return {k: {q: m.inverse() for q, m in gk.items()} for k, gk in g.items()}
+    def __init__(self, keys, build):
+        self._values = dict.fromkeys(keys, _UNBUILT)
+        self._unbuilt = len(self._values)
+        self._build = build if self._unbuilt else None
+
+    def __getitem__(self, key):
+        value = self._values[key]
+        if value is _UNBUILT:
+            value = self._values[key] = self._build(key)
+            self._unbuilt -= 1
+            if not self._unbuilt:
+                self._build = None
+        return value
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __contains__(self, key):
+        return key in self._values
+
+    def keys(self):
+        return self._values.keys()
 
 
 def _transport(D, g: dict, ginv: dict):
-    """`transport` of D along g, whose inverses the caller has as ginv."""
+    """D carried along the degreewise automorphisms g[level key][q], whose
+    inverses are ginv[level key][q]: every level differential d becomes
+    g d g^-1 at once, and every arrow f : s -> t becomes g_t f g_s^-1 on its
+    first read.  g holds an automorphism for every nonzero degree of every
+    level."""
     levels, arrows = D.diagram()
     new = {k: CochainComplex(C.field, dict(C.dims),
                              {q: g[k][q + 1] @ d @ ginv[k][q] for q, d in C.differentials.items()},
                              lower=C.lower, certified_degree=C.certified_degree, check=False)
            for k, C in levels.items()}
-    maps = {name: ChainMap(new[s], new[t], {q: g[t][q] @ m @ ginv[s][q]
-                                            for q, m in f.components.items()}, check=False)
-            for name, (s, t, f) in arrows.items()}
-    return D.rebuild(new, maps)
+
+    def move(name):
+        s, t, f = arrows[name]
+        return ChainMap(new[s], new[t], {q: g[t][q] @ m @ ginv[s][q]
+                                         for q, m in f.components.items()}, check=False)
+    return D.rebuild(new, LazyMap(arrows, move))
 
 
 def _random_automorphisms(levels: dict, rng):
@@ -414,7 +454,8 @@ def _same_shape(D1, D2, error=InvariantError):
 
 
 def direct_sum(D1, D2):
-    """Levelwise direct sum of two diagrams of one shape; each arrow is f ⊕ g.
+    """Levelwise direct sum of two diagrams of one shape; each arrow is f ⊕ g,
+    built on its first read.
 
     Returns (D, (i1, i2), (p1, p2)) where i_k and p_k map level keys to the
     inclusion and projection chain maps of `biproduct`.
@@ -423,13 +464,14 @@ def direct_sum(D1, D2):
     levels, incl1, incl2, proj1, proj2 = {}, {}, {}, {}, {}
     for k in levels1:
         levels[k], (incl1[k], incl2[k]), (proj1[k], proj2[k]) = biproduct(levels1[k], levels2[k])
-    maps = {}
-    for name, (s, t, f) in arrows1.items():
+
+    def add(name):
+        s, t, f = arrows1[name]
         g = arrows2[name][2]
-        maps[name] = ChainMap(levels[s], levels[t],
-                              {q: _oplus(f.component(q), g.component(q))
-                               for q in set(f.components) | set(g.components)}, check=False)
-    return D1.rebuild(levels, maps), (incl1, incl2), (proj1, proj2)
+        return ChainMap(levels[s], levels[t],
+                        {q: _oplus(f.component(q), g.component(q))
+                         for q in set(f.components) | set(g.components)}, check=False)
+    return D1.rebuild(levels, LazyMap(arrows1, add)), (incl1, incl2), (proj1, proj2)
 
 
 class DiagramMap:

@@ -6,9 +6,12 @@ The simple (total-complex) functor follows the convention
 
 with differential assembled from the alternating coface sum into level p+1
 and the internal differential signed by (-1)^p.  `total_complex` builds it
-from the levels and a function giving that coface sum; `simple` passes the
-alternating sum of the cofaces of a cosimplicial complex, and the Godement
-route the sums it builds without the cofaces.  Cosimplicial objects are
+from the levels and a function giving that coface sum, and reads no coface
+on its own.  `simple` passes the coface sums that a cosimplicial complex
+carries (`CosimplicialComplex.coface_sums`): transport carries g_p Σ
+g_{p-1}^-1 from its source, a direct sum Σ_1 ⊕ Σ_2 from its summands, and
+any other complex sums its cofaces on first read.  The Godement route
+passes the sums it builds without the cofaces.  Cosimplicial objects are
 truncated at a level p_max; the simple functor at bound N then certifies
 cohomology only in degrees <= N-1 (one guard degree), and all
 quasi-isomorphism claims are asserted within certified degrees only.
@@ -16,19 +19,57 @@ quasi-isomorphism claims are asserted within certified degrees only.
 A total complex keeps, per degree n, the `Layout` of its summands labelled
 (p, q); every map between totals is assembled on those labels
 (`blockwise_map`).  The randomized generators build their objects with
-`complexes.direct_sum` and scramble them with `complexes.conjugate`.
+`complexes.direct_sum` and scramble them with `complexes.conjugate`; every
+structure map of what they return, and every structure map that `row`,
+`transpose`, `diagonal`, `outer_cosimplicial` and `path_object` derive, is
+built on its first read (`complexes.LazyMap`), so the simple functor builds
+no codegeneracy.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
+from operator import itemgetter
 
 from .complexes import (
-    BlockComplex, ChainMap, CochainComplex, DiagramMap, biproduct, conjugate, direct_sum, is_quis,
-    random_complex, truncate,
+    BlockComplex, ChainMap, CochainComplex, DiagramMap, LazyMap, biproduct, conjugate, direct_sum,
+    is_quis, random_complex, truncate,
 )
 from .errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
 from .exactlin import Field, GF, Layout, Matrix, alternating_sum, random_invertible
+
+
+def _view(family, keys: dict) -> LazyMap:
+    """new key -> family[old key] for keys = {new key: old key}, each read
+    from `family` on its first read."""
+    return LazyMap(keys, lambda k: family[keys[k]])
+
+
+def _family(maps, tag, key=itemgetter(slice(1, None))) -> LazyMap:
+    """The arrows of `maps` named (tag, ...), keyed by key(name), each read
+    from `maps` on its first read."""
+    return _view(maps, {key(name): name for name in maps if name[0] == tag})
+
+
+def _arrow(entries: dict, name):
+    s, t, family, key = entries[name]
+    return s, t, family[key]
+
+
+def _arrows(entries: dict) -> LazyMap:
+    """The arrows of a diagram, name -> (source key, target key, map), for
+    entries name -> (source key, target key, family, key); each map is read
+    from its family on the first read of its arrow."""
+    return LazyMap(entries, partial(_arrow, entries))
+
+
+def _alternating_map(source: CochainComplex, target: CochainComplex, faces: list) -> ChainMap:
+    """Σ_i (-1)^i faces[i] : source -> target, one accumulation per degree."""
+    return ChainMap(source, target,
+                    {q: alternating_sum(source.field, target.dim(q), source.dim(q),
+                                        (f.component(q) for f in faces))
+                     for q in source.dims if target.dim(q)}, check=False)
 
 
 class CosimplicialComplex:
@@ -36,17 +77,29 @@ class CosimplicialComplex:
 
     cofaces[(p, i)]       : level p-1 -> level p   (1 <= p <= p_max, 0 <= i <= p)
     codegeneracies[(p, j)]: level p+1 -> level p   (0 <= p <= p_max-1, 0 <= j <= p)
+    coface_sums[p]        : level p-1 -> level p   (1 <= p <= p_max), Σ_i (-1)^i d^i
+
+    The structure maps may be held in any mapping, such as a `LazyMap` that
+    builds each on first read.  The coface sums are what the simple functor
+    reads: a caller that has them cheaper than the cofaces passes them
+    (transport and direct sums carry them from their sources), and by
+    default each is the alternating sum of the cofaces, built on first read.
     """
 
-    __slots__ = ("field", "p_max", "levels", "cofaces", "codegeneracies", "_simple_cache")
+    __slots__ = ("field", "p_max", "levels", "cofaces", "codegeneracies", "coface_sums",
+                 "_simple_cache")
 
-    def __init__(self, field: Field, levels: dict, cofaces: dict, codegeneracies: dict,
-                 p_max: int, check: bool = True):
+    def __init__(self, field: Field, levels: dict, cofaces, codegeneracies, p_max: int,
+                 check: bool = True, coface_sums=None):
         self.field = field
         self.p_max = p_max
         self.levels = levels
         self.cofaces = cofaces
         self.codegeneracies = codegeneracies
+        if coface_sums is None:
+            coface_sums = LazyMap(range(1, p_max + 1), lambda p: _alternating_map(
+                levels[p - 1], levels[p], [cofaces[(p, i)] for i in range(p + 1)]))
+        self.coface_sums = coface_sums
         self._simple_cache = {}
         if set(levels) != set(range(p_max + 1)):
             raise InvariantError("levels must be indexed 0..p_max")
@@ -62,17 +115,23 @@ class CosimplicialComplex:
     def codegeneracy(self, p: int, j: int) -> ChainMap:
         return self.codegeneracies[(p, j)]
 
+    def coface_sum(self, p: int, q: int) -> Matrix:
+        """Σ_i (-1)^i d^i : X(p-1)^q -> X(p)^q, as carried in `coface_sums`."""
+        return self.coface_sums[p].component(q)
+
     def diagram(self):
-        """Levels 0..p_max; cofaces ("d", p, i) and codegeneracies ("s", p, j)."""
-        arrows = {("d",) + k: (k[0] - 1, k[0], f) for k, f in self.cofaces.items()}
-        arrows.update({("s",) + k: (k[0] + 1, k[0], f) for k, f in self.codegeneracies.items()})
-        return {p: self.levels[p] for p in range(self.p_max + 1)}, arrows
+        """Levels 0..p_max; cofaces ("d", p, i), codegeneracies ("s", p, j) and
+        coface sums ("sum", p), each read on the first read of its arrow."""
+        entries = {("d",) + k: (k[0] - 1, k[0], self.cofaces, k) for k in self.cofaces}
+        entries.update({("s",) + k: (k[0] + 1, k[0], self.codegeneracies, k)
+                        for k in self.codegeneracies})
+        entries.update({("sum", p): (p - 1, p, self.coface_sums, p) for p in self.coface_sums})
+        return {p: self.levels[p] for p in range(self.p_max + 1)}, _arrows(entries)
 
     def rebuild(self, levels, maps):
-        return CosimplicialComplex(self.field, levels,
-                                   {k[1:]: f for k, f in maps.items() if k[0] == "d"},
-                                   {k[1:]: f for k, f in maps.items() if k[0] == "s"},
-                                   self.p_max, check=False)
+        return CosimplicialComplex(self.field, levels, _family(maps, "d"), _family(maps, "s"),
+                                   self.p_max, check=False,
+                                   coface_sums=_family(maps, "sum", itemgetter(1)))
 
     @property
     def lower(self) -> int | None:
@@ -98,11 +157,20 @@ class CosimplicialComplex:
             p_max, check=False)
 
     def validate(self):
+        """Sources and targets, every coface sum the alternating sum of the
+        cofaces, and every cosimplicial identity."""
         for p in range(1, self.p_max + 1):
             for i in range(p + 1):
                 f = self.coface(p, i)
                 if f.source is not self.level(p - 1) and f.source != self.level(p - 1):
                     raise InvariantError(f"coface ({p},{i}) has wrong source")
+        if set(self.coface_sums) != set(range(1, self.p_max + 1)):
+            raise InvariantError("coface sums must be indexed 1..p_max")
+        for p in range(1, self.p_max + 1):
+            for q in self.level(p - 1).dims:
+                if self.coface_sum(p, q) != alternating_coface_sum(self, p, q):
+                    raise InvariantError(f"coface sum {p} in degree {q} is not the "
+                                         "alternating sum of the cofaces")
         for p in range(self.p_max):
             for j in range(p + 1):
                 f = self.codegeneracy(p, j)
@@ -156,13 +224,16 @@ class CosimplicialMap(DiagramMap):
 
 
 def constant_cosimplicial(A: CochainComplex, p_max: int) -> CosimplicialComplex:
-    """c(A): every level A, every structure map the identity."""
+    """c(A): every level A, every structure map the identity, so the coface
+    sum into level p is the identity for p even and zero for p odd."""
     ident = ChainMap.identity(A)
+    zero = ChainMap.zero(A, A)
     return CosimplicialComplex(
         A.field, {p: A for p in range(p_max + 1)},
         {(p, i): ident for p in range(1, p_max + 1) for i in range(p + 1)},
         {(p, j): ident for p in range(p_max) for j in range(p + 1)},
         p_max, check=False,
+        coface_sums={p: zero if p % 2 else ident for p in range(1, p_max + 1)},
     )
 
 
@@ -187,7 +258,8 @@ class TotalComplex(BlockComplex):
 
 
 def alternating_coface_sum(X: CosimplicialComplex, p: int, q: int) -> Matrix:
-    """sum_i (-1)^i d^i : X(p-1)^q -> X(p)^q, in one accumulation."""
+    """sum_i (-1)^i d^i : X(p-1)^q -> X(p)^q, summed from the cofaces of X
+    (which `validate` compares with the sum that X carries)."""
     return alternating_sum(X.field, X.level(p).dim(q), X.level(p - 1).dim(q),
                            (X.coface(p, i).component(q) for i in range(p + 1)))
 
@@ -243,11 +315,15 @@ def total_complex(field: Field, levels: dict, coface_sum, N: int) -> TotalComple
 
 
 def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
-    """Total complex of X in degrees <= N; certified through degree N-1."""
+    """Total complex of X in degrees <= N; certified through degree N-1.
+
+    It reads the coface sums that X carries (`CosimplicialComplex.coface_sums`:
+    carried through transport and direct sums, else summed from the cofaces
+    on first read) and no coface or codegeneracy on its own."""
     cached = X._simple_cache.get(N)
     if cached is not None:
         return cached
-    out = total_complex(X.field, X.levels, lambda p, q: alternating_coface_sum(X, p, q), N)
+    out = total_complex(X.field, X.levels, X.coface_sum, N)
     out.cosimplicial = X
     X._simple_cache[N] = out
     return out
@@ -292,11 +368,20 @@ class BicosimplicialComplex:
 
     d1[(n, m, i)]: level (n-1, m) -> (n, m);  s1[(n, m, j)]: (n+1, m) -> (n, m)
     d2[(n, m, i)]: level (n, m-1) -> (n, m);  s2[(n, m, j)]: (n, m+1) -> (n, m)
+    sum1[(n, m)] : level (n-1, m) -> (n, m), Σ_i (-1)^i d1[(n, m, i)]
+    sum2[(n, m)] : level (n, m-1) -> (n, m), Σ_i (-1)^i d2[(n, m, i)]
+
+    As in `CosimplicialComplex`, the maps may be held in any mapping.  sum2
+    gives the coface sums of the rows and sum1 those of the outer object of
+    the iterated simple; by default each is the alternating sum of the
+    cofaces, built on first read.
     """
 
-    __slots__ = ("field", "p_max", "q_max", "levels", "d1", "d2", "s1", "s2", "_rows")
+    __slots__ = ("field", "p_max", "q_max", "levels", "d1", "d2", "s1", "s2", "sum1", "sum2",
+                 "_rows")
 
-    def __init__(self, field, p_max, q_max, levels, d1, d2, s1, s2, check=True):
+    def __init__(self, field, p_max, q_max, levels, d1, d2, s1, s2, check=True,
+                 sum1=None, sum2=None):
         self.field = field
         self.p_max = p_max
         self.q_max = q_max
@@ -305,6 +390,16 @@ class BicosimplicialComplex:
         self.d2 = d2
         self.s1 = s1
         self.s2 = s2
+        if sum1 is None:
+            sum1 = LazyMap(((n, m) for n in range(1, p_max + 1) for m in range(q_max + 1)),
+                           lambda k: _alternating_map(levels[(k[0] - 1, k[1])], levels[k],
+                                                      [d1[k + (i,)] for i in range(k[0] + 1)]))
+        if sum2 is None:
+            sum2 = LazyMap(((n, m) for n in range(p_max + 1) for m in range(1, q_max + 1)),
+                           lambda k: _alternating_map(levels[(k[0], k[1] - 1)], levels[k],
+                                                      [d2[k + (i,)] for i in range(k[1] + 1)]))
+        self.sum1 = sum1
+        self.sum2 = sum2
         self._rows = {}
         if check:
             self.validate()
@@ -312,67 +407,80 @@ class BicosimplicialComplex:
     def level(self, n: int, m: int) -> CochainComplex:
         return self.levels[(n, m)]
 
-    # source level of an arrow (n, m, i) of each family, relative to (n, m)
-    _SOURCE_SHIFT = {"d1": (-1, 0), "d2": (0, -1), "s1": (1, 0), "s2": (0, 1)}
+    # source level of an arrow (n, m, ...) of each family, relative to (n, m)
+    _SOURCE_SHIFT = {"d1": (-1, 0), "d2": (0, -1), "s1": (1, 0), "s2": (0, 1),
+                     "sum1": (-1, 0), "sum2": (0, -1)}
 
     def diagram(self):
-        """Levels in `levels` order; arrows (family, n, m, i) for d1, d2, s1, s2."""
-        arrows = {}
+        """Levels in `levels` order; arrows (family, n, m, i) for d1, d2, s1,
+        s2 and (family, n, m) for sum1, sum2, each read on the first read of
+        its arrow."""
+        entries = {}
         for name, (dn, dm) in self._SOURCE_SHIFT.items():
-            for (n, m, i), f in getattr(self, name).items():
-                arrows[(name, n, m, i)] = ((n + dn, m + dm), (n, m), f)
-        return dict(self.levels), arrows
+            family = getattr(self, name)
+            for key in family:
+                n, m = key[:2]
+                entries[(name,) + key] = ((n + dn, m + dm), (n, m), family, key)
+        return dict(self.levels), _arrows(entries)
 
     def rebuild(self, levels, maps):
-        fam = {name: {k[1:]: f for k, f in maps.items() if k[0] == name}
-               for name in self._SOURCE_SHIFT}
+        fam = {name: _family(maps, name) for name in self._SOURCE_SHIFT}
         return BicosimplicialComplex(self.field, self.p_max, self.q_max, levels,
-                                     fam["d1"], fam["d2"], fam["s1"], fam["s2"], check=False)
+                                     fam["d1"], fam["d2"], fam["s1"], fam["s2"], check=False,
+                                     sum1=fam["sum1"], sum2=fam["sum2"])
 
     def row(self, n: int) -> CosimplicialComplex:
         """The cosimplicial complex m ↦ level(n, m), built once, so that its
-        simple is cached across callers."""
+        simple is cached across callers; its structure maps are read from
+        d2 and s2 on first read."""
         if n not in self._rows:
             self._rows[n] = CosimplicialComplex(
                 self.field, {m: self.level(n, m) for m in range(self.q_max + 1)},
-                {(m, i): self.d2[(n, m, i)]
-                 for m in range(1, self.q_max + 1) for i in range(m + 1)},
-                {(m, j): self.s2[(n, m, j)] for m in range(self.q_max) for j in range(m + 1)},
+                _view(self.d2, {(m, i): (n, m, i)
+                                for m in range(1, self.q_max + 1) for i in range(m + 1)}),
+                _view(self.s2, {(m, j): (n, m, j)
+                                for m in range(self.q_max) for j in range(m + 1)}),
                 self.q_max, check=False,
+                coface_sums=_view(self.sum2, {m: (n, m) for m in range(1, self.q_max + 1)}),
             )
         return self._rows[n]
 
     def row_coface(self, n: int, i: int) -> CosimplicialMap:
         """d_1^i as a morphism row(n-1) -> row(n)."""
         return CosimplicialMap(self.row(n - 1), self.row(n),
-                               {m: self.d1[(n, m, i)] for m in range(self.q_max + 1)}, check=False)
+                               _view(self.d1, {m: (n, m, i) for m in range(self.q_max + 1)}),
+                               check=False)
+
+    def row_coface_sum(self, n: int) -> CosimplicialMap:
+        """Σ_i (-1)^i d_1^i as a morphism row(n-1) -> row(n), from sum1."""
+        return CosimplicialMap(self.row(n - 1), self.row(n),
+                               _view(self.sum1, {m: (n, m) for m in range(self.q_max + 1)}),
+                               check=False)
 
     def row_codegeneracy(self, n: int, j: int) -> CosimplicialMap:
         return CosimplicialMap(self.row(n + 1), self.row(n),
-                               {m: self.s1[(n, m, j)] for m in range(self.q_max + 1)}, check=False)
+                               _view(self.s1, {m: (n, m, j) for m in range(self.q_max + 1)}),
+                               check=False)
 
     def transpose(self) -> "BicosimplicialComplex":
+        def swapped(family):
+            return _view(family, {(k[1], k[0]) + k[2:]: k for k in family})
         return BicosimplicialComplex(
             self.field, self.q_max, self.p_max,
             {(m, n): self.level(n, m) for (n, m) in self.levels},
-            {(m, n, i): f for (n, m, i), f in self.d2.items()},
-            {(m, n, i): f for (n, m, i), f in self.d1.items()},
-            {(m, n, j): f for (n, m, j), f in self.s2.items()},
-            {(m, n, j): f for (n, m, j), f in self.s1.items()},
-            check=False,
+            swapped(self.d2), swapped(self.d1), swapped(self.s2), swapped(self.s1),
+            check=False, sum1=swapped(self.sum2), sum2=swapped(self.sum1),
         )
 
     def diagonal(self) -> CosimplicialComplex:
-        """D(Z): levels Z^{p,p} with structure maps applied in both indices."""
+        """D(Z): levels Z^{p,p} with structure maps applied in both indices,
+        each composed on its first read."""
         pm = min(self.p_max, self.q_max)
-        cofaces = {}
-        for p in range(1, pm + 1):
-            for i in range(p + 1):
-                cofaces[(p, i)] = self.d1[(p, p, i)].compose(self.d2[(p - 1, p, i)])
-        codegens = {}
-        for p in range(pm):
-            for j in range(p + 1):
-                codegens[(p, j)] = self.s1[(p, p, j)].compose(self.s2[(p + 1, p, j)])
+        d1, d2, s1, s2 = self.d1, self.d2, self.s1, self.s2
+        cofaces = LazyMap(((p, i) for p in range(1, pm + 1) for i in range(p + 1)),
+                          lambda k: d1[(k[0], k[0], k[1])].compose(d2[(k[0] - 1, k[0], k[1])]))
+        codegens = LazyMap(((p, j) for p in range(pm) for j in range(p + 1)),
+                           lambda k: s1[(k[0], k[0], k[1])].compose(s2[(k[0] + 1, k[0], k[1])]))
         return CosimplicialComplex(self.field, {p: self.level(p, p) for p in range(pm + 1)},
                                    cofaces, codegens, pm, check=False)
 
@@ -411,19 +519,18 @@ class BicosimplicialMap(DiagramMap):
 
 
 def outer_cosimplicial(Z: BicosimplicialComplex, N: int) -> CosimplicialComplex:
-    """n ↦ s(m ↦ Z^{n,m}), the outer object of the iterated simple."""
-    levels = {}
-    for n in range(Z.p_max + 1):
-        levels[n] = simple(Z.row(n), N)
-    cofaces = {}
-    for n in range(1, Z.p_max + 1):
-        for i in range(n + 1):
-            cofaces[(n, i)] = simple_map(Z.row_coface(n, i), N)
-    codegens = {}
-    for n in range(Z.p_max):
-        for j in range(n + 1):
-            codegens[(n, j)] = simple_map(Z.row_codegeneracy(n, j), N)
-    return CosimplicialComplex(Z.field, levels, cofaces, codegens, Z.p_max, check=False)
+    """n ↦ s(m ↦ Z^{n,m}), the outer object of the iterated simple; its
+    levels are built at once, each structure map on its first read, and its
+    coface sums are the totals of the coface sums of Z in the first index
+    (`simple_map` is linear)."""
+    levels = {n: simple(Z.row(n), N) for n in range(Z.p_max + 1)}
+    cofaces = LazyMap(((n, i) for n in range(1, Z.p_max + 1) for i in range(n + 1)),
+                      lambda k: simple_map(Z.row_coface(*k), N))
+    codegens = LazyMap(((n, j) for n in range(Z.p_max) for j in range(n + 1)),
+                       lambda k: simple_map(Z.row_codegeneracy(*k), N))
+    sums = LazyMap(range(1, Z.p_max + 1), lambda n: simple_map(Z.row_coface_sum(n), N))
+    return CosimplicialComplex(Z.field, levels, cofaces, codegens, Z.p_max, check=False,
+                               coface_sums=sums)
 
 
 def iterated_simple(Z: BicosimplicialComplex, N: int) -> TotalComplex:
@@ -495,6 +602,8 @@ def path_object(A: CochainComplex, p_max: int):
     Level n is the product of n+2 copies of A, indexed by the monotone maps
     [n] -> [1] (copy t has t zeros).  Returns (P, ev0, ev1) where ev0, ev1
     are the evaluations at the two vertices, as maps to the constant object.
+    The levels are built at once; every structure map of P and every
+    component of ev0 and ev1 is assembled on its first read.
     """
     field = A.field
     levels = {}
@@ -515,29 +624,43 @@ def path_object(A: CochainComplex, p_max: int):
             out[q] = Matrix.assemble(field, [d] * n_target_copies, [d] * n_source_copies, blocks)
         return out
 
-    cofaces = {}
-    for n in range(1, p_max + 1):
-        for i in range(n + 1):
-            comps = unit_blocks(n + 2, n + 1, lambda t, i=i: t - (1 if i < t else 0))
-            cofaces[(n, i)] = ChainMap(levels[n - 1], levels[n], comps, check=False)
-    codegens = {}
-    for n in range(p_max):
-        for j in range(n + 1):
-            comps = unit_blocks(n + 2, n + 3, lambda t, j=j: t + (1 if j < t else 0))
-            codegens[(n, j)] = ChainMap(levels[n + 1], levels[n], comps, check=False)
-    P = CosimplicialComplex(field, levels, cofaces, codegens, p_max, check=False)
+    def coface_sum(n):
+        # d^i sends copy t - 1 to copy t for i < t and copy t to copy t for
+        # i >= t, so the sum puts Σ_{i<t} (-1)^i on (t, t - 1) and
+        # Σ_{t<=i<=n} (-1)^i on (t, t)
+        comps = {}
+        for q, d in A.dims.items():
+            ident = Matrix.identity(field, d)
+            blocks = {(t, t - 1): ident for t in range(1, n + 2, 2)}
+            blocks.update({(t, t): ident.scale((-1) ** t) for t in range(n % 2, n + 1, 2)})
+            comps[q] = Matrix.assemble(field, [d] * (n + 2), [d] * (n + 1), blocks)
+        return ChainMap(levels[n - 1], levels[n], comps, check=False)
+
+    def coface(key):
+        n, i = key
+        return ChainMap(levels[n - 1], levels[n],
+                        unit_blocks(n + 2, n + 1, lambda t: t - (1 if i < t else 0)), check=False)
+
+    def codegeneracy(key):
+        n, j = key
+        return ChainMap(levels[n + 1], levels[n],
+                        unit_blocks(n + 2, n + 3, lambda t: t + (1 if j < t else 0)), check=False)
+
+    P = CosimplicialComplex(
+        field, levels,
+        LazyMap(((n, i) for n in range(1, p_max + 1) for i in range(n + 1)), coface),
+        LazyMap(((n, j) for n in range(p_max) for j in range(n + 1)), codegeneracy),
+        p_max, check=False, coface_sums=LazyMap(range(1, p_max + 1), coface_sum))
     cA = constant_cosimplicial(A, p_max)
 
     def evaluation(copy_of_n):
-        comps = {}
-        for n in range(p_max + 1):
+        def component(n):
             t = copy_of_n(n)
-            sel = {}
-            for q, d in A.dims.items():
-                blocks = {(0, t): Matrix.identity(field, d)}
-                sel[q] = Matrix.assemble(field, [d], [d] * (n + 2), blocks)
-            comps[n] = ChainMap(levels[n], A, sel, check=False)
-        return CosimplicialMap(P, cA, comps, check=False)
+            sel = {q: Matrix.assemble(field, [d], [d] * (n + 2),
+                                      {(0, t): Matrix.identity(field, d)})
+                   for q, d in A.dims.items()}
+            return ChainMap(levels[n], A, sel, check=False)
+        return CosimplicialMap(P, cA, LazyMap(range(p_max + 1), component), check=False)
 
     ev0 = evaluation(lambda n: 0)
     ev1 = evaluation(lambda n: n + 1)
@@ -688,15 +811,20 @@ def bicosimplicial_from_rows(X: CosimplicialComplex, p_max: int, q_max: int) -> 
     if X.p_max < q_max:
         raise InsufficientLevels("cosimplicial object too short for requested q_max")
     levels = {(n, m): X.level(m) for n in range(p_max + 1) for m in range(q_max + 1)}
-    d1 = {(n, m, i): ChainMap.identity(X.level(m))
+    ident = {m: ChainMap.identity(X.level(m)) for m in range(q_max + 1)}
+    zero = {m: ChainMap.zero(X.level(m), X.level(m)) for m in range(q_max + 1)}
+    d1 = {(n, m, i): ident[m]
           for n in range(1, p_max + 1) for m in range(q_max + 1) for i in range(n + 1)}
-    s1 = {(n, m, j): ChainMap.identity(X.level(m))
-          for n in range(p_max) for m in range(q_max + 1) for j in range(n + 1)}
-    d2 = {(n, m, i): X.coface(m, i)
-          for n in range(p_max + 1) for m in range(1, q_max + 1) for i in range(m + 1)}
-    s2 = {(n, m, j): X.codegeneracy(m, j)
-          for n in range(p_max + 1) for m in range(q_max) for j in range(m + 1)}
-    return BicosimplicialComplex(X.field, p_max, q_max, levels, d1, d2, s1, s2, check=False)
+    s1 = {(n, m, j): ident[m] for n in range(p_max) for m in range(q_max + 1) for j in range(n + 1)}
+    sum1 = {(n, m): zero[m] if n % 2 else ident[m]
+            for n in range(1, p_max + 1) for m in range(q_max + 1)}
+    d2 = _view(X.cofaces, {(n, m, i): (m, i) for n in range(p_max + 1)
+                           for m in range(1, q_max + 1) for i in range(m + 1)})
+    s2 = _view(X.codegeneracies, {(n, m, j): (m, j) for n in range(p_max + 1)
+                                  for m in range(q_max) for j in range(m + 1)})
+    sum2 = _view(X.coface_sums, {(n, m): m for n in range(p_max + 1) for m in range(1, q_max + 1)})
+    return BicosimplicialComplex(X.field, p_max, q_max, levels, d1, d2, s1, s2, check=False,
+                                 sum1=sum1, sum2=sum2)
 
 
 def random_levelwise_quis(field: Field, rng, p_max: int, span: int = 2, max_dim: int = 2):
@@ -802,12 +930,11 @@ def _mutant_sign_note(X: CosimplicialComplex, N: int) -> str:
     if lmin is None:
         return "zero object: mutant vacuous"
     S = simple(X, N)
-    coface_sum = lambda p, q: alternating_coface_sum(X, p, q)  # noqa: E731
     for n in range(lmin, N - 1):
         if not S.blocks.get(n + 2):
             continue
-        bad = _total_differential(X.field, X.levels, coface_sum, S.blocks, n, False)
-        bad2 = _total_differential(X.field, X.levels, coface_sum, S.blocks, n + 1, False)
+        bad = _total_differential(X.field, X.levels, X.coface_sum, S.blocks, n, False)
+        bad2 = _total_differential(X.field, X.levels, X.coface_sum, S.blocks, n + 1, False)
         if not (bad2 @ bad).is_zero():
             return f"sign mutant: d∘d != 0 first fails from degree {n}"
     return "sign mutant: no failure detected (object too degenerate)"

@@ -51,7 +51,9 @@ _SPARSE_HANDOFF_CELLS = 256
 _SPARSE_HANDOFF_DENSITY = 0.25
 
 # `_mod` reduces an array of at least _MOD_INT_CELLS cells through int64.
-_MOD_INT_CELLS = 1024
+# Replaying the `_mod` inputs of one pass of each benchmark workload put
+# 128 ahead of 1024 on all four (2 cores, numpy 2.4.6).
+_MOD_INT_CELLS = 128
 
 
 def _is_prime(n: int) -> bool:

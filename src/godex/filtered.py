@@ -31,7 +31,7 @@ import random
 import numpy as np
 
 from .complexes import (
-    BlockComplex, ChainMap, CochainComplex, _inverses, _random_automorphisms, _transport,
+    BlockComplex, ChainMap, CochainComplex, _random_automorphisms, _transport,
     direct_sum, random_complex,
 )
 from .cosimplicial import (
@@ -493,14 +493,10 @@ def filtered_direct_sum(A: FilteredDiagram, B: FilteredDiagram):
     return FilteredDiagram(D, levels), incl, proj
 
 
-def filtered_transport(A: FilteredDiagram, g: dict) -> FilteredDiagram:
-    """`complexes.transport` of the base along g[level key][q]: the weights
-    stay, and each adapted basis B becomes g·B."""
-    return _filtered_transport(A, g, _inverses(g))
-
-
 def _filtered_transport(A: FilteredDiagram, g: dict, ginv: dict) -> FilteredDiagram:
-    """`filtered_transport` of A along g, whose inverses the caller has as ginv."""
+    """The transport of the base along g[level key][q], whose inverses are
+    ginv[level key][q] (`complexes._transport`): the weights stay, and each
+    adapted basis B becomes g·B."""
     D = _transport(A.base, g, ginv)
     levels = {}
     for k, C in D.diagram()[0].items():

@@ -4,12 +4,17 @@ The oracle is a deliberately naive pure-Python Gaussian elimination kept
 separate from the package's elimination kernels; DERIVED expectations in
 the tests are computed with it.  `reference_automorphism` is the original
 construction of a random automorphism, which the fast one must reproduce.
+`reference_transport`, `reference_direct_sum` and `reference_coface_sum`
+are the eager constructions that the generated diagrams must reproduce:
+every arrow built at once, and each coface sum added up from the cofaces.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from godex.complexes import ChainMap, CochainComplex, biproduct
+from godex.cosimplicial import BicosimplicialComplex, CosimplicialComplex
 from godex.exactlin import GF, QQ, Matrix, Subspace, kernel
 
 
@@ -151,3 +156,72 @@ def reference_automorphism(field, n, rng):
         P[i][j] = 1
     g = Matrix(field, n, n, low) @ Matrix(field, n, n, up) @ Matrix(field, n, n, P)
     return g, g.inverse()
+
+
+def reference_coface_sum(X, p, q):
+    """Σ_i (-1)^i d^i : X(p-1)^q -> X(p)^q, one Matrix addition (and a
+    negation) per coface."""
+    out = Matrix.zeros(X.field, X.level(p).dim(q), X.level(p - 1).dim(q))
+    for i in range(p + 1):
+        m = X.coface(p, i).component(q)
+        out = out + (m if i % 2 == 0 else m.scale(-1))
+    return out
+
+
+# the structure-map families of each diagram class; every other arrow of
+# `diagram()` (the coface sums) is left out of the eager references
+_FAMILIES = {CosimplicialComplex: ("d", "s"), BicosimplicialComplex: ("d1", "d2", "s1", "s2")}
+
+
+def _eager(D, levels, maps):
+    """The diagram of D's shape on `levels` with the structure maps `maps`
+    (a plain dict), carrying no coface sums."""
+    families = _FAMILIES.get(type(D))
+    if families is None:
+        return D.rebuild(levels, maps)
+    fam = [{name[1:]: f for name, f in maps.items() if name[0] == tag} for tag in families]
+    if type(D) is CosimplicialComplex:
+        return CosimplicialComplex(D.field, levels, *fam, D.p_max, check=False)
+    return BicosimplicialComplex(D.field, D.p_max, D.q_max, levels, *fam, check=False)
+
+
+def _structure_arrows(D):
+    """The levels of D and its structure maps, name -> (s, t, f), each read."""
+    levels, arrows = D.diagram()
+    families = _FAMILIES.get(type(D))
+    return levels, {name: arrows[name] for name in arrows
+                    if families is None or name[0] in families}
+
+
+def reference_transport(D, g, ginv):
+    """D carried along g (inverses ginv), every level and structure map
+    built at once: d becomes g d g^-1 and f : s -> t becomes g_t f g_s^-1."""
+    levels, arrows = _structure_arrows(D)
+    new = {k: CochainComplex(C.field, dict(C.dims),
+                             {q: g[k][q + 1] @ d @ ginv[k][q] for q, d in C.differentials.items()},
+                             lower=C.lower, certified_degree=C.certified_degree, check=False)
+           for k, C in levels.items()}
+    maps = {name: ChainMap(new[s], new[t], {q: g[t][q] @ m @ ginv[s][q]
+                                            for q, m in f.components.items()}, check=False)
+            for name, (s, t, f) in arrows.items()}
+    return _eager(D, new, maps)
+
+
+def reference_direct_sum(D1, D2):
+    """The levelwise direct sum, every arrow f ⊕ g built at once, with the
+    inclusions and projections of `biproduct`."""
+    levels1, arrows1 = _structure_arrows(D1)
+    levels2, arrows2 = _structure_arrows(D2)
+    assert levels1.keys() == levels2.keys() and arrows1.keys() == arrows2.keys()
+    levels, incl1, incl2, proj1, proj2 = {}, {}, {}, {}, {}
+    for k in levels1:
+        levels[k], (incl1[k], incl2[k]), (proj1[k], proj2[k]) = biproduct(levels1[k], levels2[k])
+    maps = {}
+    for name, (s, t, f) in arrows1.items():
+        g = arrows2[name][2]
+        maps[name] = ChainMap(levels[s], levels[t], {
+            q: Matrix.assemble(f.source.field, [f.component(q).rows, g.component(q).rows],
+                               [f.component(q).cols, g.component(q).cols],
+                               {(0, 0): f.component(q), (1, 1): g.component(q)})
+            for q in set(f.components) | set(g.components)}, check=False)
+    return _eager(D1, levels, maps), (incl1, incl2), (proj1, proj2)

@@ -1,11 +1,13 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
 from godex.complexes import ChainMap, CochainComplex, biproduct, is_quis, random_complex, single_complex
 from godex.cosimplicial import (
-    alternating_coface_sum, aw_map, bicosimplicial_from_rows, check_descent_axioms,
+    BicosimplicialComplex, CosimplicialComplex, alternating_coface_sum, aw_map,
+    bicosimplicial_from_rows, check_descent_axioms,
     collapse_by_extra_degeneracy,
     constant_cosimplicial, contractible_complex, cosimplicial_biproduct, CosimplicialMap,
     iterated_simple_map, BicosimplicialMap, lambda_map, path_object,
@@ -14,14 +16,7 @@ from godex.cosimplicial import (
 from godex.errors import InsufficientLevels, NotCosimplicial, NotExtraDegeneracy
 from godex.exactlin import GF, QQ, Matrix
 
-
-def _coface_sum_by_additions(X, p, q):
-    """The reference: one Matrix addition (and a negation) per coface."""
-    out = Matrix.zeros(X.field, X.level(p).dim(q), X.level(p - 1).dim(q))
-    for i in range(p + 1):
-        m = X.coface(p, i).component(q)
-        out = out + (m if i % 2 == 0 else m.scale(-1))
-    return out
+from conftest import reference_coface_sum
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(2), QQ], ids=["F5", "F2", "Q"])
@@ -35,7 +30,7 @@ def test_alternating_coface_sum_matches_the_addition_loop(field):
         for p in range(1, X.p_max + 1):
             for q in range(min(lows) - 1, max(highs) + 2):
                 got = alternating_coface_sum(X, p, q)
-                assert got == _coface_sum_by_additions(X, p, q), (p, q)
+                assert got == reference_coface_sum(X, p, q), (p, q)
                 zero_dims += got.rows * got.cols == 0
                 if field == QQ:
                     assert all(type(v) is Fraction for row in got.rows_list() for v in row)
@@ -367,3 +362,67 @@ def test_mutant_sign_is_caught(f5):
                                mutate="drop_d1_sign")
     assert rep.mutant_note is not None
     assert "fails" in rep.mutant_note
+
+
+class _Reads(Mapping):
+    """A structure-map family that records each (family, key) read from it."""
+
+    def __init__(self, family, kind, reads):
+        self.family, self.kind, self.reads = family, kind, reads
+
+    def __getitem__(self, key):
+        self.reads.append((self.kind, id(self), key))
+        return self.family[key]
+
+    def __iter__(self):
+        return iter(self.family)
+
+    def __len__(self):
+        return len(self.family)
+
+    def __contains__(self, key):
+        return key in self.family
+
+
+def _record_structure_map_reads(monkeypatch):
+    """From now on, the cofaces and codegeneracies of every cosimplicial and
+    bicosimplicial complex are read through `_Reads`; returns a function
+    giving the set of (kind, family, key) read so far.  A lazy family builds
+    a map on its first read, so a map never read was never built."""
+    reads, kept = [], []
+
+    def wrap(family, kind):
+        kept.append(_Reads(family, kind, reads))  # keeps every id() distinct
+        return kept[-1]
+
+    cos_init, bi_init = CosimplicialComplex.__init__, BicosimplicialComplex.__init__
+
+    def cos(self, field, levels, cofaces, codegeneracies, *rest, **kw):
+        cos_init(self, field, levels, wrap(cofaces, "coface"),
+                 wrap(codegeneracies, "codegeneracy"), *rest, **kw)
+
+    def bi(self, field, p_max, q_max, levels, d1, d2, s1, s2, *rest, **kw):
+        bi_init(self, field, p_max, q_max, levels, wrap(d1, "coface"), wrap(d2, "coface"),
+                wrap(s1, "codegeneracy"), wrap(s2, "codegeneracy"), *rest, **kw)
+
+    monkeypatch.setattr(CosimplicialComplex, "__init__", cos)
+    monkeypatch.setattr(BicosimplicialComplex, "__init__", bi)
+    return lambda kind: {r for r in reads if r[0] == kind}
+
+
+def test_the_axiom_audit_builds_no_codegeneracy_and_simple_no_coface(monkeypatch):
+    # generated diagrams build each arrow on its first read, and carry their
+    # coface sums, so a total reads no coface and no S1-S5 trial reads a
+    # codegeneracy (the eager generators built every one of them)
+    read = _record_structure_map_reads(monkeypatch)
+    f5 = GF(5)
+    for seed in range(3):
+        X = random_cosimplicial(f5, random.Random(seed), 6)
+        simple(X, 6)
+        assert read("coface") == set() and read("codegeneracy") == set(), seed
+    rep = check_descent_axioms(seed=2026, trials=1, N=6)
+    assert rep.all_pass
+    assert read("codegeneracy") == set()
+    assert len(read("coface")) > 100  # S2 reads cofaces one by one (aw_map, diagonal)
+    X.codegeneracy(2, 1)  # control: it is read from X and from the diagram X transports
+    assert len(read("codegeneracy")) == 2

@@ -1,6 +1,6 @@
 """Reference tests for the shared diagram operations and the block layout.
 
-`transport`, `conjugate`, `direct_sum`, `mapping_cone`, `random_map` and the
+`_transport`, `conjugate`, `direct_sum`, `mapping_cone`, `random_map` and the
 maps of diagrams (`DiagramMap`) are written once for every diagram of
 complexes (complex, sheaf, cosimplicial and bicosimplicial complex); the
 references below are the textbook formulas they replace: g^-1 undoes g, and
@@ -14,19 +14,23 @@ import re
 
 import pytest
 
+from godex import complexes, cosimplicial, filtered
 from godex.complexes import (
-    ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone, random_complex,
-    random_map, single_complex, transport, truncate,
+    ChainMap, CochainComplex, DiagramMap, LazyMap, _transport, conjugate, direct_sum,
+    mapping_cone, random_complex, random_map, single_complex, truncate,
 )
 from godex.cosimplicial import (
     BicosimplicialMap, CosimplicialMap, bicosimplicial_from_rows, constant_cosimplicial,
-    random_bicosimplicial, random_cosimplicial,
+    outer_cosimplicial, random_bicosimplicial, random_cosimplicial, random_levelwise_quis,
 )
 from godex.errors import InvariantError, NotCosimplicial
 from godex.exactlin import GF, QQ, Layout, Matrix, random_invertible, random_matrix
+from godex.filtered import random_filtered_cosimplicial
 from godex.site import (
     SheafMap, constant_sheaf, pseudocircle_poset, pseudosphere_poset, random_sheaf,
 )
+
+from conftest import reference_coface_sum, reference_direct_sum, reference_transport
 
 
 def _pairs_of_diagrams(f5):
@@ -49,15 +53,20 @@ def _same_diagram(A, B):
         assert arrows_b[name][2] == f, name
 
 
+def _inverses(g):
+    """g^-1 by elimination (`Matrix.inverse`), the reference for drawn inverses."""
+    return {k: {q: m.inverse() for q, m in gk.items()} for k, gk in g.items()}
+
+
 def test_transport_then_inverse_is_identity(f5):
     rng = random.Random(9)
     for D, _ in _pairs_of_diagrams(f5):
         levels, _ = D.diagram()
         g = {k: {q: random_invertible(f5, C.dim(q), rng) for q in C.dims}
              for k, C in levels.items()}
-        moved = transport(D, g)
-        back = transport(moved, {k: {q: m.inverse() for q, m in gk.items()}
-                                 for k, gk in g.items()})
+        ginv = _inverses(g)
+        moved = _transport(D, g, ginv)
+        back = _transport(moved, ginv, g)
         _same_diagram(back, D)
 
 
@@ -68,7 +77,7 @@ def test_conjugate_is_transport_along_its_draws(f5):
         levels, _ = D.diagram()
         g = {k: {q: random_invertible(f5, C.dim(q), rng) for q in C.dims}
              for k, C in levels.items()}
-        _same_diagram(conjugate(D, random.Random(10)), transport(D, g))
+        _same_diagram(conjugate(D, random.Random(10)), _transport(D, g, _inverses(g)))
 
 
 def test_direct_sum_matches_inclusion_projection_sums(f5):
@@ -221,3 +230,71 @@ def test_cosimplicial_map_components_must_be_chain_maps(f5):
     cA = constant_cosimplicial(A, 2)
     with pytest.raises(NotCosimplicial, match="component at 0"):
         CosimplicialMap(cA, cA, {p: g for p in range(3)})
+
+
+def _same_cosimplicial(X, R):
+    """Every level and structure map of X equals that of R, and every coface
+    sum that X carries equals the addition loop over the cofaces of R."""
+    assert X.levels == R.levels
+    for family in ("cofaces", "codegeneracies"):
+        fast, ref = getattr(X, family), getattr(R, family)
+        assert list(fast) == list(ref), family
+        for k, f in ref.items():
+            assert fast[k] == f, (family, k)
+    assert list(X.coface_sums) == list(range(1, X.p_max + 1))
+    for p in X.coface_sums:
+        for q in set(R.level(p - 1).dims) | set(R.level(p).dims):
+            assert X.coface_sum(p, q) == reference_coface_sum(R, p, q), (p, q)
+
+
+def _same_bicosimplicial(Z, R, N):
+    assert Z.levels == R.levels
+    for family in ("d1", "d2", "s1", "s2"):
+        fast, ref = getattr(Z, family), getattr(R, family)
+        assert list(fast) == list(ref), family
+        for k, f in ref.items():
+            assert fast[k] == f, (family, k)
+    for A, B in ((Z, R), (Z.transpose(), R.transpose())):
+        for n in range(A.p_max + 1):
+            _same_cosimplicial(A.row(n), B.row(n))
+    _same_cosimplicial(Z.diagonal(), R.diagonal())
+    _same_cosimplicial(outer_cosimplicial(Z, N), outer_cosimplicial(R, N))
+
+
+def _same_filtered(XF, RF):
+    _same_cosimplicial(XF.base, RF.base)
+    for p, A in RF.levels.items():
+        B = XF.level(p)
+        assert (A.k_min, A.k_max) == (B.k_min, B.k_max)
+        for q in A.base.dims:
+            assert (A.weights(q) == B.weights(q)).all()
+            assert A.basis(q) == B.basis(q) and A.inverse(q) == B.inverse(q)
+
+
+def _fast_and_eager(make, seed):
+    """make(rng) as built, and again with the eager reference transport and
+    direct sum in place of the lazy ones, from the same seed."""
+    fast = make(random.Random(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_transport", reference_transport)
+        mp.setattr(filtered, "_transport", reference_transport)
+        mp.setattr(cosimplicial, "direct_sum", reference_direct_sum)
+        mp.setattr(filtered, "direct_sum", reference_direct_sum)
+        eager = make(random.Random(seed))
+    return fast, eager
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=["F2", "F5", "Q"])
+def test_lazy_generators_match_the_eager_references(field, seed):
+    X, R = _fast_and_eager(lambda rng: random_cosimplicial(field, rng, 3), seed)
+    assert isinstance(X.cofaces, LazyMap) and type(R.cofaces) is dict  # two routes
+    _same_cosimplicial(X, R)
+    Z, R = _fast_and_eager(lambda rng: random_bicosimplicial(field, rng, 3, 3), seed)
+    _same_bicosimplicial(Z, R, 3)
+    quis, ref = _fast_and_eager(lambda rng: random_levelwise_quis(field, rng, 3), seed)
+    _same_cosimplicial(quis[0], ref[0])
+    _same_cosimplicial(quis[1], ref[1])
+    assert quis[2] == ref[2]
+    XF, RF = _fast_and_eager(lambda rng: random_filtered_cosimplicial(field, rng, 3), seed)
+    _same_filtered(XF, RF)

@@ -8,10 +8,10 @@ from godex.cosimplicial import contractible_complex, random_bicosimplicial, rand
 from godex.errors import NotFiltered
 from godex.exactlin import Matrix, random_invertible
 from godex.filtered import (
-    FilteredComplex, FilteredDiagram, bicosimplicial_filtered_from_rows,
+    FilteredComplex, FilteredDiagram, _filtered_transport, bicosimplicial_filtered_from_rows,
     check_descent_axioms_filtered, decalage, decalage_levelwise, deligne_reindex,
-    e_infinity_dims, er_page, filtered_aw, filtered_simple, filtered_transport,
-    filtrations_equal, is_er_quis, random_filtered_complex, random_filtered_cosimplicial,
+    e_infinity_dims, er_page, filtered_aw, filtered_simple, filtrations_equal, is_er_quis,
+    random_filtered_complex, random_filtered_cosimplicial,
 )
 from godex.site import constant_sheaf, pseudocircle_poset, random_sheaf
 
@@ -230,9 +230,9 @@ def test_filtered_transport_there_and_back_is_exact(f5):
     levels = XF.base.diagram()[0]
     g = {p: {q: random_invertible(f5, C.dim(q), rng) for q in C.dims} for p, C in levels.items()}
     ginv = {p: {q: m.inverse() for q, m in gp.items()} for p, gp in g.items()}
-    there = filtered_transport(XF, g)
+    there = _filtered_transport(XF, g, ginv)
     there.validate()
-    back = filtered_transport(there, ginv)
+    back = _filtered_transport(there, ginv, g)
     for p, C in levels.items():
         A, B = XF.level(p), back.level(p)
         assert back.base.level(p) == C
