@@ -40,6 +40,16 @@ from .errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtr
 from .exactlin import Field, GF, Layout, Matrix, alternating_sum, random_invertible
 
 
+def _faces(p_max: int) -> list:
+    """The coface indices (p, i) of levels 0..p_max: 1 <= p <= p_max, 0 <= i <= p."""
+    return [(p, i) for p in range(1, p_max + 1) for i in range(p + 1)]
+
+
+def _degeneracies(p_max: int) -> list:
+    """The codegeneracy indices (p, j) of levels 0..p_max: 0 <= p < p_max, 0 <= j <= p."""
+    return [(p, j) for p in range(p_max) for j in range(p + 1)]
+
+
 def _view(family, keys: dict) -> LazyMap:
     """new key -> family[old key] for keys = {new key: old key}, each read
     from `family` on its first read."""
@@ -159,11 +169,10 @@ class CosimplicialComplex:
     def validate(self):
         """Sources and targets, every coface sum the alternating sum of the
         cofaces, and every cosimplicial identity."""
-        for p in range(1, self.p_max + 1):
-            for i in range(p + 1):
-                f = self.coface(p, i)
-                if f.source is not self.level(p - 1) and f.source != self.level(p - 1):
-                    raise InvariantError(f"coface ({p},{i}) has wrong source")
+        for p, i in _faces(self.p_max):
+            f = self.coface(p, i)
+            if f.source is not self.level(p - 1) and f.source != self.level(p - 1):
+                raise InvariantError(f"coface ({p},{i}) has wrong source")
         if set(self.coface_sums) != set(range(1, self.p_max + 1)):
             raise InvariantError("coface sums must be indexed 1..p_max")
         for p in range(1, self.p_max + 1):
@@ -171,11 +180,10 @@ class CosimplicialComplex:
                 if self.coface_sum(p, q) != alternating_coface_sum(self, p, q):
                     raise InvariantError(f"coface sum {p} in degree {q} is not the "
                                          "alternating sum of the cofaces")
-        for p in range(self.p_max):
-            for j in range(p + 1):
-                f = self.codegeneracy(p, j)
-                if f.source != self.level(p + 1) or f.target != self.level(p):
-                    raise InvariantError(f"codegeneracy ({p},{j}) has wrong shape")
+        for p, j in _degeneracies(self.p_max):
+            f = self.codegeneracy(p, j)
+            if f.source != self.level(p + 1) or f.target != self.level(p):
+                raise InvariantError(f"codegeneracy ({p},{j}) has wrong shape")
         for name, lhs, rhs in self._identity_pairs():
             if lhs != rhs:
                 raise InvariantError(f"cosimplicial identity {name} fails")
@@ -230,8 +238,7 @@ def constant_cosimplicial(A: CochainComplex, p_max: int) -> CosimplicialComplex:
     zero = ChainMap.zero(A, A)
     return CosimplicialComplex(
         A.field, {p: A for p in range(p_max + 1)},
-        {(p, i): ident for p in range(1, p_max + 1) for i in range(p + 1)},
-        {(p, j): ident for p in range(p_max) for j in range(p + 1)},
+        dict.fromkeys(_faces(p_max), ident), dict.fromkeys(_degeneracies(p_max), ident),
         p_max, check=False,
         coface_sums={p: zero if p % 2 else ident for p in range(1, p_max + 1)},
     )
@@ -436,10 +443,8 @@ class BicosimplicialComplex:
         if n not in self._rows:
             self._rows[n] = CosimplicialComplex(
                 self.field, {m: self.level(n, m) for m in range(self.q_max + 1)},
-                _view(self.d2, {(m, i): (n, m, i)
-                                for m in range(1, self.q_max + 1) for i in range(m + 1)}),
-                _view(self.s2, {(m, j): (n, m, j)
-                                for m in range(self.q_max) for j in range(m + 1)}),
+                _view(self.d2, {k: (n,) + k for k in _faces(self.q_max)}),
+                _view(self.s2, {k: (n,) + k for k in _degeneracies(self.q_max)}),
                 self.q_max, check=False,
                 coface_sums=_view(self.sum2, {m: (n, m) for m in range(1, self.q_max + 1)}),
             )
@@ -477,10 +482,9 @@ class BicosimplicialComplex:
         each composed on its first read."""
         pm = min(self.p_max, self.q_max)
         d1, d2, s1, s2 = self.d1, self.d2, self.s1, self.s2
-        cofaces = LazyMap(((p, i) for p in range(1, pm + 1) for i in range(p + 1)),
-                          lambda k: d1[(k[0], k[0], k[1])].compose(d2[(k[0] - 1, k[0], k[1])]))
-        codegens = LazyMap(((p, j) for p in range(pm) for j in range(p + 1)),
-                           lambda k: s1[(k[0], k[0], k[1])].compose(s2[(k[0] + 1, k[0], k[1])]))
+        cofaces = LazyMap(_faces(pm), lambda k: d1[(k[0],) + k].compose(d2[(k[0] - 1,) + k]))
+        codegens = LazyMap(_degeneracies(pm),
+                           lambda k: s1[(k[0],) + k].compose(s2[(k[0] + 1,) + k]))
         return CosimplicialComplex(self.field, {p: self.level(p, p) for p in range(pm + 1)},
                                    cofaces, codegens, pm, check=False)
 
@@ -524,10 +528,8 @@ def outer_cosimplicial(Z: BicosimplicialComplex, N: int) -> CosimplicialComplex:
     coface sums are the totals of the coface sums of Z in the first index
     (`simple_map` is linear)."""
     levels = {n: simple(Z.row(n), N) for n in range(Z.p_max + 1)}
-    cofaces = LazyMap(((n, i) for n in range(1, Z.p_max + 1) for i in range(n + 1)),
-                      lambda k: simple_map(Z.row_coface(*k), N))
-    codegens = LazyMap(((n, j) for n in range(Z.p_max) for j in range(n + 1)),
-                       lambda k: simple_map(Z.row_codegeneracy(*k), N))
+    cofaces = LazyMap(_faces(Z.p_max), lambda k: simple_map(Z.row_coface(*k), N))
+    codegens = LazyMap(_degeneracies(Z.p_max), lambda k: simple_map(Z.row_codegeneracy(*k), N))
     sums = LazyMap(range(1, Z.p_max + 1), lambda n: simple_map(Z.row_coface_sum(n), N))
     return CosimplicialComplex(Z.field, levels, cofaces, codegens, Z.p_max, check=False,
                                coface_sums=sums)
@@ -648,8 +650,7 @@ def path_object(A: CochainComplex, p_max: int):
 
     P = CosimplicialComplex(
         field, levels,
-        LazyMap(((n, i) for n in range(1, p_max + 1) for i in range(n + 1)), coface),
-        LazyMap(((n, j) for n in range(p_max) for j in range(n + 1)), codegeneracy),
+        LazyMap(_faces(p_max), coface), LazyMap(_degeneracies(p_max), codegeneracy),
         p_max, check=False, coface_sums=LazyMap(range(1, p_max + 1), coface_sum))
     cA = constant_cosimplicial(A, p_max)
 
@@ -818,10 +819,9 @@ def bicosimplicial_from_rows(X: CosimplicialComplex, p_max: int, q_max: int) -> 
     s1 = {(n, m, j): ident[m] for n in range(p_max) for m in range(q_max + 1) for j in range(n + 1)}
     sum1 = {(n, m): zero[m] if n % 2 else ident[m]
             for n in range(1, p_max + 1) for m in range(q_max + 1)}
-    d2 = _view(X.cofaces, {(n, m, i): (m, i) for n in range(p_max + 1)
-                           for m in range(1, q_max + 1) for i in range(m + 1)})
-    s2 = _view(X.codegeneracies, {(n, m, j): (m, j) for n in range(p_max + 1)
-                                  for m in range(q_max) for j in range(m + 1)})
+    d2 = _view(X.cofaces, {(n,) + k: k for n in range(p_max + 1) for k in _faces(q_max)})
+    s2 = _view(X.codegeneracies, {(n,) + k: k for n in range(p_max + 1)
+                                  for k in _degeneracies(q_max)})
     sum2 = _view(X.coface_sums, {(n, m): m for n in range(p_max + 1) for m in range(1, q_max + 1)})
     return BicosimplicialComplex(X.field, p_max, q_max, levels, d1, d2, s1, s2, check=False,
                                  sum1=sum1, sum2=sum2)
