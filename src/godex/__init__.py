@@ -26,7 +26,7 @@ from .exactlin import GF, QQ, Field, Matrix, Subspace, kernel, subquotient
 from .filtered import FilteredComplex, decalage, er_page, filtered_simple, is_er_quis
 from .godement import (
     derived_direct_image, derived_sections, descent_spectral_sequence,
-    equivalence_check, godement_resolution, godement_T, hypercohomology_sheaf,
+    equivalence_check, godement_resolution, hypercohomology_sheaf,
     stalk_commutation_check, thomason_check,
 )
 from .oracle import constant_cohomology, holim_replacement
@@ -44,7 +44,7 @@ __all__ = [
     "Poset", "Sheaf", "SheafMap", "MonotoneMap", "sections",
     "check_sheaf_equalizer", "constant_sheaf", "skyscraper", "direct_image",
     "random_sheaf",
-    "godement_T", "godement_resolution", "hypercohomology_sheaf",
+    "godement_resolution", "hypercohomology_sheaf",
     "equivalence_check", "thomason_check", "stalk_commutation_check",
     "derived_sections", "derived_direct_image", "descent_spectral_sequence",
     "FilteredComplex", "er_page", "is_er_quis", "filtered_simple", "decalage",

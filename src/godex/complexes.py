@@ -330,28 +330,38 @@ def _oplus(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.assemble(a.field, [a.rows, b.rows], [a.cols, b.cols], {(0, 0): a, (1, 1): b})
 
 
+def _sum_complex(C1: CochainComplex, C2: CochainComplex) -> CochainComplex:
+    """Degreewise direct sum with block-diagonal differentials."""
+    if C1.field != C2.field:
+        raise FieldMismatch(f"{C1.field} vs {C2.field}")
+    lo = min(C1.lower, C2.lower)
+    hi = max(C1.upper, C2.upper)
+    dims = {n: C1.dim(n) + C2.dim(n) for n in range(lo, hi + 1)}
+    diffs = {n: _oplus(C1.d(n), C2.d(n)) for n in range(lo, hi + 1)}
+    return CochainComplex(C1.field, dims, diffs, lower=lo,
+                          certified_degree=min_certified(C1.certified_degree, C2.certified_degree),
+                          check=False)
+
+
+def biproduct_maps(C1: CochainComplex, C2: CochainComplex, C: CochainComplex):
+    """The inclusions and projections of C = C1 ⊕ C2: ((i1, i2), (p1, p2))."""
+    field = C.field
+    incl1, incl2, proj1, proj2 = {}, {}, {}, {}
+    for n in C.degrees():
+        layout = Layout([(1, C1.dim(n)), (2, C2.dim(n))])
+        incl1[n], incl2[n] = layout.inclusion(field, [1]), layout.inclusion(field, [2])
+        proj1[n], proj2[n] = incl1[n].transpose(), incl2[n].transpose()
+    return (ChainMap(C1, C, incl1, check=False), ChainMap(C2, C, incl2, check=False)), \
+        (ChainMap(C, C1, proj1, check=False), ChainMap(C, C2, proj2, check=False))
+
+
 def biproduct(C1: CochainComplex, C2: CochainComplex):
     """Degreewise direct sum with block-diagonal differentials.
 
     Returns (C, (i1, i2), (p1, p2)); p_k ∘ i_k are identities.
     """
-    if C1.field != C2.field:
-        raise FieldMismatch(f"{C1.field} vs {C2.field}")
-    field = C1.field
-    lo = min(C1.lower, C2.lower)
-    hi = max(C1.upper, C2.upper)
-    dims = {n: C1.dim(n) + C2.dim(n) for n in range(lo, hi + 1)}
-    diffs = {n: _oplus(C1.d(n), C2.d(n)) for n in range(lo, hi + 1)}
-    C = CochainComplex(field, dims, diffs, lower=lo,
-                       certified_degree=min_certified(C1.certified_degree, C2.certified_degree),
-                       check=False)
-    incl1, incl2, proj1, proj2 = {}, {}, {}, {}
-    for n in range(lo, hi + 1):
-        layout = Layout([(1, C1.dim(n)), (2, C2.dim(n))])
-        incl1[n], incl2[n] = layout.inclusion(field, [1]), layout.inclusion(field, [2])
-        proj1[n], proj2[n] = incl1[n].transpose(), incl2[n].transpose()
-    return C, (ChainMap(C1, C, incl1, check=False), ChainMap(C2, C, incl2, check=False)), \
-        (ChainMap(C, C1, proj1, check=False), ChainMap(C, C2, proj2, check=False))
+    C = _sum_complex(C1, C2)
+    return (C,) + biproduct_maps(C1, C2, C)
 
 
 # ---- diagrams of complexes ----------------------------------------------
@@ -455,15 +465,10 @@ def _same_shape(D1, D2, error=InvariantError):
 
 def direct_sum(D1, D2):
     """Levelwise direct sum of two diagrams of one shape; each arrow is f ⊕ g,
-    built on its first read.
-
-    Returns (D, (i1, i2), (p1, p2)) where i_k and p_k map level keys to the
-    inclusion and projection chain maps of `biproduct`.
-    """
+    built on its first read.  `biproduct_maps` gives the inclusions and
+    projections of a level."""
     levels1, arrows1, levels2, arrows2 = _same_shape(D1, D2)
-    levels, incl1, incl2, proj1, proj2 = {}, {}, {}, {}, {}
-    for k in levels1:
-        levels[k], (incl1[k], incl2[k]), (proj1[k], proj2[k]) = biproduct(levels1[k], levels2[k])
+    levels = {k: _sum_complex(levels1[k], levels2[k]) for k in levels1}
 
     def add(name):
         s, t, f = arrows1[name]
@@ -471,7 +476,7 @@ def direct_sum(D1, D2):
         return ChainMap(levels[s], levels[t],
                         {q: _oplus(f.component(q), g.component(q))
                          for q in set(f.components) | set(g.components)}, check=False)
-    return D1.rebuild(levels, LazyMap(arrows1, add)), (incl1, incl2), (proj1, proj2)
+    return D1.rebuild(levels, LazyMap(arrows1, add))
 
 
 class DiagramMap:

@@ -5,13 +5,13 @@ The simple (total-complex) functor follows the convention
     s(X)^n = ⊕_{p+q=n} X(p)^q ,
 
 with differential assembled from the alternating coface sum into level p+1
-and the internal differential signed by (-1)^p.  `total_complex` builds it
-from the levels and a function giving that coface sum, and reads no coface
-on its own.  `simple` passes the coface sums that a cosimplicial complex
-carries (`CosimplicialComplex.coface_sums`): transport carries g_p Σ
-g_{p-1}^-1 from its source, a direct sum Σ_1 ⊕ Σ_2 from its summands, and
-any other complex sums its cofaces on first read.  The Godement route
-passes the sums it builds without the cofaces.  Cosimplicial objects are
+and the internal differential signed by (-1)^p.  `simple` reads the coface
+sums that a cosimplicial complex carries (`CosimplicialComplex.coface_sums`)
+and no coface on its own: transport carries g_p Σ g_{p-1}^-1 from its
+source, a direct sum Σ_1 ⊕ Σ_2 from its summands, a Godement stalk the sum
+δ_p its resolution builds without the cofaces, and any other complex sums
+its cofaces on first read.  `coface_sum_mismatches` is the one comparison
+of a carried sum with the cofaces.  Cosimplicial objects are
 truncated at a level p_max; the simple functor at bound N then certifies
 cohomology only in degrees <= N-1 (one guard degree), and all
 quasi-isomorphism claims are asserted within certified degrees only.
@@ -33,8 +33,8 @@ from functools import partial
 from operator import itemgetter
 
 from .complexes import (
-    BlockComplex, ChainMap, CochainComplex, DiagramMap, LazyMap, biproduct, conjugate, direct_sum,
-    is_quis, random_complex, truncate,
+    BlockComplex, ChainMap, CochainComplex, DiagramMap, LazyMap, biproduct, biproduct_maps,
+    conjugate, direct_sum, is_quis, random_complex, truncate,
 )
 from .errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
 from .exactlin import Field, GF, Layout, Matrix, alternating_sum, random_invertible
@@ -151,9 +151,9 @@ class CosimplicialComplex:
 
     def degree_part(self, q: int, p_max: int) -> "CosimplicialComplex":
         """The degree-q parts of levels 0..p_max, each a complex concentrated
-        in degree q, with the degree-q components of the structure maps
-        between them: the cosimplicial identities of X in internal degree q
-        on those levels."""
+        in degree q, with the degree-q components of the structure maps and
+        of the carried coface sums between them: the cosimplicial identities
+        and coface sums of X in internal degree q on those levels."""
         levels = {p: CochainComplex(self.field, {q: self.level(p).dim(q)}, {}, lower=q,
                                     check=False) for p in range(p_max + 1)}
 
@@ -164,7 +164,8 @@ class CosimplicialComplex:
             {(p, i): part(f, p - 1, p) for (p, i), f in self.cofaces.items() if p <= p_max},
             {(p, j): part(f, p + 1, p) for (p, j), f in self.codegeneracies.items()
              if p < p_max},
-            p_max, check=False)
+            p_max, check=False,
+            coface_sums={p: part(self.coface_sums[p], p - 1, p) for p in range(1, p_max + 1)})
 
     def validate(self):
         """Sources and targets, every coface sum the alternating sum of the
@@ -175,11 +176,9 @@ class CosimplicialComplex:
                 raise InvariantError(f"coface ({p},{i}) has wrong source")
         if set(self.coface_sums) != set(range(1, self.p_max + 1)):
             raise InvariantError("coface sums must be indexed 1..p_max")
-        for p in range(1, self.p_max + 1):
-            for q in self.level(p - 1).dims:
-                if self.coface_sum(p, q) != alternating_coface_sum(self, p, q):
-                    raise InvariantError(f"coface sum {p} in degree {q} is not the "
-                                         "alternating sum of the cofaces")
+        for p, q in self.coface_sum_mismatches():
+            raise InvariantError(f"coface sum {p} in degree {q} is not the "
+                                 "alternating sum of the cofaces")
         for p, j in _degeneracies(self.p_max):
             f = self.codegeneracy(p, j)
             if f.source != self.level(p + 1) or f.target != self.level(p):
@@ -187,6 +186,15 @@ class CosimplicialComplex:
         for name, lhs, rhs in self._identity_pairs():
             if lhs != rhs:
                 raise InvariantError(f"cosimplicial identity {name} fails")
+
+    def coface_sum_mismatches(self):
+        """The (p, q) where the carried coface sum into level p differs in
+        internal degree q from the alternating sum of the cofaces; lazily,
+        reading no codegeneracy."""
+        for p in range(1, self.p_max + 1):
+            for q in self.level(p - 1).dims:
+                if self.coface_sum(p, q) != alternating_coface_sum(self, p, q):
+                    yield p, q
 
     def _identity_pairs(self):
         """All composable instances of the cosimplicial identities."""
@@ -252,8 +260,7 @@ class TotalComplex(BlockComplex):
 
     blocks[n] is the `Layout` of degree n: label (level p, internal degree
     q) -> (offset, dim), nonzero summands only, in increasing p.
-    `cosimplicial` is the cosimplicial complex X when `simple` built it, and
-    None for a total that `total_complex` built from levels and coface sums.
+    `cosimplicial` is the cosimplicial complex X that it totals.
     """
 
     __slots__ = ("cosimplicial",)
@@ -271,66 +278,51 @@ def alternating_coface_sum(X: CosimplicialComplex, p: int, q: int) -> Matrix:
                            (X.coface(p, i).component(q) for i in range(p + 1)))
 
 
-def _total_differential(field: Field, levels: dict, coface_sum, blocks: dict, n: int,
-                        signed: bool) -> Matrix:
-    """d^n of the total complex on the layouts `blocks`: the coface sum
-    coface_sum(p + 1, q) into level p+1 plus the internal differential,
-    signed by (-1)^p if `signed`."""
+def _total_differential(X: CosimplicialComplex, blocks: dict, n: int, signed: bool) -> Matrix:
+    """d^n of the total complex of X on the layouts `blocks`: the coface sum
+    into level p+1 that X carries plus the internal differential, signed by
+    (-1)^p if `signed`."""
     rows, cols = blocks[n + 1], blocks[n]
     entries = {}
     for (p, q) in cols:
         if (p + 1, q) in rows:
-            entries[((p + 1, q), (p, q))] = coface_sum(p + 1, q)
+            entries[((p + 1, q), (p, q))] = X.coface_sum(p + 1, q)
         if (p, q + 1) in rows:
-            m = levels[p].d(q)
+            m = X.level(p).d(q)
             entries[((p, q + 1), (p, q))] = m.scale(-1) if signed and p % 2 else m
-    return Matrix.assemble(field, rows, cols, entries)
-
-
-def total_complex(field: Field, levels: dict, coface_sum, N: int) -> TotalComplex:
-    """The total complex in degrees <= N of the levels 0..p_max (p ->
-    complex) whose level p-1 -> level p map is coface_sum(p, q) in internal
-    degree q; certified through degree N-1.  It reads no coface one by one,
-    only their sum: `simple` passes the alternating coface sum of a
-    cosimplicial complex, the Godement route the sums it builds directly."""
-    p_max = max(levels)
-    lows = [lv.lower for lv in levels.values() if not lv.is_zero_complex()]
-    if not lows:
-        # a zero total keeps the levels' lower bound, which the stalks of a
-        # sheaf of totals must share
-        lower = min(lv.lower for lv in levels.values())
-        out = TotalComplex(field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
-        out.cosimplicial = None
-        return out
-    lmin = min(lows)
-    if p_max < N - lmin:
-        raise InsufficientLevels(
-            f"p_max={p_max} cannot reach total degree {N} with lower bound {lmin}")
-    blocks = {n: Layout(((p, n - p), levels[p].dim(n - p)) for p in range(n - lmin + 1)
-                        if levels[p].dim(n - p))
-              for n in range(lmin, N + 1)}
-    diffs = {n: _total_differential(field, levels, coface_sum, blocks, n, True)
-             for n in range(lmin, N) if blocks[n] and blocks[n + 1]}
-    cert = N - 1
-    for p in range(p_max + 1):
-        c = levels[p].certified_degree
-        if c is not None:
-            cert = min(cert, c + p)
-    out = TotalComplex(field, blocks, diffs, lower=lmin, certified_degree=cert, check=True)
-    out.cosimplicial = None
-    return out
+    return Matrix.assemble(X.field, rows, cols, entries)
 
 
 def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
     """Total complex of X in degrees <= N; certified through degree N-1.
 
     It reads the coface sums that X carries (`CosimplicialComplex.coface_sums`:
-    carried through transport and direct sums, else summed from the cofaces
-    on first read) and no coface or codegeneracy on its own."""
+    carried through transport, direct sums and the Godement stalks, else
+    summed from the cofaces on first read) and no coface or codegeneracy on
+    its own."""
     cached = X._simple_cache.get(N)
     if cached is not None:
         return cached
-    out = total_complex(X.field, X.levels, X.coface_sum, N)
+    lmin = X.lower
+    if lmin is None:
+        # a zero total keeps the levels' lower bound, which the stalks of a
+        # sheaf of totals must share
+        lower = min(lv.lower for lv in X.levels.values())
+        out = TotalComplex(X.field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
+    else:
+        if X.p_max < N - lmin:
+            raise InsufficientLevels(
+                f"p_max={X.p_max} cannot reach total degree {N} with lower bound {lmin}")
+        blocks = {n: Layout(((p, n - p), X.level(p).dim(n - p)) for p in range(n - lmin + 1)
+                            if X.level(p).dim(n - p))
+                  for n in range(lmin, N + 1)}
+        diffs = {n: _total_differential(X, blocks, n, True)
+                 for n in range(lmin, N) if blocks[n] and blocks[n + 1]}
+        cert = N - 1
+        for p, lv in X.levels.items():
+            if lv.certified_degree is not None:
+                cert = min(cert, lv.certified_degree + p)
+        out = TotalComplex(X.field, blocks, diffs, lower=lmin, certified_degree=cert, check=True)
     out.cosimplicial = X
     X._simple_cache[N] = out
     return out
@@ -755,10 +747,14 @@ def collapse_by_extra_degeneracy(eps: ChainMap, X: CosimplicialComplex, extra: l
 
 def cosimplicial_biproduct(X: CosimplicialComplex, Y: CosimplicialComplex):
     """`direct_sum` of X and Y with its inclusions and projections as
-    cosimplicial morphisms: (P, (iX, iY), (pX, pY))."""
-    P, incl, proj = direct_sum(X, Y)
-    return P, tuple(CosimplicialMap(A, P, i, check=False) for A, i in zip((X, Y), incl)), \
-        tuple(CosimplicialMap(P, A, q, check=False) for A, q in zip((X, Y), proj))
+    cosimplicial morphisms, levelwise those of `biproduct_maps`:
+    (P, (iX, iY), (pX, pY))."""
+    P = direct_sum(X, Y)
+    iX, iY, pX, pY = {}, {}, {}, {}
+    for p in P.levels:
+        (iX[p], iY[p]), (pX[p], pY[p]) = biproduct_maps(X.level(p), Y.level(p), P.level(p))
+    return P, (CosimplicialMap(X, P, iX, check=False), CosimplicialMap(Y, P, iY, check=False)), \
+        (CosimplicialMap(P, X, pX, check=False), CosimplicialMap(P, Y, pY, check=False))
 
 
 def random_cosimplicial(field: Field, rng, p_max: int, max_blocks: int = 2,
@@ -774,7 +770,7 @@ def random_cosimplicial(field: Field, rng, p_max: int, max_blocks: int = 2,
             blocks.append(path_object(A, p_max)[0])
     X = blocks[0]
     for B in blocks[1:]:
-        X = direct_sum(X, B)[0]
+        X = direct_sum(X, B)
     if scramble:
         X = conjugate(X, rng)
     return X
@@ -800,7 +796,7 @@ def random_bicosimplicial(field: Field, rng, p_max: int, q_max: int,
 
     Z = one_block()
     if rng.random() < 0.5:
-        Z = direct_sum(Z, one_block())[0]
+        Z = direct_sum(Z, one_block())
     return conjugate(Z, rng)
 
 
@@ -933,8 +929,8 @@ def _mutant_sign_note(X: CosimplicialComplex, N: int) -> str:
     for n in range(lmin, N - 1):
         if not S.blocks.get(n + 2):
             continue
-        bad = _total_differential(X.field, X.levels, X.coface_sum, S.blocks, n, False)
-        bad2 = _total_differential(X.field, X.levels, X.coface_sum, S.blocks, n + 1, False)
+        bad = _total_differential(X, S.blocks, n, False)
+        bad2 = _total_differential(X, S.blocks, n + 1, False)
         if not (bad2 @ bad).is_zero():
             return f"sign mutant: d∘d != 0 first fails from degree {n}"
     return "sign mutant: no failure detected (object too degenerate)"

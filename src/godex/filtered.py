@@ -31,7 +31,7 @@ import random
 import numpy as np
 
 from .complexes import (
-    BlockComplex, ChainMap, CochainComplex, _random_automorphisms, _transport,
+    BlockComplex, ChainMap, CochainComplex, _random_automorphisms, _transport, biproduct_maps,
     direct_sum, random_complex,
 )
 from .cosimplicial import (
@@ -481,16 +481,16 @@ def _direct_sum(base: CochainComplex, k_min: int, k_max: int, parts: dict) -> Fi
     return FilteredComplex(base, k_min, k_max, weights, basis, inverse)
 
 
-def filtered_direct_sum(A: FilteredDiagram, B: FilteredDiagram):
+def filtered_direct_sum(A: FilteredDiagram, B: FilteredDiagram) -> FilteredDiagram:
     """`complexes.direct_sum` of the bases, each level filtered by the sum
-    of the two level filtrations: (D, (i1, i2), (p1, p2))."""
-    D, incl, proj = direct_sum(A.base, B.base)
+    of the two level filtrations."""
+    D = direct_sum(A.base, B.base)
     levels = {}
     for k, C in D.diagram()[0].items():
         FA, FB = A.levels[k], B.levels[k]
         levels[k] = _direct_sum(C, min(FA.k_min, FB.k_min), max(FA.k_max, FB.k_max),
                                 {q: [(FA, q, 0), (FB, q, 0)] for q in C.dims})
-    return FilteredDiagram(D, levels), incl, proj
+    return FilteredDiagram(D, levels)
 
 
 def _filtered_transport(A: FilteredDiagram, g: dict, ginv: dict) -> FilteredDiagram:
@@ -563,7 +563,7 @@ def random_filtered_complex(field, rng, span: int = 3, max_dim: int = 2,
     A = None
     for w, C in pieces:
         piece = FilteredDiagram(C, {0: FilteredComplex.trivial(C, w)})
-        A = piece if A is None else filtered_direct_sum(A, piece)[0]
+        A = piece if A is None else filtered_direct_sum(A, piece)
     return _filtered_transport(A, *_random_automorphisms(A.base.diagram()[0], rng)).level(0)
 
 
@@ -579,7 +579,7 @@ def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2,
         X = constant_cosimplicial(A, p_max) if rng.random() < 0.5 else path_object(A, p_max)[0]
         part = FilteredDiagram(
             X, {p: FilteredComplex.trivial(X.level(p), jump=w) for p in range(p_max + 1)})
-        XF = part if XF is None else filtered_direct_sum(XF, part)[0]
+        XF = part if XF is None else filtered_direct_sum(XF, part)
     out = _filtered_transport(XF, *_random_automorphisms(XF.base.diagram()[0], rng))
     out.validate()
     return out
@@ -641,7 +641,7 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         # S1: product comparison, literal filtration equality + E_r-quis
         XF = random_filtered_cosimplicial(field, rng, p_max, span=span, max_dim=max_dim)
         YF = random_filtered_cosimplicial(field, rng, p_max, span=span, max_dim=max_dim)
-        PF = filtered_direct_sum(XF, YF)[0]
+        PF = filtered_direct_sum(XF, YF)
         SP = filtered_simple(PF, r, N)
         SX = filtered_simple(XF, r, N)
         SY = filtered_simple(YF, r, N)
@@ -675,7 +675,9 @@ def check_descent_axioms_filtered(seed: int, trials: int = 10, N: int = 4, r: in
         XF4 = random_filtered_cosimplicial(field, rng, p_max, span=span, max_dim=max_dim)
         E = contractible_complex(field, rng, max_dim=max_dim)
         EF = constant_filtered(FilteredComplex.trivial(E, jump=XF4.levels[0].k_min), p_max)
-        YF4, (i4, _), _ = filtered_direct_sum(XF4, EF)
+        YF4 = filtered_direct_sum(XF4, EF)
+        i4 = {p: biproduct_maps(XF4.base.level(p), E, YF4.base.level(p))[0][0]
+              for p in range(p_max + 1)}
         f4 = simple_map(CosimplicialMap(XF4.base, YF4.base, i4, check=False), N)
         flag, _ = is_er_quis(f4, filtered_simple(XF4, r, N), filtered_simple(YF4, r, N),
                              r, up_to=N - 1)

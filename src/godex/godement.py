@@ -11,11 +11,12 @@ certified through N-1.
 
 A total complex reads only the alternating coface sum δ_p = Σ_i (-1)^i d^i_p
 (the Moore complex).  T is linear, so δ_0 = η_F and δ_p = η_{T^p F} -
-T(δ_{p-1}): `godement_resolution` builds the levels, η and these sums, and
-H_X(F) is totalled with them.  The cofaces and codegeneracies are built on
-first read: by `GodementResolution.validate`, by `resolution_sections`, and
-(the cofaces) by the stalk commutation check, which shares with `validate`
-one comparison (`coface_sum_mismatches`) of δ_p with Σ_i (-1)^i d^i_p, two
+T(δ_{p-1}): `godement_resolution` builds the levels, η and these sums.  The
+stalks at x form a `CosimplicialComplex` that carries δ_p at x as its coface
+sums (`GodementResolution.stalkwise`), and H_X(F)_x is its `simple`.  Each
+coface and codegeneracy is built on its first read, and only what reads it
+builds it.  The stalk commutation check and `validate` compare δ_p with
+Σ_i (-1)^i d^i_p through `CosimplicialComplex.coface_sum_mismatches`: two
 independent computations of every coface block of every stalk of H_X(F).
 
 Truncated at total degree N, the total reads level p only in the internal
@@ -48,10 +49,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import BlockComplex, ChainMap, CochainComplex, induced_map, is_quis, min_certified
-from .cosimplicial import CosimplicialComplex, blockwise_map, total_complex
+from .complexes import (
+    BlockComplex, ChainMap, CochainComplex, LazyMap, induced_map, is_quis, min_certified,
+)
+from .cosimplicial import CosimplicialComplex, _degeneracies, _faces, blockwise_map, simple
 from .errors import InsufficientLevels, InvariantError
-from .exactlin import Layout, Matrix, alternating_sum, units_minus_blocks
+from .exactlin import Layout, Matrix, units_minus_blocks
 from .oracle import replacement_complex
 from .site import (
     MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map, sections_quis,
@@ -149,48 +152,26 @@ def t_apply_map(f: SheafMap, Tsrc: TSheaf, Ttgt: TSheaf) -> SheafMap:
     return SheafMap.from_blocks(Tsrc, Ttgt, block)
 
 
-def godement_T(F: Sheaf):
-    """(T(F), η_F, ν_F); the triple laws are asserted exactly.
-
-    ν ∘ Tη = ν ∘ ηT = id and ν ∘ Tν = ν ∘ νT, as matrix identities on the
-    relevant iterates of F.
-    """
-    TF = apply_T(F)
-    T2F = apply_T(TF)
-    eta_F = godement_eta(F, TF)
-    nu_F = godement_nu(F, TF, T2F)
-    T3F = apply_T(T2F)
-    eta_TF = godement_eta(TF, T2F)
-    t_eta = t_apply_map(eta_F, TF, T2F)
-    ident = SheafMap.identity(TF)
-    if nu_F.compose(t_eta) != ident or nu_F.compose(eta_TF) != ident:
-        raise InvariantError("triple unit laws fail")
-    nu_TF = godement_nu(TF, T2F, T3F)
-    t_nu = t_apply_map(nu_F, T3F, T2F)
-    if nu_F.compose(t_nu) != nu_F.compose(nu_TF):
-        raise InvariantError("triple associativity law fails")
-    return TF, eta_F, nu_F
-
-
 # ---- the resolution -------------------------------------------------------
 
 
 class GodementResolution:
     """G•(F): the levels G^p F = T^{p+1} F for p = 0..p_max, the
-    coaugmentation η : F -> G^0 F and the coface sums.
+    coaugmentation η : F -> G^0 F, the coface sums and the structure maps.
 
     coface_sums[p]        : level p-1 -> level p   (1 <= p <= p_max), Σ_i (-1)^i d^i
     cofaces[(p, i)]       : level p-1 -> level p   (1 <= p <= p_max, 0 <= i <= p)
     codegeneracies[(p, j)]: level p+1 -> level p   (0 <= p <= p_max-1, 0 <= j <= p)
 
     The levels, η and the coface sums are built with the resolution; they
-    are all a total complex reads.  The cofaces and codegeneracies are built
-    on first read, each as T of the map one level down.  With `top` set,
-    level p is built in the internal degrees <= top - p only.
+    are all a total complex reads.  Each coface and codegeneracy is built on
+    its first read (a `LazyMap`): d^0_p = η and s^0_p = ν of T^p F, and
+    d^i_p = T(d^{i-1}_{p-1}), s^j_p = T(s^{j-1}_{p-1}), where d^0_0 = η_F.
+    With `top` set, level p is built in the internal degrees <= top - p only.
     """
 
-    __slots__ = ("sheaf", "levels", "eta", "coface_sums", "p_max", "top", "_cofaces",
-                 "_codegens")
+    __slots__ = ("sheaf", "levels", "eta", "coface_sums", "p_max", "top", "cofaces",
+                 "codegeneracies")
 
     def __init__(self, sheaf, levels, eta, coface_sums, p_max, top=None):
         self.sheaf = sheaf
@@ -199,85 +180,52 @@ class GodementResolution:
         self.coface_sums = coface_sums
         self.p_max = p_max
         self.top = top
-        self._cofaces = self._codegens = None
+        tower = [sheaf] + [levels[p] for p in range(p_max + 1)]  # tower[k] = T^k F
+
+        def coface(key):
+            p, i = key
+            if i == 0:
+                return godement_eta(tower[p], tower[p + 1])
+            return t_apply_map(cofaces[(p - 1, i - 1)] if p > 1 else eta, tower[p], tower[p + 1])
+
+        def codegeneracy(key):
+            p, j = key
+            if j == 0:
+                return godement_nu(tower[p], tower[p + 1], tower[p + 2])
+            return t_apply_map(codegens[(p - 1, j - 1)], tower[p + 2], tower[p + 1])
+        self.cofaces = cofaces = LazyMap(_faces(p_max), coface)
+        self.codegeneracies = codegens = LazyMap(_degeneracies(p_max), codegeneracy)
 
     def level(self, p) -> TSheaf:
         return self.levels[p]
 
-    def _tower(self, k) -> Sheaf:
-        """T^k F: the sheaf for k = 0, level k-1 otherwise."""
-        return self.sheaf if k == 0 else self.levels[k - 1]
-
-    @property
-    def cofaces(self) -> dict:
-        """d^0_p = η of T^p F and d^i_p = T(d^{i-1}_{p-1}), where d^0_0 = η_F;
-        one t_apply_map per coface with i >= 1."""
-        if self._cofaces is None:
-            tower, cofaces = self._tower, {}
-            for p in range(1, self.p_max + 1):
-                cofaces[(p, 0)] = godement_eta(tower(p), tower(p + 1))
-                for i in range(1, p + 1):
-                    below = cofaces[(p - 1, i - 1)] if p > 1 else self.eta
-                    cofaces[(p, i)] = t_apply_map(below, tower(p), tower(p + 1))
-            self._cofaces = cofaces
-        return self._cofaces
-
-    @property
-    def codegeneracies(self) -> dict:
-        """s^0_p = ν of T^p F and s^j_p = T(s^{j-1}_{p-1})."""
-        if self._codegens is None:
-            tower, codegens = self._tower, {}
-            for p in range(self.p_max):
-                codegens[(p, 0)] = godement_nu(tower(p), tower(p + 1), tower(p + 2))
-                for j in range(1, p + 1):
-                    codegens[(p, j)] = t_apply_map(codegens[(p - 1, j - 1)], tower(p + 2),
-                                                   tower(p + 1))
-            self._codegens = codegens
-        return self._codegens
-
-    def stalk_levels(self, x) -> dict:
-        """p -> the stalk of level p at x."""
-        return {p: self.levels[p].stalk(x) for p in range(self.p_max + 1)}
-
     def stalkwise(self, x) -> CosimplicialComplex:
-        """The cosimplicial complex of stalks at x (builds every structure map)."""
+        """The cosimplicial complex of stalks at x, carrying δ_p at x as its
+        coface sums; each structure map is read at x from the resolution on
+        its first read."""
+        def at(family):
+            return LazyMap(family, lambda k: family[k].component(x))
         return CosimplicialComplex(
-            self.sheaf.field, self.stalk_levels(x),
-            {(p, i): f.component(x) for (p, i), f in self.cofaces.items()},
-            {(p, j): f.component(x) for (p, j), f in self.codegeneracies.items()},
-            self.p_max, check=False,
-        )
-
-    def coface_sum_mismatches(self, x):
-        """The (p, q) where δ_p at x differs in internal degree q from Σ_i (-1)^i
-        d^i_p, for the cofaces d^i_p = T(d^{i-1}_{p-1}); lazily, no codegeneracy."""
-        field = self.sheaf.field
-        for p, delta in self.coface_sums.items():
-            src, tgt = self._tower(p).stalk(x), self.levels[p].stalk(x)
-            for q in src.dims:
-                cofaces = (self.cofaces[(p, i)].component(x).component(q) for i in range(p + 1))
-                if delta.component(x).component(q) != alternating_sum(
-                        field, tgt.dim(q), src.dim(q), cofaces):
-                    yield p, q
+            self.sheaf.field, {p: lv.stalk(x) for p, lv in self.levels.items()},
+            at(self.cofaces), at(self.codegeneracies), self.p_max, check=False,
+            coface_sums=at(self.coface_sums))
 
     def validate(self):
-        """Every coface sum the alternating sum of the cofaces, every
-        cosimplicial identity at every stalk, and every structure map a sheaf map.
+        """At every stalk, every coface sum the alternating sum of the cofaces
+        and every cosimplicial identity (`CosimplicialComplex.validate` of
+        `stalkwise`), and every structure map a sheaf map.
 
         Truncated at `top`, level p is built in the degrees <= top - p, so
-        each identity is checked in every internal degree q where all the
-        levels it passes through are built: on the degree-q part of levels
-        0..top - q (`CosimplicialComplex.degree_part`).  The cofaces and the
-        coface sums run from a level to a more truncated one and stay chain
-        maps.  A codegeneracy into level p does not: its source has no
-        degree top - p to match the target's differential out of degree
-        top - p - 1, so it is a chain map through degree top - p - 1.
+        each identity and coface sum is checked in every internal degree q
+        where all the levels it passes through are built: on the degree-q
+        part of levels 0..top - q (`CosimplicialComplex.degree_part`).  The
+        cofaces and the coface sums run from a level to a more truncated one
+        and stay chain maps.  A codegeneracy into level p does not: its
+        source has no degree top - p to match the target's differential out
+        of degree top - p - 1, so it is a chain map through degree top - p - 1.
         """
         top = self.top
         for x in self.sheaf.poset.elements:
-            for p, q in self.coface_sum_mismatches(x):
-                raise InvariantError(f"coface sum {p} at {x} in degree {q} is not "
-                                     "the alternating sum of the cofaces")
             X = self.stalkwise(x)
             if top is None:
                 X.validate()
@@ -319,8 +267,8 @@ def godement_resolution(F: Sheaf, p_max: int, top: int | None = None) -> Godemen
 
     Since d^i_p = T(d^{i-1}_{p-1}) and T is linear, the coface sums obey
     δ_0 = η_F and δ_p = η_{T^p F} - T(δ_{p-1}); the resolution builds the
-    levels, η and these p_max maps (`_coface_sum`), and leaves the cofaces
-    and codegeneracies to their first read.  With `top`, level p is built
+    levels, η and these p_max maps (`_coface_sum`), and leaves each coface
+    and codegeneracy to its first read.  With `top`, level p is built
     in the internal degrees <= top - p only (`apply_T`), as every verdict
     does; None builds the full tower, for `resolve` and the reference tests.
     """
@@ -410,9 +358,9 @@ def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
 
     p_max = N - lower suffices: level p only contributes to total degrees
     >= p + lower, and only through its internal degrees <= N - p, the only
-    ones the resolution builds (top = N).  The stalk at x is the total
-    complex of the levels at x with the coface sums δ_p of the resolution
-    (`total_complex`), so no coface or codegeneracy is built.  Every stalk
+    ones the resolution builds (top = N).  The stalk at x is
+    `simple(res.stalkwise(x), N)`, which reads the coface sums δ_p at x, so
+    no coface or codegeneracy is built.  Every stalk
     complex re-asserts d∘d = 0 and every component of ρ is validated as a
     chain map; the sheaf and ρ as a sheaf map are built unchecked, since
     validating them is O(n^3) matrix products, and `tests/test_godement.py`
@@ -426,9 +374,7 @@ def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
 def _hypercohomology(res: GodementResolution, N: int) -> Hypercohomology:
     """H_X(F) and ρ_F, totalled from the resolution `res` of F at N."""
     F, poset = res.sheaf, res.sheaf.poset
-    totals = {x: total_complex(F.field, res.stalk_levels(x),
-                               lambda p, q: res.coface_sums[p].component(x).component(q), N)
-              for x in poset.elements}
+    totals = {x: simple(res.stalkwise(x), N) for x in poset.elements}
     restr = {}
     for (a, b) in poset.pairs():
         comps = blockwise_map(totals[a], totals[b],
@@ -575,13 +521,13 @@ def stalk_commutation_check(F: Sheaf, N: int, hyper: Hypercohomology | None = No
     identity.  H_X(F)_x (`hyper`, at N) and the total of the stalks at x share
     their levels and internal differentials, so they differ only where δ_p of
     δ_p = η - T(δ_{p-1}) differs from the alternating sum of the cofaces
-    d^i_p = T(d^{i-1}_{p-1}) (`GodementResolution.coface_sum_mismatches`): in
-    internal degree q, a witness (x, p - 1 + q).  No total complex and no
+    d^i_p = T(d^{i-1}_{p-1}) (`coface_sum_mismatches` of `res.stalkwise(x)`):
+    in internal degree q, a witness (x, p - 1 + q).  No total complex and no
     codegeneracy is built.
     """
     res = (hyper or hypercohomology_sheaf(F, N)).resolution
     witnesses = [(x, p - 1 + q) for x in F.poset.elements
-                 for p, q in res.coface_sum_mismatches(x)]
+                 for p, q in res.stalkwise(x).coface_sum_mismatches()]
     return EquivalenceReport("local", not witnesses, witnesses, N - 1)
 
 

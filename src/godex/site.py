@@ -835,7 +835,7 @@ def random_sheaf(P: Poset, field: Field, seed: int, max_dim: int = 2, span: int 
 
     F = block()
     for _ in range(blocks - 1):
-        F = direct_sum(F, block())[0]
+        F = direct_sum(F, block())
     if rng.random() < 0.5:
         G = block()
         F = mapping_cone(SheafMap(F, G, random_map(F, G, rng)))

@@ -208,14 +208,11 @@ def reference_transport(D, g, ginv):
 
 
 def reference_direct_sum(D1, D2):
-    """The levelwise direct sum, every arrow f ⊕ g built at once, with the
-    inclusions and projections of `biproduct`."""
+    """The levelwise direct sum of `biproduct`, every arrow f ⊕ g built at once."""
     levels1, arrows1 = _structure_arrows(D1)
     levels2, arrows2 = _structure_arrows(D2)
     assert levels1.keys() == levels2.keys() and arrows1.keys() == arrows2.keys()
-    levels, incl1, incl2, proj1, proj2 = {}, {}, {}, {}, {}
-    for k in levels1:
-        levels[k], (incl1[k], incl2[k]), (proj1[k], proj2[k]) = biproduct(levels1[k], levels2[k])
+    levels = {k: biproduct(levels1[k], levels2[k])[0] for k in levels1}
     maps = {}
     for name, (s, t, f) in arrows1.items():
         g = arrows2[name][2]
@@ -224,4 +221,4 @@ def reference_direct_sum(D1, D2):
                                [f.component(q).cols, g.component(q).cols],
                                {(0, 0): f.component(q), (1, 1): g.component(q)})
             for q in set(f.components) | set(g.components)}, check=False)
-    return _eager(D1, levels, maps), (incl1, incl2), (proj1, proj2)
+    return _eager(D1, levels, maps)

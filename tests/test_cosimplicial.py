@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from godex.complexes import ChainMap, CochainComplex, biproduct, is_quis, random_complex, single_complex
+from godex.complexes import (
+    ChainMap, CochainComplex, LazyMap, biproduct, is_quis, random_complex, single_complex,
+)
 from godex.cosimplicial import (
     BicosimplicialComplex, CosimplicialComplex, alternating_coface_sum, aw_map,
     bicosimplicial_from_rows, check_descent_axioms,
@@ -13,7 +15,7 @@ from godex.cosimplicial import (
     iterated_simple_map, BicosimplicialMap, lambda_map, path_object,
     random_bicosimplicial, random_cosimplicial, random_levelwise_quis, simple, simple_map,
 )
-from godex.errors import InsufficientLevels, NotCosimplicial, NotExtraDegeneracy
+from godex.errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
 from godex.exactlin import GF, QQ, Matrix
 
 from conftest import reference_coface_sum
@@ -35,6 +37,34 @@ def test_alternating_coface_sum_matches_the_addition_loop(field):
                 if field == QQ:
                     assert all(type(v) is Fraction for row in got.rows_list() for v in row)
     assert zero_dims
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+def test_coface_sum_mismatches_finds_one_broken_carried_sum(field, seed):
+    # a generated complex carries its coface sums; one of them broken in one
+    # degree q is the one mismatch (p, q), found without reading a
+    # codegeneracy, and validate names it
+    rng = random.Random(seed)
+    X = random_cosimplicial(field, rng, 3)
+    assert list(X.coface_sum_mismatches()) == []
+    while X.lower is None:  # a zero complex has no coface sum to break
+        X = random_cosimplicial(field, rng, 3)
+    p, q = next((p, q) for p in X.coface_sums for q in X.level(p - 1).dims if X.level(p).dim(q))
+    m = X.coface_sum(p, q)
+    unit = Matrix.from_rows(field, [[int(r == c == 0) for c in range(m.cols)]
+                                    for r in range(m.rows)])
+    delta = X.coface_sums[p]
+    broken = ChainMap(delta.source, delta.target, {**delta.components, q: m + unit},
+                      check=False)
+
+    def unread(key):
+        raise AssertionError(f"codegeneracy {key} read")
+    Y = CosimplicialComplex(field, X.levels, X.cofaces, LazyMap(X.codegeneracies, unread),
+                            X.p_max, check=False, coface_sums={**X.coface_sums, p: broken})
+    assert list(Y.coface_sum_mismatches()) == [(p, q)]
+    with pytest.raises(InvariantError, match=f"coface sum {p} in degree {q} "):
+        Y.validate()
 
 
 def test_simple_of_constant_matches_cohomology(f5):
@@ -295,7 +325,7 @@ def test_diagonal_swap_equivalence(f5):
         E = contractible_complex(f5, rng)
         W_extra = bicosimplicial_from_rows(constant_cosimplicial(E, N), N, N)
         from godex.complexes import direct_sum
-        W = direct_sum(Z, W_extra)[0]
+        W = direct_sum(Z, W_extra)
         comps = {}
         for nm in Z.levels:
             C, (i1, _), _ = biproduct(Z.levels[nm], W_extra.levels[nm])

@@ -14,10 +14,10 @@ import re
 
 import pytest
 
-from godex import complexes, cosimplicial, filtered
+from godex import complexes, cosimplicial, filtered, site
 from godex.complexes import (
-    ChainMap, CochainComplex, DiagramMap, LazyMap, _transport, conjugate, direct_sum,
-    mapping_cone, random_complex, random_map, single_complex, truncate,
+    ChainMap, CochainComplex, DiagramMap, LazyMap, _transport, biproduct_maps, conjugate,
+    direct_sum, mapping_cone, random_complex, random_map, single_complex, truncate,
 )
 from godex.cosimplicial import (
     BicosimplicialMap, CosimplicialMap, bicosimplicial_from_rows, constant_cosimplicial,
@@ -82,26 +82,53 @@ def test_conjugate_is_transport_along_its_draws(f5):
 
 def test_direct_sum_matches_inclusion_projection_sums(f5):
     for D1, D2 in _pairs_of_diagrams(f5):
-        S, (i1, i2), (p1, p2) = direct_sum(D1, D2)
+        S = direct_sum(D1, D2)
         levels1, arrows1 = D1.diagram()
         levels2, arrows2 = D2.diagram()
-        _, arrows = S.diagram()
+        levels, arrows = S.diagram()
+        maps = {k: biproduct_maps(levels1[k], levels2[k], levels[k]) for k in levels}
         for name, (s, t, f) in arrows1.items():
             g = arrows2[name][2]
-            reference = i1[t].compose(f).compose(p1[s]) + i2[t].compose(g).compose(p2[s])
+            (i1, i2), _ = maps[t]
+            _, (p1, p2) = maps[s]
+            reference = i1.compose(f).compose(p1) + i2.compose(g).compose(p2)
             assert arrows[name][2] == reference, name
         for k in levels1:
-            assert p1[k].compose(i1[k]) == ChainMap.identity(levels1[k])
-            assert p2[k].compose(i2[k]) == ChainMap.identity(levels2[k])
-            assert p2[k].compose(i1[k]) == ChainMap.zero(levels1[k], levels2[k])
+            (i1, i2), (p1, p2) = maps[k]
+            assert p1.compose(i1) == ChainMap.identity(levels1[k])
+            assert p2.compose(i2) == ChainMap.identity(levels2[k])
+            assert p2.compose(i1) == ChainMap.zero(levels1[k], levels2[k])
     P = pseudocircle_poset()
-    direct_sum(random_sheaf(P, f5, 5), random_sheaf(P, f5, 6))[0].validate()
+    direct_sum(random_sheaf(P, f5, 5), random_sheaf(P, f5, 6)).validate()
 
 
 def test_direct_sum_rejects_different_shapes(f5):
     rng = random.Random(11)
     with pytest.raises(InvariantError):
         direct_sum(random_cosimplicial(f5, rng, 2), random_cosimplicial(f5, rng, 3))
+
+
+def test_generators_build_no_inclusion_or_projection(f5, monkeypatch):
+    # the random generators keep only the direct sum, so they build no
+    # inclusion (a projection is the transpose of one); the biproduct of two
+    # cosimplicial complexes builds both, on every level
+    inclusions, sums = [], []
+    inclusion, direct_sum_ = Layout.inclusion, direct_sum
+    monkeypatch.setattr(Layout, "inclusion", lambda *a: inclusions.append(1) or inclusion(*a))
+    for module in (cosimplicial, site):
+        monkeypatch.setattr(module, "direct_sum", lambda *a: sums.append(1) or direct_sum_(*a))
+    P = pseudocircle_poset()
+    for make in (lambda seed: random_cosimplicial(f5, random.Random(seed), 3),
+                 lambda seed: random_bicosimplicial(f5, random.Random(seed), 2, 2),
+                 lambda seed: random_sheaf(P, f5, seed)):
+        sums.clear()
+        for seed in range(3):
+            make(seed)
+        assert sums  # the generator took a direct sum
+    assert inclusions == []
+    X = random_cosimplicial(f5, random.Random(0), 3)
+    cosimplicial.cosimplicial_biproduct(X, X)
+    assert len(inclusions) == sum(2 * len(X.level(p).degrees()) for p in range(X.p_max + 1))
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -16,7 +17,7 @@ from godex.filtered import FilteredComplex, er_page
 from godex.godement import (
     apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
     descent_double_complex, descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
-    godement_resolution, godement_T, hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
+    godement_resolution, hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
     resolution_sections,
     separation_witness, sheaf_extra_degeneracy_top, skyscraper_counit,
     stalk_commutation_check, stalk_extra_degeneracy, t_apply_map, t_chain_layout, thomason_check,
@@ -30,28 +31,74 @@ from godex.site import (
 from conftest import basis_quis_per_degree
 
 
-def test_godement_T_point(f5):
+def _count_builders(monkeypatch):
+    """From now on, count the calls (name -> calls) of the three builders of
+    Godement structure maps: η (`godement_eta`), ν and T of a map."""
+    import godex.godement as gm
+    calls = collections.Counter()
+    for name in ("godement_eta", "godement_nu", "t_apply_map"):
+        build = getattr(gm, name)
+        monkeypatch.setattr(gm, name, lambda *a, b=build, n=name: calls.update([n]) or b(*a))
+    return calls
+
+
+def _scaled_at(f: SheafMap, x, c) -> SheafMap:
+    """f with its component at x scaled by c."""
+    return SheafMap(f.source, f.target, {**f.components, x: f.component(x).scale(c)},
+                    check=False)
+
+
+# The triple laws ν∘η_T = ν∘Tη = id and ν∘ν_T = ν∘Tν are the identities
+# s^0_0 d^0_1 = s^0_0 d^1_1 = id and s^0_0 s^0_1 = s^0_0 s^1_1 of G•F, which
+# godement_resolution(F, 2).validate() checks at every stalk.
+
+def test_triple_laws_point(f5):
     pt = point_poset()
     F = random_sheaf(pt, f5, 0)
-    TF, eta, nu = godement_T(F)
-    assert TF.stalk("*").dims == F.stalk("*").dims
-    assert eta.component("*") == ChainMap.identity(F.stalk("*"))
+    res = godement_resolution(F, 2)
+    res.validate()
+    assert res.level(0).stalk("*").dims == F.stalk("*").dims
+    assert res.eta.component("*") == ChainMap.identity(F.stalk("*"))
 
 
-def test_godement_T_sierpinski_constant(f5):
+def test_triple_laws_sierpinski_constant(f5):
     S = sierpinski_poset()
     F = constant_sheaf(S, single_complex(f5, 0, 1))
-    TF, eta, nu = godement_T(F)
-    assert TF.stalk("c").dim(0) == 2
-    assert TF.stalk("o").dim(0) == 1
-    assert eta.component("c").component(0).rows_list() == [[1], [1]]
+    res = godement_resolution(F, 2)
+    res.validate()
+    assert res.level(0).stalk("c").dim(0) == 2
+    assert res.level(0).stalk("o").dim(0) == 1
+    assert res.eta.component("c").component(0).rows_list() == [[1], [1]]
 
 
 def test_triple_laws_on_random_sheaves(f5):
     for P in (sierpinski_poset(), pseudocircle_poset()):
         for seed in range(2):
             F = random_sheaf(P, f5, seed, max_dim=2, span=2)
-            godement_T(F)  # raises on any failed law
+            godement_resolution(F, 2).validate()  # raises on any failed law
+
+
+@pytest.mark.parametrize("broken", ["nu", "T_eta"])
+def test_triple_laws_fail_on_a_broken_nu_or_T_eta(f5, broken):
+    # negative controls: ν_F = s^0_0 scaled by 2 at one stalk breaks
+    # ν∘η_T = id; T(η_F) = d^1_1 scaled by 2 at one stalk, with δ_1 = d^0_1 -
+    # d^1_1 carried to match, breaks ν∘Tη = id
+    for P in (sierpinski_poset(), pseudocircle_poset()):
+        F = random_sheaf(P, f5, 1, max_dim=2, span=2)
+        res = godement_resolution(F, 2)
+        x = next(x for x in P.elements if F.stalk(x).dims)
+        if broken == "nu":
+            nu = res.codegeneracies[(0, 0)]
+            res.codegeneracies = {**res.codegeneracies, (0, 0): _scaled_at(nu, x, 2)}
+        else:
+            t_eta = res.cofaces[(1, 1)]
+            res.cofaces = {**res.cofaces, (1, 1): _scaled_at(t_eta, x, 2)}
+            delta = res.coface_sums[1]
+            res.coface_sums[1] = SheafMap(delta.source, delta.target, {
+                **delta.components, x: delta.component(x) + t_eta.component(x).scale(-1)},
+                check=False)
+        with pytest.raises(InvariantError, match="cosimplicial identity"):
+            res.validate()
 
 
 def test_resolution_point_poset(f5):
@@ -173,16 +220,18 @@ def _iterated_structure_maps(tower, p_max):
     return cofaces, codegens
 
 
-def test_resolution_structure_maps_equal_iterated_T():
+def test_resolution_structure_maps_equal_iterated_T(monkeypatch):
     # the recursion d^i_p = T(d^{i-1}_{p-1}) gives the same matrices as
     # building every map from η or ν, and the coface sums of the recursion
     # δ_p = η - T(δ_{p-1}) are the alternating sums of those cofaces, on all
     # five suite posets for p <= 3, over F_5 and Q
     cases = itertools.product((GF(5), QQ), STANDARD_POSETS.items(), (1, 4))
+    built = _count_builders(monkeypatch)
     for field, (name, make), t in cases:
         F = random_sheaf(make(), field, 1000 * len(name) + t, max_dim=2, span=3)
+        built.clear()
         res = godement_resolution(F, 3)
-        assert res._cofaces is None and res._codegens is None, name
+        assert built == {"godement_eta": 1}, name  # η_F, and no structure map
         tower = [F] + [res.level(p) for p in range(4)]
         cofaces, codegens = _iterated_structure_maps(tower, 3)
         assert list(res.cofaces) == list(cofaces), name
@@ -206,27 +255,29 @@ def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(
     # alternating sum of the cofaces, which it builds, and never builds a
     # codegeneracy; validate() still runs every cosimplicial identity, in the
     # internal degrees where the truncated levels it passes through are built
-    import godex.godement as gm
-    nus = []
-    godement_nu_ = gm.godement_nu
-    monkeypatch.setattr(gm, "godement_nu", lambda *a: nus.append(1) or godement_nu_(*a))
+    built = _count_builders(monkeypatch)
     P = pseudocircle_poset()
     F = random_sheaf(P, f5, 1000 * len("pseudocircle") + 4, max_dim=2, span=3)
     hyper = hypercohomology_sheaf(F, 6)
     res = hyper.resolution
-    assert res._cofaces is None and res._codegens is None
+    p_max = res.p_max
+    assert built == {"godement_eta": 1}  # η_F, and no structure map
     assert stalk_commutation_check(F, 6, hyper=hyper).verdict
-    assert res._cofaces is not None and res._codegens is None and nus == []
+    # every coface, each d^i_p with i >= 1 one T of the coface below, no ν
+    assert built == {"godement_eta": 1 + p_max, "t_apply_map": p_max * (p_max + 1) // 2}
     res.validate()
-    assert nus and res._codegens is not None
+    # and then every codegeneracy
+    assert built == {"godement_eta": 1 + p_max, "godement_nu": p_max,
+                     "t_apply_map": p_max * (p_max + 1) // 2 + (p_max - 1) * p_max // 2}
     # a broken codegeneracy fails a cosimplicial identity, and a coface sum
     # that is not the alternating sum of the cofaces fails too
-    (p, j), s = next(iter(res.codegeneracies.items()))
-    res._codegens[(p, j)] = SheafMap(s.source, s.target,
-                                     {x: c.scale(2) for x, c in s.components.items()}, check=False)
+    codegens = res.codegeneracies
+    (p, j), s = next(iter(codegens.items()))
+    res.codegeneracies = {**codegens, (p, j): SheafMap(
+        s.source, s.target, {x: c.scale(2) for x, c in s.components.items()}, check=False)}
     with pytest.raises(InvariantError, match="cosimplicial identity"):
         res.validate()
-    res._codegens[(p, j)] = s
+    res.codegeneracies = codegens
     delta = res.coface_sums[2]
     res.coface_sums[2] = SheafMap(delta.source, delta.target,
                                   {x: c.scale(2) for x, c in delta.components.items()}, check=False)
@@ -247,8 +298,8 @@ def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(
         comps = dict(d.components)
         c = comps[x]
         comps[x] = ChainMap(c.source, c.target, {**c.components, q: m}, check=False)
-        res._cofaces[(p, i)] = SheafMap(d.source, d.target, comps, check=False)
-    assert next(res.coface_sum_mismatches(x), None) is None
+        res.cofaces = {**res.cofaces, (p, i): SheafMap(d.source, d.target, comps, check=False)}
+    assert next(res.stalkwise(x).coface_sum_mismatches(), None) is None
     with pytest.raises(InvariantError, match="cosimplicial identity"):
         res.validate()
 
@@ -264,10 +315,10 @@ def test_stalk_commutation_fails_on_a_scaled_coface(f5, monkeypatch):
     N = 6
     hyper = hypercohomology_sheaf(F, N)
     res = hyper.resolution
-    totals, nus = [], []
-    total_complex, godement_nu_ = gm.total_complex, gm.godement_nu
-    monkeypatch.setattr(gm, "total_complex", lambda *a: totals.append(1) or total_complex(*a))
-    monkeypatch.setattr(gm, "godement_nu", lambda *a: nus.append(1) or godement_nu_(*a))
+    totals = []
+    simple_ = gm.simple
+    monkeypatch.setattr(gm, "simple", lambda *a: totals.append(1) or simple_(*a))
+    built = _count_builders(monkeypatch)
     assert stalk_commutation_check(F, N, hyper=hyper).verdict
     p, i = 2, 1
     d = res.cofaces[(p, i)]
@@ -277,12 +328,39 @@ def test_stalk_commutation_fails_on_a_scaled_coface(f5, monkeypatch):
     c = comps[x]
     comps[x] = ChainMap(c.source, c.target, {**c.components, q: c.component(q).scale(2)},
                         check=False)
-    res._cofaces[(p, i)] = SheafMap(d.source, d.target, comps, check=False)
+    res.cofaces = {**res.cofaces, (p, i): SheafMap(d.source, d.target, comps, check=False)}
     rep = stalk_commutation_check(F, N, hyper=hyper)
     assert (rep.verdict, rep.witnesses, rep.certified_degree) == (False, [(x, p - 1 + q)], N - 1)
-    assert totals == [] and nus == [] and res._codegens is None
-    with pytest.raises(InvariantError, match=f"coface sum {p} at {x} in degree {q} "):
+    assert totals == [] and built["godement_nu"] == 0
+    with pytest.raises(InvariantError, match=f"coface sum {p} in degree {q} "):
         res.validate()
+
+
+def test_stalkwise_totals_are_the_hypercohomology_stalks(monkeypatch):
+    # on the truncated towers of the criterion-2 sheaves t = 1, 4 over F_5:
+    # res.stalkwise(x) and its total build no coface or codegeneracy, the
+    # total is the stalk of H_X(F), and so is the total of an eager
+    # stalkwise complex whose coface sums are added up from the cofaces
+    built = _count_builders(monkeypatch)
+    N = 6
+    for name, make in STANDARD_POSETS.items():
+        for t in (1, 4):
+            F = random_sheaf(make(), GF(5), 1000 * len(name) + t, max_dim=2, span=3)
+            res = godement_resolution(F, max(N - F.lower, 0), top=N)
+            built.clear()
+            totals = {x: simple(res.stalkwise(x), N) for x in F.poset.elements}
+            assert built == {}, (name, t)
+            hyper = hypercohomology_sheaf(F, N)
+            for x, S in totals.items():
+                eager = simple(CosimplicialComplex(
+                    F.field, dict(S.cosimplicial.levels),
+                    {k: f.component(x) for k, f in res.cofaces.items()},
+                    {k: f.component(x) for k, f in res.codegeneracies.items()},
+                    res.p_max, check=False), N)
+                for other in (hyper.H.stalk(x), eager):
+                    assert S == other and S.blocks == other.blocks, (name, t, x)
+                    assert (S.lower, S.certified_degree) == \
+                        (other.lower, other.certified_degree), (name, t, x)
 
 
 def test_resolution_cosimplicial_identities(f5):
@@ -773,8 +851,9 @@ def test_descent_builds_no_full_tower_coface_or_codegeneracy(f5, monkeypatch):
     for target, attr in ((gm, "t_apply_map"), (gm, "godement_nu"), (gm, "resolution_sections"),
                          (cosimplicial, "simple")):
         monkeypatch.setattr(target, attr, forbidden)
-    monkeypatch.setattr(gm.GodementResolution, "cofaces", property(forbidden))
-    monkeypatch.setattr(gm.GodementResolution, "codegeneracies", property(forbidden))
+    # η_F is the one η each resolution builds: a coface d^0_p would be another
+    etas, eta = [], gm.godement_eta
+    monkeypatch.setattr(gm, "godement_eta", lambda *a: etas.append(1) or eta(*a))
     tops = []
     resolution = gm.godement_resolution
     monkeypatch.setattr(gm, "godement_resolution",
@@ -785,7 +864,7 @@ def test_descent_builds_no_full_tower_coface_or_codegeneracy(f5, monkeypatch):
     for U in (frozenset(P.elements), P.up_set("a")):
         pages, FC, total, _ = descent_spectral_sequence(F, U, 2, N)
         assert independent_e2_dims(F, U, N)
-    assert tops and None not in tops
+    assert tops and None not in tops and len(etas) == len(tops)
 
 
 def test_a_section_that_crosses_columns_raises(f5, monkeypatch):
