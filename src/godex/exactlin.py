@@ -14,9 +14,11 @@ so every float operation is exact integer arithmetic; the guards that
 enforce this raise ValueError.  Arithmetic results are reduced by `_mod`:
 float `%` on small arrays, and an int64 floor-mod from _MOD_INT_CELLS cells
 on, exact on the same range and cheaper per cell than the float remainder.
-Only elimination differs by field: over Q `_rref_q` reduces lists of
-Fractions, over F_p `_rref_np` eliminates the float64 array with one
-full-width update per pivot, reduced by plain `%`.
+Elimination has two dense kernels, picked by size: `_rref_lists`, a
+Gauss–Jordan on the rows as Python lists (Fractions over Q, ints mod p over
+F_p), reduces every Q matrix and every F_p matrix below _SPARSE_MIN_CELLS
+cells; `_rref_np` eliminates larger F_p matrices on the float64 array with
+one full-width update per pivot, reduced by plain `%`.
 
 `Matrix.rank()` over F_p takes a third route on large sparse inputs:
 `_rank_sparse`, a structured Gaussian elimination on rows held as dicts of
@@ -40,11 +42,13 @@ _ZERO = Fraction(0)
 # The values of the diagonal of U in a random automorphism L U P over Q.
 _Q_UNITS = (1, 1, 2, -1)
 
-# `Matrix.rank()` eliminates an F_p matrix sparsely when it has at least
-# _SPARSE_MIN_CELLS cells of which at most a _SPARSE_MAX_DENSITY share is
-# nonzero, and densely otherwise.  The sparse elimination hands its active
-# part to `_rref_np` once that part has at least _SPARSE_HANDOFF_CELLS cells
-# of which more than a _SPARSE_HANDOFF_DENSITY share is nonzero.
+# `Matrix.rref()` reduces an F_p matrix below _SPARSE_MIN_CELLS cells on
+# Python lists and from there on as an array.  `Matrix.rank()` eliminates an
+# F_p matrix sparsely when it has at least _SPARSE_MIN_CELLS cells of which
+# at most a _SPARSE_MAX_DENSITY share is nonzero, and through `rref`
+# otherwise.  The sparse elimination hands its active part to `_rref_np`
+# once that part has at least _SPARSE_HANDOFF_CELLS cells of which more
+# than a _SPARSE_HANDOFF_DENSITY share is nonzero.
 _SPARSE_MIN_CELLS = 1024
 _SPARSE_MAX_DENSITY = 0.1
 _SPARSE_HANDOFF_CELLS = 256
@@ -299,13 +303,19 @@ class Matrix:
     # ---- elimination ----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form.  Returns (R, pivot column tuple)."""
-        if self.field.p is None:
-            return _rref_q(self)
+        """Reduced row echelon form.  Returns (R, pivot column tuple).
+
+        Q matrices and F_p matrices below _SPARSE_MIN_CELLS cells are reduced
+        on Python lists (`_rref_lists`), where numpy's per-call overhead would
+        dominate; larger F_p matrices by the array kernel `_rref_np`."""
+        if self.field.p is None or self.rows * self.cols < _SPARSE_MIN_CELLS:
+            return _rref_lists(self)
         return _rref_np(self)
 
     def rank(self) -> int:
-        """The rank; large sparse F_p matrices are eliminated by `_rank_sparse`."""
+        """The rank: the pivot count of `rref`, except that F_p matrices of at
+        least _SPARSE_MIN_CELLS cells and at most _SPARSE_MAX_DENSITY nonzero
+        are eliminated by `_rank_sparse`."""
         if self.field.p is not None and self.rows * self.cols >= _SPARSE_MIN_CELLS and \
                 np.count_nonzero(self._a) <= _SPARSE_MAX_DENSITY * self.rows * self.cols:
             return _rank_sparse(self._a, self.field.p)
@@ -414,31 +424,41 @@ def free_columns(n: int, pivots) -> list:
     return [j for j in range(n) if j not in pivot_set]
 
 
-def _rref_q(m: Matrix):
-    rows = m._a.tolist()
+def _rref_lists(m: Matrix):
+    """Gauss–Jordan elimination on the rows as Python lists: Fractions over
+    Q, Python ints mod p over F_p, so every step is exact for every field and
+    needs no guard.  The pivot is `_rref_np`'s: the leftmost column with a
+    nonzero entry in the remaining rows, and its first such row; as the
+    reduced row echelon form is unique, the two kernels agree exactly."""
+    p = m.field.p
+    rows = m.rows_list()
     nr, nc = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        sel = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(r, nr) if rows[i][c]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        piv = rows[r]
+        if p is None:
+            inv = 1 / piv[c]
+            piv = rows[r] = [v * inv for v in piv]
+        else:
+            inv = pow(piv[c], p - 2, p)
+            piv = rows[r] = [v * inv % p for v in piv]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(row, piv)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, piv)]
         pivots.append(c)
         r += 1
-    out = np.array(rows, dtype=object).reshape(nr, nc)
+    out = np.array(rows, dtype=object if p is None else np.float64).reshape(nr, nc)
     return Matrix(m.field, nr, nc, out, _raw=True), tuple(pivots)
 
 
@@ -452,8 +472,10 @@ def _rref_np(m: Matrix):
     f * row per pivot, stays at most (p-1) + rank * (p-1)**2 <=
     (min(rows, cols) + 1) * (p-1)**2 in magnitude.  The guard keeps that
     below 2**53, where float64 arithmetic on integers is exact.  The
-    reductions are plain `%`: the arrays here are small, and `_mod`'s int64
-    copies would cost more than they save.
+    reductions are plain `%`: on the single rows and columns reduced per
+    pivot, `_mod`'s int64 copies would cost more than they save.
+    `Matrix.rref` sends it the F_p matrices of at least _SPARSE_MIN_CELLS
+    cells, and `_rank_sparse` its filled-in active parts.
     """
     p = m.field.p
     a = m._a.copy()

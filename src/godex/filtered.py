@@ -580,9 +580,7 @@ def random_filtered_cosimplicial(field, rng, p_max: int, span: int = 2,
         part = FilteredDiagram(
             X, {p: FilteredComplex.trivial(X.level(p), jump=w) for p in range(p_max + 1)})
         XF = part if XF is None else filtered_direct_sum(XF, part)
-    out = _filtered_transport(XF, *_random_automorphisms(XF.base.diagram()[0], rng))
-    out.validate()
-    return out
+    return _filtered_transport(XF, *_random_automorphisms(XF.base.diagram()[0], rng))
 
 
 def constant_filtered(FCA: FilteredComplex, p_max: int) -> FilteredDiagram:

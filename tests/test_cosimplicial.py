@@ -17,6 +17,7 @@ from godex.cosimplicial import (
 )
 from godex.errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
 from godex.exactlin import GF, QQ, Matrix
+from godex.filtered import check_descent_axioms_filtered
 
 from conftest import reference_coface_sum
 
@@ -454,5 +455,7 @@ def test_the_axiom_audit_builds_no_codegeneracy_and_simple_no_coface(monkeypatch
     assert rep.all_pass
     assert read("codegeneracy") == set()
     assert len(read("coface")) > 100  # S2 reads cofaces one by one (aw_map, diagonal)
+    assert check_descent_axioms_filtered(1, trials=1, N=4, r=1).all_pass
+    assert read("codegeneracy") == set()  # the filtered generator validates nothing
     X.codegeneracy(2, 1)  # control: it is read from X and from the diagram X transports
     assert len(read("codegeneracy")) == 2

@@ -279,8 +279,24 @@ def naive_solution(A, B):
     return X
 
 
+def naive_kernel(A):
+    """The rows of the basis that `kernel_matrix` returns, read off
+    `naive_rref`: the identity on the free rows, minus the rref's free
+    columns on the pivot rows."""
+    rows, pivots = naive_rref(A)
+    free = free_columns(A.cols, pivots)
+    K = [[A.field.element(0)] * len(free) for _ in range(A.cols)]
+    for j, c in enumerate(free):
+        K[c][j] = A.field.element(1)
+        for k, pc in enumerate(pivots):
+            K[pc][j] = A.field.element(-rows[k][c])
+    return K
+
+
 def test_rref_kernel_and_solve_match_naive_on_small_inputs():
-    # the sizes the workloads eliminate: 0-12 x 0-12 at densities 0-1
+    # the sizes the workloads eliminate, 0-12 x 0-12 at densities 0-1, and
+    # the shapes on either side of the list/array split at _SPARSE_MIN_CELLS
+    # (31 x 33 = 1023 and 32 x 32 = 1024 cells), full rank and not
     rng = random.Random(15)
     primes = (2, 3, 5, 65521, 1048573)
     cases = []
@@ -293,17 +309,36 @@ def test_rref_kernel_and_solve_match_naive_on_small_inputs():
     for _ in range(200):
         field = GF(rng.choice(primes))
         cases.append(random_sparse(field, rng.randint(0, 12), rng.randint(0, 12), rng.random(), rng))
+    split = random.Random(16)
+    for p in primes:
+        field = GF(p)
+        for rows, cols in ((31, 33), (32, 32)):
+            cases += [random_matrix(field, rows, cols, split),
+                      random_sparse(field, rows, cols, 0.2, split),
+                      random_sparse(field, rows, cols, 0.5, split, rank=20),
+                      random_matrix(field, rows, 9, split) @ random_matrix(field, 9, cols, split)]
+    cases += [Matrix.zeros(QQ, 0, 4), Matrix.zeros(QQ, 3, 0), Matrix.identity(QQ, 4),
+              Matrix(QQ, 3, 3, [[0, 0, 1], [0, 1, 1], [1, 1, 0]])]
+    for _ in range(20):
+        r, k, c = split.randint(1, 6), split.randint(1, 6), split.randint(1, 6)
+        cases.append(random_matrix(QQ, r, k, split) @ random_matrix(QQ, k, c, split))
     for A in cases:
         rows, pivots = naive_rref(A)
-        R, got = _rref_np(A)
+        R, got = A.rref()
         assert (R.rows_list(), got) == (rows, pivots), A
+        if not A.field.is_rational:
+            R, got = _rref_np(A)
+            assert (R.rows_list(), got) == (rows, pivots), A
+        assert A.rank() == len(pivots)
         free = free_columns(A.cols, pivots)
         K = A.kernel_matrix()
-        assert K.shape == (A.cols, len(free))
+        assert K.shape == (A.cols, len(free)) and K.rows_list() == naive_kernel(A)
         assert K.take_rows(free) == Matrix.identity(A.field, len(free))
         assert (A @ K).is_zero()
-        for B in (A @ random_matrix(A.field, A.cols, 2, rng),
-                  random_sparse(A.field, A.rows, rng.randint(0, 3), rng.random(), rng)):
+        image = A @ random_matrix(A.field, A.cols, 2, rng)
+        other = (random_matrix(A.field, A.rows, rng.randint(0, 3), rng) if A.field.is_rational
+                 else random_sparse(A.field, A.rows, rng.randint(0, 3), rng.random(), rng))
+        for B in (image, other):
             want = naive_solution(A, B)
             if want is None:
                 with pytest.raises(NotContained):
@@ -314,8 +349,10 @@ def test_rref_kernel_and_solve_match_naive_on_small_inputs():
 
 
 def test_rref_guard_threshold(monkeypatch, capsys):
-    # with _FLOAT_SAFE = 8 (p-1)**2, elimination is refused exactly from
-    # min(rows, cols) + 1 = 8 on, i.e. from 7 rows (or columns) up
+    # with _FLOAT_SAFE = 8 (p-1)**2, `_rref_np` refuses elimination exactly
+    # from min(rows, cols) + 1 = 8 on, i.e. from 7 rows (or columns) up; below
+    # _SPARSE_MIN_CELLS cells, `rank` and `kernel_matrix` eliminate on Python
+    # lists, which need no guard, and still return the naive results
     p = 5
     field = GF(p)
     monkeypatch.setattr(exactlin, "_FLOAT_SAFE", 8.0 * (p - 1) ** 2)
@@ -323,6 +360,20 @@ def test_rref_guard_threshold(monkeypatch, capsys):
     for rows, cols in [(6, 10), (7, 10), (10, 6), (10, 7), (6, 6), (7, 7), (0, 30), (30, 0)]:
         A = random_matrix(field, rows, cols, rng)
         if (p - 1) ** 2 * (min(rows, cols) + 1) >= exactlin._FLOAT_SAFE:
+            with pytest.raises(ValueError, match="deferred-reduction elimination"):
+                _rref_np(A)
+        else:
+            assert len(_rref_np(A)[1]) == naive_rank(A)
+        assert A.rank() == naive_rank(A)
+        assert A.kernel_matrix().rows_list() == naive_kernel(A)
+    # dense F_p matrices of _SPARSE_MIN_CELLS cells or more take `_rref_np`:
+    # with _FLOAT_SAFE = 33 (p-1)**2 it refuses them from 32 rows (or
+    # columns) up, also inside `rank` and `kernel_matrix`
+    monkeypatch.setattr(exactlin, "_FLOAT_SAFE", 33.0 * (p - 1) ** 2)
+    for rows, cols in [(31, 40), (40, 31), (32, 32), (32, 40), (40, 32)]:
+        A = random_matrix(field, rows, cols, rng)
+        assert rows * cols >= exactlin._SPARSE_MIN_CELLS
+        if min(rows, cols) >= 32:
             for op in (_rref_np, Matrix.rank, Matrix.kernel_matrix):
                 with pytest.raises(ValueError, match="deferred-reduction elimination"):
                     op(A)
@@ -399,9 +450,10 @@ def test_sparse_rank_matches_references(p, monkeypatch):
 
 
 def test_rank_takes_the_sparse_path_on_large_sparse_fp(monkeypatch):
-    calls = []
-    rank_sparse = exactlin._rank_sparse
+    calls, dense_calls = [], []
+    rank_sparse, rref_np = exactlin._rank_sparse, exactlin._rref_np
     monkeypatch.setattr(exactlin, "_rank_sparse", lambda a, p: calls.append(a.shape) or rank_sparse(a, p))
+    monkeypatch.setattr(exactlin, "_rref_np", lambda m: dense_calls.append(m.shape) or rref_np(m))
     rng = random.Random(7)
     big = random_sparse(GF(5), 40, 60, 0.03, rng)
     assert big.rows * big.cols >= exactlin._SPARSE_MIN_CELLS
@@ -412,6 +464,18 @@ def test_rank_takes_the_sparse_path_on_large_sparse_fp(monkeypatch):
     for M in (small, dense, rational):
         assert M.rank() == naive_rank(M)
     assert calls == [(40, 60)]
+    # `rref`, `rank`, `kernel_matrix` and `solve` eliminate F_p matrices below
+    # _SPARSE_MIN_CELLS cells (for `solve`, [A | B]) on lists; the dense
+    # 40 x 60 matrix goes to `_rref_np`
+    dense_calls.clear()
+    for M in (small, random_matrix(GF(5), 30, 33, rng), random_matrix(GF(1048573), 12, 9, rng)):
+        M.rref()
+        M.rank()
+        M.kernel_matrix()
+        M.solve(M @ random_matrix(M.field, M.cols, 1, rng))
+    assert dense_calls == []
+    dense.rref()
+    assert dense_calls == [(40, 60)]
 
 
 def every_shape_result(field):

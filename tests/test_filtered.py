@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from godex import cosimplicial
+from godex import cosimplicial, filtered
 from godex.complexes import ChainMap, CochainComplex, random_complex
 from godex.cosimplicial import contractible_complex, random_bicosimplicial, random_cosimplicial
 from godex.errors import NotFiltered
@@ -187,6 +187,23 @@ def test_filtered_descent_axioms(f5):
     for r in (0, 1):
         rep = check_descent_axioms_filtered(seed=10, trials=3, N=4, r=r)
         assert rep.all_pass, [t.results for t in rep.trials]
+
+
+def test_the_filtered_audit_draws_valid_objects(f5, monkeypatch):
+    # `random_filtered_cosimplicial` returns its objects unvalidated; here
+    # every object that the filtered trials of the axiom benchmark draw (S1
+    # twice, S2, S4) is validated: each level filtration sits on its level,
+    # and every coface and codegeneracy is a filtered map
+    drawn = []
+    draw = filtered.random_filtered_cosimplicial
+    monkeypatch.setattr(filtered, "random_filtered_cosimplicial",
+                        lambda *args, **kw: drawn.append(draw(*args, **kw)) or drawn[-1])
+    for seed in range(1, 7):
+        drawn.clear()
+        assert check_descent_axioms_filtered(seed, trials=1, N=4, r=1).all_pass
+        assert len(drawn) == 4
+        for XF in drawn:
+            XF.validate()
 
 
 def test_rows_are_built_once_and_filtered_aw_totals_the_outer_object_once(f5, monkeypatch):
