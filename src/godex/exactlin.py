@@ -429,7 +429,8 @@ def _rref_lists(m: Matrix):
     Q, Python ints mod p over F_p, so every step is exact for every field and
     needs no guard.  The pivot is `_rref_np`'s: the leftmost column with a
     nonzero entry in the remaining rows, and its first such row; as the
-    reduced row echelon form is unique, the two kernels agree exactly."""
+    reduced row echelon form is unique, the two kernels agree exactly.  A
+    row update touches only the nonzero columns of the pivot row."""
     p = m.field.p
     rows = m.rows_list()
     nr, nc = m.rows, m.cols
@@ -445,17 +446,20 @@ def _rref_lists(m: Matrix):
         piv = rows[r]
         if p is None:
             inv = 1 / piv[c]
-            piv = rows[r] = [v * inv for v in piv]
+            piv = rows[r] = [v * inv if v else v for v in piv]
         else:
             inv = pow(piv[c], p - 2, p)
             piv = rows[r] = [v * inv % p for v in piv]
+        nonzero = [(j, b) for j, b in enumerate(piv) if b]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
                 if p is None:
-                    rows[i] = [a - f * b for a, b in zip(row, piv)]
+                    for j, b in nonzero:
+                        row[j] -= f * b
                 else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(row, piv)]
+                    for j, b in nonzero:
+                        row[j] = (row[j] - f * b) % p
         pivots.append(c)
         r += 1
     out = np.array(rows, dtype=object if p is None else np.float64).reshape(nr, nc)
