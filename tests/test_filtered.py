@@ -189,7 +189,7 @@ def test_filtered_descent_axioms(f5):
         assert rep.all_pass, [t.results for t in rep.trials]
 
 
-def test_the_filtered_audit_draws_valid_objects(f5, monkeypatch):
+def test_the_filtered_audit_draws_valid_objects(monkeypatch):
     # `random_filtered_cosimplicial` returns its objects unvalidated; here
     # every object that the filtered trials of the axiom benchmark draw (S1
     # twice, S2, S4) is validated: each level filtration sits on its level,
