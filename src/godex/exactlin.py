@@ -277,6 +277,13 @@ class Matrix:
         idx = list(idx)
         return Matrix(self.field, len(idx), self.cols, self._a[idx, :], _raw=True)
 
+    def place_columns(self, cols: int, idx) -> "Matrix":
+        """The matrix with `cols` columns whose column idx[j] is column j of
+        this one, zero elsewhere (`idx` has no repeats)."""
+        a = _zeros(self.field, self.rows, cols)
+        a[:, list(idx)] = self._a
+        return Matrix(self.field, self.rows, cols, a, _raw=True)
+
     @staticmethod
     def assemble(field: Field, rows, cols, blocks: dict) -> "Matrix":
         """Block matrix from `blocks[(row label, column label)] = Matrix`.

@@ -30,7 +30,9 @@ and coface sums run from a level to a more truncated one and stay chain
 maps; the codegeneracies do not, so `GodementResolution.validate` checks
 each identity in the degrees where every level it passes through is built.
 Γ(U, −) is degreewise too, so Γ(U, s G•F) = s Γ(U, G•F): the descent
-spectral sequence filters Γ(U, H_X F) by column.  No verdict builds the
+spectral sequence filters Γ(U, H_X F) by column.  H_X(F) is a
+`HypercohomologySheaf`: its slots (p, q, y) let `site.sections` read
+Γ(U, H_X F) off the labels, one basis block per slot with y ∈ U.  No verdict builds the
 full tower or a codegeneracy; the CLI `resolve` command, the structure-map
 digest and the reference tests build them.
 
@@ -57,7 +59,8 @@ from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix, units_minus_blocks
 from .oracle import replacement_complex
 from .site import (
-    MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map, sections_quis,
+    LabelledSheaf, MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map,
+    sections_quis,
 )
 
 
@@ -342,6 +345,19 @@ def resolution_sections(res: GodementResolution, U):
 # ---- hypercohomology ------------------------------------------------------
 
 
+class HypercohomologySheaf(LabelledSheaf):
+    """H_X(F) as `_hypercohomology` totals it.  The slot (p, q, y) of
+    H_X(F)_x^n is the block y of G^p(F)_x^q = ⊕_{y >= x} (T^p F)_y^q, with
+    home y, so `sections` takes the chain route on it."""
+
+    __slots__ = ()
+
+    def labels(self, x, n: int) -> Layout:
+        total = self.stalks[x]
+        return Layout(((p, q, y), d) for (p, q) in total.blocks.get(n, ())
+                      for y, (_, d) in total.cosimplicial.level(p).blocks[q].items() if d)
+
+
 class Hypercohomology:
     """H_X(F) = s G•(F) objectwise (or its strict-chain model, resolution None), with ρ_F."""
 
@@ -380,7 +396,7 @@ def _hypercohomology(res: GodementResolution, N: int) -> Hypercohomology:
         comps = blockwise_map(totals[a], totals[b],
                               lambda p, q: res.level(p).restriction(a, b).component(q))
         restr[(a, b)] = ChainMap(totals[a], totals[b], comps, check=False)
-    H = Sheaf(poset, F.field, dict(totals), restr, check=False)
+    H = HypercohomologySheaf(poset, F.field, dict(totals), restr, check=False)
     rho = SheafMap.from_blocks(
         F, H, lambda x, n: totals[x].inclusion(n, 0) @ res.eta.component(x).component(n))
     for f in rho.components.values():
@@ -567,8 +583,10 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
 def derived_sections(F: Sheaf, U, N: int, hyper: Hypercohomology | None = None):
     """RΓ(U, F) = Γ(U, H_X(F)); returns (SectionComplex, betti dict).
 
-    The betti numbers come from ranks of the constraint systems; the
-    section complex itself is built only if the caller reads it.
+    H_X(F) is a `HypercohomologySheaf`, so on an open without a minimum the
+    sections take the chain route: the betti numbers are those of the
+    section complex read off the labels, with no constraint system, product
+    or kernel, and the basis is built only if the caller reads it.
     """
     if hyper is None:
         hyper = hypercohomology_sheaf(F, N)
@@ -602,10 +620,10 @@ def cohomology_sheaf(F: Sheaf, q: int) -> Sheaf:
 
 def _column_weights(sec, n: int) -> np.ndarray:
     """The column p of each degree-n section basis vector of Γ(U, H): the p of
-    the (p, q) blocks of the stalks that hold its entries (InvariantError if two differ)."""
-    rows = np.array([p for x in sec.layouts[n]
-                     for (p, _), (_, d) in sec.sheaf.stalk(x).blocks.get(n, {}).items()
-                     for _ in range(d)], dtype=np.int64)
+    the labels (p, q, y) of the slots that hold its entries (InvariantError if two differ)."""
+    labels = [(label[0], d) for x in sec.layouts[n]
+              for label, (_, d) in sec.sheaf.labels(x, n).items()]
+    rows = np.repeat(np.array([p for p, _ in labels], dtype=np.int64), [d for _, d in labels])
     space = sec.space(n)
     weights, (i, j) = rows[list(space.unit_rows)], space.basis.nonzero()
     if (rows[i] != weights[j]).any():
@@ -617,11 +635,13 @@ def descent_double_complex(hyper: Hypercohomology, U, N: int):
     """The column-filtered double complex Γ(U, G•F) = Γ(U, H_X F), as
     (FilteredComplex, total), for hyper = `hypercohomology_sheaf(F, N)`.
 
-    A section basis vector lies in the column p of its unit row
-    (`_column_weights`): the restrictions of H_X F are blockwise, so the
-    cover constraints never mix blocks.  The zero-block check of
-    `FilteredComplex` then checks the filtration against d.  Γ(∅) = 0
-    certifies through N - 1, as the truncation at N does on every open.
+    A section basis vector lies in the column p of the label of its unit
+    row (`_column_weights`): on the chain route that `sections` takes for
+    H_X F, each basis vector is one label's, and on a minimal open the
+    restrictions are blockwise.  That is checked on every entry, and the
+    zero-block check of `FilteredComplex` then checks the filtration
+    against d.  Γ(∅) = 0 certifies through N - 1, as the truncation at N
+    does on every open.
     """
     from .filtered import FilteredComplex
     sec = sections(hyper.H, U)

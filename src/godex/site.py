@@ -7,10 +7,15 @@ a restriction chain map F_x -> F_y for every x <= y.  The opposite (down-set)
 convention is equally common in the literature; everything here is up-sets.
 
 Sheaves are stored intrinsically on minimal opens; sections over a general
-open are computed as an equalizer (kernel), never stored.  Their betti
-numbers are read from ranks of the cover-constraint systems, and the kernel
-basis is built only when a caller needs the section complex itself (see
-`SectionComplex`).
+open are computed, never stored.  A `LabelledSheaf` (the hypercohomology
+sheaves H_X F of `godement`) has stalks split into labelled slots that its
+restrictions keep, so Γ(U, F) has one basis block per label whose home lies
+in U: `sections` reads that basis and the differential off the labels, after
+checking each cover restriction (the chain route of `SectionComplex`).  The
+sections of every other sheaf are an equalizer, the kernel of the cover
+constraints: their betti numbers are read from ranks of the constraint
+systems, and the kernel basis is built only when a caller needs the section
+complex itself.
 """
 
 from __future__ import annotations
@@ -302,6 +307,24 @@ class Sheaf:
                         f"restriction functoriality fails on {x} <= {y} <= {z}")
 
 
+class LabelledSheaf(Sheaf):
+    """A sheaf whose stalks come split into labelled slots, as a product
+    ⊕_{y >= x} G_y does.
+
+    `labels(x, n)` is the `Layout` of F_x^n by label, and the last entry of
+    a label is its home y >= x.  The slots are meant to be those of such a
+    product: a label sits at x exactly when x <= its home, and the
+    restriction F_a -> F_b keeps the slots of b's labels.  `sections` reads
+    Γ(U, F) off the labels and checks all of this on the covers in U first
+    (the chain route of `SectionComplex`); nothing is assumed.
+    """
+
+    __slots__ = ()
+
+    def labels(self, x, n: int) -> Layout:
+        raise NotImplementedError
+
+
 class SheafMap(DiagramMap):
     """A family of chain maps F_x -> G_x commuting with restrictions."""
 
@@ -333,27 +356,41 @@ class SectionComplex:
       * when U has a minimum m, the basis stacks the restrictions out of m
         and the unit rows are m's block (the minimal open attains the
         stalk: the section complex is F_m itself);
+      * otherwise, for a `LabelledSheaf` (the chain route), a section has
+        one value per label whose home y lies in U, repeated on every slot
+        of that label: the basis has one block per such label, 1 on those
+        slots, and its unit rows are the label's slots at the last element
+        of U ∩ ↓y in canonical order (y itself when that order extends
+        <=), the free rows the constraint kernel has.  d is the unit rows
+        of the stalk differentials, each column moved to the basis column
+        of its label (`_chain_differential`).  Before the first of these
+        is read, every cover a ⋖ b in U is checked by index selection:
+        r_{a→b} is the 0/1 projection onto b's labels and commutes with the
+        stalk differentials (`_check_projections`, NotContained if not), so
+        the complex is the stalks' restricted to Γ;
       * otherwise, when U has a cover relation, `systems[n]` is the
         cover-constraint system S_n of degree n (no entry when the stalks
         over U vanish in degree n), the basis spans ker S_n and the unit
         rows are its free rows;
       * with no system, Γ^n is every family.
 
-    `betti()` needs no section basis: with D_n the block-diagonal stalk
-    differential, dim Γ^n = cols(S_n) - rank S_n, and d has rank
-    rank[S_n; D_n] - rank S_n on Γ^n.  The complex and the evaluations are
-    built from the bases on first access.
+    `betti()` needs no section basis: the chain route reads it off its
+    complex, and otherwise, with D_n the block-diagonal stalk differential,
+    dim Γ^n = cols(S_n) - rank S_n and d has rank rank[S_n; D_n] - rank S_n
+    on Γ^n.  The systems, the chain data, the complex and the evaluations
+    are each built on first access.
     """
 
-    __slots__ = ("sheaf", "open_set", "layouts", "minimum", "systems", "_spaces", "_complex",
-                 "_evaluations", "_betti")
+    __slots__ = ("sheaf", "open_set", "layouts", "minimum", "chain", "_systems", "_chains",
+                 "_spaces", "_complex", "_evaluations", "_betti")
 
-    def __init__(self, sheaf, open_set, layouts, minimum, systems):
+    def __init__(self, sheaf, open_set, layouts, minimum):
         self.sheaf = sheaf
         self.open_set = open_set
         self.layouts = layouts
         self.minimum = minimum
-        self.systems = systems
+        self.chain = minimum is None and bool(open_set) and isinstance(sheaf, LabelledSheaf)
+        self._systems = self._chains = None
         self._spaces = {}
         self._complex = self._evaluations = self._betti = None
         if minimum is not None:
@@ -370,9 +407,27 @@ class SectionComplex:
 
     @property
     def evaluations(self) -> dict:
-        if self._complex is None:
-            self._build()
+        """x -> Γ(U, F) -> F_x, the rows of x in the section bases."""
+        if self._evaluations is None:
+            C, F, lo = self.complex, self.sheaf, min(self.layouts)
+            evals = {x: {} for x in self.layouts[lo]}
+            for n, layout in self.layouts.items():
+                for x, (off, d) in layout.items():
+                    if d and C.dim(n):
+                        evals[x][n] = self.space(n).basis.take_rows(range(off, off + d))
+            self._evaluations = {x: ChainMap(C, F.stalk(x), comps, check=True)
+                                 for x, comps in evals.items()}
         return self._evaluations
+
+    @property
+    def systems(self) -> dict:
+        """n -> S_n, one row block per cover x ⋖ y in U (`_constraint_system`)."""
+        if self._systems is None:
+            F, U = self.sheaf, self.open_set
+            constraints = [] if self.minimum is not None else _covers_in(F.poset, U)
+            self._systems = {n: _constraint_system(F, constraints, layout, n)
+                             for n, layout in self.layouts.items() if constraints and layout.dim}
+        return self._systems
 
     @property
     def certified_degree(self) -> int | None:
@@ -395,6 +450,10 @@ class SectionComplex:
                 S = Subspace(F.field, layout.dim,
                              _stack(F.restriction(m, y).component(n) for y in layout),
                              range(off, off + d))
+            elif self.chain:
+                cols, units = self._chain_data()[n]
+                S = Subspace(F.field, layout.dim,
+                             Matrix.identity(F.field, len(units)).take_rows(cols), units)
             elif n in self.systems:
                 R, pivots = self.systems[n].rref()
                 S = Subspace(F.field, layout.dim, self.systems[n].kernel_matrix(reduced=(R, pivots)),
@@ -411,31 +470,124 @@ class SectionComplex:
 
     def betti(self) -> dict:
         """The betti numbers of Γ(U, F) in the degrees `CochainComplex.betti()`
-        reads.  From ranks (`_rank_betti`) while the complex is not built and
-        U has a cover relation; from the complex otherwise."""
-        if self._complex is not None or not self.systems:
+        reads.  On the constraint route from ranks (`_rank_betti`) while the
+        complex is not built and U has a cover relation; otherwise off the
+        complex, which the chain route builds from its labels."""
+        if self._complex is not None or self.chain or not self.systems:
             return self.complex.betti()
         if self._betti is None:
             self._betti = _rank_betti(self.sheaf, self.layouts, self.systems)
         return self._betti
 
+    def _chain_data(self) -> dict:
+        """n -> (the basis column of each family row, the unit rows) of the
+        chain route, after `_check_projections`."""
+        if self._chains is None:
+            F, U = self.sheaf, self.open_set
+            order = F.poset.sorted_subset(U)
+            labels = {n: {x: F.labels(x, n) for x in order} for n in self.layouts}
+            if any(lab.dim != self.layouts[n][x][1]
+                   for n in labels for x, lab in labels[n].items()):
+                raise NotContained("the labels do not cover the stalks")
+            _check_projections(F, _covers_in(F.poset, U), labels)
+            self._chains = {n: _chain_basis(F.poset, order, layout, labels[n])
+                            for n, layout in self.layouts.items()}
+        return self._chains
+
+    def _chain_differential(self, n: int) -> Matrix:
+        """d^n on the chain route: for each stalk x, the rows of d_x^n at the
+        unit rows in x, each column moved to the basis column of its slot."""
+        chains, F = self._chain_data(), self.sheaf
+        cols, units, width = chains[n][0], chains[n + 1][1], len(chains[n][1])
+        blocks = []
+        for x, (off, d) in self.layouts[n + 1].items():
+            local = [r - off for r in units if off <= r < off + d]
+            if local:
+                s0, sd = self.layouts[n][x]
+                block = F.stalk(x).d(n).take_rows(local)
+                blocks.append(block.place_columns(width, cols[s0:s0 + sd]))
+        return _stack(blocks)
+
     def _build(self):
-        """The complex and the evaluations, from the section bases."""
+        """The complex: on the chain route from the labels, unchecked, as
+        d∘d = 0 holds on every stalk and the checked projections make d the
+        stalks' restricted to Γ; otherwise the coordinates of D_n applied to
+        the section bases, where each is a membership check."""
         F, layouts = self.sheaf, self.layouts
         lo, hi = min(layouts), max(layouts)
-        dims = {n: self.space(n).dim for n in layouts}
-        diffs = {n: self.coordinates(n + 1, _stalk_differential(F, layouts, n) @ self.space(n).basis)
-                 for n in range(lo, hi) if dims[n] and dims[n + 1]}
-        C = CochainComplex(F.field, dims, diffs, lower=lo, certified_degree=F.certified_degree,
-                           check=True)
-        evals = {x: {} for x in layouts[lo]}
-        for n, layout in layouts.items():
-            for x, (off, d) in layout.items():
-                if d and dims[n]:
-                    evals[x][n] = self.space(n).basis.take_rows(range(off, off + d))
-        self._evaluations = {x: ChainMap(C, F.stalk(x), comps, check=True)
-                             for x, comps in evals.items()}
-        self._complex = C
+        if self.chain:
+            dims = {n: len(units) for n, (_, units) in self._chain_data().items()}
+            differential = self._chain_differential
+        else:
+            dims = {n: self.space(n).dim for n in layouts}
+
+            def differential(n):
+                D = _stalk_differential(F, layouts, n)
+                return self.coordinates(n + 1, D @ self.space(n).basis)
+        diffs = {n: differential(n) for n in range(lo, hi) if dims[n] and dims[n + 1]}
+        self._complex = CochainComplex(F.field, dims, diffs, lower=lo,
+                                       certified_degree=F.certified_degree, check=not self.chain)
+
+
+def _covers_in(poset: Poset, U) -> list:
+    return [(x, y) for (x, y) in poset.covers() if x in U and y in U]
+
+
+def _kept_rows(la: Layout, lb: Layout) -> list:
+    """The rows of a stalk with labels `la` that the projection onto the
+    labels `lb` keeps, in order; NotContained if a label of `lb` is missing
+    from `la` or has another size there."""
+    rows = []
+    for label, (_, d) in lb.items():
+        off, da = la.get(label, (0, None))
+        if da != d:
+            raise NotContained(f"label {label!r} is not kept by the restriction")
+        rows.extend(range(off, off + d))
+    return rows
+
+
+def _check_projections(F: LabelledSheaf, covers, labels: dict):
+    """The guard of the chain route, by index selection with no product: on
+    each cover a ⋖ b and in each degree n of `labels` (n -> x -> Layout),
+    r_{a→b} is the 0/1 projection P onto the labels of F_b, and
+    d_b^n P = P d_a^n, that is, the rows of d_a^n that P keeps are d_b^n
+    placed in the columns P keeps.  NotContained otherwise."""
+    for a, b in covers:
+        kept = {n: _kept_rows(lab[a], lab[b]) for n, lab in labels.items()}
+        for n, rows in kept.items():
+            r, da = F.restriction(a, b).component(n), F.stalk(a).d(n)
+            if r != Matrix.identity(F.field, len(rows)).place_columns(da.cols, rows) or \
+                    n + 1 in kept and \
+                    da.take_rows(kept[n + 1]) != F.stalk(b).d(n).place_columns(da.cols, rows):
+                raise NotContained(f"the restriction {a} -> {b} is not a projection onto "
+                                   f"labels that commutes with d in degree {n}")
+
+
+def _chain_basis(poset: Poset, order, layout: Layout, labels: dict):
+    """(cols, units) of Γ^n on the chain route: cols[i] is the basis column
+    of family row i, and units are the unit rows, in increasing order.  A
+    label of home y gets one basis block, with its unit rows at the last
+    x <= y of U in canonical order.  NotContained if a label sits at x but
+    not at a home y >= x in U."""
+    units = []
+    for y in order:
+        u = [x for x in order if poset.leq(x, y)][-1]
+        for label, (_, d) in labels[y].items():
+            if label[-1] == y:
+                off, du = labels[u].get(label, (0, None))
+                if du != d:
+                    raise NotContained(f"label {label!r} is missing at {u}")
+                units.append((layout[u][0] + off, label, d))
+    units.sort()
+    basis = Layout((label, d) for _, label, d in units)
+    cols = [0] * layout.dim
+    for x, (off, _) in layout.items():
+        for label, (o, dl) in labels[x].items():
+            if label not in basis or not poset.leq(x, label[-1]):
+                raise NotContained(f"label {label!r} at {x} has no home above it in the open")
+            c = basis[label][0]
+            cols[off + o:off + o + dl] = range(c, c + dl)
+    return cols, [r + j for r, _, d in units for j in range(d)]
 
 
 def _constraint_system(F: Sheaf, constraints, layout: Layout, n: int) -> Matrix:
@@ -520,10 +672,13 @@ def sections(F: Sheaf, U) -> SectionComplex:
 
     Γ(∅, F) is the zero complex, and Γ(↑x, F) is the stalk F_x itself with
     the restrictions as evaluations (the minimal open attains the stalk).
-    Otherwise this assembles the cover constraints only: their betti
-    numbers are read from ranks, and the basis (their kernel) and the
+    Otherwise this builds nothing yet (see `SectionComplex`): for a
+    `LabelledSheaf`, the basis and the differential are read off the labels
+    on first access, after a check of the cover restrictions (the chain
+    route); for any other sheaf, the betti numbers are read from ranks of
+    the cover-constraint systems, and the basis (their kernel) and the
     differential (the coordinates of d applied to that basis) are built on
-    first access; see `SectionComplex`.  No linear system is solved.
+    first access.  No linear system is solved.
     """
     poset = F.poset
     U = poset.require_open(U)
@@ -533,12 +688,7 @@ def sections(F: Sheaf, U) -> SectionComplex:
         lo = min(F.stalk(x).lower for x in order)
         hi = max(F.stalk(x).upper for x in order)
         layouts = {n: Layout((x, F.stalk(x).dim(n)) for x in order) for n in range(lo, hi + 1)}
-    m = _unique_minimum(poset, U)
-    constraints = [] if m is not None else \
-        [(x, y) for (x, y) in poset.covers() if x in U and y in U]
-    systems = {n: _constraint_system(F, constraints, layout, n)
-               for n, layout in layouts.items() if constraints and layout.dim}
-    return SectionComplex(F, U, layouts, m, systems)
+    return SectionComplex(F, U, layouts, _unique_minimum(poset, U))
 
 
 def _map_into(source: CochainComplex, sec: SectionComplex, value) -> ChainMap:

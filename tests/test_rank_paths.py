@@ -46,17 +46,20 @@ SUITE = {"point": point_poset, "sierpinski": sierpinski_poset, "chain3": lambda:
 
 
 def _compare_sections(F, N):
-    """Rank betti == basis betti of Γ(U, H_X(F)) on every open; returns the
+    """Rank betti == basis betti of Γ(U, H_X(F)) on every open, both on a
+    plain `Sheaf` copy of H_X(F), which takes the constraint route, and
+    both equal to the chain route's betti on H_X(F) itself; returns the
     number of opens that took the rank path."""
     H = hypercohomology_sheaf(F, N).H
+    plain = Sheaf(H.poset, H.field, H.stalks, H.restrictions, check=False)
     ranked = 0
     for U in F.poset.up_sets():
-        sec = sections(H, U)
+        sec = sections(plain, U)
         betti = sec.betti()
         if sec._complex is None:
             ranked += 1
-        assert betti == sections(H, U).complex.betti(), sorted(U)
-        assert sec.certified_degree == sections(H, U).complex.certified_degree
+        assert betti == sections(plain, U).complex.betti() == sections(H, U).betti(), sorted(U)
+        assert sec.certified_degree == sections(plain, U).complex.certified_degree
     return ranked
 
 
@@ -100,26 +103,39 @@ def test_section_betti_ranks_match_basis_over_q():
 
 
 def test_derived_sections_builds_no_basis(monkeypatch):
+    """Derived sections and `descent_double_complex` on H_X F take the chain
+    route: they assemble no constraint system and call no `rref` or
+    `kernel_matrix`, except the ranks of the section differentials, which
+    here eliminate through the dense `rref` only."""
+    import godex.site as site
     P = pseudosphere_poset()
     F = random_sheaf(P, F5, 1000 * len("pseudosphere") + 1, max_dim=2, span=3)
     N = F.top_degree + 3
     hyper = hypercohomology_sheaf(F, N)
-    want = sections(hyper.H, frozenset(P.elements)).complex.betti()
-    calls = []
-    kernel_matrix = Matrix.kernel_matrix
-    monkeypatch.setattr(Matrix, "kernel_matrix",
-                        lambda self, *a, **k: calls.append(1) or kernel_matrix(self, *a, **k))
-    sec, betti = derived_sections(F, frozenset(P.elements), N, hyper=hyper)
-    assert betti == want
-    assert calls == [] and sec._complex is None
+    X = frozenset(P.elements)
+    H = hyper.H
+    want = sections(Sheaf(P, F5, H.stalks, H.restrictions, check=False), X).complex.betti()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constraint system or a kernel was built")
+    rref = Matrix.rref
+    monkeypatch.setattr(site, "_constraint_system", refuse)
+    monkeypatch.setattr(Matrix, "kernel_matrix", refuse)
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    monkeypatch.setattr(Matrix, "rank", lambda self: len(rref(self)[1]))
+    sec, betti = derived_sections(F, X, N, hyper=hyper)
+    assert betti == want and sec.chain
     assert sec.certified_degree == N - 1
-    sec.complex  # the basis path, on demand
-    assert calls
+    FC, total = descent_double_complex(hyper, X, N)
+    assert total.betti() == want
 
 
 def test_rank_guard_rejects_a_restriction_that_is_not_a_chain_map():
-    """H_X(F) is built with check=False, so the membership guard is the only
-    check of its restrictions."""
+    """A sheaf built with check=False has its restrictions checked by the
+    membership guard of the constraint route alone.  H_X(F), also built with
+    check=False, takes the chain route, whose guard `_check_projections`
+    checks each cover restriction for a projection onto labels and a chain
+    map instead (tests/test_chain_sections.py)."""
     P = pseudocircle_poset()
     C = CochainComplex(F5, {0: 1, 1: 2}, {0: Matrix.from_rows(F5, [[1], [0]])})
     ident = ChainMap.identity(C)

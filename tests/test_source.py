@@ -29,3 +29,18 @@ def test_godement_imports_only_replacement_complex_from_oracle():
             imported |= {"module oracle" for alias in node.names
                          if alias.name.split(".")[-1] == "oracle"}
     assert imported == {"replacement_complex"}
+
+
+def test_site_imports_nothing_from_godement_cosimplicial_or_oracle():
+    # the chain route of `sections` is chosen by the sheaf's own marker
+    # (`LabelledSheaf`), so the site layer knows no Godement construction
+    tree = ast.parse((SRC / "site.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").split(".")[-1])
+            modules |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[-1] for alias in node.names}
+    assert modules, "site.py imports nothing at all"
+    assert not modules & {"godement", "cosimplicial", "oracle"}, modules
