@@ -107,8 +107,9 @@ def cmd_cohomology(args) -> int:
            "certified_degree": sec.certified_degree, "betti": _betti_doc(betti)}
 
     def human():
+        cert = sec.certified_degree
         print(f"RΓ(U, F) over U = {{{', '.join(sorted(map(str, U)))}}}  "
-              f"(certified degree {sec.certified_degree})")
+              f"({'every degree certified' if cert is None else f'certified degree {cert}'})")
         _print_table([(n, b) for n, b in sorted(betti.items())], header=("degree", "betti"))
     _emit(args, doc, human)
     return 0

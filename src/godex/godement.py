@@ -23,7 +23,7 @@ Truncated at total degree N, the total reads level p only in the internal
 degrees <= N - p.  T is degreewise, so it commutes with brutal truncation:
 `hypercohomology_sheaf` builds level p in those degrees only
 (`godement_resolution(F, p_max, top=N)`), and the restrictions, ρ, the
-stalk commutation check, H_X(H_X F), derived sections and
+stalk commutation check, H_X(H_X F), derived sections given `hyper` and
 `hypercohomology_map` inherit the truncation.  Level p then certifies
 through N - p - 1, which leaves the total's N - 1 unchanged.  The cofaces
 and coface sums run from a level to a more truncated one and stay chain
@@ -39,12 +39,20 @@ digest and the reference tests build them.
 Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
 matrices of T-stalks are assembled on its layouts, or on the flattened
 chains of an iterated T-stalk (`t_chain_layout`).  Stalks and sections of
-the T-iterates are canonically indexed by weakly increasing chains; the
-strict-chain (normalized) subobjects give a reduced model of H_X(F) with its
-own ρ (`reduced_hypercohomology`), used where the literal double resolution
-is infeasible.  Both Thomason modes check with `equivalence_check` that ρ of
-a model of H_X(H_X F) is a global equivalence.  The identifications behind
-the reduced model are verified by tests/test_bridges.py, never assumed.
+the T-iterates are canonically indexed by weakly increasing chains
+x <= y_0 <= ... <= y_p.  The strict chains span the normalized resolution
+N G•F = ∩_j ker s^j, quasi-isomorphic to G•F by the cosimplicial Dold–Kan
+correspondence and zero above the height of ↑x.  Its total N H_X(F) is
+built from those labels alone, with no T-level and no coface sum
+(`normalized_hypercohomology_sheaf`), and is bounded, so a stalk whose N
+reaches height(↑x) + top degree certifies every degree.  Derived sections
+read Γ(U, N H_X F) on the chain route; reduced Thomason mode takes
+N H_X(N H_X F) with its ρ (`reduced_hypercohomology`) where the literal
+double resolution is infeasible.  Both Thomason modes check with
+`equivalence_check` that ρ of a model of H_X(H_X F) is a global
+equivalence.  The identifications behind the normalized model are verified
+by tests/test_normalized.py and tests/test_bridges.py, never assumed, and
+nothing here comes from `oracle`.
 """
 
 from __future__ import annotations
@@ -57,7 +65,6 @@ from .complexes import (
 from .cosimplicial import CosimplicialComplex, _degeneracies, _faces, blockwise_map, simple
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix, units_minus_blocks
-from .oracle import replacement_complex
 from .site import (
     LabelledSheaf, MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map,
     sections_quis,
@@ -359,7 +366,7 @@ class HypercohomologySheaf(LabelledSheaf):
 
 
 class Hypercohomology:
-    """H_X(F) = s G•(F) objectwise (or its strict-chain model, resolution None), with ρ_F."""
+    """H_X(F) = s G•(F) objectwise (or N H_X(F), resolution None), with ρ_F."""
 
     __slots__ = ("resolution", "H", "rho")
 
@@ -485,41 +492,106 @@ def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
     return EquivalenceReport(kind, not witnesses, witnesses, cert)
 
 
-# ---- the reduced (strict-chain) model --------------------------------------
+# ---- the normalized resolution ----------------------------------------------
 
 
-def strict_chain_sheaf(F: Sheaf, N: int) -> Sheaf:
-    """The strict-chain model R of H_X(F): R_x is the normalized replacement
-    of F over ↑x, and the restrictions project onto the surviving chains."""
-    P = F.poset
-    stalks = {x: replacement_complex(F, N, strict=True, within=P.up_set(x)) for x in P.elements}
-    return Sheaf(P, F.field, stalks, _projections(P, F.field, stalks), check=False)
+_NO_SLOTS = Layout()
+
+
+class NormalizedHypercohomologySheaf(LabelledSheaf):
+    """N H_X(F) as `normalized_hypercohomology_sheaf` builds it.  The slot
+    (p, q, chain, y_0) of N H_X(F)_x^n, p + q = n, holds F_{y_p}^q for the
+    strict chain x <= y_0 < ... < y_p, with home y_0, so `sections` takes
+    the chain route on it."""
+
+    __slots__ = ()
+
+    def labels(self, x, n: int) -> Layout:
+        return self.stalks[x].blocks.get(n, _NO_SLOTS)
+
+
+def normalized_hypercohomology_sheaf(F: Sheaf, N: int) -> NormalizedHypercohomologySheaf:
+    """N H_X(F), the total complex of the normalized Godement resolution,
+    truncated at N: the span of the strict-chain slots of H_X(F), built from
+    those labels alone (`_normalized_stalk`).  Its restrictions project onto
+    the slots of the smaller stalk.  No truncation below F's top degree is
+    refused here: reduced Thomason builds N H_X R one degree below R's own."""
+    P, field = F.poset, F.field
+    top, cert = F.top_degree, F.certified_degree
+    stalks = {x: _normalized_stalk(F, P.up_set(x), N, top, cert) for x in P.elements}
+    return NormalizedHypercohomologySheaf(P, field, stalks, _projections(P, field, stalks),
+                                          check=False)
+
+
+def _normalized_stalk(F: Sheaf, up, N: int, top: int, cert) -> BlockComplex:
+    """N H_X(F)_x over the strict chains of `up` = ↑x, in total degrees <= N.
+
+    d is (-1)^p d_F on each slot plus the normalized coface sum: a chain of
+    level p goes to each chain with one more vertex w, with sign (-1)^i for
+    w at position i, by the identity when w is inserted (x <= w < y_0 at
+    position 0) and by r_{y_p→w} when it is appended (i = p + 1).  Those
+    targets are found once per stalk.  The stalk vanishes above
+    height(↑x) + top, so once N reaches that it certifies every degree
+    (None); otherwise N - 1.  Either way F's certified degree caps it, and
+    d∘d = 0 is checked."""
+    field, lo = F.field, F.lower
+    by_len = F.poset.strict_chains(within=up)
+    chains = [c for k in sorted(by_len) for c in by_len[k]]
+    cofaces = {c: [] for c in chains}
+    for t in chains[len(by_len[1]):]:  # every chain of two or more vertices
+        for i in range(len(t)):
+            cofaces[t[:i] + t[i + 1:]].append((i, t))
+    blocks = {n: Layout(((len(c) - 1, n - len(c) + 1, c, c[0]), d) for c in chains
+                        if (d := F.stalk(c[-1]).dim(n - len(c) + 1)))
+              for n in range(lo, N + 1)}
+
+    def signed(m, k):
+        return m.scale(-1) if k % 2 else m
+    diffs = {}
+    for n in range(lo, N):
+        rows, cols = blocks[n + 1], blocks[n]
+        if not rows or not cols:
+            continue
+        entries = {}
+        for src in cols:
+            p, q, c, _ = src
+            if (row := (p, q + 1, c, c[0])) in rows:
+                entries[(row, src)] = signed(F.stalk(c[-1]).d(q), p)
+            for i, t in cofaces[c]:
+                if (row := (p + 1, q, t, t[0])) in rows:
+                    m = F.restriction(c[-1], t[-1]).component(q) if i > p else \
+                        Matrix.identity(field, rows[row][1])
+                    entries[(row, src)] = signed(m, i)
+        diffs[n] = Matrix.assemble(field, rows, cols, entries)
+    complete = N >= max(by_len) - 1 + top
+    return BlockComplex(field, blocks, diffs, lower=lo, check=True,
+                        certified_degree=min_certified(None if complete else N - 1, cert))
 
 
 def reduced_hypercohomology(F: Sheaf, N: int) -> Hypercohomology:
-    """R = `strict_chain_sheaf(F, N)` and ρ_F : F -> R; ρ_x, validated as a
-    chain map, inserts r_{x->y} on each 0-chain (y) as η does."""
-    R = strict_chain_sheaf(F, N)
+    """R = `normalized_hypercohomology_sheaf(F, N)` and ρ_F : F -> R; ρ_x,
+    validated as a chain map, inserts r_{x->y} on each 0-chain (y) as η does."""
+    R = normalized_hypercohomology_sheaf(F, N)
     rho = SheafMap.from_blocks(F, R, lambda x, n: Matrix.assemble(
         F.field, R.stalks[x].blocks[n], [F.stalk(x).dim(n)],
-        {(c, 0): F.restriction(x, c[1][0]).component(n) for c in R.stalks[x].blocks[n] if c[0] == 0}))
+        {(c, 0): F.restriction(x, c[-1]).component(n) for c in R.stalks[x].blocks[n] if c[0] == 0}))
     for f in rho.components.values():
         f.validate()
     return Hypercohomology(None, R, rho)
 
 
 def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
-    """ι_F : reduced model -> H_X(F), matching strict chains to their slots."""
+    """ι_F : N H_X(F) -> H_X(F), matching strict chains to their slots."""
     res = hyper.resolution
 
     def block(x, n):
-        # columns: strict chains; rows: flattened weak-chain slots of H_x
+        # columns: strict-chain slots; rows: flattened weak-chain slots of H_x
         cols = R.stalk(x).blocks[n]
         rows = Layout(((p, chain), d) for (p, q) in hyper.H.stalk(x).blocks[n]
                       for chain, (_, d) in t_chain_layout(res.level(p), x, q).items())
-        if any(rows[c][1] != d for c, (_, d) in cols.items()):
+        if any(rows[(p, c)][1] != d for (p, _, c, _), (_, d) in cols.items()):
             raise InvariantError("reduced model block mismatch")
-        return rows.inclusion(F.field, cols)
+        return rows.inclusion(F.field, [(p, c) for p, _, c, _ in cols])
     iota = SheafMap.from_blocks(R, hyper.H, block)
     for f in iota.components.values():
         f.validate()
@@ -553,8 +625,9 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
 
     Both modes return equivalence_check(ρ_M, "global") for a model M of
     H_X(H_X F): M = H_X(H_X F) in mode="literal", feasible on small posets
-    only, and reads `hyper`; in mode="reduced", M is `reduced_hypercohomology`
-    at N - 1 of the strict-chain model R at N (`strict_chain_sheaf`, no ρ).
+    only, and reads `hyper`; in mode="reduced", M = N H_X R at N - 1 with
+    its ρ (`reduced_hypercohomology`), for R = N H_X F at N
+    (`normalized_hypercohomology_sheaf`, no ρ).
     A section of M over U is fixed by its value at each chain's first vertex,
     so Γ(U, M) is the strict replacement of R over U and Γ(U, ρ) its
     coaugmentation; that per-open route is the reference in
@@ -571,7 +644,7 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
     if mode == "literal":
         M = hypercohomology_sheaf((hyper or hypercohomology_sheaf(F, N)).H, N)
     else:
-        M = reduced_hypercohomology(strict_chain_sheaf(F, N), N - 1)
+        M = reduced_hypercohomology(normalized_hypercohomology_sheaf(F, N), N - 1)
     rep = equivalence_check(M.rho, "global")
     rep.mode = mode
     return rep
@@ -581,16 +654,23 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
 
 
 def derived_sections(F: Sheaf, U, N: int, hyper: Hypercohomology | None = None):
-    """RΓ(U, F) = Γ(U, H_X(F)); returns (SectionComplex, betti dict).
+    """RΓ(U, F) = Γ(U, N H_X(F)); returns (SectionComplex, betti dict).
 
-    H_X(F) is a `HypercohomologySheaf`, so on an open without a minimum the
-    sections take the chain route: the betti numbers are those of the
+    N H_X(F) (`normalized_hypercohomology_sheaf`) is built from strict-chain
+    labels, with no Godement resolution, and on an open without a minimum
+    its sections take the chain route: the betti numbers are those of the
     section complex read off the labels, with no constraint system, product
-    or kernel, and the basis is built only if the caller reads it.
+    or kernel, and the basis is built only if the caller reads it.  Where
+    every stalk is complete (N >= height + top degree) the result certifies
+    every degree, otherwise N - 1.  Given `hyper`, a `hypercohomology_sheaf`
+    of F at N, the sections are Γ(U, H_X F) instead, certified through
+    N - 1.  N below the top degree raises InsufficientLevels.
     """
     if hyper is None:
-        hyper = hypercohomology_sheaf(F, N)
-    sec = sections(hyper.H, U)
+        F.require_truncation(N)
+        sec = sections(normalized_hypercohomology_sheaf(F, N), U)
+    else:
+        sec = sections(hyper.H, U)
     return sec, sec.betti()
 
 
@@ -661,7 +741,8 @@ def descent_spectral_sequence(F: Sheaf, U, r_max: int, N: int):
 
 def independent_e2_dims(F: Sheaf, U, N: int) -> dict:
     """dim H^p Γ(U, G•(H^q F)), the independent E_2: as H^q F sits in degree q, the
-    betti number of RΓ(U, H^q F) in degree p + q, certified for p + q <= N - 1."""
+    betti number of RΓ(U, H^q F) in degree p + q, through the normalized
+    resolution (`derived_sections`), certified for p + q <= N - 1 at least."""
     return {(n - q, q): b for q in range(F.lower, F.top_degree + 1)
             for n, b in derived_sections(cohomology_sheaf(F, q), U, N)[1].items()}
 

@@ -127,9 +127,9 @@ def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> BlockComplex:
 
     A truncation N below the top degree of F is refused with
     InsufficientLevels, as RΓ through the Godement resolution refuses it.
-    (`replacement_complex` itself accepts it: the reduced Thomason check
-    builds the strict-chain model of the reduced model R one degree below
-    R's own truncation.)
+    (`replacement_complex` itself accepts it: the per-open reference of the
+    reduced Thomason check builds the strict replacement of R = N H_X F one
+    degree below R's own truncation.)
     """
     F.require_truncation(N)
     return replacement_complex(F, N, strict=strict)

@@ -7,6 +7,8 @@ construction of a random automorphism, which the fast one must reproduce.
 `reference_transport`, `reference_direct_sum` and `reference_coface_sum`
 are the eager constructions that the generated diagrams must reproduce:
 every arrow built at once, and each coface sum added up from the cofaces.
+`reference_normalization` is the normalized level of a cosimplicial complex
+by kernels, which the strict-chain slots of the Godement resolution must span.
 """
 
 from fractions import Fraction
@@ -166,6 +168,19 @@ def reference_coface_sum(X, p, q):
         m = X.coface(p, i).component(q)
         out = out + (m if i % 2 == 0 else m.scale(-1))
     return out
+
+
+def reference_normalization(X, p, q):
+    """∩_j ker s^j of level p of the cosimplicial complex X in internal
+    degree q, j = 0..p-1: one kernel of the stacked codegeneracies out of
+    level p (the whole level for p = 0)."""
+    stacked = None
+    for j in range(p):
+        m = X.codegeneracy(p - 1, j).component(q)
+        stacked = m if stacked is None else stacked.vstack(m)
+    if stacked is None:
+        return Subspace.full(X.field, X.level(p).dim(q))
+    return kernel(stacked)
 
 
 # the structure-map families of each diagram class; every other arrow of

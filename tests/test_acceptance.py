@@ -14,7 +14,7 @@ from pathlib import Path
 
 from godex.complexes import random_complex, random_map, single_complex
 from godex.cosimplicial import check_descent_axioms
-from godex.exactlin import GF
+from godex.exactlin import GF, QQ
 from godex.filtered import (
     decalage, decalage_levelwise, deligne_reindex, er_page, filtered_simple,
     filtrations_equal, random_filtered_complex, random_filtered_cosimplicial,
@@ -86,16 +86,16 @@ def test_criterion_03_ground_truth_cohomology():
     t0 = time.time()
     k = single_complex(F5, 0, 1)
     P = pseudocircle_poset()
-    _, betti = derived_sections(constant_sheaf(P, k), frozenset(P.elements), 4)
-    assert betti == {0: 1, 1: 1}
+    sec, betti = derived_sections(constant_sheaf(P, k), frozenset(P.elements), 4)
+    assert betti == {0: 1, 1: 1} and sec.certified_degree is None
     assert constant_cohomology(P, F5, k, 4) == {0: 1, 1: 1}
     S2 = pseudosphere_poset()
-    _, betti = derived_sections(constant_sheaf(S2, k), frozenset(S2.elements), 4)
-    assert betti == {0: 1, 2: 1}
+    sec, betti = derived_sections(constant_sheaf(S2, k), frozenset(S2.elements), 4)
+    assert betti == {0: 1, 2: 1} and sec.certified_degree is None
     assert constant_cohomology(S2, F5, k, 4) == {0: 1, 2: 1}
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    report(3, t0, "pseudocircle {0:1,1:1}, pseudo-2-sphere {0:1,2:1}")
+    report(3, t0, "pseudocircle {0:1,1:1}, pseudo-2-sphere {0:1,2:1}, every degree certified")
 
 
 def test_criterion_04_oracle_equivalence():
@@ -105,7 +105,13 @@ def test_criterion_04_oracle_equivalence():
         sec, betti = derived_sections(F, frozenset(F.poset.elements), N)
         oracle_betti = holim_replacement(F, N).betti()
         assert betti == oracle_betti, (name, t, betti, oracle_betti)
-    report(4, t0, "derived sections == holim replacement on every suite instance")
+    S2 = pseudosphere_poset()
+    F = random_sheaf(S2, QQ, 7, max_dim=2, span=3)
+    N = F.top_degree + 3
+    betti = derived_sections(F, frozenset(S2.elements), N)[1]
+    assert betti == holim_replacement(F, N).betti(), betti
+    report(4, t0, "derived sections == holim replacement on every suite instance, "
+                  "and on a pseudosphere sheaf over Q")
 
 
 def test_criterion_05_skyscraper_acyclicity():

@@ -145,15 +145,18 @@ def test_b3_reduced_inclusion_is_equivalence(f5):
 
 def test_b3_reduced_rho_is_the_replacement_coaugmentation(f5):
     # on every ↑x, ρ of the strict model is the oracle's coaugmentation
-    # Γ(↑x, F) = F_x -> strict replacement of F over ↑x
+    # Γ(↑x, F) = F_x -> strict replacement of F over ↑x, whose matrices
+    # the stalk of the strict model equals
     for make in ALL_POSETS:
         P = make()
         for seed in (7, 8):
             F = random_sheaf(P, f5, seed, max_dim=2, span=2)
-            red = reduced_hypercohomology(F, F.top_degree + 2)
+            N = F.top_degree + 2
+            red = reduced_hypercohomology(F, N)
             for x in P.elements:
-                eps_x = coaugmentation_into_replacement(F, sections(F, P.up_set(x)),
-                                                        red.H.stalk(x))
+                repl = replacement_complex(F, N, strict=True, within=P.up_set(x))
+                assert red.H.stalk(x) == repl
+                eps_x = coaugmentation_into_replacement(F, sections(F, P.up_set(x)), repl)
                 assert red.rho.component(x) == eps_x
 
 

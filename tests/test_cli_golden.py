@@ -16,7 +16,7 @@ from pathlib import Path
 from godex import cli
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-DIGEST = "1a7ab02b4e03514246866ae39f436191069ec2c11e8885d160de07e1186b5c57"
+DIGEST = "0c2a7e8fd42bd378b70177eaef1dd4e9bd80d2ab253a9607ee33985076972723"
 
 FILE_COMMANDS = (
     ("cohomology",),

@@ -103,10 +103,13 @@ def test_section_betti_ranks_match_basis_over_q():
 
 
 def test_derived_sections_builds_no_basis(monkeypatch):
-    """Derived sections and `descent_double_complex` on H_X F take the chain
-    route: they assemble no constraint system and call no `rref` or
-    `kernel_matrix`, except the ranks of the section differentials, which
-    here eliminate through the dense `rref` only."""
+    """Without `hyper`, derived sections take the chain route on N H_X F:
+    they build no Godement resolution and no T-level, assemble no
+    constraint system and call no `rref` or `kernel_matrix`, except the
+    ranks of the section differentials, which here eliminate through the
+    dense `rref` only.  `descent_double_complex` takes the chain route on
+    H_X F the same way."""
+    import godex.godement as gm
     import godex.site as site
     P = pseudosphere_poset()
     F = random_sheaf(P, F5, 1000 * len("pseudosphere") + 1, max_dim=2, span=3)
@@ -117,17 +120,20 @@ def test_derived_sections_builds_no_basis(monkeypatch):
     want = sections(Sheaf(P, F5, H.stalks, H.restrictions, check=False), X).complex.betti()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a constraint system or a kernel was built")
+        raise AssertionError("a resolution, a T-level, a constraint system or a kernel was built")
     rref = Matrix.rref
     monkeypatch.setattr(site, "_constraint_system", refuse)
     monkeypatch.setattr(Matrix, "kernel_matrix", refuse)
     monkeypatch.setattr(Matrix, "rref", refuse)
     monkeypatch.setattr(Matrix, "rank", lambda self: len(rref(self)[1]))
-    sec, betti = derived_sections(F, X, N, hyper=hyper)
-    assert betti == want and sec.chain
-    assert sec.certified_degree == N - 1
     FC, total = descent_double_complex(hyper, X, N)
     assert total.betti() == want
+    monkeypatch.setattr(gm, "godement_resolution", refuse)
+    monkeypatch.setattr(gm, "apply_T", refuse)
+    sec, betti = derived_sections(F, X, N)
+    assert betti == want and sec.chain
+    # N exceeds the height of the pseudosphere plus the top degree
+    assert sec.certified_degree is None
 
 
 def test_rank_guard_rejects_a_restriction_that_is_not_a_chain_map():

@@ -18,8 +18,8 @@ def test_library_checks_are_not_assert_statements():
     assert not found, found
 
 
-def test_godement_imports_only_replacement_complex_from_oracle():
-    # the Godement route shares one construction with the independent oracle
+def test_godement_imports_nothing_from_oracle():
+    # the Godement route shares no construction with the independent oracle
     tree = ast.parse((SRC / "godement.py").read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -28,7 +28,7 @@ def test_godement_imports_only_replacement_complex_from_oracle():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {"module oracle" for alias in node.names
                          if alias.name.split(".")[-1] == "oracle"}
-    assert imported == {"replacement_complex"}
+    assert imported == set()
 
 
 def test_site_imports_nothing_from_godement_cosimplicial_or_oracle():
