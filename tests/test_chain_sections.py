@@ -1,8 +1,8 @@
 """The chain route of Γ(U, H_X F) against the constraint route it replaces.
 
-`sections` reads the sections of a `LabelledSheaf` off its labels: one basis
-block per label whose home lies in U, and the differential from the unit
-rows of the stalk differentials.  A plain `Sheaf` with the same stalks and
+`sections` reads the sections of a `LabelledSheaf` (H_X F and N H_X F) off
+its labels: one basis block per label whose home lies in U, and the
+differential from the unit rows of the stalk differentials.  A plain `Sheaf` with the same stalks and
 restrictions takes the constraint route (the kernel of the cover
 constraints), which stays the reference: the two must agree exactly, basis,
 unit rows, complex, evaluations and betti numbers.  The route's guard, that
@@ -16,7 +16,9 @@ from godex.complexes import ChainMap
 from godex.cosimplicial import TotalComplex
 from godex.errors import InvariantError, NotContained
 from godex.exactlin import GF, QQ, Matrix
-from godex.godement import HypercohomologySheaf, hypercohomology_sheaf
+from godex.godement import (
+    HypercohomologySheaf, hypercohomology_sheaf, normalized_hypercohomology_sheaf,
+)
 from godex.site import STANDARD_POSETS, Poset, Sheaf, random_sheaf, sections
 
 F5 = GF(5)
@@ -52,8 +54,8 @@ def _assert_routes_agree(H):
 
 @pytest.mark.parametrize("name", list(STANDARD_POSETS))
 def test_chain_route_equals_constraint_route_on_criterion_2_sheaves(name):
-    # H_X F at the criterion-2 bound N = 6; on the pseudosphere its stalks
-    # run to thousands of dimensions
+    # H_X F and N H_X F at the criterion-2 bound N = 6; on the pseudosphere
+    # the stalks of H_X F run to thousands of dimensions
     P = STANDARD_POSETS[name]()
     chained = 0
     for t in range(4):
@@ -61,7 +63,8 @@ def test_chain_route_equals_constraint_route_on_criterion_2_sheaves(name):
         H = hypercohomology_sheaf(F, 6).H
         assert isinstance(H, HypercohomologySheaf)
         chained += _assert_routes_agree(H)
-    assert chained == 4 * len(_without_minimum(P))
+        chained += _assert_routes_agree(normalized_hypercohomology_sheaf(F, 6))
+    assert chained == 8 * len(_without_minimum(P))
 
 
 @pytest.mark.parametrize("name", ["point", "sierpinski", "chain3", "pseudocircle"])

@@ -10,7 +10,8 @@ alone.  It must equal, matrix for matrix:
 The strict slots must also span ∩_j ker s^j of the Godement resolution,
 computed by kernels (`conftest.reference_normalization`).  Derived sections
 through N H_X F must agree with the unnormalized route, and the chain route
-must refuse a restriction that is not a projection onto labels.
+must refuse a restriction that is not a projection onto labels
+(tests/test_chain_sections.py compares that route with the constraint route).
 """
 
 import pytest
@@ -24,7 +25,7 @@ from godex.godement import (
     normalized_hypercohomology_sheaf, t_chain_layout,
 )
 from godex.oracle import replacement_complex
-from godex.site import STANDARD_POSETS, Sheaf, random_sheaf, sections
+from godex.site import STANDARD_POSETS, random_sheaf, sections
 
 F5 = GF(5)
 
@@ -126,19 +127,6 @@ def test_derived_sections_agree_with_the_unnormalized_route(name):
             else:
                 assert sec.certified_degree == N - 1
     assert whole
-
-
-def test_the_chain_route_of_the_normalized_sheaf_is_the_constraint_route():
-    # the labels give the same sections as the kernel of the cover constraints
-    for name in ("pseudocircle", "pseudosphere"):
-        P = STANDARD_POSETS[name]()
-        F = random_sheaf(P, F5, 1000 * len(name), max_dim=2, span=3)
-        NH = normalized_hypercohomology_sheaf(F, F.top_degree + 2)
-        plain = Sheaf(P, F5, NH.stalks, NH.restrictions, check=False)
-        for U in P.up_sets():
-            if U:
-                got, want = sections(NH, U), sections(plain, U)
-                assert got.complex == want.complex and got.betti() == want.betti()
 
 
 def test_a_changed_restriction_entry_is_refused_on_the_chain_route():
