@@ -67,7 +67,6 @@ from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix, units_minus_blocks
 from .site import (
     LabelledSheaf, MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map,
-    sections_quis,
 )
 
 
@@ -458,18 +457,12 @@ def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
     kind="global": quasi-isomorphism on the sections over every open
     (enumerated up to the cap unless `opens` is supplied).
 
-    A global check builds no section basis on an open without a minimum
-    (`site.sections_quis`): with S the cover-constraint systems (no rows on
-    an open without a cover relation) and F_n the block-diagonal f_x^n, the
-    cone differential of `is_quis` has rank
-
-        rank φ_n = rank[[S_s^n, 0], [0, S_t^{n-1}], [D_s^n, 0], [F_n, D_t^{n-1}]]
-                   - rank S_s^n - rank S_t^{n-1}
-
-    on Γ_s^n ⊕ Γ_t^{n-1}, and NotContained is raised, as `sections_map`
-    raises it, when rank[S_s^n; S_t^n F_n] != rank S_s^n.  On ∅ and on an
-    open with a minimum the check is is_quis(sections_map(f, U)), which
-    stays the reference of the rank path.
+    A global check decides each open U by is_quis(sections_map(f, U)).
+    Between `LabelledSheaf`s (H_X F, H_X(H_X F), N H_X F and N H_X R of
+    both Thomason modes) the sections take the chain route, with no
+    constraint system; on plain sheaves they take the constraint route.
+    Either way `sections_map` raises NotContained for stalk maps that do
+    not commute with the restrictions.
     """
     poset = f.source.poset
     witnesses = []
@@ -483,7 +476,7 @@ def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
         if opens is None:
             opens = poset.up_sets()
         for U in opens:
-            r = sections_quis(f, U)
+            r = is_quis(sections_map(f, U))
             cert = min_certified(cert, r.certified_degree)
             label = tuple(sorted(map(str, U)))
             witnesses.extend((label, n) for n in r.failures())
@@ -661,10 +654,11 @@ def derived_sections(F: Sheaf, U, N: int, hyper: Hypercohomology | None = None):
     its sections take the chain route: the betti numbers are those of the
     section complex read off the labels, with no constraint system, product
     or kernel, and the basis is built only if the caller reads it.  Where
-    every stalk is complete (N >= height + top degree) the result certifies
-    every degree, otherwise N - 1.  Given `hyper`, a `hypercohomology_sheaf`
-    of F at N, the sections are Γ(U, H_X F) instead, certified through
-    N - 1.  N below the top degree raises InsufficientLevels.
+    every stalk over U is complete (N >= height of ↑x + top degree) the
+    result certifies every degree, otherwise N - 1.  Given `hyper`, a
+    `hypercohomology_sheaf` of F at N, the sections are Γ(U, H_X F)
+    instead, certified through N - 1.  N below the top degree raises
+    InsufficientLevels.
     """
     if hyper is None:
         F.require_truncation(N)

@@ -13,9 +13,8 @@ restrictions keep, so Γ(U, F) has one basis block per label whose home lies
 in U: `sections` reads that basis and the differential off the labels, after
 checking each cover restriction (the chain route of `SectionComplex`).  The
 sections of every other sheaf are an equalizer, the kernel of the cover
-constraints: their betti numbers are read from ranks of the constraint
-systems, and the kernel basis is built only when a caller needs the section
-complex itself.
+constraints, built on first access; that constraint route is the reference
+of the chain route.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    ChainMap, CochainComplex, DiagramMap, QuisReport, betti_from_ranks, conjugate, direct_sum,
-    is_quis, mapping_cone, min_certified, random_complex, random_map, zero_complex,
+    ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone, min_certified,
+    random_complex, random_map, zero_complex,
 )
 from .errors import (
     FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained, NotMonotone,
@@ -33,7 +32,6 @@ from .errors import (
 from .exactlin import Field, Layout, Matrix, Subspace, free_columns
 
 UP_SET_ENUMERATION_CAP = 12
-_NO_FAMILIES = Layout()
 
 
 class Poset:
@@ -368,21 +366,19 @@ class SectionComplex:
         r_{a→b} is the 0/1 projection onto b's labels and commutes with the
         stalk differentials (`_check_projections`, NotContained if not), so
         the complex is the stalks' restricted to Γ;
-      * otherwise, when U has a cover relation, `systems[n]` is the
-        cover-constraint system S_n of degree n (no entry when the stalks
-        over U vanish in degree n), the basis spans ker S_n and the unit
-        rows are its free rows;
-      * with no system, Γ^n is every family.
+      * otherwise, when U has a cover relation, the basis spans the kernel
+        of the cover-constraint system of degree n (`_constraint_system`)
+        and the unit rows are its free rows: the constraint route, which
+        stays the reference of the chain route;
+      * with no cover relation, Γ^n is every family.
 
-    `betti()` needs no section basis: the chain route reads it off its
-    complex, and otherwise, with D_n the block-diagonal stalk differential,
-    dim Γ^n = cols(S_n) - rank S_n and d has rank rank[S_n; D_n] - rank S_n
-    on Γ^n.  The systems, the chain data, the complex and the evaluations
-    are each built on first access.
+    The chain data, the spaces, the complex and the evaluations are each
+    built on first access.  On an open without a minimum, Γ(U, F) is
+    certified through the least certified degree of the stalks over U.
     """
 
-    __slots__ = ("sheaf", "open_set", "layouts", "minimum", "chain", "_systems", "_chains",
-                 "_spaces", "_complex", "_evaluations", "_betti")
+    __slots__ = ("sheaf", "open_set", "layouts", "minimum", "chain", "_chains", "_spaces",
+                 "_complex", "_evaluations")
 
     def __init__(self, sheaf, open_set, layouts, minimum):
         self.sheaf = sheaf
@@ -390,9 +386,9 @@ class SectionComplex:
         self.layouts = layouts
         self.minimum = minimum
         self.chain = minimum is None and bool(open_set) and isinstance(sheaf, LabelledSheaf)
-        self._systems = self._chains = None
+        self._chains = None
         self._spaces = {}
-        self._complex = self._evaluations = self._betti = None
+        self._complex = self._evaluations = None
         if minimum is not None:
             self._complex = sheaf.stalk(minimum)
             self._evaluations = {y: sheaf.restriction(minimum, y) for y in open_set}
@@ -420,19 +416,9 @@ class SectionComplex:
         return self._evaluations
 
     @property
-    def systems(self) -> dict:
-        """n -> S_n, one row block per cover x ⋖ y in U (`_constraint_system`)."""
-        if self._systems is None:
-            F, U = self.sheaf, self.open_set
-            constraints = [] if self.minimum is not None else _covers_in(F.poset, U)
-            self._systems = {n: _constraint_system(F, constraints, layout, n)
-                             for n, layout in self.layouts.items() if constraints and layout.dim}
-        return self._systems
-
-    @property
     def certified_degree(self) -> int | None:
         if self._complex is None:
-            return self.sheaf.certified_degree
+            return min_certified(*(self.sheaf.stalk(x).certified_degree for x in self.open_set))
         return self._complex.certified_degree
 
     def evaluation(self, x) -> ChainMap:
@@ -454,9 +440,10 @@ class SectionComplex:
                 cols, units = self._chain_data()[n]
                 S = Subspace(F.field, layout.dim,
                              Matrix.identity(F.field, len(units)).take_rows(cols), units)
-            elif n in self.systems:
-                R, pivots = self.systems[n].rref()
-                S = Subspace(F.field, layout.dim, self.systems[n].kernel_matrix(reduced=(R, pivots)),
+            elif covers := _covers_in(F.poset, self.open_set):
+                system = _constraint_system(F, covers, layout, n)
+                R, pivots = system.rref()
+                S = Subspace(F.field, layout.dim, system.kernel_matrix(reduced=(R, pivots)),
                              free_columns(layout.dim, pivots))
             else:
                 S = Subspace.full(F.field, layout.dim)
@@ -469,15 +456,7 @@ class SectionComplex:
         return self.space(n).coords_of(stacked)
 
     def betti(self) -> dict:
-        """The betti numbers of Γ(U, F) in the degrees `CochainComplex.betti()`
-        reads.  On the constraint route from ranks (`_rank_betti`) while the
-        complex is not built and U has a cover relation; otherwise off the
-        complex, which the chain route builds from its labels."""
-        if self._complex is not None or self.chain or not self.systems:
-            return self.complex.betti()
-        if self._betti is None:
-            self._betti = _rank_betti(self.sheaf, self.layouts, self.systems)
-        return self._betti
+        return self.complex.betti()
 
     def _chain_data(self) -> dict:
         """n -> (the basis column of each family row, the unit rows) of the
@@ -522,11 +501,13 @@ class SectionComplex:
             dims = {n: self.space(n).dim for n in layouts}
 
             def differential(n):
-                D = _stalk_differential(F, layouts, n)
+                # D_n: the stalk differentials d_x^n, block-diagonal
+                D = Matrix.assemble(F.field, layouts[n + 1], layouts[n],
+                                    {(x, x): F.stalk(x).d(n) for x in layouts[n]})
                 return self.coordinates(n + 1, D @ self.space(n).basis)
         diffs = {n: differential(n) for n in range(lo, hi) if dims[n] and dims[n + 1]}
         self._complex = CochainComplex(F.field, dims, diffs, lower=lo,
-                                       certified_degree=F.certified_degree, check=not self.chain)
+                                       certified_degree=self.certified_degree, check=not self.chain)
 
 
 def _covers_in(poset: Poset, U) -> list:
@@ -601,58 +582,6 @@ def _constraint_system(F: Sheaf, constraints, layout: Layout, n: int) -> Matrix:
     return Matrix.assemble(field, rows, layout, entries)
 
 
-def _stalk_differential(F: Sheaf, layouts: dict, n: int) -> Matrix:
-    """D_n: the stalk differentials d_x^n, block-diagonal on the layouts (no
-    rows or no columns in a degree without a layout)."""
-    rows, cols = layouts.get(n + 1, _NO_FAMILIES), layouts.get(n, _NO_FAMILIES)
-    return Matrix.assemble(F.field, rows, cols,
-                           {(x, x): F.stalk(x).d(n) for x in cols if x in rows})
-
-
-def _system(F: Sheaf, layouts: dict, systems: dict, n: int) -> Matrix:
-    """S_n, or a system with no rows where every family is a section: an
-    open without a cover relation, or a degree without families."""
-    S = systems.get(n)
-    return S if S is not None else Matrix.zeros(F.field, 0, layouts.get(n, _NO_FAMILIES).dim)
-
-
-def _section_ranks(F: Sheaf, layouts: dict, systems: dict, top: int | None):
-    """(rank S_n, dim Γ^n, rank of d on Γ^n) of Γ^n = ker S_n, by ranks.
-
-    dim Γ^n = cols(S_n) - rank S_n, and d has rank rank[S_n; D_n] - rank S_n
-    on Γ^n, read in the degrees n <= `top` (every degree for None) where
-    Γ^n and Γ^{n+1} are nonzero.  In each degree with Γ^n and S_{n+1}
-    nonzero, the guard rank[S_n; S_{n+1} D_n] == rank S_n says that D_n
-    maps Γ^n into Γ^{n+1}; it is the rank form of the membership check of
-    the basis path, and NotContained is raised when it fails.
-    """
-    lo, hi = min(layouts), max(layouts)
-    rank_s = {n: S.rank() for n, S in systems.items()}
-    dims = {n: layouts[n].dim - rank_s.get(n, 0) for n in range(lo, hi + 1)}
-    ranks = {}
-    for n in range(lo, hi):
-        guard = n + 1 in systems
-        read = dims[n + 1] and (top is None or n <= top)
-        if dims[n] == 0 or not (guard or read):
-            continue
-        S, D = _system(F, layouts, systems, n), _stalk_differential(F, layouts, n)
-        if guard and S.vstack(systems[n + 1] @ D).rank() != rank_s.get(n, 0):
-            raise NotContained("family is not a compatible family of sections")
-        if read:
-            ranks[n] = S.vstack(D).rank() - rank_s.get(n, 0)
-    return rank_s, dims, ranks
-
-
-def _rank_betti(F: Sheaf, layouts: dict, systems: dict) -> dict:
-    """Betti numbers of Γ^n = ker S_n under the stalk differentials, by ranks
-    (`_section_ranks`): betti^n = dim Γ^n - rank d^n - rank d^{n-1}
-    (`betti_from_ranks`, the helper behind `CochainComplex.betti()` of the
-    section complex), in the degrees up to the certified one."""
-    cert = F.certified_degree
-    _, dims, ranks = _section_ranks(F, layouts, systems, cert)
-    return betti_from_ranks(dims, ranks, min(layouts), cert)
-
-
 def _unique_minimum(poset: Poset, U: frozenset):
     for x in U:
         if all(poset.leq(x, y) for y in U):
@@ -675,10 +604,10 @@ def sections(F: Sheaf, U) -> SectionComplex:
     Otherwise this builds nothing yet (see `SectionComplex`): for a
     `LabelledSheaf`, the basis and the differential are read off the labels
     on first access, after a check of the cover restrictions (the chain
-    route); for any other sheaf, the betti numbers are read from ranks of
-    the cover-constraint systems, and the basis (their kernel) and the
-    differential (the coordinates of d applied to that basis) are built on
-    first access.  No linear system is solved.
+    route); for any other sheaf, the basis (the kernel of the cover
+    constraints) and the differential (the coordinates of d applied to that
+    basis, each a membership check) are built on first access.  No linear
+    system is solved.
     """
     poset = F.poset
     U = poset.require_open(U)
@@ -726,73 +655,6 @@ def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
         return f.component(sec_s.minimum)
     return _map_into(sec_s.complex, sec_t,
                      lambda x, n: f.component(x).component(n) @ sec_s.evaluation(x).component(n))
-
-
-def sections_quis(f: SheafMap, U) -> QuisReport:
-    """is_quis(sections_map(f, U)): the same verdict per degree and the same
-    certified degree, without the section bases where U has no minimum.
-
-    On ∅ and on an open with a minimum this is that reference path.
-    Otherwise Γ(U, -) is ker S for the cover-constraint systems S (S has no
-    rows where U has no cover relation), and every rank is read from the
-    systems (`_section_ranks`, with its guard), with F_n the
-    block-diagonal matrix of the f_x^n on the stalk layouts:
-      * containment: F_n maps Γ_s^n into Γ_t^n iff rank[S_s^n; S_t^n F_n] ==
-        rank S_s^n, checked in every degree with Γ_s^n and S_t^n nonzero;
-        this is the check of `sections_map`, which raises NotContained for
-        a family of stalk maps that does not commute with the restrictions,
-        and so does this path;
-      * the cone differential of `is_quis` has rank
-        rank φ_n = rank[[S_s^n, 0], [0, S_t^{n-1}], [D_s^n, 0], [F_n, D_t^{n-1}]]
-                   - rank S_s^n - rank S_t^{n-1}
-        on Γ_s^n ⊕ Γ_t^{n-1}, and H^n(Γf) is an iso iff the betti numbers
-        agree and rank φ_n - rank d_s^n = dim Γ_t^n - rank d_t^n.
-    The components f_x are taken to be chain maps, as `is_quis` takes f.
-    """
-    sec_s, sec_t = sections(f.source, U), sections(f.target, U)
-    if sec_s.minimum is not None or not sec_s.open_set:
-        return is_quis(sections_map(f, U, sec_s, sec_t))
-    src, tgt = f.source, f.target
-    Ls, Lt, Ss, St = sec_s.layouts, sec_t.layouts, sec_s.systems, sec_t.systems
-    cert = min_certified(sec_s.certified_degree, sec_t.certified_degree)
-    rank_ss, dims_s, ranks_s = _section_ranks(src, Ls, Ss, cert)
-    rank_st, dims_t, ranks_t = _section_ranks(tgt, Lt, St, cert)
-
-    fam = {}
-
-    def family_map(n):
-        if n not in fam:
-            fam[n] = Matrix.assemble(src.field, Lt[n], Ls[n],
-                                     {(x, x): f.component(x).component(n) for x in Ls[n]})
-        return fam[n]
-    for n in Ls:
-        if dims_s[n] and n in St and \
-                _system(src, Ls, Ss, n).vstack(St[n] @ family_map(n)).rank() != rank_ss.get(n, 0):
-            raise NotContained("vectors are not in the subspace")
-
-    def upper(dims, lo):
-        return max((n for n, d in dims.items() if d), default=lo)
-    lo = min(min(Ls), min(Lt))
-    hi = max(upper(dims_s, min(Ls)), upper(dims_t, min(Lt)))
-    if cert is not None:
-        hi = min(hi, cert)
-    per = {}
-    for n in range(lo, hi + 1):
-        bs = dims_s.get(n, 0) - ranks_s.get(n, 0) - ranks_s.get(n - 1, 0)
-        bt = dims_t.get(n, 0) - ranks_t.get(n, 0) - ranks_t.get(n - 1, 0)
-        if bs != bt or bs == 0:
-            per[n] = bs == bt
-            continue
-        s_n, t_m = _system(src, Ls, Ss, n), _system(tgt, Lt, St, n - 1)
-        d_s, d_t = _stalk_differential(src, Ls, n), _stalk_differential(tgt, Lt, n - 1)
-        rows = Layout([("S_s", s_n.rows), ("S_t", t_m.rows), ("D_s", d_s.rows), ("F", d_t.rows)])
-        cols = Layout([("s", s_n.cols), ("t", t_m.cols)])
-        phi = Matrix.assemble(src.field, rows, cols,
-                              {("S_s", "s"): s_n, ("S_t", "t"): t_m, ("D_s", "s"): d_s,
-                               ("F", "s"): family_map(n), ("F", "t"): d_t})
-        rank_phi = phi.rank() - rank_ss.get(n, 0) - rank_st.get(n - 1, 0)
-        per[n] = rank_phi - ranks_s.get(n, 0) == dims_t[n] - ranks_t.get(n, 0)
-    return QuisReport(all(per.values()), per, cert)
 
 
 def check_sheaf_equalizer(F: Sheaf, U, cover) -> bool:

@@ -9,6 +9,8 @@ are the eager constructions that the generated diagrams must reproduce:
 every arrow built at once, and each coface sum added up from the cofaces.
 `reference_normalization` is the normalized level of a cosimplicial complex
 by kernels, which the strict-chain slots of the Godement resolution must span.
+`plain_copy` is a labelled sheaf as a plain `Sheaf`, whose sections take the
+constraint route that the chain route must reproduce.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ import pytest
 from godex.complexes import ChainMap, CochainComplex, biproduct
 from godex.cosimplicial import BicosimplicialComplex, CosimplicialComplex
 from godex.exactlin import GF, QQ, Matrix, Subspace, kernel
+from godex.site import Sheaf
 
 
 @pytest.fixture
@@ -158,6 +161,11 @@ def reference_automorphism(field, n, rng):
         P[i][j] = 1
     g = Matrix(field, n, n, low) @ Matrix(field, n, n, up) @ Matrix(field, n, n, P)
     return g, g.inverse()
+
+
+def plain_copy(H):
+    """H with the same stalks and restrictions, as a plain Sheaf."""
+    return Sheaf(H.poset, H.field, H.stalks, H.restrictions, check=False)
 
 
 def reference_coface_sum(X, p, q):

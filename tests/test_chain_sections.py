@@ -19,14 +19,11 @@ from godex.exactlin import GF, QQ, Matrix
 from godex.godement import (
     HypercohomologySheaf, hypercohomology_sheaf, normalized_hypercohomology_sheaf,
 )
-from godex.site import STANDARD_POSETS, Poset, Sheaf, random_sheaf, sections
+from godex.site import STANDARD_POSETS, Poset, random_sheaf, sections
+
+from conftest import plain_copy
 
 F5 = GF(5)
-
-
-def _plain(H):
-    """H with the same stalks and restrictions, as a plain Sheaf."""
-    return Sheaf(H.poset, H.field, H.stalks, H.restrictions, check=False)
 
 
 def _without_minimum(P):
@@ -39,7 +36,7 @@ def _assert_routes_agree(H):
     for U in H.poset.up_sets():
         if not U:
             continue
-        got, want = sections(H, U), sections(_plain(H), U)
+        got, want = sections(H, U), sections(plain_copy(H), U)
         assert got.betti() == want.betti(), sorted(U)
         chained += got.chain
         for n in got.layouts:

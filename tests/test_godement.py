@@ -576,13 +576,16 @@ def test_thomason_auto_counts_chains_without_enumerating_them(f5, monkeypatch):
 
 
 def test_thomason_check_builds_no_section_basis(f5, monkeypatch):
-    # both modes decide every open from constraint ranks: criterion-2
-    # pseudosphere sheaf t = 0 in reduced mode, pseudocircle t = 4 literally
-    from godex.site import SectionComplex
+    # both modes decide every open on the chain route of labelled sheaves:
+    # no cover-constraint system is assembled and no kernel is taken, on the
+    # criterion-2 pseudosphere sheaf t = 0 in reduced mode and the
+    # pseudocircle t = 4 literally
+    import godex.site as site
 
-    def refuse(self):
-        raise AssertionError("SectionComplex._build called")
-    monkeypatch.setattr(SectionComplex, "_build", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constraint system or a kernel was built")
+    monkeypatch.setattr(site, "_constraint_system", refuse)
+    monkeypatch.setattr(Matrix, "kernel_matrix", refuse)
     for name, t, mode in (("pseudosphere", 0, "reduced"), ("pseudocircle", 4, "literal")):
         F = random_sheaf(STANDARD_POSETS[name](), f5, 1000 * len(name) + t, max_dim=2, span=3)
         rep = thomason_check(F, 6)

@@ -1,14 +1,17 @@
-"""The rank paths against the basis paths they replace.
+"""Fast paths against the reference paths they replace.
 
-Betti numbers of Γ(U, F) and global equivalence verdicts come from ranks of
-the cover-constraint systems (`SectionComplex.betti`, `sections_quis`), the
-E_r dims of every filtration from ranks of blocks of d in its adapted basis
-(`er_page`), the cycle spaces Z_r from kernels of those blocks, and
-E_r-quasi-isomorphism verdicts from ranks on them (`is_er_quis`).  Each is
-compared with the basis path it replaced, on inputs large enough to take the
-rank path, and each keeps its check: the membership guard of the sections,
-the containment check of a sections map, the zero-block check of
-`FilteredComplex`, and d_r ∘ d_r = 0 once the terms are built.
+Sections of labelled sheaves (H_X F, N H_X F) and the global equivalence
+verdicts on them are read off the chain basis (`site.sections`); a plain
+`Sheaf` copy takes the constraint route, the kernel of the cover
+constraints, which stays the reference: the two give the same betti
+numbers, certified degrees and per-degree verdicts.  The E_r dims of every
+filtration come from ranks of blocks of d in its adapted basis (`er_page`),
+the cycle spaces Z_r from kernels of those blocks, and E_r-quasi-isomorphism
+verdicts from ranks on them (`is_er_quis`).  Each is compared with the basis
+path it replaced, on inputs large enough to take the fast path, and each
+keeps its check: the guard of the chain route, the membership check of the
+constraint route, the containment check of a sections map, the zero-block
+check of `FilteredComplex`, and d_r ∘ d_r = 0 once the terms are built.
 """
 
 import random
@@ -29,16 +32,15 @@ from godex.filtered import (
     is_er_quis, random_filtered_complex,
 )
 from godex.godement import (
-    derived_sections, descent_double_complex, equivalence_check, hypercohomology_sheaf,
-    separation_witness,
+    HypercohomologySheaf, derived_sections, descent_double_complex, equivalence_check,
+    hypercohomology_map, hypercohomology_sheaf, separation_witness,
 )
 from godex.site import (
-    SectionComplex, Sheaf, SheafMap, chain_poset, constant_sheaf, point_poset,
-    pseudocircle_poset, pseudosphere_poset, random_sheaf, sections, sections_map, sections_quis,
-    sierpinski_poset, skyscraper,
+    LabelledSheaf, Sheaf, SheafMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
+    pseudosphere_poset, random_sheaf, sections, sections_map, sierpinski_poset, skyscraper,
 )
 
-from conftest import intersect, preimage
+from conftest import intersect, plain_copy, preimage
 
 F5 = GF(5)
 SUITE = {"point": point_poset, "sierpinski": sierpinski_poset, "chain3": lambda: chain_poset(3),
@@ -46,32 +48,29 @@ SUITE = {"point": point_poset, "sierpinski": sierpinski_poset, "chain3": lambda:
 
 
 def _compare_sections(F, N):
-    """Rank betti == basis betti of Γ(U, H_X(F)) on every open, both on a
-    plain `Sheaf` copy of H_X(F), which takes the constraint route, and
-    both equal to the chain route's betti on H_X(F) itself; returns the
-    number of opens that took the rank path."""
+    """The chain route's betti and certified degree of Γ(U, H_X(F)) on every
+    open equal those of the constraint route on a plain `Sheaf` copy of
+    H_X(F); returns the number of opens that took the chain route."""
     H = hypercohomology_sheaf(F, N).H
-    plain = Sheaf(H.poset, H.field, H.stalks, H.restrictions, check=False)
-    ranked = 0
+    plain = plain_copy(H)
+    chained = 0
     for U in F.poset.up_sets():
-        sec = sections(plain, U)
-        betti = sec.betti()
-        if sec._complex is None:
-            ranked += 1
-        assert betti == sections(plain, U).complex.betti() == sections(H, U).betti(), sorted(U)
-        assert sec.certified_degree == sections(plain, U).complex.certified_degree
-    return ranked
+        got, want = sections(H, U), sections(plain, U).complex
+        chained += got.chain
+        assert got.betti() == want.betti(), sorted(U)
+        assert got.certified_degree == want.certified_degree, sorted(U)
+    return chained
 
 
 @pytest.mark.parametrize("name", list(SUITE))
 def test_section_betti_ranks_match_basis_on_suite_sheaves(name):
     P = SUITE[name]()
-    ranked = 0
+    chained = 0
     for t in range(20):
         F = random_sheaf(P, F5, 1000 * len(name) + t, max_dim=2, span=3)
-        ranked += _compare_sections(F, F.top_degree + 3)
+        chained += _compare_sections(F, F.top_degree + 3)
     if name in ("pseudocircle", "pseudosphere"):
-        assert ranked >= 20
+        assert chained >= 20
 
 
 @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
@@ -90,16 +89,12 @@ def test_section_betti_ranks_match_basis_on_skyscrapers_and_constants(field):
 
 
 def test_section_betti_ranks_match_basis_over_q():
-    """Over Q the suite posets where H_X stays small, and the sheaves
-    themselves on the larger ones."""
-    for name, make in SUITE.items():
-        P = make()
+    """Over Q the suite posets where H_X stays small."""
+    for name in ("point", "sierpinski", "chain3"):
+        P = SUITE[name]()
         for t in range(2):
             F = random_sheaf(P, QQ, 1000 * len(name) + t, max_dim=2, span=2)
-            if name in ("point", "sierpinski", "chain3"):
-                _compare_sections(F, F.top_degree + 2)
-            for U in P.up_sets():
-                assert sections(F, U).betti() == sections(F, U).complex.betti()
+            _compare_sections(F, F.top_degree + 2)
 
 
 def test_derived_sections_builds_no_basis(monkeypatch):
@@ -116,8 +111,7 @@ def test_derived_sections_builds_no_basis(monkeypatch):
     N = F.top_degree + 3
     hyper = hypercohomology_sheaf(F, N)
     X = frozenset(P.elements)
-    H = hyper.H
-    want = sections(Sheaf(P, F5, H.stalks, H.restrictions, check=False), X).complex.betti()
+    want = sections(plain_copy(hyper.H), X).complex.betti()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a resolution, a T-level, a constraint system or a kernel was built")
@@ -136,12 +130,33 @@ def test_derived_sections_builds_no_basis(monkeypatch):
     assert sec.certified_degree is None
 
 
+def test_derived_sections_certify_the_stalks_over_the_open():
+    """Γ(U, F) is certified through the least certified degree of the stalks
+    over U, not over the whole poset: here N H_X F certifies every degree at
+    u and at v but only degree 0 at a and b."""
+    P = pseudosphere_poset()
+    F = random_sheaf(P, F5, 12001, max_dim=2, span=3)
+    N = F.top_degree + 1
+    U = frozenset({"u", "v"})
+    sec, betti = derived_sections(F, U, N)
+    H = sec.sheaf
+    assert H.stalk("a").certified_degree == 0
+    assert H.stalk("u").certified_degree is None and H.stalk("v").certified_degree is None
+    assert sec.certified_degree is None and sec.complex.certified_degree is None
+    # {u, v} is the disjoint union of ↑u and ↑v
+    want = {n: H.stalk("u").betti().get(n, 0) + H.stalk("v").betti().get(n, 0)
+            for n in range(F.lower, F.top_degree + 1)}
+    assert betti == {n: b for n, b in want.items() if b}
+    assert sections(plain_copy(H), U).complex.certified_degree is None
+
+
 def test_rank_guard_rejects_a_restriction_that_is_not_a_chain_map():
     """A sheaf built with check=False has its restrictions checked by the
-    membership guard of the constraint route alone.  H_X(F), also built with
-    check=False, takes the chain route, whose guard `_check_projections`
-    checks each cover restriction for a projection onto labels and a chain
-    map instead (tests/test_chain_sections.py)."""
+    membership check of the constraint route alone (`Subspace.coords_of` of
+    d applied to the section basis).  H_X(F), also built with check=False,
+    takes the chain route, whose guard `_check_projections` checks each
+    cover restriction for a projection onto labels and a chain map instead
+    (tests/test_chain_sections.py)."""
     P = pseudocircle_poset()
     C = CochainComplex(F5, {0: 1, 1: 2}, {0: Matrix.from_rows(F5, [[1], [0]])})
     ident = ChainMap.identity(C)
@@ -174,93 +189,125 @@ def _literal_suite_sheaves(name):
             yield F
 
 
-def _reference_quis(f, U):
-    return is_quis(sections_map(f, U))
+def _plain_map(f):
+    """f between plain `Sheaf` copies of its source and target, whose
+    sections take the constraint route."""
+    return SheafMap(plain_copy(f.source), plain_copy(f.target), f.components, check=False)
+
+
+def _compare_global(f, opens, counts=None):
+    """The per-degree verdicts and certified degree of is_quis(sections_map)
+    on every open of `opens` for f against those for `_plain_map(f)`;
+    returns the reference's witnesses in the order of `equivalence_check`.
+    `counts` tallies the opens decided on the chain route, and the degrees
+    where the betti numbers agree, are nonzero and H^n(f) is no iso."""
+    plain = _plain_map(f)
+    witnesses = []
+    for U in opens:
+        got = is_quis(sections_map(f, U))
+        ref = sections_map(plain, U)
+        want = is_quis(ref)
+        assert got.per_degree == want.per_degree, sorted(U)
+        assert got.certified_degree == want.certified_degree, sorted(U)
+        witnesses.extend((tuple(sorted(map(str, U))), n) for n in want.failures())
+        if counts is not None:
+            counts["chain"] += sections(f.source, U).chain and sections(f.target, U).chain
+            bs, bt = ref.source.cohomology().betti, ref.target.cohomology().betti
+            counts["equal nonzero, no iso"] += sum(
+                1 for n, ok in want.per_degree.items()
+                if not ok and bs.get(n, 0) == bt.get(n, 0) > 0)
+    return witnesses
 
 
 @pytest.mark.parametrize("name,count", [("point", 20), ("sierpinski", 20), ("chain3", 6),
                                         ("pseudocircle", 14)])
-def test_global_check_ranks_match_sections_on_literal_suite_sheaves(name, count, monkeypatch):
-    """ρ of H_X(H_X F), the literal Thomason map, on every open: the rank
-    path gives the per-degree verdicts and certified degree of
-    is_quis(sections_map(f, U)), and builds no section basis."""
+def test_global_check_ranks_match_sections_on_literal_suite_sheaves(name, count):
+    """ρ of H_X(H_X F), the literal Thomason map, on every open: the chain
+    route gives the per-degree verdicts and certified degree of the
+    constraint route on plain copies, and `equivalence_check` reports
+    exactly the reference's witnesses and certified degree."""
     P = SUITE[name]()
     seen = 0
     for F in _literal_suite_sheaves(name):
         seen += 1
         rho = hypercohomology_sheaf(hypercohomology_sheaf(F, LITERAL_N).H, LITERAL_N).rho
-        for U in P.up_sets():
-            with monkeypatch.context() as m:
-                m.setattr(SectionComplex, "_build", lambda self: pytest.fail("basis built"))
-                got = sections_quis(rho, U)
-            want = _reference_quis(rho, U)
-            assert got.per_degree == want.per_degree, sorted(U)
-            assert got.certified_degree == want.certified_degree, sorted(U)
+        assert isinstance(rho.source, LabelledSheaf) and isinstance(rho.target, LabelledSheaf)
+        witnesses = _compare_global(rho, P.up_sets())
+        rep = equivalence_check(rho, "global")
+        assert rep.witnesses == witnesses
+        assert rep.certified_degree == equivalence_check(_plain_map(rho), "global").certified_degree
     assert seen == count
 
 
-def test_global_check_ranks_match_sections_on_random_sheaf_maps(monkeypatch):
-    """Random sheaf maps (every other one an endomorphism) on the
-    pseudocircle and the pseudosphere over F_2, F_5 and Q, on every open
-    without a minimum: the rank path gives the reference's per-degree
-    verdicts and certified degree, builds no section basis, and decides
-    degrees where the betti numbers agree, are nonzero, and H^n(f) is not
-    an isomorphism."""
+def test_global_check_ranks_match_sections_on_random_sheaf_maps():
+    """H_X(f) for random sheaf maps f (every other one an endomorphism) on
+    the pseudocircle and the pseudosphere over F_2, F_5 and Q, on every
+    nonempty open: labelled maps whose global verdicts on the chain route
+    are those of the constraint route on plain copies, including degrees
+    where the betti numbers agree, are nonzero, and H^n is no iso."""
     rng = random.Random(91)
-    cases = equal_nonzero_not_iso = 0
+    counts = {"chain": 0, "equal nonzero, no iso": 0}
+    cases = 0
     for make in (pseudocircle_poset, pseudosphere_poset):
         P = make()
-        opens = [U for U in P.up_sets()
-                 if U and not any(all(P.leq(m, y) for y in U) for m in U)]
+        opens = [U for U in P.up_sets() if U]
         for field in (GF(2), F5, QQ):
-            for k in range(6):
+            for k in range(2 if field == QQ and make is pseudosphere_poset else 4):
                 F = random_sheaf(P, field, 900 + k, max_dim=2, span=2)
                 G = F if k % 2 == 0 else random_sheaf(P, field, 950 + k, max_dim=2, span=2)
                 f = SheafMap(F, G, random_map(F, G, rng))
-                for U in opens:
-                    with monkeypatch.context() as m:
-                        m.setattr(SectionComplex, "_build", lambda self: pytest.fail("basis built"))
-                        got = sections_quis(f, U)
-                    ref = sections_map(f, U)
-                    want = is_quis(ref)
-                    assert got.per_degree == want.per_degree, (make.__name__, field, k, sorted(U))
-                    assert got.certified_degree == want.certified_degree
-                    bs, bt = ref.source.cohomology().betti, ref.target.cohomology().betti
-                    equal_nonzero_not_iso += sum(1 for n, ok in want.per_degree.items()
-                                                 if not ok and bs.get(n, 0) == bt.get(n, 0) > 0)
-                    cases += 1
-    assert cases == 90
-    assert equal_nonzero_not_iso >= 10
+                Hf = hypercohomology_map(f, max(F.top_degree, G.top_degree) + 1)[0]
+                assert isinstance(Hf.source, HypercohomologySheaf)
+                _compare_global(Hf, opens, counts)
+                cases += len(opens)
+    assert cases == 3 * 4 * 6 + (2 * 4 + 2) * 9
+    assert counts["chain"] >= 50
+    assert counts["equal nonzero, no iso"] >= 10, counts
 
 
-def test_separation_witness_ranks_match_sections(monkeypatch):
-    """The W-not-S witness: global False with the reference's witnesses,
-    and no section basis built by its global check."""
-    with monkeypatch.context() as m:
-        m.setattr(SectionComplex, "_build", lambda self: pytest.fail("basis built"))
-        rho, local, glob = separation_witness(F5)
+def test_separation_witness_ranks_match_sections():
+    """The W-not-S witness: global False with the reference's witnesses.
+    Its source, the constant sheaf, is plain, so only its target takes the
+    chain route."""
+    rho, local, glob = separation_witness(F5)
     assert local.verdict and not glob.verdict
-    want = []
-    for U in rho.source.poset.up_sets():
-        r = _reference_quis(rho, U)
-        assert sections_quis(rho, U).per_degree == r.per_degree, sorted(U)
-        want.extend((tuple(sorted(map(str, U))), n) for n in r.failures())
+    want = _compare_global(rho, rho.source.poset.up_sets())
     assert glob.witnesses == want == [(("a", "b", "x", "y"), 1)]
 
 
-def test_global_check_rejects_stalk_maps_that_do_not_commute_with_restrictions():
-    """Stalkwise chain maps 1, 1, 1, 2 on the constant pseudocircle sheaf
-    send the constant section outside Γ(X, F) on both paths."""
-    P = pseudocircle_poset()
-    F = constant_sheaf(P, single_complex(F5, 0, 1))
+def _scaled_at_y(F):
+    """Stalkwise chain maps 1, 1, 1, 2 on a sheaf over the pseudocircle: no
+    sheaf map, as they do not commute with the restrictions into y."""
     scale = {"a": 1, "b": 1, "x": 1, "y": 2}
-    f = SheafMap(F, F, {x: ChainMap.identity(F.stalk(x)).scale(c) for x, c in scale.items()},
-                 check=False)
+    return SheafMap(F, F, {x: ChainMap.identity(F.stalk(x)).scale(c) for x, c in scale.items()},
+                    check=False)
+
+
+def test_global_check_rejects_stalk_maps_that_do_not_commute_with_restrictions():
+    """The scaled maps send the constant section outside Γ(X, F) of the
+    constant pseudocircle sheaf."""
+    P = pseudocircle_poset()
+    f = _scaled_at_y(constant_sheaf(P, single_complex(F5, 0, 1)))
+    with pytest.raises(NotContained):
+        sections_map(f, frozenset(P.elements))
+    with pytest.raises(NotContained):
+        equivalence_check(f, "global")
+
+
+def test_global_check_rejects_labelled_stalk_maps_that_do_not_commute_with_restrictions():
+    """The same scaled maps on H_X of the constant pseudocircle sheaf, whose
+    sections take the chain route: the image of a section leaves Γ(X, H_X F),
+    and `coords_of` on the label basis refuses it, in `sections_map` and in
+    `equivalence_check`, as the constraint route does on a plain copy."""
+    P = pseudocircle_poset()
+    H = hypercohomology_sheaf(constant_sheaf(P, single_complex(F5, 0, 1)), 3).H
+    f = _scaled_at_y(H)
     X = frozenset(P.elements)
+    assert sections(H, X).chain
     with pytest.raises(NotContained):
-        _reference_quis(f, X)
+        sections_map(_plain_map(f), X)
     with pytest.raises(NotContained):
-        sections_quis(f, X)
+        sections_map(f, X)
     with pytest.raises(NotContained):
         equivalence_check(f, "global")
 

@@ -10,11 +10,12 @@ from godex.errors import (
     InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge, UnknownElement,
 )
 from godex.exactlin import Matrix
+from godex.godement import equivalence_check
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, Poset, Sheaf, chain_poset, check_sheaf_equalizer,
     constant_sheaf, direct_image, down_set_sheaf, point_poset,
     pseudocircle_poset, pseudosphere_poset, random_poset, random_sheaf, SheafMap,
-    restriction_of_sections, sections, sections_map, sections_quis, sierpinski_poset,
+    restriction_of_sections, sections, sections_map, sierpinski_poset,
     skyscraper, skyscraper_unit, up_set_sheaf,
 )
 
@@ -402,6 +403,7 @@ def test_incompatible_family_raises_not_contained(f5):
     f = SheafMap(F, G, {x: ChainMap.identity(C) for x in P.elements}, check=False)
     with pytest.raises(InvariantError):
         f.validate()
-    for check in (sections_map, sections_quis):
-        with pytest.raises(NotContained):
-            check(f, X)
+    with pytest.raises(NotContained):
+        sections_map(f, X)
+    with pytest.raises(NotContained):
+        equivalence_check(f, "global", opens=[X])

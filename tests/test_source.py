@@ -44,3 +44,23 @@ def test_site_imports_nothing_from_godement_cosimplicial_or_oracle():
             modules |= {alias.name.split(".")[-1] for alias in node.names}
     assert modules, "site.py imports nothing at all"
     assert not modules & {"godement", "cosimplicial", "oracle"}, modules
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a private helper that nothing in the package names is dead code: a
+    # route deleted around it (such as a rank route) leaves it behind
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    node.name.startswith("_") and not node.name.endswith("__"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    assert defined, SRC
+    assert not {name: where for name, where in defined.items() if name not in used}
