@@ -26,8 +26,8 @@ from .complexes import (
     random_complex, random_map, zero_complex,
 )
 from .errors import (
-    FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained, NotMonotone,
-    NotOpen, TooLarge, UnknownElement,
+    AmbientMismatch, FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained,
+    NotMonotone, NotOpen, TooLarge, UnknownElement,
 )
 from .exactlin import Field, Layout, Matrix, Subspace, free_columns
 
@@ -403,7 +403,9 @@ class SectionComplex:
 
     @property
     def evaluations(self) -> dict:
-        """x -> Γ(U, F) -> F_x, the rows of x in the section bases."""
+        """x -> Γ(U, F) -> F_x, the rows of x in the section bases.  Each is
+        checked as a chain map, except on the chain route, where the checked
+        projections make it one (`_build`)."""
         if self._evaluations is None:
             C, F, lo = self.complex, self.sheaf, min(self.layouts)
             evals = {x: {} for x in self.layouts[lo]}
@@ -411,7 +413,7 @@ class SectionComplex:
                 for x, (off, d) in layout.items():
                     if d and C.dim(n):
                         evals[x][n] = self.space(n).basis.take_rows(range(off, off + d))
-            self._evaluations = {x: ChainMap(C, F.stalk(x), comps, check=True)
+            self._evaluations = {x: ChainMap(C, F.stalk(x), comps, check=not self.chain)
                                  for x, comps in evals.items()}
         return self._evaluations
 
@@ -452,8 +454,18 @@ class SectionComplex:
 
     def coordinates(self, n: int, stacked: Matrix) -> Matrix:
         """Coordinates of a stacked family in the degree-n section basis;
-        NotContained if the family is not compatible."""
-        return self.space(n).coords_of(stacked)
+        NotContained if the family is not compatible.  On the chain route
+        the basis is 0/1, so the membership check is by index selection:
+        every row of the family equals the unit row of its basis column."""
+        if not self.chain or n not in self.layouts:
+            return self.space(n).coords_of(stacked)
+        cols, units = self._chain_data()[n]
+        if stacked.rows != len(cols):
+            raise AmbientMismatch(f"family rows {stacked.rows} != ambient {len(cols)}")
+        coords = stacked.take_rows(units)
+        if coords.take_rows(cols) != stacked:
+            raise NotContained("the family is not a section")
+        return coords
 
     def betti(self) -> dict:
         return self.complex.betti()

@@ -2,12 +2,13 @@
 
 `sections` reads the sections of a `LabelledSheaf` (H_X F and N H_X F) off
 its labels: one basis block per label whose home lies in U, and the
-differential from the unit rows of the stalk differentials.  A plain `Sheaf` with the same stalks and
-restrictions takes the constraint route (the kernel of the cover
-constraints), which stays the reference: the two must agree exactly, basis,
-unit rows, complex, evaluations and betti numbers.  The route's guard, that
-each cover restriction is a projection onto labels and a chain map, is shown
-to reject a sheaf that breaks either.
+differential from the unit rows of the stalk differentials.  A plain `Sheaf`
+with the same stalks and restrictions takes the constraint route (the kernel
+of the cover constraints), which stays the reference: the two must agree
+exactly, basis, unit rows, coordinates and membership checks, complex,
+evaluations and betti numbers.  The route's guard, that each cover
+restriction is a projection onto labels and a chain map, is shown to reject
+a sheaf that breaks either.
 """
 
 import pytest
@@ -30,6 +31,22 @@ def _without_minimum(P):
     return [U for U in P.up_sets() if U and not any(all(P.leq(m, y) for y in U) for m in U)]
 
 
+def _assert_coordinates_agree(got, want, n):
+    """The chain route's membership check by index selection against the
+    constraint route's product: the basis has the identity as coordinates,
+    and its first column plus a unit vector off the unit rows is refused."""
+    S = got.space(n)
+    assert got.coordinates(n, S.basis) == want.coordinates(n, S.basis) == \
+        Matrix.identity(S.field, S.dim)
+    off_units = [r for r in range(S.ambient_dim) if r not in set(S.unit_rows)]
+    if S.dim and off_units:
+        broken = S.basis.take_columns([0]) + \
+            Matrix.identity(S.field, S.ambient_dim).take_columns(off_units[:1])
+        for sec in (got, want):
+            with pytest.raises(NotContained):
+                sec.coordinates(n, broken)
+
+
 def _assert_routes_agree(H):
     """Every nonempty open; returns the number that took the chain route."""
     chained = 0
@@ -42,6 +59,7 @@ def _assert_routes_agree(H):
         for n in got.layouts:
             S, T = got.space(n), want.space(n)
             assert S.basis == T.basis and S.unit_rows == T.unit_rows, (sorted(U), n)
+            _assert_coordinates_agree(got, want, n)
         assert got.complex == want.complex, sorted(U)
         assert got.complex.certified_degree == want.complex.certified_degree
         for x in U:

@@ -20,7 +20,8 @@ import pytest
 
 from godex import filtered
 from godex.complexes import (
-    BlockComplex, ChainMap, CochainComplex, is_quis, random_complex, random_map, single_complex,
+    BlockComplex, ChainMap, CochainComplex, is_quis, min_certified, random_complex, random_map,
+    single_complex,
 )
 from godex.cosimplicial import random_cosimplicial, simple
 from godex.errors import InvariantError, NotContained, NotFiltered
@@ -195,56 +196,79 @@ def _plain_map(f):
     return SheafMap(plain_copy(f.source), plain_copy(f.target), f.components, check=False)
 
 
-def _compare_global(f, opens, counts=None):
+def _refuse_constraint_route(m):
+    """Patch, in the monkeypatch context m, the assembly of a constraint
+    system and every kernel to fail: what the chain route never does."""
+    import godex.site as site
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a constraint system or a kernel was built")
+    m.setattr(site, "_constraint_system", refuse)
+    m.setattr(Matrix, "kernel_matrix", refuse)
+
+
+def _compare_global(f, opens, monkeypatch, counts=None):
     """The per-degree verdicts and certified degree of is_quis(sections_map)
-    on every open of `opens` for f against those for `_plain_map(f)`;
-    returns the reference's witnesses in the order of `equivalence_check`.
-    `counts` tallies the opens decided on the chain route, and the degrees
-    where the betti numbers agree, are nonzero and H^n(f) is no iso."""
+    on every open of `opens` for f against those for `_plain_map(f)`; when
+    f is between `LabelledSheaf`s, its verdicts are taken with the
+    constraint route refused (`_refuse_constraint_route`).  Returns the
+    reference's witnesses in the order of `equivalence_check` and the least
+    of its certified degrees.  `counts` tallies the opens decided on the
+    chain route, and the degrees where the betti numbers agree, are nonzero
+    and H^n(f) is no iso."""
     plain = _plain_map(f)
-    witnesses = []
+    labelled = isinstance(f.source, LabelledSheaf) and isinstance(f.target, LabelledSheaf)
+    witnesses, cert = [], None
     for U in opens:
-        got = is_quis(sections_map(f, U))
+        with monkeypatch.context() as m:
+            if labelled:
+                _refuse_constraint_route(m)
+            got = is_quis(sections_map(f, U))
         ref = sections_map(plain, U)
         want = is_quis(ref)
         assert got.per_degree == want.per_degree, sorted(U)
         assert got.certified_degree == want.certified_degree, sorted(U)
         witnesses.extend((tuple(sorted(map(str, U))), n) for n in want.failures())
+        cert = min_certified(cert, want.certified_degree)
         if counts is not None:
             counts["chain"] += sections(f.source, U).chain and sections(f.target, U).chain
             bs, bt = ref.source.cohomology().betti, ref.target.cohomology().betti
             counts["equal nonzero, no iso"] += sum(
                 1 for n, ok in want.per_degree.items()
                 if not ok and bs.get(n, 0) == bt.get(n, 0) > 0)
-    return witnesses
+    return witnesses, cert
 
 
 @pytest.mark.parametrize("name,count", [("point", 20), ("sierpinski", 20), ("chain3", 6),
                                         ("pseudocircle", 14)])
-def test_global_check_ranks_match_sections_on_literal_suite_sheaves(name, count):
+def test_global_check_ranks_match_sections_on_literal_suite_sheaves(name, count, monkeypatch):
     """ρ of H_X(H_X F), the literal Thomason map, on every open: the chain
-    route gives the per-degree verdicts and certified degree of the
-    constraint route on plain copies, and `equivalence_check` reports
-    exactly the reference's witnesses and certified degree."""
+    route, with no constraint system and no kernel, gives the per-degree
+    verdicts and certified degree of the constraint route on plain copies,
+    and `equivalence_check`, under the same refusal, reports exactly the
+    reference's witnesses and certified degree."""
     P = SUITE[name]()
     seen = 0
     for F in _literal_suite_sheaves(name):
         seen += 1
         rho = hypercohomology_sheaf(hypercohomology_sheaf(F, LITERAL_N).H, LITERAL_N).rho
         assert isinstance(rho.source, LabelledSheaf) and isinstance(rho.target, LabelledSheaf)
-        witnesses = _compare_global(rho, P.up_sets())
-        rep = equivalence_check(rho, "global")
+        witnesses, cert = _compare_global(rho, P.up_sets(), monkeypatch)
+        with monkeypatch.context() as m:
+            _refuse_constraint_route(m)
+            rep = equivalence_check(rho, "global")
         assert rep.witnesses == witnesses
-        assert rep.certified_degree == equivalence_check(_plain_map(rho), "global").certified_degree
+        assert rep.certified_degree == cert
     assert seen == count
 
 
-def test_global_check_ranks_match_sections_on_random_sheaf_maps():
+def test_global_check_ranks_match_sections_on_random_sheaf_maps(monkeypatch):
     """H_X(f) for random sheaf maps f (every other one an endomorphism) on
     the pseudocircle and the pseudosphere over F_2, F_5 and Q, on every
-    nonempty open: labelled maps whose global verdicts on the chain route
-    are those of the constraint route on plain copies, including degrees
-    where the betti numbers agree, are nonzero, and H^n is no iso."""
+    nonempty open: labelled maps whose global verdicts on the chain route,
+    with no constraint system and no kernel, are those of the constraint
+    route on plain copies, including degrees where the betti numbers agree,
+    are nonzero, and H^n is no iso."""
     rng = random.Random(91)
     counts = {"chain": 0, "equal nonzero, no iso": 0}
     cases = 0
@@ -258,21 +282,24 @@ def test_global_check_ranks_match_sections_on_random_sheaf_maps():
                 f = SheafMap(F, G, random_map(F, G, rng))
                 Hf = hypercohomology_map(f, max(F.top_degree, G.top_degree) + 1)[0]
                 assert isinstance(Hf.source, HypercohomologySheaf)
-                _compare_global(Hf, opens, counts)
+                assert isinstance(Hf.target, HypercohomologySheaf)
+                _compare_global(Hf, opens, monkeypatch, counts)
                 cases += len(opens)
     assert cases == 3 * 4 * 6 + (2 * 4 + 2) * 9
     assert counts["chain"] >= 50
     assert counts["equal nonzero, no iso"] >= 10, counts
 
 
-def test_separation_witness_ranks_match_sections():
+def test_separation_witness_ranks_match_sections(monkeypatch):
     """The W-not-S witness: global False with the reference's witnesses.
-    Its source, the constant sheaf, is plain, so only its target takes the
-    chain route."""
+    Its source, the constant sheaf, is plain and takes the constraint
+    route, so its verdicts are taken with no refusal."""
     rho, local, glob = separation_witness(F5)
     assert local.verdict and not glob.verdict
-    want = _compare_global(rho, rho.source.poset.up_sets())
+    assert not isinstance(rho.source, LabelledSheaf)
+    want, cert = _compare_global(rho, rho.source.poset.up_sets(), monkeypatch)
     assert glob.witnesses == want == [(("a", "b", "x", "y"), 1)]
+    assert glob.certified_degree == cert
 
 
 def _scaled_at_y(F):

@@ -1,6 +1,7 @@
 """Rules on the package source that no installed linter enforces."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "godex"
@@ -46,21 +47,32 @@ def test_site_imports_nothing_from_godement_cosimplicial_or_oracle():
     assert not modules & {"godement", "cosimplicial", "oracle"}, modules
 
 
+def _names_in(node):
+    """Every name that `node` reads or imports: Name ids, Attribute
+    attributes and the names of `from` imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
 def test_every_private_function_has_a_caller_in_src():
-    # a private helper that nothing in the package names is dead code: a
-    # route deleted around it (such as a rank route) leaves it behind
-    defined, used = {}, set()
+    # a private helper that nothing else in the package names is dead code:
+    # a route deleted around it (such as a rank route) leaves it behind.
+    # A helper's references inside its own body (recursion) do not count.
+    # Names are matched by spelling, so a method and a free function of one
+    # name, or a helper and an attribute of its name, share their callers.
+    defs, used, own = [], Counter(), Counter()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        used.update(_names_in(tree))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
                     node.name.startswith("_") and not node.name.endswith("__"):
-                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used |= {alias.name for alias in node.names}
-    assert defined, SRC
-    assert not {name: where for name, where in defined.items() if name not in used}
+                defs.append((node.name, f"{path.name}:{node.lineno}"))
+                own[node.name] += sum(1 for name in _names_in(node) if name == node.name)
+    assert defs, SRC
+    assert not [(name, where) for name, where in defs if used[name] == own[name]]
