@@ -916,6 +916,9 @@ def check_descent_axioms(seed: int, trials: int = 25, N: int = 6, max_dim: int =
     if mutate == "drop_d1_sign":
         X = random_cosimplicial(field, rng, p_max, max_blocks=1, span=span, max_dim=max_dim)
         report.mutant_note = _mutant_sign_note(X, N)
+        if "fails" not in report.mutant_note:  # vacuous: add a summand where the sign shows
+            X = direct_sum(X, path_object(contractible_complex(field, rng, max_dim), p_max)[0])
+            report.mutant_note = _mutant_sign_note(X, N)
     return report
 
 

@@ -23,12 +23,12 @@ Truncated at total degree N, the total reads level p only in the internal
 degrees <= N - p.  T is degreewise, so it commutes with brutal truncation:
 `hypercohomology_sheaf` builds level p in those degrees only
 (`godement_resolution(F, p_max, top=N)`), and the restrictions, ρ, the
-stalk commutation check, H_X(H_X F), derived sections given `hyper` and
-`hypercohomology_map` inherit the truncation.  Level p then certifies
-through N - p - 1, which leaves the total's N - 1 unchanged.  The cofaces
-and coface sums run from a level to a more truncated one and stay chain
-maps; the codegeneracies do not, so `GodementResolution.validate` checks
-each identity in the degrees where every level it passes through is built.
+stalk commutation check, H_X(H_X F) and `hypercohomology_map` inherit the
+truncation.  Level p then certifies through N - p - 1, which leaves the
+total's N - 1 unchanged.  The cofaces and coface sums run from a level to a
+more truncated one and stay chain maps; the codegeneracies do not, so
+`GodementResolution.validate` checks each identity in the degrees where
+every level it passes through is built.
 Γ(U, −) is degreewise too, so Γ(U, s G•F) = s Γ(U, G•F): the descent
 spectral sequence filters Γ(U, H_X F) by column.  H_X(F) is a
 `HypercohomologySheaf`: its slots (p, q, y) let `site.sections` read
@@ -38,11 +38,12 @@ digest and the reference tests build them.
 
 Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
 matrices of T-stalks are assembled on its layouts, or on the flattened
-chains of an iterated T-stalk (`t_chain_layout`).  Stalks and sections of
-the T-iterates are canonically indexed by weakly increasing chains
-x <= y_0 <= ... <= y_p.  The strict chains span the normalized resolution
-N G•F = ∩_j ker s^j, quasi-isomorphic to G•F by the cosimplicial Dold–Kan
-correspondence and zero above the height of ↑x.  Its total N H_X(F) is
+chains of a level of the resolution (`t_chain_layout`, which walks the
+levels below it).  Stalks and sections of the T-iterates are canonically
+indexed by weakly increasing chains x <= y_0 <= ... <= y_p.  The strict
+chains span the normalized resolution N G•F = ∩_j ker s^j, quasi-isomorphic
+to G•F by the cosimplicial Dold–Kan correspondence and zero above the
+height of ↑x.  Its total N H_X(F) is
 built from those labels alone, with no T-level and no coface sum
 (`normalized_hypercohomology_sheaf`), and is bounded, so a stalk whose N
 reaches height(↑x) + top degree certifies every degree.  Derived sections
@@ -73,13 +74,7 @@ from .site import (
 # ---- the triple -----------------------------------------------------------
 
 
-class TSheaf(Sheaf):
-    """A sheaf of the form T(G), remembering G for block bookkeeping."""
-
-    __slots__ = ("t_base",)
-
-
-def apply_T(G: Sheaf, top: int | None = None) -> TSheaf:
+def apply_T(G: Sheaf, top: int | None = None) -> Sheaf:
     """T(G): the stalk at x is the product of the stalks over ↑x, a block
     complex labelled by y ∈ ↑x in every degree of G's range, or only in the
     degrees <= `top`.  T is degreewise, so that is T of the brutal
@@ -101,9 +96,7 @@ def apply_T(G: Sheaf, top: int | None = None) -> TSheaf:
         stalks[x] = BlockComplex(field, blocks, diffs, lower=G.lower, certified_degree=cert,
                                  check=False)
     # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
-    out = TSheaf(poset, field, stalks, _projections(poset, field, stalks), check=False)
-    out.t_base = G
-    return out
+    return Sheaf(poset, field, stalks, _projections(poset, field, stalks), check=False)
 
 
 def _projections(poset, field, stalks: dict) -> dict:
@@ -118,29 +111,13 @@ def _projections(poset, field, stalks: dict) -> dict:
     return restr
 
 
-def t_chain_layout(T: Sheaf, x, n: int) -> Layout:
-    """Flattened layout of an iterated T-stalk in degree n: the chain
-    (y_1, y_2, ...) of the nested blocks -> (offset, dim), nonzero only."""
-    return Layout(_t_chains(T, x, n))
-
-
-def _t_chains(T: Sheaf, x, n: int):
-    if not isinstance(T, TSheaf):
-        yield (), T.stalk(x).dim(n)
-        return
-    for y in T.stalk(x).blocks.get(n, ()):
-        for chain, d in _t_chains(T.t_base, y, n):
-            if d:
-                yield (y,) + chain, d
-
-
-def godement_eta(G: Sheaf, TG: TSheaf) -> SheafMap:
+def godement_eta(G: Sheaf, TG: Sheaf) -> SheafMap:
     """η_G : G -> T(G), with component the stack of restrictions."""
     return SheafMap.from_blocks(G, TG, lambda x, n: _stack(
         G.restriction(x, y).component(n) for y in TG.stalk(x).blocks[n]))
 
 
-def godement_nu(G: Sheaf, TG: TSheaf, TTG: TSheaf) -> SheafMap:
+def godement_nu(G: Sheaf, TG: Sheaf, TTG: Sheaf) -> SheafMap:
     """ν_G : T²(G) -> T(G), projecting onto the matching chain pairs."""
 
     def block(x, n):
@@ -151,7 +128,7 @@ def godement_nu(G: Sheaf, TG: TSheaf, TTG: TSheaf) -> SheafMap:
     return SheafMap.from_blocks(TTG, TG, block)
 
 
-def t_apply_map(f: SheafMap, Tsrc: TSheaf, Ttgt: TSheaf) -> SheafMap:
+def t_apply_map(f: SheafMap, Tsrc: Sheaf, Ttgt: Sheaf) -> SheafMap:
     """T(f) : T(src) -> T(tgt), blockwise over ↑x."""
 
     def block(x, n):
@@ -205,7 +182,7 @@ class GodementResolution:
         self.cofaces = cofaces = LazyMap(_faces(p_max), coface)
         self.codegeneracies = codegens = LazyMap(_degeneracies(p_max), codegeneracy)
 
-    def level(self, p) -> TSheaf:
+    def level(self, p) -> Sheaf:
         return self.levels[p]
 
     def stalkwise(self, x) -> CosimplicialComplex:
@@ -247,7 +224,7 @@ class GodementResolution:
             s.validate(None if top is None else top - p - 1)
 
 
-def _coface_sum(below: SheafMap, G: TSheaf, TG: TSheaf) -> SheafMap:
+def _coface_sum(below: SheafMap, G: Sheaf, TG: Sheaf) -> SheafMap:
     """δ_p = η_G - T(δ_{p-1}) : G -> T(G) for G = T^p F, p >= 1, where
     below = δ_{p-1} : G's base -> G.
 
@@ -292,6 +269,22 @@ def godement_resolution(F: Sheaf, p_max: int, top: int | None = None) -> Godemen
         below = sums[p] = _coface_sum(below, tower[p], tower[p + 1])
     levels = {p: tower[p + 1] for p in range(p_max + 1)}
     return GodementResolution(F, levels, eta, sums, p_max, top)
+
+
+def t_chain_layout(res: GodementResolution, p: int, x, n: int) -> Layout:
+    """Flattened layout of level p of `res` at x in degree n: the chain
+    (y_0, ..., y_p) of the nested blocks -> (offset, dim), nonzero only."""
+    return Layout(_t_chains(res, p, x, n))
+
+
+def _t_chains(res: GodementResolution, p: int, x, n: int):
+    if p < 0:
+        yield (), res.sheaf.stalk(x).dim(n)
+        return
+    for y in res.level(p).stalk(x).blocks.get(n, ()):
+        for chain, d in _t_chains(res, p - 1, y, n):
+            if d:
+                yield (y,) + chain, d
 
 
 def stalk_extra_degeneracy(res: GodementResolution, x):
@@ -410,10 +403,9 @@ def _hypercohomology(res: GodementResolution, N: int) -> Hypercohomology:
     return Hypercohomology(res, H, rho)
 
 
-def hypercohomology_map(f: SheafMap, N: int, hyper_src: Hypercohomology | None = None):
+def hypercohomology_map(f: SheafMap, N: int):
     """H_X(f) : H_X(F) -> H_X(G), blockwise T^{p+1}(f)."""
-    if hyper_src is None:
-        hyper_src = hypercohomology_sheaf(f.source, N)
+    hyper_src = hypercohomology_sheaf(f.source, N)
     hyper_tgt = hypercohomology_sheaf(f.target, N)
     rs, rt = hyper_src.resolution, hyper_tgt.resolution
     level_maps = []
@@ -452,10 +444,10 @@ class EquivalenceReport:
                 f"witnesses={self.witnesses}, certified={self.certified_degree}, mode={self.mode})")
 
 
-def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
+def equivalence_check(f: SheafMap, kind: str) -> EquivalenceReport:
     """kind="local": quasi-isomorphism on every stalk.
     kind="global": quasi-isomorphism on the sections over every open
-    (enumerated up to the cap unless `opens` is supplied).
+    (`Poset.up_sets`, TooLarge above its cap).
 
     A global check decides each open U by is_quis(sections_map(f, U)).
     Between `LabelledSheaf`s (H_X F, H_X(H_X F), N H_X F and N H_X R of
@@ -473,9 +465,7 @@ def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
             cert = min_certified(cert, r.certified_degree)
             witnesses.extend((x, n) for n in r.failures())
     elif kind == "global":
-        if opens is None:
-            opens = poset.up_sets()
-        for U in opens:
+        for U in poset.up_sets():
             r = is_quis(sections_map(f, U))
             cert = min_certified(cert, r.certified_degree)
             label = tuple(sorted(map(str, U)))
@@ -488,32 +478,18 @@ def equivalence_check(f: SheafMap, kind: str, opens=None) -> EquivalenceReport:
 # ---- the normalized resolution ----------------------------------------------
 
 
-_NO_SLOTS = Layout()
-
-
-class NormalizedHypercohomologySheaf(LabelledSheaf):
-    """N H_X(F) as `normalized_hypercohomology_sheaf` builds it.  The slot
-    (p, q, chain, y_0) of N H_X(F)_x^n, p + q = n, holds F_{y_p}^q for the
-    strict chain x <= y_0 < ... < y_p, with home y_0, so `sections` takes
-    the chain route on it."""
-
-    __slots__ = ()
-
-    def labels(self, x, n: int) -> Layout:
-        return self.stalks[x].blocks.get(n, _NO_SLOTS)
-
-
-def normalized_hypercohomology_sheaf(F: Sheaf, N: int) -> NormalizedHypercohomologySheaf:
+def normalized_hypercohomology_sheaf(F: Sheaf, N: int) -> LabelledSheaf:
     """N H_X(F), the total complex of the normalized Godement resolution,
     truncated at N: the span of the strict-chain slots of H_X(F), built from
-    those labels alone (`_normalized_stalk`).  Its restrictions project onto
-    the slots of the smaller stalk.  No truncation below F's top degree is
+    those labels alone (`_normalized_stalk`).  Its labels are its stalks'
+    blocks, the slots (p, q, chain, y_0) of N H_X(F)_x^n holding F_{y_p}^q for
+    a strict chain x <= y_0 < ... < y_p, home y_0.  Its restrictions project
+    onto the slots of the smaller stalk.  No truncation below F's top degree is
     refused here: reduced Thomason builds N H_X R one degree below R's own."""
     P, field = F.poset, F.field
     top, cert = F.top_degree, F.certified_degree
     stalks = {x: _normalized_stalk(F, P.up_set(x), N, top, cert) for x in P.elements}
-    return NormalizedHypercohomologySheaf(P, field, stalks, _projections(P, field, stalks),
-                                          check=False)
+    return LabelledSheaf(P, field, stalks, _projections(P, field, stalks), check=False)
 
 
 def _normalized_stalk(F: Sheaf, up, N: int, top: int, cert) -> BlockComplex:
@@ -581,7 +557,7 @@ def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
         # columns: strict-chain slots; rows: flattened weak-chain slots of H_x
         cols = R.stalk(x).blocks[n]
         rows = Layout(((p, chain), d) for (p, q) in hyper.H.stalk(x).blocks[n]
-                      for chain, (_, d) in t_chain_layout(res.level(p), x, q).items())
+                      for chain, (_, d) in t_chain_layout(res, p, x, q).items())
         if any(rows[(p, c)][1] != d for (p, _, c, _), (_, d) in cols.items()):
             raise InvariantError("reduced model block mismatch")
         return rows.inclusion(F.field, [(p, c) for p, _, c, _ in cols])
@@ -646,7 +622,7 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
 # ---- derived functors ------------------------------------------------------
 
 
-def derived_sections(F: Sheaf, U, N: int, hyper: Hypercohomology | None = None):
+def derived_sections(F: Sheaf, U, N: int):
     """RΓ(U, F) = Γ(U, N H_X(F)); returns (SectionComplex, betti dict).
 
     N H_X(F) (`normalized_hypercohomology_sheaf`) is built from strict-chain
@@ -655,25 +631,17 @@ def derived_sections(F: Sheaf, U, N: int, hyper: Hypercohomology | None = None):
     section complex read off the labels, with no constraint system, product
     or kernel, and the basis is built only if the caller reads it.  Where
     every stalk over U is complete (N >= height of ↑x + top degree) the
-    result certifies every degree, otherwise N - 1.  Given `hyper`, a
-    `hypercohomology_sheaf` of F at N, the sections are Γ(U, H_X F)
-    instead, certified through N - 1.  N below the top degree raises
-    InsufficientLevels.
+    result certifies every degree, otherwise N - 1.  N below the top degree
+    raises InsufficientLevels.
     """
-    if hyper is None:
-        F.require_truncation(N)
-        sec = sections(normalized_hypercohomology_sheaf(F, N), U)
-    else:
-        sec = sections(hyper.H, U)
+    F.require_truncation(N)
+    sec = sections(normalized_hypercohomology_sheaf(F, N), U)
     return sec, sec.betti()
 
 
-def derived_direct_image(f: MonotoneMap, F: Sheaf, N: int,
-                         hyper: Hypercohomology | None = None) -> Sheaf:
+def derived_direct_image(f: MonotoneMap, F: Sheaf, N: int) -> Sheaf:
     """Rf_*(F) = f_* H_X(F)."""
-    if hyper is None:
-        hyper = hypercohomology_sheaf(F, N)
-    return direct_image(f, hyper.H)
+    return direct_image(f, hypercohomology_sheaf(F, N).H)
 
 
 def cohomology_sheaf(F: Sheaf, q: int) -> Sheaf:

@@ -21,7 +21,7 @@ from .complexes import ChainMap, CochainComplex
 from .errors import FormatError, InvariantError
 from .exactlin import Field, GF, Matrix, QQ
 from .filtered import FilteredComplex
-from .site import MonotoneMap, Poset, Sheaf, SheafMap
+from .site import MonotoneMap, Poset, Sheaf
 
 FORMAT_KEY = "godex/1"
 
@@ -29,16 +29,12 @@ FORMAT_KEY = "godex/1"
 class ProblemFile:
     """Parsed contents of a godex/1 document."""
 
-    __slots__ = ("field", "poset", "sheaf", "sheaf2", "sheaf_map", "poset_map",
-                 "filtered_complex")
+    __slots__ = ("field", "poset", "sheaf", "poset_map", "filtered_complex")
 
-    def __init__(self, field, poset, sheaf, sheaf2=None, sheaf_map=None,
-                 poset_map=None, filtered_complex=None):
+    def __init__(self, field, poset, sheaf, poset_map=None, filtered_complex=None):
         self.field = field
         self.poset = poset
         self.sheaf = sheaf
-        self.sheaf2 = sheaf2
-        self.sheaf_map = sheaf_map
         self.poset_map = poset_map
         self.filtered_complex = filtered_complex
 
@@ -301,35 +297,14 @@ def parse_document(text: str) -> ProblemFile:
         raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_KEY:
         raise FormatError(f'missing or unsupported "format" key (expected "{FORMAT_KEY}")')
+    for key in ("sheaf2", "map"):
+        if key in doc:  # refused, not ignored, so that `fmt` never drops it
+            raise FormatError(f'the "{key}" block is not supported: no command reads it')
     field = _parse_field(doc)
     poset = _parse_poset(doc["poset"], "poset") if "poset" in doc else None
     sheaf = None
     if "sheaf" in doc:
         sheaf = _parse_sheaf(field, poset, doc["sheaf"], "sheaf")
-    sheaf2 = None
-    if "sheaf2" in doc:
-        sheaf2 = _parse_sheaf(field, poset, doc["sheaf2"], "sheaf2")
-    sheaf_map = None
-    if "map" in doc:
-        if sheaf is None or sheaf2 is None:
-            raise FormatError("map requires sheaf and sheaf2")
-        comps = {}
-        map_spec = _expect(doc["map"], dict, "map")
-        for x, per_degree in _expect(map_spec.get("components", {}), dict, "map.components").items():
-            if x not in poset:
-                raise FormatError(f"map references unknown element {x!r}")
-            blocks = {}
-            for n, data in _expect(per_degree, dict, f"map[{x}]").items():
-                q = _parse_key(n, f"map[{x}] key")
-                blocks[q] = _parse_matrix(field, sheaf2.stalk(x).dim(q), sheaf.stalk(x).dim(q),
-                                          data, f"map[{x}][{n}]")
-            comps[x] = blocks
-        try:
-            comps = {x: ChainMap(sheaf.stalk(x), sheaf2.stalk(x), comps.get(x, {}))
-                     for x in poset.elements}
-            sheaf_map = SheafMap(sheaf, sheaf2, comps)
-        except InvariantError as e:
-            raise FormatError(f"invalid sheaf map: {e}")
     poset_map = None
     if "poset_map" in doc:
         pm = _expect(doc["poset_map"], dict, "poset_map")
@@ -341,7 +316,7 @@ def parse_document(text: str) -> ProblemFile:
     filtered_complex = None
     if "filtered_complex" in doc:
         filtered_complex = _parse_filtered(field, doc["filtered_complex"], "filtered_complex")
-    return ProblemFile(field, poset, sheaf, sheaf2, sheaf_map, poset_map, filtered_complex)
+    return ProblemFile(field, poset, sheaf, poset_map, filtered_complex)
 
 
 def emit_document(pf: ProblemFile) -> str:
@@ -350,16 +325,6 @@ def emit_document(pf: ProblemFile) -> str:
         doc["poset"] = _emit_poset(pf.poset)
     if pf.sheaf is not None:
         doc["sheaf"] = _emit_sheaf(pf.field, pf.sheaf)
-    if pf.sheaf2 is not None:
-        doc["sheaf2"] = _emit_sheaf(pf.field, pf.sheaf2)
-    if pf.sheaf_map is not None:
-        comps = {}
-        for x in pf.poset.elements:
-            f = pf.sheaf_map.component(x)
-            if f.components:
-                comps[x] = {str(n): _emit_matrix(pf.field, m)
-                            for n, m in sorted(f.components.items())}
-        doc["map"] = {"components": comps}
     if pf.poset_map is not None:
         doc["poset_map"] = {"target": _emit_poset(pf.poset_map.target),
                             "values": dict(sorted(pf.poset_map.values.items()))}

@@ -7,14 +7,14 @@ a restriction chain map F_x -> F_y for every x <= y.  The opposite (down-set)
 convention is equally common in the literature; everything here is up-sets.
 
 Sheaves are stored intrinsically on minimal opens; sections over a general
-open are computed, never stored.  A `LabelledSheaf` (the hypercohomology
-sheaves H_X F of `godement`) has stalks split into labelled slots that its
-restrictions keep, so Γ(U, F) has one basis block per label whose home lies
-in U: `sections` reads that basis and the differential off the labels, after
-checking each cover restriction (the chain route of `SectionComplex`).  The
-sections of every other sheaf are an equalizer, the kernel of the cover
-constraints, built on first access; that constraint route is the reference
-of the chain route.
+open are computed, never stored.  A `LabelledSheaf` (H_X F and N H_X F of
+`godement`) has stalks split into labelled slots, by default their blocks,
+that its restrictions keep, so Γ(U, F) has one basis block per label whose
+home lies in U: `sections` reads that basis and the differential off the
+labels, after checking each cover restriction (the chain route of
+`SectionComplex`).  The sections of every other sheaf are an equalizer, the
+kernel of the cover constraints, built on first access; that constraint
+route is the reference of the chain route.
 """
 
 from __future__ import annotations
@@ -166,10 +166,10 @@ class Poset:
 
     def up_sets(self):
         """All open sets in canonical order: by size, then lexicographically;
-        TooLarge above `UP_SET_ENUMERATION_CAP` elements."""
+        TooLarge above `UP_SET_ENUMERATION_CAP` elements, global checks included."""
         if len(self.elements) > UP_SET_ENUMERATION_CAP:
             raise TooLarge(f"poset has {len(self.elements)} > {UP_SET_ENUMERATION_CAP} "
-                           "elements; supply the list of opens explicitly")
+                           "elements; its open sets are not enumerated")
         out = []
         for r in range(len(self.elements) + 1):
             for combo in itertools.combinations(self.elements, r):
@@ -309,18 +309,22 @@ class LabelledSheaf(Sheaf):
     """A sheaf whose stalks come split into labelled slots, as a product
     ⊕_{y >= x} G_y does.
 
-    `labels(x, n)` is the `Layout` of F_x^n by label, and the last entry of
-    a label is its home y >= x.  The slots are meant to be those of such a
-    product: a label sits at x exactly when x <= its home, and the
-    restriction F_a -> F_b keeps the slots of b's labels.  `sections` reads
-    Γ(U, F) off the labels and checks all of this on the covers in U first
-    (the chain route of `SectionComplex`); nothing is assumed.
+    `labels(x, n)` is the `Layout` of F_x^n by label, by default the stalk's
+    blocks, and a label's last entry is its home y >= x.  The slots are meant
+    to be those of such a product: a label sits at x exactly when x <= its
+    home, and the restriction F_a -> F_b keeps the slots of b's labels.
+    `sections` reads Γ(U, F) off the labels and checks all of this on the
+    covers in U first (the chain route of `SectionComplex`); nothing is
+    assumed.
     """
 
     __slots__ = ()
 
     def labels(self, x, n: int) -> Layout:
-        raise NotImplementedError
+        return self.stalks[x].blocks.get(n, _NO_SLOTS)
+
+
+_NO_SLOTS = Layout()
 
 
 class SheafMap(DiagramMap):

@@ -28,7 +28,7 @@ from godex.oracle import constant_cohomology, holim_replacement
 from godex.problemfile import ProblemFile, emit_document, parse_document
 from godex.site import (
     chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
-    pseudosphere_poset, random_sheaf, SheafMap, sierpinski_poset, skyscraper,
+    pseudosphere_poset, random_sheaf, SheafMap, sections, sierpinski_poset, skyscraper,
 )
 
 F5 = GF(5)
@@ -128,7 +128,8 @@ def test_criterion_05_skyscraper_acyclicity():
             F = skyscraper(P, x, D)
             hyper = hypercohomology_sheaf(F, N)
             for U in P.up_sets():
-                sec, betti = derived_sections(F, U, N, hyper=hyper)
+                sec = sections(hyper.H, U)
+                betti = sec.betti()
                 if x in U:
                     assert betti == {n: b for n, b in want.items()
                                      if b and n <= sec.certified_degree}, (name, x, U)

@@ -372,3 +372,19 @@ def test_internal_failures_exit_three(monkeypatch, capsys, error):
     assert out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert str(error) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("block", ["sheaf2", "map"])
+def test_sheaf2_and_map_blocks_are_invalid_input(tmp_path, capsys, block):
+    # no command reads either block, so a file that carries one is refused
+    # rather than read without it, and `fmt` never drops it
+    doc = json.loads((DATA / "pseudocircle-constant.json").read_text())
+    doc[block] = doc["sheaf"] if block == "sheaf2" else {"components": {}}
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    for args in (["fmt"], ["--format", "json", "cohomology"]):
+        code = cli.main([*args, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2, (args, err)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert f'"{block}"' in err, (args, err)

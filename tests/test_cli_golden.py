@@ -6,6 +6,7 @@ One sha256 over (command line, exit code, stdout) of in-process
 refactor must leave every byte of that output and every exit code as it
 was, so the digest must not move.  Commands whose file lacks the block they
 need are part of the grid: their exit code 2 and empty stdout are pinned too.
+The same grid in the default human format is checked against the JSON runs.
 """
 
 import contextlib
@@ -51,11 +52,16 @@ def grid():
         yield command, (command, None)
 
 
-def run_json(argv):
+def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["--format", "json", *argv])
-    return code, out.getvalue()
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_json(argv):
+    code, out, _ = run(["--format", "json", *argv])
+    return code, out
 
 
 def test_cli_json_output_is_pinned():
@@ -68,3 +74,14 @@ def test_cli_json_output_is_pinned():
     assert codes <= {0, 1, 2}
     assert 0 in codes and 1 in codes and 2 in codes
     assert h.hexdigest() == DIGEST
+
+
+def test_cli_human_output_follows_the_json_runs():
+    # the default format exits as the JSON run does, writes to stdout
+    # exactly when it does, and never prints a traceback
+    for argv, key in grid():
+        code, out = run_json(argv)
+        human_code, human_out, human_err = run(argv)
+        assert human_code == code, key
+        assert bool(human_out) == bool(out), key
+        assert "Traceback" not in human_out + human_err, key

@@ -395,6 +395,15 @@ def test_mutant_sign_is_caught(f5):
     assert "fails" in rep.mutant_note
 
 
+@pytest.mark.parametrize("N", [5, 6])
+def test_mutant_sign_is_caught_on_every_seed(N):
+    # about half of the plain draws are a zero object or too degenerate for
+    # the dropped sign to show; such a draw gets a summand on which it shows
+    notes = [check_descent_axioms(seed, trials=0, N=N, mutate="drop_d1_sign").mutant_note
+             for seed in range(40)]
+    assert [(seed, note) for seed, note in enumerate(notes) if "fails" not in note] == []
+
+
 class _Reads(Mapping):
     """A structure-map family that records each (family, key) read from it."""
 

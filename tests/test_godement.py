@@ -25,7 +25,7 @@ from godex.godement import (
 )
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
-    random_poset, random_sheaf, SheafMap, sections_map, sierpinski_poset, skyscraper,
+    random_poset, random_sheaf, SheafMap, sections, sections_map, sierpinski_poset, skyscraper,
 )
 
 from conftest import basis_quis_per_degree
@@ -133,7 +133,7 @@ def test_resolution_dims_by_chain_count(f5):
                 assert res.level(p).stalk(x).dims == expect, (name, p, x)
                 for q in range(F.lower - 1, F.top_degree + 2):
                     want = [c for c in chains if F.stalk(c[-1]).dim(q)]
-                    assert list(t_chain_layout(res.level(p), x, q)) == want, (name, p, x, q)
+                    assert list(t_chain_layout(res, p, x, q)) == want, (name, p, x, q)
                 blocks = res.level(p).stalk(x).blocks
                 assert list(blocks) == list(range(tower[p].lower, tower[p].top_degree + 1))
                 assert all(tuple(L) == P.sorted_subset(P.up_set(x)) for L in blocks.values())
@@ -504,10 +504,6 @@ def test_equivalence_check_too_large(f5):
     from godex.site import SheafMap
     with pytest.raises(TooLarge):
         equivalence_check(SheafMap.identity(F), "global")
-    # supplying opens works
-    rep = equivalence_check(SheafMap.identity(F), "global",
-                            opens=[frozenset(), frozenset(P.elements)])
-    assert rep.verdict
 
 
 def test_theta_structural_identity(f5):
@@ -629,7 +625,7 @@ def test_idempotence_up_to_global_equivalence(f5):
         hyper = hypercohomology_sheaf(F, N)
         hyper2 = hypercohomology_sheaf(hyper.H, N)
         assert equivalence_check(hyper2.rho, "global").verdict
-        hmap, _, _ = hypercohomology_map(hyper.rho, N, hyper_src=hyper)
+        hmap, _, _ = hypercohomology_map(hyper.rho, N)
         assert equivalence_check(hmap, "global").verdict
 
 
@@ -654,7 +650,8 @@ def test_derived_sections_skyscraper_membership(f5):
     hyper = hypercohomology_sheaf(F, N)
     want = D.cohomology().betti
     for U in P.up_sets():
-        sec, betti = derived_sections(F, U, N, hyper=hyper)
+        sec = sections(hyper.H, U)
+        betti = sec.betti()
         if "x" in U:
             assert betti == {n: b for n, b in want.items()
                              if b and n <= sec.certified_degree}
@@ -670,21 +667,21 @@ def test_derived_direct_image(f5):
     hyper = hypercohomology_sheaf(F, N)
     # identity
     idm = MonotoneMap(P, P, {x: x for x in P.elements})
-    img = derived_direct_image(idm, F, N, hyper=hyper)
+    img = derived_direct_image(idm, F, N)
     for x in P.elements:
         assert img.stalk(x).betti() == hyper.H.stalk(x).betti()
     # collapse to a point = global derived sections
     pt = point_poset()
     coll = MonotoneMap(P, pt, {x: "*" for x in P.elements})
-    img = derived_direct_image(coll, F, N, hyper=hyper)
-    _, betti = derived_sections(F, frozenset(P.elements), N, hyper=hyper)
+    img = derived_direct_image(coll, F, N)
+    betti = sections(hyper.H, frozenset(P.elements)).betti()
     assert img.stalk("*").betti() == betti
     # projection to sierpinski: stalkwise = RΓ of the preimage
     proj = MonotoneMap(P, S, {"a": "c", "b": "c", "x": "o", "y": "o"})
-    img = derived_direct_image(proj, F, N, hyper=hyper)
+    img = derived_direct_image(proj, F, N)
     for q in S.elements:
         pre = proj.preimage(S.up_set(q))
-        _, betti = derived_sections(F, pre, N, hyper=hyper)
+        betti = sections(hyper.H, pre).betti()
         assert img.stalk(q).betti() == betti
 
 
@@ -695,7 +692,7 @@ def test_derived_sections_agree_with_replacement_on_every_open(f5):
         N = F.top_degree + 3
         hyper = hypercohomology_sheaf(F, N)
         for U in P.up_sets():
-            sec, betti = derived_sections(F, U, N, hyper=hyper)
+            betti = sections(hyper.H, U).betti()
             if not U:
                 assert betti == {}
                 continue

@@ -21,11 +21,10 @@ from godex.complexes import ChainMap
 from godex.errors import NotContained
 from godex.exactlin import GF, QQ, Matrix, Subspace
 from godex.godement import (
-    NormalizedHypercohomologySheaf, derived_sections, hypercohomology_sheaf,
-    normalized_hypercohomology_sheaf, t_chain_layout,
+    derived_sections, hypercohomology_sheaf, normalized_hypercohomology_sheaf, t_chain_layout,
 )
 from godex.oracle import replacement_complex
-from godex.site import STANDARD_POSETS, random_sheaf, sections
+from godex.site import STANDARD_POSETS, LabelledSheaf, random_sheaf, sections
 
 F5 = GF(5)
 
@@ -42,7 +41,7 @@ def _slot_rows(hyper, x, n) -> dict:
     """(p, chain) -> the rows of that weak-chain slot in H_X(F)_x^n."""
     out = {}
     for (p, q), (off, _) in hyper.H.stalk(x).blocks.get(n, {}).items():
-        for chain, (o, d) in t_chain_layout(hyper.resolution.level(p), x, q).items():
+        for chain, (o, d) in t_chain_layout(hyper.resolution, p, x, q).items():
             out[(p, chain)] = range(off + o, off + o + d)
     return out
 
@@ -52,7 +51,7 @@ def _assert_equals_references(F, N):
     P, field = F.poset, F.field
     hyper = hypercohomology_sheaf(F, N)
     NH = normalized_hypercohomology_sheaf(F, N)
-    assert isinstance(NH, NormalizedHypercohomologySheaf)
+    assert type(NH) is LabelledSheaf
     res = hyper.resolution
     degrees = range(F.lower, N + 1)
     for x in P.elements:
@@ -77,7 +76,7 @@ def _assert_equals_references(F, N):
         X = res.stalkwise(x)
         for p in range(min(3, res.p_max) + 1):
             for q in X.level(p).dims:
-                layout = t_chain_layout(res.level(p), x, q)
+                layout = t_chain_layout(res, p, x, q)
                 cols = [r for c, (o, d) in layout.items() if _strict(c) for r in range(o, o + d)]
                 dim = X.level(p).dim(q)
                 span = Subspace(field, dim, Matrix.identity(field, dim).take_columns(cols), cols)
@@ -119,11 +118,11 @@ def test_derived_sections_agree_with_the_unnormalized_route(name):
         hyper, hyper_far = hypercohomology_sheaf(F, N), hypercohomology_sheaf(F, far)
         for U in P.up_sets():
             sec, betti = derived_sections(F, U, N)
-            _, want = derived_sections(F, U, N, hyper=hyper)
+            want = sections(hyper.H, U).betti()
             assert {n: b for n, b in betti.items() if n <= N - 1} == want, (t, sorted(U))
             if sec.certified_degree is None:
                 whole += 1
-                assert betti == derived_sections(F, U, far, hyper=hyper_far)[1], (t, sorted(U))
+                assert betti == sections(hyper_far.H, U).betti(), (t, sorted(U))
             else:
                 assert sec.certified_degree == N - 1
     assert whole
@@ -144,6 +143,6 @@ def test_a_changed_restriction_entry_is_refused_on_the_chain_route():
     bent[n] = Matrix(F5, len(rows), len(rows[0]), rows)
     restrictions = dict(NH.restrictions)
     restrictions[(a, b)] = ChainMap(r.source, r.target, bent, check=False)
-    broken = NormalizedHypercohomologySheaf(P, F5, NH.stalks, restrictions, check=False)
+    broken = LabelledSheaf(P, F5, NH.stalks, restrictions, check=False)
     with pytest.raises(NotContained):
         sections(broken, X).betti()

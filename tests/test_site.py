@@ -406,4 +406,4 @@ def test_incompatible_family_raises_not_contained(f5):
     with pytest.raises(NotContained):
         sections_map(f, X)
     with pytest.raises(NotContained):
-        equivalence_check(f, "global", opens=[X])
+        equivalence_check(f, "global")
