@@ -9,21 +9,20 @@ Conventions used throughout godex:
 A `Matrix` stores its entries in one numpy array: `dtype=object` holding
 `fractions.Fraction`s over Q, float64 holding integers in [0, p) over F_p.
 Every operation is written once on that array, reduced mod p after
-arithmetic over F_p.  Over F_p all intermediate values are kept below 2**53,
-so every float operation is exact integer arithmetic; the guards that
-enforce this raise ValueError.  Arithmetic results are reduced by `_mod`:
-float `%` on small arrays, and an int64 floor-mod from _MOD_INT_CELLS cells
-on, exact on the same range and cheaper per cell than the float remainder.
-Elimination has two dense kernels, picked by size: `_rref_lists`, a
-Gauss–Jordan on the rows as Python lists (Fractions over Q, ints mod p over
-F_p), reduces every Q matrix and every F_p matrix below _SPARSE_MIN_CELLS
-cells; `_rref_np` eliminates larger F_p matrices on the float64 array with
-one full-width update per pivot, reduced by plain `%`.
+arithmetic over F_p.  Over F_p the arithmetic on the array keeps every
+intermediate value below 2**53, so every float operation is exact integer
+arithmetic; the one guard that enforces this, on `@`, raises ValueError.
+Arithmetic results are reduced by `_mod`: float `%` on small arrays, and an
+int64 floor-mod from _MOD_INT_CELLS cells on, exact on the same range and
+cheaper per cell than the float remainder.
+Elimination has one dense kernel, `_rref_lists`: a Gauss–Jordan on the rows
+as Python lists (Fractions over Q, ints mod p over F_p), exact for every
+field and every size, so it has no guard and refuses no matrix.
 
-`Matrix.rank()` over F_p takes a third route on large sparse inputs:
+`Matrix.rank()` over F_p takes a second route on large sparse inputs:
 `_rank_sparse`, a structured Gaussian elimination on rows held as dicts of
-Python ints mod p (sparsest row first, Markowitz pivot column), which hands
-its active part to the dense elimination once that part has filled in.
+Python ints mod p (sparsest row first, Markowitz pivot column), carried to
+the end.
 """
 
 from __future__ import annotations
@@ -42,17 +41,11 @@ _ZERO = Fraction(0)
 # The values of the diagonal of U in a random automorphism L U P over Q.
 _Q_UNITS = (1, 1, 2, -1)
 
-# `Matrix.rref()` reduces an F_p matrix below _SPARSE_MIN_CELLS cells on
-# Python lists and from there on as an array.  `Matrix.rank()` eliminates an
-# F_p matrix sparsely when it has at least _SPARSE_MIN_CELLS cells of which
-# at most a _SPARSE_MAX_DENSITY share is nonzero, and through `rref`
-# otherwise.  The sparse elimination hands its active part to `_rref_np`
-# once that part has at least _SPARSE_HANDOFF_CELLS cells of which more
-# than a _SPARSE_HANDOFF_DENSITY share is nonzero.
+# `Matrix.rank()` eliminates an F_p matrix sparsely when it has at least
+# _SPARSE_MIN_CELLS cells of which at most a _SPARSE_MAX_DENSITY share is
+# nonzero, and through `rref` otherwise.
 _SPARSE_MIN_CELLS = 1024
 _SPARSE_MAX_DENSITY = 0.1
-_SPARSE_HANDOFF_CELLS = 256
-_SPARSE_HANDOFF_DENSITY = 0.25
 
 # `_mod` reduces an array of at least _MOD_INT_CELLS cells through int64.
 # Replaying the `_mod` inputs of one pass of each benchmark workload put
@@ -141,10 +134,10 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         if not _raw:
-            data = np.array(
-                [[field.element(data[i][j]) for j in range(cols)] for i in range(rows)],
-                dtype=object if field.p is None else np.float64,
-            ).reshape(rows, cols)
+            data = [[field.element(v) for v in row] for row in data]
+            if len(data) != rows or any(len(row) != cols for row in data):
+                raise ValueError(f"data is not {rows} rows of {cols} entries")
+            data = np.array(data, dtype=object if field.p is None else np.float64).reshape(rows, cols)
         data.flags.writeable = False
         self._a = data
 
@@ -153,12 +146,7 @@ class Matrix:
     @staticmethod
     def from_rows(field: Field, rows_data) -> "Matrix":
         rows_data = list(rows_data)
-        r = len(rows_data)
-        c = len(rows_data[0]) if r else 0
-        for row in rows_data:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-        return Matrix(field, r, c, rows_data)
+        return Matrix(field, len(rows_data), len(rows_data[0]) if rows_data else 0, rows_data)
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
@@ -310,14 +298,9 @@ class Matrix:
     # ---- elimination ----------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form.  Returns (R, pivot column tuple).
-
-        Q matrices and F_p matrices below _SPARSE_MIN_CELLS cells are reduced
-        on Python lists (`_rref_lists`), where numpy's per-call overhead would
-        dominate; larger F_p matrices by the array kernel `_rref_np`."""
-        if self.field.p is None or self.rows * self.cols < _SPARSE_MIN_CELLS:
-            return _rref_lists(self)
-        return _rref_np(self)
+        """Reduced row echelon form.  Returns (R, pivot column tuple), by
+        `_rref_lists` over every field and at every size."""
+        return _rref_lists(self)
 
     def rank(self) -> int:
         """The rank: the pivot count of `rref`, except that F_p matrices of at
@@ -434,10 +417,9 @@ def free_columns(n: int, pivots) -> list:
 def _rref_lists(m: Matrix):
     """Gauss–Jordan elimination on the rows as Python lists: Fractions over
     Q, Python ints mod p over F_p, so every step is exact for every field and
-    needs no guard.  The pivot is `_rref_np`'s: the leftmost column with a
-    nonzero entry in the remaining rows, and its first such row; as the
-    reduced row echelon form is unique, the two kernels agree exactly.  A
-    row update touches only the nonzero columns of the pivot row."""
+    every size and needs no guard.  The pivot is the leftmost column with a
+    nonzero entry in the remaining rows, and its first such row.  A row
+    update touches only the nonzero columns of the pivot row."""
     p = m.field.p
     rows = m.rows_list()
     nr, nc = m.rows, m.cols
@@ -473,54 +455,6 @@ def _rref_lists(m: Matrix):
     return Matrix(m.field, nr, nc, out, _raw=True), tuple(pivots)
 
 
-def _rref_np(m: Matrix):
-    """Exact elimination over F_p: one full-width update per pivot.
-
-    Every value that is multiplied is first reduced into [0, p): the pivot
-    column before the pivot is sought, the pivot row before it is scaled by
-    the pivot inverse, and the multipliers f.  So each product is at most
-    (p-1)**2, and an entry, which starts in [0, p) and receives one update
-    f * row per pivot, stays at most (p-1) + rank * (p-1)**2 <=
-    (min(rows, cols) + 1) * (p-1)**2 in magnitude.  The guard keeps that
-    below 2**53, where float64 arithmetic on integers is exact.  The
-    reductions are plain `%`: on the single rows and columns reduced per
-    pivot, `_mod`'s int64 copies would cost more than they save.
-    `Matrix.rref` sends it the F_p matrices of at least _SPARSE_MIN_CELLS
-    cells, and `_rank_sparse` its filled-in active parts.
-    """
-    p = m.field.p
-    a = m._a.copy()
-    nr, nc = a.shape
-    if (p - 1) ** 2 * (min(nr, nc) + 1) >= _FLOAT_SAFE:
-        raise ValueError("matrix too large for deferred-reduction elimination")
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        col = a[r:, c] % p
-        a[r:, c] = col
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], :] = a[[i, r], :]
-        a[r, :] %= p
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, :] = (a[r, :] * inv) % p
-        f = a[:, c] % p
-        f[r] = 0.0
-        if f.any():
-            a -= np.outer(f, a[r, :])
-        a[:, c] = 0.0
-        a[r, c] = 1.0
-        pivots.append(c)
-        r += 1
-    a %= p
-    return Matrix(m.field, nr, nc, a, _raw=True), tuple(pivots)
-
-
 def _rank_sparse(a, p: int) -> int:
     """Rank over F_p of the array `a` (entries in [0, p)) by structured
     Gaussian elimination (LaMacchia–Odlyzko; Bouillaguet–Delaplace).
@@ -531,10 +465,8 @@ def _rank_sparse(a, p: int) -> int:
     is the one of its columns held by the fewest active rows (Markowitz), so
     singleton columns go first and cause no fill-in.  The pivot column is
     cleared from every other row that holds it, and the pivot row leaves.
-    Once the active rows × active columns have at least
-    `_SPARSE_HANDOFF_CELLS` cells of which more than a
-    `_SPARSE_HANDOFF_DENSITY` share is nonzero, that active part is
-    eliminated by `_rref_np`.
+    The elimination runs until no active row is left; each pivot adds one to
+    the rank.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}  # column -> the active rows holding it
@@ -542,21 +474,16 @@ def _rank_sparse(a, p: int) -> int:
     for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
         rows.setdefault(i, {})[j] = int(v) % p
         cols.setdefault(j, set()).add(i)
-    nnz = len(ii)
     heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
     rank = 0
     while rows:
-        cells = len(rows) * len(cols)
-        if cells >= _SPARSE_HANDOFF_CELLS and nnz > _SPARSE_HANDOFF_DENSITY * cells:
-            break
         length, i = heapq.heappop(heap)
         row = rows.get(i)
         if row is None or len(row) != length:
             continue
         c = min(row, key=lambda j: len(cols[j]))
         del rows[i]
-        nnz -= length
         holders = cols.pop(c)
         holders.discard(i)
         rest = [(j, v) for j, v in row.items() if j != c]
@@ -569,13 +496,11 @@ def _rank_sparse(a, p: int) -> int:
         for s in holders:
             t = rows[s]
             f = t.pop(c) * inv % p
-            nnz -= 1
             for j, v in rest:
                 w = t.get(j)
                 if w is None:
                     t[j] = -f * v % p
                     cols.setdefault(j, set()).add(s)
-                    nnz += 1
                     continue
                 w = (w - f * v) % p
                 if w:
@@ -586,19 +511,11 @@ def _rank_sparse(a, p: int) -> int:
                 held.discard(s)
                 if not held:
                     del cols[j]
-                nnz -= 1
             if t:
                 heapq.heappush(heap, (len(t), s))
             else:
                 del rows[s]
         rank += 1
-    if rows:
-        at = {j: k for k, j in enumerate(cols)}
-        d = np.zeros((len(rows), len(cols)))
-        for r, row in enumerate(rows.values()):
-            for j, v in row.items():
-                d[r, at[j]] = v
-        rank += len(_rref_np(Matrix(Field(p), len(rows), len(cols), d, _raw=True))[1])
     return rank
 
 

@@ -3,9 +3,10 @@
 A problem file is a single JSON document with a versioned top-level
 `"format": "godex/1"` key.  Rationals are serialized as "num/den" strings
 (or "num" when integral), F_p entries as integers in [0, p); matrices are
-row-major arrays of arrays.  Restriction maps are given per covering
-relation; the parser composes them along chains and verifies that the
-composites are consistent (diamond-shaped posets make this a real check).
+row-major arrays of arrays.  Restriction maps are given once per covering
+relation, and for no other pair; the parser composes them along chains and
+verifies that the composites are consistent (diamond-shaped posets make this
+a real check).  A top-level key outside `_KEYS` is refused.
 
 Serialization is canonical: `fmt` is byte-idempotent and parse∘serialize is
 the identity on parsed content.
@@ -24,6 +25,9 @@ from .filtered import FilteredComplex
 from .site import MonotoneMap, Poset, Sheaf
 
 FORMAT_KEY = "godex/1"
+# The top-level keys of a document.  Any other key is refused rather than
+# ignored, so that `fmt` never drops a block that a command would not read.
+_KEYS = ("format", "field", "poset", "sheaf", "poset_map", "filtered_complex")
 
 
 class ProblemFile:
@@ -188,12 +192,17 @@ def _parse_sheaf(field: Field, poset: Poset | None, spec, where: str) -> Sheaf:
         s = dict(s)
         s["lower_bound"] = lower
         stalks[x] = _parse_complex(field, s, f"{where}.stalks[{x}]")
+    covers = set(poset.covers())
     cover_maps = {}
     for item in _expect(spec.get("restrictions", []), list, f"{where}.restrictions"):
         item = _expect(item, dict, f"{where}.restrictions entry")
         a, b = item.get("from"), item.get("to")
         if not isinstance(a, str) or not isinstance(b, str) or a not in poset or b not in poset:
             raise FormatError(f"restriction references unknown elements {a!r}, {b!r}")
+        if (a, b) not in covers:
+            raise FormatError(f"restriction {a}->{b} is not along a cover of the poset")
+        if (a, b) in cover_maps:
+            raise FormatError(f"restriction {a}->{b} is given twice")
         comps = {}
         where_ab = f"{where}.restrictions[{a}->{b}]"
         for k, data in _expect(item.get("components", {}), dict, where_ab).items():
@@ -204,7 +213,6 @@ def _parse_sheaf(field: Field, poset: Poset | None, spec, where: str) -> Sheaf:
             cover_maps[(a, b)] = ChainMap(stalks[a], stalks[b], comps)
         except InvariantError as e:
             raise FormatError(f"restriction {a}->{b}: {e}")
-    covers = set(poset.covers())
     missing = covers - set(cover_maps)
     if missing:
         raise FormatError(f"missing restriction matrices for covers {sorted(missing)}")
@@ -297,9 +305,10 @@ def parse_document(text: str) -> ProblemFile:
         raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_KEY:
         raise FormatError(f'missing or unsupported "format" key (expected "{FORMAT_KEY}")')
-    for key in ("sheaf2", "map"):
-        if key in doc:  # refused, not ignored, so that `fmt` never drops it
-            raise FormatError(f'the "{key}" block is not supported: no command reads it')
+    for key in doc:
+        if key not in _KEYS:
+            raise FormatError(f'unknown top-level key "{key}": a {FORMAT_KEY} document has '
+                              f'only {", ".join(_KEYS)}')
     field = _parse_field(doc)
     poset = _parse_poset(doc["poset"], "poset") if "poset" in doc else None
     sheaf = None

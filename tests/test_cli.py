@@ -374,10 +374,11 @@ def test_internal_failures_exit_three(monkeypatch, capsys, error):
     assert str(error) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("block", ["sheaf2", "map"])
+@pytest.mark.parametrize("block", ["sheaf2", "map", "poset_mapp"])
 def test_sheaf2_and_map_blocks_are_invalid_input(tmp_path, capsys, block):
-    # no command reads either block, so a file that carries one is refused
-    # rather than read without it, and `fmt` never drops it
+    # no command reads these blocks (the last is a misspelt "poset_map"), so
+    # a file that carries one is refused rather than read without it, and
+    # `fmt` never drops it
     doc = json.loads((DATA / "pseudocircle-constant.json").read_text())
     doc[block] = doc["sheaf"] if block == "sheaf2" else {"components": {}}
     path = tmp_path / "extra.json"

@@ -10,7 +10,7 @@ from godex import cli
 from godex.errors import AmbientMismatch, InvariantError, NotContained
 from godex.complexes import random_complex
 from godex.exactlin import (
-    GF, QQ, Field, Layout, Matrix, Subspace, _rank_sparse, _rref_np, free_columns, kernel,
+    GF, QQ, Field, Layout, Matrix, Subspace, _rank_sparse, free_columns, kernel,
     random_automorphism, random_invertible, random_matrix, subquotient,
 )
 
@@ -186,6 +186,20 @@ def test_entries_canonical_mod_p(f5):
                 assert 0 <= v < 5
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_constructor_refuses_data_of_another_shape(field):
+    # the data must be exactly `rows` rows of `cols` entries: an extra entry
+    # or row is refused, not dropped, and a missing one is a ValueError
+    for rows, cols, data in [(1, 1, [[1, 2]]), (2, 1, [[1], [2], [3]]), (2, 2, [[1, 2], [3]]),
+                             (2, 2, [[1, 2]]), (0, 1, [[1]]), (1, 0, [])]:
+        with pytest.raises(ValueError, match="rows of"):
+            Matrix(field, rows, cols, data)
+    with pytest.raises(ValueError, match="rows of"):
+        Matrix.from_rows(field, [[1, 2], [3]])
+    assert Matrix(field, 2, 1, [[1], [2]]).rows_list() == [[1], [2]]
+    assert Matrix.from_rows(field, []).shape == (0, 0)
+
+
 def test_subquotient_full_by_zero(qq):
     Z = Subspace.full(qq, 3)
     B = Subspace.zero(qq, 3)
@@ -254,12 +268,11 @@ def test_backend_agreement_q_vs_f5():
 @pytest.mark.parametrize("p", [2, 5, 65521, 1048573])
 def test_panel_rref_matches_references_across_panels(p):
     # 90 x 150 products of rank <= 70 (13500 cells; the 150 columns once
-    # spanned three panels of a blocked kernel): most rows reduce to zero,
-    # and at p = 1048573 the deferred reductions grow the most
+    # spanned three panels of a blocked kernel): most rows reduce to zero
     field = GF(p)
     rng = random.Random(1)
     A = random_matrix(field, 90, 70, rng) @ random_matrix(field, 70, 150, rng)
-    R, pivots = _rref_np(A)
+    R, pivots = A.rref()
     assert (R.rows_list(), pivots) == naive_rref(A)
     assert A.rank() == len(pivots)
     K = A.kernel_matrix()
@@ -295,8 +308,8 @@ def naive_kernel(A):
 
 def test_rref_kernel_and_solve_match_naive_on_small_inputs():
     # the sizes the workloads eliminate, 0-12 x 0-12 at densities 0-1, and
-    # the shapes on either side of the list/array split at _SPARSE_MIN_CELLS
-    # (31 x 33 = 1023 and 32 x 32 = 1024 cells), full rank and not
+    # the shapes on either side of `rank`'s _SPARSE_MIN_CELLS (31 x 33 = 1023
+    # and 32 x 32 = 1024 cells), full rank and not
     rng = random.Random(15)
     primes = (2, 3, 5, 65521, 1048573)
     cases = []
@@ -326,9 +339,6 @@ def test_rref_kernel_and_solve_match_naive_on_small_inputs():
         rows, pivots = naive_rref(A)
         R, got = A.rref()
         assert (R.rows_list(), got) == (rows, pivots), A
-        if not A.field.is_rational:
-            R, got = _rref_np(A)
-            assert (R.rows_list(), got) == (rows, pivots), A
         assert A.rank() == len(pivots)
         free = free_columns(A.cols, pivots)
         K = A.kernel_matrix()
@@ -349,36 +359,27 @@ def test_rref_kernel_and_solve_match_naive_on_small_inputs():
 
 
 def test_rref_guard_threshold(monkeypatch, capsys):
-    # with _FLOAT_SAFE = 8 (p-1)**2, `_rref_np` refuses elimination exactly
-    # from min(rows, cols) + 1 = 8 on, i.e. from 7 rows (or columns) up; below
-    # _SPARSE_MIN_CELLS cells, `rank` and `kernel_matrix` eliminate on Python
-    # lists, which need no guard, and still return the naive results
+    # elimination has no guard: with _FLOAT_SAFE = 8 (p-1)**2, far below any
+    # real bound, `rref`, `rank`, `kernel_matrix` and `solve` still return
+    # the naive results, on small matrices and on dense ones of
+    # _SPARSE_MIN_CELLS cells or more (which `rank` sends to `rref`)
     p = 5
     field = GF(p)
     monkeypatch.setattr(exactlin, "_FLOAT_SAFE", 8.0 * (p - 1) ** 2)
     rng = random.Random(8)
-    for rows, cols in [(6, 10), (7, 10), (10, 6), (10, 7), (6, 6), (7, 7), (0, 30), (30, 0)]:
+    for rows, cols in [(6, 10), (7, 10), (10, 6), (10, 7), (6, 6), (7, 7), (0, 30), (30, 0),
+                       (31, 40), (40, 31), (32, 32), (32, 40), (40, 32)]:
         A = random_matrix(field, rows, cols, rng)
-        if (p - 1) ** 2 * (min(rows, cols) + 1) >= exactlin._FLOAT_SAFE:
-            with pytest.raises(ValueError, match="deferred-reduction elimination"):
-                _rref_np(A)
-        else:
-            assert len(_rref_np(A)[1]) == naive_rank(A)
+        assert (A.rref()[0].rows_list(), A.rref()[1]) == naive_rref(A)
         assert A.rank() == naive_rank(A)
         assert A.kernel_matrix().rows_list() == naive_kernel(A)
-    # dense F_p matrices of _SPARSE_MIN_CELLS cells or more take `_rref_np`:
-    # with _FLOAT_SAFE = 33 (p-1)**2 it refuses them from 32 rows (or
-    # columns) up, also inside `rank` and `kernel_matrix`
-    monkeypatch.setattr(exactlin, "_FLOAT_SAFE", 33.0 * (p - 1) ** 2)
-    for rows, cols in [(31, 40), (40, 31), (32, 32), (32, 40), (40, 32)]:
-        A = random_matrix(field, rows, cols, rng)
-        assert rows * cols >= exactlin._SPARSE_MIN_CELLS
-        if min(rows, cols) >= 32:
-            for op in (_rref_np, Matrix.rank, Matrix.kernel_matrix):
-                with pytest.raises(ValueError, match="deferred-reduction elimination"):
-                    op(A)
+        B = random_matrix(field, rows, 2, rng)
+        want = naive_solution(A, B)
+        if want is None:
+            with pytest.raises(NotContained):
+                A.solve(B)
         else:
-            assert len(_rref_np(A)[1]) == A.rank() == naive_rank(A)
+            assert A.solve(B).rows_list() == want
     # a guard deep in a CLI route exits 3 with its message: the descent route
     # reads Γ(U, H_X F), and first meets the guard of `@` in the d∘d check
     # of a stalk of H_X F
@@ -426,34 +427,28 @@ def with_dense_block(M, r0, c0, size, rng):
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 1048573])
-def test_sparse_rank_matches_references(p, monkeypatch):
+def test_sparse_rank_matches_references(p):
     field = GF(p)
     rng = random.Random(p)
-    handoffs = []
-    rref_np = exactlin._rref_np
-    monkeypatch.setattr(exactlin, "_rref_np", lambda m: handoffs.append(m.shape) or rref_np(m))
     cases = [Matrix.zeros(field, 0, 0), Matrix.zeros(field, 0, 7), Matrix.zeros(field, 9, 0),
              Matrix.zeros(field, 40, 50), Matrix.identity(field, 33)]
     cases += [random_sparse(field, r, c, dens, rng) for r, c, dens in
               [(1, 60, 0.05), (60, 1, 0.05), (40, 60, 0.03), (70, 50, 0.06), (50, 50, 0.1)]]
     cases += [random_sparse(field, 60, 80, 0.05, rng, rank=k) for k in (5, 20, 35)]
-    dense_block = [with_dense_block(random_sparse(field, 60, 70, 0.02, rng), 10, 20, 30, rng),
-                   with_dense_block(random_sparse(field, 80, 40, 0.0, rng), 40, 5, 25, rng)]
-    for M in cases + dense_block:
+    # a dense block fills in: the sparse elimination carries it to the end
+    cases += [with_dense_block(random_sparse(field, 60, 70, 0.02, rng), 10, 20, 30, rng),
+              with_dense_block(random_sparse(field, 80, 40, 0.0, rng), 40, 5, 25, rng)]
+    for M in cases:
         want = naive_rank(M)
-        handoffs.clear()
         assert _rank_sparse(M._a, p) == want, M.shape
-        if M in dense_block:
-            assert handoffs, "the dense block was not handed to _rref_np"
-        assert len(rref_np(M)[1]) == want
+        assert len(M.rref()[1]) == want
         assert M.rank() == want
 
 
 def test_rank_takes_the_sparse_path_on_large_sparse_fp(monkeypatch):
-    calls, dense_calls = [], []
-    rank_sparse, rref_np = exactlin._rank_sparse, exactlin._rref_np
+    calls = []
+    rank_sparse = exactlin._rank_sparse
     monkeypatch.setattr(exactlin, "_rank_sparse", lambda a, p: calls.append(a.shape) or rank_sparse(a, p))
-    monkeypatch.setattr(exactlin, "_rref_np", lambda m: dense_calls.append(m.shape) or rref_np(m))
     rng = random.Random(7)
     big = random_sparse(GF(5), 40, 60, 0.03, rng)
     assert big.rows * big.cols >= exactlin._SPARSE_MIN_CELLS
@@ -464,18 +459,6 @@ def test_rank_takes_the_sparse_path_on_large_sparse_fp(monkeypatch):
     for M in (small, dense, rational):
         assert M.rank() == naive_rank(M)
     assert calls == [(40, 60)]
-    # `rref`, `rank`, `kernel_matrix` and `solve` eliminate F_p matrices below
-    # _SPARSE_MIN_CELLS cells (for `solve`, [A | B]) on lists; the dense
-    # 40 x 60 matrix goes to `_rref_np`
-    dense_calls.clear()
-    for M in (small, random_matrix(GF(5), 30, 33, rng), random_matrix(GF(1048573), 12, 9, rng)):
-        M.rref()
-        M.rank()
-        M.kernel_matrix()
-        M.solve(M @ random_matrix(M.field, M.cols, 1, rng))
-    assert dense_calls == []
-    dense.rref()
-    assert dense_calls == [(40, 60)]
 
 
 def every_shape_result(field):

@@ -13,6 +13,8 @@ from godex.site import (
     MonotoneMap, constant_sheaf, pseudocircle_poset, random_sheaf, sierpinski_poset,
 )
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
 
 def roundtrip(pf: ProblemFile) -> str:
     text = emit_document(pf)
@@ -145,6 +147,20 @@ def test_missing_cover_restriction(f5):
     assert "missing restriction" in str(exc.value)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"from": "x", "to": "a"}, "x->a is not along a cover"),  # reversed
+    ({"from": "a", "to": "b"}, "a->b is not along a cover"),  # incomparable
+    ({"from": "a", "to": "x"}, "a->x is given twice"),  # duplicate
+])
+def test_restriction_entries_are_covers_given_once(entry, message):
+    # an entry that `fmt` would drop, or one that would replace an earlier
+    # entry for the same cover, is refused
+    doc = json.loads((DATA / "pseudocircle-constant.json").read_text())
+    doc["sheaf"]["restrictions"].append({**entry, "components": {"0": [[2]]}})
+    with pytest.raises(FormatError, match=message):
+        parse_document(json.dumps(doc))
+
+
 def _mutate(doc, rng):
     """Replace, delete or add one randomly chosen node of a JSON document."""
     junk = [None, True, -1, 0, 2.5, "x", "1/0", "", [], {}, [1, 2], {"a": 1}, [[1]], "a"]
@@ -174,7 +190,7 @@ def _mutate(doc, rng):
 def test_mutated_documents_parse_or_raise_format_errors():
     # malformed input is rejected with a godex error (the CLI's exit 2),
     # never with an internal TypeError, KeyError or AttributeError
-    files = sorted((Path(__file__).resolve().parent.parent / "data").glob("*.json"))
+    files = sorted(DATA.glob("*.json"))
     rng = random.Random(2)
     for _ in range(3000):
         doc = json.loads(rng.choice(files).read_text())

@@ -65,11 +65,14 @@ def _names_in(node):
 
 def test_every_private_function_has_a_caller_in_src():
     # a private helper that nothing else in the package names is dead code:
-    # a route deleted around it (such as a rank route) leaves it behind.
-    # A helper's references inside its own body (recursion) do not count.
-    # Names are matched by spelling, so a method and a free function of one
-    # name, or a helper and an attribute of its name, share their callers.
-    defs, used, own = [], Counter(), Counter()
+    # a route deleted around it (such as a rank route) leaves it behind, and
+    # so does a private module-level name (`_NAME = ...`, such as the
+    # threshold of a deleted route) that nothing in the package reads.
+    # A helper's references inside its own body (recursion) and a name's own
+    # assignment do not count.  Names are matched by spelling, so a method
+    # and a free function of one name, or a helper and an attribute of its
+    # name, share their callers.
+    defs, names, used, own = [], [], Counter(), Counter()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         used.update(_names_in(tree))
@@ -78,8 +81,16 @@ def test_every_private_function_has_a_caller_in_src():
                     node.name.startswith("_") and not node.name.endswith("__"):
                 defs.append((node.name, f"{path.name}:{node.lineno}"))
                 own[node.name] += sum(1 for name in _names_in(node) if name == node.name)
-    assert defs, SRC
-    assert not [(name, where) for name, where in defs if used[name] == own[name]]
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.startswith("_") and \
+                        not target.id.endswith("__"):
+                    names.append((target.id, f"{path.name}:{node.lineno}"))
+                    own[target.id] += 1
+    assert defs and names, SRC
+    assert not [(name, where) for name, where in defs + names if used[name] == own[name]]
 
 
 # Defaulted parameters of public functions that no call in src/ or bench/
