@@ -19,9 +19,9 @@ import json
 import random
 import sys
 
-from .complexes import min_certified
+from .complexes import ChainMap, min_certified
 from .cosimplicial import check_descent_axioms
-from .errors import FormatError, GodexError, InvariantError
+from .errors import FormatError, GodexError, InvariantError, TooLarge
 from .exactlin import GF
 from .filtered import check_descent_axioms_filtered, e_infinity_dims, er_page
 from .godement import (
@@ -31,7 +31,7 @@ from .godement import (
 )
 from .oracle import constant_cohomology, holim_replacement
 from .problemfile import emit_document, load
-from .site import random_poset, random_sheaf
+from .site import UP_SET_ENUMERATION_CAP, random_poset, random_sheaf
 
 
 def _require_sheaf(pf):
@@ -49,9 +49,10 @@ def _parse_open(poset, spec: str):
     return poset.require_open(spec.split(","))
 
 
-def _int_at_least(least: int):
-    """argparse type for an int of at least `least`; anything else is a usage
-    error (exit 2), never a vacuous run."""
+def _int_in(least: int, most: int | None = None):
+    """argparse type for an int of at least `least` and at most `most`;
+    anything else is a usage error (exit 2), never a vacuous run or one
+    refused after its work."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -59,11 +60,13 @@ def _int_at_least(least: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be an integer <= {most}, got {value}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1)
+_positive_int = _int_in(1)
 
 
 def _bound(args, sheaf) -> int:
@@ -176,6 +179,11 @@ def cmd_check_thomason(args) -> int:
 
 
 def _theorem_conditions(F, N):
+    # the Thomason check enumerates the opens: refuse a poset it would refuse
+    # before anything is built
+    if len(F.poset) > UP_SET_ENUMERATION_CAP:
+        raise TooLarge(f"poset has {len(F.poset)} > {UP_SET_ENUMERATION_CAP} elements; "
+                       "its open sets are not enumerated")
     hyper = hypercohomology_sheaf(F, N)
     local = equivalence_check(hyper.rho, "local")
     theta = stalk_commutation_check(F, N, hyper=hyper)
@@ -308,8 +316,11 @@ def cmd_oracle(args) -> int:
            "normalized_betti": _betti_doc(strict.betti()),
            "certified_degree": weak.certified_degree}
     constant = None
-    stalk0 = pf.sheaf.stalk(pf.poset.elements[0])
-    if all(pf.sheaf.stalk(x) == stalk0 for x in pf.poset.elements):
+    F = pf.sheaf
+    stalk0 = F.stalk(pf.poset.elements[0])
+    # a constant sheaf: one stalk everywhere and every restriction the identity
+    if all(F.stalk(x) == stalk0 for x in pf.poset.elements) and \
+            all(F.restriction(a, b) == ChainMap.identity(stalk0) for a, b in pf.poset.pairs()):
         constant = constant_cohomology(pf.poset, pf.field, stalk0, N)
         doc["nerve_betti"] = _betti_doc(constant)
 
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hyper)
 
     p = sub.add_parser("resolve", help="emit the Godement resolution levels")
-    p.add_argument("--level", type=_int_at_least(0), default=2)
+    p.add_argument("--level", type=_int_in(0), default=2)
     add_common(p, max_degree=False)
     p.set_defaults(func=cmd_resolve)
 
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "commutation, Thomason descent")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--poset-size", type=_positive_int, default=4)
+    p.add_argument("--poset-size", type=_int_in(1, UP_SET_ENUMERATION_CAP), default=4)
     p.add_argument("--max-dim", type=_positive_int, default=2)
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--max-degree", type=int, default=None)
@@ -378,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--bound", type=_positive_int, default=5, help="truncation bound N")
     p.add_argument("--filtered", action="store_true")
-    p.add_argument("--r", type=_int_at_least(0), default=0, help="filtered page index")
+    p.add_argument("--r", type=_int_in(0), default=0, help="filtered page index")
     p.add_argument("--mutant", choices=["drop_d1_sign"], default=None,
                    help="negative control: corrupt the total differential and "
                         "report the resulting d∘d failure (exits 1 when caught)")
     p.set_defaults(func=cmd_check_axioms)
 
     p = sub.add_parser("spectral", help="E_r pages of a filtration")
-    p.add_argument("--r", type=_int_at_least(0), default=2, help="compute pages 0..r")
+    p.add_argument("--r", type=_int_in(0), default=2, help="compute pages 0..r")
     p.add_argument("--source", choices=["descent", "filtered-file"], default="descent")
     p.add_argument("--open", default="ALL")
     add_common(p)

@@ -246,17 +246,14 @@ class ChainMap:
         if check:
             self.validate()
 
-    def validate(self, up_to: int | None = None):
-        """Shapes, and f d = d f in every degree, or through degree `up_to`
-        only (the squares of d^n for n < up_to)."""
+    def validate(self):
+        """Shapes, and f d = d f in every degree."""
         for n, m in self.components.items():
             if m.shape != (self.target.dim(n), self.source.dim(n)):
                 raise InvariantError(f"component in degree {n} has shape {m.shape}, "
                                      f"expected {(self.target.dim(n), self.source.dim(n))}")
         lo = min(self.source.lower, self.target.lower)
         hi = max(self.source.upper, self.target.upper)
-        if up_to is not None:
-            hi = min(hi, up_to - 1)
         for n in range(lo, hi + 1):
             lhs = self.target.d(n) @ self.component(n)
             rhs = self.component(n + 1) @ self.source.d(n)
@@ -497,16 +494,15 @@ class DiagramMap:
     def component(self, k) -> ChainMap:
         return self.components[k]
 
-    def validate(self, up_to: int | None = None):
-        """Every component a chain map (through degree `up_to`, see
-        `ChainMap.validate`) and natural in every arrow."""
+    def validate(self):
+        """Every component a chain map and natural in every arrow."""
         levels1, arrows1, levels2, arrows2 = _same_shape(self.source, self.target, self.error)
         for k, C in levels1.items():
             f = self.components.get(k)
             if f is None or f.source != C or f.target != levels2[k]:
                 raise self.error(f"component at {k!r} has wrong source/target")
             try:
-                f.validate(up_to)
+                f.validate()
             except InvariantError as e:
                 raise self.error(f"component at {k!r}: {e}") from e
         for name, (s, t, a) in arrows1.items():

@@ -17,10 +17,9 @@ cohomology only in degrees <= N-1 (one guard degree), and all
 quasi-isomorphism claims are asserted within certified degrees only.
 
 A total complex keeps, per degree n, the `Layout` of its summands labelled
-(p, q); every map between totals is assembled on those labels
-(`blockwise_map`).  The randomized generators build their objects with
-`complexes.direct_sum` and scramble them with `complexes.conjugate`; every
-structure map of what they return, and every structure map that `row`,
+(p, q); every map between totals is assembled on those labels.  The
+randomized generators build their objects with `complexes.direct_sum` and
+scramble them with `complexes.conjugate`; every structure map of what they return, and every structure map that `row`,
 `transpose`, `diagonal`, `outer_cosimplicial` and `path_object` derive, is
 built on its first read (`complexes.LazyMap`), so the simple functor builds
 no codegeneracy.
@@ -149,24 +148,6 @@ class CosimplicialComplex:
         lows = [lv.lower for lv in self.levels.values() if not lv.is_zero_complex()]
         return min(lows) if lows else None
 
-    def degree_part(self, q: int, p_max: int) -> "CosimplicialComplex":
-        """The degree-q parts of levels 0..p_max, each a complex concentrated
-        in degree q, with the degree-q components of the structure maps and
-        of the carried coface sums between them: the cosimplicial identities
-        and coface sums of X in internal degree q on those levels."""
-        levels = {p: CochainComplex(self.field, {q: self.level(p).dim(q)}, {}, lower=q,
-                                    check=False) for p in range(p_max + 1)}
-
-        def part(f, s, t):
-            return ChainMap(levels[s], levels[t], {q: f.component(q)}, check=False)
-        return CosimplicialComplex(
-            self.field, levels,
-            {(p, i): part(f, p - 1, p) for (p, i), f in self.cofaces.items() if p <= p_max},
-            {(p, j): part(f, p + 1, p) for (p, j), f in self.codegeneracies.items()
-             if p < p_max},
-            p_max, check=False,
-            coface_sums={p: part(self.coface_sums[p], p - 1, p) for p in range(1, p_max + 1)})
-
     def validate(self):
         """Sources and targets, every coface sum the alternating sum of the
         cofaces, and every cosimplicial identity."""
@@ -265,11 +246,6 @@ class TotalComplex(BlockComplex):
 
     __slots__ = ("cosimplicial",)
 
-    def inclusion(self, n: int, p: int) -> Matrix:
-        """The summand X(p)^{n-p} -> s(X)^n (no columns if it is zero)."""
-        layout = self.blocks.get(n, Layout())
-        return layout.inclusion(self.field, [(p, n - p)] if (p, n - p) in layout else [])
-
 
 def alternating_coface_sum(X: CosimplicialComplex, p: int, q: int) -> Matrix:
     """sum_i (-1)^i d^i : X(p-1)^q -> X(p)^q, summed from the cofaces of X
@@ -328,24 +304,14 @@ def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
     return out
 
 
-def blockwise_map(S: TotalComplex, T: TotalComplex, component) -> dict:
-    """Degree -> matrix of the map S -> T that is component(p, q) from each
-    (p, q) summand of S to the same summand of T, and zero elsewhere."""
-    comps = {}
-    for n in set(S.blocks) | set(T.blocks):
-        rows, cols = T.blocks.get(n), S.blocks.get(n)
-        if rows and cols:
-            comps[n] = Matrix.assemble(S.field, rows, cols,
-                                       {(pq, pq): component(*pq) for pq in cols if pq in rows})
-    return comps
-
-
 def simple_map(f: CosimplicialMap, N: int) -> ChainMap:
-    """Block-diagonal total map s(f) : s(X) -> s(Y)."""
-    S = simple(f.source, N)
-    T = simple(f.target, N)
-    return ChainMap(S, T, blockwise_map(S, T, lambda p, q: f.component(p).component(q)),
-                    check=True)
+    """Block-diagonal total map s(f) : s(X) -> s(Y): f_p in degree q from
+    each summand (p, q) of s(X) to the same summand of s(Y)."""
+    S, T = simple(f.source, N), simple(f.target, N)
+    comps = {n: Matrix.assemble(S.field, rows, S.blocks[n], {
+        (pq, pq): f.component(pq[0]).component(pq[1]) for pq in S.blocks[n] if pq in rows})
+        for n, rows in T.blocks.items() if rows and S.blocks.get(n)}
+    return ChainMap(S, T, comps, check=True)
 
 
 def lambda_map(A: CochainComplex, N: int) -> ChainMap:
@@ -355,7 +321,7 @@ def lambda_map(A: CochainComplex, N: int) -> ChainMap:
     lmin = A.lower if not A.is_zero_complex() else 0
     X = constant_cosimplicial(A, max(N - lmin, 0))
     T = simple(X, N)
-    comps = {n: T.inclusion(n, 0) for n in src.dims}
+    comps = {n: T.blocks[n].inclusion(A.field, [(0, n)]) for n in src.dims}
     return ChainMap(src, T, comps, check=True)
 
 

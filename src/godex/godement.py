@@ -22,19 +22,18 @@ independent computations of every coface block of every stalk of H_X(F).
 Truncated at total degree N, the total reads level p only in the internal
 degrees <= N - p.  T is degreewise, so it commutes with brutal truncation:
 `hypercohomology_sheaf` builds level p in those degrees only
-(`godement_resolution(F, p_max, top=N)`), and the restrictions, ρ, the
-stalk commutation check, H_X(H_X F) and `hypercohomology_map` inherit the
-truncation.  Level p then certifies through N - p - 1, which leaves the
-total's N - 1 unchanged.  The cofaces and coface sums run from a level to a
-more truncated one and stay chain maps; the codegeneracies do not, so
-`GodementResolution.validate` checks each identity in the degrees where
-every level it passes through is built.
-Γ(U, −) is degreewise too, so Γ(U, s G•F) = s Γ(U, G•F): the descent
-spectral sequence filters Γ(U, H_X F) by column.  H_X(F) is a
-`HypercohomologySheaf`: its slots (p, q, y) let `site.sections` read
-Γ(U, H_X F) off the labels, one basis block per slot with y ∈ U.  No verdict builds the
-full tower or a codegeneracy; the CLI `resolve` command, the structure-map
-digest and the reference tests build them.
+(`godement_resolution(F, p_max, top=N)`), which certifies through
+N - p - 1 and leaves the total's N - 1 unchanged.  The codegeneracies of a
+truncated tower are no chain maps, so `validate` takes full towers only;
+the tests compare a truncated tower with the full one in every degree it
+builds.  H_X(F) and N H_X(F) are both `LabelledSheaf`s whose labels are
+their stalks' blocks: the slot (p, q, y) of H_X(F)_x^n is the block y of
+G^p(F)_x^q, home y.  Both take their restrictions from `_projections` and
+their ρ from `_rho`, and `site.sections` reads Γ(U, −) of either off the
+labels.  Γ(U, −) is degreewise, so Γ(U, s G•F) = s Γ(U, G•F): the descent
+spectral sequence filters Γ(U, H_X F) by the p of its slots.  No verdict
+builds the full tower or a codegeneracy; the CLI `resolve` command, the
+structure-map digest and the reference tests build them.
 
 Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
 matrices of T-stalks are assembled on its layouts, or on the flattened
@@ -63,7 +62,7 @@ import numpy as np
 from .complexes import (
     BlockComplex, ChainMap, CochainComplex, LazyMap, induced_map, is_quis, min_certified,
 )
-from .cosimplicial import CosimplicialComplex, _degeneracies, _faces, blockwise_map, simple
+from .cosimplicial import CosimplicialComplex, _degeneracies, _faces, simple
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix, units_minus_blocks
 from .site import (
@@ -153,7 +152,8 @@ class GodementResolution:
     are all a total complex reads.  Each coface and codegeneracy is built on
     its first read (a `LazyMap`): d^0_p = η and s^0_p = ν of T^p F, and
     d^i_p = T(d^{i-1}_{p-1}), s^j_p = T(s^{j-1}_{p-1}), where d^0_0 = η_F.
-    With `top` set, level p is built in the internal degrees <= top - p only.
+    With `top` set, level p is built in the internal degrees <= top - p only,
+    and `validate` refuses the tower.
     """
 
     __slots__ = ("sheaf", "levels", "eta", "coface_sums", "p_max", "top", "cofaces",
@@ -201,27 +201,18 @@ class GodementResolution:
         and every cosimplicial identity (`CosimplicialComplex.validate` of
         `stalkwise`), and every structure map a sheaf map.
 
-        Truncated at `top`, level p is built in the degrees <= top - p, so
-        each identity and coface sum is checked in every internal degree q
-        where all the levels it passes through are built: on the degree-q
-        part of levels 0..top - q (`CosimplicialComplex.degree_part`).  The
-        cofaces and the coface sums run from a level to a more truncated one
-        and stay chain maps.  A codegeneracy into level p does not: its
-        source has no degree top - p to match the target's differential out
-        of degree top - p - 1, so it is a chain map through degree top - p - 1.
+        A full tower only: on a truncated one (`top` set) the codegeneracies
+        are no chain maps, so this raises ValueError.  The tests compare a
+        truncated tower with the full one in every degree it builds instead.
         """
-        top = self.top
+        if self.top is not None:
+            raise ValueError(f"validate() takes a full tower; this one is truncated at {self.top}")
         for x in self.sheaf.poset.elements:
-            X = self.stalkwise(x)
-            if top is None:
-                X.validate()
-            else:
-                for q in X.level(0).dims:
-                    X.degree_part(q, min(self.p_max, top - q)).validate()
+            self.stalkwise(x).validate()
         for f in self.cofaces.values():
             f.validate()
-        for (p, _), s in self.codegeneracies.items():
-            s.validate(None if top is None else top - p - 1)
+        for f in self.codegeneracies.values():
+            f.validate()
 
 
 def _coface_sum(below: SheafMap, G: Sheaf, TG: Sheaf) -> SheafMap:
@@ -273,18 +264,12 @@ def godement_resolution(F: Sheaf, p_max: int, top: int | None = None) -> Godemen
 
 def t_chain_layout(res: GodementResolution, p: int, x, n: int) -> Layout:
     """Flattened layout of level p of `res` at x in degree n: the chain
-    (y_0, ..., y_p) of the nested blocks -> (offset, dim), nonzero only."""
-    return Layout(_t_chains(res, p, x, n))
-
-
-def _t_chains(res: GodementResolution, p: int, x, n: int):
+    (y_0, ..., y_p) of the nested blocks -> (offset, dim), nonzero only.
+    Level -1 is F itself, with the one chain ()."""
     if p < 0:
-        yield (), res.sheaf.stalk(x).dim(n)
-        return
-    for y in res.level(p).stalk(x).blocks.get(n, ()):
-        for chain, d in _t_chains(res, p - 1, y, n):
-            if d:
-                yield (y,) + chain, d
+        return Layout([((), res.sheaf.stalk(x).dim(n))])
+    return Layout(((y,) + c, d) for y in res.level(p).stalk(x).blocks.get(n, ())
+                  for c, (_, d) in t_chain_layout(res, p - 1, y, n).items() if d)
 
 
 def stalk_extra_degeneracy(res: GodementResolution, x):
@@ -344,21 +329,9 @@ def resolution_sections(res: GodementResolution, U):
 # ---- hypercohomology ------------------------------------------------------
 
 
-class HypercohomologySheaf(LabelledSheaf):
-    """H_X(F) as `_hypercohomology` totals it.  The slot (p, q, y) of
-    H_X(F)_x^n is the block y of G^p(F)_x^q = ⊕_{y >= x} (T^p F)_y^q, with
-    home y, so `sections` takes the chain route on it."""
-
-    __slots__ = ()
-
-    def labels(self, x, n: int) -> Layout:
-        total = self.stalks[x]
-        return Layout(((p, q, y), d) for (p, q) in total.blocks.get(n, ())
-                      for y, (_, d) in total.cosimplicial.level(p).blocks[q].items() if d)
-
-
 class Hypercohomology:
-    """H_X(F) = s G•(F) objectwise (or N H_X(F), resolution None), with ρ_F."""
+    """H_X(F) = s G•(F) objectwise (or N H_X(F), resolution None), a
+    `LabelledSheaf` on its stalks' blocks, with ρ_F (`_rho`)."""
 
     __slots__ = ("resolution", "H", "rho")
 
@@ -387,38 +360,57 @@ def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
 
 
 def _hypercohomology(res: GodementResolution, N: int) -> Hypercohomology:
-    """H_X(F) and ρ_F, totalled from the resolution `res` of F at N."""
+    """H_X(F) and ρ_F, totalled from the resolution `res` of F at N.
+
+    The stalk at x is the total of `res.stalkwise(x)` with its summands split
+    into slots: the slot (p, q, y) of H_X(F)_x^n is the block y of
+    G^p(F)_x^q = ⊕_{y >= x} (T^p F)_y^q, with home y, so `sections` takes
+    the chain route on H_X(F), and its restrictions project onto slots."""
     F, poset = res.sheaf, res.sheaf.poset
-    totals = {x: simple(res.stalkwise(x), N) for x in poset.elements}
-    restr = {}
-    for (a, b) in poset.pairs():
-        comps = blockwise_map(totals[a], totals[b],
-                              lambda p, q: res.level(p).restriction(a, b).component(q))
-        restr[(a, b)] = ChainMap(totals[a], totals[b], comps, check=False)
-    H = HypercohomologySheaf(poset, F.field, dict(totals), restr, check=False)
-    rho = SheafMap.from_blocks(
-        F, H, lambda x, n: totals[x].inclusion(n, 0) @ res.eta.component(x).component(n))
+    stalks = {}
+    for x in poset.elements:
+        X = res.stalkwise(x)
+        S = simple(X, N)
+        slots = {n: Layout(((p, q, y), d) for (p, q) in L
+                           for y, (_, d) in X.level(p).blocks[q].items() if d)
+                 for n, L in S.blocks.items()}
+        stalks[x] = BlockComplex(F.field, slots, S.differentials, lower=S.lower,
+                                 certified_degree=S.certified_degree, check=False)
+    H = LabelledSheaf(poset, F.field, stalks, _projections(poset, F.field, stalks), check=False)
+    return Hypercohomology(res, H, _rho(F, H))
+
+
+def _rho(F: Sheaf, H: LabelledSheaf) -> SheafMap:
+    """ρ_F : F -> H for H = H_X(F) or N H_X(F): r_{x->y} into each level-0
+    slot (0, n, ..., y) of H_x^n, home y, as η does, and zero elsewhere.
+    Each component is validated as a chain map."""
+
+    def block(x, n):
+        rows = H.labels(x, n)
+        return Matrix.assemble(F.field, rows, [F.stalk(x).dim(n)],
+                               {(s, 0): F.restriction(x, s[-1]).component(n)
+                                for s in rows if s[0] == 0})
+    rho = SheafMap.from_blocks(F, H, block)
     for f in rho.components.values():
         f.validate()
-    return Hypercohomology(res, H, rho)
+    return rho
 
 
 def hypercohomology_map(f: SheafMap, N: int):
-    """H_X(f) : H_X(F) -> H_X(G), blockwise T^{p+1}(f)."""
+    """H_X(f) : H_X(F) -> H_X(G): T^p(f) at y on each slot (p, q, y)."""
     hyper_src = hypercohomology_sheaf(f.source, N)
     hyper_tgt = hypercohomology_sheaf(f.target, N)
     rs, rt = hyper_src.resolution, hyper_tgt.resolution
-    level_maps = []
-    g = f
-    for p in range(min(rs.p_max, rt.p_max) + 1):
-        g = t_apply_map(g, rs.level(p), rt.level(p))
-        level_maps.append(g)
-    comps = {}
-    for x in f.source.poset.elements:
-        Sx, Tx = hyper_src.H.stalk(x), hyper_tgt.H.stalk(x)
-        blocks = blockwise_map(Sx, Tx, lambda p, q: level_maps[p].component(x).component(q))
-        comps[x] = ChainMap(Sx, Tx, blocks, check=False)
-    return SheafMap(hyper_src.H, hyper_tgt.H, comps, check=False), hyper_src, hyper_tgt
+    powers = [f]  # powers[p] = T^p(f) : T^p F -> T^p G, level p - 1 for p >= 1
+    for p in range(min(rs.p_max, rt.p_max)):
+        powers.append(t_apply_map(powers[-1], rs.level(p), rt.level(p)))
+
+    def block(x, n):
+        rows, cols = hyper_tgt.H.labels(x, n), hyper_src.H.labels(x, n)
+        return Matrix.assemble(f.source.field, rows, cols,
+                               {((p, q, y),) * 2: powers[p].component(y).component(q)
+                                for p, q, y in cols if (p, q, y) in rows})
+    return SheafMap.from_blocks(hyper_src.H, hyper_tgt.H, block), hyper_src, hyper_tgt
 
 
 # ---- equivalence checks ---------------------------------------------------
@@ -538,15 +530,10 @@ def _normalized_stalk(F: Sheaf, up, N: int, top: int, cert) -> BlockComplex:
 
 
 def reduced_hypercohomology(F: Sheaf, N: int) -> Hypercohomology:
-    """R = `normalized_hypercohomology_sheaf(F, N)` and ρ_F : F -> R; ρ_x,
-    validated as a chain map, inserts r_{x->y} on each 0-chain (y) as η does."""
+    """R = `normalized_hypercohomology_sheaf(F, N)` and ρ_F : F -> R (`_rho`),
+    which inserts r_{x->y} on each 0-chain (y) as η does."""
     R = normalized_hypercohomology_sheaf(F, N)
-    rho = SheafMap.from_blocks(F, R, lambda x, n: Matrix.assemble(
-        F.field, R.stalks[x].blocks[n], [F.stalk(x).dim(n)],
-        {(c, 0): F.restriction(x, c[-1]).component(n) for c in R.stalks[x].blocks[n] if c[0] == 0}))
-    for f in rho.components.values():
-        f.validate()
-    return Hypercohomology(None, R, rho)
+    return Hypercohomology(None, R, _rho(F, R))
 
 
 def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
@@ -554,10 +541,11 @@ def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
     res = hyper.resolution
 
     def block(x, n):
-        # columns: strict-chain slots; rows: flattened weak-chain slots of H_x
+        # columns: strict-chain slots; rows: the weak chains (y, ...) of each
+        # slot (p, q, y) of H_x, flattened
         cols = R.stalk(x).blocks[n]
-        rows = Layout(((p, chain), d) for (p, q) in hyper.H.stalk(x).blocks[n]
-                      for chain, (_, d) in t_chain_layout(res, p, x, q).items())
+        rows = Layout(((p, (y,) + c), d) for p, q, y in hyper.H.labels(x, n)
+                      for c, (_, d) in t_chain_layout(res, p - 1, y, q).items())
         if any(rows[(p, c)][1] != d for (p, _, c, _), (_, d) in cols.items()):
             raise InvariantError("reduced model block mismatch")
         return rows.inclusion(F.field, [(p, c) for p, _, c, _ in cols])

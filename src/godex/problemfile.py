@@ -274,11 +274,11 @@ def _parse_filtered(field: Field, spec, where: str) -> FilteredComplex:
             raise FormatError(f"{where}.filtration[{k}]: F^{index} lies outside "
                               f"(k_min, k_max] = ({k_min}, {k_max}]")
         for n, data in _expect(per_degree, dict, f"{where}.filtration[{k}]").items():
-            if not data:
-                continue
             at = f"{where}.filtration[{k}][{n}]"
-            cols = len(_expect(_expect(data, list, at)[0], list, at))
             degree = _parse_key(n, at)
+            if not _expect(data, list, at):
+                continue  # an empty array: no basis vector in this degree
+            cols = len(_expect(data[0], list, at))
             bases[(index, degree)] = _parse_matrix(field, base.dim(degree), cols, data, at)
     try:
         return FilteredComplex.from_bases(base, bases, k_min, k_max)

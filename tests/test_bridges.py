@@ -62,9 +62,9 @@ def canonical_replacement_iso(F, hyper, U, repl):
             entries = {}
             blocks_list = []
             col_layout = repl.blocks[n]
-            for (p, q), (off, d) in Hx.blocks[n].items():
-                for chain, (off2, d2) in t_chain_layout(hyper.resolution, p, x, q).items():
-                    src = col_layout.get((p, chain))
+            for (p, q, y), (off, d) in Hx.blocks[n].items():
+                for chain, (off2, d2) in t_chain_layout(hyper.resolution, p - 1, y, q).items():
+                    src = col_layout.get((p, (y,) + chain))
                     assert src is not None, "stalk chain missing from the replacement"
                     blocks_list.append((off + off2, src[0], d2))
             m = Matrix.zeros(field, rows, repl.dim(n)).rows_list()

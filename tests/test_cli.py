@@ -113,6 +113,24 @@ def test_oracle_command():
     assert doc["nerve_betti"] == {"0": 1, "1": 1}
 
 
+def test_oracle_reports_nerve_cohomology_for_constant_sheaves_only(tmp_path):
+    # one stalk everywhere is not enough: with b -> y twisted by 2 the sheaf
+    # is not constant, and its cohomology is not the nerve's
+    doc = json.loads((DATA / "pseudocircle-constant.json").read_text())
+    for r in doc["sheaf"]["restrictions"]:
+        if (r["from"], r["to"]) == ("b", "y"):
+            r["components"]["0"] = [[2]]
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("--format", "json", "oracle", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["holim_betti"] == doc["normalized_betti"] == {}
+    assert "nerve_betti" not in doc
+    code, out, _ = run_cli("oracle", str(path))
+    assert code == 0 and "nerve" not in out
+
+
 def test_pushforward_command():
     code, out, _ = run_cli("--format", "json", "pushforward", "--max-degree", "4",
                            str(DATA / "pseudocircle-pushforward.json"))
@@ -251,6 +269,37 @@ def test_check_theorem_rejects_nonpositive_sizes():
         assert code == 2, (option, value, err)
         assert out == ""
         assert "Traceback" not in err and option in err
+
+
+def test_check_theorem_refuses_posets_above_the_enumeration_cap(tmp_path, capsys, monkeypatch):
+    # the Thomason check enumerates the opens of at most 12 elements, so a
+    # larger --poset-size is a usage error even where a draw would fit (seed
+    # 0 draws 7 elements of 13), and a larger problem-file poset is refused
+    # before H_X(F) is built
+    code, out, err = run_cli("--format", "json", "check-theorem", "--poset-size", "13",
+                             "--trials", "1", "--seed", "0")
+    assert code == 2, err
+    assert out == "" and "--poset-size" in err and "must be an integer <= 12, got 13" in err
+    code, out, err = run_cli("--format", "json", "check-theorem", "--poset-size", "12",
+                             "--trials", "1", "--seed", "0")
+    assert code == 0, err
+    assert json.loads(out)["trials"][0]["poset_size"] == 7
+    names = [str(i) for i in range(13)]
+    doc = {"format": "godex/1", "field": {"p": 5},
+           "poset": {"elements": names, "covers": [[a, b] for a, b in zip(names, names[1:])]},
+           "sheaf": {"stalks": {x: {"dims": {"0": 1}, "differentials": {}} for x in names},
+                     "restrictions": [{"from": a, "to": b, "components": {"0": [[1]]}}
+                                      for a, b in zip(names, names[1:])]}}
+    path = tmp_path / "chain13.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("H_X(F) was built")
+    monkeypatch.setattr(cli, "hypercohomology_sheaf", refuse)
+    code = cli.main(["--format", "json", "check-theorem", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == "error: poset has 13 > 12 elements; its open sets are not enumerated\n"
 
 
 def test_vacuous_counts_are_usage_errors():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import godex.exactlin as exactlin
-from godex.exactlin import GF, QQ, Matrix, Subspace, alternating_sum
+from godex.exactlin import GF, QQ, Layout, Matrix, Subspace, alternating_sum
 from godex.complexes import (
     ChainMap, CochainComplex, is_quis, random_complex, random_map, single_complex,
 )
@@ -253,8 +253,8 @@ def test_resolution_structure_maps_equal_iterated_T(monkeypatch):
 def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(f5, monkeypatch):
     # H_X(F) reads the coface sums only; condition 3 compares them with the
     # alternating sum of the cofaces, which it builds, and never builds a
-    # codegeneracy; validate() still runs every cosimplicial identity, in the
-    # internal degrees where the truncated levels it passes through are built
+    # codegeneracy; validate() refuses the truncated tower before it builds
+    # anything, and on the full tower runs every cosimplicial identity
     built = _count_builders(monkeypatch)
     P = pseudocircle_poset()
     F = random_sheaf(P, f5, 1000 * len("pseudocircle") + 4, max_dim=2, span=3)
@@ -265,50 +265,59 @@ def test_hypercohomology_builds_no_coface_and_stalk_commutation_no_codegeneracy(
     assert stalk_commutation_check(F, 6, hyper=hyper).verdict
     # every coface, each d^i_p with i >= 1 one T of the coface below, no ν
     assert built == {"godement_eta": 1 + p_max, "t_apply_map": p_max * (p_max + 1) // 2}
-    res.validate()
-    # and then every codegeneracy
+    with pytest.raises(ValueError, match="truncated at 6"):
+        res.validate()
+    assert built == {"godement_eta": 1 + p_max, "t_apply_map": p_max * (p_max + 1) // 2}
+    built.clear()
+    full = godement_resolution(F, p_max)
+    full.validate()
+    # every coface and then every codegeneracy
     assert built == {"godement_eta": 1 + p_max, "godement_nu": p_max,
                      "t_apply_map": p_max * (p_max + 1) // 2 + (p_max - 1) * p_max // 2}
     # a broken codegeneracy fails a cosimplicial identity, and a coface sum
     # that is not the alternating sum of the cofaces fails too
-    codegens = res.codegeneracies
+    codegens = full.codegeneracies
     (p, j), s = next(iter(codegens.items()))
-    res.codegeneracies = {**codegens, (p, j): SheafMap(
+    full.codegeneracies = {**codegens, (p, j): SheafMap(
         s.source, s.target, {x: c.scale(2) for x, c in s.components.items()}, check=False)}
     with pytest.raises(InvariantError, match="cosimplicial identity"):
-        res.validate()
-    res.codegeneracies = codegens
-    delta = res.coface_sums[2]
-    res.coface_sums[2] = SheafMap(delta.source, delta.target,
-                                  {x: c.scale(2) for x, c in delta.components.items()}, check=False)
+        full.validate()
+    full.codegeneracies = codegens
+    delta = full.coface_sums[2]
+    full.coface_sums[2] = SheafMap(delta.source, delta.target,
+                                   {x: c.scale(2) for x, c in delta.components.items()},
+                                   check=False)
     with pytest.raises(InvariantError, match="coface sum 2"):
-        res.validate()
-    res.coface_sums[2] = delta
-    # cofaces broken in the top built degree top - p of their target, with
-    # their alternating sum kept (d^0 + d^1 and 2 d^1 for d^0 and d^1), fail
-    # the identity s d = id there
-    assert res.top == 6
-    p = res.p_max
-    q = 6 - p
-    x = next(x for x in P.elements if res.level(p).stalk(x).dim(q) and
-             res.level(p - 1).stalk(x).dim(q))
-    d0, d1 = res.cofaces[(p, 0)], res.cofaces[(p, 1)]
+        full.validate()
+    full.coface_sums[2] = delta
+    # cofaces broken in one degree q of the top level, with their
+    # alternating sum kept (d^0 + d^1 and 2 d^1 for d^0 and d^1), fail the
+    # identity s d = id there
+    p = full.p_max
+    x, q = next((x, q) for x in P.elements for q in full.level(p - 1).stalk(x).dims
+                if full.level(p).stalk(x).dim(q))
+    d0, d1 = full.cofaces[(p, 0)], full.cofaces[(p, 1)]
     one = d1.component(x).component(q)
     for i, d, m in ((0, d0, d0.component(x).component(q) + one), (1, d1, one.scale(2))):
-        comps = dict(d.components)
-        c = comps[x]
-        comps[x] = ChainMap(c.source, c.target, {**c.components, q: m}, check=False)
-        res.cofaces = {**res.cofaces, (p, i): SheafMap(d.source, d.target, comps, check=False)}
-    assert next(res.stalkwise(x).coface_sum_mismatches(), None) is None
+        full.cofaces = {**full.cofaces, (p, i): _changed_at(d, x, q, m)}
+    assert next(full.stalkwise(x).coface_sum_mismatches(), None) is None
     with pytest.raises(InvariantError, match="cosimplicial identity"):
-        res.validate()
+        full.validate()
+
+
+def _changed_at(f: SheafMap, x, q, m) -> SheafMap:
+    """f with its component at x replaced by m in degree q."""
+    c = f.component(x)
+    return SheafMap(f.source, f.target, {**f.components, x: ChainMap(
+        c.source, c.target, {**c.components, q: m}, check=False)}, check=False)
 
 
 def test_stalk_commutation_fails_on_a_scaled_coface(f5, monkeypatch):
     # negative control: condition 3 and validate() share one comparison, so
     # one coface d^i_p scaled by 2 at one stalk x and internal degree q fails
-    # both, condition 3 with the witness (x, p - 1 + q); condition 3 builds
-    # no total complex and no codegeneracy
+    # both, condition 3 on the truncated tower with the witness
+    # (x, p - 1 + q), validate() on the full tower; condition 3 builds no
+    # total complex and no codegeneracy
     import godex.godement as gm
     P = pseudocircle_poset()
     F = random_sheaf(P, f5, 1000 * len("pseudocircle") + 4, max_dim=2, span=3)
@@ -324,23 +333,26 @@ def test_stalk_commutation_fails_on_a_scaled_coface(f5, monkeypatch):
     d = res.cofaces[(p, i)]
     x, q = next((x, q) for x in P.elements for q in res.level(p - 1).stalk(x).dims
                 if not d.component(x).component(q).is_zero())
-    comps = dict(d.components)
-    c = comps[x]
-    comps[x] = ChainMap(c.source, c.target, {**c.components, q: c.component(q).scale(2)},
-                        check=False)
-    res.cofaces = {**res.cofaces, (p, i): SheafMap(d.source, d.target, comps, check=False)}
+    res.cofaces = {**res.cofaces,
+                   (p, i): _changed_at(d, x, q, d.component(x).component(q).scale(2))}
     rep = stalk_commutation_check(F, N, hyper=hyper)
     assert (rep.verdict, rep.witnesses, rep.certified_degree) == (False, [(x, p - 1 + q)], N - 1)
     assert totals == [] and built["godement_nu"] == 0
+    full = godement_resolution(F, res.p_max)
+    d = full.cofaces[(p, i)]
+    full.cofaces = {**full.cofaces,
+                    (p, i): _changed_at(d, x, q, d.component(x).component(q).scale(2))}
     with pytest.raises(InvariantError, match=f"coface sum {p} in degree {q} "):
-        res.validate()
+        full.validate()
 
 
 def test_stalkwise_totals_are_the_hypercohomology_stalks(monkeypatch):
     # on the truncated towers of the criterion-2 sheaves t = 1, 4 over F_5:
     # res.stalkwise(x) and its total build no coface or codegeneracy, the
-    # total is the stalk of H_X(F), and so is the total of an eager
-    # stalkwise complex whose coface sums are added up from the cofaces
+    # total is the stalk of H_X(F), whose blocks are the total's summands
+    # (p, q) split into the nonzero blocks y of level p, and it is the total
+    # of an eager stalkwise complex whose coface sums are added up from the
+    # cofaces
     built = _count_builders(monkeypatch)
     N = 6
     for name, make in STANDARD_POSETS.items():
@@ -352,15 +364,71 @@ def test_stalkwise_totals_are_the_hypercohomology_stalks(monkeypatch):
             assert built == {}, (name, t)
             hyper = hypercohomology_sheaf(F, N)
             for x, S in totals.items():
+                X = S.cosimplicial
                 eager = simple(CosimplicialComplex(
-                    F.field, dict(S.cosimplicial.levels),
+                    F.field, dict(X.levels),
                     {k: f.component(x) for k, f in res.cofaces.items()},
                     {k: f.component(x) for k, f in res.codegeneracies.items()},
                     res.p_max, check=False), N)
-                for other in (hyper.H.stalk(x), eager):
-                    assert S == other and S.blocks == other.blocks, (name, t, x)
+                slots = {n: Layout(((p, q, y), d) for (p, q) in L
+                                   for y, (_, d) in X.level(p).blocks[q].items() if d)
+                         for n, L in S.blocks.items()}
+                for other, blocks in ((hyper.H.stalk(x), slots), (eager, S.blocks)):
+                    assert S == other and other.blocks == blocks, (name, t, x)
                     assert (S.lower, S.certified_degree) == \
                         (other.lower, other.certified_degree), (name, t, x)
+
+
+def _tower_mismatches(got, want) -> list:
+    """Where the truncated tower `got` differs from the full tower `want` in
+    a degree it builds (level p in the internal degrees <= top - p): the
+    levels (blocks and differentials), η, the coface sums, the cofaces and the
+    codegeneracies, as (name, x, q) or ("level", p, x)."""
+    top, P, lo = got.top, got.sheaf.poset, got.sheaf.lower
+    out = []
+    for p in range(got.p_max + 1):
+        for x in P.elements:
+            G, W = got.level(p).stalk(x), want.level(p).stalk(x)
+            if G.blocks != {q: L for q, L in W.blocks.items() if q <= top - p} or \
+                    any(G.d(q) != W.d(q) for q in range(lo, top - p)):
+                out.append(("level", p, x))
+
+    def compare(name, f, g, hi):
+        out.extend((name, x, q) for x in P.elements for q in range(lo, hi + 1)
+                   if f.component(x).component(q) != g.component(x).component(q))
+    compare("eta", got.eta, want.eta, top)
+    for p, f in got.coface_sums.items():
+        compare(("sum", p), f, want.coface_sums[p], top - p)
+    for (p, i), f in got.cofaces.items():
+        compare(("coface", p, i), f, want.cofaces[(p, i)], top - p)
+    for (p, j), f in got.codegeneracies.items():
+        compare(("codegeneracy", p, j), f, want.codegeneracies[(p, j)], top - p - 1)
+    return out
+
+
+def test_truncated_tower_equals_the_full_tower_in_every_built_degree():
+    # the 100 criterion-2 sheaves at N = 6: every degree that the truncated
+    # tower builds equals the full tower's, which `validate` checks; on each
+    # poset some level degree is left out.  A coface changed in its top built
+    # degree is found there, and validate() refuses the truncated tower
+    dropped = set()
+    for name, make in STANDARD_POSETS.items():
+        for t in range(20):
+            F = random_sheaf(make(), GF(5), 1000 * len(name) + t, max_dim=2, span=3)
+            got = godement_resolution(F, 6 - F.lower, top=6)
+            want = godement_resolution(F, 6 - F.lower)
+            assert _tower_mismatches(got, want) == [], (name, t)
+            if any(got.level(p).stalk(x).dims != want.level(p).stalk(x).dims
+                   for p in range(got.p_max + 1) for x in F.poset.elements):
+                dropped.add(name)
+    assert dropped == set(STANDARD_POSETS)
+    (p, i), d = next(((p, i), d) for (p, i), d in got.cofaces.items()
+                     if not d.component("a").component(6 - p).is_zero())
+    m = d.component("a").component(6 - p)
+    got.cofaces = {**got.cofaces, (p, i): _changed_at(d, "a", 6 - p, m.scale(2))}
+    assert _tower_mismatches(got, want) == [(("coface", p, i), "a", 6 - p)]
+    with pytest.raises(ValueError, match="truncated"):
+        got.validate()
 
 
 def test_resolution_cosimplicial_identities(f5):

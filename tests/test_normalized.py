@@ -38,11 +38,12 @@ def _height(P) -> int:
 
 
 def _slot_rows(hyper, x, n) -> dict:
-    """(p, chain) -> the rows of that weak-chain slot in H_X(F)_x^n."""
+    """(p, chain) -> the rows of that weak-chain slot in H_X(F)_x^n: the
+    chains (y, ...) of the slot (p, q, y), below y in level p - 1."""
     out = {}
-    for (p, q), (off, _) in hyper.H.stalk(x).blocks.get(n, {}).items():
-        for chain, (o, d) in t_chain_layout(hyper.resolution, p, x, q).items():
-            out[(p, chain)] = range(off + o, off + o + d)
+    for (p, q, y), (off, _) in hyper.H.stalk(x).blocks.get(n, {}).items():
+        for chain, (o, d) in t_chain_layout(hyper.resolution, p - 1, y, q).items():
+            out[(p, (y,) + chain)] = range(off + o, off + o + d)
     return out
 
 

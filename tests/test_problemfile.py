@@ -200,3 +200,31 @@ def test_mutated_documents_parse_or_raise_format_errors():
             parse_document(json.dumps(doc))
         except GodexError:
             pass
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("zz", 0, "must be an integer, got 'zz'"),
+    ("3", {}, "must be a JSON array"),
+    ("3", None, "must be a JSON array"),
+])
+def test_falsy_filtration_entries_are_invalid_input(tmp_path, capsys, key, value, message):
+    # a falsy basis entry is checked like any other: its degree key must be
+    # an integer and its value an array, or `fmt` would drop it without a word
+    from godex import cli
+    doc = json.loads((DATA / "filtered-example.json").read_text())
+    doc["filtered_complex"]["filtration"]["subspaces"]["1"][key] = value
+    path = tmp_path / "filtered.json"
+    path.write_text(json.dumps(doc))
+    for args in (["fmt"], ["--format", "json", "spectral", "--source", "filtered-file"]):
+        code = cli.main([*args, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2, (args, err)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert message in err and "filtration[1]" in err, (args, err)
+    # the control: an empty array, no basis vector in that degree, is allowed
+    doc["filtered_complex"]["filtration"]["subspaces"]["1"] = {
+        **{k: v for k, v in doc["filtered_complex"]["filtration"]["subspaces"]["1"].items()
+           if k != key}, "3": []}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["fmt", str(path)]) == 0
+    assert capsys.readouterr().out == (DATA / "filtered-example.json").read_text()

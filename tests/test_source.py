@@ -130,10 +130,36 @@ def _passes(call, position, name) -> bool:
     return len(call.args) > position or any(isinstance(x, ast.Starred) for x in call.args)
 
 
+def _public_methods(tree):
+    """(name, offset) of every public method of a top-level class but
+    `__init__`: offset 1 for the bound self or cls of a call `obj.m(...)`,
+    0 for a static method."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    yield fn, 0 if static else 1
+
+
+def _options(tree):
+    """(name, position in a call, parameter) of every defaulted parameter of
+    a public function or public method of `tree`."""
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+            yield from ((fn.name, pos, param) for pos, param in _defaulted_parameters(fn))
+    for fn, offset in _public_methods(tree):
+        yield from ((fn.name, None if pos is None else pos - offset, param)
+                    for pos, param in _defaulted_parameters(fn))
+
+
 def test_every_public_option_has_a_caller():
     # an option needs a caller in the package, the benchmark or the CLI
     # (which is in the package); one that only tests set is dead weight.
-    # Calls are matched to functions by name, as `f(...)` or `module.f(...)`.
+    # That holds for the methods of public classes too, __init__ aside.
+    # Calls are matched to functions by name, as `f(...)`, `module.f(...)`
+    # or `obj.f(...)`.
     options, calls = [], {}
     bench = SRC.parent.parent / "bench"
     for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
@@ -144,9 +170,7 @@ def test_every_public_option_has_a_caller():
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
         if path.parent == SRC:
-            options += [(fn.name, position, param) for fn in tree.body
-                        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                        for position, param in _defaulted_parameters(fn)]
+            options += list(_options(tree))
     assert options and calls
     uncalled = {(fn, param) for fn, position, param in options
                 if not any(_passes(c, position, param) for c in calls.get(fn, ()))}
