@@ -21,7 +21,7 @@ import sys
 
 from .complexes import ChainMap, min_certified
 from .cosimplicial import check_descent_axioms
-from .errors import FormatError, GodexError, InvariantError, TooLarge
+from .errors import FormatError, GodexError, InvariantError
 from .exactlin import GF
 from .filtered import check_descent_axioms_filtered, e_infinity_dims, er_page
 from .godement import (
@@ -179,11 +179,7 @@ def cmd_check_thomason(args) -> int:
 
 
 def _theorem_conditions(F, N):
-    # the Thomason check enumerates the opens: refuse a poset it would refuse
-    # before anything is built
-    if len(F.poset) > UP_SET_ENUMERATION_CAP:
-        raise TooLarge(f"poset has {len(F.poset)} > {UP_SET_ENUMERATION_CAP} elements; "
-                       "its open sets are not enumerated")
+    F.poset.require_enumerable()  # as the Thomason check would, before H_X(F) is built
     hyper = hypercohomology_sheaf(F, N)
     local = equivalence_check(hyper.rho, "local")
     theta = stalk_commutation_check(F, N, hyper=hyper)
@@ -231,18 +227,21 @@ def cmd_check_theorem(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
+    # a flag that the chosen audit does not read is refused, not dropped
+    if args.filtered and args.mutant:
+        raise GodexError("--mutant needs the plain audit, not --filtered")
+    if args.r is not None and not args.filtered:
+        raise GodexError("--r needs --filtered")
+    r = (args.r or 0) if args.filtered else None
     if args.filtered:
-        rep = check_descent_axioms_filtered(args.seed, trials=args.trials,
-                                            N=args.bound, r=args.r)
+        rep = check_descent_axioms_filtered(args.seed, trials=args.trials, N=args.bound, r=r)
     else:
-        rep = check_descent_axioms(args.seed, trials=args.trials, N=args.bound,
-                                   mutate=args.mutant)
+        rep = check_descent_axioms(args.seed, trials=args.trials, N=args.bound, mutate=args.mutant)
     trials = [{"trial": t.index, **{k: bool(v) for k, v in sorted(t.results.items())}}
               for t in rep.trials]
     mutant_caught = rep.mutant_note is not None and "fails" in rep.mutant_note
     doc = {"command": "check-axioms", "seed": rep.seed, "filtered": bool(args.filtered),
-           "r": args.r if args.filtered else None, "all_pass": rep.all_pass,
-           "trials": trials}
+           "r": r, "all_pass": rep.all_pass, "trials": trials}
     if args.mutant:
         doc["mutant"] = rep.mutant_note
 
@@ -389,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--bound", type=_positive_int, default=5, help="truncation bound N")
     p.add_argument("--filtered", action="store_true")
-    p.add_argument("--r", type=_int_in(0), default=0, help="filtered page index")
+    p.add_argument("--r", type=_int_in(0), default=None, help="--filtered page index (default 0)")
     p.add_argument("--mutant", choices=["drop_d1_sign"], default=None,
-                   help="negative control: corrupt the total differential and "
-                        "report the resulting d∘d failure (exits 1 when caught)")
+                   help="negative control (plain audit, --bound >= 3): corrupt the total "
+                        "differential and report the d∘d failure (exits 1 when caught)")
     p.set_defaults(func=cmd_check_axioms)
 
     p = sub.add_parser("spectral", help="E_r pages of a filtration")

@@ -16,8 +16,8 @@ truncated at a level p_max; the simple functor at bound N then certifies
 cohomology only in degrees <= N-1 (one guard degree), and all
 quasi-isomorphism claims are asserted within certified degrees only.
 
-A total complex keeps, per degree n, the `Layout` of its summands labelled
-(p, q); every map between totals is assembled on those labels.  The
+A total is a `BlockComplex` on its summands (p, q), with no pointer to what
+it totals; every map between totals is assembled on those labels.  The
 randomized generators build their objects with `complexes.direct_sum` and
 scramble them with `complexes.conjugate`; every structure map of what they return, and every structure map that `row`,
 `transpose`, `diagonal`, `outer_cosimplicial` and `path_object` derive, is
@@ -236,17 +236,6 @@ def constant_cosimplicial(A: CochainComplex, p_max: int) -> CosimplicialComplex:
 # ---- the simple functor --------------------------------------------------
 
 
-class TotalComplex(BlockComplex):
-    """s(X), a block complex of the levels X(p) it totals.
-
-    blocks[n] is the `Layout` of degree n: label (level p, internal degree
-    q) -> (offset, dim), nonzero summands only, in increasing p.
-    `cosimplicial` is the cosimplicial complex X that it totals.
-    """
-
-    __slots__ = ("cosimplicial",)
-
-
 def alternating_coface_sum(X: CosimplicialComplex, p: int, q: int) -> Matrix:
     """sum_i (-1)^i d^i : X(p-1)^q -> X(p)^q, summed from the cofaces of X
     (which `validate` compares with the sum that X carries)."""
@@ -269,10 +258,12 @@ def _total_differential(X: CosimplicialComplex, blocks: dict, n: int, signed: bo
     return Matrix.assemble(X.field, rows, cols, entries)
 
 
-def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
+def simple(X: CosimplicialComplex, N: int) -> BlockComplex:
     """Total complex of X in degrees <= N; certified through degree N-1.
 
-    It reads the coface sums that X carries (`CosimplicialComplex.coface_sums`:
+    blocks[n] is the `Layout` of degree n, label (level p, internal degree
+    q) -> (offset, dim), nonzero summands only, in increasing p.  It reads
+    the coface sums that X carries (`CosimplicialComplex.coface_sums`:
     carried through transport, direct sums and the Godement stalks, else
     summed from the cofaces on first read) and no coface or codegeneracy on
     its own."""
@@ -284,7 +275,7 @@ def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
         # a zero total keeps the levels' lower bound, which the stalks of a
         # sheaf of totals must share
         lower = min(lv.lower for lv in X.levels.values())
-        out = TotalComplex(X.field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
+        out = BlockComplex(X.field, {}, {}, lower=lower, certified_degree=N - 1, check=False)
     else:
         if X.p_max < N - lmin:
             raise InsufficientLevels(
@@ -298,8 +289,7 @@ def simple(X: CosimplicialComplex, N: int) -> TotalComplex:
         for p, lv in X.levels.items():
             if lv.certified_degree is not None:
                 cert = min(cert, lv.certified_degree + p)
-        out = TotalComplex(X.field, blocks, diffs, lower=lmin, certified_degree=cert, check=True)
-    out.cosimplicial = X
+        out = BlockComplex(X.field, blocks, diffs, lower=lmin, certified_degree=cert, check=True)
     X._simple_cache[N] = out
     return out
 
@@ -493,11 +483,6 @@ def outer_cosimplicial(Z: BicosimplicialComplex, N: int) -> CosimplicialComplex:
                                coface_sums=sums)
 
 
-def iterated_simple(Z: BicosimplicialComplex, N: int) -> TotalComplex:
-    """ss(Z) = s(n ↦ s(m ↦ Z^{n,m}))."""
-    return simple(outer_cosimplicial(Z, N), N)
-
-
 def iterated_simple_map(f: BicosimplicialMap, N: int) -> ChainMap:
     outer = CosimplicialMap(outer_cosimplicial(f.source, N), outer_cosimplicial(f.target, N),
                             {n: simple_map(f.row_map(n), N) for n in range(f.source.p_max + 1)},
@@ -521,7 +506,7 @@ def _aw_component(Z: BicosimplicialComplex, i: int, j: int, k: int) -> Matrix:
 
 
 def aw_map(Z: BicosimplicialComplex, N: int) -> ChainMap:
-    """Alexander-Whitney comparison ss(Z) -> s(D Z).
+    """Alexander-Whitney comparison ss(Z) = s(`outer_cosimplicial`) -> s(D Z).
 
     Componentwise on the summand Z^{i,j,k} (outer level i, inner level j,
     internal degree k) it is the composite of j first-index 0-cofaces and
@@ -532,8 +517,8 @@ def aw_map(Z: BicosimplicialComplex, N: int) -> ChainMap:
     if lmin is not None and (Z.p_max < N - lmin or Z.q_max < N - lmin):
         raise InsufficientLevels(
             f"bicosimplicial bounds ({Z.p_max},{Z.q_max}) cannot reach total degree {N}")
-    SS = iterated_simple(Z, N)
-    SD = simple(Z.diagonal(), N)
+    outer = outer_cosimplicial(Z, N)
+    SS, SD = simple(outer, N), simple(Z.diagonal(), N)
     comps = {}
     for n in set(SS.blocks) | set(SD.blocks):
         rows = SD.blocks.get(n)
@@ -541,7 +526,7 @@ def aw_map(Z: BicosimplicialComplex, N: int) -> ChainMap:
             continue
         # flatten (outer level i, inner total degree t) into (i, j, k)
         cols = Layout(((i, j, k), d) for (i, t) in SS.blocks[n]
-                      for (j, k), (_, d) in SS.cosimplicial.level(i).blocks.get(t, {}).items())
+                      for (j, k), (_, d) in outer.level(i).blocks.get(t, {}).items())
         entries = {}
         for (i, j, k) in cols:
             if (i + j, k) in rows:
@@ -841,8 +826,11 @@ def check_descent_axioms(seed: int, trials: int = 25, N: int = 6, max_dim: int =
     S1 via biproducts, S2 via the Alexander-Whitney map, S3 via the constant
     inclusion, S4 via total maps of levelwise quasi-isomorphisms, S5 via the
     path-object evaluation.  Every check is performed within certified
-    degrees.  Failures are recorded, not raised.
+    degrees.  Failures are recorded, not raised.  The sign mutant needs
+    N >= 3, as d∘d spans three degrees: InsufficientLevels before any work.
     """
+    if mutate and N < 3:
+        raise InsufficientLevels(f"the sign mutant needs a bound of at least 3, got {N}")
     field = GF(5)
     rng = random.Random(seed)
     report = AxiomAuditReport(seed)

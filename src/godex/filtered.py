@@ -104,8 +104,8 @@ class FilteredComplex:
     @staticmethod
     def from_blocks(base: BlockComplex, k_min: int, k_max: int) -> "FilteredComplex":
         """The block filtration of a block complex whose labels begin with
-        the filtration index p (a total complex): the adapted basis is the
-        identity, and the coordinates of a block p weigh p."""
+        the filtration index p (a total, or Γ(U, H_X F) on its slots): the
+        adapted basis is the identity, and the coordinates of a block p weigh p."""
         weights = {}
         for n, layout in base.blocks.items():
             w = weights[n] = np.zeros(layout.dim, dtype=np.int64)
@@ -507,17 +507,19 @@ def _filtered_transport(A: FilteredDiagram, g: dict, ginv: dict) -> FilteredDiag
     return FilteredDiagram(D, levels)
 
 
+def _filtered_total(total: BlockComplex, levels: dict, r: int) -> FilteredComplex:
+    """δ_r of the level filtrations on a total with blocks (p, q): a column
+    of the summand X(p)^q weighs its weight in levels[p] plus r·p."""
+    k_min = min(L.k_min + r * p for p, L in levels.items())
+    k_max = max(L.k_max + r * p for p, L in levels.items())
+    return _direct_sum(total, k_min, k_max, {n: [(levels[p], q, r * p) for (p, q) in layout]
+                                             for n, layout in total.blocks.items()})
+
+
 def filtered_simple(XF: FilteredDiagram, r: int, N: int) -> FilteredComplex:
     """(s, δ_r) of a cosimplicial filtered complex: total complex with
-    δ_r(F)^k(s^n) = ⊕_{i+j=n} F^{k-ri} X(i)^j, held in the level bases: a
-    column of the summand X(p)^q weighs its weight in level p plus r·p."""
-    X = XF.base
-    total = simple(X, N)
-    k_min = min(XF.levels[p].k_min + r * p for p in range(X.p_max + 1))
-    k_max = max(XF.levels[p].k_max + r * p for p in range(X.p_max + 1))
-    return _direct_sum(total, k_min, k_max,
-                       {n: [(XF.levels[p], q, r * p) for (p, q) in layout]
-                        for n, layout in total.blocks.items()})
+    δ_r(F)^k(s^n) = ⊕_{i+j=n} F^{k-ri} X(i)^j, held in the level bases."""
+    return _filtered_total(simple(XF.base, N), XF.levels, r)
 
 
 def decalage(FC: FilteredComplex) -> FilteredComplex:
@@ -611,15 +613,15 @@ def filtered_aw(ZF: FilteredDiagram, r: int, N: int):
     """(ss(Z), δδ), (sD(Z), δ) and the Alexander-Whitney comparison of a
     bicosimplicial filtered complex.
 
-    The outer filtration is δ_r applied to the levelwise filtered simples;
-    the AW map preserves total weight, which is checked, not assumed.
+    The outer filtration is δ_r of the row filtrations on ss(Z), the AW
+    map's source; the AW map preserves total weight, checked, not assumed.
     """
     Z = ZF.base
     mu = aw_map(Z, N)
     rows = {n: filtered_simple(FilteredDiagram(
         Z.row(n), {m: ZF.levels[(n, m)] for m in range(Z.q_max + 1)}), r, N)
         for n in range(Z.p_max + 1)}
-    ssF = filtered_simple(FilteredDiagram(mu.source.cosimplicial, rows), r, N)
+    ssF = _filtered_total(mu.source, rows, r)
     D = Z.diagonal()
     sdF = filtered_simple(
         FilteredDiagram(D, {p: ZF.levels[(p, p)] for p in range(D.p_max + 1)}), r, N)

@@ -30,8 +30,9 @@ builds.  H_X(F) and N H_X(F) are both `LabelledSheaf`s whose labels are
 their stalks' blocks: the slot (p, q, y) of H_X(F)_x^n is the block y of
 G^p(F)_x^q, home y.  Both take their restrictions from `_projections` and
 their ρ from `_rho`, and `site.sections` reads Γ(U, −) of either off the
-labels.  Γ(U, −) is degreewise, so Γ(U, s G•F) = s Γ(U, G•F): the descent
-spectral sequence filters Γ(U, H_X F) by the p of its slots.  No verdict
+labels, a `BlockComplex` on them.  Γ(U, −) is degreewise, so Γ(U, s G•F) =
+s Γ(U, G•F): the descent spectral sequence is the block filtration of
+Γ(U, H_X F) by the p of its slots.  No verdict
 builds the full tower or a codegeneracy; the CLI `resolve` command, the
 structure-map digest and the reference tests build them.
 
@@ -56,8 +57,6 @@ nothing here comes from `oracle`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .complexes import (
     BlockComplex, ChainMap, CochainComplex, LazyMap, induced_map, is_quis, min_certified,
@@ -589,9 +588,11 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
     so Γ(U, M) is the strict replacement of R over U and Γ(U, ρ) its
     coaugmentation; that per-open route is the reference in
     tests/test_bridges.py.  mode="auto" picks literal when the weak chains of
-    length N - lower, times top degree + 1, number at most 60.  Another mode
-    raises ValueError, and N below the top degree raises InsufficientLevels.
+    length N - lower, times top degree + 1, number at most 60.  A poset above
+    the enumeration cap raises TooLarge before any work, another mode raises
+    ValueError, and N below the top degree raises InsufficientLevels.
     """
+    F.poset.require_enumerable()
     if mode not in ("auto", "literal", "reduced"):
         raise ValueError("mode must be 'auto', 'literal' or 'reduced'")
     F.require_truncation(N)
@@ -648,37 +649,22 @@ def cohomology_sheaf(F: Sheaf, q: int) -> Sheaf:
     return Sheaf(poset, field, stalks, restr, check=True)
 
 
-def _column_weights(sec, n: int) -> np.ndarray:
-    """The column p of each degree-n section basis vector of Γ(U, H): the p of
-    the labels (p, q, y) of the slots that hold its entries (InvariantError if two differ)."""
-    labels = [(label[0], d) for x in sec.layouts[n]
-              for label, (_, d) in sec.sheaf.labels(x, n).items()]
-    rows = np.repeat(np.array([p for p, _ in labels], dtype=np.int64), [d for _, d in labels])
-    space = sec.space(n)
-    weights, (i, j) = rows[list(space.unit_rows)], space.basis.nonzero()
-    if (rows[i] != weights[j]).any():
-        raise InvariantError(f"a section of degree {n} crosses the columns of the double complex")
-    return weights
-
-
 def descent_double_complex(hyper: Hypercohomology, U, N: int):
     """The column-filtered double complex Γ(U, G•F) = Γ(U, H_X F), as
     (FilteredComplex, total), for hyper = `hypercohomology_sheaf(F, N)`.
 
-    A section basis vector lies in the column p of the label of its unit
-    row (`_column_weights`): on the chain route that `sections` takes for
-    H_X F, each basis vector is one label's, and on a minimal open the
-    restrictions are blockwise.  That is checked on every entry, and the
-    zero-block check of `FilteredComplex` then checks the filtration
-    against d.  Γ(∅) = 0 certifies through N - 1, as the truncation at N
-    does on every open.
+    Γ(U, H_X F) is a `BlockComplex` on the slots (p, q, y) of H_X F: on the
+    chain route that `sections` takes for H_X F its blocks are the basis
+    labels, and on a minimal open it is the stalk itself.  The column
+    filtration is its block filtration by p (`FilteredComplex.from_blocks`),
+    whose zero-block check then checks it against d.  Γ(∅) = 0 certifies
+    through N - 1, as the truncation at N does on every open.
     """
     from .filtered import FilteredComplex
     sec = sections(hyper.H, U)
-    weights = {n: _column_weights(sec, n) for n in sec.layouts}
     total = sec.complex if sec.open_set else \
-        CochainComplex(hyper.H.field, {}, {}, certified_degree=N - 1)
-    return FilteredComplex(total, 0, hyper.resolution.p_max, weights), total
+        BlockComplex(hyper.H.field, {}, {}, certified_degree=N - 1)
+    return FilteredComplex.from_blocks(total, 0, hyper.resolution.p_max), total
 
 
 def descent_spectral_sequence(F: Sheaf, U, r_max: int, N: int):

@@ -9,12 +9,12 @@ convention is equally common in the literature; everything here is up-sets.
 Sheaves are stored intrinsically on minimal opens; sections over a general
 open are computed, never stored.  A `LabelledSheaf` (H_X F and N H_X F of
 `godement`) has stalks split into labelled slots, by default their blocks,
-that its restrictions keep, so Γ(U, F) has one basis block per label whose
-home lies in U: `sections` reads that basis and the differential off the
-labels, after checking each cover restriction (the chain route of
-`SectionComplex`).  The sections of every other sheaf are an equalizer, the
-kernel of the cover constraints, built on first access; that constraint
-route is the reference of the chain route.
+that its restrictions keep, so Γ(U, F) is a `BlockComplex` with one block
+per label whose home lies in U: `sections` reads it off the labels, after
+checking each cover restriction (the chain route of `SectionComplex`).  The
+sections of every other sheaf are an equalizer, the kernel of the cover
+constraints, built on first access; that constraint route is the reference
+of the chain route.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone, min_certified,
-    random_complex, random_map, zero_complex,
+    BlockComplex, ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone,
+    min_certified, random_complex, random_map, zero_complex,
 )
 from .errors import (
     AmbientMismatch, FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained,
@@ -164,12 +164,16 @@ class Poset:
                       for y in self.elements]
         return sum(ending)
 
-    def up_sets(self):
-        """All open sets in canonical order: by size, then lexicographically;
-        TooLarge above `UP_SET_ENUMERATION_CAP` elements, global checks included."""
+    def require_enumerable(self):
+        """TooLarge above `UP_SET_ENUMERATION_CAP` elements, whose open sets
+        are not enumerated; global and Thomason checks call it first."""
         if len(self.elements) > UP_SET_ENUMERATION_CAP:
             raise TooLarge(f"poset has {len(self.elements)} > {UP_SET_ENUMERATION_CAP} "
                            "elements; its open sets are not enumerated")
+
+    def up_sets(self):
+        """All open sets in canonical order, by size, then lexicographically."""
+        self.require_enumerable()
         out = []
         for r in range(len(self.elements) + 1):
             for combo in itertools.combinations(self.elements, r):
@@ -377,8 +381,10 @@ class SectionComplex:
       * with no cover relation, Γ^n is every family.
 
     The chain data, the spaces, the complex and the evaluations are each
-    built on first access.  On an open without a minimum, Γ(U, F) is
-    certified through the least certified degree of the stalks over U.
+    built on first access.  On the chain route the complex is a
+    `BlockComplex` on the basis labels, as the stalk of a minimum is.  On an
+    open without a minimum, Γ(U, F) is certified through the least certified
+    degree of the stalks over U.
     """
 
     __slots__ = ("sheaf", "open_set", "layouts", "minimum", "chain", "_chains", "_spaces",
@@ -443,7 +449,7 @@ class SectionComplex:
                              _stack(F.restriction(m, y).component(n) for y in layout),
                              range(off, off + d))
             elif self.chain:
-                cols, units = self._chain_data()[n]
+                cols, units, _ = self._chain_data()[n]
                 S = Subspace(F.field, layout.dim,
                              Matrix.identity(F.field, len(units)).take_rows(cols), units)
             elif covers := _covers_in(F.poset, self.open_set):
@@ -463,7 +469,7 @@ class SectionComplex:
         every row of the family equals the unit row of its basis column."""
         if not self.chain or n not in self.layouts:
             return self.space(n).coords_of(stacked)
-        cols, units = self._chain_data()[n]
+        cols, units, _ = self._chain_data()[n]
         if stacked.rows != len(cols):
             raise AmbientMismatch(f"family rows {stacked.rows} != ambient {len(cols)}")
         coords = stacked.take_rows(units)
@@ -475,15 +481,12 @@ class SectionComplex:
         return self.complex.betti()
 
     def _chain_data(self) -> dict:
-        """n -> (the basis column of each family row, the unit rows) of the
-        chain route, after `_check_projections`."""
+        """n -> (the basis column of each family row, the unit rows, the
+        basis labels) of the chain route, after `_check_projections`."""
         if self._chains is None:
             F, U = self.sheaf, self.open_set
             order = F.poset.sorted_subset(U)
             labels = {n: {x: F.labels(x, n) for x in order} for n in self.layouts}
-            if any(lab.dim != self.layouts[n][x][1]
-                   for n in labels for x, lab in labels[n].items()):
-                raise NotContained("the labels do not cover the stalks")
             _check_projections(F, _covers_in(F.poset, U), labels)
             self._chains = {n: _chain_basis(F.poset, order, layout, labels[n])
                             for n, layout in self.layouts.items()}
@@ -504,15 +507,15 @@ class SectionComplex:
         return _stack(blocks)
 
     def _build(self):
-        """The complex: on the chain route from the labels, unchecked, as
-        d∘d = 0 holds on every stalk and the checked projections make d the
-        stalks' restricted to Γ; otherwise the coordinates of D_n applied to
-        the section bases, where each is a membership check."""
+        """The complex: on the chain route a `BlockComplex` on the basis
+        labels, unchecked, as d∘d = 0 holds on every stalk and the checked
+        projections make d the stalks' restricted to Γ; otherwise the
+        coordinates of D_n applied to the section bases, each a membership check."""
         F, layouts = self.sheaf, self.layouts
         lo, hi = min(layouts), max(layouts)
         if self.chain:
-            dims = {n: len(units) for n, (_, units) in self._chain_data().items()}
-            differential = self._chain_differential
+            blocks = {n: basis for n, (_, _, basis) in self._chain_data().items()}
+            dims, differential = {n: b.dim for n, b in blocks.items()}, self._chain_differential
         else:
             dims = {n: self.space(n).dim for n in layouts}
 
@@ -522,8 +525,10 @@ class SectionComplex:
                                     {(x, x): F.stalk(x).d(n) for x in layouts[n]})
                 return self.coordinates(n + 1, D @ self.space(n).basis)
         diffs = {n: differential(n) for n in range(lo, hi) if dims[n] and dims[n + 1]}
-        self._complex = CochainComplex(F.field, dims, diffs, lower=lo,
-                                       certified_degree=self.certified_degree, check=not self.chain)
+        cert = self.certified_degree
+        self._complex = BlockComplex(F.field, blocks, diffs, lower=lo, certified_degree=cert,
+                                     check=False) if self.chain else \
+            CochainComplex(F.field, dims, diffs, lower=lo, certified_degree=cert, check=True)
 
 
 def _covers_in(poset: Poset, U) -> list:
@@ -561,20 +566,18 @@ def _check_projections(F: LabelledSheaf, covers, labels: dict):
 
 
 def _chain_basis(poset: Poset, order, layout: Layout, labels: dict):
-    """(cols, units) of Γ^n on the chain route: cols[i] is the basis column
-    of family row i, and units are the unit rows, in increasing order.  A
-    label of home y gets one basis block, with its unit rows at the last
-    x <= y of U in canonical order.  NotContained if a label sits at x but
-    not at a home y >= x in U."""
+    """(cols, units, basis) of Γ^n on the chain route: cols[i] is the basis
+    column of family row i, units are the unit rows, in increasing order,
+    and basis is the `Layout` of the basis by label.  A label of home y gets
+    one basis block, with its unit rows at the last u <= y of U in canonical
+    order, where `_check_projections` has found it.  NotContained if a label
+    sits at x but not at a home y >= x in U."""
     units = []
     for y in order:
         u = [x for x in order if poset.leq(x, y)][-1]
         for label, (_, d) in labels[y].items():
             if label[-1] == y:
-                off, du = labels[u].get(label, (0, None))
-                if du != d:
-                    raise NotContained(f"label {label!r} is missing at {u}")
-                units.append((layout[u][0] + off, label, d))
+                units.append((layout[u][0] + labels[u][label][0], label, d))
     units.sort()
     basis = Layout((label, d) for _, label, d in units)
     cols = [0] * layout.dim
@@ -584,7 +587,7 @@ def _chain_basis(poset: Poset, order, layout: Layout, labels: dict):
                 raise NotContained(f"label {label!r} at {x} has no home above it in the open")
             c = basis[label][0]
             cols[off + o:off + o + dl] = range(c, c + dl)
-    return cols, [r + j for r, _, d in units for j in range(d)]
+    return cols, [r + j for r, _, d in units for j in range(d)], basis
 
 
 def _constraint_system(F: Sheaf, constraints, layout: Layout, n: int) -> Matrix:

@@ -7,15 +7,16 @@ with the same stalks and restrictions takes the constraint route (the kernel
 of the cover constraints), which stays the reference: the two must agree
 exactly, basis, unit rows, coordinates and membership checks, complex,
 evaluations and betti numbers.  The route's guard, that each cover
-restriction is a projection onto labels and a chain map, is shown to reject
-a sheaf that breaks either.
+restriction is a projection onto labels and a chain map, and that every
+label has a home above it in the open, is shown to reject a sheaf that
+breaks any of them.
 """
 
 import pytest
 
 from godex.complexes import BlockComplex, ChainMap
 from godex.errors import InvariantError, NotContained
-from godex.exactlin import GF, QQ, Matrix
+from godex.exactlin import GF, QQ, Layout, Matrix
 from godex.godement import hypercohomology_sheaf, normalized_hypercohomology_sheaf
 from godex.site import STANDARD_POSETS, LabelledSheaf, Poset, random_sheaf, sections
 
@@ -151,3 +152,36 @@ def test_guard_rejects_a_stalk_differential_that_breaks_a_chain_map():
     with pytest.raises(InvariantError):
         bad.restriction("a", "x").validate()
     _assert_guard_rejects(bad)
+
+
+def _renamed_at_a(H, home):
+    """H with its first slot of home `home` at a given the fresh home "z",
+    stalks and restrictions otherwise as they are."""
+    old = H.stalk("a")
+    n, label = next((n, label) for n in sorted(old.blocks) for label in old.blocks[n]
+                    if label[-1] == home)
+    fresh = label[:-1] + ("z",)
+    blocks = {**old.blocks, n: Layout((fresh if s == label else s, d)
+                                      for s, (_, d) in old.blocks[n].items())}
+    stalks = {**H.stalks, "a": BlockComplex(old.field, blocks, old.differentials,
+                                            lower=old.lower,
+                                            certified_degree=old.certified_degree, check=False)}
+    restr = {(a, b): ChainMap(stalks[a], stalks[b], r.components, check=False)
+             for (a, b), r in H.restrictions.items() if a != b}
+    return LabelledSheaf(H.poset, H.field, stalks, restr, check=False)
+
+
+def test_guard_rejects_a_label_that_the_restriction_does_not_keep():
+    # the slot of home x at a renamed: x's label is missing from a on the
+    # cover a ⋖ x, though every matrix is as it was
+    bad = _renamed_at_a(_hyper(), "x")
+    with pytest.raises(NotContained, match="is not kept by the restriction"):
+        sections(bad, frozenset(bad.poset.elements)).complex
+
+
+def test_guard_rejects_a_label_with_no_home_in_the_open():
+    # the slot of home a at a renamed: every cover keeps its labels, but the
+    # renamed one has no home in the open and so no basis column
+    bad = _renamed_at_a(_hyper(), "a")
+    with pytest.raises(NotContained, match="has no home above it in the open"):
+        sections(bad, frozenset(bad.poset.elements)).complex

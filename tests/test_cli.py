@@ -284,6 +284,23 @@ def test_check_theorem_refuses_posets_above_the_enumeration_cap(tmp_path, capsys
                              "--trials", "1", "--seed", "0")
     assert code == 0, err
     assert json.loads(out)["trials"][0]["poset_size"] == 7
+    path = _chain13(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("H_X(F) was built")
+    monkeypatch.setattr(cli, "hypercohomology_sheaf", refuse)
+    code = cli.main(["--format", "json", "check-theorem", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err == _ABOVE_THE_CAP
+
+
+_ABOVE_THE_CAP = "error: poset has 13 > 12 elements; its open sets are not enumerated\n"
+
+
+def _chain13(tmp_path):
+    """A problem file with the constant F_5 sheaf on a 13-element chain,
+    one element above the enumeration cap."""
     names = [str(i) for i in range(13)]
     doc = {"format": "godex/1", "field": {"p": 5},
            "poset": {"elements": names, "covers": [[a, b] for a, b in zip(names, names[1:])]},
@@ -292,14 +309,25 @@ def test_check_theorem_refuses_posets_above_the_enumeration_cap(tmp_path, capsys
                                       for a, b in zip(names, names[1:])]}}
     path = tmp_path / "chain13.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["auto", "literal", "reduced"])
+def test_check_thomason_refuses_posets_above_the_enumeration_cap_first(tmp_path, capsys,
+                                                                       monkeypatch, mode):
+    # the global check would refuse the poset only after both modes had built
+    # their model of H_X(H_X F), which on this chain does not fit in memory
+    import godex.godement as gm
 
     def refuse(*args, **kwargs):
-        raise AssertionError("H_X(F) was built")
-    monkeypatch.setattr(cli, "hypercohomology_sheaf", refuse)
-    code = cli.main(["--format", "json", "check-theorem", str(path)])
+        raise AssertionError("a hypercohomology sheaf was built")
+    for name in ("hypercohomology_sheaf", "normalized_hypercohomology_sheaf"):
+        monkeypatch.setattr(gm, name, refuse)
+    code = cli.main(["--format", "json", "check-thomason", str(_chain13(tmp_path)),
+                     "--mode", mode])
     out, err = capsys.readouterr()
-    assert code == 2
-    assert out == "" and err == "error: poset has 13 > 12 elements; its open sets are not enumerated\n"
+    assert code == 2, err
+    assert out == "" and err == _ABOVE_THE_CAP
 
 
 def test_vacuous_counts_are_usage_errors():
@@ -317,6 +345,38 @@ def test_vacuous_counts_are_usage_errors():
         assert code == 2, (args, err)
         assert out == ""
         assert "Traceback" not in err and option in err
+
+
+@pytest.mark.parametrize("bound", ["1", "2"])
+def test_sign_mutant_below_bound_three_is_a_usage_error(bound):
+    # d∘d spans three degrees: below that the negative control cannot fail,
+    # so it is refused before any trial instead of exiting 0 vacuously
+    code, out, err = run_cli("--format", "json", "check-axioms", "--bound", bound,
+                             "--trials", "1", "--mutant", "drop_d1_sign")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the sign mutant needs a bound of at least 3, got {bound}\n"
+    code, out, _ = run_cli("--format", "json", "check-axioms", "--bound", "3",
+                           "--trials", "1", "--mutant", "drop_d1_sign")
+    assert code == 1 and "fails" in json.loads(out)["mutant"]
+
+
+def test_check_axioms_refuses_flags_its_audit_does_not_read():
+    # the filtered audit has no negative control and the plain one no page
+    # index: either flag in the other audit is a usage error, not dropped
+    for args, message in ((("--filtered", "--mutant", "drop_d1_sign"),
+                           "error: --mutant needs the plain audit"),
+                          (("--r", "2"), "error: --r needs --filtered"),
+                          (("--r", "0"), "error: --r needs --filtered")):
+        code, out, err = run_cli("--format", "json", "check-axioms", "--trials", "1", *args)
+        assert code == 2, (args, err)
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1, (args, err)
+    # an explicit --r 0 with --filtered prints what the default does
+    runs = [run_cli("--format", "json", "check-axioms", "--filtered", "--trials", "1",
+                    "--bound", "3", *extra) for extra in ((), ("--r", "0"))]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert json.loads(runs[0][1])["r"] == 0
 
 
 def test_truncation_below_the_top_degree_is_invalid_input():

@@ -12,7 +12,7 @@ from godex.cosimplicial import (
     bicosimplicial_from_rows, check_descent_axioms,
     collapse_by_extra_degeneracy,
     constant_cosimplicial, contractible_complex, cosimplicial_biproduct, CosimplicialMap,
-    iterated_simple_map, BicosimplicialMap, lambda_map, path_object,
+    iterated_simple_map, BicosimplicialMap, lambda_map, outer_cosimplicial, path_object,
     random_bicosimplicial, random_cosimplicial, random_levelwise_quis, simple, simple_map,
 )
 from godex.errors import InsufficientLevels, InvariantError, NotCosimplicial, NotExtraDegeneracy
@@ -239,9 +239,10 @@ def test_mu_lambda_compatibility_on_cohomology(f5):
         # composite 2: s(levelwise lambda) then mu of (X x Δ)
         Zr = bicosimplicial_from_rows(X, N, N).transpose()  # Z^{n,m} = X^n
         mu2 = aw_map(Zr, N)
+        outer = outer_cosimplicial(Zr, N)  # mu2.source is its total
         lam_lv = CosimplicialMap(
-            X, mu2.source.cosimplicial,
-            {p: ChainMap(X.level(p), mu2.source.cosimplicial.level(p),
+            X, outer,
+            {p: ChainMap(X.level(p), outer.level(p),
                          lambda_map(X.level(p), N).components)
              for p in range(X.p_max + 1)}, check=False)
         comp2 = mu2.compose(simple_map(lam_lv, N))
@@ -395,13 +396,26 @@ def test_mutant_sign_is_caught(f5):
     assert "fails" in rep.mutant_note
 
 
-@pytest.mark.parametrize("N", [5, 6])
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_mutant_sign_is_caught_on_every_seed(N):
     # about half of the plain draws are a zero object or too degenerate for
     # the dropped sign to show; such a draw gets a summand on which it shows
     notes = [check_descent_axioms(seed, trials=0, N=N, mutate="drop_d1_sign").mutant_note
              for seed in range(40)]
     assert [(seed, note) for seed, note in enumerate(notes) if "fails" not in note] == []
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_mutant_sign_below_three_degrees_is_refused(N, monkeypatch):
+    # d∘d spans three degrees, so below N = 3 the control could not fail on
+    # many draws (on all 40 seeds at N = 1); it is refused before any work
+    import godex.cosimplicial as cosimplicial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+    monkeypatch.setattr(cosimplicial, "random_cosimplicial", refuse)
+    with pytest.raises(InsufficientLevels, match="sign mutant needs a bound of at least 3"):
+        check_descent_axioms(0, trials=1, N=N, mutate="drop_d1_sign")
 
 
 class _Reads(Mapping):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import godex.exactlin as exactlin
-from godex.exactlin import GF, QQ, Layout, Matrix, Subspace, alternating_sum
+from godex.exactlin import GF, QQ, Layout, Matrix, alternating_sum
 from godex.complexes import (
     ChainMap, CochainComplex, is_quis, random_complex, random_map, single_complex,
 )
@@ -360,11 +360,12 @@ def test_stalkwise_totals_are_the_hypercohomology_stalks(monkeypatch):
             F = random_sheaf(make(), GF(5), 1000 * len(name) + t, max_dim=2, span=3)
             res = godement_resolution(F, max(N - F.lower, 0), top=N)
             built.clear()
-            totals = {x: simple(res.stalkwise(x), N) for x in F.poset.elements}
+            stalkwise = {x: res.stalkwise(x) for x in F.poset.elements}
+            totals = {x: simple(X, N) for x, X in stalkwise.items()}
             assert built == {}, (name, t)
             hyper = hypercohomology_sheaf(F, N)
             for x, S in totals.items():
-                X = S.cosimplicial
+                X = stalkwise[x]
                 eager = simple(CosimplicialComplex(
                     F.field, dict(X.levels),
                     {k: f.component(x) for k, f in res.cofaces.items()},
@@ -933,22 +934,3 @@ def test_descent_builds_no_full_tower_coface_or_codegeneracy(f5, monkeypatch):
         pages, FC, total, _ = descent_spectral_sequence(F, U, 2, N)
         assert independent_e2_dims(F, U, N)
     assert tops and None not in tops and len(etas) == len(tops)
-
-
-def test_a_section_that_crosses_columns_raises(f5, monkeypatch):
-    # mixing one column into another in the section basis breaks the
-    # one-column property of every basis vector, which is checked, not assumed
-    from godex.site import SectionComplex
-    P = pseudocircle_poset()
-    F = random_sheaf(P, f5, 500, max_dim=2, span=2)
-    N = F.top_degree + 3
-    space = SectionComplex.space
-
-    def mixed(self, n):
-        # basis vector b becomes the sum of vectors 0..b, on the same unit rows
-        S = space(self, n)
-        ones = Matrix.from_rows(S.field, [[int(a <= b) for b in range(S.dim)] for a in range(S.dim)])
-        return Subspace(S.field, S.ambient_dim, S.basis @ ones, S.unit_rows) if S.dim > 1 else S
-    monkeypatch.setattr(SectionComplex, "space", mixed)
-    with pytest.raises(InvariantError, match="crosses the columns"):
-        descent_double_complex(hypercohomology_sheaf(F, N), frozenset(P.elements), N)

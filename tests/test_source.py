@@ -93,6 +93,54 @@ def test_every_private_function_has_a_caller_in_src():
     assert not [(name, where) for name, where in defs + names if used[name] == own[name]]
 
 
+# Public module-level functions that nothing in src/ or bench/ names, each
+# with the reason it is kept; only tests call them, and they are meant to
+# move into the tests.
+UNCALLED_FUNCTIONS = {
+    "skyscraper_unit": "the adjunction unit F -> skyscraper, which the site and "
+                       "digest tests check",
+    "random_matrix": "random matrices for the exactlin, diagram and rank-path tests",
+    "coaugmentation_into_replacement": "a bridge to the holim replacements, for the "
+                                       "bridge tests",
+    "strict_into_weak": "a bridge between the holim replacements, for the bridge and "
+                        "oracle tests",
+    "replacement_map": "a bridge on the holim replacements, for the bridge tests",
+    "iterated_simple_map": "ss(f), whose transpose symmetry the cosimplicial tests check",
+    "decalage_levelwise": "Deligne's décalage comparison, for the filtered and "
+                          "acceptance tests",
+    "deligne_reindex": "Deligne's décalage comparison, for the filtered and "
+                       "acceptance tests",
+    "stalk_extra_degeneracy": "the extra degeneracy that collapses G•F stalkwise, for "
+                              "the Godement tests",
+    "sheaf_extra_degeneracy_top": "the extra degeneracy of G• of a skyscraper, for the "
+                                  "Godement tests",
+    "resolution_sections": "Γ(U, G•F) of the full tower, the reference of the descent "
+                           "tests",
+    "reduced_inclusion": "ι_F : N H_X F -> H_X F, which the bridge tests check",
+    "localeq_verdicts": "the three predicates of the local-equivalence criterion, for "
+                        "the acceptance tests",
+}
+
+
+def test_every_public_function_has_a_caller():
+    # as options do, a public function needs a reader in the package (an
+    # import into __init__ counts) or the benchmark; one that only tests call
+    # is test code in the library.  Its references inside its own body do not
+    # count, and names are matched by spelling, as for private helpers.
+    bench = SRC.parent.parent / "bench"
+    defs, used, own = [], Counter(), Counter()
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used.update(_names_in(tree))
+        if path.parent == SRC:
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    defs.append(fn.name)
+                    own[fn.name] += sum(1 for name in _names_in(fn) if name == fn.name)
+    assert defs and used
+    assert {name for name in defs if used[name] == own[name]} == set(UNCALLED_FUNCTIONS)
+
+
 # Defaulted parameters of public functions that no call in src/ or bench/
 # passes, each kept for the reason given.
 UNCALLED_OPTIONS = {
