@@ -193,6 +193,11 @@ def _theorem_conditions(F, N):
 
 
 def cmd_check_theorem(args) -> int:
+    # a flag that the chosen instances do not read is refused, not dropped
+    given = [f"--{k.replace('_', '-')}" for k in ("seed", "trials", "poset_size", "max_dim")
+             if getattr(args, k) is not None]
+    if args.file and given:
+        raise GodexError(f"{given[0]} needs random trials, not a problem file")
     if args.max_degree is not None and not args.file:
         raise GodexError("--max-degree needs a problem file; "
                          "random trials truncate at their top degree + 4")
@@ -203,16 +208,16 @@ def cmd_check_theorem(args) -> int:
         conds = _theorem_conditions(pf.sheaf, N)
         trials.append({"instance": "file", **conds})
     else:
-        rng = random.Random(args.seed)
-        for t in range(args.trials):
-            P = random_poset(rng.randint(1, args.poset_size), rng)
-            F = random_sheaf(P, GF(5), rng.randrange(1 << 30), max_dim=args.max_dim, span=2)
+        rng = random.Random(args.seed or 0)
+        for t in range(args.trials or 10):
+            P = random_poset(rng.randint(1, args.poset_size or 4), rng)
+            F = random_sheaf(P, GF(5), rng.randrange(1 << 30), max_dim=args.max_dim or 2, span=2)
             N = _bound(args, F)
             conds = _theorem_conditions(F, N)
             trials.append({"instance": t, "poset_size": len(P.elements), **conds})
     all_pass = all(t["local_equivalence"] and t["stalk_commutation"] and t["thomason_descent"]
                    for t in trials)
-    doc = {"command": "check-theorem", "seed": args.seed, "all_pass": all_pass,
+    doc = {"command": "check-theorem", "seed": args.seed or 0, "all_pass": all_pass,
            "trials": trials}
 
     def human():
@@ -259,6 +264,8 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_spectral(args) -> int:
+    if args.source == "filtered-file" and (args.open is not None or args.max_degree is not None):
+        raise GodexError("--open and --max-degree need --source descent")
     pf = load(args.file)
     if args.source == "filtered-file":
         if pf.filtered_complex is None:
@@ -269,7 +276,7 @@ def cmd_spectral(args) -> int:
                                 for (p, q), d in sorted(e_infinity_dims(FC).items())}}
     else:
         _require_sheaf(pf)
-        U = _parse_open(pf.poset, args.open)
+        U = _parse_open(pf.poset, "ALL" if args.open is None else args.open)
         N = _bound(args, pf.sheaf)
         pages, FC, total, _ = descent_spectral_sequence(pf.sheaf, U, args.r, N)
         extra = {"certified_degree": total.certified_degree}
@@ -376,11 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fibrant-model conditions: local equivalence, stalk "
                             "commutation, Thomason descent")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--poset-size", type=_int_in(1, UP_SET_ENUMERATION_CAP), default=4)
-    p.add_argument("--max-dim", type=_positive_int, default=2)
-    p.add_argument("--trials", type=_positive_int, default=10)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--seed", type=int, help="random trials only (default 0)")
+    p.add_argument("--poset-size", type=_int_in(1, UP_SET_ENUMERATION_CAP),
+                   help="random trials only (default 4)")
+    p.add_argument("--max-dim", type=_positive_int, help="random trials only (default 2)")
+    p.add_argument("--trials", type=_positive_int, help="random trials only (default 10)")
+    p.add_argument("--max-degree", type=int, help="problem file only")
     p.set_defaults(func=cmd_check_theorem)
 
     p = sub.add_parser("check-axioms", help="descent axioms S1-S5, plain or filtered")
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="E_r pages of a filtration")
     p.add_argument("--r", type=_int_in(0), default=2, help="compute pages 0..r")
     p.add_argument("--source", choices=["descent", "filtered-file"], default="descent")
-    p.add_argument("--open", default="ALL")
+    p.add_argument("--open", help='--source descent only: "ALL" (default), "EMPTY" or comma list')
     add_common(p)
     p.set_defaults(func=cmd_spectral)
 

@@ -26,11 +26,11 @@ degrees <= N - p.  T is degreewise, so it commutes with brutal truncation:
 N - p - 1 and leaves the total's N - 1 unchanged.  The codegeneracies of a
 truncated tower are no chain maps, so `validate` takes full towers only;
 the tests compare a truncated tower with the full one in every degree it
-builds.  H_X(F) and N H_X(F) are both `LabelledSheaf`s whose labels are
-their stalks' blocks: the slot (p, q, y) of H_X(F)_x^n is the block y of
-G^p(F)_x^q, home y.  Both take their restrictions from `_projections` and
-their ρ from `_rho`, and `site.sections` reads Γ(U, −) of either off the
-labels, a `BlockComplex` on them.  Γ(U, −) is degreewise, so Γ(U, s G•F) =
+builds.  H_X(F) and N H_X(F) are both `LabelledSheaf`s, built from their
+stalks alone, whose labels are their stalks' blocks: the slot (p, q, y) of
+H_X(F)_x^n is the block y of G^p(F)_x^q, home y.  Both take their ρ from
+`_rho`, and `site.sections` reads Γ(U, −) of either off the labels, a
+`BlockComplex` on them.  Γ(U, −) is degreewise, so Γ(U, s G•F) =
 s Γ(U, G•F): the descent spectral sequence is the block filtration of
 Γ(U, H_X F) by the p of its slots.  No verdict
 builds the full tower or a codegeneracy; the CLI `resolve` command, the
@@ -65,7 +65,8 @@ from .cosimplicial import CosimplicialComplex, _degeneracies, _faces, simple
 from .errors import InsufficientLevels, InvariantError
 from .exactlin import Layout, Matrix, units_minus_blocks
 from .site import (
-    LabelledSheaf, MonotoneMap, Sheaf, SheafMap, _stack, direct_image, sections, sections_map,
+    LabelledSheaf, MonotoneMap, Sheaf, SheafMap, _projections, _stack, direct_image, sections,
+    sections_map,
 )
 
 
@@ -95,18 +96,6 @@ def apply_T(G: Sheaf, top: int | None = None) -> Sheaf:
                                  check=False)
     # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
     return Sheaf(poset, field, stalks, _projections(poset, field, stalks), check=False)
-
-
-def _projections(poset, field, stalks: dict) -> dict:
-    """The restrictions of a sheaf of block complexes whose stalk at b keeps
-    some of the blocks of the stalk at a, for a < b: the projections onto
-    those blocks."""
-    restr = {}
-    for (a, b) in poset.pairs():
-        Sa, Sb = stalks[a], stalks[b]
-        comps = {n: Sa.blocks[n].projection(field, Sb.blocks[n]) for n in Sb.dims if Sa.dim(n)}
-        restr[(a, b)] = ChainMap(Sa, Sb, comps, check=False)
-    return restr
 
 
 def godement_eta(G: Sheaf, TG: Sheaf) -> SheafMap:
@@ -347,12 +336,12 @@ def hypercohomology_sheaf(F: Sheaf, N: int) -> Hypercohomology:
     >= p + lower, and only through its internal degrees <= N - p, the only
     ones the resolution builds (top = N).  The stalk at x is
     `simple(res.stalkwise(x), N)`, which reads the coface sums δ_p at x, so
-    no coface or codegeneracy is built.  Every stalk
-    complex re-asserts d∘d = 0 and every component of ρ is validated as a
-    chain map; the sheaf and ρ as a sheaf map are built unchecked, since
-    validating them is O(n^3) matrix products, and `tests/test_godement.py`
-    validates both on the suite sheaves and compares them with the totals
-    of the full tower.
+    no coface or codegeneracy is built.  Every stalk complex re-asserts
+    d∘d = 0, `LabelledSheaf` checks the labels and every component of ρ is
+    validated as a chain map; the sheaf and ρ as a sheaf map are not
+    validated, since that is O(n^3) matrix products, and
+    `tests/test_godement.py` validates both on the suite sheaves and
+    compares them with the totals of the full tower.
     """
     F.require_truncation(N)
     return _hypercohomology(godement_resolution(F, max(N - F.lower, 0), top=N), N)
@@ -364,7 +353,7 @@ def _hypercohomology(res: GodementResolution, N: int) -> Hypercohomology:
     The stalk at x is the total of `res.stalkwise(x)` with its summands split
     into slots: the slot (p, q, y) of H_X(F)_x^n is the block y of
     G^p(F)_x^q = ⊕_{y >= x} (T^p F)_y^q, with home y, so `sections` takes
-    the chain route on H_X(F), and its restrictions project onto slots."""
+    the chain route on H_X(F)."""
     F, poset = res.sheaf, res.sheaf.poset
     stalks = {}
     for x in poset.elements:
@@ -375,7 +364,7 @@ def _hypercohomology(res: GodementResolution, N: int) -> Hypercohomology:
                  for n, L in S.blocks.items()}
         stalks[x] = BlockComplex(F.field, slots, S.differentials, lower=S.lower,
                                  certified_degree=S.certified_degree, check=False)
-    H = LabelledSheaf(poset, F.field, stalks, _projections(poset, F.field, stalks), check=False)
+    H = LabelledSheaf(poset, F.field, stalks)
     return Hypercohomology(res, H, _rho(F, H))
 
 
@@ -474,13 +463,11 @@ def normalized_hypercohomology_sheaf(F: Sheaf, N: int) -> LabelledSheaf:
     truncated at N: the span of the strict-chain slots of H_X(F), built from
     those labels alone (`_normalized_stalk`).  Its labels are its stalks'
     blocks, the slots (p, q, chain, y_0) of N H_X(F)_x^n holding F_{y_p}^q for
-    a strict chain x <= y_0 < ... < y_p, home y_0.  Its restrictions project
-    onto the slots of the smaller stalk.  No truncation below F's top degree is
-    refused here: reduced Thomason builds N H_X R one degree below R's own."""
-    P, field = F.poset, F.field
-    top, cert = F.top_degree, F.certified_degree
-    stalks = {x: _normalized_stalk(F, P.up_set(x), N, top, cert) for x in P.elements}
-    return LabelledSheaf(P, field, stalks, _projections(P, field, stalks), check=False)
+    a strict chain x <= y_0 < ... < y_p, home y_0.  No truncation below F's
+    top degree is refused here: reduced Thomason builds N H_X R one degree below R's own."""
+    P, top, cert = F.poset, F.top_degree, F.certified_degree
+    return LabelledSheaf(P, F.field, {x: _normalized_stalk(F, P.up_set(x), N, top, cert)
+                                      for x in P.elements})
 
 
 def _normalized_stalk(F: Sheaf, up, N: int, top: int, cert) -> BlockComplex:

@@ -8,10 +8,10 @@ convention is equally common in the literature; everything here is up-sets.
 
 Sheaves are stored intrinsically on minimal opens; sections over a general
 open are computed, never stored.  A `LabelledSheaf` (H_X F and N H_X F of
-`godement`) has stalks split into labelled slots, by default their blocks,
-that its restrictions keep, so Γ(U, F) is a `BlockComplex` with one block
-per label whose home lies in U: `sections` reads it off the labels, after
-checking each cover restriction (the chain route of `SectionComplex`).  The
+`godement`) is its stalks, split into labelled slots and checked once when
+it is built; its restrictions project onto labels, so Γ(U, F) is a
+`BlockComplex` with one block per label whose home lies in U, which
+`sections` reads off the labels (the chain route of `SectionComplex`).  The
 sections of every other sheaf are an equalizer, the kernel of the cover
 constraints, built on first access; that constraint route is the reference
 of the chain route.
@@ -310,25 +310,72 @@ class Sheaf:
 
 
 class LabelledSheaf(Sheaf):
-    """A sheaf whose stalks come split into labelled slots, as a product
-    ⊕_{y >= x} G_y does.
+    """A sheaf of `BlockComplex`es split into labelled slots, as a product
+    ⊕_{y >= x} G_y is, built from its stalks alone.
 
-    `labels(x, n)` is the `Layout` of F_x^n by label, by default the stalk's
-    blocks, and a label's last entry is its home y >= x.  The slots are meant
-    to be those of such a product: a label sits at x exactly when x <= its
-    home, and the restriction F_a -> F_b keeps the slots of b's labels.
-    `sections` reads Γ(U, F) off the labels and checks all of this on the
-    covers in U first (the chain route of `SectionComplex`); nothing is
-    assumed.
+    `labels(x, n)` is the `Layout` of F_x^n by label, the stalk's blocks, and
+    a label's last entry is its home y >= x.  The restriction F_a -> F_b is
+    the 0/1 projection onto the labels of F_b (`_projections`), so F is
+    flasque.  The constructor checks the labels once (`_check_labels`), and
+    `sections` reads Γ(U, F) off them with no check (the chain route).
     """
 
     __slots__ = ()
+
+    def __init__(self, poset: Poset, field: Field, stalks: dict):
+        super().__init__(poset, field, stalks, {}, check=False)
+        _check_labels(self)
+        self.restrictions = _projections(poset, field, stalks)
 
     def labels(self, x, n: int) -> Layout:
         return self.stalks[x].blocks.get(n, _NO_SLOTS)
 
 
 _NO_SLOTS = Layout()
+
+
+def _projections(poset: Poset, field: Field, stalks: dict) -> dict:
+    """The restrictions of a sheaf of block complexes whose stalk at b keeps
+    blocks of the stalk at a, for a < b: the projections onto those blocks."""
+    restr = {}
+    for (a, b) in poset.pairs():
+        Sa, Sb = stalks[a], stalks[b]
+        comps = {n: Sa.blocks[n].projection(field, Sb.blocks[n]) for n in Sb.dims if Sa.dim(n)}
+        restr[(a, b)] = ChainMap(Sa, Sb, comps, check=False)
+    return restr
+
+
+def _kept_rows(la: Layout, lb: Layout) -> list:
+    """The rows of a stalk with labels `la` that the projection onto the
+    labels `lb` keeps, in order; NotContained if a label of `lb` is missing
+    from `la` or has another size there."""
+    rows = []
+    for label, (_, d) in lb.items():
+        off, da = la.get(label, (0, None))
+        if da != d:
+            raise NotContained(f"label {label!r} is not kept by the restriction")
+        rows.extend(range(off, off + d))
+    return rows
+
+
+def _check_labels(F: LabelledSheaf):
+    """The label guard of a `LabelledSheaf`, by index selection with no
+    product, in every degree: on each cover a ⋖ b of X, each label of F_b is
+    one of F_a of the same size (`_kept_rows`) and the projection P onto
+    them has d_b P = P d_a (the rows of d_a that P keeps are d_b placed in
+    the columns P keeps); each label at x has its home at or above x and is
+    a label there.  NotContained otherwise."""
+    P, degrees = F.poset, range(F.lower, F.top_degree + 1)
+    for a, b in P.covers():
+        kept = {n: _kept_rows(F.labels(a, n), F.labels(b, n)) for n in degrees}
+        for n in (n for n in degrees[:-1] if kept[n + 1]):  # else neither side has a row
+            da = F.stalk(a).d(n)
+            if da.take_rows(kept[n + 1]) != F.stalk(b).d(n).place_columns(da.cols, kept[n]):
+                raise NotContained(f"projection {a} -> {b} does not commute with d in degree {n}")
+    for x, n in itertools.product(P.elements, degrees):
+        for label in F.labels(x, n):
+            if label[-1] != x and (not P.leq(x, label[-1]) or label not in F.labels(label[-1], n)):
+                raise NotContained(f"label {label!r} at {x} has no home above it")
 
 
 class SheafMap(DiagramMap):
@@ -369,10 +416,8 @@ class SectionComplex:
         of U ∩ ↓y in canonical order (y itself when that order extends
         <=), the free rows the constraint kernel has.  d is the unit rows
         of the stalk differentials, each column moved to the basis column
-        of its label (`_chain_differential`).  Before the first of these
-        is read, every cover a ⋖ b in U is checked by index selection:
-        r_{a→b} is the 0/1 projection onto b's labels and commutes with the
-        stalk differentials (`_check_projections`, NotContained if not), so
+        of its label (`_chain_differential`), with no check: the label
+        guard of the constructor found the projections commuting with d, so
         the complex is the stalks' restricted to Γ;
       * otherwise, when U has a cover relation, the basis spans the kernel
         of the cover-constraint system of degree n (`_constraint_system`)
@@ -414,8 +459,8 @@ class SectionComplex:
     @property
     def evaluations(self) -> dict:
         """x -> Γ(U, F) -> F_x, the rows of x in the section bases.  Each is
-        checked as a chain map, except on the chain route, where the checked
-        projections make it one (`_build`)."""
+        checked as a chain map, except on the chain route, where the label
+        guard of the constructor makes it one (`_build`)."""
         if self._evaluations is None:
             C, F, lo = self.complex, self.sheaf, min(self.layouts)
             evals = {x: {} for x in self.layouts[lo]}
@@ -452,7 +497,7 @@ class SectionComplex:
                 cols, units, _ = self._chain_data()[n]
                 S = Subspace(F.field, layout.dim,
                              Matrix.identity(F.field, len(units)).take_rows(cols), units)
-            elif covers := _covers_in(F.poset, self.open_set):
+            elif covers := [(x, y) for x, y in F.poset.covers() if {x, y} <= self.open_set]:
                 system = _constraint_system(F, covers, layout, n)
                 R, pivots = system.rref()
                 S = Subspace(F.field, layout.dim, system.kernel_matrix(reduced=(R, pivots)),
@@ -482,13 +527,10 @@ class SectionComplex:
 
     def _chain_data(self) -> dict:
         """n -> (the basis column of each family row, the unit rows, the
-        basis labels) of the chain route, after `_check_projections`."""
+        basis labels) of the chain route."""
         if self._chains is None:
-            F, U = self.sheaf, self.open_set
-            order = F.poset.sorted_subset(U)
-            labels = {n: {x: F.labels(x, n) for x in order} for n in self.layouts}
-            _check_projections(F, _covers_in(F.poset, U), labels)
-            self._chains = {n: _chain_basis(F.poset, order, layout, labels[n])
+            order = self.sheaf.poset.sorted_subset(self.open_set)
+            self._chains = {n: _chain_basis(self.sheaf, order, layout, n)
                             for n, layout in self.layouts.items()}
         return self._chains
 
@@ -508,8 +550,8 @@ class SectionComplex:
 
     def _build(self):
         """The complex: on the chain route a `BlockComplex` on the basis
-        labels, unchecked, as d∘d = 0 holds on every stalk and the checked
-        projections make d the stalks' restricted to Γ; otherwise the
+        labels, unchecked, as d∘d = 0 holds on every stalk and the label
+        guard makes d the stalks' restricted to Γ; otherwise the
         coordinates of D_n applied to the section bases, each a membership check."""
         F, layouts = self.sheaf, self.layouts
         lo, hi = min(layouts), max(layouts)
@@ -531,60 +573,23 @@ class SectionComplex:
             CochainComplex(F.field, dims, diffs, lower=lo, certified_degree=cert, check=True)
 
 
-def _covers_in(poset: Poset, U) -> list:
-    return [(x, y) for (x, y) in poset.covers() if x in U and y in U]
-
-
-def _kept_rows(la: Layout, lb: Layout) -> list:
-    """The rows of a stalk with labels `la` that the projection onto the
-    labels `lb` keeps, in order; NotContained if a label of `lb` is missing
-    from `la` or has another size there."""
-    rows = []
-    for label, (_, d) in lb.items():
-        off, da = la.get(label, (0, None))
-        if da != d:
-            raise NotContained(f"label {label!r} is not kept by the restriction")
-        rows.extend(range(off, off + d))
-    return rows
-
-
-def _check_projections(F: LabelledSheaf, covers, labels: dict):
-    """The guard of the chain route, by index selection with no product: on
-    each cover a ⋖ b and in each degree n of `labels` (n -> x -> Layout),
-    r_{a→b} is the 0/1 projection P onto the labels of F_b, and
-    d_b^n P = P d_a^n, that is, the rows of d_a^n that P keeps are d_b^n
-    placed in the columns P keeps.  NotContained otherwise."""
-    for a, b in covers:
-        kept = {n: _kept_rows(lab[a], lab[b]) for n, lab in labels.items()}
-        for n, rows in kept.items():
-            r, da = F.restriction(a, b).component(n), F.stalk(a).d(n)
-            if r != Matrix.identity(F.field, len(rows)).place_columns(da.cols, rows) or \
-                    n + 1 in kept and \
-                    da.take_rows(kept[n + 1]) != F.stalk(b).d(n).place_columns(da.cols, rows):
-                raise NotContained(f"the restriction {a} -> {b} is not a projection onto "
-                                   f"labels that commutes with d in degree {n}")
-
-
-def _chain_basis(poset: Poset, order, layout: Layout, labels: dict):
+def _chain_basis(F: LabelledSheaf, order, layout: Layout, n: int):
     """(cols, units, basis) of Γ^n on the chain route: cols[i] is the basis
     column of family row i, units are the unit rows, in increasing order,
     and basis is the `Layout` of the basis by label.  A label of home y gets
     one basis block, with its unit rows at the last u <= y of U in canonical
-    order, where `_check_projections` has found it.  NotContained if a label
-    sits at x but not at a home y >= x in U."""
+    order."""
     units = []
     for y in order:
-        u = [x for x in order if poset.leq(x, y)][-1]
-        for label, (_, d) in labels[y].items():
+        u = [x for x in order if F.poset.leq(x, y)][-1]
+        for label, (_, d) in F.labels(y, n).items():
             if label[-1] == y:
-                units.append((layout[u][0] + labels[u][label][0], label, d))
+                units.append((layout[u][0] + F.labels(u, n)[label][0], label, d))
     units.sort()
     basis = Layout((label, d) for _, label, d in units)
     cols = [0] * layout.dim
     for x, (off, _) in layout.items():
-        for label, (o, dl) in labels[x].items():
-            if label not in basis or not poset.leq(x, label[-1]):
-                raise NotContained(f"label {label!r} at {x} has no home above it in the open")
+        for label, (o, dl) in F.labels(x, n).items():
             c = basis[label][0]
             cols[off + o:off + o + dl] = range(c, c + dl)
     return cols, [r + j for r, _, d in units for j in range(d)], basis
@@ -622,11 +627,10 @@ def sections(F: Sheaf, U) -> SectionComplex:
     the restrictions as evaluations (the minimal open attains the stalk).
     Otherwise this builds nothing yet (see `SectionComplex`): for a
     `LabelledSheaf`, the basis and the differential are read off the labels
-    on first access, after a check of the cover restrictions (the chain
-    route); for any other sheaf, the basis (the kernel of the cover
-    constraints) and the differential (the coordinates of d applied to that
-    basis, each a membership check) are built on first access.  No linear
-    system is solved.
+    on first access, with no check (the chain route); for any other sheaf,
+    the basis (the kernel of the cover constraints) and the differential
+    (the coordinates of d applied to that basis, each a membership check)
+    are built on first access.  No linear system is solved.
     """
     poset = F.poset
     U = poset.require_open(U)

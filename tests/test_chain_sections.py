@@ -6,18 +6,21 @@ differential from the unit rows of the stalk differentials.  A plain `Sheaf`
 with the same stalks and restrictions takes the constraint route (the kernel
 of the cover constraints), which stays the reference: the two must agree
 exactly, basis, unit rows, coordinates and membership checks, complex,
-evaluations and betti numbers.  The route's guard, that each cover
-restriction is a projection onto labels and a chain map, and that every
-label has a home above it in the open, is shown to reject a sheaf that
-breaks any of them.
+evaluations and betti numbers.  A `LabelledSheaf` takes only its stalks,
+its restrictions are the projections onto labels, and its constructor runs
+the label guard once: each cover keeps the labels of the smaller stalk,
+the projections commute with the stalk differentials, and every label has
+a home above it.  The guard is shown to reject stalks that break any of
+them, and to run once per sheaf built and never from `sections`.
 """
 
 import pytest
 
+from godex import site
 from godex.complexes import BlockComplex, ChainMap
 from godex.errors import InvariantError, NotContained
 from godex.exactlin import GF, QQ, Layout, Matrix
-from godex.godement import hypercohomology_sheaf, normalized_hypercohomology_sheaf
+from godex.godement import hypercohomology_sheaf, normalized_hypercohomology_sheaf, thomason_check
 from godex.site import STANDARD_POSETS, LabelledSheaf, Poset, random_sheaf, sections
 
 from conftest import plain_copy
@@ -115,73 +118,79 @@ def _changed(m: Matrix, i: int, j: int) -> Matrix:
     return Matrix.from_rows(m.field, rows)
 
 
-def _assert_guard_rejects(H):
-    X = frozenset(H.poset.elements)
-    with pytest.raises(NotContained):
-        sections(H, X).betti()
-    with pytest.raises(NotContained):
-        sections(H, X).complex
-    for n in sections(H, X).layouts:
-        with pytest.raises(NotContained):
-            sections(H, X).space(n)
-
-
-def test_guard_rejects_a_restriction_that_is_not_a_projection():
-    H = _hyper()
-    r = H.restriction("a", "x")
-    n = max(r.components, key=lambda k: r.components[k].rows)
-    comps = {**r.components, n: _changed(r.components[n], 0, r.components[n].cols - 1)}
-    restr = {**H.restrictions, ("a", "x"): ChainMap(r.source, r.target, comps, check=False)}
-    bad = LabelledSheaf(H.poset, H.field, H.stalks, restr, check=False)
-    _assert_guard_rejects(bad)
-
-
 def test_guard_rejects_a_stalk_differential_that_breaks_a_chain_map():
-    # one entry of d at x changed: each restriction into x stops being a
-    # chain map, while every restriction stays a projection onto labels
+    # one entry of d at x changed: the projections into x stop being chain
+    # maps, while every label is where it was
     H = _hyper()
     old = H.stalk("x")
     n = max(old.differentials, key=lambda k: old.differentials[k].rows)
     diffs = {**old.differentials, n: _changed(old.differentials[n], 0, 0)}
     new = BlockComplex(old.field, old.blocks, diffs, lower=old.lower,
                        certified_degree=old.certified_degree, check=False)
-    stalks = {**H.stalks, "x": new}
-    restr = {(a, b): ChainMap(stalks[a], stalks[b], r.components, check=False)
-             for (a, b), r in H.restrictions.items() if a != b}
-    bad = LabelledSheaf(H.poset, H.field, stalks, restr, check=False)
     with pytest.raises(InvariantError):
-        bad.restriction("a", "x").validate()
-    _assert_guard_rejects(bad)
+        ChainMap(H.stalk("a"), new, H.restriction("a", "x").components, check=False).validate()
+    with pytest.raises(NotContained, match="does not commute with d"):
+        LabelledSheaf(H.poset, H.field, {**H.stalks, "x": new})
 
 
 def _renamed_at_a(H, home):
-    """H with its first slot of home `home` at a given the fresh home "z",
-    stalks and restrictions otherwise as they are."""
+    """The stalks of H with the first slot of home `home` at a given the
+    fresh home "z", every matrix as it is."""
     old = H.stalk("a")
     n, label = next((n, label) for n in sorted(old.blocks) for label in old.blocks[n]
                     if label[-1] == home)
     fresh = label[:-1] + ("z",)
     blocks = {**old.blocks, n: Layout((fresh if s == label else s, d)
                                       for s, (_, d) in old.blocks[n].items())}
-    stalks = {**H.stalks, "a": BlockComplex(old.field, blocks, old.differentials,
-                                            lower=old.lower,
-                                            certified_degree=old.certified_degree, check=False)}
-    restr = {(a, b): ChainMap(stalks[a], stalks[b], r.components, check=False)
-             for (a, b), r in H.restrictions.items() if a != b}
-    return LabelledSheaf(H.poset, H.field, stalks, restr, check=False)
+    return {**H.stalks, "a": BlockComplex(old.field, blocks, old.differentials,
+                                          lower=old.lower,
+                                          certified_degree=old.certified_degree, check=False)}
 
 
 def test_guard_rejects_a_label_that_the_restriction_does_not_keep():
     # the slot of home x at a renamed: x's label is missing from a on the
     # cover a ⋖ x, though every matrix is as it was
-    bad = _renamed_at_a(_hyper(), "x")
+    H = _hyper()
     with pytest.raises(NotContained, match="is not kept by the restriction"):
-        sections(bad, frozenset(bad.poset.elements)).complex
+        LabelledSheaf(H.poset, H.field, _renamed_at_a(H, "x"))
 
 
 def test_guard_rejects_a_label_with_no_home_in_the_open():
     # the slot of home a at a renamed: every cover keeps its labels, but the
-    # renamed one has no home in the open and so no basis column
-    bad = _renamed_at_a(_hyper(), "a")
-    with pytest.raises(NotContained, match="has no home above it in the open"):
-        sections(bad, frozenset(bad.poset.elements)).complex
+    # renamed one has no home in X and so no basis column on any open
+    H = _hyper()
+    with pytest.raises(NotContained, match="has no home above it"):
+        LabelledSheaf(H.poset, H.field, _renamed_at_a(H, "a"))
+
+
+def test_guard_runs_once_per_labelled_sheaf_and_never_from_sections(monkeypatch):
+    # Thomason descent in both modes on a criterion-2 sheaf builds two
+    # labelled sheaves (H_X F and H_X(H_X F), or R and N H_X R) and reads
+    # Γ(U, −) of both on every open without a minimum, on the chain route
+    built, guarded, chained = [], [], []
+    init, guard, chain_data = LabelledSheaf.__init__, site._check_labels, \
+        site.SectionComplex._chain_data
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_guard(F):
+        guarded.append(F)
+        guard(F)
+
+    def counted_chain_data(sec):
+        chained.append(sec.sheaf)
+        return chain_data(sec)
+    monkeypatch.setattr(LabelledSheaf, "__init__", counted_init)
+    monkeypatch.setattr(site, "_check_labels", counted_guard)
+    monkeypatch.setattr(site.SectionComplex, "_chain_data", counted_chain_data)
+    P = STANDARD_POSETS["pseudocircle"]()
+    F = random_sheaf(P, F5, 1000 * len("pseudocircle"), max_dim=2, span=3)
+    for mode in ("literal", "reduced"):
+        del built[:], guarded[:], chained[:]
+        rep = thomason_check(F, 6, mode)
+        assert rep.mode == mode and rep.verdict
+        assert len(built) == 2
+        assert [id(G) for G in guarded] == [id(G) for G in built]
+        assert {id(G) for G in chained} == {id(G) for G in built}

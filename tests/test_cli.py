@@ -403,6 +403,65 @@ def test_check_theorem_max_degree_needs_a_file():
     assert err.startswith("error: --max-degree needs a problem file") and err.count("\n") == 1
 
 
+def test_check_theorem_on_a_file_refuses_the_random_trial_flags():
+    # a problem file is one instance: a seed, trial count, poset size or
+    # stalk dimension would be ignored, and the seed printed as if read
+    path = str(DATA / "pseudocircle-constant.json")
+    for args in (("--seed", "3"), ("--seed", "0"), ("--trials", "1"), ("--poset-size", "2"),
+                 ("--max-dim", "1"), ("--max-dim", "1", "--seed", "3")):
+        code, out, err = run_cli("--format", "json", "check-theorem", *args, path)
+        assert code == 2, (args, err)
+        assert out == ""
+        flag = "--seed" if "--seed" in args else args[0]
+        assert err.startswith(f"error: {flag} needs random trials") and err.count("\n") == 1, err
+    code, out, _ = run_cli("--format", "json", "check-theorem", path)
+    assert code == 0
+    assert out == ('{"all_pass":true,"command":"check-theorem","seed":0,"trials":[{'
+                   '"certified_degree":3,"instance":"file","local_equivalence":true,'
+                   '"mode":"literal","stalk_commutation":true,"thomason_descent":true}]}\n')
+
+
+def test_spectral_from_a_filtered_file_refuses_open_and_max_degree():
+    # the filtered file carries its own complex: an open or a truncation
+    # would be ignored, as --max-degree -7 was
+    path = str(DATA / "filtered-example.json")
+    base = ("--format", "json", "spectral", "--source", "filtered-file", "--r", "0")
+    for args in (("--open", "a"), ("--open", "ALL"), ("--max-degree", "-7"),
+                 ("--open", "a", "--max-degree", "4")):
+        code, out, err = run_cli(*base, *args, path)
+        assert code == 2, (args, err)
+        assert out == ""
+        assert err.startswith("error: --open and --max-degree need --source descent") and \
+            err.count("\n") == 1, (args, err)
+    assert run_cli(*base, path)[0] == 0
+    # the descent source still reads --open, and its default is ALL
+    descent = ("--format", "json", "spectral", "--source", "descent",
+               str(DATA / "pseudocircle-constant.json"))
+    assert run_cli(*descent) == run_cli(*descent[:-1], "--open", "ALL", descent[-1])
+
+
+@pytest.mark.parametrize("args", [("hyper",), ("cohomology",), ("check-thomason",),
+                                  ("check-thomason", "--mode", "literal"),
+                                  ("check-thomason", "--mode", "reduced"),
+                                  ("spectral", "--source", "descent")])
+def test_a_problem_file_on_the_empty_poset_runs(tmp_path, args):
+    # no element, no stalk and no cover: every sheaf built on it, the
+    # labelled ones too, has nothing to check, and one open, the empty one
+    doc = {"field": {"p": 5}, "format": "godex/1", "poset": {"covers": [], "elements": []},
+           "sheaf": {"restrictions": [], "stalks": {}}}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("--format", "json", *args, str(path))
+    assert code == 0, err
+    want = {"hyper": {"certified_degree": 3, "stalks": {}},
+            "cohomology": {"betti": {}, "certified_degree": None, "open": []},
+            "check-thomason": {"certified_degree": None, "verdict": True, "witnesses": [],
+                               "mode": "literal" if len(args) == 1 else args[-1]},
+            "spectral": {"certified_degree": 3, "pages": {"0": {}, "1": {}, "2": {}},
+                         "source": "descent"}}[args[0]]
+    assert json.loads(out) == {"command": args[0], **want}
+
+
 def test_filtration_ranges_out_of_order_are_invalid_input(tmp_path):
     # k_min above k_max, and an F^k outside (k_min, k_max], which would
     # otherwise be dropped without a word

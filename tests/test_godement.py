@@ -18,7 +18,7 @@ from godex.godement import (
     apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
     descent_double_complex, descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
     godement_resolution, hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
-    resolution_sections,
+    reduced_hypercohomology, resolution_sections,
     separation_witness, sheaf_extra_degeneracy_top, skyscraper_counit,
     stalk_commutation_check, stalk_extra_degeneracy, t_apply_map, t_chain_layout, thomason_check,
     _hypercohomology,
@@ -508,15 +508,16 @@ def test_hypercohomology_point(f5):
 
 @pytest.mark.parametrize("name", list(STANDARD_POSETS))
 def test_hypercohomology_sheaf_and_rho_validate_on_suite_sheaves(f5, name):
-    """H_X(F) and ρ are built unchecked; here they pass the full sheaf and
-    sheaf-map checks, including a common lower bound where a stalk's total
-    is zero."""
+    """H_X(F), N H_X(F) and their ρ are built with no sheaf or sheaf-map
+    check; here they pass the full checks, including a common lower bound
+    where a stalk's total is zero."""
     P = STANDARD_POSETS[name]()
     for t in range(20):
         F = random_sheaf(P, f5, 1000 * len(name) + t, max_dim=2, span=3)
-        hyper = hypercohomology_sheaf(F, F.top_degree + 3)
-        hyper.H.validate()
-        hyper.rho.validate()
+        for hyper in (hypercohomology_sheaf(F, F.top_degree + 3),
+                      reduced_hypercohomology(F, F.top_degree + 3)):
+            hyper.H.validate()
+            hyper.rho.validate()
 
 
 def test_hypercohomology_skyscraper_sections(f5):

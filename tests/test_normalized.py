@@ -9,15 +9,16 @@ alone.  It must equal, matrix for matrix:
 
 The strict slots must also span ∩_j ker s^j of the Godement resolution,
 computed by kernels (`conftest.reference_normalization`).  Derived sections
-through N H_X F must agree with the unnormalized route, and the chain route
-must refuse a restriction that is not a projection onto labels
-(tests/test_chain_sections.py compares that route with the constraint route).
+through N H_X F must agree with the unnormalized route, and stalks whose
+differential breaks the projections onto labels must be refused when the
+sheaf is built (tests/test_chain_sections.py compares the chain route of
+its sections with the constraint route).
 """
 
 import pytest
 
 from conftest import reference_normalization
-from godex.complexes import ChainMap
+from godex.complexes import BlockComplex
 from godex.errors import NotContained
 from godex.exactlin import GF, QQ, Matrix, Subspace
 from godex.godement import (
@@ -129,21 +130,19 @@ def test_derived_sections_agree_with_the_unnormalized_route(name):
     assert whole
 
 
-def test_a_changed_restriction_entry_is_refused_on_the_chain_route():
+def test_a_changed_differential_entry_is_refused_when_the_sheaf_is_built():
+    # one entry of d at the top of a cover changed: the projection onto its
+    # labels stops commuting with d, and the constructor's guard says so
     P = STANDARD_POSETS["pseudocircle"]()
     F = random_sheaf(P, F5, 1000 * len("pseudocircle"), max_dim=2, span=3)
     NH = normalized_hypercohomology_sheaf(F, F.top_degree + 2)
-    X = frozenset(P.elements)
-    sections(NH, X).betti()
-    a, b = P.covers()[0]
-    r = NH.restriction(a, b)
-    n = max(r.components, key=lambda n: r.components[n].rows)
-    rows = r.components[n].rows_list()
+    sections(NH, frozenset(P.elements)).betti()
+    _, b = P.covers()[0]
+    old = NH.stalk(b)
+    n = max(old.differentials, key=lambda n: old.differentials[n].rows)
+    rows = old.differentials[n].rows_list()
     rows[0][0] = (rows[0][0] + 1) % 5
-    bent = dict(r.components)
-    bent[n] = Matrix(F5, len(rows), len(rows[0]), rows)
-    restrictions = dict(NH.restrictions)
-    restrictions[(a, b)] = ChainMap(r.source, r.target, bent, check=False)
-    broken = LabelledSheaf(P, F5, NH.stalks, restrictions, check=False)
-    with pytest.raises(NotContained):
-        sections(broken, X).betti()
+    bent = BlockComplex(F5, old.blocks, {**old.differentials, n: Matrix.from_rows(F5, rows)},
+                        lower=old.lower, certified_degree=old.certified_degree, check=False)
+    with pytest.raises(NotContained, match="does not commute with d"):
+        LabelledSheaf(P, F5, {**NH.stalks, b: bent})

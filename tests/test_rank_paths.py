@@ -9,8 +9,8 @@ filtration come from ranks of blocks of d in its adapted basis (`er_page`),
 the cycle spaces Z_r from kernels of those blocks, and E_r-quasi-isomorphism
 verdicts from ranks on them (`is_er_quis`).  Each is compared with the basis
 path it replaced, on inputs large enough to take the fast path, and each
-keeps its check: the guard of the chain route, the membership check of the
-constraint route, the containment check of a sections map, the zero-block
+keeps its check: the label guard that a `LabelledSheaf` runs when it is
+built, the membership check of the constraint route, the containment check of a sections map, the zero-block
 check of `FilteredComplex`, and d_r ∘ d_r = 0 once the terms are built.
 """
 
@@ -154,9 +154,9 @@ def test_derived_sections_certify_the_stalks_over_the_open():
 def test_rank_guard_rejects_a_restriction_that_is_not_a_chain_map():
     """A sheaf built with check=False has its restrictions checked by the
     membership check of the constraint route alone (`Subspace.coords_of` of
-    d applied to the section basis).  H_X(F), also built with check=False,
-    takes the chain route, whose guard `_check_projections` checks each
-    cover restriction for a projection onto labels and a chain map instead
+    d applied to the section basis).  H_X(F) takes the chain route instead:
+    its restrictions are the projections onto labels, and the label guard
+    of its constructor checks them for chain maps, once
     (tests/test_chain_sections.py)."""
     P = pseudocircle_poset()
     C = CochainComplex(F5, {0: 1, 1: 2}, {0: Matrix.from_rows(F5, [[1], [0]])})
