@@ -12,9 +12,9 @@ Every operation is written once on that array, reduced mod p after
 arithmetic over F_p.  Over F_p the arithmetic on the array keeps every
 intermediate value below 2**53, so every float operation is exact integer
 arithmetic; the one guard that enforces this, on `@`, raises ValueError.
-Arithmetic results are reduced by `_mod`: float `%` on small arrays, and an
-int64 floor-mod from _MOD_INT_CELLS cells on, exact on the same range and
-cheaper per cell than the float remainder.
+Arithmetic results are reduced in place by `_mod`: float `%` on small arrays,
+and from _MOD_INT_CELLS cells on an int64 floor-mod through one temporary,
+exact on the same range and cheaper per cell than the float remainder.
 Elimination has one dense kernel, `_rref_lists`: a Gauss–Jordan on the rows
 as Python lists (Fractions over Q, ints mod p over F_p), exact for every
 field and every size, so it has no guard and refuses no matrix.
@@ -28,6 +28,7 @@ the end.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -251,11 +252,13 @@ class Matrix:
             raise ValueError("row mismatch in hstack")
         return Matrix(self.field, self.rows, self.cols + other.cols, np.hstack([self._a, other._a]), _raw=True)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.cols != other.cols:
-            raise ValueError("col mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows, self.cols, np.vstack([self._a, other._a]), _raw=True)
+    def vstack(self, *others: "Matrix") -> "Matrix":
+        for other in others:
+            self._check(other)
+            if self.cols != other.cols:
+                raise ValueError("col mismatch in vstack")
+        a = np.vstack([self._a] + [o._a for o in others])  # one allocation
+        return Matrix(self.field, len(a), self.cols, a, _raw=True)
 
     def take_columns(self, idx) -> "Matrix":
         idx = list(idx)
@@ -393,12 +396,15 @@ def units_minus_blocks(field: Field, rows: "Layout", cols: "Layout", units, bloc
 
 def _mod(a, p: int):
     """The float64 array `a` of integers below 2**53 in magnitude, reduced
-    into [0, p).  Float `%` is exact on them but slow per cell; from
-    _MOD_INT_CELLS cells on, the floor-mod runs on an int64 copy, exact for
-    the same range.  Below that the copies cost more than they save."""
+    into [0, p) in place and returned; callers pass a fresh array (a stored
+    `Matrix` array is read-only, so ValueError).  Float `%` is exact on them
+    but slow per cell; from _MOD_INT_CELLS cells on, the floor-mod runs in
+    place on one int64 copy, exact for the same range, written back."""
     if a.size < _MOD_INT_CELLS:
-        return a % p
-    return (a.astype(np.int64) % p).astype(np.float64)
+        return np.remainder(a, p, out=a)
+    b = a.astype(np.int64)
+    a[...] = np.remainder(b, p, out=b)
+    return a
 
 
 def _zeros(field: Field, rows: int, cols: int):
@@ -460,20 +466,21 @@ def _rank_sparse(a, p: int) -> int:
     Gaussian elimination (LaMacchia–Odlyzko; Bouillaguet–Delaplace).
 
     Rows are dicts column -> Python int mod p, so the arithmetic is exact for
-    every p.  The next pivot row is the sparsest active row, taken from a
-    heap (an entry whose length is out of date is skipped); its pivot column
-    is the one of its columns held by the fewest active rows (Markowitz), so
-    singleton columns go first and cause no fill-in.  The pivot column is
-    cleared from every other row that holds it, and the pivot row leaves.
-    The elimination runs until no active row is left; each pivot adds one to
-    the rank.
+    every p; rows and column sets are built in one pass.  The next pivot row
+    is the sparsest active row, taken from a heap (an entry whose length is
+    out of date is skipped); its pivot column is the one of its columns held
+    by the fewest active rows, the lowest on a tie (Markowitz), so singleton
+    columns go first and cause no fill-in.  The pivot column is cleared from
+    every other row that holds it (with no update when the pivot row has no
+    other entry), and the pivot row leaves, until no active row is left;
+    each pivot adds one to the rank.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}  # column -> the active rows holding it
+    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    cols: defaultdict[int, set[int]] = defaultdict(set)  # column -> the active rows holding it
     ii, jj = np.nonzero(a)
-    for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
-        rows.setdefault(i, {})[j] = int(v) % p
-        cols.setdefault(j, set()).add(i)
+    for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].astype(np.int64).tolist()):
+        rows[i][j] = v
+        cols[j].add(i)
     heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
     rank = 0
@@ -482,8 +489,9 @@ def _rank_sparse(a, p: int) -> int:
         row = rows.get(i)
         if row is None or len(row) != length:
             continue
-        c = min(row, key=lambda j: len(cols[j]))
         del rows[i]
+        rank += 1
+        c = min(zip(map(len, map(cols.__getitem__, row)), row))[1]
         holders = cols.pop(c)
         holders.discard(i)
         rest = [(j, v) for j, v in row.items() if j != c]
@@ -492,7 +500,7 @@ def _rank_sparse(a, p: int) -> int:
             held.discard(i)
             if not held:
                 del cols[j]
-        inv = pow(row[c], p - 2, p)
+        inv = pow(row[c], p - 2, p) if rest else 0  # a singleton pivot row updates nothing
         for s in holders:
             t = rows[s]
             f = t.pop(c) * inv % p
@@ -500,7 +508,7 @@ def _rank_sparse(a, p: int) -> int:
                 w = t.get(j)
                 if w is None:
                     t[j] = -f * v % p
-                    cols.setdefault(j, set()).add(s)
+                    cols[j].add(s)
                     continue
                 w = (w - f * v) % p
                 if w:
@@ -515,7 +523,6 @@ def _rank_sparse(a, p: int) -> int:
                 heapq.heappush(heap, (len(t), s))
             else:
                 del rows[s]
-        rank += 1
     return rank
 
 

@@ -95,13 +95,15 @@ def apply_T(G: Sheaf, top: int | None = None) -> Sheaf:
         stalks[x] = BlockComplex(field, blocks, diffs, lower=G.lower, certified_degree=cert,
                                  check=False)
     # the restriction (TG)_a -> (TG)_b keeps the blocks over ↑b ⊆ ↑a
-    return Sheaf(poset, field, stalks, _projections(poset, field, stalks), check=False)
+    T = Sheaf(poset, field, stalks, {}, check=False)
+    T.restrictions = _projections(poset, field, stalks)
+    return T
 
 
 def godement_eta(G: Sheaf, TG: Sheaf) -> SheafMap:
     """η_G : G -> T(G), with component the stack of restrictions."""
     return SheafMap.from_blocks(G, TG, lambda x, n: _stack(
-        G.restriction(x, y).component(n) for y in TG.stalk(x).blocks[n]))
+        G.restriction_in(x, y, n) for y in TG.stalk(x).blocks[n]))
 
 
 def godement_nu(G: Sheaf, TG: Sheaf, TTG: Sheaf) -> SheafMap:
@@ -376,7 +378,7 @@ def _rho(F: Sheaf, H: LabelledSheaf) -> SheafMap:
     def block(x, n):
         rows = H.labels(x, n)
         return Matrix.assemble(F.field, rows, [F.stalk(x).dim(n)],
-                               {(s, 0): F.restriction(x, s[-1]).component(n)
+                               {(s, 0): F.restriction_in(x, s[-1], n)
                                 for s in rows if s[0] == 0})
     rho = SheafMap.from_blocks(F, H, block)
     for f in rho.components.values():
@@ -570,7 +572,9 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
     H_X(H_X F): M = H_X(H_X F) in mode="literal", feasible on small posets
     only, and reads `hyper`; in mode="reduced", M = N H_X R at N - 1 with
     its ρ (`reduced_hypercohomology`), for R = N H_X F at N
-    (`normalized_hypercohomology_sheaf`, no ρ).
+    (`normalized_hypercohomology_sheaf`, no ρ).  Only ρ of M is kept, so the
+    tower that built M is freed before the per-open loop, where each Γ(U, ρ)
+    is read off the labels (`sections_map`) with no restriction built.
     A section of M over U is fixed by its value at each chain's first vertex,
     so Γ(U, M) is the strict replacement of R over U and Γ(U, ρ) its
     coaugmentation; that per-open route is the reference in
@@ -587,10 +591,10 @@ def thomason_check(F: Sheaf, N: int, mode: str = "auto",
         weak = F.poset.weak_chain_count(max(N - F.lower, 1))
         mode = "literal" if weak * max(1, F.top_degree + 1) <= 60 else "reduced"
     if mode == "literal":
-        M = hypercohomology_sheaf((hyper or hypercohomology_sheaf(F, N)).H, N)
+        rho = hypercohomology_sheaf((hyper or hypercohomology_sheaf(F, N)).H, N).rho
     else:
-        M = reduced_hypercohomology(normalized_hypercohomology_sheaf(F, N), N - 1)
-    rep = equivalence_check(M.rho, "global")
+        rho = reduced_hypercohomology(normalized_hypercohomology_sheaf(F, N), N - 1).rho
+    rep = equivalence_check(rho, "global")
     rep.mode = mode
     return rep
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 
 from .complexes import (
-    BlockComplex, ChainMap, CochainComplex, DiagramMap, conjugate, direct_sum, mapping_cone,
-    min_certified, random_complex, random_map, zero_complex,
+    BlockComplex, ChainMap, CochainComplex, DiagramMap, LazyMap, conjugate, direct_sum,
+    mapping_cone, min_certified, random_complex, random_map, zero_complex,
 )
 from .errors import (
     AmbientMismatch, FieldMismatch, InsufficientLevels, InvariantError, NotACover, NotContained,
@@ -237,7 +237,7 @@ class Sheaf:
         self.poset = poset
         self.field = field
         self.stalks = stalks
-        # r_{x,x} is the identity, built on first read by `restriction`
+        # r_{x,x} is the identity, built by `restriction` on each read
         self.restrictions = {(a, b): r for (a, b), r in restrictions.items() if a != b}
         for x in poset.elements:
             if x not in stalks:
@@ -257,10 +257,14 @@ class Sheaf:
         return Sheaf(self.poset, self.field, stalks, restrictions, check=False)
 
     def restriction(self, x, y) -> ChainMap:
-        """The map F_x -> F_y for x <= y; the identity for x == y."""
-        if x == y and (x, x) not in self.restrictions:
-            self.restrictions[(x, x)] = ChainMap.identity(self.stalks[x])
-        return self.restrictions[(x, y)]
+        """The map F_x -> F_y for x <= y; for x == y the identity, built on
+        each read and never stored on the sheaf."""
+        return ChainMap.identity(self.stalks[x]) if x == y else self.restrictions[(x, y)]
+
+    def restriction_in(self, x, y, n: int) -> Matrix:
+        """`restriction(x, y)` in degree n; for x == y its identity alone."""
+        return Matrix.identity(self.field, self.stalks[x].dim(n)) if x == y else \
+            self.restrictions[(x, y)].component(n)
 
     @property
     def lower(self) -> int:
@@ -297,7 +301,7 @@ class Sheaf:
             if r.source != self.stalk(x) or r.target != self.stalk(y):
                 raise InvariantError(f"restriction {x} -> {y} has wrong source/target")
             r.validate()
-        # r_{x,x} is the identity (the constructor sets it), so functoriality
+        # r_{x,x} is the identity (`restriction` builds it), so functoriality
         # can only fail on strict triples x < y < z
         for (x, y) in self.poset.pairs():
             for z in self.poset.elements:
@@ -315,9 +319,10 @@ class LabelledSheaf(Sheaf):
 
     `labels(x, n)` is the `Layout` of F_x^n by label, the stalk's blocks, and
     a label's last entry is its home y >= x.  The restriction F_a -> F_b is
-    the 0/1 projection onto the labels of F_b (`_projections`), so F is
-    flasque.  The constructor checks the labels once (`_check_labels`), and
-    `sections` reads Γ(U, F) off them with no check (the chain route).
+    the 0/1 projection onto the labels of F_b (`_projections`, built on its
+    first read), so F is flasque.  The constructor checks the labels once
+    (`_check_labels`); `sections` and `sections_map` read Γ(U, F) and
+    Γ(U, f) off them, with no restriction (the chain route).
     """
 
     __slots__ = ()
@@ -334,15 +339,15 @@ class LabelledSheaf(Sheaf):
 _NO_SLOTS = Layout()
 
 
-def _projections(poset: Poset, field: Field, stalks: dict) -> dict:
+def _projections(poset: Poset, field: Field, stalks: dict) -> LazyMap:
     """The restrictions of a sheaf of block complexes whose stalk at b keeps
-    blocks of the stalk at a, for a < b: the projections onto those blocks."""
-    restr = {}
-    for (a, b) in poset.pairs():
-        Sa, Sb = stalks[a], stalks[b]
-        comps = {n: Sa.blocks[n].projection(field, Sb.blocks[n]) for n in Sb.dims if Sa.dim(n)}
-        restr[(a, b)] = ChainMap(Sa, Sb, comps, check=False)
-    return restr
+    blocks of the stalk at a, for a < b: the projections onto those blocks,
+    each built on its first read."""
+    def project(pair):
+        Sa, Sb = stalks[pair[0]], stalks[pair[1]]
+        return ChainMap(Sa, Sb, {n: Sa.blocks[n].projection(field, Sb.blocks[n])
+                                 for n in Sb.dims if Sa.dim(n)}, check=False)
+    return LazyMap(poset.pairs(), project)
 
 
 def _kept_rows(la: Layout, lb: Layout) -> list:
@@ -425,11 +430,11 @@ class SectionComplex:
         stays the reference of the chain route;
       * with no cover relation, Γ^n is every family.
 
-    The chain data, the spaces, the complex and the evaluations are each
-    built on first access.  On the chain route the complex is a
-    `BlockComplex` on the basis labels, as the stalk of a minimum is.  On an
-    open without a minimum, Γ(U, F) is certified through the least certified
-    degree of the stalks over U.
+    The chain data, the spaces, the complex and the evaluations (on a
+    minimal open, each one) are built on first access.  On the chain route
+    the complex is a `BlockComplex` on the basis labels, as the stalk of a
+    minimum is.  On an open without a minimum, Γ(U, F) is certified through
+    the least certified degree of the stalks over U.
     """
 
     __slots__ = ("sheaf", "open_set", "layouts", "minimum", "chain", "_chains", "_spaces",
@@ -446,7 +451,7 @@ class SectionComplex:
         self._complex = self._evaluations = None
         if minimum is not None:
             self._complex = sheaf.stalk(minimum)
-            self._evaluations = {y: sheaf.restriction(minimum, y) for y in open_set}
+            self._evaluations = LazyMap(open_set, lambda y: sheaf.restriction(minimum, y))
         elif not open_set:
             self._complex, self._evaluations = zero_complex(sheaf.field), {}
 
@@ -458,9 +463,10 @@ class SectionComplex:
 
     @property
     def evaluations(self) -> dict:
-        """x -> Γ(U, F) -> F_x, the rows of x in the section bases.  Each is
-        checked as a chain map, except on the chain route, where the label
-        guard of the constructor makes it one (`_build`)."""
+        """x -> Γ(U, F) -> F_x: on a minimal open ↑m the restriction out of m,
+        each built on its first read; otherwise the rows of x in the section
+        bases, each checked as a chain map, except on the chain route, where
+        the label guard of the constructor makes it one (`_build`)."""
         if self._evaluations is None:
             C, F, lo = self.complex, self.sheaf, min(self.layouts)
             evals = {x: {} for x in self.layouts[lo]}
@@ -491,7 +497,7 @@ class SectionComplex:
             elif m is not None:
                 off, d = layout[m]
                 S = Subspace(F.field, layout.dim,
-                             _stack(F.restriction(m, y).component(n) for y in layout),
+                             _stack(F.restriction_in(m, y, n) for y in layout),
                              range(off, off + d))
             elif self.chain:
                 cols, units, _ = self._chain_data()[n]
@@ -614,10 +620,9 @@ def _unique_minimum(poset: Poset, U: frozenset):
 
 
 def _stack(blocks) -> Matrix:
-    out = None
-    for m in blocks:
-        out = m if out is None else out.vstack(m)
-    return out
+    """The blocks, one under another, copied once into one array."""
+    first, *rest = blocks
+    return first.vstack(*rest) if rest else first
 
 
 def sections(F: Sheaf, U) -> SectionComplex:
@@ -668,7 +673,11 @@ def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
     """Γ(U, f): the induced map on section complexes.
 
     `sec_s` and `sec_t` may carry Γ(U, source) and Γ(U, target) as returned
-    by `sections`, when the caller has them already.
+    by `sections`, when the caller has them already.  It is f_m on a minimal
+    open ↑m, and otherwise `_map_into` the family (f_x e_x)_x for the
+    evaluations e_x of Γ(U, source).  On the chain route e_x is 0/1, so
+    f_x e_x is f_x's columns placed at the basis columns of x's slots, read
+    off the labels with no product and no evaluation built.
     """
     if sec_s is None:
         sec_s = sections(f.source, U)
@@ -676,8 +685,13 @@ def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
         sec_t = sections(f.target, U)
     if sec_s.minimum is not None:
         return f.component(sec_s.minimum)
-    return _map_into(sec_s.complex, sec_t,
-                     lambda x, n: f.component(x).component(n) @ sec_s.evaluation(x).component(n))
+
+    def value(x, n):
+        if not sec_s.chain:
+            return f.component(x).component(n) @ sec_s.evaluation(x).component(n)
+        (off, d), cols = sec_s.layouts[n][x], sec_s._chain_data()[n][0]
+        return f.component(x).component(n).place_columns(sec_s.complex.dim(n), cols[off:off + d])
+    return _map_into(sec_s.complex, sec_t, value)
 
 
 def check_sheaf_equalizer(F: Sheaf, U, cover) -> bool:
@@ -775,7 +789,7 @@ def skyscraper_unit(F: Sheaf, x) -> SheafMap:
     stalk where defined, identity at x itself."""
     sky = skyscraper(F.poset, x, F.stalk(x))
     unit = SheafMap.from_blocks(
-        F, sky, lambda y, n: F.restriction(y, x).component(n) if F.poset.leq(y, x) else None)
+        F, sky, lambda y, n: F.restriction_in(y, x, n) if F.poset.leq(y, x) else None)
     unit.validate()
     return unit
 

@@ -176,6 +176,18 @@ def test_mod_agrees_with_python_remainder(p):
         assert got.astype(np.int64).tolist() == [[v % p for v in vals]], cells
 
 
+def test_mod_reduces_in_place_and_refuses_a_stored_array(f5):
+    # on both sides of _MOD_INT_CELLS the reduction is written into the
+    # array passed, and a stored Matrix array, read-only, is refused
+    for cells in (3, exactlin._MOD_INT_CELLS + 3):
+        a = np.arange(-cells, cells, dtype=np.float64).reshape(2, cells)
+        assert exactlin._mod(a, 5) is a
+        assert a.astype(np.int64).tolist() == [[v % 5 for v in range(-cells, 0)],
+                                               [v % 5 for v in range(cells)]]
+        with pytest.raises(ValueError):
+            exactlin._mod(Matrix.zeros(f5, 2, cells)._a, 5)
+
+
 def test_entries_canonical_mod_p(f5):
     rng = random.Random(5)
     A = random_matrix(f5, 3, 3, rng)

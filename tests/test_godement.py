@@ -7,7 +7,7 @@ import pytest
 import godex.exactlin as exactlin
 from godex.exactlin import GF, QQ, Layout, Matrix, alternating_sum
 from godex.complexes import (
-    ChainMap, CochainComplex, is_quis, random_complex, random_map, single_complex,
+    _UNBUILT, ChainMap, CochainComplex, is_quis, random_complex, random_map, single_complex,
 )
 from godex.cosimplicial import (
     CosimplicialComplex, alternating_coface_sum, collapse_by_extra_degeneracy, simple,
@@ -656,6 +656,68 @@ def test_thomason_check_builds_no_section_basis(f5, monkeypatch):
         F = random_sheaf(STANDARD_POSETS[name](), f5, 1000 * len(name) + t, max_dim=2, span=3)
         rep = thomason_check(F, 6)
         assert rep.mode == mode and rep.verdict
+
+
+def _built_restrictions(S) -> set:
+    """The pairs whose restriction S holds built: every key of a plain dict,
+    the read ones of a lazily filled mapping."""
+    values = getattr(S.restrictions, "_values", S.restrictions)
+    return {pair for pair, r in values.items() if r is not _UNBUILT}
+
+
+def test_literal_thomason_caches_no_identity_and_no_unread_projection(f5, monkeypatch):
+    # criterion-2 chain3 t = 7: every sheaf the literal check builds (the
+    # T-levels of H_X F and the model H_X(H_X F)) holds no restriction
+    # built, and no sheaf, F and H_X F included, holds an identity r_{x,x};
+    # the restrictions of F and H_X F are all read by η of their resolutions;
+    # and when the per-open loop starts, the tower of the model is freed
+    import gc
+    import godex.godement as gm
+    from godex.site import Sheaf
+    built, towers, init, check = [], [], Sheaf.__init__, gm.equivalence_check
+
+    def recorded(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def per_open(f, kind):
+        gc.collect()
+        towers.extend(o for o in gc.get_objects()
+                      if isinstance(o, gm.GodementResolution) and o.sheaf is hyper.H)
+        return check(f, kind)
+    P = chain_poset(3)
+    F = random_sheaf(P, f5, 1000 * len("chain3") + 7, max_dim=2, span=3)
+    hyper = hypercohomology_sheaf(F, 6)
+    monkeypatch.setattr(Sheaf, "__init__", recorded)
+    monkeypatch.setattr(gm, "equivalence_check", per_open)
+    rep = thomason_check(F, 6, "literal", hyper=hyper)
+    assert rep.verdict and rep.mode == "literal" and towers == []
+    assert len(built) == 6 + 1 + 1  # the p_max + 1 T-levels of H_X F and the model
+    for S in [F, hyper.H] + built:
+        assert all(a != b for a, b in _built_restrictions(S)), S
+    for S in built:
+        assert not _built_restrictions(S), S
+    assert _built_restrictions(hyper.H) == set(P.pairs())
+
+
+def test_literal_thomason_peak_memory_on_a_criterion_2_chain3_sheaf(f5):
+    # the literal check of chain3 t = 7 (the largest traced peak of the
+    # theorem-literal benchmark) allocates at most 27 MB at its peak: about
+    # 20.5 MB with no cached identity, evaluation or unread projection, and
+    # 35 MB when they were cached
+    import gc
+    import tracemalloc
+    F = random_sheaf(chain_poset(3), f5, 1000 * len("chain3") + 7, max_dim=2, span=3)
+    hyper = hypercohomology_sheaf(F, 6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = thomason_check(F, 6, "literal", hyper=hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict and rep.mode == "literal"
+    assert peak < 27 * 2**20, peak / 2**20
 
 
 def test_rank_only_is_quis_on_a_literal_suite_sheaf(f5, monkeypatch):

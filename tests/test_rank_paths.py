@@ -34,11 +34,13 @@ from godex.filtered import (
 )
 from godex.godement import (
     derived_sections, descent_double_complex, equivalence_check, hypercohomology_map,
-    hypercohomology_sheaf, separation_witness,
+    hypercohomology_sheaf, normalized_hypercohomology_sheaf, reduced_hypercohomology,
+    separation_witness,
 )
 from godex.site import (
     LabelledSheaf, Sheaf, SheafMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
     pseudosphere_poset, random_sheaf, sections, sections_map, sierpinski_poset, skyscraper,
+    _map_into,
 )
 
 from conftest import intersect, plain_copy, preimage
@@ -262,16 +264,11 @@ def test_global_check_ranks_match_sections_on_literal_suite_sheaves(name, count,
     assert seen == count
 
 
-def test_global_check_ranks_match_sections_on_random_sheaf_maps(monkeypatch):
-    """H_X(f) for random sheaf maps f (every other one an endomorphism) on
-    the pseudocircle and the pseudosphere over F_2, F_5 and Q, on every
-    nonempty open: labelled maps whose global verdicts on the chain route,
-    with no constraint system and no kernel, are those of the constraint
-    route on plain copies, including degrees where the betti numbers agree,
-    are nonzero, and H^n is no iso."""
+def _random_hyper_maps():
+    """(nonempty opens, H_X(f)) for random sheaf maps f (every other one an
+    endomorphism) on the pseudocircle and the pseudosphere over F_2, F_5
+    and Q: maps between `LabelledSheaf`s."""
     rng = random.Random(91)
-    counts = {"chain": 0, "equal nonzero, no iso": 0}
-    cases = 0
     for make in (pseudocircle_poset, pseudosphere_poset):
         P = make()
         opens = [U for U in P.up_sets() if U]
@@ -282,8 +279,20 @@ def test_global_check_ranks_match_sections_on_random_sheaf_maps(monkeypatch):
                 f = SheafMap(F, G, random_map(F, G, rng))
                 Hf = hypercohomology_map(f, max(F.top_degree, G.top_degree) + 1)[0]
                 assert type(Hf.source) is type(Hf.target) is LabelledSheaf
-                _compare_global(Hf, opens, monkeypatch, counts)
-                cases += len(opens)
+                yield opens, Hf
+
+
+def test_global_check_ranks_match_sections_on_random_sheaf_maps(monkeypatch):
+    """H_X(f) for the random sheaf maps f of `_random_hyper_maps`, on every
+    nonempty open: labelled maps whose global verdicts on the chain route,
+    with no constraint system and no kernel, are those of the constraint
+    route on plain copies, including degrees where the betti numbers agree,
+    are nonzero, and H^n is no iso."""
+    counts = {"chain": 0, "equal nonzero, no iso": 0}
+    cases = 0
+    for opens, Hf in _random_hyper_maps():
+        _compare_global(Hf, opens, monkeypatch, counts)
+        cases += len(opens)
     assert cases == 3 * 4 * 6 + (2 * 4 + 2) * 9
     assert counts["chain"] >= 50
     assert counts["equal nonzero, no iso"] >= 10, counts
@@ -299,6 +308,83 @@ def test_separation_witness_ranks_match_sections(monkeypatch):
     want, cert = _compare_global(rho, rho.source.poset.up_sets(), monkeypatch)
     assert glob.witnesses == want == [(("a", "b", "x", "y"), 1)]
     assert glob.certified_degree == cert
+
+
+def _product_route(f, U):
+    """Γ(U, f) by `_map_into` of the products f_x e_x with the evaluations
+    e_x of Γ(U, source): the reference of the index selection of
+    `sections_map`."""
+    sec_s, sec_t = sections(f.source, U), sections(f.target, U)
+    return _map_into(sec_s.complex, sec_t,
+                     lambda x, n: f.component(x).component(n) @ sec_s.evaluation(x).component(n))
+
+
+def _thomason_rhos(name):
+    """ρ of both Thomason models, H_X(H_X F) and N H_X(N H_X F), at
+    N = top + 2 for the first three criterion-2 sheaves F on a suite poset
+    (the pseudosphere's of total dimension at most 9, t = 1 and 2)."""
+    P = SUITE[name]()
+    for t in (1, 2) if name == "pseudosphere" else range(3):
+        F = random_sheaf(P, F5, 1000 * len(name) + t, max_dim=2, span=3)
+        N = F.top_degree + 2
+        yield hypercohomology_sheaf(hypercohomology_sheaf(F, N).H, N).rho
+        yield reduced_hypercohomology(normalized_hypercohomology_sheaf(F, N), N - 1).rho
+
+
+@pytest.mark.parametrize("name", list(SUITE))
+def test_index_selected_sections_maps_equal_the_product_route_on_thomason_rhos(name):
+    """Γ(U, ρ) read off the labels equals the product route on every
+    nonempty open, for ρ of both Thomason models; the opens without a
+    minimum (on the pseudocircle and the pseudosphere) take the chain route
+    on both sides, and the others give f_m on both routes."""
+    P = SUITE[name]()
+    chained = 0
+    for rho in _thomason_rhos(name):
+        for U in (U for U in P.up_sets() if U):
+            chained += sections(rho.source, U).chain and sections(rho.target, U).chain
+            assert sections_map(rho, U) == _product_route(rho, U), sorted(U)
+    assert chained == {"pseudocircle": 6 * 2, "pseudosphere": 4 * 3}.get(name, 0)
+
+
+def test_index_selected_sections_maps_equal_the_product_route_on_random_hyper_maps():
+    """The same on the random maps H_X(f) of `_random_hyper_maps`."""
+    chained = 0
+    for opens, Hf in _random_hyper_maps():
+        for U in opens:
+            chained += sections(Hf.source, U).chain
+            assert sections_map(Hf, U) == _product_route(Hf, U), sorted(U)
+    assert chained >= 50
+
+
+@pytest.mark.parametrize("row,error", [(-1, NotContained), (0, InvariantError)],
+                         ids=["membership", "chain-map"])
+def test_index_selected_sections_map_refuses_a_map_with_one_broken_component(row, error):
+    """One entry of ρ of H_X(H_X F) changed at a, a minimal element of the
+    pseudocircle, in its widest degree: on the two opens without a minimum
+    both routes give one outcome, the map on {x, y} and a refusal on X.  In
+    the last row (a slot of home y, also held at y) the membership check
+    refuses it; in the first (a slot of home a, held at a alone) the
+    chain-map check does.  (Γ(↑m, f) is f_m, read with no check.)"""
+    P = pseudocircle_poset()
+    rho = next(_thomason_rhos("pseudocircle"))
+    at_a = rho.component("a")
+    n = max(at_a.components, key=lambda k: at_a.components[k].rows)
+    rows = at_a.component(n).rows_list()
+    rows[row][0] = (rows[row][0] + 1) % 5
+    comp = ChainMap(at_a.source, at_a.target,
+                    {**at_a.components, n: Matrix.from_rows(F5, rows)}, check=False)
+    broken = SheafMap(rho.source, rho.target, {**rho.components, "a": comp}, check=False)
+    refused = []
+    for U in (U for U in P.up_sets() if U and sections(rho.source, U).minimum is None):
+        outcomes = []
+        for route in (sections_map, _product_route):
+            try:
+                outcomes.append(route(broken, U))
+            except (NotContained, InvariantError) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], sorted(U)
+        refused += [(sorted(U), outcomes[0])] if outcomes[0] in (NotContained, InvariantError) else []
+    assert refused == [(["a", "b", "x", "y"], error)]
 
 
 def _scaled_at_y(F):

@@ -97,6 +97,25 @@ def test_sections_minimal_open_is_stalk(f5):
         assert sec.evaluation(x) == ChainMap.identity(F.stalk(x))
 
 
+def test_a_minimal_open_builds_no_evaluation_until_one_is_read(f5, monkeypatch):
+    # Γ(↑a, F) is F_a and Γ(↑a, f) is f_a, read with no evaluation; reading
+    # the evaluation at y reads the restriction a -> y, once, and the
+    # identity at a is not stored on F
+    P = pseudocircle_poset()
+    F = random_sheaf(P, f5, 1)
+    f = SheafMap(F, F, {x: ChainMap.identity(F.stalk(x)).scale(2) for x in P.elements})
+    read, restriction = [], Sheaf.restriction
+    monkeypatch.setattr(Sheaf, "restriction",
+                        lambda G, x, y: read.append(y) or restriction(G, x, y))
+    U = P.up_set("a")
+    sec = sections(F, U)
+    assert sections_map(f, U, sec, sec) is f.component("a") and read == []
+    assert sec.evaluation("x") is sec.evaluation("x") is F.restrictions[("a", "x")]
+    assert read == ["x"]
+    assert sec.evaluation("a") == ChainMap.identity(F.stalk("a")) and read == ["x", "a"]
+    assert set(sec.evaluations) == U and set(F.restrictions) == set(P.pairs())
+
+
 def test_sections_disjoint_union_is_biproduct(f5):
     P = pseudocircle_poset()
     F = random_sheaf(P, f5, 2)
@@ -184,9 +203,10 @@ def test_validate_checks_every_strict_triple_and_only_those(f5, monkeypatch):
     assert len(composed) == len(strict) == 8
 
 
-def test_identity_restrictions_are_built_on_first_read(f5):
+def test_identity_restrictions_are_built_on_each_read_and_never_stored(f5):
     # a sheaf stores its strict restrictions only; r_{x,x} is the identity,
-    # built when read, and an (x, x) entry a caller passes is not kept
+    # built when read and not kept, and an (x, x) entry a caller passes is
+    # not kept either
     P = sierpinski_poset()
     F = random_sheaf(P, f5, 3)
     restr = {pair: F.restriction(*pair) for pair in P.pairs()}
@@ -195,7 +215,7 @@ def test_identity_restrictions_are_built_on_first_read(f5):
     assert set(G.restrictions) == set(P.pairs())
     for x in P.elements:
         assert G.restriction(x, x) == ChainMap.identity(G.stalk(x))
-        assert G.restriction(x, x) is G.restriction(x, x)
+    assert set(G.restrictions) == set(P.pairs())
 
 
 def test_constant_sheaf_examples(f5):
