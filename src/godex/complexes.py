@@ -96,9 +96,6 @@ class CochainComplex:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * d for n, d in self.dims.items())
-
     def is_zero_complex(self) -> bool:
         return not self.dims
 

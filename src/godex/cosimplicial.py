@@ -451,25 +451,6 @@ class BicosimplicialComplex:
             tr.row(m).validate()
 
 
-class BicosimplicialMap(DiagramMap):
-    """Levelwise chain maps commuting with both structures."""
-
-    __slots__ = ()
-    error = NotCosimplicial
-
-    def component(self, n, m) -> ChainMap:
-        return self.components[(n, m)]
-
-    def row_map(self, n) -> CosimplicialMap:
-        return CosimplicialMap(self.source.row(n), self.target.row(n),
-                               {m: self.components[(n, m)] for m in range(self.source.q_max + 1)},
-                               check=False)
-
-    def transpose(self) -> "BicosimplicialMap":
-        return BicosimplicialMap(self.source.transpose(), self.target.transpose(),
-                                 {(m, n): f for (n, m), f in self.components.items()}, check=False)
-
-
 def outer_cosimplicial(Z: BicosimplicialComplex, N: int) -> CosimplicialComplex:
     """n ↦ s(m ↦ Z^{n,m}), the outer object of the iterated simple; its
     levels are built at once, each structure map on its first read, and its
@@ -481,13 +462,6 @@ def outer_cosimplicial(Z: BicosimplicialComplex, N: int) -> CosimplicialComplex:
     sums = LazyMap(range(1, Z.p_max + 1), lambda n: simple_map(Z.row_coface_sum(n), N))
     return CosimplicialComplex(Z.field, levels, cofaces, codegens, Z.p_max, check=False,
                                coface_sums=sums)
-
-
-def iterated_simple_map(f: BicosimplicialMap, N: int) -> ChainMap:
-    outer = CosimplicialMap(outer_cosimplicial(f.source, N), outer_cosimplicial(f.target, N),
-                            {n: simple_map(f.row_map(n), N) for n in range(f.source.p_max + 1)},
-                            check=False)
-    return simple_map(outer, N)
 
 
 def _aw_component(Z: BicosimplicialComplex, i: int, j: int, k: int) -> Matrix:

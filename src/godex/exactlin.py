@@ -145,11 +145,6 @@ class Matrix:
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rows(field: Field, rows_data) -> "Matrix":
-        rows_data = list(rows_data)
-        return Matrix(field, len(rows_data), len(rows_data[0]) if rows_data else 0, rows_data)
-
-    @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols, _zeros(field, rows, cols), _raw=True)
 
@@ -158,10 +153,6 @@ class Matrix:
         a = _zeros(field, n, n)
         a.flat[::n + 1] = field.element(1)
         return Matrix(field, n, n, a, _raw=True)
-
-    @staticmethod
-    def column(field: Field, entries) -> "Matrix":
-        return Matrix(field, len(entries), 1, [[e] for e in entries])
 
     # ---- accessors ----------------------------------------------------
 
@@ -291,12 +282,6 @@ class Matrix:
                 raise ValueError(f"block {(bi, bj)} has shape {m.shape}, expected {(rd, cd)}")
             a[r0:r0 + rd, c0:c0 + cd] = m._a
         return Matrix(field, rows.dim, cols.dim, a, _raw=True)
-
-    def block(self, row_range, col_range) -> "Matrix":
-        """Contiguous submatrix rows[a:b], cols[c:d]."""
-        a, b = row_range
-        c, d = col_range
-        return Matrix(self.field, b - a, d - c, self._a[a:b, c:d].copy(), _raw=True)
 
     # ---- elimination ----------------------------------------------------
 
@@ -682,10 +667,6 @@ def subquotient(Z: Subspace, B: Subspace):
     if projection @ section != Matrix.identity(field, q):
         raise InvariantError("projection ∘ section is not the identity")
     return q, projection, section
-
-
-def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
-    return Matrix(field, rows, cols, [[field.random_element(rng) for _ in range(cols)] for _ in range(rows)])
 
 
 @lru_cache(maxsize=64)

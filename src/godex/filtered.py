@@ -205,8 +205,9 @@ class SpectralPage:
     `dims` holds dim E_r^{p,q} at every slot the page covers, as `er_page`
     reads them from ranks.  The terms (subquotients with quotient
     coordinates, in adapted coordinates) and d_r are built together by
-    `_page_terms` on first access of `terms` or `differentials`, and are
-    kept only if they reproduce `dims` and pass d_r ∘ d_r = 0.
+    `_page_terms` on the first read of `terms` (`differentials` reads it),
+    and are kept only if they reproduce `dims` and pass d_r ∘ d_r = 0.  No
+    verdict reads them: they are the reference of the rank dims.
     """
 
     __slots__ = ("r", "filtered", "spots", "_dims", "_terms", "_differentials")
@@ -222,54 +223,29 @@ class SpectralPage:
     @property
     def terms(self) -> dict:
         if self._terms is None:
-            self._build()
+            r = self.r
+            terms, diffs = _page_terms(self.filtered, r, self.spots)
+            built = {pq: t.dim for pq, t in terms.items()}
+            if built != self._dims:
+                raise InvariantError(f"page {r}: the subquotients have dims {built}, "
+                                     f"the ranks give {self._dims}")
+            for (p, q), m in diffs.items():
+                nxt = diffs.get((p + r, q - r + 1))
+                if nxt is not None and not (nxt @ m).is_zero():
+                    raise InvariantError(f"d_r ∘ d_r != 0 at {(p, q)} on page {r}")
+            self._terms, self._differentials = terms, diffs
         return self._terms
 
     @property
     def differentials(self) -> dict:
-        if self._terms is None:
-            self._build()
+        self.terms  # builds and checks the terms and d_r together
         return self._differentials
-
-    def _build(self):
-        r = self.r
-        terms, diffs = _page_terms(self.filtered, r, self.spots)
-        built = {pq: t.dim for pq, t in terms.items()}
-        if built != self._dims:
-            raise InvariantError(f"page {r}: the subquotients have dims {built}, "
-                                 f"the ranks give {self._dims}")
-        for (p, q), m in diffs.items():
-            nxt = diffs.get((p + r, q - r + 1))
-            if nxt is not None and not (nxt @ m).is_zero():
-                raise InvariantError(f"d_r ∘ d_r != 0 at {(p, q)} on page {r}")
-        self._terms, self._differentials = terms, diffs
 
     def dim(self, p: int, q: int) -> int:
         return self._dims.get((p, q), 0)
 
     def dims(self) -> dict:
         return {pq: d for pq, d in self._dims.items() if d}
-
-    def differential(self, p: int, q: int) -> Matrix:
-        m = self.differentials.get((p, q))
-        if m is None:
-            field = self.filtered.base.field
-            return Matrix.zeros(field, self.dim(p + self.r, q - self.r + 1), self.dim(p, q))
-        return m
-
-    def homology_dims(self) -> dict:
-        """dim of ker d_r / im d_r per slot; equals the next page's dims."""
-        out = {}
-        r = self.r
-        for (p, q), t in self.terms.items():
-            if t.dim == 0:
-                continue
-            rk_out = self.differential(p, q).rank()
-            rk_in = self.differential(p - r, q + r - 1).rank()
-            h = t.dim - rk_out - rk_in
-            if h:
-                out[(p, q)] = h
-        return out
 
 
 def _block(FC: FilteredComplex, n: int, a: int, b: int | None = None) -> Matrix:
@@ -534,17 +510,6 @@ def decalage(FC: FilteredComplex) -> FilteredComplex:
     bases = {(k, n): FC.basis(n) @ _cycle_space(FC, k + n, -k, 1).basis
              for n in degs for k in range(k_min + 1, k_max + 1)}
     return FilteredComplex.from_bases(base, bases, k_min, k_max)
-
-
-def decalage_levelwise(XF: FilteredDiagram) -> FilteredDiagram:
-    return FilteredDiagram(XF.base, {k: decalage(L) for k, L in XF.levels.items()})
-
-
-def deligne_reindex(pq) -> tuple:
-    """Deligne's shift E_r^{p,q}(Dec F) = E_{r+1}^{2p+q, -p}(F): the slot of F's
-    page that a décalage slot (p, q) lands on."""
-    p, q = pq
-    return (2 * p + q, -p)
 
 
 # ---- randomized filtered instances -----------------------------------------

@@ -37,13 +37,12 @@ builds the full tower or a codegeneracy; the CLI `resolve` command, the
 structure-map digest and the reference tests build them.
 
 Every T-stalk is a `BlockComplex` labelled by the elements of ↑x, and block
-matrices of T-stalks are assembled on its layouts, or on the flattened
-chains of a level of the resolution (`t_chain_layout`, which walks the
-levels below it).  Stalks and sections of the T-iterates are canonically
-indexed by weakly increasing chains x <= y_0 <= ... <= y_p.  The strict
-chains span the normalized resolution N G•F = ∩_j ker s^j, quasi-isomorphic
-to G•F by the cosimplicial Dold–Kan correspondence and zero above the
-height of ↑x.  Its total N H_X(F) is
+matrices of T-stalks are assembled on its layouts.  Stalks and sections of
+the T-iterates are canonically indexed by weakly increasing chains
+x <= y_0 <= ... <= y_p (the tests flatten the nested blocks of a level
+into those chains).  The strict chains span the normalized resolution
+N G•F = ∩_j ker s^j, quasi-isomorphic to G•F by the cosimplicial Dold–Kan
+correspondence and zero above the height of ↑x.  Its total N H_X(F) is
 built from those labels alone, with no T-level and no coface sum
 (`normalized_hypercohomology_sheaf`), and is bounded, so a stalk whose N
 reaches height(↑x) + top degree certifies every degree.  Derived sections
@@ -62,7 +61,7 @@ from .complexes import (
     BlockComplex, ChainMap, CochainComplex, LazyMap, induced_map, is_quis, min_certified,
 )
 from .cosimplicial import CosimplicialComplex, _degeneracies, _faces, simple
-from .errors import InsufficientLevels, InvariantError
+from .errors import InsufficientLevels
 from .exactlin import Layout, Matrix, units_minus_blocks
 from .site import (
     LabelledSheaf, MonotoneMap, Sheaf, SheafMap, _projections, _stack, direct_image, sections,
@@ -252,70 +251,6 @@ def godement_resolution(F: Sheaf, p_max: int, top: int | None = None) -> Godemen
     return GodementResolution(F, levels, eta, sums, p_max, top)
 
 
-def t_chain_layout(res: GodementResolution, p: int, x, n: int) -> Layout:
-    """Flattened layout of level p of `res` at x in degree n: the chain
-    (y_0, ..., y_p) of the nested blocks -> (offset, dim), nonzero only.
-    Level -1 is F itself, with the one chain ()."""
-    if p < 0:
-        return Layout([((), res.sheaf.stalk(x).dim(n))])
-    return Layout(((y,) + c, d) for y in res.level(p).stalk(x).blocks.get(n, ())
-                  for c, (_, d) in t_chain_layout(res, p - 1, y, n).items() if d)
-
-
-def stalk_extra_degeneracy(res: GodementResolution, x):
-    """The extra degeneracy of the coaugmented stalkwise resolution at x.
-
-    Returns (eps_x, X_x, extra) for collapse_by_extra_degeneracy with
-    side="bottom": extra[p] projects the iterated product onto the chains
-    whose first entry is x itself.
-    """
-    F = res.sheaf
-    field = F.field
-    X = res.stalkwise(x)
-    extra = []
-    for p in range(res.p_max + 1):
-        here = res.level(p).stalk(x)
-        target = F.stalk(x) if p == 0 else res.level(p - 1).stalk(x)
-        comps = {n: here.blocks[n].projection(field, [x]) for n in target.dims if here.dim(n)}
-        extra.append(ChainMap(X.level(p), target, comps, check=False))
-    return res.eta.component(x), X, extra
-
-
-def skyscraper_counit(res: GodementResolution, y0) -> SheafMap:
-    """For F a skyscraper-type sheaf concentrated under y0: the retraction
-    T(F) -> F projecting onto the block indexed by y0."""
-    F, TF = res.sheaf, res.level(0)
-    under = F.poset.down_set(y0)
-    counit = SheafMap.from_blocks(TF, F, lambda x, n: TF.stalk(x).blocks[n].projection(
-        F.field, [y0]) if x in under else None)
-    counit.validate()
-    return counit
-
-
-def sheaf_extra_degeneracy_top(res: GodementResolution, y0):
-    """Top-side extra degeneracy family for G•(skyscraper at y0):
-    extra[p] = T^p(counit)."""
-    out = [skyscraper_counit(res, y0)]
-    for p in range(1, res.p_max + 1):
-        out.append(t_apply_map(out[-1], res.level(p), res.level(p - 1)))
-    return out
-
-
-def resolution_sections(res: GodementResolution, U):
-    """Evaluate the resolution on an open: the coaugmented cosimplicial
-    complex (Γ(U, F) -> Γ(U, G•F)) with structure maps Γ(U, d^i), Γ(U, s^j)."""
-    secs = {p: sections(res.level(p), U) for p in range(res.p_max + 1)}
-    sec_F = sections(res.sheaf, U)
-    levels = {p: secs[p].complex for p in range(res.p_max + 1)}
-    cofaces = {(p, i): sections_map(f, U, secs[p - 1], secs[p])
-               for (p, i), f in res.cofaces.items()}
-    codegens = {(p, j): sections_map(f, U, secs[p + 1], secs[p])
-                for (p, j), f in res.codegeneracies.items()}
-    X = CosimplicialComplex(res.sheaf.field, levels, cofaces, codegens, res.p_max, check=False)
-    eps = sections_map(res.eta, U, sec_F, secs[0])
-    return X, eps, sec_F
-
-
 # ---- hypercohomology ------------------------------------------------------
 
 
@@ -384,23 +319,6 @@ def _rho(F: Sheaf, H: LabelledSheaf) -> SheafMap:
     for f in rho.components.values():
         f.validate()
     return rho
-
-
-def hypercohomology_map(f: SheafMap, N: int):
-    """H_X(f) : H_X(F) -> H_X(G): T^p(f) at y on each slot (p, q, y)."""
-    hyper_src = hypercohomology_sheaf(f.source, N)
-    hyper_tgt = hypercohomology_sheaf(f.target, N)
-    rs, rt = hyper_src.resolution, hyper_tgt.resolution
-    powers = [f]  # powers[p] = T^p(f) : T^p F -> T^p G, level p - 1 for p >= 1
-    for p in range(min(rs.p_max, rt.p_max)):
-        powers.append(t_apply_map(powers[-1], rs.level(p), rt.level(p)))
-
-    def block(x, n):
-        rows, cols = hyper_tgt.H.labels(x, n), hyper_src.H.labels(x, n)
-        return Matrix.assemble(f.source.field, rows, cols,
-                               {((p, q, y),) * 2: powers[p].component(y).component(q)
-                                for p, q, y in cols if (p, q, y) in rows})
-    return SheafMap.from_blocks(hyper_src.H, hyper_tgt.H, block), hyper_src, hyper_tgt
 
 
 # ---- equivalence checks ---------------------------------------------------
@@ -522,25 +440,6 @@ def reduced_hypercohomology(F: Sheaf, N: int) -> Hypercohomology:
     which inserts r_{x->y} on each 0-chain (y) as η does."""
     R = normalized_hypercohomology_sheaf(F, N)
     return Hypercohomology(None, R, _rho(F, R))
-
-
-def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
-    """ι_F : N H_X(F) -> H_X(F), matching strict chains to their slots."""
-    res = hyper.resolution
-
-    def block(x, n):
-        # columns: strict-chain slots; rows: the weak chains (y, ...) of each
-        # slot (p, q, y) of H_x, flattened
-        cols = R.stalk(x).blocks[n]
-        rows = Layout(((p, (y,) + c), d) for p, q, y in hyper.H.labels(x, n)
-                      for c, (_, d) in t_chain_layout(res, p - 1, y, q).items())
-        if any(rows[(p, c)][1] != d for (p, _, c, _), (_, d) in cols.items()):
-            raise InvariantError("reduced model block mismatch")
-        return rows.inclusion(F.field, [(p, c) for p, _, c, _ in cols])
-    iota = SheafMap.from_blocks(R, hyper.H, block)
-    for f in iota.components.values():
-        f.validate()
-    return iota
 
 
 # ---- Theorem-suite checks --------------------------------------------------
@@ -672,20 +571,6 @@ def independent_e2_dims(F: Sheaf, U, N: int) -> dict:
     resolution (`derived_sections`), certified for p + q <= N - 1 at least."""
     return {(n - q, q): b for q in range(F.lower, F.top_degree + 1)
             for n, b in derived_sections(cohomology_sheaf(F, q), U, N)[1].items()}
-
-
-def localeq_verdicts(f: SheafMap, N: int) -> dict:
-    """The three equivalent predicates: f local equivalence, T(f) global,
-    H_X(f) global.  Returns their verdicts; they must agree pairwise."""
-    local = equivalence_check(f, "local")
-    TF = apply_T(f.source)
-    TG = apply_T(f.target)
-    tf = t_apply_map(f, TF, TG)
-    t_global = equivalence_check(tf, "global")
-    hf, _, _ = hypercohomology_map(f, N)
-    h_global = equivalence_check(hf, "global")
-    return {"local": local.verdict, "T_global": t_global.verdict,
-            "H_global": h_global.verdict}
 
 
 # ---- the W \\ S separation witness ------------------------------------------

@@ -12,12 +12,14 @@ Two constructions compute RΓ(X, F) without touching the Godement machinery:
 The strict-chain complex embeds in the weak-chain one as the subcomplex of
 families vanishing on chains with repeats; the inclusion is a
 quasi-isomorphism (degenerate chains contribute acyclically), and the tests
-assert the resulting betti equalities rather than assuming them.
+assert the resulting betti equalities rather than assuming them.  No program
+reads a map into or between replacements, so the tests build the ones they
+check.  Nothing here comes from `godement` or `cosimplicial`.
 """
 
 from __future__ import annotations
 
-from .complexes import BlockComplex, ChainMap, CochainComplex, min_certified
+from .complexes import BlockComplex, CochainComplex, min_certified
 from .errors import InvariantError
 from .exactlin import Field, Layout, Matrix, kron
 from .site import Poset, Sheaf
@@ -94,34 +96,6 @@ def _accumulate(entries: dict, key, m: Matrix):
     entries[key] = m if prev is None else prev + m
 
 
-def coaugmentation_into_replacement(F: Sheaf, sec, repl: BlockComplex) -> ChainMap:
-    """Γ(U, F) -> replacement: a section maps to its values on 1-chains."""
-    field = F.field
-    comps = {}
-    for n in sec.complex.dims:
-        if repl.dim(n) == 0:
-            continue
-        rows = repl.blocks[n]
-        entries = {((p, chain), 0): sec.evaluation(chain[0]).component(n)
-                   for (p, chain) in rows if p == 0}
-        comps[n] = Matrix.assemble(field, rows, [sec.complex.dim(n)], entries)
-    return ChainMap(sec.complex, repl, comps, check=True)
-
-
-def strict_into_weak(F: Sheaf, strict_repl: BlockComplex, weak_repl: BlockComplex) -> ChainMap:
-    """The inclusion of the strict-chain subcomplex into the weak one."""
-    field = F.field
-    comps = {}
-    for n in strict_repl.dims:
-        if weak_repl.dim(n) == 0:
-            continue
-        rows = weak_repl.blocks[n]
-        cols = strict_repl.blocks[n]
-        comps[n] = Matrix.assemble(field, rows, cols, {(c, c): Matrix.identity(field, d)
-                                                       for c, (_, d) in cols.items() if c in rows})
-    return ChainMap(strict_repl, weak_repl, comps, check=True)
-
-
 def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> BlockComplex:
     """RΓ(X, F) via the cosimplicial replacement (weak chains by default).
 
@@ -133,21 +107,6 @@ def holim_replacement(F: Sheaf, N: int, strict: bool = False) -> BlockComplex:
     """
     F.require_truncation(N)
     return replacement_complex(F, N, strict=strict)
-
-
-def replacement_map(f, src: BlockComplex, tgt: BlockComplex) -> ChainMap:
-    """The replacement of a sheaf map: blockwise f at the last chain vertex."""
-    field = src.field
-    comps = {}
-    for n in src.dims:
-        if tgt.dim(n) == 0:
-            continue
-        rows = tgt.blocks[n]
-        cols = src.blocks[n]
-        comps[n] = Matrix.assemble(field, rows, cols,
-                                   {(c, c): f.component(c[1][-1]).component(n - c[0])
-                                    for c in rows if c in cols})
-    return ChainMap(src, tgt, comps, check=True)
 
 
 class NerveComplex:

@@ -6,7 +6,8 @@ A problem file is a single JSON document with a versioned top-level
 row-major arrays of arrays.  Restriction maps are given once per covering
 relation, and for no other pair; the parser composes them along chains and
 verifies that the composites are consistent (diamond-shaped posets make this
-a real check).  A top-level key outside `_KEYS` is refused.
+a real check).  A top-level key outside `_KEYS` is refused, and so are a key
+given twice in one object and an integer key not in canonical form.
 
 Serialization is canonical: `fmt` is byte-idempotent and parse∘serialize is
 the identity on parsed content.
@@ -65,9 +66,13 @@ def _parse_int(v, where: str) -> int:
 
 
 def _parse_key(k: str, where: str) -> int:
-    """An object key that is the decimal string of an integer."""
+    """An object key that is the canonical decimal string of an integer: no
+    leading zero and no sign on 0, so that no two keys of one object name
+    the same integer."""
     if not re.fullmatch(r"-?[0-9]+", k):
         raise FormatError(f"{where} must be an integer, got {k!r}")
+    if str(int(k)) != k:
+        raise FormatError(f"{where} must be written {int(k)}, got {k!r}")
     return int(k)
 
 
@@ -298,9 +303,20 @@ def _emit_filtered(field: Field, FC: FilteredComplex):
 # ---- whole documents ---------------------------------------------------------
 
 
+def _object(pairs) -> dict:
+    """A JSON object from its (key, value) pairs, refusing a key given twice,
+    of which `json` would keep the last without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f'key "{key}" is given twice in one object')
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str) -> ProblemFile:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_KEY:

@@ -668,21 +668,15 @@ def restriction_of_sections(F: Sheaf, sec_U: SectionComplex, sec_V: SectionCompl
     return _map_into(sec_U.complex, sec_V, lambda x, n: sec_U.evaluation(x).component(n))
 
 
-def sections_map(f: SheafMap, U, sec_s: SectionComplex | None = None,
-                 sec_t: SectionComplex | None = None) -> ChainMap:
+def sections_map(f: SheafMap, U) -> ChainMap:
     """Γ(U, f): the induced map on section complexes.
 
-    `sec_s` and `sec_t` may carry Γ(U, source) and Γ(U, target) as returned
-    by `sections`, when the caller has them already.  It is f_m on a minimal
-    open ↑m, and otherwise `_map_into` the family (f_x e_x)_x for the
-    evaluations e_x of Γ(U, source).  On the chain route e_x is 0/1, so
-    f_x e_x is f_x's columns placed at the basis columns of x's slots, read
-    off the labels with no product and no evaluation built.
+    It is f_m on a minimal open ↑m, and otherwise `_map_into` the family
+    (f_x e_x)_x for the evaluations e_x of Γ(U, source).  On the chain route
+    e_x is 0/1, so f_x e_x is f_x's columns placed at the basis columns of
+    x's slots, read off the labels with no product and no evaluation built.
     """
-    if sec_s is None:
-        sec_s = sections(f.source, U)
-    if sec_t is None:
-        sec_t = sections(f.target, U)
+    sec_s, sec_t = sections(f.source, U), sections(f.target, U)
     if sec_s.minimum is not None:
         return f.component(sec_s.minimum)
 
@@ -782,16 +776,6 @@ def down_set_sheaf(P: Poset, S, C: CochainComplex) -> Sheaf:
     if not all(y in S for x in S for y in P.elements if P.leq(y, x)):
         raise InvariantError("subset is not down-closed")
     return _indicator_sheaf(P, S, C)
-
-
-def skyscraper_unit(F: Sheaf, x) -> SheafMap:
-    """The adjunction unit F -> skyscraper(x, F_x): restriction into the
-    stalk where defined, identity at x itself."""
-    sky = skyscraper(F.poset, x, F.stalk(x))
-    unit = SheafMap.from_blocks(
-        F, sky, lambda y, n: F.restriction_in(y, x, n) if F.poset.leq(y, x) else None)
-    unit.validate()
-    return unit
 
 
 # ---- direct image ---------------------------------------------------------

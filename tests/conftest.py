@@ -11,16 +11,24 @@ every arrow built at once, and each coface sum added up from the cofaces.
 by kernels, which the strict-chain slots of the Godement resolution must span.
 `plain_copy` is a labelled sheaf as a plain `Sheaf`, whose sections take the
 constraint route that the chain route must reproduce.
+
+The constructions at the end are the ones that several test modules call and
+no program does, from matrix builders to H_X(f) and `localeq_verdicts`.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from godex.complexes import ChainMap, CochainComplex, biproduct
-from godex.cosimplicial import BicosimplicialComplex, CosimplicialComplex
-from godex.exactlin import GF, QQ, Matrix, Subspace, kernel
-from godex.site import Sheaf
+from godex.complexes import BlockComplex, ChainMap, CochainComplex, DiagramMap, biproduct
+from godex.cosimplicial import BicosimplicialComplex, CosimplicialComplex, CosimplicialMap
+from godex.errors import NotCosimplicial
+from godex.exactlin import GF, QQ, Field, Layout, Matrix, Subspace, kernel
+from godex.filtered import FilteredDiagram, decalage
+from godex.godement import (
+    GodementResolution, apply_T, equivalence_check, hypercohomology_sheaf, t_apply_map,
+)
+from godex.site import Sheaf, SheafMap, skyscraper
 
 
 @pytest.fixture
@@ -245,3 +253,160 @@ def reference_direct_sum(D1, D2):
                                {(0, 0): f.component(q), (1, 1): g.component(q)})
             for q in set(f.components) | set(g.components)}, check=False)
     return _eager(D1, levels, maps)
+
+
+# ---- constructions that only tests call ---------------------------------------
+
+
+def from_rows(field: Field, rows_data) -> Matrix:
+    rows_data = list(rows_data)
+    return Matrix(field, len(rows_data), len(rows_data[0]) if rows_data else 0, rows_data)
+
+
+def column(field: Field, entries) -> Matrix:
+    return Matrix(field, len(entries), 1, [[e] for e in entries])
+
+
+def block(m: Matrix, row_range, col_range) -> Matrix:
+    """Contiguous submatrix rows[a:b], cols[c:d]."""
+    a, b = row_range
+    c, d = col_range
+    return Matrix(m.field, b - a, d - c, m._a[a:b, c:d].copy(), _raw=True)
+
+
+def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
+    return Matrix(field, rows, cols, [[field.random_element(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def euler_characteristic(C: CochainComplex) -> int:
+    return sum((-1) ** n * d for n, d in C.dims.items())
+
+
+def differential(page, p: int, q: int) -> Matrix:
+    """d_r of `page` out of the slot (p, q), zero where the page has none."""
+    m = page.differentials.get((p, q))
+    if m is None:
+        field = page.filtered.base.field
+        return Matrix.zeros(field, page.dim(p + page.r, q - page.r + 1), page.dim(p, q))
+    return m
+
+
+def homology_dims(page) -> dict:
+    """dim of ker d_r / im d_r per slot; equals the next page's dims."""
+    out = {}
+    r = page.r
+    for (p, q), t in page.terms.items():
+        if t.dim == 0:
+            continue
+        rk_out = differential(page, p, q).rank()
+        rk_in = differential(page, p - r, q + r - 1).rank()
+        h = t.dim - rk_out - rk_in
+        if h:
+            out[(p, q)] = h
+    return out
+
+
+class BicosimplicialMap(DiagramMap):
+    """Levelwise chain maps commuting with both structures."""
+
+    __slots__ = ()
+    error = NotCosimplicial
+
+    def component(self, n, m) -> ChainMap:
+        return self.components[(n, m)]
+
+    def row_map(self, n) -> CosimplicialMap:
+        return CosimplicialMap(self.source.row(n), self.target.row(n),
+                               {m: self.components[(n, m)] for m in range(self.source.q_max + 1)},
+                               check=False)
+
+    def transpose(self) -> "BicosimplicialMap":
+        return BicosimplicialMap(self.source.transpose(), self.target.transpose(),
+                                 {(m, n): f for (n, m), f in self.components.items()}, check=False)
+
+
+def decalage_levelwise(XF: FilteredDiagram) -> FilteredDiagram:
+    return FilteredDiagram(XF.base, {k: decalage(L) for k, L in XF.levels.items()})
+
+
+def deligne_reindex(pq) -> tuple:
+    """Deligne's shift E_r^{p,q}(Dec F) = E_{r+1}^{2p+q, -p}(F): the slot of F's
+    page that a décalage slot (p, q) lands on."""
+    p, q = pq
+    return (2 * p + q, -p)
+
+
+def skyscraper_unit(F: Sheaf, x) -> SheafMap:
+    """The adjunction unit F -> skyscraper(x, F_x): restriction into the
+    stalk where defined, identity at x itself."""
+    sky = skyscraper(F.poset, x, F.stalk(x))
+    unit = SheafMap.from_blocks(
+        F, sky, lambda y, n: F.restriction_in(y, x, n) if F.poset.leq(y, x) else None)
+    unit.validate()
+    return unit
+
+
+def strict_into_weak(F: Sheaf, strict_repl: BlockComplex, weak_repl: BlockComplex) -> ChainMap:
+    """The inclusion of the strict-chain subcomplex into the weak one."""
+    field = F.field
+    comps = {}
+    for n in strict_repl.dims:
+        if weak_repl.dim(n) == 0:
+            continue
+        rows = weak_repl.blocks[n]
+        cols = strict_repl.blocks[n]
+        comps[n] = Matrix.assemble(field, rows, cols, {(c, c): Matrix.identity(field, d)
+                                                       for c, (_, d) in cols.items() if c in rows})
+    return ChainMap(strict_repl, weak_repl, comps, check=True)
+
+
+def t_chain_layout(res: GodementResolution, p: int, x, n: int) -> Layout:
+    """Flattened layout of level p of `res` at x in degree n: the chain
+    (y_0, ..., y_p) of the nested blocks -> (offset, dim), nonzero only.
+    Level -1 is F itself, with the one chain ()."""
+    if p < 0:
+        return Layout([((), res.sheaf.stalk(x).dim(n))])
+    return Layout(((y,) + c, d) for y in res.level(p).stalk(x).blocks.get(n, ())
+                  for c, (_, d) in t_chain_layout(res, p - 1, y, n).items() if d)
+
+
+def skyscraper_counit(res: GodementResolution, y0) -> SheafMap:
+    """For F a skyscraper-type sheaf concentrated under y0: the retraction
+    T(F) -> F projecting onto the block indexed by y0."""
+    F, TF = res.sheaf, res.level(0)
+    under = F.poset.down_set(y0)
+    counit = SheafMap.from_blocks(TF, F, lambda x, n: TF.stalk(x).blocks[n].projection(
+        F.field, [y0]) if x in under else None)
+    counit.validate()
+    return counit
+
+
+def hypercohomology_map(f: SheafMap, N: int):
+    """H_X(f) : H_X(F) -> H_X(G): T^p(f) at y on each slot (p, q, y)."""
+    hyper_src = hypercohomology_sheaf(f.source, N)
+    hyper_tgt = hypercohomology_sheaf(f.target, N)
+    rs, rt = hyper_src.resolution, hyper_tgt.resolution
+    powers = [f]  # powers[p] = T^p(f) : T^p F -> T^p G, level p - 1 for p >= 1
+    for p in range(min(rs.p_max, rt.p_max)):
+        powers.append(t_apply_map(powers[-1], rs.level(p), rt.level(p)))
+
+    def block(x, n):
+        rows, cols = hyper_tgt.H.labels(x, n), hyper_src.H.labels(x, n)
+        return Matrix.assemble(f.source.field, rows, cols,
+                               {((p, q, y),) * 2: powers[p].component(y).component(q)
+                                for p, q, y in cols if (p, q, y) in rows})
+    return SheafMap.from_blocks(hyper_src.H, hyper_tgt.H, block), hyper_src, hyper_tgt
+
+
+def localeq_verdicts(f: SheafMap, N: int) -> dict:
+    """The three equivalent predicates: f local equivalence, T(f) global,
+    H_X(f) global.  Returns their verdicts; they must agree pairwise."""
+    local = equivalence_check(f, "local")
+    TF = apply_T(f.source)
+    TG = apply_T(f.target)
+    tf = t_apply_map(f, TF, TG)
+    t_global = equivalence_check(tf, "global")
+    hf, _, _ = hypercohomology_map(f, N)
+    h_global = equivalence_check(hf, "global")
+    return {"local": local.verdict, "T_global": t_global.verdict,
+            "H_global": h_global.verdict}

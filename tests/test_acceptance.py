@@ -16,12 +16,12 @@ from godex.complexes import random_complex, random_map, single_complex
 from godex.cosimplicial import check_descent_axioms
 from godex.exactlin import GF, QQ
 from godex.filtered import (
-    decalage, decalage_levelwise, deligne_reindex, er_page, filtered_simple,
+    decalage, er_page, filtered_simple,
     filtrations_equal, random_filtered_complex, random_filtered_cosimplicial,
 )
 from godex.godement import (
     derived_sections, descent_spectral_sequence, equivalence_check,
-    hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
+    hypercohomology_sheaf, independent_e2_dims,
     separation_witness, stalk_commutation_check, thomason_check,
 )
 from godex.oracle import constant_cohomology, holim_replacement
@@ -30,6 +30,8 @@ from godex.site import (
     chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
     pseudosphere_poset, random_sheaf, SheafMap, sections, sierpinski_poset, skyscraper,
 )
+
+from conftest import decalage_levelwise, deligne_reindex, localeq_verdicts
 
 F5 = GF(5)
 

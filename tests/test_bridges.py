@@ -19,25 +19,76 @@ here on real instances rather than assumed:
 
 Finally, the literal and reduced Thomason checks agree wherever the literal
 one is feasible.
+
+The program builds none of the maps these facts are about, so the
+coaugmentation, the replacement of a sheaf map and ι_F are built here.
 """
 
-from godex.complexes import ChainMap, is_quis, min_certified, single_complex
-from godex.exactlin import GF
-from godex.exactlin import Matrix
+from godex.complexes import BlockComplex, ChainMap, is_quis, min_certified, single_complex
+from godex.errors import InvariantError
+from godex.exactlin import GF, Layout, Matrix
 from godex.godement import (
-    equivalence_check, hypercohomology_sheaf, reduced_hypercohomology,
-    reduced_inclusion, t_chain_layout, thomason_check,
+    Hypercohomology, equivalence_check, hypercohomology_sheaf, reduced_hypercohomology,
+    thomason_check,
 )
-from godex.oracle import (
-    coaugmentation_into_replacement, replacement_complex, strict_into_weak,
-)
+from godex.oracle import replacement_complex
 from godex.site import (
-    STANDARD_POSETS, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
-    pseudosphere_poset, random_sheaf, sections, sierpinski_poset,
+    STANDARD_POSETS, Sheaf, SheafMap, chain_poset, constant_sheaf, point_poset,
+    pseudocircle_poset, pseudosphere_poset, random_sheaf, sections, sierpinski_poset,
 )
+
+from conftest import strict_into_weak, t_chain_layout
 
 SMALL_POSETS = (point_poset, sierpinski_poset, lambda: chain_poset(3))
 ALL_POSETS = SMALL_POSETS + (pseudocircle_poset, pseudosphere_poset)
+
+
+def coaugmentation_into_replacement(F: Sheaf, sec, repl: BlockComplex) -> ChainMap:
+    """Γ(U, F) -> replacement: a section maps to its values on 1-chains."""
+    field = F.field
+    comps = {}
+    for n in sec.complex.dims:
+        if repl.dim(n) == 0:
+            continue
+        rows = repl.blocks[n]
+        entries = {((p, chain), 0): sec.evaluation(chain[0]).component(n)
+                   for (p, chain) in rows if p == 0}
+        comps[n] = Matrix.assemble(field, rows, [sec.complex.dim(n)], entries)
+    return ChainMap(sec.complex, repl, comps, check=True)
+
+
+def replacement_map(f, src: BlockComplex, tgt: BlockComplex) -> ChainMap:
+    """The replacement of a sheaf map: blockwise f at the last chain vertex."""
+    field = src.field
+    comps = {}
+    for n in src.dims:
+        if tgt.dim(n) == 0:
+            continue
+        rows = tgt.blocks[n]
+        cols = src.blocks[n]
+        comps[n] = Matrix.assemble(field, rows, cols,
+                                   {(c, c): f.component(c[1][-1]).component(n - c[0])
+                                    for c in rows if c in cols})
+    return ChainMap(src, tgt, comps, check=True)
+
+
+def reduced_inclusion(F: Sheaf, hyper: Hypercohomology, R: Sheaf) -> SheafMap:
+    """ι_F : N H_X(F) -> H_X(F), matching strict chains to their slots."""
+    res = hyper.resolution
+
+    def block(x, n):
+        # columns: strict-chain slots; rows: the weak chains (y, ...) of each
+        # slot (p, q, y) of H_x, flattened
+        cols = R.stalk(x).blocks[n]
+        rows = Layout(((p, (y,) + c), d) for p, q, y in hyper.H.labels(x, n)
+                      for c, (_, d) in t_chain_layout(res, p - 1, y, q).items())
+        if any(rows[(p, c)][1] != d for (p, _, c, _), (_, d) in cols.items()):
+            raise InvariantError("reduced model block mismatch")
+        return rows.inclusion(F.field, [(p, c) for p, _, c, _ in cols])
+    iota = SheafMap.from_blocks(R, hyper.H, block)
+    for f in iota.components.values():
+        f.validate()
+    return iota
 
 
 def canonical_replacement_iso(F, hyper, U, repl):
@@ -219,7 +270,6 @@ def test_reduced_naturality_square(f5):
     # eps^strict is natural: strict-replacement(iota) ∘ eps_R = eps_H ∘ Γ(U, iota),
     # and the replacement of the stalkwise equivalence iota is itself a quis
     # (a finite product of quasi-isomorphisms per level)
-    from godex.oracle import replacement_map
     from godex.site import sections_map
     P = pseudocircle_poset()
     F = random_sheaf(P, f5, 11, max_dim=2, span=2)

@@ -23,7 +23,7 @@ from godex.exactlin import GF, QQ, Layout, Matrix
 from godex.godement import hypercohomology_sheaf, normalized_hypercohomology_sheaf, thomason_check
 from godex.site import STANDARD_POSETS, LabelledSheaf, Poset, random_sheaf, sections
 
-from conftest import plain_copy
+from conftest import from_rows, plain_copy
 
 F5 = GF(5)
 
@@ -115,7 +115,7 @@ def _hyper():
 def _changed(m: Matrix, i: int, j: int) -> Matrix:
     rows = m.rows_list()
     rows[i][j] = (rows[i][j] + 1) % 5
-    return Matrix.from_rows(m.field, rows)
+    return from_rows(m.field, rows)
 
 
 def test_guard_rejects_a_stalk_differential_that_breaks_a_chain_map():

@@ -233,6 +233,19 @@ def test_floats_and_booleans_for_integers_are_invalid_input(tmp_path, mutate):
     assert out == "" and err.startswith("error: ")
 
 
+def test_a_key_given_twice_exits_two(tmp_path):
+    # the second "field" won: the file ran over F_3 and exited 0, and `fmt`
+    # dropped the first
+    text = (DATA / "pseudocircle-constant.json").read_text()
+    assert text.startswith('{\n  "field": {\n    "p": 5\n  },\n')
+    path = tmp_path / "twice.json"
+    path.write_text(text.replace('{\n', '{\n  "field": {"p": 3},\n', 1))
+    for args in (("--format", "json", "cohomology", "--open", "ALL"), ("fmt",)):
+        code, out, err = run_cli(*args, str(path))
+        assert code == 2, (args, err)
+        assert out == "" and err == 'error: key "field" is given twice in one object\n', args
+
+
 def _rational_document(entry):
     """The constant pseudocircle sheaf over Q, with `entry` as one
     restriction entry."""

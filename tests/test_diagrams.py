@@ -20,17 +20,20 @@ from godex.complexes import (
     direct_sum, mapping_cone, random_complex, random_map, single_complex, truncate,
 )
 from godex.cosimplicial import (
-    BicosimplicialMap, CosimplicialMap, bicosimplicial_from_rows, constant_cosimplicial,
+    CosimplicialMap, bicosimplicial_from_rows, constant_cosimplicial,
     outer_cosimplicial, random_bicosimplicial, random_cosimplicial, random_levelwise_quis,
 )
 from godex.errors import InvariantError, NotCosimplicial
-from godex.exactlin import GF, QQ, Layout, Matrix, random_invertible, random_matrix
+from godex.exactlin import GF, QQ, Layout, Matrix, random_invertible
 from godex.filtered import random_filtered_cosimplicial
 from godex.site import (
     SheafMap, constant_sheaf, pseudocircle_poset, pseudosphere_poset, random_sheaf,
 )
 
-from conftest import reference_coface_sum, reference_direct_sum, reference_transport
+from conftest import (
+    BicosimplicialMap, block, random_matrix, reference_coface_sum, reference_direct_sum,
+    reference_transport,
+)
 
 
 def _pairs_of_diagrams(f5):
@@ -154,7 +157,7 @@ def test_labelled_assemble_matches_positional(field):
         # a block is the slice at its offset
         for (rl, cl), m in labelled.items():
             (r0, rd), (c0, cd) = rows[rl], cols[cl]
-            assert expected.block((r0, r0 + rd), (c0, c0 + cd)) == m
+            assert block(expected, (r0, r0 + rd), (c0, c0 + cd)) == m
 
 
 def test_layout_inclusion_and_projection(f5):

@@ -11,10 +11,13 @@ from godex.errors import AmbientMismatch, InvariantError, NotContained
 from godex.complexes import random_complex
 from godex.exactlin import (
     GF, QQ, Field, Layout, Matrix, Subspace, _rank_sparse, free_columns, kernel,
-    random_automorphism, random_invertible, random_matrix, subquotient,
+    random_automorphism, random_invertible, subquotient,
 )
 
-from conftest import naive_rank, naive_rref, preimage, reference_automorphism
+from conftest import (
+    block, column, from_rows, naive_rank, naive_rref, preimage, random_matrix,
+    reference_automorphism,
+)
 
 
 def test_field_primality():
@@ -207,9 +210,9 @@ def test_constructor_refuses_data_of_another_shape(field):
         with pytest.raises(ValueError, match="rows of"):
             Matrix(field, rows, cols, data)
     with pytest.raises(ValueError, match="rows of"):
-        Matrix.from_rows(field, [[1, 2], [3]])
+        from_rows(field, [[1, 2], [3]])
     assert Matrix(field, 2, 1, [[1], [2]]).rows_list() == [[1], [2]]
-    assert Matrix.from_rows(field, []).shape == (0, 0)
+    assert from_rows(field, []).shape == (0, 0)
 
 
 def test_subquotient_full_by_zero(qq):
@@ -482,14 +485,14 @@ def every_shape_result(field):
                      Matrix.zeros(field, 3, 0) @ Matrix.zeros(field, 0, 4),
                      Matrix.zeros(field, 0, 3) @ Matrix.zeros(field, 3, 2),
                      A + A, A.scale(3), -A, A - A, A.transpose(), A.hstack(A), A.vstack(A),
-                     A.take_rows([]), A.take_columns([2, 0]), A.block((1, 3), (0, 0)),
+                     A.take_rows([]), A.take_columns([2, 0]), block(A, (1, 3), (0, 0)),
                      Matrix.assemble(field, [2, 0], [1, 3], {}),
                      Matrix.assemble(field, [3], [4], {(0, 0): A}),
                      A.rref()[0], A.kernel_matrix(), Matrix.zeros(field, 2, 3).kernel_matrix(),
                      A.solve(A @ Matrix.identity(field, 4)),
                      Layout([("a", 2), ("b", 0), ("c", 1)]).projection(field, ["c", "a"]),
                      Layout([("a", 2), ("b", 1)]).inclusion(field, ["b"]),
-                     Matrix.from_rows(field, [[1, 2], [3, 4]]), Matrix.column(field, [1, 2])]
+                     from_rows(field, [[1, 2], [3, 4]]), column(field, [1, 2])]
     out += [M.rref()[0] for M in empties] + [M.kernel_matrix() for M in empties]
     return out
 

@@ -9,11 +9,13 @@ from godex.errors import NotFiltered
 from godex.exactlin import Matrix, random_invertible
 from godex.filtered import (
     FilteredComplex, FilteredDiagram, _filtered_transport, bicosimplicial_filtered_from_rows,
-    check_descent_axioms_filtered, decalage, decalage_levelwise, deligne_reindex,
+    check_descent_axioms_filtered, decalage,
     e_infinity_dims, er_page, filtered_aw, filtered_simple, filtrations_equal, is_er_quis,
     random_filtered_complex, random_filtered_cosimplicial,
 )
 from godex.site import constant_sheaf, pseudocircle_poset, random_sheaf
+
+from conftest import decalage_levelwise, deligne_reindex, homology_dims
 
 
 def test_trivial_filtration_pages(f5):
@@ -48,7 +50,7 @@ def test_page_coherence_and_convergence(f5):
         if FC.base.certified_degree is not None:
             top = min(top, FC.base.certified_degree)
         for r in range(3):
-            below_top = {pq: d for pq, d in er_page(FC, r).homology_dims().items()
+            below_top = {pq: d for pq, d in homology_dims(er_page(FC, r)).items()
                          if sum(pq) < top}
             assert below_top == {pq: d for pq, d in er_page(FC, r + 1).dims().items()
                                  if sum(pq) < top}, r

@@ -18,11 +18,12 @@ from godex.complexes import random_complex
 from godex.cosimplicial import check_descent_axioms, random_bicosimplicial, random_cosimplicial
 from godex.exactlin import GF, QQ
 from godex.filtered import check_descent_axioms_filtered, random_filtered_cosimplicial
-from godex.godement import godement_resolution, hypercohomology_sheaf, skyscraper_counit
+from godex.godement import godement_resolution, hypercohomology_sheaf
 from godex.site import (
     STANDARD_POSETS, pseudocircle_poset, pseudosphere_poset, random_sheaf, skyscraper,
-    skyscraper_unit,
 )
+
+from conftest import skyscraper_counit, skyscraper_unit
 
 SEEDS = range(6)
 DIGEST = "46c8ea6d77faac1c8cf52bfc493c9feadfd9da1b3f708790bdbbfbb72b66d12d"

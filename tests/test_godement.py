@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -15,20 +16,61 @@ from godex.cosimplicial import (
 from godex.errors import InvariantError, NotExtraDegeneracy, TooLarge
 from godex.filtered import FilteredComplex, er_page
 from godex.godement import (
-    apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
+    GodementResolution, apply_T, cohomology_sheaf, derived_direct_image, derived_sections,
     descent_double_complex, descent_spectral_sequence, equivalence_check, godement_eta, godement_nu,
-    godement_resolution, hypercohomology_map, hypercohomology_sheaf, independent_e2_dims, localeq_verdicts,
-    reduced_hypercohomology, resolution_sections,
-    separation_witness, sheaf_extra_degeneracy_top, skyscraper_counit,
-    stalk_commutation_check, stalk_extra_degeneracy, t_apply_map, t_chain_layout, thomason_check,
-    _hypercohomology,
+    godement_resolution, hypercohomology_sheaf, independent_e2_dims, reduced_hypercohomology,
+    separation_witness, stalk_commutation_check, t_apply_map, thomason_check, _hypercohomology,
 )
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
     random_poset, random_sheaf, SheafMap, sections, sections_map, sierpinski_poset, skyscraper,
 )
 
-from conftest import basis_quis_per_degree
+from conftest import (
+    basis_quis_per_degree, hypercohomology_map, localeq_verdicts, random_matrix, skyscraper_counit,
+    t_chain_layout,
+)
+
+
+def stalk_extra_degeneracy(res: GodementResolution, x):
+    """The extra degeneracy of the coaugmented stalkwise resolution at x.
+
+    Returns (eps_x, X_x, extra) for collapse_by_extra_degeneracy with
+    side="bottom": extra[p] projects the iterated product onto the chains
+    whose first entry is x itself.
+    """
+    F = res.sheaf
+    field = F.field
+    X = res.stalkwise(x)
+    extra = []
+    for p in range(res.p_max + 1):
+        here = res.level(p).stalk(x)
+        target = F.stalk(x) if p == 0 else res.level(p - 1).stalk(x)
+        comps = {n: here.blocks[n].projection(field, [x]) for n in target.dims if here.dim(n)}
+        extra.append(ChainMap(X.level(p), target, comps, check=False))
+    return res.eta.component(x), X, extra
+
+
+def sheaf_extra_degeneracy_top(res: GodementResolution, y0):
+    """Top-side extra degeneracy family for G•(skyscraper at y0):
+    extra[p] = T^p(counit)."""
+    out = [skyscraper_counit(res, y0)]
+    for p in range(1, res.p_max + 1):
+        out.append(t_apply_map(out[-1], res.level(p), res.level(p - 1)))
+    return out
+
+
+def resolution_sections(res: GodementResolution, U):
+    """Evaluate the resolution on an open: the coaugmented cosimplicial
+    complex (Γ(U, F) -> Γ(U, G•F)) with structure maps Γ(U, d^i), Γ(U, s^j)."""
+    secs = {p: sections(res.level(p), U) for p in range(res.p_max + 1)}
+    sec_F = sections(res.sheaf, U)
+    levels = {p: secs[p].complex for p in range(res.p_max + 1)}
+    cofaces = {(p, i): sections_map(f, U) for (p, i), f in res.cofaces.items()}
+    codegens = {(p, j): sections_map(f, U) for (p, j), f in res.codegeneracies.items()}
+    X = CosimplicialComplex(res.sheaf.field, levels, cofaces, codegens, res.p_max, check=False)
+    eps = sections_map(res.eta, U)
+    return X, eps, sec_F
 
 
 def _count_builders(monkeypatch):
@@ -483,16 +525,11 @@ def test_skyscraper_resolution_extra_degeneracy_on_opens(f5):
     res = godement_resolution(F, N - F.lower)
     counit = skyscraper_counit(res, "c")
     extra_sheaf = sheaf_extra_degeneracy_top(res, "c")
-    from godex.site import sections as _sections
-    from godex.site import sections_map as _sections_map
     for U in S.up_sets():
         if not U:
             continue
-        X, eps, sec_F = resolution_sections(res, U)
-        secs = {p: _sections(res.level(p), U) for p in range(res.p_max + 1)}
-        extra = [_sections_map(extra_sheaf[0], U, secs[0], sec_F)]
-        for p in range(1, res.p_max + 1):
-            extra.append(_sections_map(extra_sheaf[p], U, secs[p], secs[p - 1]))
+        X, eps, _ = resolution_sections(res, U)
+        extra = [sections_map(f, U) for f in extra_sheaf]
         cert = collapse_by_extra_degeneracy(eps, X, extra, N, side="top")
         assert cert
 
@@ -853,7 +890,6 @@ def test_spectral_sequence_single_degree_sheaf(f5):
     stalks = {x: CochainComplex(f5, {q0: stalk_dims[x]}, {}, lower=q0) for x in P.elements}
     restr = {}
     for (a, b) in P.pairs():
-        from godex.exactlin import random_matrix
         restr[(a, b)] = ChainMap(stalks[a], stalks[b],
                                  {q0: random_matrix(f5, stalk_dims[b], stalk_dims[a], rng)},
                                  check=False)
@@ -980,8 +1016,8 @@ def test_descent_builds_no_full_tower_coface_or_codegeneracy(f5, monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the descent spectral sequence built a structure map")
-    for target, attr in ((gm, "t_apply_map"), (gm, "godement_nu"), (gm, "resolution_sections"),
-                         (cosimplicial, "simple")):
+    for target, attr in ((gm, "t_apply_map"), (gm, "godement_nu"),
+                         (sys.modules[__name__], "resolution_sections"), (cosimplicial, "simple")):
         monkeypatch.setattr(target, attr, forbidden)
     # η_F is the one η each resolution builds: a coface d^0_p would be another
     etas, eta = [], gm.godement_eta

@@ -17,12 +17,12 @@ its sections with the constraint route).
 
 import pytest
 
-from conftest import reference_normalization
+from conftest import from_rows, reference_normalization, t_chain_layout
 from godex.complexes import BlockComplex
 from godex.errors import NotContained
 from godex.exactlin import GF, QQ, Matrix, Subspace
 from godex.godement import (
-    derived_sections, hypercohomology_sheaf, normalized_hypercohomology_sheaf, t_chain_layout,
+    derived_sections, hypercohomology_sheaf, normalized_hypercohomology_sheaf,
 )
 from godex.oracle import replacement_complex
 from godex.site import STANDARD_POSETS, LabelledSheaf, random_sheaf, sections
@@ -142,7 +142,7 @@ def test_a_changed_differential_entry_is_refused_when_the_sheaf_is_built():
     n = max(old.differentials, key=lambda n: old.differentials[n].rows)
     rows = old.differentials[n].rows_list()
     rows[0][0] = (rows[0][0] + 1) % 5
-    bent = BlockComplex(F5, old.blocks, {**old.differentials, n: Matrix.from_rows(F5, rows)},
+    bent = BlockComplex(F5, old.blocks, {**old.differentials, n: from_rows(F5, rows)},
                         lower=old.lower, certified_degree=old.certified_degree, check=False)
     with pytest.raises(NotContained, match="does not commute with d"):
         LabelledSheaf(P, F5, {**NH.stalks, b: bent})

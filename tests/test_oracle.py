@@ -1,13 +1,13 @@
 import random
 
 from godex.complexes import is_quis, single_complex
-from godex.oracle import (
-    NerveComplex, constant_cohomology, holim_replacement, strict_into_weak,
-)
+from godex.oracle import NerveComplex, constant_cohomology, holim_replacement
 from godex.site import (
     chain_poset, constant_sheaf, point_poset, pseudocircle_poset,
     pseudosphere_poset, random_sheaf, sierpinski_poset,
 )
+
+from conftest import strict_into_weak
 
 
 def test_holim_point_is_stalk_cohomology(f5):

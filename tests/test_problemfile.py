@@ -228,3 +228,56 @@ def test_falsy_filtration_entries_are_invalid_input(tmp_path, capsys, key, value
     path.write_text(json.dumps(doc))
     assert cli.main(["fmt", str(path)]) == 0
     assert capsys.readouterr().out == (DATA / "filtered-example.json").read_text()
+
+
+def _text_with(path, old, new):
+    """The compact JSON text of the document at `path`, with its one
+    occurrence of `old` replaced by `new`: a way to write what a dict cannot
+    hold, such as a key given twice."""
+    text = json.dumps(json.loads(path.read_text()))
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+_CIRCLE = DATA / "pseudocircle-constant.json"
+_A_STALK = '"a": {"differentials": {}, "dims": {"0": 1}, "lower_bound": 0}'
+
+
+@pytest.mark.parametrize("old, new, key", [
+    # the second field would win: the file ran over F_3 and exited 0
+    ('{"field": {"p": 5}', '{"field": {"p": 5}, "field": {"p": 3}', "field"),
+    ('"dims": {"0": 1}, "lower_bound": 0}, "b"', '"dims": {"0": 1, "0": 2}, "lower_bound": 0}, "b"',
+     "0"),
+    (_A_STALK, f"{_A_STALK}, {_A_STALK}", "a"),
+    ('{"components": {"0": [[1]]}, "from": "a", "to": "x"}',
+     '{"components": {"0": [[1]]}, "from": "a", "to": "x", "to": "y"}', "to"),
+], ids=["top-level", "degree", "stalk", "restriction"])
+def test_a_key_given_twice_is_refused(old, new, key):
+    # `json` keeps the last of two equal keys, and `fmt` dropped the first;
+    # a repeated key at any level is invalid input that names the key
+    with pytest.raises(FormatError, match=f'key "{key}" is given twice'):
+        parse_document(_text_with(_CIRCLE, old, new))
+
+
+@pytest.mark.parametrize("path, old, new, message", [
+    (_CIRCLE, '"dims": {"0": 1}, "lower_bound": 0}, "b"',
+     '"dims": {"00": 5}, "lower_bound": 0}, "b"', "must be written 0, got '00'"),
+    (_CIRCLE, '"dims": {"0": 1}, "lower_bound": 0}, "b"',
+     '"dims": {"-0": 1}, "lower_bound": 0}, "b"', "must be written 0, got '-0'"),
+    # the two keys name one degree: one of them silently won
+    (_CIRCLE, '"dims": {"0": 1}, "lower_bound": 0}, "b"',
+     '"dims": {"0": 1, "1": 1, "01": 3}, "lower_bound": 0}, "b"', "must be written 1, got '01'"),
+    (_CIRCLE, '{"components": {"0": [[1]]}, "from": "a", "to": "x"}',
+     '{"components": {"00": [[1]]}, "from": "a", "to": "x"}', "must be written 0, got '00'"),
+    (DATA / "filtered-example.json", '"subspaces": {"1": {', '"subspaces": {"01": {',
+     "must be written 1, got '01'"),
+    (DATA / "filtered-example.json", '"2": {"0": [["1"]]', '"2": {"-0": [["1"]]',
+     "must be written 0, got '-0'"),
+], ids=["dims-00", "dims--0", "dims-01", "components-00", "filtration-01", "degree--0"])
+def test_integer_keys_are_canonical(path, old, new, message):
+    # "00", "01" and "-0" were read as 0, 1 and 0, so two keys could name one
+    # degree; an integer key is refused unless it is written as str(int)
+    with pytest.raises(FormatError, match=message):
+        parse_document(_text_with(path, old, new))
+    # the control: the canonical document parses
+    parse_document(_text_with(path, old, old))

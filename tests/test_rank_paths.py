@@ -26,14 +26,14 @@ from godex.complexes import (
 from godex.cosimplicial import random_cosimplicial, simple
 from godex.errors import InvariantError, NotContained, NotFiltered
 from godex.exactlin import (
-    GF, QQ, Layout, Matrix, Subspace, random_invertible, random_matrix,
+    GF, QQ, Layout, Matrix, Subspace, random_invertible,
 )
 from godex.filtered import (
     FilteredComplex, check_descent_axioms_filtered, check_filtered_map, decalage, er_page,
     is_er_quis, random_filtered_complex,
 )
 from godex.godement import (
-    derived_sections, descent_double_complex, equivalence_check, hypercohomology_map,
+    derived_sections, descent_double_complex, equivalence_check,
     hypercohomology_sheaf, normalized_hypercohomology_sheaf, reduced_hypercohomology,
     separation_witness,
 )
@@ -43,7 +43,9 @@ from godex.site import (
     _map_into,
 )
 
-from conftest import intersect, plain_copy, preimage
+from conftest import (
+    from_rows, homology_dims, hypercohomology_map, intersect, plain_copy, preimage, random_matrix,
+)
 
 F5 = GF(5)
 SUITE = {"point": point_poset, "sierpinski": sierpinski_poset, "chain3": lambda: chain_poset(3),
@@ -161,10 +163,10 @@ def test_rank_guard_rejects_a_restriction_that_is_not_a_chain_map():
     of its constructor checks them for chain maps, once
     (tests/test_chain_sections.py)."""
     P = pseudocircle_poset()
-    C = CochainComplex(F5, {0: 1, 1: 2}, {0: Matrix.from_rows(F5, [[1], [0]])})
+    C = CochainComplex(F5, {0: 1, 1: 2}, {0: from_rows(F5, [[1], [0]])})
     ident = ChainMap.identity(C)
     # a ⋖ x swaps the degree-1 coordinates: not a chain map
-    swap = Matrix.from_rows(F5, [[0, 1], [1, 0]])
+    swap = from_rows(F5, [[0, 1], [1, 0]])
     broken = ChainMap(C, C, {0: Matrix.identity(F5, 1), 1: swap}, check=False)
     restr = {(a, b): broken if (a, b) == ("a", "x") else ident for (a, b) in P.pairs()}
     F = Sheaf(P, F5, {x: C for x in P.elements}, restr, check=False)
@@ -372,7 +374,7 @@ def test_index_selected_sections_map_refuses_a_map_with_one_broken_component(row
     rows = at_a.component(n).rows_list()
     rows[row][0] = (rows[row][0] + 1) % 5
     comp = ChainMap(at_a.source, at_a.target,
-                    {**at_a.components, n: Matrix.from_rows(F5, rows)}, check=False)
+                    {**at_a.components, n: from_rows(F5, rows)}, check=False)
     broken = SheafMap(rho.source, rho.target, {**rho.components, "a": comp}, check=False)
     refused = []
     for U in (U for U in P.up_sets() if U and sections(rho.source, U).minimum is None):
@@ -537,7 +539,7 @@ def test_reading_terms_later_runs_the_dr_squared_check(monkeypatch):
     with pytest.raises(InvariantError, match="d_r ∘ d_r"):
         page.terms
     with pytest.raises(InvariantError, match="d_r ∘ d_r"):
-        page.homology_dims()
+        homology_dims(page)
 
 
 def test_terms_that_disagree_with_the_rank_dims_are_refused(monkeypatch):
@@ -609,7 +611,7 @@ def test_page_dims_ranks_match_terms_on_transported_and_decalage(field):
 
 def test_from_bases_refuses_a_flag_that_does_not_decrease():
     C = single_complex(F5, 0, 2)
-    e0, e1 = Matrix.from_rows(F5, [[1], [0]]), Matrix.from_rows(F5, [[0], [1]])
+    e0, e1 = from_rows(F5, [[1], [0]]), from_rows(F5, [[0], [1]])
     FilteredComplex.from_bases(C, {(1, 0): e0.hstack(e1), (2, 0): e0}, 0, 2)
     with pytest.raises(InvariantError, match="not decreasing at \\(k=2, n=0\\)"):
         FilteredComplex.from_bases(C, {(1, 0): e1, (2, 0): e0}, 0, 2)
@@ -627,9 +629,9 @@ def test_check_filtered_map_catches_a_break_of_a_transported_filtration():
         C, {(1, 0): Matrix.identity(F5, 3).take_columns([i])}, 0, 1).filtration(1, 0)
         for i in range(3))
     ginv = g.inverse()
-    diagonal = Matrix.from_rows(F5, [[2, 0, 0], [0, 3, 0], [0, 0, 4]])
+    diagonal = from_rows(F5, [[2, 0, 0], [0, 3, 0], [0, 0, 4]])
     check_filtered_map(ChainMap(C, C, {0: g @ diagonal @ ginv}), FC, FC)
-    swap = Matrix.from_rows(F5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    swap = from_rows(F5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(NotFiltered, match="k=1, n=0"):
         check_filtered_map(ChainMap(C, C, {0: g @ swap @ ginv}), FC, FC)
 
@@ -722,7 +724,7 @@ def _random_filtered_map(rng, src, tgt):
                     if (n + 1, i, b) in index:
                         row[index[(n + 1, i, b)]] -= dS.entry(b, j)
                 rows.append(row)
-    K = Matrix.from_rows(field, rows).kernel_matrix() if rows else \
+    K = from_rows(field, rows).kernel_matrix() if rows else \
         Matrix.identity(field, len(unknowns))
     vec = K @ random_matrix(field, K.cols, 1, rng)
     comps = {}
@@ -731,7 +733,7 @@ def _random_filtered_map(rng, src, tgt):
         for (k, i, j), u in index.items():
             if k == n:
                 m[i][j] = vec.entry(u, 0)
-        comps[n] = tgt.basis(n) @ Matrix.from_rows(field, m) @ src.inverse(n)
+        comps[n] = tgt.basis(n) @ from_rows(field, m) @ src.inverse(n)
     return ChainMap(src.base, tgt.base, comps)
 
 

@@ -9,15 +9,16 @@ from godex.complexes import ChainMap, conjugate, random_complex, random_map, sin
 from godex.errors import (
     InvariantError, NotACover, NotContained, NotMonotone, NotOpen, TooLarge, UnknownElement,
 )
-from godex.exactlin import Matrix
 from godex.godement import equivalence_check
 from godex.site import (
     STANDARD_POSETS, MonotoneMap, Poset, Sheaf, chain_poset, check_sheaf_equalizer,
     constant_sheaf, direct_image, down_set_sheaf, point_poset,
     pseudocircle_poset, pseudosphere_poset, random_poset, random_sheaf, SheafMap,
     restriction_of_sections, sections, sections_map, sierpinski_poset,
-    skyscraper, skyscraper_unit, up_set_sheaf,
+    skyscraper, up_set_sheaf,
 )
+
+from conftest import column, skyscraper_unit
 
 
 def test_poset_validation():
@@ -109,7 +110,7 @@ def test_a_minimal_open_builds_no_evaluation_until_one_is_read(f5, monkeypatch):
                         lambda G, x, y: read.append(y) or restriction(G, x, y))
     U = P.up_set("a")
     sec = sections(F, U)
-    assert sections_map(f, U, sec, sec) is f.component("a") and read == []
+    assert sections_map(f, U) is f.component("a") and read == []
     assert sec.evaluation("x") is sec.evaluation("x") is F.restrictions[("a", "x")]
     assert read == ["x"]
     assert sec.evaluation("a") == ChainMap.identity(F.stalk("a")) and read == ["x", "a"]
@@ -403,14 +404,14 @@ def test_incompatible_family_raises_not_contained(f5):
     P = pseudocircle_poset()
     F = constant_sheaf(P, single_complex(f5, 0, 1))
     sec = sections(F, frozenset(P.elements))
-    assert sec.coordinates(0, Matrix.column(f5, [2, 2, 2, 2])) == Matrix.column(f5, [2])
+    assert sec.coordinates(0, column(f5, [2, 2, 2, 2])) == column(f5, [2])
     with pytest.raises(NotContained):
-        sec.coordinates(0, Matrix.column(f5, [1, 0, 1, 1]))
+        sec.coordinates(0, column(f5, [1, 0, 1, 1]))
     # over ↑a = {a, x, y}, which has the minimum a, a section is its a-block
     sec = sections(F, P.up_set("a"))
-    assert sec.coordinates(0, Matrix.column(f5, [3, 3, 3])) == Matrix.column(f5, [3])
+    assert sec.coordinates(0, column(f5, [3, 3, 3])) == column(f5, [3])
     with pytest.raises(NotContained):
-        sec.coordinates(0, Matrix.column(f5, [3, 3, 1]))
+        sec.coordinates(0, column(f5, [3, 3, 1]))
     # G is k everywhere with r_{b,y} = 2, so Γ(X, G)^0 = 0 over F_5; the
     # stalkwise identities F -> G are no sheaf map, and the constant section
     # lands outside Γ(X, G) although Γ(X, G) vanishes in that degree

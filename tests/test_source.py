@@ -23,30 +23,39 @@ def test_library_checks_are_not_assert_statements():
     assert not found, found
 
 
-def test_godement_imports_nothing_from_oracle():
-    # the Godement route shares no construction with the independent oracle
-    tree = ast.parse((SRC / "godement.py").read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "oracle":
-            imported |= {alias.name for alias in node.names}
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported |= {"module oracle" for alias in node.names
-                         if alias.name.split(".")[-1] == "oracle"}
-    assert imported == set()
-
-
-def test_site_imports_nothing_from_godement_cosimplicial_or_oracle():
-    # the chain route of `sections` is chosen by the sheaf's own marker
-    # (`LabelledSheaf`), so the site layer knows no Godement construction
-    tree = ast.parse((SRC / "site.py").read_text())
+def _imported_modules(filename):
+    """The last part of every module that src/godex/`filename` imports or
+    imports from, and of every name it imports."""
     modules = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / filename).read_text())):
         if isinstance(node, ast.ImportFrom):
             modules.add((node.module or "").split(".")[-1])
             modules |= {alias.name.split(".")[-1] for alias in node.names}
         elif isinstance(node, ast.Import):
             modules |= {alias.name.split(".")[-1] for alias in node.names}
+    return modules
+
+
+def test_godement_imports_nothing_from_oracle():
+    # the Godement route shares no construction with the independent oracle
+    modules = _imported_modules("godement.py")
+    assert modules, "godement.py imports nothing at all"
+    assert "oracle" not in modules, modules
+
+
+def test_oracle_imports_nothing_from_godement_or_cosimplicial():
+    # the other half of the independence: the oracle computes RΓ with no
+    # Godement construction and no simple functor, so that a fault there
+    # cannot hide in both routes at once
+    modules = _imported_modules("oracle.py")
+    assert modules, "oracle.py imports nothing at all"
+    assert not modules & {"godement", "cosimplicial"}, modules
+
+
+def test_site_imports_nothing_from_godement_cosimplicial_or_oracle():
+    # the chain route of `sections` is chosen by the sheaf's own marker
+    # (`LabelledSheaf`), so the site layer knows no Godement construction
+    modules = _imported_modules("site.py")
     assert modules, "site.py imports nothing at all"
     assert not modules & {"godement", "cosimplicial", "oracle"}, modules
 
@@ -93,52 +102,50 @@ def test_every_private_function_has_a_caller_in_src():
     assert not [(name, where) for name, where in defs + names if used[name] == own[name]]
 
 
-# Public module-level functions that nothing in src/ or bench/ names, each
-# with the reason it is kept; only tests call them, and they are meant to
-# move into the tests.
-UNCALLED_FUNCTIONS = {
-    "skyscraper_unit": "the adjunction unit F -> skyscraper, which the site and "
-                       "digest tests check",
-    "random_matrix": "random matrices for the exactlin, diagram and rank-path tests",
-    "coaugmentation_into_replacement": "a bridge to the holim replacements, for the "
-                                       "bridge tests",
-    "strict_into_weak": "a bridge between the holim replacements, for the bridge and "
-                        "oracle tests",
-    "replacement_map": "a bridge on the holim replacements, for the bridge tests",
-    "iterated_simple_map": "ss(f), whose transpose symmetry the cosimplicial tests check",
-    "decalage_levelwise": "Deligne's décalage comparison, for the filtered and "
-                          "acceptance tests",
-    "deligne_reindex": "Deligne's décalage comparison, for the filtered and "
-                       "acceptance tests",
-    "stalk_extra_degeneracy": "the extra degeneracy that collapses G•F stalkwise, for "
-                              "the Godement tests",
-    "sheaf_extra_degeneracy_top": "the extra degeneracy of G• of a skyscraper, for the "
-                                  "Godement tests",
-    "resolution_sections": "Γ(U, G•F) of the full tower, the reference of the descent "
-                           "tests",
-    "reduced_inclusion": "ι_F : N H_X F -> H_X F, which the bridge tests check",
-    "localeq_verdicts": "the three predicates of the local-equivalence criterion, for "
-                        "the acceptance tests",
-}
-
-
 def test_every_public_function_has_a_caller():
-    # as options do, a public function needs a reader in the package (an
-    # import into __init__ counts) or the benchmark; one that only tests call
-    # is test code in the library.  Its references inside its own body do not
-    # count, and names are matched by spelling, as for private helpers.
+    # as options do, a public function or class needs a reader in the package
+    # (an import into __init__ counts) or the benchmark; one that only tests
+    # call is test code in the library, and belongs in the tests.  Its
+    # references inside its own body do not count, and names are matched by
+    # spelling, as for private helpers.
     bench = SRC.parent.parent / "bench"
     defs, used, own = [], Counter(), Counter()
     for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         used.update(_names_in(tree))
         if path.parent == SRC:
-            for fn in tree.body:
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
-                    defs.append(fn.name)
-                    own[fn.name] += sum(1 for name in _names_in(fn) if name == fn.name)
-    assert defs and used
-    assert {name for name in defs if used[name] == own[name]} == set(UNCALLED_FUNCTIONS)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                        not node.name.startswith("_"):
+                    defs.append((node.name, f"{path.name}:{node.lineno}"))
+                    own[node.name] += sum(1 for name in _names_in(node) if name == node.name)
+    assert "Matrix" in {name for name, _ in defs} and used
+    assert [(name, where) for name, where in defs if used[name] == own[name]] == []
+
+
+def _attributes_in(node):
+    """Every attribute name that `node` reads: the `name` of each `.name`."""
+    return (sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def test_every_public_method_has_a_caller():
+    # a public method of a public class, __init__ and the other dunders
+    # aside, needs a `.name` reference in the package or the benchmark
+    # outside its own body.  Only attribute references count: a bare name
+    # is a local function or variable (many a block builder is a local
+    # function named `block`), never a method.  Methods are matched by
+    # spelling, so an override shares the callers of the method it overrides.
+    bench = SRC.parent.parent / "bench"
+    methods, attrs, own = [], Counter(), Counter()
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        attrs.update(_attributes_in(tree))
+        if path.parent == SRC:
+            for fn, _ in _public_methods(tree):
+                methods.append((fn.name, f"{path.name}:{fn.lineno}"))
+                own[fn.name] += sum(1 for name in _attributes_in(fn) if name == fn.name)
+    assert methods and attrs
+    assert [(name, where) for name, where in methods if attrs[name] == own[name]] == []
 
 
 # Defaulted parameters of public functions that no call in src/ or bench/
